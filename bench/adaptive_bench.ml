@@ -1,14 +1,13 @@
-(* Budgeted adaptive-optimization benchmark (BENCH_adaptive.json).
+(* Budgeted adaptive-optimization benchmark (the xadaptive table).
 
-   One record per (graph, pair budget): which rung of the adaptive
+   One row per (graph, pair budget): which rung of the adaptive
    ladder (exact DPhyp → IDP-k → GOO) answered, how long it took, how
    much of the budget it spent, and — where exact DP is cheap enough
    to run as a reference — how far the returned plan is from the true
-   optimum.  The headline smoke point is the 20-relation clique under
+   optimum.  The headline point is the 20-relation clique under
    a 50k-pair budget: exact enumeration needs millions of pairs there,
-   so the run MUST finish on a fallback tier; tools/bench_smoke.sh
-   fails if it ever reports "exact" (budget not enforced) or crashes
-   (ladder broken). *)
+   so the run must finish on a fallback tier (test_differential pins
+   this). *)
 
 module Opt = Core.Optimizer
 module G = Hypergraph.Graph
@@ -41,18 +40,7 @@ let points ~quick =
         ~budget:20_000;
     ]
 
-type record = {
-  name : string;
-  relations : int;
-  budget : int option;
-  tier : string;
-  ms : float;
-  pairs : int;
-  cost : float;
-  cost_vs_exact : float option;  (** plan cost / exact optimum cost *)
-}
-
-let run_point (pt : point) =
+let row (pt : point) =
   let ms, result =
     Bench_util.time_ms (fun () ->
         Opt.run ?budget:pt.budget Opt.Adaptive pt.graph)
@@ -60,99 +48,30 @@ let run_point (pt : point) =
   let cost =
     match result.Opt.plan with Some p -> p.Plans.Plan.cost | None -> nan
   in
-  let cost_vs_exact =
-    if pt.exact_ref then
-      match (Opt.run Opt.Dphyp pt.graph).Opt.plan with
-      | Some p -> Some (cost /. p.Plans.Plan.cost)
-      | None -> None
-    else None
-  in
-  {
-    name = pt.name;
-    relations = G.num_nodes pt.graph;
-    budget = pt.budget;
-    tier =
-      (match result.Opt.tier with
-      | Some t -> Core.Adaptive.tier_name t
-      | None -> "?");
-    ms;
-    pairs = result.Opt.counters.Core.Counters.pairs_considered;
-    cost;
-    cost_vs_exact;
-  }
-
-let records ~quick = List.map run_point (points ~quick)
+  [
+    pt.name;
+    string_of_int (G.num_nodes pt.graph);
+    (match pt.budget with Some b -> string_of_int b | None -> "inf");
+    (match result.Opt.tier with
+    | Some t -> Core.Adaptive.tier_name t
+    | None -> "?");
+    Bench_util.fmt_ms ms;
+    string_of_int result.Opt.counters.Core.Counters.pairs_considered;
+    Printf.sprintf "%.3g" cost;
+    (match
+       if pt.exact_ref then (Opt.run Opt.Dphyp pt.graph).Opt.plan else None
+     with
+    | Some p -> Printf.sprintf "%.4f" (cost /. p.Plans.Plan.cost)
+    | None -> "-");
+  ]
 
 let table ~quick () =
   Bench_util.header
     "X11: adaptive optimization under a pair budget (DPhyp -> IDP -> GOO)";
-  let rows =
-    List.map
-      (fun r ->
-        [
-          r.name;
-          string_of_int r.relations;
-          (match r.budget with Some b -> string_of_int b | None -> "inf");
-          r.tier;
-          Bench_util.fmt_ms r.ms;
-          string_of_int r.pairs;
-          Printf.sprintf "%.3g" r.cost;
-          (match r.cost_vs_exact with
-          | Some q -> Printf.sprintf "%.4f" q
-          | None -> "-");
-        ])
-      (records ~quick)
-  in
   Bench_util.print_table
     ~columns:
       [
         "graph"; "rels"; "budget"; "tier"; "ms"; "pairs"; "C_out";
         "cost/exact";
       ]
-    ~rows
-
-let json_of_record r =
-  Printf.sprintf
-    "    {\"graph\": %S, \"relations\": %d, \"budget\": %s, \"tier\": %S, \
-     \"ms\": %.4f, \"pairs\": %d, \"cost\": %.6g, \"cost_vs_exact\": %s}"
-    r.name r.relations
-    (match r.budget with Some b -> string_of_int b | None -> "null")
-    r.tier r.ms r.pairs r.cost
-    (match r.cost_vs_exact with
-    | Some q -> Printf.sprintf "%.6f" q
-    | None -> "null")
-
-let write_json ~quick ~path () =
-  Printf.printf "Adaptive benchmarks (%s mode) -> %s\n"
-    (if quick then "quick" else "full")
-    path;
-  let rs = records ~quick in
-  List.iter
-    (fun r ->
-      Printf.printf "  %-12s rels=%-3d budget=%-8s tier=%-8s %8s ms  %9d pairs\n"
-        r.name r.relations
-        (match r.budget with Some b -> string_of_int b | None -> "inf")
-        r.tier (Bench_util.fmt_ms r.ms) r.pairs;
-      flush stdout)
-    rs;
-  let clique20 =
-    match List.find_opt (fun r -> r.name = "clique-20") rs with
-    | Some r -> r.tier
-    | None -> "?"
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_adaptive/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-      output_string oc "  \"points\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_record rs));
-      output_string oc "\n  ],\n";
-      output_string oc "  \"summary\": {\n";
-      Printf.fprintf oc "    \"clique20_budget50k_tier\": %S\n" clique20;
-      output_string oc "  }\n}\n");
-  Printf.printf "clique-20 under 50k-pair budget answered on tier: %s\n"
-    clique20;
-  flush stdout
+    ~rows:(List.map row (points ~quick))

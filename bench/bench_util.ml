@@ -3,8 +3,8 @@
    runs are measured once (their variance is irrelevant next to the
    orders-of-magnitude differences the paper reports).  All timing
    goes through Obs.Span — the same clock the pipeline profiles
-   report from — so bench numbers and obs_profile/v1 spans are
-   directly comparable. *)
+   report from — so bench numbers and profile spans are directly
+   comparable. *)
 
 let now = Obs.Span.now
 
@@ -96,7 +96,6 @@ type measured = {
   ms : float;
   ccp : int;
   pairs : int;
-  nbh : int;
   cost : float;
   entries : int;
 }
@@ -109,7 +108,6 @@ let measure ?model ?filter algo g =
     ms;
     ccp = result.Core.Optimizer.counters.Core.Counters.ccp_emitted;
     pairs = result.Core.Optimizer.counters.Core.Counters.pairs_considered;
-    nbh = result.Core.Optimizer.counters.Core.Counters.neighborhood_calls;
     cost =
       (match result.Core.Optimizer.plan with
       | Some p -> p.Plans.Plan.cost

@@ -520,12 +520,10 @@ let xspace ~quick:_ () =
   in
   print_table ~columns:[ "graph"; "#csg"; "#ccp"; "#join trees" ] ~rows
 
-(* X11: the budgeted adaptive ladder (full implementation in
-   bench/adaptive_bench.ml, shared with the --adaptive-json writer) *)
+(* X11: the budgeted adaptive ladder (bench/adaptive_bench.ml) *)
 let xadaptive ~quick () = Adaptive_bench.table ~quick ()
 
-(* X12: the 100+ relation partitioned tier (full implementation in
-   bench/large_bench.ml, shared with the --large-json writer) *)
+(* X12: the 100+ relation partitioned tier (bench/large_bench.ml) *)
 let xlarge ~quick () = Large_bench.table ~quick ()
 
 let all_experiments =

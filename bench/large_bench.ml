@@ -1,13 +1,13 @@
-(* Large-query tier benchmarks (BENCH_large.json).
+(* Large-query tier benchmarks (the xlarge table).
 
-   One record per 100-1000 relation graph pushed through the adaptive
+   One row per 100-1000 relation graph pushed through the adaptive
    optimizer, which routes everything wider than
    Node_set.small_capacity to the partitioned tier (greedy clustering
    -> per-block exact DPhyp -> IDP-k stitch).  Every returned plan is
    Plan_check-verified and the bench ABORTS on the first invalid one —
    a large-tier plan that references a node twice or drops a relation
-   must never make it into a committed baseline.  The headline smoke
-   point is the 128-relation star: it exceeds the historic single-word
+   must never make it into a reported table.  The headline point
+   is the 128-relation star: it exceeds the historic single-word
    ceiling by more than 2x and its hub-and-spokes shape is the worst
    case for the clustering (satellites can only ever merge with the
    hub), so it exercises the IDP stitch absorbing singletons. *)
@@ -34,17 +34,8 @@ let points ~quick =
       p "snowflake-991" (lazy (Workloads.Shapes.snowflake_n 991));
     ]
 
-type record = {
-  name : string;
-  relations : int;
-  edges : int;
-  tier : string;
-  ms : float;
-  pairs : int;
-  cost : float;  (** C_out; may overflow to [infinity] at these widths *)
-}
-
-let run_point (pt : point) =
+(* One table row; C_out may overflow to [infinity] at these widths. *)
+let row (pt : point) =
   let g = Lazy.force pt.graph in
   let ms, result = Bench_util.time_ms (fun () -> Opt.run Opt.Adaptive g) in
   let plan =
@@ -63,84 +54,21 @@ let run_point (pt : point) =
           Printf.eprintf "  %s\n" (Plans.Plan_check.issue_to_string i))
         issues;
       exit 1);
-  {
-    name = pt.name;
-    relations = G.num_nodes g;
-    edges = Array.length (G.edges g);
-    tier =
-      (match result.Opt.tier with
-      | Some t -> Core.Adaptive.tier_name t
-      | None -> "?");
-    ms;
-    pairs = result.Opt.counters.Core.Counters.pairs_considered;
-    cost = plan.Plans.Plan.cost;
-  }
-
-let records ~quick = List.map run_point (points ~quick)
+  [
+    pt.name;
+    string_of_int (G.num_nodes g);
+    string_of_int (Array.length (G.edges g));
+    (match result.Opt.tier with
+    | Some t -> Core.Adaptive.tier_name t
+    | None -> "?");
+    Bench_util.fmt_ms ms;
+    string_of_int result.Opt.counters.Core.Counters.pairs_considered;
+    Printf.sprintf "%.3g" plan.Plans.Plan.cost;
+  ]
 
 let table ~quick () =
   Bench_util.header
     "X12: the large-query tier past the 62-relation single-word ceiling";
-  let rows =
-    List.map
-      (fun r ->
-        [
-          r.name;
-          string_of_int r.relations;
-          string_of_int r.edges;
-          r.tier;
-          Bench_util.fmt_ms r.ms;
-          string_of_int r.pairs;
-          Printf.sprintf "%.3g" r.cost;
-        ])
-      (records ~quick)
-  in
   Bench_util.print_table
     ~columns:[ "graph"; "rels"; "edges"; "tier"; "ms"; "pairs"; "C_out" ]
-    ~rows
-
-(* C_out overflows double at hundreds of relations; JSON has no inf,
-   so non-finite costs are written as null (the plans themselves are
-   still Plan_check-verified above). *)
-let json_cost c =
-  if Float.is_finite c then Printf.sprintf "%.6g" c else "null"
-
-let json_of_record r =
-  Printf.sprintf
-    "    {\"graph\": %S, \"relations\": %d, \"edges\": %d, \"tier\": %S, \
-     \"ms\": %.4f, \"pairs\": %d, \"cost\": %s}"
-    r.name r.relations r.edges r.tier r.ms r.pairs (json_cost r.cost)
-
-let write_json ~quick ~path () =
-  Printf.printf "Large-query benchmarks (%s mode) -> %s\n"
-    (if quick then "quick" else "full")
-    path;
-  let rs = records ~quick in
-  List.iter
-    (fun r ->
-      Printf.printf "  %-14s rels=%-4d tier=%-12s %8s ms  %9d pairs\n" r.name
-        r.relations r.tier (Bench_util.fmt_ms r.ms) r.pairs;
-      flush stdout)
-    rs;
-  let key r =
-    String.map (function '-' -> '_' | c -> c) r.name ^ "_ms"
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_large/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-      output_string oc "  \"points\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_record rs));
-      output_string oc "\n  ],\n";
-      output_string oc "  \"summary\": {\n";
-      output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun r -> Printf.sprintf "    %S: %.4f" (key r) r.ms)
-              rs));
-      output_string oc "\n  }\n}\n");
-  Printf.printf "all %d large-tier plans Plan_check-valid\n" (List.length rs);
-  flush stdout
+    ~rows:(List.map row (points ~quick))

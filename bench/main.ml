@@ -8,54 +8,6 @@
                                               (one Test.make per table/figure)
      dune exec bench/main.exe -- --csv DIR    additionally write each table
                                               as DIR/<experiment>.csv
-     dune exec bench/main.exe -- --json FILE  machine-readable perf suite:
-                                              DPhyp ns/pair figures on the
-                                              hyperedge split families, written
-                                              as JSON (see bench/json_bench.ml)
-     dune exec bench/main.exe -- --adaptive-json FILE
-                                              budgeted adaptive ladder points
-                                              (tier, time, budget spent), as
-                                              JSON (see bench/adaptive_bench.ml)
-     dune exec bench/main.exe -- --profile-json FILE
-                                              per-experiment pipeline profiles
-                                              (obs_profile/v1 spans + counters,
-                                              see bench/profile_bench.ml)
-     dune exec bench/main.exe -- --parallel-json FILE
-                                              domain-parallel DPhyp at
-                                              jobs 1/2/4 vs sequential, plus
-                                              a FILE_seq.json companion for
-                                              the bench_diff jobs=1 gate
-                                              (see bench/parallel_bench.ml)
-     dune exec bench/main.exe -- --cache-json FILE
-                                              plan-cache replay throughput
-                                              (cold vs warm at jobs 1/2/4),
-                                              plus a FILE_cold.json companion
-                                              for the bench_diff 50x warm-hit
-                                              gate (see bench/cache_bench.ml)
-     dune exec bench/main.exe -- --dpconv-json FILE
-                                              subset-convolution DP (exact
-                                              C_max + certified C_out bound)
-                                              vs the DPhyp 3^n wall on dense
-                                              graphs, plus a FILE_dphyp.json
-                                              companion for the bench_diff
-                                              speedup gate
-                                              (see bench/dpconv_bench.ml)
-     dune exec bench/main.exe -- --large-json FILE
-                                              100-1000 relation graphs through
-                                              the adaptive optimizer's
-                                              partitioned tier, every plan
-                                              Plan_check-verified
-                                              (see bench/large_bench.ml)
-     dune exec bench/main.exe -- --telemetry-json FILE
-                                              Zipf replay served with always-on
-                                              telemetry; FILE is the registry's
-                                              obs_telemetry/v1 snapshot
-                                              (see bench/telemetry_bench.ml)
-     dune exec bench/main.exe -- --telemetry  with --json: pay the per-request
-                                              telemetry overhead (fingerprint +
-                                              histogram + flight recorder)
-                                              inside every measured run, for
-                                              the bench_diff 5% overhead gate
 
    Experiment names: table1 fig5a fig5b table2 fig6a fig6b fig7 fig8a
    fig8b ccp xchain xclique xgen xgoo xtopdown xtpch xmem xcdc xqual
@@ -183,84 +135,11 @@ let () =
     | [] -> None
   in
   Bench_util.csv_dir := csv args;
-  let rec json = function
-    | "--json" :: path :: _ -> Some path
-    | _ :: rest -> json rest
-    | [] -> None
-  in
-  let rec adaptive_json = function
-    | "--adaptive-json" :: path :: _ -> Some path
-    | _ :: rest -> adaptive_json rest
-    | [] -> None
-  in
-  let rec profile_json = function
-    | "--profile-json" :: path :: _ -> Some path
-    | _ :: rest -> profile_json rest
-    | [] -> None
-  in
-  let rec parallel_json = function
-    | "--parallel-json" :: path :: _ -> Some path
-    | _ :: rest -> parallel_json rest
-    | [] -> None
-  in
-  let rec cache_json = function
-    | "--cache-json" :: path :: _ -> Some path
-    | _ :: rest -> cache_json rest
-    | [] -> None
-  in
-  let rec large_json = function
-    | "--large-json" :: path :: _ -> Some path
-    | _ :: rest -> large_json rest
-    | [] -> None
-  in
-  let rec dpconv_json = function
-    | "--dpconv-json" :: path :: _ -> Some path
-    | _ :: rest -> dpconv_json rest
-    | [] -> None
-  in
-  let rec telemetry_json = function
-    | "--telemetry-json" :: path :: _ -> Some path
-    | _ :: rest -> telemetry_json rest
-    | [] -> None
-  in
-  let telemetry = List.mem "--telemetry" args in
   let rec positional = function
-    | "--csv" :: _ :: rest | "--json" :: _ :: rest
-    | "--adaptive-json" :: _ :: rest | "--profile-json" :: _ :: rest
-    | "--parallel-json" :: _ :: rest | "--cache-json" :: _ :: rest
-    | "--large-json" :: _ :: rest | "--telemetry-json" :: _ :: rest
-    | "--dpconv-json" :: _ :: rest ->
-        positional rest
+    | "--csv" :: _ :: rest -> positional rest
     | a :: rest when String.length a > 0 && a.[0] <> '-' -> a :: positional rest
     | _ :: rest -> positional rest
     | [] -> []
   in
   let names = positional args in
-  match
-    ( json args,
-      adaptive_json args,
-      profile_json args,
-      parallel_json args,
-      cache_json args,
-      large_json args,
-      telemetry_json args,
-      dpconv_json args )
-  with
-  | Some path, _, _, _, _, _, _, _ ->
-      Json_bench.run ~telemetry ~quick ~path names
-  | None, Some path, _, _, _, _, _, _ ->
-      Adaptive_bench.write_json ~quick ~path ()
-  | None, None, Some path, _, _, _, _, _ ->
-      Profile_bench.write_json ~quick ~path ()
-  | None, None, None, Some path, _, _, _, _ ->
-      Parallel_bench.write_json ~quick ~path ()
-  | None, None, None, None, Some path, _, _, _ ->
-      Cache_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, Some path, _, _ ->
-      Large_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, None, Some path, _ ->
-      Telemetry_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, None, None, Some path ->
-      Dpconv_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, None, None, None ->
-      if bechamel then run_bechamel () else run_experiments ~quick names
+  if bechamel then run_bechamel () else run_experiments ~quick names

@@ -104,9 +104,11 @@ let exact_key ?model ?budget ?k ?(dpconv_objective = Core.Dpconv.Cmax) algo
    is exact. *)
 (* Returns the optimizer result plus the plan-cache outcome name, so
    the telemetry layer can label series and recorder entries without
-   re-deriving it from span attributes. *)
+   re-deriving it from span attributes.  [fp] is the request's lazy
+   graph fingerprint, shared with the telemetry recorder so a cached
+   request with telemetry hashes the graph once. *)
 let run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k ?dpconv_objective
-    ?inspect ~jobs algo graph =
+    ?inspect ~fp ~jobs algo graph =
   match cache with
   | None ->
       (run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
@@ -121,8 +123,7 @@ let run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k ?dpconv_objective
   | Some c ->
       Obs.Span.with_opt obs "cache" (fun sp ->
           let key =
-            Cache.Plan_cache.key
-              ~fingerprint:(Cache.Fingerprint.of_graph graph)
+            Cache.Plan_cache.key ~fingerprint:(Lazy.force fp)
               ~exact:(exact_key ?model ?budget ?k ?dpconv_objective algo graph)
           in
           let r, outcome =
@@ -154,7 +155,8 @@ let phase_name (s : Obs.Sink.span) =
    ok/error), the per-phase histograms harvested from the request's
    depth-0 spans, and a flight-recorder entry (which keeps the whole
    span tree when the request was slow). *)
-let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ?inspect outcome =
+let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ~fp ?inspect
+    outcome =
   let wall_s = Obs.Span.now () -. t0 in
   let gc1 = Gc.quick_stat () in
   let algo_name = Core.Optimizer.name algo in
@@ -189,7 +191,7 @@ let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ?inspect outcome =
     | Some prov -> prov_summary graph prov
   in
   Obs.Recorder.record (Obs.Export.recorder tel)
-    ~fingerprint:(Cache.Fingerprint.to_hex (Cache.Fingerprint.of_graph graph))
+    ~fingerprint:(Cache.Fingerprint.to_hex (Lazy.force fp))
     ~relations:(Hypergraph.Graph.num_nodes graph)
     ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s
     ~minor_words:(gc1.Gc.minor_words -. gc0.Gc.minor_words)
@@ -294,15 +296,16 @@ let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
                 support"
                (Core.Optimizer.name algo))
       | _ -> (
+          let fp = lazy (Cache.Fingerprint.of_graph graph) in
           let finish outcome =
             match tel with
             | Some tel ->
-                tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ?inspect outcome
+                tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ~fp ?inspect outcome
             | None -> ()
           in
           match
             run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k
-              ?dpconv_objective ?inspect ~jobs algo graph
+              ?dpconv_objective ?inspect ~fp ~jobs algo graph
           with
           | ({ plan = Some plan; counters; tier; _ } as r), outc ->
               finish (Ok (r, outc));
@@ -339,14 +342,16 @@ let optimize_graph ?obs ?tel ?cache ?inspect ?(algo = Core.Optimizer.Dphyp)
   let obs = private_ctx obs tel in
   let t0 = Obs.Span.now () in
   let gc0 = Gc.quick_stat () in
+  let fp = lazy (Cache.Fingerprint.of_graph graph) in
   let finish outcome =
     match tel with
-    | Some tel -> tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ?inspect outcome
+    | Some tel ->
+        tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ~fp ?inspect outcome
     | None -> ()
   in
   match
     run_cached ?obs ?tel ?cache ?model ?budget ?k ?dpconv_objective ?inspect
-      ~jobs algo graph
+      ~fp ~jobs algo graph
   with
   | ({ plan = Some plan; counters; tier; _ } as r), outc ->
       let tree =

@@ -95,7 +95,7 @@ let of_string src =
                     match find "card" with
                     | Some c -> (
                         match float_of_string_opt c with
-                        | Some f when f > 0.0 -> f
+                        | Some f when Float.is_finite f && f > 0.0 -> f
                         | _ -> fail "bad card %S" c)
                     | None -> 1000.0
                   in

@@ -22,7 +22,9 @@
 val to_string : Graph.t -> string
 
 val of_string : string -> (Graph.t, string) result
-(** Errors carry a line number and a reason. *)
+(** Errors carry a line number and a reason.  A [card] must be finite
+    and positive: [card=inf] or an overflowing literal such as
+    [card=1e400] is an error, not an infinite relation. *)
 
 val write_file : string -> Graph.t -> unit
 

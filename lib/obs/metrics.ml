@@ -66,74 +66,6 @@ let with_cache p c = { p with cache = Some c }
 
 let with_provenance p prov = { p with provenance = prov }
 
-(* ---------- JSON (obs_profile/v1) ---------- *)
-
-let opt_int_json = function None -> "null" | Some i -> string_of_int i
-
-let counters_json c =
-  Printf.sprintf
-    "{\"pairs_considered\": %d, \"ccp_emitted\": %d, \"cost_calls\": %d, \
-     \"filter_rejected\": %d, \"neighborhood_calls\": %d, \"budget\": %s, \
-     \"budget_remaining\": %s}"
-    c.pairs_considered c.ccp_emitted c.cost_calls c.filter_rejected
-    c.neighborhood_calls (opt_int_json c.budget_limit)
-    (opt_int_json c.budget_remaining)
-
-let tier_json t =
-  Printf.sprintf "{\"tier\": %s, \"completed\": %b, \"pairs\": %d}"
-    (Json_util.quote t.tier) t.completed t.pairs
-
-let opt_float_json = function
-  | None -> "null"
-  | Some f -> Printf.sprintf "%.4f" f
-
-let cache_json c =
-  Printf.sprintf
-    "{\"hits\": %d, \"misses\": %d, \"coalesced\": %d, \"evictions\": %d, \
-     \"entries\": %d, \"capacity\": %d}"
-    c.cache_hits c.cache_misses c.cache_coalesced c.cache_evictions
-    c.cache_entries c.cache_capacity
-
-let quality_json q =
-  Printf.sprintf
-    "{\"tier\": %s, \"est_cout\": %.4f, \"measured_cout\": %.4f, \
-     \"exact_cout\": %s, \"delta\": %s}"
-    (Json_util.quote q.q_tier) q.est_cout q.measured_cout
-    (opt_float_json q.exact_cout)
-    (opt_float_json q.delta)
-
-let to_json ?(name = "run") p =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "    {\n";
-  Printf.bprintf b "      \"name\": %s,\n" (Json_util.quote name);
-  Printf.bprintf b "      \"total_ms\": %.4f,\n" (p.total_s *. 1e3);
-  Printf.bprintf b "      \"winning_tier\": %s,\n"
-    (match p.winning_tier with
-    | Some t -> Json_util.quote t
-    | None -> "null");
-  Printf.bprintf b "      \"dp_entries\": %d,\n" p.dp_entries;
-  Printf.bprintf b "      \"counters\": %s,\n"
-    (match p.counters with Some c -> counters_json c | None -> "null");
-  Printf.bprintf b "      \"tiers\": [%s],\n"
-    (String.concat ", " (List.map tier_json p.tiers));
-  Printf.bprintf b "      \"quality\": %s,\n"
-    (match p.quality with Some q -> quality_json q | None -> "null");
-  Printf.bprintf b "      \"cache\": %s,\n"
-    (match p.cache with Some c -> cache_json c | None -> "null");
-  Printf.bprintf b "      \"provenance\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun (label, cost) ->
-            Printf.sprintf "{\"subset\": %s, \"cost\": %.4f}"
-              (Json_util.quote label) cost)
-          p.provenance));
-  Buffer.add_string b "      \"spans\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map (fun s -> "        " ^ Sink.span_to_json s) p.spans));
-  Buffer.add_string b "\n      ]\n    }";
-  Buffer.contents b
-
 (* ---------- the explain table ---------- *)
 
 let attr_int (s : Sink.span) key =

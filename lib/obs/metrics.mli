@@ -4,10 +4,8 @@
     on — every phase span of the run, a snapshot of the enumeration
     counters (the machine-independent work measures of
     [Core.Counters]), the DP-table occupancy, and the adaptive
-    tier-ladder attempts.  {!to_json} renders the [obs_profile/v1]
-    schema consumed by [tools/bench_smoke.sh] and
-    [results/PROFILE_smoke.json]; {!pp_table} renders the per-phase
-    table behind [joinopt explain] / [joinopt --profile].
+    tier-ladder attempts.  {!pp_table} renders the per-phase table
+    behind [joinopt explain] / [joinopt --profile].
 
     This module deliberately speaks in plain ints and strings so that
     the [obs] library stays below every other layer — [Core] converts
@@ -100,12 +98,6 @@ val with_cache : profile -> cache_stats -> profile
 val with_provenance : profile -> (string * float) list -> profile
 (** Attach a provenance summary (the driver adds it after a
     provenance-recorded run, mirroring {!with_cache}). *)
-
-val to_json : ?name:string -> profile -> string
-(** One [obs_profile/v1] profile object (without the top-level schema
-    header, which the emitting file adds): [name], [total_ms],
-    [winning_tier], [dp_entries], [counters], [tiers], and one span
-    per line in the {!Sink.span_to_json} shape. *)
 
 val pp_table : Format.formatter -> profile -> unit
 (** The per-phase explain table: one row per span (indented by

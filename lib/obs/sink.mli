@@ -51,8 +51,9 @@ val close : t -> unit
 
 val span_to_json : span -> string
 (** One span as a single-line JSON object with keys [name], [depth],
-    [start_ms], [ms], [minor_words], [major_words], [attrs] — the
-    per-span shape of the [obs_profile/v1] schema. *)
+    [start_ms], [ms], [minor_words], [major_words], [attrs] — one
+    [Jsonl] sink line, and one span of a slow request in the
+    [obs_telemetry/v1] export. *)
 
 val chrome_trace_json : span list -> string
 (** A complete Chrome trace-event JSON document (["X"] duration

@@ -168,6 +168,10 @@ let test_hit_miss_counting () =
   Alcotest.(check int) "hits" 1 s.Pc.hits;
   Alcotest.(check int) "misses" 2 s.Pc.misses;
   Alcotest.(check int) "entries" 2 s.Pc.entries;
+  (* the line `joinopt cache-stats` prints *)
+  Alcotest.(check string) "rendered stats"
+    "hits=1 misses=2 coalesced=0 evictions=0 entries=2/8"
+    (Format.asprintf "%a" Pc.pp_stats s);
   check "find peeks" true (Pc.find c (mk_key "b" 2) = Some 2);
   check "find misses absent" true (Pc.find c (mk_key "c" 3) = None)
 
@@ -298,24 +302,68 @@ let tree_of sql =
   | Ok b -> b.Sqlfront.Binder.tree
   | Error m -> Alcotest.failf "parse %S: %s" sql m
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* Cached requests served with telemetry: the plans stay fresh-equal,
+   every flight-recorder entry carries the same fingerprint the cache
+   key was built from (the pipeline hashes the graph once and hands it
+   to both), and the registry exports the serving series. *)
 let test_differential_modes () =
   let cache = Driver.Pipeline.make_cache ~capacity:64 () in
+  let tel = Obs.Export.create () in
+  let newest_entry () =
+    List.hd (List.rev (Obs.Recorder.to_list (Obs.Export.recorder tel)))
+  in
   List.iter
     (fun sql ->
       let tree = tree_of sql in
       List.iter
         (fun mode ->
           let fresh = render (Driver.Pipeline.optimize_tree ~mode tree) in
-          let miss =
-            render (Driver.Pipeline.optimize_tree ~cache ~mode tree)
+          (* returns the render and the recorded cache outcome *)
+          let served () =
+            let r = Driver.Pipeline.optimize_tree ~tel ~cache ~mode tree in
+            let q = newest_entry () in
+            (match r with
+            | Ok r ->
+                Alcotest.(check string)
+                  (sql ^ ": recorder fingerprint = cache key's")
+                  (Fp.to_hex (Fp.of_graph r.Driver.Pipeline.graph))
+                  q.Obs.Recorder.fingerprint
+            | Error m -> Alcotest.failf "%s: %s" sql m);
+            (render r, q.Obs.Recorder.cache)
           in
-          let hit =
-            render (Driver.Pipeline.optimize_tree ~cache ~mode tree)
-          in
+          (* the first request misses, unless the previous mode derived
+             the same graph *)
+          let miss, _ = served () in
+          let hit, outcome = served () in
+          Alcotest.(check (option string))
+            (sql ^ ": repeat is a recorded hit") (Some "hit") outcome;
           Alcotest.(check string) (sql ^ ": miss = fresh") fresh miss;
           Alcotest.(check string) (sql ^ ": hit = fresh") fresh hit)
         [ Driver.Pipeline.Tes_literal; Driver.Pipeline.Tes_conservative ])
-    batch_sql
+    batch_sql;
+  Driver.Pipeline.export_cache_stats tel cache;
+  let prom = Obs.Export.prometheus tel and json = Obs.Export.to_json tel in
+  List.iter
+    (fun sub ->
+      check (Printf.sprintf "exposition has %s" sub) true (contains prom sub))
+    [
+      {|joinopt_optimize_latency_seconds_bucket{algo="dphyp",cache="hit",result="ok",le="+Inf"}|};
+      {|joinopt_plan_cache_requests_total{outcome="hit"}|};
+      {|joinopt_plan_cache_entries{shard="|};
+    ];
+  List.iter
+    (fun sub ->
+      check (Printf.sprintf "telemetry json has %s" sub) true
+        (contains json sub))
+    [ {|"schema": "obs_telemetry/v1"|}; {|"p999_ms"|}; {|"slow_requests"|};
+      {|"fingerprint"|} ];
+  check "no NaN in exposition" false
+    (contains (String.lowercase_ascii prom) "nan")
 
 (* Modes whose validity filter is a closure must bypass the cache:
    same answer as uncached, and the cache counters never move. *)

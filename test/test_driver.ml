@@ -136,6 +136,12 @@ let test_profile_adaptive_ladder () =
           check "exact tier lost" true
             (p.Obs.Metrics.winning_tier <> Some "exact"
             && p.Obs.Metrics.winning_tier <> None);
+          check "budget context snapshotted" true
+            (match p.Obs.Metrics.counters with
+            | Some c ->
+                c.Obs.Metrics.budget_limit = Some 2_000
+                && c.Obs.Metrics.budget_remaining <> None
+            | None -> false);
           check "per-tier spans present" true
             (List.exists
                (fun s ->

@@ -538,6 +538,9 @@ let test_serialize_errors () =
   check "empty u" true (err "rel A\nrel B\nedge v=1");
   check "unknown keyword" true (err "relation A");
   check "overlap rejected" true (err "rel A\nrel B\nedge u=0 v=0");
+  check "infinite card rejected" true (err "rel A card=inf\nrel B\nedge u=0 v=1");
+  check "overflowing card rejected" true
+    (err "rel A card=1e400\nrel B\nedge u=0 v=1");
   check "comments and blanks ok" false (err "# hi\n\nrel A\nrel B\nedge u=0 v=1")
 
 (* ---------- DOT export ---------- *)

@@ -210,7 +210,7 @@ let test_chrome_json_escaping () =
 
 (* Metrics.make sorts spans chronologically with a deterministic
    (start, depth, name) tie-break: two permutations of the same span
-   list must produce the same profile — and the same JSON. *)
+   list must produce the same profile. *)
 let test_metrics_span_order_deterministic () =
   let sp name depth start_s =
     {

@@ -102,6 +102,7 @@ let par_graphs ~strict =
     [
       ("chain9", Workloads.Shapes.chain 9);
       ("cycle9", Workloads.Shapes.cycle 9);
+      ("cycle10", Workloads.Shapes.cycle 10);
       ("star8", Workloads.Shapes.star 8);
       ("clique8", Workloads.Shapes.clique 8);
       ("grid3x3", Workloads.Shapes.grid ~rows:3 ~cols:3 ());
