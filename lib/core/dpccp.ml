@@ -72,7 +72,7 @@ let solve_with_table ?(model = Costing.Cost_model.c_out)
     ?(counters = Counters.create ()) g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ~model ~counters g dp in
-  run ~emit:(Emit.emit_pair e) ~counters g dp;
+  run ~emit:(Emit.emit e Emit.Symmetric) ~counters g dp;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))
 
 let solve ?model ?counters g = snd (solve_with_table ?model ?counters g)
@@ -84,7 +84,7 @@ let enumerate_ccps g =
   let trace = ref [] in
   let emit s1 s2 =
     trace := (s1, s2) :: !trace;
-    Emit.emit_pair e s1 s2
+    Emit.emit e Emit.Symmetric s1 s2
   in
   run ~emit ~counters g dp;
   List.rev !trace

@@ -206,7 +206,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
     let edge_sels = Array.map Array.of_list edge_sels in
     (* cards.(s): estimated cardinality of the join over s with every
        internal predicate applied exactly once — by the pending rule
-       (Emit.resolve) this is what any valid plan over s produces,
+       (Plans.Plan.resolve) this is what any valid plan over s produces,
        independent of its shape. *)
     let cards = Array.make size 1.0 in
     for v = 0 to n - 1 do
@@ -444,7 +444,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           let t = split.(s) in
           build t;
           build (s lxor t);
-          Emit.emit_pair emit
+          Emit.emit emit Emit.Symmetric
             (Se.Lattice.of_index lat t)
             (Se.Lattice.of_index lat (s lxor t))
         end

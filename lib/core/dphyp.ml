@@ -114,7 +114,7 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter ?bound
     ?(counters = Counters.create ()) g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ?filter ?bound ~model ~counters g dp in
-  run ~emit:(Emit.emit_pair e) ~counters g dp;
+  run ~emit:(Emit.emit e Emit.Symmetric) ~counters g dp;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))
 
 let solve ?model ?filter ?bound ?counters g =
@@ -124,7 +124,7 @@ let solve_subset ?(model = Costing.Cost_model.c_out) ?leaf
     ?(counters = Counters.create ()) ~subset g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ~model ~counters g dp in
-  run_subset ~emit:(Emit.emit_pair e) ~counters ?leaf ~subset g dp;
+  run_subset ~emit:(Emit.emit e Emit.Symmetric) ~counters ?leaf ~subset g dp;
   (dp, Plans.Dp_table.find dp subset)
 
 let enumerate_ccps g =
@@ -134,7 +134,7 @@ let enumerate_ccps g =
   let trace = ref [] in
   let emit s1 s2 =
     trace := (s1, s2) :: !trace;
-    Emit.emit_pair e s1 s2
+    Emit.emit e Emit.Symmetric s1 s2
   in
   run ~emit ~counters g dp;
   List.rev !trace

@@ -29,7 +29,7 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
             (fun set2 ->
               Counters.tick_pair counters;
               if Ns.disjoint set1 set2 && G.connects g set1 set2 then
-                Emit.emit_directed e set1 set2)
+                Emit.emit e Emit.Directed set1 set2)
             sets2)
         sets1
     done

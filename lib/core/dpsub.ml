@@ -24,7 +24,7 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
           if
             Plans.Dp_table.mem dp s1 && Plans.Dp_table.mem dp s2
             && G.connects g s1 s2
-          then Emit.emit_directed e s1 s2)
+          then Emit.emit e Emit.Directed s1 s2)
   done;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))
 

@@ -1,239 +1,125 @@
 module Ns = Nodeset.Node_set
-module Bs = Nodeset.Bitset
 module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
+module Plan = Plans.Plan
+module Dp = Plans.Dp_table
 
 type filter = Ns.t -> Ns.t -> (He.t * He.orientation) list -> bool
 
-type t = {
+type direction = Symmetric | Directed
+
+type sink = Costing.Candidate.t -> Ns.t -> left:Ns.t -> code:int -> unit
+
+(* What pricing a candidate needs; GOO and top-down search use it
+   without a DP table. *)
+type pricer = {
   g : G.t;
   model : Costing.Cost_model.t;
-  dp : Plans.Dp_table.t;
   counters : Counters.t;
-  filter : filter option;
-  bound : float;
-      (* upper bound on the cost of any useful plan: candidates above
-         it never enter the table, which also prunes the enumeration
-         subtrees they would have seeded.  Safe whenever costs are
-         additive and non-negative (every subplan of an optimal plan
-         then costs at most the optimum): the surviving table is
-         byte-identical to the unbounded one.  [infinity] = off. *)
+  cand : Costing.Candidate.t;
+  sink : sink;
 }
 
-let make ?filter ?(bound = infinity) ~model ~counters g dp =
-  { g; model; dp; counters; filter; bound }
+type t = { pr : pricer; dp : Dp.t; filter : filter option }
 
-let within_bound t (plan : Plans.Plan.t) = plan.cost <= t.bound
+(* The default sink.  [bound] is an upper bound on the cost of any
+   useful plan: candidates above it never enter the table, which also
+   prunes the enumeration subtrees they would have seeded.  Safe
+   whenever costs are additive and non-negative (every subplan of an
+   optimal plan then costs at most the optimum): the surviving table
+   is identical to the unbounded one.  [infinity] = off. *)
+let offer_within dp bound (c : Costing.Candidate.t) s ~left ~code =
+  if c.cost <= bound then Dp.offer dp c s ~left ~code
 
-let applicable_op edges =
-  let non_inner =
-    List.filter
-      (fun ((e : He.t), _) -> e.op.Relalg.Operator.kind <> Relalg.Operator.Inner)
-      edges
-  in
-  match non_inner with
-  | [] -> `Inner
-  | [ (e, o) ] -> `Op (e, o)
-  | _ :: _ :: _ -> `Ambiguous
+let make ?filter ?(bound = infinity) ?sink ~model ~counters g dp =
+  let sink = match sink with Some f -> f | None -> offer_within dp bound in
+  let cand = Costing.Candidate.create () in
+  { pr = { g; model; counters; cand; sink }; dp; filter }
 
-type pair_info = {
-  edge_ids : int list;  (** connecting plus pending edges *)
-  sel : float;
-  resolution : [ `Inner | `Op of He.t * He.orientation ];
-  connecting : (He.t * He.orientation) list;
-}
+(* Exchange the operands of the candidate: the pair's sides are loaded
+   as (s1, s2), and the swapped argument order prices (s2, s1). *)
+let swap_sides (c : Costing.Candidate.t) =
+  let card = c.left_card and cost = c.left_cost in
+  c.left_card <- c.right_card;
+  c.left_cost <- c.right_cost;
+  c.right_card <- card;
+  c.right_cost <- cost
 
-(* Pending edges: predicates all of whose relations are assembled by
-   this join but which no aligned (u ⊆ one side, v ⊆ other side) cut
-   ever applied.  The paper's model leaves them silently dropped; a
-   real optimizer must evaluate every predicate exactly once, so we
-   conjoin pending inner predicates as filters at the first covering
-   join.  A pending NON-inner edge cannot be recovered by filtering —
-   the decomposition is invalid and the pair is rejected. *)
-let resolve g (p1 : Plans.Plan.t) (p2 : Plans.Plan.t) =
-  match G.connecting_edges g p1.set p2.set with
-  | [] -> None
-  | connecting -> (
-      let both = Ns.union p1.set p2.set in
-      let is_connecting (e : He.t) =
-        List.exists (fun ((c : He.t), _) -> c.id = e.id) connecting
-      in
-      (* Cheapest rejection first: the precomputed cover mask filters
-         out every edge not fully assembled by this join before any
-         bitset or list work happens. *)
-      let pending = ref [] in
-      for i = 0 to G.num_edges g - 1 do
-        if
-          Ns.subset (G.edge_cover g i) both
-          && (not (Bs.mem i p1.applied))
-          && (not (Bs.mem i p2.applied))
-        then begin
-          let e = G.edge g i in
-          if not (is_connecting e) then pending := e :: !pending
-        end
-      done;
-      let pending = !pending in
-      if
-        List.exists
-          (fun (e : He.t) -> e.op.Relalg.Operator.kind <> Relalg.Operator.Inner)
-          pending
-      then None
-      else
-        match applicable_op connecting with
-        | `Ambiguous -> None
-        | (`Inner | `Op _) as resolution ->
-            let sel =
-              Costing.Cardinality.selectivity_product connecting
-              *. List.fold_left (fun s (e : He.t) -> s *. e.sel) 1.0 pending
-            in
-            let edge_ids =
-              List.map (fun ((e : He.t), _) -> e.id) connecting
-              @ List.rev_map (fun (e : He.t) -> e.id) pending
-            in
-            Some { edge_ids; sel; resolution; connecting })
+let price t s ~left ~code =
+  t.counters.Counters.cost_calls <- t.counters.Counters.cost_calls + 1;
+  Costing.Cost_model.price t.model (Plan.operator t.g code) t.cand;
+  t.sink t.cand s ~left ~code
 
-(* Build [left op right] if the orientation is evaluable; applies the
-   dependent switch of Section 5.6 and rejects orientations whose left
-   argument depends on the right one. *)
-let build_one ~g ~(model : Costing.Cost_model.t) ~counters ~op ~edge_ids ~sel
-    (left : Plans.Plan.t) (right : Plans.Plan.t) =
-  let out (p : Plans.Plan.t) = Ns.diff (G.free_of g p.set) p.set in
-  let fl = out left and fr = out right in
-  if Ns.intersects fl right.set then None
-  else
-    let op =
-      if Ns.intersects fr left.set then
-        if op.Relalg.Operator.kind = Relalg.Operator.Full_outer then None
-        else Some (Relalg.Operator.to_dependent op)
-      else Some op
-    in
-    match op with
-    | None -> None
-    | Some op ->
-        counters.Counters.cost_calls <- counters.Counters.cost_calls + 1;
-        Some (Plans.Plan.join model ~op ~edge_ids ~sel left right)
+let s1_left t res s s1 s2 =
+  let code = Plan.op_code t.g res ~left:s1 ~right:s2 in
+  if code <> Plan.rejected then price t s ~left:s1 ~code
 
-(* All valid plans for a resolved pair: both argument orders for
-   commutative operators, the edge-dictated order otherwise. *)
-let candidates ~model ~counters g (p1 : Plans.Plan.t) (p2 : Plans.Plan.t) =
-  match resolve g p1 p2 with
-  | None -> []
-  | Some { edge_ids; sel; resolution; _ } ->
-      let mk l r op = build_one ~g ~model ~counters ~op ~edge_ids ~sel l r in
-      let opts =
-        match resolution with
-        | `Inner ->
-            [ mk p1 p2 Relalg.Operator.join; mk p2 p1 Relalg.Operator.join ]
-        | `Op (e, orientation) ->
-            let left, right =
-              match orientation with
-              | He.Forward -> (p1, p2)
-              | He.Backward -> (p2, p1)
-            in
-            mk left right e.op
-            ::
-            (if Relalg.Operator.commutative e.op then [ mk right left e.op ]
-             else [])
-      in
-      List.filter_map Fun.id opts
+let s2_left t res s s1 s2 =
+  let code = Plan.op_code t.g (Plan.flip res) ~left:s2 ~right:s1 in
+  if code <> Plan.rejected then begin
+    swap_sides t.cand;
+    price t s ~left:s2 ~code;
+    swap_sides t.cand
+  end
 
-let try_build t ~op ~edge_ids ~sel (left : Plans.Plan.t) (right : Plans.Plan.t) =
-  match
-    build_one ~g:t.g ~model:t.model ~counters:t.counters ~op ~edge_ids ~sel
-      left right
-  with
-  | None -> ()
-  | Some plan ->
-      if within_bound t plan then ignore (Plans.Dp_table.update t.dp plan)
+(* Every valid argument order of a resolved pair whose operands sit
+   in [t.cand] as (s1, s2).  Order is part of the contract: first the
+   edge-dictated order (s1 on the left unless the pair's non-inner
+   edge points the other way), then the commutative swap.  Directed
+   emission builds only s1 on the left, exactly like Figure 1's
+   [dpTable[S1] B dpTable[S2]]. *)
+let orders t dir res s1 s2 =
+  let s = Ns.union s1 s2 in
+  match dir with
+  | Directed -> s1_left t res s s1 s2
+  | Symmetric ->
+      if Plan.backward res then begin
+        s2_left t res s s1 s2;
+        s1_left t res s s1 s2
+      end
+      else begin
+        s1_left t res s s1 s2;
+        s2_left t res s s1 s2
+      end
 
-let passes_filter t s1 s2 edges =
+let passes_filter t s1 s2 =
   match t.filter with
   | None -> true
   | Some f ->
-      if f s1 s2 edges then true
-      else begin
-        t.counters.Counters.filter_rejected <-
-          t.counters.Counters.filter_rejected + 1;
-        false
+      let c = t.pr.counters in
+      f s1 s2 (G.connecting_edges t.pr.g s1 s2)
+      || (c.Counters.filter_rejected <- c.Counters.filter_rejected + 1;
+          false)
+
+let emit t dir s1 s2 =
+  let i1 = Dp.id t.dp s1 in
+  if i1 >= 0 then begin
+    let i2 = Dp.id t.dp s2 in
+    if i2 >= 0 then begin
+      let pr = t.pr in
+      let res = Plan.resolve pr.g s1 s2 pr.cand in
+      if res <> Plan.rejected && passes_filter t s1 s2 then begin
+        pr.counters.Counters.ccp_emitted <- pr.counters.Counters.ccp_emitted + 1;
+        Dp.load t.dp pr.cand i1 i2;
+        orders pr dir res s1 s2
       end
+    end
+  end
 
-let plans_of t s1 s2 =
-  match Plans.Dp_table.find t.dp s1, Plans.Dp_table.find t.dp s2 with
-  | Some p1, Some p2 -> Some (p1, p2)
-  | _ -> None
-
-(* The canonical pair-processing core, parameterized over table
-   access so the sequential DP table and the sharded parallel one
-   share one code path.  [add] receives the candidate's rank within
-   the pair (0 or 1) — the sharded table folds it into its
-   deterministic tie-break; the sequential [emit_pair] ignores it.
-   Candidate order is part of the contract: first the given (or
-   edge-dictated) argument order, then the commutative swap. *)
-let emit_pair_with ~find ~add ?filter ~model ~counters g s1 s2 =
-  match find s1, find s2 with
-  | Some (p1 : Plans.Plan.t), Some (p2 : Plans.Plan.t) -> (
-      match resolve g p1 p2 with
-      | None -> ()
-      | Some info -> (
-          let ok =
-            match filter with
-            | None -> true
-            | Some f ->
-                f s1 s2 info.connecting
-                ||
-                (counters.Counters.filter_rejected <-
-                   counters.Counters.filter_rejected + 1;
-                 false)
-          in
-          if ok then begin
-            counters.Counters.ccp_emitted <-
-              counters.Counters.ccp_emitted + 1;
-            let { edge_ids; sel; resolution; _ } = info in
-            let try_build rank ~op left right =
-              match build_one ~g ~model ~counters ~op ~edge_ids ~sel left right
-              with
-              | None -> ()
-              | Some plan -> add rank plan
-            in
-            match resolution with
-            | `Inner ->
-                let op = Relalg.Operator.join in
-                try_build 0 ~op p1 p2;
-                try_build 1 ~op p2 p1
-            | `Op (e, orientation) ->
-                let left, right =
-                  match orientation with
-                  | He.Forward -> (p1, p2)
-                  | He.Backward -> (p2, p1)
-                in
-                try_build 0 ~op:e.op left right;
-                if Relalg.Operator.commutative e.op then
-                  try_build 1 ~op:e.op right left
-          end))
-  | _ -> ()
-
-let emit_pair t s1 s2 =
-  emit_pair_with
-    ~find:(Plans.Dp_table.find t.dp)
-    ~add:(fun _rank plan ->
-      if within_bound t plan then ignore (Plans.Dp_table.update t.dp plan))
-    ?filter:t.filter ~model:t.model ~counters:t.counters t.g s1 s2
-
-let emit_directed t s1 s2 =
-  match plans_of t s1 s2 with
-  | None -> ()
-  | Some (p1, p2) -> (
-      match resolve t.g p1 p2 with
-      | None -> ()
-      | Some info when passes_filter t s1 s2 info.connecting -> (
-          t.counters.Counters.ccp_emitted <- t.counters.Counters.ccp_emitted + 1;
-          let { edge_ids; sel; resolution; _ } = info in
-          match resolution with
-          | `Inner -> try_build t ~op:Relalg.Operator.join ~edge_ids ~sel p1 p2
-          | `Op (e, He.Forward) -> try_build t ~op:e.op ~edge_ids ~sel p1 p2
-          | `Op (e, He.Backward) ->
-              (* the edge's left side lives in s2: only a commutative
-                 operator may still put s1 on the left *)
-              if Relalg.Operator.commutative e.op then
-                try_build t ~op:e.op ~edge_ids ~sel p1 p2)
-      | Some _rejected -> ())
+let candidates ~model ~counters g (p1 : Plan.t) (p2 : Plan.t) =
+  let out = ref [] in
+  let sink (c : Costing.Candidate.t) _s ~left ~code =
+    let l, r = if Ns.equal left p1.set then (p1, p2) else (p2, p1) in
+    out := Plan.make_join g ~code ~card:c.card ~cost:c.cost l r :: !out
+  in
+  let c = Costing.Candidate.create () in
+  let pr = { g; model; counters; cand = c; sink } in
+  let res = Plan.resolve g p1.set p2.set c in
+  if res <> Plan.rejected then begin
+    c.left_card <- p1.card;
+    c.left_cost <- p1.cost;
+    c.right_card <- p2.card;
+    c.right_cost <- p2.cost;
+    orders pr Symmetric res p1.set p2.set
+  end;
+  List.rev !out

@@ -1,108 +1,84 @@
-(** EmitCsgCmp (Section 3.5): turn a csg-cmp-pair into plans.
+(** EmitCsgCmp (Section 3.5): turn a csg-cmp-pair into DP-table
+    candidates.
 
     Shared by every enumeration strategy in this library.  Given a
-    pair of disjoint connected sets, it collects the connecting
-    hyperedges, conjoins their predicates (selectivities multiply
-    under independence), recovers the operator associated with the
-    edge (Section 5.4), switches it to its dependent counterpart when
-    [FT(P2) ∩ S1 ≠ ∅] (Section 5.6), costs the candidate plans and
-    updates the DP table.
+    pair of disjoint connected sets with table entries, {!emit}
+    resolves the join ({!Plans.Plan.resolve}: connecting and pending
+    edges, selectivity, operator recovery per Section 5.4), then
+    prices each valid argument order — switched to the dependent
+    operator when [FT(P2) ∩ S1 ≠ ∅] (Section 5.6) — and hands it to
+    a sink, by default the DP table.
 
-    Commutativity handling follows Section 2.2: the enumerators
-    produce each pair once, so for commutative operators this module
-    costs both argument orders. *)
+    Emission is cost-first: the candidate is a set of floats in a
+    {!Costing.Candidate.t}, and one that loses to the incumbent
+    allocates nothing.  Plan trees are built once, after enumeration
+    ({!Plans.Dp_table.find}).
+
+    Commutativity handling follows Section 2.2: the symmetric
+    enumerators produce each pair once, so for commutative operators
+    {!emit} prices both argument orders. *)
 
 type filter =
   Nodeset.Node_set.t ->
   Nodeset.Node_set.t ->
   (Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation) list ->
   bool
-(** Extra validity test applied before plan construction — the
+(** Extra validity test applied before pricing — the
     TES-generate-and-test mode of Section 5.8 plugs in here.  Receives
-    the pair ordered as given to {!emit_pair} and its connecting
-    edges. *)
+    the pair ordered as given to {!emit} and its connecting edges. *)
+
+type direction =
+  | Symmetric
+      (** for DPhyp, DPccp: the pair is unordered; both argument
+          orders are tried for commutative operators, and the
+          operator's own orientation (which side is the hyperedge's
+          [u]) decides the order for non-commutative ones *)
+  | Directed
+      (** for DPsize, DPsub: only the first set goes on the left; the
+          symmetric candidate arises when the loop visits the swapped
+          pair *)
+
+type sink =
+  Costing.Candidate.t ->
+  Nodeset.Node_set.t ->
+  left:Nodeset.Node_set.t ->
+  code:int ->
+  unit
+(** Receives every priced candidate: the candidate (cost and
+    cardinality filled in), the joined set, its left side and the
+    operator code ({!Plans.Plan.op_code}).  Called in the contract
+    order — first the edge-dictated argument order, then the
+    commutative swap. *)
 
 type t
-(** Emission context: graph, cost model, DP table, counters, filter. *)
+(** Emission context: graph, cost model, DP table, counters, filter,
+    sink. *)
 
 val make :
   ?filter:filter ->
   ?bound:float ->
+  ?sink:sink ->
   model:Costing.Cost_model.t ->
   counters:Counters.t ->
   Hypergraph.Graph.t ->
   Plans.Dp_table.t ->
   t
-(** [bound] (default [infinity]) is a known upper bound on the optimal
-    plan cost — e.g. the certified bound of [Dpconv]'s C_out mode.
-    Candidates costing more never enter the DP table, which in turn
-    prunes every enumeration subtree they would have seeded.  Sound
-    whenever the cost model is additive with non-negative join costs:
-    each subplan of an optimal plan costs at most the optimum, so the
-    surviving table (and the final plan) is identical to the unbounded
-    run's. *)
+(** The table supplies both sides' entries.  The default sink offers
+    each candidate to the same table ({!Plans.Dp_table.offer}) when
+    its cost is at most [bound] (default [infinity]), a known upper
+    bound on the optimal plan cost — e.g. the certified bound of
+    [Dpconv]'s C_out mode.  Candidates costing more never enter the
+    table, which in turn prunes every enumeration subtree they would
+    have seeded.  Sound whenever the cost model is additive with
+    non-negative join costs: each subplan of an optimal plan costs at
+    most the optimum, so the surviving table (and the final plan) is
+    identical to the unbounded run's.  A custom [sink] replaces the
+    default one and [bound] is ignored — the parallel enumerator
+    buffers candidates this way. *)
 
-val emit_pair : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit
-(** Canonical emission for symmetric enumerators (DPhyp, DPccp): the
-    pair is unordered; both argument orders are tried for commutative
-    operators, and the operator's own orientation (which side is the
-    hyperedge's [u]) decides the order for non-commutative ones.
-    No-op if no edge connects the pair. *)
-
-val emit_pair_with :
-  find:(Nodeset.Node_set.t -> Plans.Plan.t option) ->
-  add:(int -> Plans.Plan.t -> unit) ->
-  ?filter:filter ->
-  model:Costing.Cost_model.t ->
-  counters:Counters.t ->
-  Hypergraph.Graph.t ->
-  Nodeset.Node_set.t ->
-  Nodeset.Node_set.t ->
-  unit
-(** The pair-processing core behind {!emit_pair}, parameterized over
-    table access: [find] resolves each side's best plan, [add]
-    receives every successfully built candidate together with its
-    rank within the pair (0 for the first/oriented argument order, 1
-    for the commutative swap).  Candidate construction, counter
-    charging and candidate order are identical to {!emit_pair} by
-    construction — the parallel sharded DP table plugs in here and
-    folds the rank into its deterministic tie-break. *)
-
-val emit_directed : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit
-(** Directed emission for ordered enumerators (DPsize, DPsub, naive
-    top-down): builds only plans with the first argument on the left,
-    exactly like Figure 1's [dpTable[S1] B dpTable[S2]]; the symmetric
-    candidate arises when the loop visits the swapped pair.  No-op if
-    no edge supports this direction. *)
-
-val applicable_op :
-  (Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation) list ->
-  [ `Inner
-  | `Op of Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation
-  | `Ambiguous ]
-(** Operator resolution: all-inner edges conjoin into a plain join;
-    exactly one non-inner edge dictates operator and orientation; two
-    or more non-inner edges connecting the same pair cannot be
-    combined and the pair is skipped ([`Ambiguous] — does not occur
-    for hypergraphs derived from well-formed operator trees). *)
-
-type pair_info = {
-  edge_ids : int list;
-      (** connecting edges plus pending (covered, unapplied) edges *)
-  sel : float;  (** combined selectivity of all applied predicates *)
-  resolution : [ `Inner | `Op of Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation ];
-  connecting : (Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation) list;
-}
-
-val resolve :
-  Hypergraph.Graph.t -> Plans.Plan.t -> Plans.Plan.t -> pair_info option
-(** Full resolution of a candidate pair: connecting edges, operator
-    recovery, and the pending-predicate rule — a predicate whose
-    relations are all assembled by this join but which no aligned cut
-    ever applied is conjoined here as a filter (plans track applied
-    edges for this purpose); if such a pending edge carries a
-    non-inner operator the decomposition is invalid and [None] is
-    returned.  Shared by the DP emitters, GOO and top-down search. *)
+val emit : t -> direction -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit
+(** Emit one pair.  No-op if a side has no table entry, no edge
+    connects the pair, or the filter rejects it. *)
 
 val candidates :
   model:Costing.Cost_model.t ->
@@ -111,9 +87,8 @@ val candidates :
   Plans.Plan.t ->
   Plans.Plan.t ->
   Plans.Plan.t list
-(** Every valid plan for the (unordered) pair: pair resolution via
-    {!resolve}, dependent switching per Section 5.6, both argument
-    orders for commutative operators.  Empty when no edge connects the
-    pair or every orientation is invalid.  Used by the algorithms that
-    keep their own best-plan state (GOO, top-down search) instead of a
-    DP table. *)
+(** Every valid plan for the (unordered) pair, through the same
+    resolution and argument-order rules as a {!Symmetric} {!emit}.
+    Empty when no edge connects the pair or every order is invalid.
+    Used by the algorithms that keep their own best-plan state (GOO,
+    top-down search) instead of a DP table. *)

@@ -4,8 +4,7 @@ module G = Hypergraph.Graph
 (* Greedy: keep a work list of component plans; each round, cost every
    joinable pair and keep the merge with the smallest output
    cardinality.  A dedicated DP table per round is wasteful, so merges
-   are built directly with Plan.join via the Emit operator-resolution
-   rules. *)
+   are built directly through Emit.candidates. *)
 let solve ?(model = Costing.Cost_model.c_out) ?(counters = Counters.create ())
     g =
   let n = G.num_nodes g in
@@ -54,9 +53,17 @@ let solve ?(model = Costing.Cost_model.c_out) ?(counters = Counters.create ())
             match List.sort (fun a b -> Float.compare a.Plans.Plan.card b.Plans.Plan.card) comps with
             | p1 :: p2 :: rest ->
                 counters.Counters.cost_calls <- counters.Counters.cost_calls + 1;
+                (* it still applies the edges it is the first to cover:
+                   every plan over s has applied those s covers *)
+                let edge_ids =
+                  Plans.Plan.applied_edges g p1.Plans.Plan.set p2.Plans.Plan.set
+                in
+                let sel =
+                  List.fold_left (fun s id -> s *. (G.edge g id).sel) 1.0 edge_ids
+                in
                 let p =
-                  Plans.Plan.join model ~op:Relalg.Operator.join ~edge_ids:[]
-                    ~sel:1.0 p1 p2
+                  Plans.Plan.join model ~op:Relalg.Operator.join ~edge_ids ~sel
+                    p1 p2
                 in
                 components := p :: rest;
                 round ()

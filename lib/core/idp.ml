@@ -65,9 +65,7 @@ let choose_block g k =
    contractible entry, cheapest first, node-set order as the final
    tie-break so the choice never depends on table iteration order. *)
 let pick_entry g dp block =
-  let better (a : Plans.Plan.t) (b : Plans.Plan.t) =
-    a.cost < b.cost || (a.cost = b.cost && Ns.compare a.set b.set < 0)
-  in
+  let better (ca, sa) (cb, sb) = ca < cb || (ca = cb && Ns.compare sa sb < 0) in
   let rec at_size s =
     if s < 2 then None
     else
@@ -75,13 +73,15 @@ let pick_entry g dp block =
         List.fold_left
           (fun acc set ->
             if G.contractible g set then
-              let p = Plans.Dp_table.best dp set in
-              match acc with Some b when better b p -> acc | _ -> Some p
+              let e = (Plans.Dp_table.cost dp set, set) in
+              match acc with Some b when better b e -> acc | _ -> Some e
             else acc)
           None
           (Plans.Dp_table.sets_of_size dp s)
       in
-      match best with None -> at_size (s - 1) | some -> some
+      match best with
+      | None -> at_size (s - 1)
+      | Some (_, set) -> Some (Plans.Dp_table.best dp set)
   in
   at_size (Ns.cardinal block)
 
@@ -103,7 +103,7 @@ let solve ?obs ?(model = Costing.Cost_model.c_out)
       let leaf =
         match state with
         | None -> fun v -> Plans.Plan.scan g v
-        | Some (_, base) -> fun v -> Plans.Plan.materialized g v base.(v)
+        | Some (_, base) -> fun v -> Plans.Plan.materialized v base.(v)
       in
       let flatten p =
         match state with

@@ -16,7 +16,7 @@
 
     Supports the same hypergraphs as DPhyp, including generalized
     edges; handles operator recovery and the dependent switch through
-    the shared {!Emit.resolve}. *)
+    the shared {!Emit.candidates}. *)
 
 val solve :
   ?model:Costing.Cost_model.t ->

@@ -1,6 +1,6 @@
 let inner l r sel = Float.max 1.0 (l *. r *. sel)
 
-let estimate (op : Relalg.Operator.t) l r sel =
+let[@inline] estimate (op : Relalg.Operator.t) l r sel =
   let ij = l *. r *. sel in
   match op.kind with
   | Relalg.Operator.Inner -> Float.max 1.0 ij
@@ -9,6 +9,9 @@ let estimate (op : Relalg.Operator.t) l r sel =
   | Relalg.Operator.Left_semi -> Float.max 1.0 (l *. Float.min 1.0 (sel *. r))
   | Relalg.Operator.Left_anti -> Float.max 1.0 (l *. (1.0 -. Float.min 1.0 (sel *. r)))
   | Relalg.Operator.Left_nest -> Float.max 1.0 l
+
+let estimate_into op (c : Candidate.t) =
+  c.card <- estimate op c.left_card c.right_card c.sel
 
 let selectivity_product edges =
   List.fold_left (fun acc ((e : Hypergraph.Hyperedge.t), _) -> acc *. e.sel) 1.0 edges

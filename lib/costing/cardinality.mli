@@ -23,6 +23,11 @@ val inner : float -> float -> float -> float
 val estimate : Relalg.Operator.t -> float -> float -> float -> float
 (** [estimate op l r sel] — output cardinality of [l op_sel r]. *)
 
+val estimate_into : Relalg.Operator.t -> Candidate.t -> unit
+(** [estimate_into op c] sets [c.card] to
+    [estimate op c.left_card c.right_card c.sel] without boxing a
+    float (see {!Candidate}). *)
+
 val selectivity_product : (Hypergraph.Hyperedge.t * 'a) list -> float
 (** Combined selectivity of a set of connecting edges (independence
     assumption: plain product). *)

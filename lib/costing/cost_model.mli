@@ -14,20 +14,36 @@
       [c_build·r + c_probe·l + out]; non-inner operators always pay
       the hash price (they need the full partner set per tuple).
 
-    A model only prices a {e single} operator application; plan code
-    adds children costs itself. *)
+    {!op_cost} prices a {e single} operator application; {!price}
+    prices a whole candidate join, adding both operands' costs. *)
 
-type t = {
-  name : string;
-  op_cost :
-    Relalg.Operator.t -> left_card:float -> right_card:float ->
-    out_card:float -> float;
-      (** Cost of applying one operator, excluding subplan costs. *)
-}
+type formula =
+  | Cout  (** sum of intermediate result cardinalities *)
+  | Cmm  (** main-memory nested-loop / hash join model *)
+
+type t = { name : string; formula : formula }
+(** A cost model: a closed set of formulas, so pricing is a direct
+    match rather than a call through a closure. *)
 
 val c_out : t
 
 val c_mm : t
+
+val op_cost :
+  t ->
+  Relalg.Operator.t ->
+  left_card:float ->
+  right_card:float ->
+  out_card:float ->
+  float
+(** Cost of applying one operator, excluding subplan costs. *)
+
+val price : t -> Relalg.Operator.t -> Candidate.t -> unit
+(** [price t op c] prices the candidate [left op right] described by
+    [c]: sets [c.card] ({!Cardinality.estimate}) and [c.cost] to
+    [c.left_cost + c.right_cost + op_cost].  The same float operations
+    in the same order as a plan built with [Plans.Plan.join], so the
+    two agree bit for bit.  Allocates nothing. *)
 
 val by_name : string -> t option
 (** ["cout"] or ["cmm"], for CLI flag parsing. *)

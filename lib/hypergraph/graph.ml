@@ -357,7 +357,11 @@ let connects g s1 s2 =
     false
   with Found_edge -> true
 
-let connecting_edges g s1 s2 =
+(* Gather into [g.edge_buf], deduplicated via stamps and restored to
+   ascending order, the ids of the edges incident to the smaller of
+   the two sets — every edge meeting both sides is among them.
+   Returns the count. *)
+let gather_incident_small g s1 s2 =
   let small = if Ns.cardinal s1 <= Ns.cardinal s2 then s1 else s2 in
   g.stamp <- g.stamp + 1;
   let st = g.stamp in
@@ -376,8 +380,29 @@ let connecting_edges g s1 s2 =
     rem := Ns.without_min !rem
   done;
   insertion_sort g.edge_buf !cnt;
+  !cnt
+
+let gather_pair_edges g s1 s2 =
+  let cnt = gather_incident_small g s1 s2 in
+  let both = Ns.union s1 s2 in
+  let kept = ref 0 in
+  for i = 0 to cnt - 1 do
+    let id = g.edge_buf.(i) in
+    let cover = g.edge_covers.(id) in
+    if Ns.subset cover both && Ns.intersects cover s1 && Ns.intersects cover s2
+    then begin
+      g.edge_buf.(!kept) <- id;
+      incr kept
+    end
+  done;
+  !kept
+
+let gathered g i = g.edge_buf.(i)
+
+let connecting_edges g s1 s2 =
+  let cnt = gather_incident_small g s1 s2 in
   let acc = ref [] in
-  for i = !cnt - 1 downto 0 do
+  for i = cnt - 1 downto 0 do
     let e = g.edges.(g.edge_buf.(i)) in
     match Hyperedge.orient e s1 s2 with
     | Some o -> acc := (e, o) :: !acc

@@ -105,6 +105,17 @@ val connecting_edges :
 (** All edges connecting the pair, with orientation relative to
     [(s1, s2)] — what EmitCsgCmp conjoins into the join predicate. *)
 
+val gather_pair_edges : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> int
+(** [gather_pair_edges g s1 s2] collects into the scratch arena, in
+    ascending id order, the edges a join of the disjoint sets [s1] and
+    [s2] is the first to cover: those with [u ∪ v ∪ w ⊆ s1 ∪ s2] that
+    meet both sides.  Returns their count; read them with {!gathered}
+    before the next arena-backed call on [g]. *)
+
+val gathered : t -> int -> int
+(** [gathered g i] — id of the [i]-th edge of the last
+    {!gather_pair_edges}. *)
+
 val has_hyperedges : t -> bool
 (** Any non-simple edge present? *)
 

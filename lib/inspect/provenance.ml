@@ -4,10 +4,10 @@ module G = Hypergraph.Graph
 (* Search-space provenance: a sampled, bounded record of the decision
    trail inside the DP table(s) of one optimizer run.
 
-   The recorder observes Dp_table.update outcomes through the table
-   hook (see Plans.Dp_table.set_hook): every candidate plan that
-   reached a memo slot either installed itself, displaced a champion,
-   or was rejected as not cheaper.  Per observed subset it keeps the
+   The recorder observes Dp_table.offer outcomes through the table
+   hook (see Plans.Dp_table.set_hook): every candidate that reached a
+   memo slot either installed itself, displaced a champion, or was
+   rejected as not cheaper.  Per observed subset it keeps the
    champion history — which csg-cmp-pair decomposition won, at what
    cost, what it beat, and at which arrival rank — plus aggregate
    candidate/pruning counts; globally it keeps one stats block.
@@ -35,7 +35,7 @@ module NsTbl = Hashtbl.Make (struct
 end)
 
 type champion = {
-  left : Ns.t;  (* winning decomposition; both empty for non-join plans *)
+  left : Ns.t;  (* winning decomposition *)
   right : Ns.t;
   cost : float;
   card : float;
@@ -97,22 +97,17 @@ let stats t = t.stats
 
 let sampled t set = t.sample <= 1 || Ns.hash set mod t.sample = 0
 
-let decompose (p : Plans.Plan.t) =
-  match p.tree with
-  | Plans.Plan.Join j -> (j.left.set, j.right.set)
-  | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> (Ns.empty, Ns.empty)
-
-let observe t (p : Plans.Plan.t) (ev : Plans.Dp_table.event) =
+let observe t set ~left ~cost ~card (ev : Plans.Dp_table.event) =
   let s = t.stats in
   s.candidates <- s.candidates + 1;
   (match ev with
   | Plans.Dp_table.Installed -> s.installed <- s.installed + 1
   | Plans.Dp_table.Displaced _ -> s.displaced <- s.displaced + 1
-  | Plans.Dp_table.Rejected _ -> s.rejected <- s.rejected + 1);
-  if not (sampled t p.set) then s.sampled_out <- s.sampled_out + 1
+  | Plans.Dp_table.Rejected -> s.rejected <- s.rejected + 1);
+  if not (sampled t set) then s.sampled_out <- s.sampled_out + 1
   else begin
     let sub =
-      match NsTbl.find_opt t.tbl p.set with
+      match NsTbl.find_opt t.tbl set with
       | Some sub -> Some sub
       | None ->
           if NsTbl.length t.tbl >= t.max_subsets then begin
@@ -121,10 +116,9 @@ let observe t (p : Plans.Plan.t) (ev : Plans.Dp_table.event) =
           end
           else begin
             let sub =
-              { set = p.set; champions = []; candidates = 0; rejected = 0;
-                dropped = 0 }
+              { set; champions = []; candidates = 0; rejected = 0; dropped = 0 }
             in
-            NsTbl.add t.tbl p.set sub;
+            NsTbl.add t.tbl set sub;
             s.subsets <- s.subsets + 1;
             Some sub
           end
@@ -134,18 +128,17 @@ let observe t (p : Plans.Plan.t) (ev : Plans.Dp_table.event) =
     | Some sub -> (
         sub.candidates <- sub.candidates + 1;
         match ev with
-        | Plans.Dp_table.Rejected _ -> sub.rejected <- sub.rejected + 1
+        | Plans.Dp_table.Rejected -> sub.rejected <- sub.rejected + 1
         | Plans.Dp_table.Installed | Plans.Dp_table.Displaced _ ->
-            let left, right = decompose p in
             let c =
               {
                 left;
-                right;
-                cost = p.cost;
-                card = p.card;
+                right = Ns.diff set left;
+                cost;
+                card;
                 displaced =
                   (match ev with
-                  | Plans.Dp_table.Displaced old -> Some old.Plans.Plan.cost
+                  | Plans.Dp_table.Displaced old -> Some old
                   | _ -> None);
                 rank = sub.candidates;
                 context = Plans.Dp_table.current_context ();

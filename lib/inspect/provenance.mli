@@ -1,14 +1,14 @@
 (** Search-space provenance: who won each memo slot, and why.
 
     A sampled, bounded recorder for one optimizer run.  Hooked into
-    {!Plans.Dp_table.update} through the per-table hook, it captures
+    {!Plans.Dp_table.offer} through the per-table hook, it captures
     for every observed subset the {e champion history} — the winning
     csg-cmp-pair decomposition, its cost and cardinality, the cost of
     the entry it displaced, and its arrival rank among the subset's
     candidates — plus aggregate install/displace/reject counts.
 
     Off by default and invisible when off: an unhooked table pays one
-    load-and-branch per update.  When on, the recorder is attached
+    load-and-branch per offer.  When on, the recorder is attached
     {e ambiently}: {!with_recording} installs a table-creation
     observer ({!Plans.Dp_table.with_create_observer}) so every DP
     table the run builds — the main memo, partitioned-tier block
@@ -41,14 +41,14 @@ type champion = {
 type subset = {
   set : Ns.t;
   mutable champions : champion list;  (** newest first, bounded *)
-  mutable candidates : int;  (** update outcomes observed for the set *)
+  mutable candidates : int;  (** offer outcomes observed for the set *)
   mutable rejected : int;  (** candidates pruned as not cheaper *)
   mutable dropped : int;  (** history entries discarded by the bound *)
 }
 
 type stats = {
   mutable subsets : int;  (** subsets with a recorded history *)
-  mutable candidates : int;  (** total update outcomes observed *)
+  mutable candidates : int;  (** total offer outcomes observed *)
   mutable installed : int;
   mutable displaced : int;
   mutable rejected : int;

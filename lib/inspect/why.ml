@@ -189,9 +189,8 @@ let gaps_of dp (forced : Plan.t) =
         let gl = walk j.Plan.left in
         let gr = walk j.Plan.right in
         let best =
-          match Plans.Dp_table.find dp p.Plan.set with
-          | Some b -> b.Plan.cost
-          | None -> p.Plan.cost
+          if Plans.Dp_table.mem dp p.Plan.set then Plans.Dp_table.cost dp p.Plan.set
+          else p.Plan.cost
         in
         let total = Float.max 0.0 (p.Plan.cost -. best) in
         let local = Float.max 0.0 (total -. gl -. gr) in

@@ -4,13 +4,10 @@ module He = Hypergraph.Hyperedge
 module Plan = Plans.Plan
 module Dp = Plans.Dp_table
 
-(* Subsets fit a flat 2^n table up to this size (same bound as
-   Dp_table.flat_max_nodes); beyond it both the oracle and the shard
-   switch to hash tables. *)
+(* Subsets fit a flat 2^n oracle up to this size (same bound as
+   Dp_table.flat_max_nodes); beyond it the oracle switches to
+   per-domain memo tables. *)
 let flat_max = 18
-
-(* Sharded-table stripe count; must be a power of two. *)
-let num_stripes = 128
 
 (* ---- growable int vector (pair buffer) --------------------------- *)
 
@@ -92,79 +89,51 @@ let build_oracles pool g jobs =
               Hashtbl.replace memo key b;
               b)
 
-(* ---- sharded DP table -------------------------------------------- *)
+(* ---- candidate buffer -------------------------------------------- *)
 
-(* Layer-k protocol: reads hit only entries of size < k, finalized at
-   the previous barrier, so flat reads are lock-free (distinct array
-   slots, publication via the pool mutex); size-k updates go through
-   the stripe mutex of the key.  Hash tables mutate buckets on every
-   write, so in hashed mode reads take the stripe lock too. *)
-type shard =
-  | Sflat of { plans : Plan.t option array; ties : int array }
-  | Shashed of (int, Plan.t * int) Hashtbl.t array
+(* The priced candidates of one chunk of a layer, in emission order,
+   struct-of-arrays like the DP table's entries. *)
+type cbuf = {
+  mutable sets : Ns.t array;
+  mutable lefts : Ns.t array;
+  mutable codes : int array;
+  mutable costs : float array;
+  mutable cards : float array;
+  mutable n : int;
+}
 
-let shard_create g =
-  let n = G.num_nodes g in
-  if n <= flat_max then
-    let size = 1 lsl n in
-    Sflat { plans = Array.make size None; ties = Array.make size max_int }
-  else
-    Shashed
-      (Array.init num_stripes (fun _ ->
-           Hashtbl.create
-             (max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs g
-                      / num_stripes))))
+let cbuf_create () =
+  { sets = [||]; lefts = [||]; codes = [||]; costs = [||]; cards = [||]; n = 0 }
 
-let shard_find shard stripes s =
-  match shard with
-  | Sflat f -> f.plans.(Ns.to_int s)
-  | Shashed tbls ->
-      let key = Ns.to_int s in
-      let sid = key land (num_stripes - 1) in
-      let m = stripes.(sid) in
-      Mutex.lock m;
-      let r = Hashtbl.find_opt tbls.(sid) key in
-      Mutex.unlock m;
-      Option.map fst r
+let cbuf_push b (c : Costing.Candidate.t) s ~left ~code =
+  if b.n = Array.length b.sets then begin
+    let cap = max 64 (2 * b.n) in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 b.n;
+      a'
+    in
+    b.sets <- extend b.sets Ns.empty;
+    b.lefts <- extend b.lefts Ns.empty;
+    b.codes <- extend b.codes 0;
+    b.costs <- extend b.costs 0.0;
+    b.cards <- extend b.cards 0.0
+  end;
+  let i = b.n in
+  b.sets.(i) <- s;
+  b.lefts.(i) <- left;
+  b.codes.(i) <- code;
+  b.costs.(i) <- c.cost;
+  b.cards.(i) <- c.card;
+  b.n <- i + 1
 
-(* Keep the lexicographic minimum of (cost, tie).  Minimum-taking is
-   commutative and associative, so the table contents after a layer
-   barrier do not depend on domain interleaving; [tie] is the
-   candidate's rank in the sequential emission order, so among
-   equal-cost candidates the sequential winner (first seen, because
-   sequential [update] replaces only on strictly lower cost) wins
-   here too. *)
-let shard_add shard stripes tie (plan : Plan.t) =
-  let key = Ns.to_int plan.set in
-  let sid = key land (num_stripes - 1) in
-  let m = stripes.(sid) in
-  Mutex.lock m;
-  (match shard with
-  | Sflat f ->
-      let better =
-        match f.plans.(key) with
-        | None -> true
-        | Some (old : Plan.t) ->
-            plan.cost < old.cost || (plan.cost = old.cost && tie < f.ties.(key))
-      in
-      if better then begin
-        f.plans.(key) <- Some plan;
-        f.ties.(key) <- tie
-      end
-  | Shashed tbls -> (
-      let tbl = tbls.(sid) in
-      match Hashtbl.find_opt tbl key with
-      | None -> Hashtbl.replace tbl key (plan, tie)
-      | Some ((old : Plan.t), otie) ->
-          if plan.cost < old.cost || (plan.cost = old.cost && tie < otie) then
-            Hashtbl.replace tbl key (plan, tie)));
-  Mutex.unlock m
-
-let shard_iter f = function
-  | Sflat { plans; _ } ->
-      Array.iter (function Some p -> f p | None -> ()) plans
-  | Shashed tbls ->
-      Array.iter (fun tbl -> Hashtbl.iter (fun _ (p, _) -> f p) tbl) tbls
+(* Offer the buffered candidates to the table in buffer order. *)
+let cbuf_merge dp (c : Costing.Candidate.t) b =
+  for i = 0 to b.n - 1 do
+    c.cost <- b.costs.(i);
+    c.card <- b.cards.(i);
+    Dp.offer dp c b.sets.(i) ~left:b.lefts.(i) ~code:b.codes.(i)
+  done
 
 (* ---- the three phases -------------------------------------------- *)
 
@@ -212,20 +181,30 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
           0 buckets
         / stride
       in
-      (* Phase 2: layer-synchronous emission k = 2..n against the
-         sharded table.  Within a layer the buffered pairs are
-         replayed in sequential emission order — roots descending,
-         recursion order within a root — and their position is the
-         tie-break, so the surviving plans match the sequential run
-         exactly. *)
-      let shard = shard_create g in
-      let stripes = Array.init num_stripes (fun _ -> Mutex.create ()) in
-      (* Per-domain emit/merge time: each worker accumulates into its
-         own slot (race-free), recorded into the telemetry histogram
-         after the last layer barrier. *)
+      (* Phase 2: layer-synchronous emission k = 2..n.  During a
+         layer the DP table is read-only: every lookup hits an entry
+         of size < k, final since the previous layer.  Each chunk of
+         the layer's pairs — replayed in sequential emission order,
+         roots descending, recursion order within a root — prices its
+         candidates into its own buffer, and after the barrier the
+         buffers are offered to the table in chunk order.  The table
+         thus sees every size-k candidate in sequential order, and
+         with its strict [<] keeps the same winners as the
+         sequential run. *)
+      let dp = Dp.create_for g in
+      Ns.iter (fun v -> Dp.force dp (Plan.scan g v)) (G.all_nodes g);
+      let current = Array.init jobs (fun _ -> cbuf_create ()) in
+      let emitters =
+        Array.init jobs (fun wid ->
+            Core.Emit.make ?filter ~model ~counters:forks.(wid)
+              ~sink:(fun c s ~left ~code -> cbuf_push current.(wid) c s ~left ~code)
+              gs.(wid) dp)
+      in
+      (* Per-domain emit time: each worker accumulates into its own
+         slot (race-free), recorded into the telemetry histogram after
+         the last layer barrier. *)
       let merge_s = Array.make jobs 0.0 in
-      Ns.iter (fun v -> shard_add shard stripes 0 (Plan.scan g v))
-        (G.all_nodes g);
+      let merge_cand = Costing.Candidate.create () in
       Obs.Span.with_opt obs "par:emit" (fun _ ->
           for k = 2 to n do
             let bvecs = ref [] in
@@ -245,6 +224,7 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
             if total > 0 then begin
               let nchunks = min total (jobs * 4) in
               let chunk = (total + nchunks - 1) / nchunks in
+              let bufs = Array.init nchunks (fun _ -> cbuf_create ()) in
               Pool.run_fun pool nchunks (fun ci wid ->
                   let t0 = Obs.Span.now () in
                   Fun.protect ~finally:(fun () ->
@@ -252,12 +232,12 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
                   @@ fun () ->
                   let lo = ci * chunk and hi = min total ((ci + 1) * chunk) in
                   if lo < hi then begin
+                    current.(wid) <- bufs.(ci);
                     let b = ref 0 in
                     while offs.(!b + 1) <= lo do
                       incr b
                     done;
-                    let counters = forks.(wid) and gg = gs.(wid) in
-                    let find = shard_find shard stripes in
+                    let e = emitters.(wid) in
                     for seq = lo to hi - 1 do
                       while offs.(!b + 1) <= seq do
                         incr b
@@ -273,18 +253,12 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
                           ( Ns.unsafe_of_int v.buf.(2 * pos),
                             Ns.unsafe_of_int v.buf.((2 * pos) + 1) )
                       in
-                      Core.Emit.emit_pair_with ~find
-                        ~add:(fun rank plan ->
-                          shard_add shard stripes ((seq * 2) + rank) plan)
-                        ?filter ~model ~counters gg s1 s2
+                      Core.Emit.emit e Core.Emit.Symmetric s1 s2
                     done
-                  end)
+                  end);
+              Array.iter (cbuf_merge dp merge_cand) bufs
             end
           done);
-      (* Finalize: materialize a plain DP table (leaves are already in
-         the shard) and fold the per-domain counters back. *)
-      let dp = Dp.create_for g in
-      shard_iter (Dp.force dp) shard;
       Array.iter (fun c -> Core.Counters.absorb ~into:parent c) forks;
       (match tel with
       | None -> ()
@@ -294,8 +268,8 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
               if s > 0.0 then
                 Obs.Export.observe_s tel
                   ~help:
-                    "Per-domain seconds spent merging buffered pairs into \
-                     the sharded DP table"
+                    "Per-domain seconds spent emitting buffered pairs \
+                     into candidate buffers"
                   ~labels:[ ("domain", string_of_int i) ]
                   "joinopt_parallel_merge_seconds" s)
             merge_s);

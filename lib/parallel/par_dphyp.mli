@@ -1,5 +1,5 @@
-(** Domain-parallel DPhyp: layer-synchronous enumeration over a
-    sharded DP table.
+(** Domain-parallel DPhyp: layer-synchronous enumeration over one DP
+    table.
 
     The sequential algorithm's only cross-root data dependency is the
     dpTable-membership connectivity test, and every csg-cmp-pair of
@@ -19,12 +19,14 @@
       {!Hypergraph.Graph.copy_scratch}, recording its csg-cmp-pairs
       bucketed by result cardinality.
     + {b Emit} — for each layer [k = 2 .. n], the recorded size-[k]
-      pairs are replayed across domains against a sharded table:
-      lookups of finalized smaller layers are lock-free, size-[k]
-      updates go through stripe mutexes, and ties between equal-cost
-      candidates are broken by the candidate's rank in the sequential
-      emission order, so the winning plan — and hence the output for
-      every [--jobs N] — is byte-identical to the sequential one.
+      pairs are replayed in sequential emission order, in chunks
+      spread across domains.  The table is read-only during a layer
+      (all lookups hit finalized smaller layers); each chunk prices
+      its candidates into its own buffer, and after the barrier the
+      buffers are offered to the table in order.  The table so sees
+      the candidates of every set in sequential order, so the winning
+      plan — and hence the output for every [--jobs N] — is
+      byte-identical to the sequential one.
 
     Budgets use the shared atomic tally of
     {!Core.Counters.create_shared}: the total considered pairs across
@@ -45,7 +47,7 @@ val run :
     {!Core.Optimizer.run}, so [--jobs 1] is the unmodified algorithm.
     [?obs] records an ["enumerate:dphyp-par"] span with per-phase
     child spans and pool/per-domain attributes.  [?tel] records each
-    worker domain's pair-merge time into the
+    worker domain's pair-emission time into the
     [joinopt_parallel_merge_seconds{domain=...}] histogram.
     @raise Core.Counters.Budget_exhausted when [?budget] is spent. *)
 

@@ -1,10 +1,11 @@
 module Ns = Nodeset.Node_set
+module G = Hypergraph.Graph
 
-(* Two backings behind one interface.  For small queries the table is
-   a flat array indexed directly by the bit pattern of the node set,
-   so [find]/[mem]/[update] — executed once or more per considered
-   csg-cmp-pair — are single array probes with no hashing.  Beyond
-   [flat_max_nodes] it falls back to the hash table: 2^18 option slots
+(* Two indexes from node set to entry id behind one interface.  For
+   small queries the index is a flat int array over the bit pattern
+   of the node set, so [id]/[mem] — executed once or more per
+   considered csg-cmp-pair — are single array probes with no hashing.
+   Beyond [flat_max_nodes] it falls back to a hash table: 2^18 slots
    cost ~2 MB and fill in microseconds at [create] time, while 2^n
    beyond that starts to rival the enumeration itself. *)
 
@@ -20,29 +21,47 @@ module NsTbl = Hashtbl.Make (struct
   let hash = Ns.hash
 end)
 
-type store =
-  | Flat of Plan.t option array
-  | Hashed of (int, Plan.t) Hashtbl.t
-  | Wide of Plan.t NsTbl.t
+module IntTbl = Hashtbl.Make (struct
+  type t = int
 
-type event = Installed | Displaced of Plan.t | Rejected of Plan.t
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
-type hook = Plan.t -> event -> unit
+type index =
+  | Flat of int array  (* slot [Ns.to_int s]: entry id, or -1 *)
+  | Hashed of int IntTbl.t
+  | Wide of int NsTbl.t
 
+type event = Installed | Displaced of float | Rejected
+
+type hook =
+  Ns.t -> left:Ns.t -> cost:float -> card:float -> event -> unit
+
+(* The entries, struct-of-arrays in insertion order: entry [i] is the
+   best split found for [sets.(i)] — its left side, its operator code
+   (see Plan), its total cost and output cardinality.  Leaves have an
+   empty left side and keep their plan in [leaves].  The arrays grow
+   by doubling, so a table holds one word per flat slot plus a few
+   words per live entry, and a candidate that loses touches nothing
+   but floats. *)
 type t = {
-  store : store;
-  mutable entries : int;
-  by_size : Ns.t list array;  (* index [k]: sets of cardinality k, insertion order *)
+  g : G.t;
+  index : index;
+  mutable sets : Ns.t array;
+  mutable lefts : Ns.t array;
+  mutable codes : int array;
+  mutable costs : float array;
+  mutable cards : float array;
+  mutable len : int;
+  leaves : Plan.t option array;  (* per node *)
   mutable hook : hook option;
-      (* provenance observer; [None] (the default) keeps [update] on
-         its historical fast path — one extra load-and-branch per
-         outcome, no allocation *)
 }
 
 (* Ambient provenance wiring.  The inspect layer installs a creation
    observer around a whole optimizer run so that every table the run
    builds (the main memo, per-block tables, IDP round tables) attaches
-   its own update hook without any algorithm threading a parameter;
+   its own offer hook without any algorithm threading a parameter;
    [with_context] lets the algorithm layers label which table is
    active (tier, block, round) for the same observer.  Plain refs:
    provenance recording is a single-domain affair (the parallel
@@ -66,162 +85,154 @@ let current_context () = !context_label
 
 let set_hook t h = t.hook <- h
 
-let[@inline] notify_install t p =
-  match t.hook with None -> () | Some f -> f p Installed
-
-let[@inline] notify_displace t p old =
-  match t.hook with None -> () | Some f -> f p (Displaced old)
-
-let[@inline] notify_reject t p old =
-  match t.hook with None -> () | Some f -> f p (Rejected old)
-
-let create ?hint n =
-  let cap = match hint with None -> 1024 | Some h -> max 16 h in
-  let store =
-    if n <= flat_max_nodes then Flat (Array.make (1 lsl n) None)
-    else if n <= Ns.small_capacity then
+let create_for g =
+  let n = G.num_nodes g in
+  let index =
+    if n <= flat_max_nodes then Flat (Array.make (1 lsl n) (-1))
+    else
       (* OCaml's Hashtbl resizes once the load factor passes 2, so a
          bucket count of half the expected entries already avoids
-         every rehash; creating with the full hint leaves headroom
-         for the estimate being low. *)
-      Hashed (Hashtbl.create cap)
-    else Wide (NsTbl.create cap)
+         every rehash; creating with the full estimate leaves
+         headroom for it being low. *)
+      let hint = max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs g) in
+      if n <= Ns.small_capacity then Hashed (IntTbl.create hint)
+      else Wide (NsTbl.create hint)
   in
-  let t = { store; entries = 0; by_size = Array.make (n + 1) []; hook = None } in
+  let cap = 64 in
+  let t =
+    {
+      g;
+      index;
+      sets = Array.make cap Ns.empty;
+      lefts = Array.make cap Ns.empty;
+      codes = Array.make cap 0;
+      costs = Array.make cap 0.0;
+      cards = Array.make cap 0.0;
+      len = 0;
+      leaves = Array.make n None;
+      hook = None;
+    }
+  in
   (match !create_observer with None -> () | Some f -> f t);
   t
 
-let create_for g =
-  let n = Hypergraph.Graph.num_nodes g in
-  if n <= flat_max_nodes then create n
-  else create ~hint:(Hypergraph.Csg_enum.estimate_connected_subgraphs g) n
-
 let hash_stats t =
-  match t.store with
+  match t.index with
   | Flat _ -> None
   | Hashed h ->
-      let s = Hashtbl.stats h in
+      let s = IntTbl.stats h in
       Some (s.Hashtbl.num_buckets, s.Hashtbl.num_bindings)
   | Wide h ->
       let s = NsTbl.stats h in
       Some (s.Hashtbl.num_buckets, s.Hashtbl.num_bindings)
 
-let find t s =
-  match t.store with
+let id t s =
+  match t.index with
   | Flat a -> a.(Ns.to_int s)
-  | Hashed h -> Hashtbl.find_opt h (Ns.to_int s)
-  | Wide h -> NsTbl.find_opt h s
+  | Hashed h -> (
+      match IntTbl.find h (Ns.to_int s) with i -> i | exception Not_found -> -1)
+  | Wide h -> ( match NsTbl.find h s with i -> i | exception Not_found -> -1)
 
+(* The connectivity test of every enumerator, mostly on sets with no
+   entry: no exception on a miss. *)
 let mem t s =
-  match t.store with
-  | Flat a -> ( match a.(Ns.to_int s) with None -> false | Some _ -> true)
-  | Hashed h -> Hashtbl.mem h (Ns.to_int s)
+  match t.index with
+  | Flat a -> a.(Ns.to_int s) >= 0
+  | Hashed h -> IntTbl.mem h (Ns.to_int s)
   | Wide h -> NsTbl.mem h s
 
-let register_size t s =
-  let k = Ns.cardinal s in
-  t.by_size.(k) <- s :: t.by_size.(k)
+let grow t =
+  let cap = 2 * Array.length t.sets in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.sets <- extend t.sets Ns.empty;
+  t.lefts <- extend t.lefts Ns.empty;
+  t.codes <- extend t.codes 0;
+  t.costs <- extend t.costs 0.0;
+  t.cards <- extend t.cards 0.0
 
-let update t (p : Plan.t) =
-  match t.store with
-  | Flat a -> (
-      let key = Ns.to_int p.set in
-      match a.(key) with
-      | None ->
-          a.(key) <- Some p;
-          t.entries <- t.entries + 1;
-          register_size t p.set;
-          notify_install t p;
-          true
-      | Some old ->
-          if p.cost < old.cost then begin
-            a.(key) <- Some p;
-            notify_displace t p old;
-            true
-          end
-          else begin
-            notify_reject t p old;
-            false
-          end)
-  | Hashed h -> (
-      let key = Ns.to_int p.set in
-      match Hashtbl.find_opt h key with
-      | None ->
-          Hashtbl.replace h key p;
-          t.entries <- t.entries + 1;
-          register_size t p.set;
-          notify_install t p;
-          true
-      | Some old ->
-          if p.cost < old.cost then begin
-            Hashtbl.replace h key p;
-            notify_displace t p old;
-            true
-          end
-          else begin
-            notify_reject t p old;
-            false
-          end)
-  | Wide h -> (
-      match NsTbl.find_opt h p.set with
-      | None ->
-          NsTbl.replace h p.set p;
-          t.entries <- t.entries + 1;
-          register_size t p.set;
-          notify_install t p;
-          true
-      | Some old ->
-          if p.cost < old.cost then begin
-            NsTbl.replace h p.set p;
-            notify_displace t p old;
-            true
-          end
-          else begin
-            notify_reject t p old;
-            false
-          end)
+(* Append an entry for [s] and index it; returns its id. *)
+let add t s =
+  if t.len = Array.length t.sets then grow t;
+  let i = t.len in
+  t.len <- i + 1;
+  t.sets.(i) <- s;
+  (match t.index with
+  | Flat a -> a.(Ns.to_int s) <- i
+  | Hashed h -> IntTbl.replace h (Ns.to_int s) i
+  | Wide h -> NsTbl.replace h s i);
+  i
+
+let load t (c : Costing.Candidate.t) i1 i2 =
+  c.left_card <- t.cards.(i1);
+  c.left_cost <- t.costs.(i1);
+  c.right_card <- t.cards.(i2);
+  c.right_cost <- t.costs.(i2)
+
+let store t i (c : Costing.Candidate.t) ~left ~code =
+  t.lefts.(i) <- left;
+  t.codes.(i) <- code;
+  t.costs.(i) <- c.cost;
+  t.cards.(i) <- c.card
+
+let notify t s ~left (c : Costing.Candidate.t) ev =
+  match t.hook with None -> () | Some f -> f s ~left ~cost:c.cost ~card:c.card ev
+
+(* Cost first: the incumbent's cost is one array read, and a losing
+   candidate changes nothing.  Strict [<], so among equal costs the
+   first candidate seen stays. *)
+let offer t (c : Costing.Candidate.t) s ~left ~code =
+  let i = id t s in
+  if i < 0 then begin
+    store t (add t s) c ~left ~code;
+    notify t s ~left c Installed
+  end
+  else if c.cost < t.costs.(i) then begin
+    (* the event block is built only for an attached hook *)
+    if t.hook != None then notify t s ~left c (Displaced t.costs.(i));
+    store t i c ~left ~code
+  end
+  else notify t s ~left c Rejected
 
 let force t (p : Plan.t) =
-  match t.store with
-  | Flat a ->
-      let key = Ns.to_int p.set in
-      (match a.(key) with
-      | None ->
-          t.entries <- t.entries + 1;
-          register_size t p.set
-      | Some _ -> ());
-      a.(key) <- Some p
-  | Hashed h ->
-      let key = Ns.to_int p.set in
-      if not (Hashtbl.mem h key) then begin
-        t.entries <- t.entries + 1;
-        register_size t p.set
-      end;
-      Hashtbl.replace h key p
-  | Wide h ->
-      if not (NsTbl.mem h p.set) then begin
-        t.entries <- t.entries + 1;
-        register_size t p.set
-      end;
-      NsTbl.replace h p.set p
+  if not (Ns.is_singleton p.set) then
+    invalid_arg "Dp_table.force: leaf plans only";
+  let i = match id t p.set with -1 -> add t p.set | i -> i in
+  t.lefts.(i) <- Ns.empty;
+  t.codes.(i) <- Plan.rejected;
+  t.costs.(i) <- p.cost;
+  t.cards.(i) <- p.card;
+  t.leaves.(Ns.min_elt p.set) <- Some p
 
-let size t = t.entries
+let size t = t.len
 
-let iter f t =
-  match t.store with
-  | Flat a -> Array.iter (function None -> () | Some p -> f p) a
-  | Hashed h -> Hashtbl.iter (fun _ p -> f p) h
-  | Wide h -> NsTbl.iter (fun _ p -> f p) h
+let cost t s =
+  match id t s with -1 -> raise Not_found | i -> t.costs.(i)
 
-let sets_of_size t k = if k < Array.length t.by_size then t.by_size.(k) else []
+(* Build the plan tree of entry [i] from the stored splits: the
+   children's entries are final by the time a superset uses them, so
+   this is the plan the enumeration costed. *)
+let rec plan_of t i =
+  let s = t.sets.(i) and left = t.lefts.(i) in
+  if Ns.is_empty left then Option.get t.leaves.(Ns.min_elt s)
+  else
+    let pl = plan_of t (id t left) in
+    let pr = plan_of t (id t (Ns.diff s left)) in
+    Plan.make_join t.g ~code:t.codes.(i) ~card:t.cards.(i) ~cost:t.costs.(i) pl
+      pr
 
-let iter_size t k f =
-  List.iter
-    (fun s ->
-      match find t s with
-      | Some p -> f p
-      | None -> assert false)
-    (sets_of_size t k)
+let find t s = match id t s with -1 -> None | i -> Some (plan_of t i)
 
-let best t s =
-  match find t s with Some p -> p | None -> raise Not_found
+let best t s = match id t s with -1 -> raise Not_found | i -> plan_of t i
+
+(* Newest first: DPsize emits pairs in this order, and among equal
+   costs the first candidate seen wins. *)
+let sets_of_size t k =
+  let acc = ref [] in
+  for i = 0 to t.len - 1 do
+    if Ns.cardinal t.sets.(i) = k then acc := t.sets.(i) :: !acc
+  done;
+  !acc

@@ -1,41 +1,55 @@
-(** The dynamic programming table: best plan per connected node set.
+(** The dynamic programming table: best known split per connected
+    node set.
 
     Presence of an entry doubles as the connectivity test in every
     algorithm (Section 3.2: "This is done by a lookup into the
     dpTable"), exploiting that DP enumerates subsets before supersets.
     Section 3.6 notes all DP variants memoize the same entries; DPsize
-    additionally needs plans bucketed by size, which {!iter_size}
-    provides via per-size index lists.
+    additionally needs them bucketed by size ({!sets_of_size}).
 
-    For queries of up to 18 relations the table is backed by a flat
-    array indexed directly by the bit pattern of the node set, so the
-    per-pair lookups are single array probes; larger queries fall back
-    to a hash table.  The switchover is invisible to callers. *)
+    The table is cost-first.  An entry is a handful of unboxed
+    numbers, kept struct-of-arrays in insertion order: its winning
+    left side, its operator code (see {!Plan}), its total cost and its
+    output cardinality.  The emitter prices a candidate into a
+    {!Costing.Candidate.t} and {!offer}s it; a candidate that does not
+    beat the incumbent allocates nothing.  Plan trees exist only on
+    request: {!find} and {!best} build the tree of one set from the
+    stored splits, once, after enumeration.
+
+    A set maps to its entry id through a flat int array indexed by the
+    set's bit pattern for queries of up to 18 relations, and through a
+    hash table beyond; the switchover is invisible to callers. *)
 
 type t
 
 type event =
-  | Installed  (** first plan seen for its node set *)
-  | Displaced of Plan.t
-      (** strictly cheaper than the previous champion (the argument) *)
-  | Rejected of Plan.t
-      (** not cheaper than the incumbent (the argument); table
-          unchanged *)
-(** Outcome of one {!update}, as seen by a provenance {!hook}. *)
+  | Installed  (** first candidate seen for its node set *)
+  | Displaced of float
+      (** strictly cheaper than the previous champion, whose cost is
+          the argument *)
+  | Rejected  (** not cheaper than the incumbent; table unchanged *)
+(** Outcome of one {!offer}, as seen by a provenance {!hook}. *)
 
-type hook = Plan.t -> event -> unit
-(** Update observer: called with the candidate plan and what happened
-    to it.  {!force} (leaf initialization) is deliberately unhooked —
+type hook =
+  Nodeset.Node_set.t ->
+  left:Nodeset.Node_set.t ->
+  cost:float ->
+  card:float ->
+  event ->
+  unit
+(** Offer observer: called with the candidate's node set, its left
+    side, its cost and cardinality, and what happened to it.
+    {!force} (leaf initialization) is deliberately unhooked —
     champion history is about csg-cmp-pair decisions. *)
 
 val set_hook : t -> hook option -> unit
-(** Attach (or clear) the table's update observer.  With no hook —
-    the default — [update] costs one extra load-and-branch per
+(** Attach (or clear) the table's offer observer.  With no hook —
+    the default — {!offer} costs one extra load-and-branch per
     outcome and allocates nothing. *)
 
 val with_create_observer : (t -> unit) -> (unit -> 'a) -> 'a
 (** [with_create_observer f body] runs [body] with [f] invoked on
-    every table {!create}d during it (the previous observer is
+    every table created ({!create_for}) during it (the previous observer is
     restored on exit).  This is how a provenance recorder attaches to
     the tables an optimizer run builds internally (per-block, per-IDP
     round) without any algorithm threading a parameter.  Ambient,
@@ -51,46 +65,56 @@ val with_context : string -> (unit -> 'a) -> 'a
 val current_context : unit -> string
 (** The ambient context label ([""] outside any {!with_context}). *)
 
-val create : ?hint:int -> int -> t
-(** [create n] — table for an [n]-relation query.  [?hint] pre-sizes
-    the hash-table backing with the expected number of entries
-    (connected subgraphs); ignored on the flat path ([n] small
-    enough), where sizing is exact by construction. *)
-
 val create_for : Hypergraph.Graph.t -> t
-(** Table sized for a specific query: flat for small [n]; beyond the
-    flat limit, the hash backing is pre-sized from
+(** Table for the query [g]: a flat index for small [n]; beyond the
+    flat limit, the hash index is pre-sized from
     {!Hypergraph.Csg_enum.estimate_connected_subgraphs} so filling it
     does not rehash on the common shapes. *)
 
 val hash_stats : t -> (int * int) option
-(** [(buckets, bindings)] of the hash backing; [None] on the flat
+(** [(buckets, bindings)] of the hash index; [None] on the flat
     path.  Lets tests assert the pre-sizing really prevents
     resizes. *)
 
-val find : t -> Nodeset.Node_set.t -> Plan.t option
+val id : t -> Nodeset.Node_set.t -> int
+(** Entry id of the set, or [-1] if it has none.  Ids are dense and
+    stable. *)
 
 val mem : t -> Nodeset.Node_set.t -> bool
 
-val update : t -> Plan.t -> bool
-(** Keep the plan if no entry exists for its set or it is cheaper;
-    returns [true] if the table changed. *)
+val load : t -> Costing.Candidate.t -> int -> int -> unit
+(** [load t c i1 i2] copies the cardinality and cost of entry [i1]
+    into [c]'s left operand and those of [i2] into its right one. *)
+
+val offer :
+  t -> Costing.Candidate.t -> Nodeset.Node_set.t -> left:Nodeset.Node_set.t ->
+  code:int -> unit
+(** [offer t c s ~left ~code] — the priced candidate [c] splits [s]
+    into [left] and [s \ left] under operator code [code].  It
+    becomes the entry for [s] if there is none or it is strictly
+    cheaper, so among equal costs the first candidate seen stays. *)
 
 val force : t -> Plan.t -> unit
-(** Unconditionally install the plan (initialization of leaf plans). *)
+(** Install a leaf plan (a scan or a compound leaf) unconditionally.
+    @raise Invalid_argument for a plan over more than one node. *)
 
 val size : t -> int
 (** Number of entries — the number of connected subgraphs discovered
     so far. *)
 
-val iter : (Plan.t -> unit) -> t -> unit
+val cost : t -> Nodeset.Node_set.t -> float
+(** Cost of the set's entry.  @raise Not_found if it has none. *)
 
-val iter_size : t -> int -> (Plan.t -> unit) -> unit
-(** Iterate the entries covering exactly [k] relations (DPsize's plan
-    buckets). *)
-
-val sets_of_size : t -> int -> Nodeset.Node_set.t list
+val find : t -> Nodeset.Node_set.t -> Plan.t option
+(** The plan tree of the set's entry, built from the stored splits.
+    Call it once enumeration is over: the children's entries must be
+    final. *)
 
 val best : t -> Nodeset.Node_set.t -> Plan.t
-(** @raise Not_found if the set has no plan (query disconnected or
+(** {!find}, for a set known to have an entry.
+    @raise Not_found if the set has no plan (query disconnected or
     algorithm incomplete — a bug either way). *)
+
+val sets_of_size : t -> int -> Nodeset.Node_set.t list
+(** The sets with an entry covering exactly [k] relations, newest
+    first (DPsize's plan buckets). *)

@@ -1,20 +1,24 @@
-(** Bushy join plans — the entries of the dynamic programming table.
+(** Bushy join plans — what an optimizer run returns.
 
     Every plan node records the set of relations it covers, its
     estimated output cardinality, and its accumulated cost under the
     cost model active during optimization.  Join nodes remember which
     hyperedges they applied so that the original predicates (and the
     operator, per Section 5.4's "associate with each hyperedge the
-    operator from which it was derived") can be recovered. *)
+    operator from which it was derived") can be recovered.
+
+    The DP core never builds these while it searches: {!Dp_table}
+    keeps the winning split of each node set as plain numbers and
+    builds the tree of the final plan once, through {!make_join}.
+    Both sides rely on the same {e join resolution} below, which
+    decides from two node sets alone which edges a join applies and
+    which operator it takes.  That is sound because every plan over
+    [s] has applied exactly the edges whose cover lies in [s]. *)
 
 type t = {
   set : Nodeset.Node_set.t;  (** relations covered *)
   card : float;  (** estimated output cardinality *)
   cost : float;  (** total cost including subplans *)
-  applied : Nodeset.Bitset.t;
-      (** hyperedge ids whose predicates this plan has applied — the
-          enumerators use it to apply covered-but-unaligned predicates
-          as filters at the first opportunity (see Emit) *)
   tree : tree;
 }
 
@@ -53,10 +57,10 @@ and compound = {
 val scan : Hypergraph.Graph.t -> int -> t
 (** Plan for a single relation: cost 0, cardinality from catalog. *)
 
-val materialized : Hypergraph.Graph.t -> int -> t -> t
-(** [materialized g i sub] — a leaf of [g] at node [i] standing for
-    the already-optimized plan [sub] (over a finer graph).
-    Cardinality and cost are taken from [sub], so enumeration on [g]
+val materialized : int -> t -> t
+(** [materialized i sub] — a leaf at node [i] standing for the
+    already-optimized plan [sub] (over a finer graph).  Cardinality
+    and cost are taken from [sub], so enumeration on the coarser graph
     accounts for the work already committed inside the block. *)
 
 val join :
@@ -67,6 +71,66 @@ val join :
   t -> t -> t
 (** [join model ~op ~edge_ids ~sel l r] — a join node with estimated
     cardinality and cost filled in. *)
+
+(** {2 Join resolution}
+
+    Allocation-free decisions about a join of two disjoint node sets.
+    A {e resolution code} describes the pair: the edges it applies and
+    the non-inner edge (if any) whose operator and orientation it
+    must take.  An {e operator code} names the operator of one
+    argument order: a plain join or an edge's operator, possibly
+    switched to its dependent variant (Section 5.6). *)
+
+val rejected : int
+(** The resolution or operator code of an invalid join. *)
+
+val resolve :
+  Hypergraph.Graph.t ->
+  Nodeset.Node_set.t ->
+  Nodeset.Node_set.t ->
+  Costing.Candidate.t ->
+  int
+(** [resolve g s1 s2 c] resolves the pair.  The join applies its
+    connecting edges (aligned with the cut, Definition 7) and its
+    pending edges (covered by [s1 ∪ s2], meeting both sides, not
+    aligned), which a real optimizer must still evaluate once, as
+    filters.  Returns {!rejected} when no edge connects the pair, a
+    pending edge is non-inner (the decomposition is invalid), or two
+    non-inner edges connect it; otherwise sets [c.sel] to the
+    connecting selectivities multiplied in ascending id order, times
+    the pending ones folded in descending id order. *)
+
+val flip : int -> int
+(** The resolution code of the same pair with its sides swapped. *)
+
+val backward : int -> bool
+(** Does the pair's non-inner edge have its [u] side in [s2]? *)
+
+val op_code :
+  Hypergraph.Graph.t ->
+  int ->
+  left:Nodeset.Node_set.t ->
+  right:Nodeset.Node_set.t ->
+  int
+(** [op_code g res ~left ~right] — operator code of [left op right],
+    where [res] resolves [(left, right)]; {!rejected} when the edge's
+    operator is not commutative and points the other way, when
+    [left] depends on [right], or when a full outer join would need a
+    dependent variant. *)
+
+val operator : Hypergraph.Graph.t -> int -> Relalg.Operator.t
+(** The operator an operator code names. *)
+
+val applied_edges :
+  Hypergraph.Graph.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> int list
+(** Ids of the edges a join of the pair applies: the connecting edges
+    ascending, then the pending ones ascending. *)
+
+val make_join :
+  Hypergraph.Graph.t -> code:int -> card:float -> cost:float -> t -> t -> t
+(** [make_join g ~code ~card ~cost l r] — the join node [l op r] with
+    the given estimates, its operator from [code] and its edges and
+    selectivity from {!resolve}. *)
 
 val num_joins : t -> int
 

@@ -592,18 +592,248 @@ let test_dependent_no_valid_orientation () =
   in
   check "cyclic dependence has no plan" true ((Opt.run Opt.Dphyp g).plan = None)
 
-(* ---------- Emit.applicable_op ---------- *)
+(* ---------- operator resolution ---------- *)
 
+(* Two relations joined by parallel edges: all inner edges conjoin
+   into a plain join, exactly one non-inner edge dictates operator and
+   orientation, two non-inner edges cannot be combined. *)
 let test_applicable_op () =
-  let e ?(op = Relalg.Operator.join) id = (He.make ~op ~id (ns [ 0 ]) (ns [ 1 ]), He.Forward) in
-  check "all inner" true (Core.Emit.applicable_op [ e 0; e 1 ] = `Inner);
-  (match Core.Emit.applicable_op [ e 0; e ~op:Relalg.Operator.left_outer 1 ] with
-  | `Op (edge, He.Forward) -> check_int "the louter edge" 1 edge.He.id
-  | _ -> Alcotest.fail "expected single non-inner op");
-  check "two non-inner ambiguous" true
-    (Core.Emit.applicable_op
-       [ e ~op:Relalg.Operator.left_outer 0; e ~op:Relalg.Operator.left_anti 1 ]
-    = `Ambiguous)
+  let resolve ops =
+    let edges =
+      Array.of_list
+        (List.mapi (fun id op -> He.make ~op ~id (ns [ 0 ]) (ns [ 1 ])) ops)
+    in
+    let g = G.make [| G.base_rel "A"; G.base_rel "B" |] edges in
+    Plans.Plan.resolve g (ns [ 0 ]) (ns [ 1 ]) (Costing.Candidate.create ())
+  in
+  let join = Relalg.Operator.join
+  and louter = Relalg.Operator.left_outer
+  and anti = Relalg.Operator.left_anti in
+  check_int "all inner" 0 (resolve [ join; join ]);
+  let res = resolve [ join; louter ] in
+  check "single non-inner op" true (res > 0 && not (Plans.Plan.backward res));
+  check_int "the louter edge" (2 * (1 + 1)) res;
+  check_int "two non-inner ambiguous" Plans.Plan.rejected (resolve [ louter; anti ])
+
+(* ---------- resolution equivalence (qcheck) ---------- *)
+
+(* The list-and-bitset resolution every plan used to carry, kept here
+   as the reference: plans record the edges they applied, and a join
+   applies its connecting edges plus every covered edge neither input
+   applied ("pending").  The cost-first core instead resolves a pair
+   from its two node sets alone, relying on applied = covered. *)
+module Ref = struct
+  module P = Plans.Plan
+
+  type plan = { p : P.t; applied : int list }
+
+  let applicable_op edges =
+    match
+      List.filter
+        (fun ((e : He.t), _) -> e.op.Relalg.Operator.kind <> Relalg.Operator.Inner)
+        edges
+    with
+    | [] -> `Inner
+    | [ (e, o) ] -> `Op (e, o)
+    | _ -> `Ambiguous
+
+  let resolve g r1 r2 =
+    match G.connecting_edges g r1.p.P.set r2.p.P.set with
+    | [] -> None
+    | connecting -> (
+        let both = Ns.union r1.p.P.set r2.p.P.set in
+        let pending = ref [] in
+        for i = 0 to G.num_edges g - 1 do
+          if
+            Ns.subset (G.edge_cover g i) both
+            && (not (List.mem i r1.applied))
+            && (not (List.mem i r2.applied))
+            && not (List.exists (fun ((c : He.t), _) -> c.id = i) connecting)
+          then pending := G.edge g i :: !pending
+        done;
+        let pending = !pending in
+        if
+          List.exists
+            (fun (e : He.t) -> e.op.Relalg.Operator.kind <> Relalg.Operator.Inner)
+            pending
+        then None
+        else
+          match applicable_op connecting with
+          | `Ambiguous -> None
+          | (`Inner | `Op _) as resolution ->
+              let sel =
+                Costing.Cardinality.selectivity_product connecting
+                *. List.fold_left (fun s (e : He.t) -> s *. e.sel) 1.0 pending
+              in
+              let edge_ids =
+                List.map (fun ((e : He.t), _) -> e.id) connecting
+                @ List.rev_map (fun (e : He.t) -> e.id) pending
+              in
+              Some (edge_ids, sel, resolution))
+
+  let build_one g ~op ~edge_ids ~sel l r =
+    let out x = Ns.diff (G.free_of g x.p.P.set) x.p.P.set in
+    if Ns.intersects (out l) r.p.P.set then None
+    else
+      let op =
+        if Ns.intersects (out r) l.p.P.set then
+          if op.Relalg.Operator.kind = Relalg.Operator.Full_outer then None
+          else Some (Relalg.Operator.to_dependent op)
+        else Some op
+      in
+      Option.map
+        (fun op ->
+          {
+            p = P.join Costing.Cost_model.c_out ~op ~edge_ids ~sel l.p r.p;
+            applied = List.sort_uniq compare (edge_ids @ l.applied @ r.applied);
+          })
+        op
+
+  let candidates g r1 r2 =
+    match resolve g r1 r2 with
+    | None -> []
+    | Some (edge_ids, sel, resolution) ->
+        let mk l r op = build_one g ~op ~edge_ids ~sel l r in
+        List.filter_map Fun.id
+          (match resolution with
+          | `Inner -> Relalg.Operator.[ mk r1 r2 join; mk r2 r1 join ]
+          | `Op ((e : He.t), o) ->
+              let l, r = if o = He.Forward then (r1, r2) else (r2, r1) in
+              mk l r e.op
+              :: (if Relalg.Operator.commutative e.op then [ mk r l e.op ] else []))
+end
+
+(* Replay DPhyp's ccps through a DP over reference plans; on every
+   pair the reference and [Emit.candidates] (the cost-first core's
+   resolution and argument-order rules) must agree on accept/reject,
+   operator, orientation, edge_ids, and bit-equal sel and cost. *)
+let resolution_agrees ?(leaf = fun g v -> Plans.Plan.scan g v) g =
+  let bits = Int64.bits_of_float in
+  let table = Hashtbl.create 64 in
+  for v = 0 to G.num_nodes g - 1 do
+    Hashtbl.replace table (Ns.to_int (Ns.singleton v))
+      { Ref.p = leaf g v; applied = [] }
+  done;
+  let counters = Core.Counters.create () in
+  List.for_all
+    (fun (s1, s2) ->
+      match
+        Hashtbl.find_opt table (Ns.to_int s1), Hashtbl.find_opt table (Ns.to_int s2)
+      with
+      | Some r1, Some r2 ->
+          let expected = Ref.candidates g r1 r2 in
+          let got =
+            Core.Emit.candidates ~model:Costing.Cost_model.c_out ~counters g
+              r1.Ref.p r2.Ref.p
+          in
+          let same (r : Ref.plan) (q : Plans.Plan.t) =
+            match r.p.tree, q.tree with
+            | Plans.Plan.Join a, Plans.Plan.Join b ->
+                Ns.equal a.left.set b.left.set
+                && Relalg.Operator.equal a.op b.op
+                && a.edge_ids = b.edge_ids
+                && bits a.sel = bits b.sel
+                && bits r.p.cost = bits q.cost
+                && bits r.p.card = bits q.card
+            | _ -> false
+          in
+          let agree =
+            List.length expected = List.length got && List.for_all2 same expected got
+          in
+          List.iter
+            (fun (r : Ref.plan) ->
+              let key = Ns.to_int r.p.set in
+              match Hashtbl.find_opt table key with
+              | Some old when old.Ref.p.cost <= r.p.cost -> ()
+              | _ -> Hashtbl.replace table key r)
+            expected;
+          agree
+      | _ -> true)
+    (Core.Dphyp.enumerate_ccps g)
+
+let prop_resolution_equivalence =
+  QCheck.Test.make ~name:"cost-first resolution = list-and-bitset reference"
+    ~count:30 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let hyper =
+        Workloads.Random_graphs.hyper ~seed ~n:(5 + (seed mod 4))
+          ~extra_edges:(seed mod 3) ~hyperedges:(1 + (seed mod 3))
+          ~max_hypernode:2 ()
+      in
+      let tree =
+        if seed mod 2 = 0 then
+          Workloads.Noninner.star_antijoins ~n_rel:(5 + (seed mod 3))
+            ~k:(1 + (seed mod 3)) ()
+        else
+          Workloads.Noninner.cycle_outerjoins ~n_rel:(5 + (seed mod 3))
+            ~k:(1 + (seed mod 2)) ()
+      in
+      let noninner =
+        Conflicts.Derive.hypergraph (Conflicts.Analysis.analyze tree)
+      in
+      let random_noninner =
+        Conflicts.Derive.hypergraph
+          (Conflicts.Analysis.analyze
+             (Conflicts.Simplify.simplify
+                (Workloads.Random_trees.random_tree ~seed ~n:6
+                   ~ops:Relalg.Operator.[ join; left_outer; full_outer; left_semi;
+                                          left_anti; left_nest ])))
+      in
+      (* a table-valued function: the last relation depends on R0
+         (Section 5.6's dependent switch) *)
+      let dependent =
+        let n = G.num_nodes hyper in
+        G.make
+          (Array.init n (fun i ->
+               let r = G.relation hyper i in
+               if i = n - 1 then { r with G.free = Ns.singleton 0 } else r))
+          (G.edges hyper)
+      in
+      (* IDP's compound leaves: contract a contractible two-node block
+         and let a materialized sub-plan stand for it *)
+      let compound =
+        let g = hyper in
+        match
+          List.find_opt
+            (fun i -> Ns.cardinal (G.edge_cover g i) = 2 && G.contractible g (G.edge_cover g i))
+            (List.init (G.num_edges g) Fun.id)
+        with
+        | None -> []
+        | Some i ->
+            let block = G.edge_cover g i in
+            let sub = Option.get (Core.Dphyp.solve_subset ~subset:block g |> snd) in
+            let c = G.contract g ~block ~card:sub.Plans.Plan.card () in
+            let node = c.G.node_of.(Ns.min_elt block) in
+            [
+              ( c.G.cgraph,
+                fun g v ->
+                  if v = node then Plans.Plan.materialized v sub
+                  else Plans.Plan.scan g v );
+            ]
+      in
+      List.for_all (fun g -> resolution_agrees g)
+        [ hyper; dependent; noninner; random_noninner ]
+      && List.for_all (fun (g, leaf) -> resolution_agrees ~leaf g) compound)
+
+(* ---------- allocation per ccp ---------- *)
+
+(* Minor words per csg-cmp-pair of a whole sequential DPhyp run.  The
+   count is deterministic (no timing involved), so the gate is tight:
+   a candidate that loses must not allocate. *)
+let words_per_ccp g =
+  let counters = Core.Counters.create () in
+  let w0 = Gc.minor_words () in
+  ignore (Core.Dphyp.solve ~counters g);
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) /. float_of_int counters.Core.Counters.ccp_emitted
+
+let test_alloc_per_ccp () =
+  let star = words_per_ccp (Workloads.Shapes.star 16) in
+  check (Printf.sprintf "star-16: %.1f words/ccp <= 13" star) true (star <= 13.0);
+  let g6 = List.nth (Workloads.Splits.cycle_based 16) 6 in
+  let split = words_per_ccp g6 in
+  check (Printf.sprintf "cycle-based-16 G6: %.1f words/ccp <= 20" split) true
+    (split <= 20.0)
 
 (* ---------- properties over random graphs ---------- *)
 
@@ -837,6 +1067,11 @@ let () =
           Alcotest.test_case "cycle has no plan" `Quick
             test_dependent_no_valid_orientation;
         ] );
-      ("emit", [ Alcotest.test_case "applicable_op" `Quick test_applicable_op ]);
+      ( "emit",
+        [
+          Alcotest.test_case "applicable_op" `Quick test_applicable_op;
+          q prop_resolution_equivalence;
+          Alcotest.test_case "minor words per ccp" `Quick test_alloc_per_ccp;
+        ] );
       ("properties", [ q prop_random_agreement; q prop_random_emission ]);
     ]

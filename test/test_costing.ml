@@ -68,21 +68,46 @@ let test_selectivity_product () =
 
 let test_cout () =
   checkf "cout = out_card" 42.0
-    (Cm.c_out.Cm.op_cost Op.join ~left_card:10.0 ~right_card:10.0 ~out_card:42.0)
+    (Cm.op_cost Cm.c_out Op.join ~left_card:10.0 ~right_card:10.0 ~out_card:42.0)
 
 let test_cmm () =
   (* inner join picks min(NLJ, hash) *)
-  let inner = Cm.c_mm.Cm.op_cost Op.join ~left_card:10.0 ~right_card:10.0 ~out_card:5.0 in
+  let inner = Cm.op_cost Cm.c_mm Op.join ~left_card:10.0 ~right_card:10.0 ~out_card:5.0 in
   check "inner <= nlj" true (inner <= (10.0 *. 10.0) +. 5.0);
   check "inner <= hash" true (inner <= (1.2 *. 10.0) +. 10.0 +. 5.0);
   (* tiny inputs: NLJ wins; huge inputs: hash wins *)
-  let tiny = Cm.c_mm.Cm.op_cost Op.join ~left_card:2.0 ~right_card:2.0 ~out_card:1.0 in
+  let tiny = Cm.op_cost Cm.c_mm Op.join ~left_card:2.0 ~right_card:2.0 ~out_card:1.0 in
   checkf "nlj for tiny" 5.0 tiny;
-  let big = Cm.c_mm.Cm.op_cost Op.join ~left_card:1e6 ~right_card:1e6 ~out_card:1.0 in
+  let big = Cm.op_cost Cm.c_mm Op.join ~left_card:1e6 ~right_card:1e6 ~out_card:1.0 in
   checkf "hash for big" ((1.2 *. 1e6) +. 1e6 +. 1.0) big;
   (* non-inner operators always pay the hash price *)
   checkf "louter hash" ((1.2 *. 2.0) +. 2.0 +. 1.0)
-    (Cm.c_mm.Cm.op_cost Op.left_outer ~left_card:2.0 ~right_card:2.0 ~out_card:1.0)
+    (Cm.op_cost Cm.c_mm Op.left_outer ~left_card:2.0 ~right_card:2.0 ~out_card:1.0)
+
+(* The DP core's allocation-free pricing must agree bit for bit with
+   the float-argument functions a plan is built with. *)
+let test_price () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (m : Cm.t) ->
+      List.iter
+        (fun op ->
+          let c = Costing.Candidate.create () in
+          c.left_card <- 120.0;
+          c.left_cost <- 7.5;
+          c.right_card <- 3000.0;
+          c.right_cost <- 11.25;
+          c.sel <- 0.003;
+          Cm.price m op c;
+          let card = C.estimate op 120.0 3000.0 0.003 in
+          let cost =
+            7.5 +. 11.25
+            +. Cm.op_cost m op ~left_card:120.0 ~right_card:3000.0 ~out_card:card
+          in
+          check (m.Cm.name ^ " " ^ Op.symbol op) true
+            (bits c.card = bits card && bits c.cost = bits cost))
+        Op.[ join; left_outer; full_outer; left_semi; left_anti; left_nest ])
+    [ Cm.c_out; Cm.c_mm ]
 
 let test_q_error () =
   let q = Costing.Cardinality.q_error in
@@ -122,6 +147,7 @@ let () =
         [
           Alcotest.test_case "c_out" `Quick test_cout;
           Alcotest.test_case "c_mm" `Quick test_cmm;
+          Alcotest.test_case "price" `Quick test_price;
           Alcotest.test_case "by_name" `Quick test_by_name;
         ] );
     ]

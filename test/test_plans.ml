@@ -60,9 +60,16 @@ let test_shape_equal () =
   let flipped = P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel:0.1 b a in
   check "flipped differs" false (P.shape_equal (mk 0.1) flipped)
 
+(* A priced candidate joining [a] and [b], as the emitter offers it. *)
+let candidate (p : P.t) =
+  let c = Costing.Candidate.create () in
+  c.cost <- p.P.cost;
+  c.card <- p.P.card;
+  c
+
 let test_dp_table () =
   let g = graph3 () in
-  let dp = Dp.create 3 in
+  let dp = Dp.create_for g in
   check "empty find" true (Dp.find dp (Ns.singleton 0) = None);
   Dp.force dp (P.scan g 0);
   Dp.force dp (P.scan g 1);
@@ -75,25 +82,36 @@ let test_dp_table () =
   let cheap =
     P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel:0.1 a b
   in
-  check "first install changes" true (Dp.update dp expensive);
-  check "cheaper replaces" true (Dp.update dp cheap);
-  check "worse rejected" false (Dp.update dp expensive);
-  checkf "kept the cheap one" cheap.P.cost (Dp.best dp cheap.P.set).P.cost;
+  let offer p left = Dp.offer dp (candidate p) p.P.set ~left ~code:0 in
+  let ab = cheap.P.set in
+  offer expensive a.P.set;
+  checkf "first install" expensive.P.cost (Dp.cost dp ab);
+  offer cheap b.P.set;
+  checkf "cheaper replaces" cheap.P.cost (Dp.cost dp ab);
+  offer expensive a.P.set;
+  checkf "worse rejected" cheap.P.cost (Dp.cost dp ab);
+  offer cheap a.P.set;
+  let best = Dp.best dp ab in
+  checkf "kept the cheap one" cheap.P.cost best.P.cost;
+  (match best.P.tree with
+  | P.Join j ->
+      check "equal cost keeps the first split" true (Ns.equal j.P.left.P.set b.P.set);
+      Alcotest.(check (list int)) "edges recomputed" [ 0 ] j.P.edge_ids;
+      checkf "selectivity recomputed" 0.1 j.P.sel
+  | _ -> Alcotest.fail "expected a join");
   check_int "one pair entry" 1 (List.length (Dp.sets_of_size dp 2));
   check_int "two singletons" 2 (List.length (Dp.sets_of_size dp 1));
   Alcotest.check_raises "best missing" Not_found (fun () ->
       ignore (Dp.best dp (Ns.singleton 2)))
 
-let test_iter_size () =
+let test_size_buckets () =
   let g = graph3 () in
-  let dp = Dp.create 3 in
+  let dp = Dp.create_for g in
   for v = 0 to 2 do
     Dp.force dp (P.scan g v)
   done;
-  let seen = ref [] in
-  Dp.iter_size dp 1 (fun p -> seen := Ns.min_elt p.P.set :: !seen);
-  Alcotest.(check (list int)) "all singletons visited" [ 0; 1; 2 ]
-    (List.sort compare !seen);
+  Alcotest.(check (list int)) "all singletons, newest first" [ 2; 1; 0 ]
+    (List.map Ns.min_elt (Dp.sets_of_size dp 1));
   check_int "no size-2 entries" 0 (List.length (Dp.sets_of_size dp 2))
 
 let test_to_optree () =
@@ -159,13 +177,33 @@ let test_plan_check_catches_duplicate_edge () =
        (function Plans.Plan_check.Edge_not_connecting _ -> true | _ -> false)
        issues)
 
+(* Plans no longer record the edges they applied: a plan over [s] has
+   applied exactly the edges covered by [s], each at the first join
+   that covers it.  Plan_check must see that on the same plans. *)
 let test_plan_check_applied_tracking () =
   let g = graph3 () in
   let a = P.scan g 0 and b = P.scan g 1 in
   let j = P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel:0.1 a b in
-  check "applied bit set" true (Nodeset.Bitset.mem 0 j.P.applied);
-  check "other bit clear" false (Nodeset.Bitset.mem 1 j.P.applied);
-  check "scan applies nothing" true (Nodeset.Bitset.is_empty a.P.applied)
+  let no_issues msg p =
+    Alcotest.(check (list string)) msg []
+      (List.map Plans.Plan_check.issue_to_string (Plans.Plan_check.check g p))
+  in
+  no_issues "edge applied once" j;
+  no_issues "scan applies nothing" a;
+  Alcotest.(check (list int)) "applied at its first covering join" [ 0 ]
+    (P.applied_edges g a.P.set b.P.set);
+  (* the optimizer's plan: every join applies exactly the edges it is
+     the first to cover *)
+  let plan = Option.get (Core.Dphyp.solve g) in
+  no_issues "optimized plan" plan;
+  let rec firsts (p : P.t) =
+    match p.P.tree with
+    | P.Join j ->
+        j.P.edge_ids = P.applied_edges g j.P.left.P.set j.P.right.P.set
+        && firsts j.P.left && firsts j.P.right
+    | P.Scan _ | P.Compound _ -> true
+  in
+  check "every join applies what it first covers" true (firsts plan)
 
 let test_pp () =
   let g = graph3 () in
@@ -175,13 +213,13 @@ let test_pp () =
   in
   Alcotest.(check string) "pp" "(R0 leftouter R1)" (P.to_string j)
 
-(* ---------- Dp_table.update displacement model (qcheck) ---------- *)
+(* ---------- Dp_table.offer displacement model (qcheck) ---------- *)
 
-(* Reference model: a map subset -> cheapest cost seen.  update must
-   return true exactly when the candidate installs (absent) or
-   strictly improves, and the surviving entry must be the model's
-   minimum — across the flat (n <= 18), hashed and wide (n > 62)
-   stores alike. *)
+(* Reference model: a map subset -> cheapest cost seen.  An offer
+   installs exactly when the set is absent or the candidate strictly
+   improves, and the surviving entry must be the model's minimum —
+   across the flat (n <= 18), hashed and wide (n > 62) indexes
+   alike. *)
 let qcheck_update_model =
   QCheck.Test.make ~name:"dp_table update displacement model (all stores)"
     ~count:60
@@ -195,7 +233,7 @@ let qcheck_update_model =
                    G.base_rel ~card:10.0 (Printf.sprintf "Q%d" i)))
               [||]
           in
-          let dp = Dp.create n_rel in
+          let dp = Dp.create_for g in
           let model : (int, float) Hashtbl.t = Hashtbl.create 16 in
           List.for_all
             (fun (slot, c) ->
@@ -211,10 +249,9 @@ let qcheck_update_model =
                 | None -> true
                 | Some best -> p.P.cost < best
               in
-              let got = Dp.update dp p in
+              Dp.offer dp (candidate p) p.P.set ~left:(Ns.singleton i) ~code:0;
               if expected then Hashtbl.replace model i p.P.cost;
-              got = expected
-              && (Dp.best dp p.P.set).P.cost = Hashtbl.find model i
+              Dp.cost dp p.P.set = Hashtbl.find model i
               && Dp.size dp = Hashtbl.length model)
             ops)
         [ 3; 30; 80 ])
@@ -331,7 +368,7 @@ let () =
       ( "dp_table",
         [
           Alcotest.test_case "update semantics" `Quick test_dp_table;
-          Alcotest.test_case "size buckets" `Quick test_iter_size;
+          Alcotest.test_case "size buckets" `Quick test_size_buckets;
           QCheck_alcotest.to_alcotest qcheck_update_model;
         ] );
       ( "plan_diff",
