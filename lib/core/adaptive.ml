@@ -27,7 +27,12 @@ let conv_applicable g =
   && float_of_int (G.num_edges g)
      >= conv_min_density *. float_of_int (n * (n - 1) / 2)
 
-type attempt = { tier : tier; completed : bool; pairs : int }
+type attempt = {
+  tier : tier;
+  completed : bool;
+  pairs : int;
+  skipped : (int * int) option;
+}
 
 type outcome = {
   plan : Plans.Plan.t option;
@@ -48,8 +53,10 @@ let default_ks = [ 10; 7; 5; 3 ]
 let solve ?obs ?tel ?(model = Costing.Cost_model.c_out) ?budget
     ?(ks = default_ks) g =
   let attempts = ref [] in
-  let record tier completed (c : Counters.t) =
-    attempts := { tier; completed; pairs = c.Counters.pairs_considered } :: !attempts
+  let record ?skipped tier completed (c : Counters.t) =
+    attempts :=
+      { tier; completed; pairs = c.Counters.pairs_considered; skipped }
+      :: !attempts
   in
   let finish tier (counters : Counters.t) dp_entries plan =
     record tier true counters;
@@ -143,14 +150,41 @@ let solve ?obs ?tel ?(model = Costing.Cost_model.c_out) ?budget
   else begin
     let exact ?bound ~on_exhausted () =
       let exact_counters = Counters.create ?budget () in
-      match
-        tier_span Exact exact_counters (fun () ->
-            Dphyp.solve_with_table ~model ?bound ~counters:exact_counters g)
-      with
-      | dp, plan -> finish Exact exact_counters (Plans.Dp_table.size dp) plan
-      | exception Counters.Budget_exhausted ->
-          record Exact false exact_counters;
+      (* An unpruned rung ticks at least [Dphyp.min_pairs] pairs, so
+         when that exceeds the budget the rung would certainly raise:
+         record it as skipped and degrade at once.  A [?bound] prunes
+         the enumeration, which voids the certificate. *)
+      let needs =
+        match (bound, budget) with
+        | None, Some b ->
+            let m = Dphyp.min_pairs g in
+            if m > b then Some (m, b) else None
+        | _ -> None
+      in
+      match needs with
+      | Some (m, _) ->
+          Option.iter
+            (fun ctx ->
+              Obs.Span.with_ ctx
+                ~attrs:
+                  [
+                    ("skipped", Obs.Span.Bool true);
+                    ("min_pairs", Obs.Span.Int m);
+                    ("pairs", Obs.Span.Int 0);
+                  ]
+                ("tier:" ^ tier_name Exact) ignore)
+            obs;
+          record ?skipped:needs Exact false exact_counters;
           on_exhausted ()
+      | None -> (
+          match
+            tier_span Exact exact_counters (fun () ->
+                Dphyp.solve_with_table ~model ?bound ~counters:exact_counters g)
+          with
+          | dp, plan -> finish Exact exact_counters (Plans.Dp_table.size dp) plan
+          | exception Counters.Budget_exhausted ->
+              record Exact false exact_counters;
+              on_exhausted ())
     in
     if not (conv_applicable g) then exact ~on_exhausted:(fun () -> descend ks) ()
     else begin

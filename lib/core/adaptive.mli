@@ -13,6 +13,12 @@
     attempt cost, so clients and benchmarks can report degradation
     honestly.
 
+    An exact rung that would run unpruned is never started when
+    {!Dphyp.min_pairs} certifies it needs more pairs than its budget:
+    it would certainly run out, so the ladder degrades at once and
+    the plan, tier, counters and table size are those the full attempt
+    would have produced.
+
     Everything is deterministic: the same graph, budget and schedule
     always produce the same tier, the same counters and the same
     plan — no wall-clock measurements are involved. *)
@@ -42,6 +48,10 @@ type attempt = {
       (** false when the budget ran out mid-attempt; true when the
           attempt ran to completion (with or without a plan) *)
   pairs : int;  (** pairs the attempt consumed before stopping *)
+  skipped : (int * int) option;
+      (** [Some (needs, budget)]: the rung was never started because
+          {!Dphyp.min_pairs} certified it needs [needs] pairs, more
+          than its [budget]; [completed] is then false and [pairs] 0 *)
 }
 
 type outcome = {
@@ -74,7 +84,16 @@ val solve :
     attempted rung (with the pairs it consumed, and a ["raised"] tag
     when the budget cut it short), nesting the per-round IDP spans
     underneath.  Without [?budget] the exact tier always completes
-    and the outcome equals plain DPhyp (tier {!Exact}).  Queries with
+    and the outcome equals plain DPhyp (tier {!Exact}).
+
+    With [?budget], an exact rung that runs unpruned (no dense
+    pre-tier, or the pre-tier produced no plan) is skipped when
+    {!Dphyp.min_pairs} exceeds the budget.  The skip is recorded as an
+    attempt with [skipped] set and 0 pairs, and as a ["tier:exact"]
+    span with a ["skipped"] tag and a ["min_pairs"] attribute; [?tel]
+    records no latency sample for it.  A bound-pruned rung may tick
+    fewer pairs than the certificate counts, so it always runs.
+    Queries with
     more relations than {!Nodeset.Node_set.small_capacity} skip the
     exact rung and start at {!Partitioned} instead.  Schedule entries
     with [k >= n] or [k < 2] are skipped.  Never raises

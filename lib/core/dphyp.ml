@@ -138,3 +138,35 @@ let enumerate_ccps g =
   in
   run ~emit ~counters g dp;
   List.rev !trace
+
+(* The largest star [solve] must walk in full; the rules and their
+   proof are in dphyp.mli.  [sel.(i)] multiplies the selectivities of
+   every edge mentioning [i], bounding from below any pair
+   selectivity at a star point [i]. *)
+let min_pairs g =
+  let n = G.num_nodes g in
+  let eligible = Array.init n (fun i -> Ns.is_empty (G.relation g i).G.free) in
+  let sel = Array.make n 1.0 in
+  Array.iter
+    (fun (e : Hypergraph.Hyperedge.t) ->
+      Ns.iter
+        (fun i ->
+          if e.op.Relalg.Operator.kind <> Relalg.Operator.Inner then
+            eligible.(i) <- false;
+          sel.(i) <- sel.(i) *. e.sel)
+        (G.edge_cover g e.id))
+    (G.edges g);
+  let points =
+    Ns.filter
+      (fun i -> eligible.(i) && G.cardinality g i > 0. && sel.(i) >= 0x1p-1000)
+      (G.all_nodes g)
+  in
+  let d = ref 0 in
+  for v = 0 to n - 1 do
+    if G.cardinality g v > 0. then
+      d := max !d (Ns.cardinal (Ns.inter (G.simple_neighbors g v) points))
+  done;
+  let d = !d in
+  if d = 0 then 0
+  else if d - 1 >= Sys.int_size - 1 || 1 lsl (d - 1) > max_int / d then max_int
+  else d lsl (d - 1)

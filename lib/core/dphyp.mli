@@ -93,3 +93,49 @@ val enumerate_ccps :
     set, and for duplicates) against
     {!Hypergraph.Csg_enum.csg_cmp_pairs}, and check the
     subsets-before-supersets DP ordering on it. *)
+
+val min_pairs : Hypergraph.Graph.t -> int
+(** A certified lower bound on the pairs {!solve} considers (ticks
+    through {!Counters.tick_pair}) when run without [?bound] or
+    [?filter], under either cost model, saturating at [max_int].
+    O(n + m); exact on stars, where it equals
+    (n − 1)·2{^(n−2)}.  [Adaptive] uses it to skip an exact rung
+    that would certainly exhaust its budget.
+
+    Call a node {e eligible} when it has no free variables, no
+    non-inner edge mentions it, its cardinality is positive and the
+    selectivities of the edges mentioning it multiply to at least
+    2{^-1000}.  For a centre [v] of positive cardinality let [D] be
+    its simple-edge neighbours that are eligible, [d = |D|].  The bound
+    is the largest [d·2{^(d−1)}] over all centres.
+
+    Proof.  (1) {e Ticks.}  Every test of a pair in [EmitCsg] and
+    [EnumerateCmpRec] ticks once and emits at most once.  Which
+    complements are tested for a csg [S1] does not depend on the table,
+    and by completeness they include every [S2] making [(S1, S2)] a
+    csg-cmp-pair; the table only decides whether [EmitCsg(S1)] runs at
+    all, which it does for a singleton or for an [S1] with a table
+    entry.  So every csg-cmp-pair whose csg side has an entry costs
+    its own tick.
+    (2) {e Entries.}  Every [A = {v} ∪ T], [T ⊆ D], gets an entry, by
+    induction on [|T|].  [{v}] is a leaf.  Otherwise pick [t ∈ T]:
+    [(A \ {t}, {t})] is a csg-cmp-pair, joined by the simple edge
+    [v–t], and both sides have entries, so DPhyp emits it, before [A]
+    is tested as a csg by its subsets-before-supersets order.  Every
+    edge inside [A] is inner: a non-inner one mentions two or more
+    nodes of [A], so one of [D], and no non-inner edge mentions a node
+    of [D].  So resolution accepts the pair as an inner join.  With
+    [{t}] on the left the operator code is never rejected: [t] depends
+    on nothing, and a dependence of [v] on [t] only makes the join
+    dependent, which inner joins allow.  (So [v] may have free
+    variables.)  The price is not NaN, under either cost model: by
+    induction every entry inside the star has a non-negative cost and
+    a positive cardinality (an inner join's is at least 1), either
+    possibly ∞; and the pair's selectivity multiplies some of the
+    selectivities of the edges mentioning [t], whose full product is
+    at least 2{^-1000}, so it stays above 0.  NaN would need [∞·0].
+    Without a bound and a filter, the first candidate that is not NaN
+    always installs the entry.
+    (3) {e Count.}  The pairs [({v} ∪ T', {t})], [t ∈ D],
+    [T' ⊆ D \ {t}], are [d·2{^(d−1)}] distinct csg-cmp-pairs.  By (2)
+    both sides have entries, so by (1) each costs a tick. *)

@@ -159,6 +159,7 @@ let profile ctx r =
              Obs.Metrics.tier = Adaptive.tier_name a.tier;
              completed = a.completed;
              pairs = a.pairs;
+             skipped = a.skipped;
            })
          r.attempts)
     ?winning_tier:(Option.map Adaptive.tier_name r.tier)

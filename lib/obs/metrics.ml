@@ -8,7 +8,12 @@ type counters = {
   budget_remaining : int option;
 }
 
-type tier_attempt = { tier : string; completed : bool; pairs : int }
+type tier_attempt = {
+  tier : string;
+  completed : bool;
+  pairs : int;
+  skipped : (int * int) option;
+}
 
 type quality = {
   q_tier : string;
@@ -121,8 +126,13 @@ let pp_table ppf p =
         (String.concat " -> "
            (List.map
               (fun t ->
-                Printf.sprintf "%s(%d pairs%s)" t.tier t.pairs
-                  (if t.completed then "" else ", budget ran out"))
+                match t.skipped with
+                | Some (needs, budget) ->
+                    Printf.sprintf "%s(skipped: needs ≥ %d pairs > budget %d)"
+                      t.tier needs budget
+                | None ->
+                    Printf.sprintf "%s(%d pairs%s)" t.tier t.pairs
+                      (if t.completed then "" else ", budget ran out"))
               tiers)));
   (match p.winning_tier with
   | Some t -> Format.fprintf ppf "winning tier: %s@." t

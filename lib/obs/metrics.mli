@@ -25,6 +25,9 @@ type tier_attempt = {
   tier : string;  (** ["exact"], ["idp-7"], ["greedy"], ... *)
   completed : bool;  (** false when the budget ran out mid-attempt *)
   pairs : int;  (** pairs the attempt consumed *)
+  skipped : (int * int) option;
+      (** [Some (needs, budget)]: never started, because it provably
+          needs [needs] pairs, more than [budget] *)
 }
 
 type quality = {

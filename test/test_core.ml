@@ -815,6 +815,148 @@ let prop_resolution_equivalence =
         [ hyper; dependent; noninner; random_noninner ]
       && List.for_all (fun (g, leaf) -> resolution_agrees ~leaf g) compound)
 
+(* ---------- certified minimum pairs ---------- *)
+
+(* Adaptive skips an exact rung on the word of [Dphyp.min_pairs], so
+   an unbudgeted, unbounded run must tick at least that many pairs. *)
+let min_pairs_sound ?model name g =
+  let counters = Core.Counters.create () in
+  ignore (Core.Dphyp.solve ?model ~counters g);
+  let m = Core.Dphyp.min_pairs g in
+  let pairs = counters.Core.Counters.pairs_considered in
+  m <= pairs
+  || QCheck.Test.fail_reportf "%s: min_pairs %d > %d pairs considered" name m
+       pairs
+
+let with_free g i free =
+  G.make
+    (Array.init (G.num_nodes g) (fun j ->
+         let r = G.relation g j in
+         if j = i then { r with G.free } else r))
+    (G.edges g)
+
+let prop_min_pairs_sound =
+  QCheck.Test.make ~name:"min_pairs <= pairs of an unbudgeted dphyp run"
+    ~count:120 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let p = { Workloads.Shapes.default_params with seed } in
+      let n = 4 + (seed mod 9) in
+      let simple =
+        Workloads.Random_graphs.simple ~p ~seed ~n ~extra_edges:(seed mod 5) ()
+      in
+      let hyper =
+        Workloads.Random_graphs.hyper ~p ~seed ~n:(5 + (seed mod 4))
+          ~extra_edges:(seed mod 3) ~hyperedges:(1 + (seed mod 3))
+          ~max_hypernode:3 ()
+      in
+      let star = Workloads.Shapes.star ~p (2 + (seed mod 8)) in
+      let n_rel = 5 + (seed mod 3) in
+      let noninner =
+        Conflicts.Derive.hypergraph
+          (Conflicts.Analysis.analyze
+             (if seed mod 2 = 0 then
+                Workloads.Noninner.star_antijoins ~p ~n_rel
+                  ~k:(1 + (seed mod 3)) ()
+              else
+                Workloads.Noninner.cycle_outerjoins ~p ~n_rel
+                  ~k:(1 + (seed mod 2)) ()))
+      in
+      let random_noninner =
+        Conflicts.Derive.hypergraph
+          (Conflicts.Analysis.analyze
+             (Conflicts.Simplify.simplify
+                (Workloads.Random_trees.random_tree ~seed ~n:(4 + (seed mod 4))
+                   ~ops:Relalg.Operator.[ join; left_outer; full_outer; left_semi;
+                                          left_anti; left_nest ])))
+      in
+      let model =
+        if seed mod 3 = 0 then Costing.Cost_model.c_mm
+        else Costing.Cost_model.c_out
+      in
+      List.for_all
+        (fun (name, g) -> min_pairs_sound ~model name g)
+        [
+          ("simple", simple);
+          ("hyper", hyper);
+          ("star", star);
+          (* a centre may depend on a satellite; a satellite that
+             depends on anything drops out of every star *)
+          ("star, centre dependent", with_free star 0 (Ns.singleton 1));
+          ("star, satellite dependent", with_free star 1 (Ns.singleton 0));
+          ("simple, dependent", with_free simple (n - 1) (Ns.singleton 0));
+          ( "simple, mutually dependent",
+            with_free (with_free simple 0 (Ns.singleton 1)) 1 (Ns.singleton 0) );
+          ("noninner", noninner);
+          ("random noninner", random_noninner);
+        ])
+
+let test_min_pairs_star () =
+  for k = 2 to 14 do
+    let g = Workloads.Shapes.star k in
+    let m = Core.Dphyp.min_pairs g in
+    check_int
+      (Printf.sprintf "star-%d = closed form" k)
+      (Workloads.Formulas.ccp Workloads.Formulas.Star (k + 1))
+      m;
+    let counters = Core.Counters.create () in
+    ignore (Core.Dphyp.solve ~counters g);
+    check_int
+      (Printf.sprintf "star-%d = pairs considered" k)
+      counters.Core.Counters.pairs_considered m
+  done;
+  check_int "star-29 certifies its 7.8e9 pairs" 7_784_628_224
+    (Core.Dphyp.min_pairs (Workloads.Shapes.star 29));
+  check_int "saturates instead of overflowing" max_int
+    (Core.Dphyp.min_pairs (Workloads.Shapes.star 70))
+
+(* Each guard of [min_pairs] has a graph that breaks the bound
+   without it. *)
+let test_min_pairs_guards () =
+  (* R0—R1 carries two selectivities whose product underflows to 0;
+     with cardinalities near max_float the pair prices to ∞·0 = NaN,
+     so {R0,R1} never enters the table and the star R0—{R1,R2} walks 3
+     of its 4 pairs.  The selectivity guard drops R0 and R1 as star
+     points. *)
+  let underflow =
+    G.make
+      [|
+        G.base_rel ~card:1e300 "R0";
+        G.base_rel ~card:1e300 "R1";
+        G.base_rel ~card:10.0 "R2";
+      |]
+      [|
+        He.simple ~sel:1e-200 ~id:0 0 1;
+        He.simple ~sel:1e-200 ~id:1 0 1;
+        He.simple ~sel:0.5 ~id:2 0 2;
+      |]
+  in
+  check "underflow: sound" true (min_pairs_sound "underflow" underflow);
+  check_int "underflow: only R0—R2 certified" 1
+    (Core.Dphyp.min_pairs underflow);
+  (* two antijoins between R0 and R1 cannot both apply, so {R0,R1} has
+     no plan and again only 3 of the star's 4 pairs are walked *)
+  let antijoins =
+    G.make
+      (Array.init 3 (fun i -> G.base_rel (Printf.sprintf "R%d" i)))
+      [|
+        He.simple ~op:Relalg.Operator.left_anti ~id:0 0 1;
+        He.simple ~op:Relalg.Operator.left_anti ~id:1 0 1;
+        He.simple ~id:2 0 2;
+      |]
+  in
+  check "antijoins: sound" true (min_pairs_sound "antijoins" antijoins);
+  check_int "antijoins: only R0—R2 certified" 1
+    (Core.Dphyp.min_pairs antijoins);
+  (* a NaN cardinality prices every pair at the centre NaN *)
+  let nan_centre =
+    G.make
+      [| G.base_rel ~card:nan "R0"; G.base_rel "R1"; G.base_rel "R2" |]
+      [| He.simple ~id:0 0 1; He.simple ~id:1 0 2 |]
+  in
+  check "nan centre: sound" true (min_pairs_sound "nan centre" nan_centre);
+  check_int "nan centre: nothing certified" 0
+    (Core.Dphyp.min_pairs nan_centre)
+
 (* ---------- allocation per ccp ---------- *)
 
 (* Minor words per csg-cmp-pair of a whole sequential DPhyp run.  The
@@ -1074,4 +1216,12 @@ let () =
           Alcotest.test_case "minor words per ccp" `Quick test_alloc_per_ccp;
         ] );
       ("properties", [ q prop_random_agreement; q prop_random_emission ]);
+      ( "min-pairs",
+        [
+          q prop_min_pairs_sound;
+          Alcotest.test_case "stars: closed form, pairs considered" `Quick
+            test_min_pairs_star;
+          Alcotest.test_case "guards: underflow, non-inner, NaN card" `Quick
+            test_min_pairs_guards;
+        ] );
     ]

@@ -24,6 +24,11 @@ let cost_of name (r : Opt.result) =
 let close a b =
   Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let random_simple seed =
   Workloads.Random_graphs.simple ~seed ~n:(4 + (seed mod 4))
     ~extra_edges:(seed mod 3) ()
@@ -196,6 +201,126 @@ let test_adaptive_budget_one_falls_to_goo () =
   | Some p ->
       check "covers all" true (Ns.equal p.Plans.Plan.set (G.all_nodes g))
 
+(* ---------- certified overrun skip ---------- *)
+
+let ladder_pairs (r : Opt.result) =
+  List.fold_left (fun acc (a : Core.Adaptive.attempt) -> acc + a.pairs) 0
+    r.Opt.attempts
+
+let plan_digest (r : Opt.result) =
+  Digest.to_hex (Digest.string (Plans.Plan.to_string (Option.get r.Opt.plan)))
+
+(* The star's 7.8e9 csg-cmp-pairs are certified before the exact rung
+   starts, so it is skipped; idp-10 answers exactly as it did after
+   the full exact attempt ran out (counters and plan digest pinned
+   from that run). *)
+let test_skip_star29 () =
+  let g = Workloads.Shapes.star 29 in
+  let r = Opt.run ~budget:1_000_000 Opt.Adaptive g in
+  check "idp-10 answers" true (r.Opt.tier = Some (Core.Adaptive.Idp_k 10));
+  Alcotest.(check string)
+    "winning counters"
+    "pairs=6916 ccp=6916 cost-calls=13832 neighborhoods=10054"
+    (let c = r.Opt.counters in
+     Printf.sprintf "pairs=%d ccp=%d cost-calls=%d neighborhoods=%d"
+       c.Core.Counters.pairs_considered c.ccp_emitted c.cost_calls
+       c.neighborhood_calls);
+  Alcotest.(check string)
+    "same plan" "e4f617cc4b7c58a782aa71516deeb260" (plan_digest r);
+  match r.Opt.attempts with
+  | [ exact; idp ] ->
+      check "exact skipped with its certificate" true
+        (exact.Core.Adaptive.tier = Core.Adaptive.Exact
+        && (not exact.completed) && exact.pairs = 0
+        && exact.skipped = Some (7_784_628_224, 1_000_000));
+      check "idp-10 ran" true
+        (idp.Core.Adaptive.tier = Core.Adaptive.Idp_k 10
+        && idp.completed && idp.pairs = 6916 && idp.skipped = None)
+  | _ -> Alcotest.fail "expected two attempts: exact (skipped), idp-10"
+
+let test_skip_clique20 () =
+  let r = Opt.run ~budget:50_000 Opt.Adaptive (Workloads.Shapes.clique 20) in
+  check "idp-7 answers" true (r.Opt.tier = Some (Core.Adaptive.Idp_k 7));
+  Alcotest.(check int) "winner pairs" 2899
+    r.Opt.counters.Core.Counters.pairs_considered;
+  Alcotest.(check string)
+    "same plan" "949228c7fb3f40787db7de70fe7d026d" (plan_digest r);
+  (* exact skipped (was 50,001), idp-10 ran out, idp-7 answered *)
+  Alcotest.(check int) "ladder pairs" 52_900 (ladder_pairs r)
+
+(* The certificate counts an unpruned run, so it says nothing about
+   the exact rung the dense pre-tier prunes with its cost bound: on
+   clique-12 that rung runs even though min_pairs (11264) exceeds the
+   budget. *)
+let test_no_skip_when_bounded () =
+  let g = Workloads.Shapes.clique 12 in
+  check "certificate exceeds the budget" true (Core.Dphyp.min_pairs g > 5_000);
+  let r = Opt.run ~budget:5_000 Opt.Adaptive g in
+  match r.Opt.attempts with
+  | [ _conv; exact; _answer ] ->
+      check "bound-pruned exact ran" true
+        (exact.Core.Adaptive.tier = Core.Adaptive.Exact
+        && exact.skipped = None && exact.pairs = 5_001)
+  | _ -> Alcotest.fail "expected dpconv, exact, dpconv"
+
+(* The skipped rung still shows in the trace and spans, but it has no
+   latency sample: it never ran. *)
+let test_skip_observed () =
+  let ctx = Obs.Span.create () and tel = Obs.Export.create () in
+  ignore
+    (Core.Adaptive.solve ~obs:ctx ~tel ~budget:1_000_000
+       (Workloads.Shapes.star 29));
+  (match
+     List.find_opt
+       (fun (sp : Obs.Sink.span) -> sp.name = "tier:exact")
+       (Obs.Span.spans ctx)
+   with
+  | None -> Alcotest.fail "no tier:exact span"
+  | Some sp ->
+      check "skipped tag" true
+        (List.assoc_opt "skipped" sp.attrs = Some (Obs.Span.Bool true));
+      check "min_pairs attribute" true
+        (List.assoc_opt "min_pairs" sp.attrs
+        = Some (Obs.Span.Int 7_784_628_224)));
+  let prom = Obs.Export.prometheus tel in
+  check "idp-10 latency sampled" true (contains_sub prom "tier=\"idp-10\"");
+  check "no exact latency sample" false (contains_sub prom "tier=\"exact\"")
+
+(* The gate fires exactly when min_pairs exceeds the budget, and
+   then the rung it skipped would have raised.  Budgets range over
+   [0, 2·min_pairs], plus both sides of the threshold. *)
+let prop_skip_only_certain_overruns =
+  QCheck.Test.make
+    ~name:"gate fires iff min_pairs > budget; skipped rungs would raise" ~count:100
+    QCheck.(pair (int_bound 10_000) (int_bound 2_000))
+    (fun (seed, frac) ->
+      let g =
+        if seed mod 2 = 0 then
+          Workloads.Random_graphs.simple ~seed ~n:(4 + (seed mod 9))
+            ~extra_edges:(seed mod 4) ()
+        else random_hyper seed
+      in
+      let m = Core.Dphyp.min_pairs g in
+      let skipped budget =
+        List.exists
+          (fun (a : Core.Adaptive.attempt) -> a.skipped <> None)
+          (Opt.run ~budget Opt.Adaptive g).Opt.attempts
+      in
+      List.for_all
+        (fun budget ->
+          let fires = m > budget in
+          skipped budget = fires
+          && ((not fires)
+             ||
+             match
+               Core.Dphyp.solve ~counters:(Core.Counters.create ~budget ()) g
+             with
+             | _ ->
+                 QCheck.Test.fail_reportf "budget %d < min_pairs %d held"
+                   budget m
+             | exception Core.Counters.Budget_exhausted -> true))
+        (List.filter (fun b -> b >= 0) [ m * frac / 1_000; m - 1; m ]))
+
 (* ---------- budget on plain algorithms ---------- *)
 
 let test_budget_exhausted_raises () =
@@ -292,11 +417,6 @@ let test_adaptive_through_pipeline () =
   match D.optimize_tree ~mode:D.Cdc ~algo:Opt.Adaptive tree with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "cdc mode must refuse a filterless algorithm"
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_pipeline_budget_error () =
   let g = Workloads.Shapes.clique 12 in
@@ -621,6 +741,18 @@ let () =
             test_adaptive_clique20_budget;
           Alcotest.test_case "budget 1 falls to goo" `Quick
             test_adaptive_budget_one_falls_to_goo;
+        ] );
+      ( "certified-skip",
+        [
+          Alcotest.test_case "star-29 skips exact, idp-10 unchanged" `Quick
+            test_skip_star29;
+          Alcotest.test_case "clique-20 ladder total" `Quick
+            test_skip_clique20;
+          Alcotest.test_case "bound-pruned rung never skipped" `Quick
+            test_no_skip_when_bounded;
+          Alcotest.test_case "skip in spans, not in latency" `Quick
+            test_skip_observed;
+          q prop_skip_only_certain_overruns;
         ] );
       ( "budget",
         [
