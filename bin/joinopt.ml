@@ -195,41 +195,13 @@ let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
     Format.printf "dp entries: %d   time: %.3f ms@." r.dp_entries
       (elapsed *. 1000.0)
 
-let timed f =
+(* The pipeline's enumeration step under the CLI's wall clock. *)
+let timed_enumerate ?obs ~model ?budget ~k ?dpconv_objective ?(jobs = 1) algo
+    g =
   let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* [--jobs N] with N > 1 routes DPhyp through the parallel enumerator
-   on a fresh N-domain pool; any other algorithm refuses (there is no
-   parallel decomposition to fall back on). *)
-let run_algo ?obs ~model ?budget ~k ?dpconv_objective ~jobs algo g =
-  if jobs <= 1 then
-    Core.Optimizer.run ?obs ~model ?budget ~k ?dpconv_objective algo g
-  else if algo <> Core.Optimizer.Dphyp then
-    invalid_arg
-      (Printf.sprintf "--jobs %d requires --algo dphyp (got %s)" jobs
-         (Core.Optimizer.name algo))
-  else
-    Parallel.Pool.with_pool ~jobs (fun pool ->
-        Parallel.Par_dphyp.run ?obs ~model ?budget ~pool g)
-
-(* Non-adaptive algorithms let Budget_exhausted escape; turn it into a
-   CLI error instead of a backtrace. *)
-let timed_run ?obs ~model ?budget ~k ?dpconv_objective ?(jobs = 1) algo g =
-  match
-    timed (fun () ->
-        run_algo ?obs ~model ?budget ~k ?dpconv_objective ~jobs algo g)
-  with
-  | r -> Ok r
-  | exception Core.Counters.Budget_exhausted ->
-      Error
-        (Printf.sprintf
-           "budget of %d pairs exhausted by %s (try --algo adaptive for \
-            graceful degradation)"
-           (Option.value ~default:0 budget)
-           (Core.Optimizer.name algo))
-  | exception Invalid_argument msg -> Error msg
+  Driver.Pipeline.enumerate ?obs ~model ?budget ~k ?dpconv_objective ~jobs
+    algo g
+  |> Result.map (fun r -> (r, Unix.gettimeofday () -. t0))
 
 (* ------------------------------------------------------------------ *)
 (* optimize: SQL pipeline                                              *)
@@ -264,7 +236,8 @@ let optimize_cmd =
         if verbose then Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         match
-          timed_run ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo g
+          timed_enumerate ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo
+            g
         with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
@@ -367,61 +340,17 @@ let explain_cmd =
           $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* cache-stats: replay a synthetic stream through a plan cache         *)
+(* the replay stream shared by cache-stats and stats                   *)
 
-let cache_stats_cmd =
-  let run shape n variants requests alpha capacity jobs seed =
-    let gen i =
-      let p = { Workloads.Shapes.default_params with seed = seed + i } in
-      match shape with
-      | "chain" -> Workloads.Shapes.chain ~p n
-      | "cycle" -> Workloads.Shapes.cycle ~p n
-      | "star" -> Workloads.Shapes.star ~p n
-      | "clique" -> Workloads.Shapes.clique ~p n
-      | s ->
-          invalid_arg
-            (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)"
-               s)
-    in
-    match
-      Workloads.Replay.of_generator ~seed ~alpha ~variants ~length:requests
-        gen
-    with
-    | exception Invalid_argument msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | w ->
-        let cache = Driver.Pipeline.make_cache ~capacity () in
-        let failed = Atomic.make None in
-        let t0 = Unix.gettimeofday () in
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            Parallel.Pool.run_fun pool requests (fun i _wid ->
-                match
-                  Driver.Pipeline.optimize_graph ~cache
-                    (Workloads.Replay.graph w i)
-                with
-                | Ok _ -> ()
-                | Error m -> Atomic.set failed (Some m)));
-        let dt = Unix.gettimeofday () -. t0 in
-        (match Atomic.get failed with
-        | Some m ->
-            Format.eprintf "error: a replayed request failed: %s@." m;
-            1
-        | None ->
-            Format.printf
-              "replayed %d requests over %d %s-%d variants (zipf %.2f, %d \
-               touched) on %d domain%s@."
-              requests variants shape n alpha
-              (Workloads.Replay.distinct_requested w)
-              jobs
-              (if jobs = 1 then "" else "s");
-            Format.printf "cache: %a@." Cache.Plan_cache.pp_stats
-              (Cache.Plan_cache.stats cache);
-            Format.printf "throughput: %.0f plans/sec  (%.3f ms/request)@."
-              (float_of_int requests /. dt)
-              (dt *. 1e3 /. float_of_int requests);
-            0)
-  in
+type replay = {
+  variants : int;
+  requests : int;
+  alpha : float;
+  capacity : int;
+  seed : int;
+}
+
+let replay_args =
   let variants =
     Arg.(value & opt int 8
          & info [ "variants" ]
@@ -443,6 +372,78 @@ let cache_stats_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Stream and catalog seed.")
   in
+  Term.(
+    const (fun variants requests alpha capacity seed ->
+        { variants; requests; alpha; capacity; seed })
+    $ variants $ requests $ alpha $ capacity $ seed)
+
+(* A Zipf stream over [variants] catalog seeds of one shape. *)
+let replay_stream shape n rp =
+  let gen i =
+    let p = { Workloads.Shapes.default_params with seed = rp.seed + i } in
+    match shape with
+    | "chain" -> Workloads.Shapes.chain ~p n
+    | "cycle" -> Workloads.Shapes.cycle ~p n
+    | "star" -> Workloads.Shapes.star ~p n
+    | "clique" -> Workloads.Shapes.clique ~p n
+    | s ->
+        invalid_arg
+          (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)" s)
+  in
+  match
+    Workloads.Replay.of_generator ~seed:rp.seed ~alpha:rp.alpha
+      ~variants:rp.variants ~length:rp.requests gen
+  with
+  | w -> Ok w
+  | exception Invalid_argument msg -> Error msg
+
+(* Serve every request of the stream through [optimize] on [jobs]
+   domains; the message of a failed request, if any. *)
+let serve_replay ~jobs w optimize =
+  let failed = Atomic.make None in
+  Parallel.Pool.with_pool ~jobs (fun pool ->
+      Parallel.Pool.run_fun pool (Array.length w.Workloads.Replay.requests)
+        (fun i _wid ->
+          match optimize (Workloads.Replay.graph w i) with
+          | Ok _ -> ()
+          | Error m -> Atomic.set failed (Some m)));
+  Atomic.get failed
+
+(* ------------------------------------------------------------------ *)
+(* cache-stats: replay a synthetic stream through a plan cache         *)
+
+let cache_stats_cmd =
+  let run shape n rp jobs =
+    match replay_stream shape n rp with
+    | Error msg ->
+        Format.eprintf "error: %s@." msg;
+        1
+    | Ok w -> (
+        let cache = Driver.Pipeline.make_cache ~capacity:rp.capacity () in
+        let t0 = Unix.gettimeofday () in
+        let failed =
+          serve_replay ~jobs w (Driver.Pipeline.optimize_graph ~cache)
+        in
+        let dt = Unix.gettimeofday () -. t0 in
+        match failed with
+        | Some m ->
+            Format.eprintf "error: a replayed request failed: %s@." m;
+            1
+        | None ->
+            Format.printf
+              "replayed %d requests over %d %s-%d variants (zipf %.2f, %d \
+               touched) on %d domain%s@."
+              rp.requests rp.variants shape n rp.alpha
+              (Workloads.Replay.distinct_requested w)
+              jobs
+              (if jobs = 1 then "" else "s");
+            Format.printf "cache: %a@." Cache.Plan_cache.pp_stats
+              (Cache.Plan_cache.stats cache);
+            Format.printf "throughput: %.0f plans/sec  (%.3f ms/request)@."
+              (float_of_int rp.requests /. dt)
+              (dt *. 1e3 /. float_of_int rp.requests);
+            0)
+  in
   Cmd.v
     (Cmd.info "cache-stats"
        ~doc:
@@ -450,47 +451,24 @@ let cache_stats_cmd =
           plan cache on a domain pool and print the hit/miss/coalesced/\
           eviction counters and the served throughput — the \
           optimizer-as-a-service serving loop in one command.")
-    Term.(const run $ shape_arg $ n_arg $ variants $ requests $ alpha
-          $ capacity $ jobs_arg $ seed)
+    Term.(const run $ shape_arg $ n_arg $ replay_args $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats: serve a replay with always-on telemetry and export it        *)
 
 let stats_cmd =
-  let run shape n variants requests alpha capacity jobs seed algo budget
-      prometheus json out top slow_ms =
-    let gen i =
-      let p = { Workloads.Shapes.default_params with seed = seed + i } in
-      match shape with
-      | "chain" -> Workloads.Shapes.chain ~p n
-      | "cycle" -> Workloads.Shapes.cycle ~p n
-      | "star" -> Workloads.Shapes.star ~p n
-      | "clique" -> Workloads.Shapes.clique ~p n
-      | s ->
-          invalid_arg
-            (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)"
-               s)
-    in
-    match
-      Workloads.Replay.of_generator ~seed ~alpha ~variants ~length:requests
-        gen
-    with
-    | exception Invalid_argument msg ->
+  let run shape n rp jobs algo budget prometheus json out top slow_ms =
+    match replay_stream shape n rp with
+    | Error msg ->
         Format.eprintf "error: %s@." msg;
         1
-    | w -> (
+    | Ok w -> (
         let tel = Obs.Export.create ~slow_s:(slow_ms /. 1e3) () in
-        let cache = Driver.Pipeline.make_cache ~capacity () in
-        let failed = Atomic.make None in
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            Parallel.Pool.run_fun pool requests (fun i _wid ->
-                match
-                  Driver.Pipeline.optimize_graph ~tel ~cache ~algo ?budget
-                    (Workloads.Replay.graph w i)
-                with
-                | Ok _ -> ()
-                | Error m -> Atomic.set failed (Some m)));
-        match Atomic.get failed with
+        let cache = Driver.Pipeline.make_cache ~capacity:rp.capacity () in
+        match
+          serve_replay ~jobs w
+            (Driver.Pipeline.optimize_graph ~tel ~cache ~algo ?budget)
+        with
         | Some m ->
             Format.eprintf "error: a replayed request failed: %s@." m;
             1
@@ -515,32 +493,12 @@ let stats_cmd =
                 Format.printf
                   "replayed %d requests over %d %s-%d variants (zipf %.2f, \
                    algo %s) on %d domain%s@.@."
-                  requests variants shape n alpha
+                  rp.requests rp.variants shape n rp.alpha
                   (Core.Optimizer.name algo)
                   jobs
                   (if jobs = 1 then "" else "s");
                 Obs.Export.print_stats ~top Format.std_formatter tel;
                 0))
-  in
-  let variants =
-    Arg.(value & opt int 8
-         & info [ "variants" ]
-             ~doc:"Distinct query templates in the replay universe.")
-  in
-  let requests =
-    Arg.(value & opt int 200
-         & info [ "requests" ] ~doc:"Length of the replay request stream.")
-  in
-  let alpha =
-    Arg.(value & opt float 1.0
-         & info [ "alpha" ]
-             ~doc:"Zipf skew exponent of template popularity (0 = uniform).")
-  in
-  let capacity =
-    Arg.(value & opt int 64 & info [ "capacity" ] ~doc:"Plan-cache capacity.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Stream and catalog seed.")
   in
   (* Default adaptive, so the per-tier latency series are populated. *)
   let algo =
@@ -589,9 +547,8 @@ let stats_cmd =
           occupancy, and a flight recorder of the slowest requests — then \
           print the summary table, or export it with $(b,--prometheus) / \
           $(b,--json).")
-    Term.(const run $ shape_arg $ n_arg $ variants $ requests $ alpha
-          $ capacity $ jobs_arg $ seed $ algo $ budget_arg $ prometheus
-          $ json $ out $ top $ slow_ms)
+    Term.(const run $ shape_arg $ n_arg $ replay_args $ jobs_arg $ algo
+          $ budget_arg $ prometheus $ json $ out $ top $ slow_ms)
 
 (* ------------------------------------------------------------------ *)
 (* shape: benchmark graphs                                             *)
@@ -607,7 +564,8 @@ let shape_cmd =
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         match
-          timed_run ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo g
+          timed_enumerate ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo
+            g
         with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
@@ -656,7 +614,7 @@ let graph_cmd =
         | None -> ());
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        (match timed_run ?obs ~model ?budget ~k ~jobs algo g with
+        (match timed_enumerate ?obs ~model ?budget ~k ~jobs algo g with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
             1
@@ -779,11 +737,11 @@ let run_cmd =
         let g0 = Conflicts.Derive.hypergraph analysis in
         let g = Executor.Estimate.calibrate inst g0 in
         match
-          match timed_run ~model ?budget ~k algo g with
+          match Driver.Pipeline.enumerate ~model ?budget ~k ~jobs:1 algo g with
           | Error msg ->
               Format.eprintf "error: %s@." msg;
               None
-          | Ok (r, _) -> r.Core.Optimizer.plan
+          | Ok r -> r.Core.Optimizer.plan
         with
         | None ->
             Format.eprintf "no plan found@.";
@@ -1050,7 +1008,7 @@ let tpch_cmd =
       List.iter
         (fun name ->
           let g = Workloads.Tpch.query ~sf name in
-          match timed_run ~model ?budget ~k algo g with
+          match timed_enumerate ~model ?budget ~k algo g with
           | Error msg -> Format.printf "%-4s: %s@." name msg
           | Ok (r, elapsed) ->
               Format.printf "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@."
@@ -1067,7 +1025,7 @@ let tpch_cmd =
       match Workloads.Tpch.query ~sf query with
       | g -> (
           Format.printf "%a@." G.pp g;
-          match timed_run ~model ?budget ~k algo g with
+          match timed_enumerate ~model ?budget ~k algo g with
           | Error msg ->
               Format.eprintf "error: %s@." msg;
               1

@@ -50,7 +50,7 @@ let default_ks = [ 10; 7; 5; 3 ]
    b pairs") and deterministic.  The final GOO rung is deliberately
    unbudgeted — it is O(n^2 · n) pairs and must always produce the
    answer of last resort. *)
-let solve ?obs ?tel ?(model = Costing.Cost_model.c_out) ?budget
+let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
     ?(ks = default_ks) g =
   let attempts = ref [] in
   let record ?skipped tier completed (c : Counters.t) =
@@ -69,33 +69,12 @@ let solve ?obs ?tel ?(model = Costing.Cost_model.c_out) ?budget
     (* Label every DP table the rung creates with its tier, so a
        provenance recording of a ladder run can attribute each memo
        decision to the rung that made it. *)
-    let f =
-      let body = f in
-      fun () ->
-        Plans.Dp_table.with_context ("tier:" ^ tier_name tier) body
-    in
-    (* Per-tier latency histogram, recorded whether or not spans are
-       being collected — the telemetry registry is the always-on
-       path. *)
-    let f =
-      match tel with
-      | None -> f
-      | Some tel ->
-          fun () ->
-            let t0 = Obs.Span.now () in
-            Fun.protect
-              ~finally:(fun () ->
-                Obs.Export.observe_s tel
-                  ~help:"Wall-clock seconds spent in each adaptive tier"
-                  ~labels:[ ("tier", tier_name tier) ]
-                  "joinopt_tier_latency_seconds"
-                  (Obs.Span.now () -. t0))
-              f
-    in
+    let label = "tier:" ^ tier_name tier in
+    let f () = Plans.Dp_table.with_context label f in
     match obs with
     | None -> f ()
     | Some ctx ->
-        Obs.Span.with_ ctx ("tier:" ^ tier_name tier) (fun sp ->
+        Obs.Span.with_ ctx label (fun sp ->
             Fun.protect
               ~finally:(fun () ->
                 Obs.Span.set sp "pairs"

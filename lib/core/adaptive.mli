@@ -71,16 +71,12 @@ val default_ks : int list
 
 val solve :
   ?obs:Obs.Span.ctx ->
-  ?tel:Obs.Export.t ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
   ?ks:int list ->
   Hypergraph.Graph.t ->
   outcome
-(** Run the ladder.  [?tel] records every attempted rung's wall clock
-    into the [joinopt_tier_latency_seconds{tier=...}] histogram —
-    always-on serving telemetry, independent of span collection.
-    [?obs] records one ["tier:<name>"] span per
+(** Run the ladder.  [?obs] records one ["tier:<name>"] span per
     attempted rung (with the pairs it consumed, and a ["raised"] tag
     when the budget cut it short), nesting the per-round IDP spans
     underneath.  Without [?budget] the exact tier always completes
@@ -90,13 +86,12 @@ val solve :
     pre-tier, or the pre-tier produced no plan) is skipped when
     {!Dphyp.min_pairs} exceeds the budget.  The skip is recorded as an
     attempt with [skipped] set and 0 pairs, and as a ["tier:exact"]
-    span with a ["skipped"] tag and a ["min_pairs"] attribute; [?tel]
-    records no latency sample for it.  A bound-pruned rung may tick
-    fewer pairs than the certificate counts, so it always runs.
-    Queries with
-    more relations than {!Nodeset.Node_set.small_capacity} skip the
-    exact rung and start at {!Partitioned} instead.  Schedule entries
-    with [k >= n] or [k < 2] are skipped.  Never raises
+    span with a ["skipped"] tag and a ["min_pairs"] attribute.  A
+    bound-pruned rung may tick fewer pairs than the certificate
+    counts, so it always runs.  Queries with more relations than
+    {!Nodeset.Node_set.small_capacity} skip the exact rung and start
+    at {!Partitioned} instead.  Schedule entries with [k >= n] or
+    [k < 2] are skipped.  Never raises
     {!Counters.Budget_exhausted}.
 
     Dense simple graphs (≥ 12 relations within

@@ -59,7 +59,7 @@ type result = {
   attempts : Adaptive.attempt list;
 }
 
-let run ?obs ?tel ?model ?filter ?budget ?(k = Idp.default_k)
+let run ?obs ?model ?filter ?budget ?(k = Idp.default_k)
     ?(dpconv_objective = Dpconv.Cmax) algo g =
   if filter <> None && not (supports_filter algo) then
     invalid_arg
@@ -100,7 +100,7 @@ let run ?obs ?tel ?model ?filter ?budget ?(k = Idp.default_k)
         let plan = Partition.solve ?obs ?model ~counters ~k g in
         { plan; counters; dp_entries = 0; tier = None; attempts = [] }
     | Adaptive ->
-        let o = Adaptive.solve ?obs ?tel ?model ?budget g in
+        let o = Adaptive.solve ?obs ?model ?budget g in
         {
           plan = o.Adaptive.plan;
           counters = o.Adaptive.counters;

@@ -59,7 +59,6 @@ type result = {
 
 val run :
   ?obs:Obs.Span.ctx ->
-  ?tel:Obs.Export.t ->
   ?model:Costing.Cost_model.t ->
   ?filter:Emit.filter ->
   ?budget:int ->
@@ -69,11 +68,6 @@ val run :
   Hypergraph.Graph.t ->
   result
 (** Run one algorithm on one query graph.
-
-    [?tel] is the always-on serving-telemetry registry: for
-    [Adaptive] it records per-tier latency histograms (other
-    algorithms record nothing at this layer — the driver records the
-    end-to-end latency).
 
     [?obs] records an ["enumerate:<algo>"] span (annotated with the
     final counters and DP-table occupancy) plus the per-tier and

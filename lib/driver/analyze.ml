@@ -128,12 +128,10 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
         Obs.Span.with_opt obs "calibrate" (fun _ ->
             Executor.Estimate.calibrate ?sample ~seed inst g0)
       in
-      match Opt.run ?obs ?model ?budget ?k algo g with
-      | { Opt.plan = None; _ } -> Error "no valid plan found"
-      | exception Invalid_argument m -> Error m
-      | exception Core.Counters.Budget_exhausted ->
-          Error Pipeline.budget_error
-      | { Opt.plan = Some plan; _ } as r ->
+      match Pipeline.enumerate ?obs ?model ?budget ?k ~jobs:1 algo g with
+      | Error m -> Error m
+      | Ok { Opt.plan = None; _ } -> Error "no valid plan found"
+      | Ok ({ Opt.plan = Some plan; _ } as r) ->
           let optimized =
             Obs.Span.with_opt obs "plan-emit" (fun _ ->
                 Plans.Plan.to_optree g plan)

@@ -41,32 +41,59 @@ let prov_summary graph prov =
   let names i = (Hypergraph.Graph.relation graph i).Hypergraph.Graph.name in
   Inspect.Provenance.top_costly_labeled ~names prov 3
 
+(* The optimizer parameters of one request — everything after the
+   hypergraph exists that can change its plan, plus how to run it. *)
+type request = {
+  algo : Core.Optimizer.algorithm;
+  model : Costing.Cost_model.t option;
+  budget : int option;
+  k : int option;
+  dpconv_objective : Core.Dpconv.objective option;
+  jobs : int;
+  inspect : Inspect.Provenance.t option;
+}
+
+let request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo =
+  { algo; model; budget; k; dpconv_objective; jobs; inspect }
+
 (* Intra-query parallelism: [jobs > 1] runs the enumeration itself on
    a domain pool — only DPhyp has a parallel decomposition (see
    Parallel.Par_dphyp); every other algorithm refuses rather than
    silently running sequentially. *)
-let run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
-    ~jobs algo graph =
+let run_algo ?obs ?filter q graph =
   let go () =
-    if jobs <= 1 then
-      Core.Optimizer.run ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective
-        algo graph
-    else if algo <> Core.Optimizer.Dphyp then
+    if q.jobs <= 1 then
+      Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget ?k:q.k
+        ?dpconv_objective:q.dpconv_objective q.algo graph
+    else if q.algo <> Core.Optimizer.Dphyp then
       invalid_arg
         (Printf.sprintf "jobs > 1 requires the dphyp algorithm (got %s)"
-           (Core.Optimizer.name algo))
+           (Core.Optimizer.name q.algo))
     else
-      Parallel.Pool.with_pool ~jobs (fun pool ->
-          Parallel.Par_dphyp.run ?obs ?tel ?model ?filter ?budget ~pool graph)
+      Parallel.Pool.with_pool ~jobs:q.jobs (fun pool ->
+          Parallel.Par_dphyp.run ?obs ?model:q.model ?filter ?budget:q.budget
+            ~pool graph)
   in
-  match inspect with
+  match q.inspect with
   | None -> go ()
   | Some prov ->
       (* The recorder attaches through ambient (domain-wide) state;
          a parallel enumeration would race on it. *)
-      if jobs > 1 then
+      if q.jobs > 1 then
         invalid_arg "provenance recording (--inspect) requires jobs = 1";
       Inspect.Provenance.with_recording prov go
+
+(* The errors an enumeration may raise, as values. *)
+let guard f =
+  match f () with
+  | r -> Ok r
+  | exception Invalid_argument m -> Error m
+  | exception Core.Counters.Budget_exhausted -> Error budget_error
+
+let enumerate ?obs ?model ?filter ?budget ?k ?dpconv_objective ?inspect ~jobs
+    algo graph =
+  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+  guard (fun () -> run_algo ?obs ?filter q graph)
 
 (* The exact cache key: every input that can change the returned plan
    bytes.  The serialized graph carries node order, cardinalities,
@@ -76,64 +103,55 @@ let run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
    is byte-identical to sequential for every jobs count, so one entry
    serves all of them (the differential test sweeps jobs to prove
    it). *)
-let exact_key ?model ?budget ?k ?(dpconv_objective = Core.Dpconv.Cmax) algo
-    graph =
+let exact_key q graph =
   Printf.sprintf "algo=%s model=%s budget=%s k=%d\n%s"
     (* the objective changes dpconv's plan, so it is part of the
        algorithm component; other algorithms ignore it and keep their
        existing keys *)
-    (match algo with
+    (match q.algo with
     | Core.Optimizer.Dpconv ->
-        Core.Optimizer.name algo ^ ":"
-        ^ Core.Dpconv.objective_name dpconv_objective
-    | _ -> Core.Optimizer.name algo)
-    (match model with
+        Core.Optimizer.name q.algo ^ ":"
+        ^ Core.Dpconv.objective_name
+            (Option.value q.dpconv_objective ~default:Core.Dpconv.Cmax)
+    | algo -> Core.Optimizer.name algo)
+    (match q.model with
     | Some (m : Costing.Cost_model.t) -> m.name
     | None -> Costing.Cost_model.c_out.name)
-    (match budget with Some b -> string_of_int b | None -> "unlimited")
-    (Option.value k ~default:Core.Idp.default_k)
+    (match q.budget with Some b -> string_of_int b | None -> "unlimited")
+    (Option.value q.k ~default:Core.Idp.default_k)
     (Hypergraph.Serialize.to_string graph)
 
 (* Memoized enumeration.  A conflict-mode validity filter is a
    closure the key cannot capture, so those runs bypass the cache
-   rather than risk serving a plan computed under a different filter.
-   On a miss the optimizer runs inside the requester's [cache] span
-   (so explain shows enumerate nested under cache); a hit or a
-   coalesced wait returns the memoized result untouched — the cached
-   plan is the exact value a fresh run would build, because the key
-   is exact. *)
-(* Returns the optimizer result plus the plan-cache outcome name, so
+   rather than risk serving a plan computed under a different filter;
+   so does a provenance-recorded request, which must actually
+   enumerate — a cache hit has no decision trail to record.  On a
+   miss the optimizer runs inside the requester's [cache] span (so
+   explain shows enumerate nested under cache); a hit or a coalesced
+   wait returns the memoized result untouched — the cached plan is
+   the exact value a fresh run would build, because the key is exact.
+
+   Returns the optimizer result plus the plan-cache outcome name, so
    the telemetry layer can label series and recorder entries without
    re-deriving it from span attributes.  [fp] is the request's lazy
    graph fingerprint, shared with the telemetry recorder so a cached
    request with telemetry hashes the graph once. *)
-let run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k ?dpconv_objective
-    ?inspect ~fp ~jobs algo graph =
+let run_cached ?obs ?cache ?filter q ~fp graph =
   match cache with
-  | None ->
-      (run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
-         ~jobs algo graph,
-       None)
-  | Some _ when filter <> None || inspect <> None ->
-      (* a provenance-recorded request must actually enumerate — a
-         cache hit has no decision trail to record *)
-      (run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
-         ~jobs algo graph,
-       None)
-  | Some c ->
+  | Some c when filter = None && q.inspect = None ->
       Obs.Span.with_opt obs "cache" (fun sp ->
           let key =
             Cache.Plan_cache.key ~fingerprint:(Lazy.force fp)
-              ~exact:(exact_key ?model ?budget ?k ?dpconv_objective algo graph)
+              ~exact:(exact_key q graph)
           in
           let r, outcome =
             Cache.Plan_cache.find_or_compute c key (fun () ->
-                run_algo ?obs ?tel ?model ?budget ?k ?dpconv_objective ~jobs
-                  algo graph)
+                run_algo ?obs q graph)
           in
           let name = Cache.Plan_cache.outcome_name outcome in
           Obs.Span.set_opt sp "cache" (Obs.Span.Str name);
           (r, Some name))
+  | _ -> (run_algo ?obs ?filter q graph, None)
 
 (* ---------- serving telemetry ---------- *)
 
@@ -141,25 +159,56 @@ let latency_help = "End-to-end optimize latency in seconds"
 
 let phase_help = "Per-pipeline-phase latency in seconds"
 
+let tier_help = "Wall-clock seconds spent in each adaptive tier"
+
+let merge_help =
+  "Per-domain seconds spent emitting buffered pairs into candidate buffers"
+
 (* Depth-0 span names, with the algorithm-specific enumerate span
    collapsed to one "enumerate" phase so the series stays
    low-cardinality. *)
 let phase_name (s : Obs.Sink.span) =
-  if String.length s.Obs.Sink.name >= 10
-     && String.sub s.Obs.Sink.name 0 10 = "enumerate:"
-  then "enumerate"
+  if String.starts_with ~prefix:"enumerate:" s.Obs.Sink.name then "enumerate"
   else s.Obs.Sink.name
+
+(* The histograms one span of the request feeds: a depth-0 span is a
+   pipeline phase; a [tier:<name>] span is an adaptive rung, counted
+   when it ran (a rung the budget cut short included, a rung skipped
+   on its certificate not); the parallel enumerator's span carries
+   each domain's emit time as [d<i>_emit_s]. *)
+let observe_span tel (s : Obs.Sink.span) =
+  let name = s.Obs.Sink.name in
+  if s.Obs.Sink.depth = 0 then
+    Obs.Export.observe_s tel ~help:phase_help
+      ~labels:[ ("phase", phase_name s) ]
+      "joinopt_phase_latency_seconds" s.Obs.Sink.dur_s;
+  if String.starts_with ~prefix:"tier:" name then begin
+    if not (List.mem_assoc "skipped" s.Obs.Sink.attrs) then
+      Obs.Export.observe_s tel ~help:tier_help
+        ~labels:[ ("tier", String.sub name 5 (String.length name - 5)) ]
+        "joinopt_tier_latency_seconds" s.Obs.Sink.dur_s
+  end
+  else if name = "enumerate:dphyp-par" then
+    let attr key = List.assoc_opt key s.Obs.Sink.attrs in
+    let jobs = match attr "jobs" with Some (Obs.Span.Int j) -> j | _ -> 0 in
+    for i = 0 to jobs - 1 do
+      match attr (Printf.sprintf "d%d_emit_s" i) with
+      | Some (Obs.Span.Float sec) when sec > 0.0 ->
+          Obs.Export.observe_s tel ~help:merge_help
+            ~labels:[ ("domain", string_of_int i) ]
+            "joinopt_parallel_merge_seconds" sec
+      | _ -> ()
+    done
 
 (* One always-on record per served request: the overall latency
    histogram (labeled by algorithm, plan-cache outcome and
-   ok/error), the per-phase histograms harvested from the request's
-   depth-0 spans, and a flight-recorder entry (which keeps the whole
-   span tree when the request was slow). *)
-let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ~fp ?inspect
-    outcome =
+   ok/error), the phase, tier and merge histograms read from the
+   request's own spans, and a flight-recorder entry (which keeps the
+   whole span tree when the request was slow). *)
+let tel_record tel q ~spans ~t0 ~(gc0 : Gc.stat) ~graph ~fp outcome =
   let wall_s = Obs.Span.now () -. t0 in
   let gc1 = Gc.quick_stat () in
-  let algo_name = Core.Optimizer.name algo in
+  let algo_name = Core.Optimizer.name q.algo in
   let ok, tier, pairs, cache_outcome =
     match outcome with
     | Ok ((r : Core.Optimizer.result), outc) ->
@@ -177,16 +226,9 @@ let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ~fp ?inspect
         ("result", (if ok then "ok" else "error"));
       ]
     "joinopt_optimize_latency_seconds" wall_s;
-  let spans = match obs with Some ctx -> Obs.Span.spans ctx | None -> [] in
-  List.iter
-    (fun (s : Obs.Sink.span) ->
-      if s.Obs.Sink.depth = 0 then
-        Obs.Export.observe_s tel ~help:phase_help
-          ~labels:[ ("phase", phase_name s) ]
-          "joinopt_phase_latency_seconds" s.Obs.Sink.dur_s)
-    spans;
+  List.iter (observe_span tel) spans;
   let provenance =
-    match inspect with
+    match q.inspect with
     | None -> []
     | Some prov -> prov_summary graph prov
   in
@@ -236,22 +278,63 @@ let build_profile ?cache ?inspect ~graph obs r =
       | None -> p)
     obs
 
-(* Telemetry needs spans (per-phase histograms, slow-request span
-   promotion) even when the caller asked for no profile: requests
-   with [?tel] but no [?obs] get a private collector.  The result's
-   [profile] is still keyed off the caller's own ctx. *)
-let private_ctx obs tel =
-  match (obs, tel) with
-  | None, Some _ -> Some (Obs.Span.create ())
-  | _ -> obs
+(* What a request derives before enumeration: the hypergraph, the
+   conflict mode's validity filter, and how the winning plan becomes
+   the result's operator tree. *)
+type front = {
+  graph : Hypergraph.Graph.t;
+  filter : Core.Emit.filter option;
+  to_tree : Plans.Plan.t -> Ot.t;
+}
 
-let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
-    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
-    ?(jobs = 1) ?cards ?sels tree =
-  let obs_user = obs in
-  let obs = private_ctx obs tel in
+(* The one path every entry point finishes on.  Telemetry reads its
+   phases, tiers and slow-request trees from spans, so a request with
+   [?tel] but no [?obs] gets a private collector; the clock starts
+   before [front] runs, so parse and bind count.  When [front] fails
+   no hypergraph exists and nothing is recorded.  The result's
+   [profile] is still keyed off the caller's own [?obs]. *)
+let serve ?obs ?tel ?cache q front =
+  let ctx =
+    match (obs, tel) with None, Some _ -> Some (Obs.Span.create ()) | _ -> obs
+  in
+  let mark = Option.map Obs.Span.mark ctx in
   let t0 = Obs.Span.now () in
   let gc0 = Gc.quick_stat () in
+  match front ctx with
+  | Error m -> Error m
+  | Ok { graph; filter; to_tree } -> (
+      let fp = lazy (Cache.Fingerprint.of_graph graph) in
+      let record outcome =
+        match (tel, ctx, mark) with
+        | Some tel, Some ctx, Some mark ->
+            tel_record tel q ~spans:(Obs.Span.spans_since ctx mark) ~t0
+              ~gc0 ~graph ~fp outcome
+        | _ -> ()
+      in
+      match guard (fun () -> run_cached ?obs:ctx ?cache ?filter q ~fp graph) with
+      | Ok (({ Core.Optimizer.plan = Some plan; counters; tier; _ } as r), outc)
+        ->
+          let tree = to_tree plan in
+          record (Ok (r, outc));
+          Ok
+            {
+              tree;
+              graph;
+              plan;
+              counters;
+              tier;
+              profile = build_profile ?cache ?inspect:q.inspect ~graph obs r;
+            }
+      | Ok (({ Core.Optimizer.plan = None; _ } as r), outc) ->
+          record (Ok (r, outc));
+          Error "no valid plan found"
+      | Error m ->
+          record (Error ());
+          Error m)
+
+(* Simplify, analyze conflicts under [mode] and derive the
+   hypergraph, one span per phase. *)
+let tree_front ~mode ?cards ?sels q obs tree =
   match Ot.validate tree with
   | Error e -> Error ("invalid operator tree: " ^ Ot.error_to_string e)
   | Ok () -> (
@@ -288,117 +371,64 @@ let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
             let g, f = derived (fun () -> Conflicts.Cdc.derive ?cards ?sels a) in
             (g, Some f)
       in
-      match filter, Core.Optimizer.supports_filter algo with
+      match (filter, Core.Optimizer.supports_filter q.algo) with
       | Some _, false ->
           Error
             (Printf.sprintf
                "conflict mode needs a validity filter, which %s does not \
                 support"
-               (Core.Optimizer.name algo))
-      | _ -> (
-          let fp = lazy (Cache.Fingerprint.of_graph graph) in
-          let finish outcome =
-            match tel with
-            | Some tel ->
-                tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ~fp ?inspect outcome
-            | None -> ()
-          in
-          match
-            run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k
-              ?dpconv_objective ?inspect ~fp ~jobs algo graph
-          with
-          | ({ plan = Some plan; counters; tier; _ } as r), outc ->
-              finish (Ok (r, outc));
-              Ok
-                {
-                  tree;
-                  graph;
-                  plan;
-                  counters;
-                  tier;
-                  profile = build_profile ?cache ?inspect ~graph obs_user r;
-                }
-          | ({ plan = None; _ } as r), outc ->
-              finish (Ok (r, outc));
-              Error "no valid plan found"
-          | exception Invalid_argument m ->
-              finish (Error ());
-              Error m
-          | exception Core.Counters.Budget_exhausted ->
-              finish (Error ());
-              Error budget_error))
+               (Core.Optimizer.name q.algo))
+      | _ -> Ok { graph; filter; to_tree = (fun _ -> tree) })
 
-let optimize_sql ?obs ?tel ?cache ?inspect ?mode ?algo ?model ?budget ?k
-    ?dpconv_objective ?jobs ?cards ?sels sql =
-  match Obs.Span.with_opt obs "parse" (fun _ -> Sqlfront.Binder.parse_and_bind sql) with
-  | Error m -> Error m
-  | Ok bound ->
-      optimize_tree ?obs ?tel ?cache ?inspect ?mode ?algo ?model ?budget ?k
-        ?dpconv_objective ?jobs ?cards ?sels bound.tree
+let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
+    ?(jobs = 1) ?cards ?sels tree =
+  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+  serve ?obs ?tel ?cache q (fun ctx -> tree_front ~mode ?cards ?sels q ctx tree)
+
+let optimize_sql ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
+    ?(jobs = 1) ?cards ?sels sql =
+  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+  serve ?obs ?tel ?cache q (fun ctx ->
+      match
+        Obs.Span.with_opt ctx "parse" (fun _ ->
+            Sqlfront.Binder.parse_and_bind sql)
+      with
+      | Error m -> Error m
+      | Ok bound -> tree_front ~mode ?cards ?sels q ctx bound.tree)
 
 let optimize_graph ?obs ?tel ?cache ?inspect ?(algo = Core.Optimizer.Dphyp)
     ?model ?budget ?k ?dpconv_objective ?(jobs = 1) graph =
-  let obs_user = obs in
-  let obs = private_ctx obs tel in
-  let t0 = Obs.Span.now () in
-  let gc0 = Gc.quick_stat () in
-  let fp = lazy (Cache.Fingerprint.of_graph graph) in
-  let finish outcome =
-    match tel with
-    | Some tel ->
-        tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ~fp ?inspect outcome
-    | None -> ()
-  in
-  match
-    run_cached ?obs ?tel ?cache ?model ?budget ?k ?dpconv_objective ?inspect
-      ~fp ~jobs algo graph
-  with
-  | ({ plan = Some plan; counters; tier; _ } as r), outc ->
-      let tree =
-        Obs.Span.with_opt obs "plan-emit" (fun _ ->
-            Plans.Plan.to_optree graph plan)
-      in
-      finish (Ok (r, outc));
+  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+  serve ?obs ?tel ?cache q (fun ctx ->
       Ok
         {
-          tree;
           graph;
-          plan;
-          counters;
-          tier;
-          profile = build_profile ?cache ?inspect ~graph obs_user r;
-        }
-  | ({ plan = None; _ } as r), outc ->
-      finish (Ok (r, outc));
-      Error "no valid plan found"
-  | exception Invalid_argument m ->
-      finish (Error ());
-      Error m
-  | exception Core.Counters.Budget_exhausted ->
-      finish (Error ());
-      Error budget_error
+          filter = None;
+          to_tree =
+            (fun plan ->
+              Obs.Span.with_opt ctx "plan-emit" (fun _ ->
+                  Plans.Plan.to_optree graph plan));
+        })
 
-(* Inter-query parallelism: one pool task per query, each running the
-   full sequential pipeline on whichever domain picks it up.  Every
-   query derives its own graph and counters, so tasks share nothing
-   but the optional sink — and Obs.Sink.emit is serialized by a
-   process-wide mutex, so all per-query span contexts may stream into
-   one [?sink]. *)
-let run_batch ?sink ?pool ?tel ?cache ?mode ?algo ?model ?budget ?k ~jobs
-    trees =
-  let trees = Array.of_list trees in
-  let out = Array.make (Array.length trees) (Error "query was not run") in
+(* Inter-query parallelism: one pool task per query, each running
+   [f] — typically a full sequential pipeline call — on whichever
+   domain picks it up.  Tasks share nothing but the optional sink,
+   and Obs.Sink.emit is serialized by a process-wide mutex, so all
+   per-query span contexts may stream into one [?sink]. *)
+let run_batch ?sink ?pool ~jobs f xs =
+  let xs = Array.of_list xs in
+  let out = Array.make (Array.length xs) None in
   let go pool =
-    Parallel.Pool.run_fun pool (Array.length trees) (fun i _wid ->
+    Parallel.Pool.run_fun pool (Array.length xs) (fun i _wid ->
         let obs = Option.map (fun sink -> Obs.Span.create ~sink ()) sink in
-        out.(i) <-
-          optimize_tree ?obs ?tel ?cache ?mode ?algo ?model ?budget ?k
-            trees.(i))
+        out.(i) <- Some (f obs xs.(i)))
   in
   (match pool with
   | Some pool -> go pool
   | None -> Parallel.Pool.with_pool ~jobs go);
-  Array.to_list out
+  Array.to_list (Array.map Option.get out)
 
 let verify_on_data ?(rows = 8) ?(seed = 42) r =
   let inst = Executor.Instance.for_tree ~rows ~seed r.tree in

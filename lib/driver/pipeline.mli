@@ -86,17 +86,13 @@ val optimize_tree :
     ([simplify], [conflict-analysis], [hypergraph-derive],
     [enumerate:<algo>] plus the per-tier / per-round spans inside it)
     and fills the result's [profile]; omitting it runs the completely
-    un-instrumented path.  [?budget], [?k] and [?dpconv_objective]
-    are forwarded to {!Core.Optimizer.run}; a non-adaptive algorithm
-    that blows the budget yields [Error] rather than an exception.
-    The dpconv objective is part of the plan-cache key (it changes
-    the plan); other algorithms ignore it and keep their keys.  [?jobs] (default
-    1) enumerates on that many domains via {!Parallel.Par_dphyp} —
-    the plan is byte-identical to the sequential one for every value;
-    only DPhyp has a parallel decomposition, so [jobs > 1] with any
-    other algorithm is an [Error].  [Error] carries a human-readable
-    reason (invalid tree, no plan, algorithm/filter mismatch, budget
-    exhausted).
+    un-instrumented path.  The enumeration is {!enumerate} under
+    [?model], [?budget], [?k], [?dpconv_objective] and [?jobs]
+    (default 1), and its [Error]s are returned as they are.  The
+    dpconv objective is part of the plan-cache key (it changes the
+    plan); other algorithms ignore it and keep their keys.  [Error]
+    also reports an invalid tree, a missing plan and an
+    algorithm/filter mismatch, each with a human-readable reason.
 
     [?cache] memoizes the enumeration step: the lookup (and, on a
     miss, the nested enumeration) runs under a [cache] span whose
@@ -119,15 +115,22 @@ val optimize_tree :
 
     [?tel] is always-on serving telemetry, independent of [?obs]:
     every request records into the
-    [joinopt_optimize_latency_seconds{algo,cache,result}] histogram,
-    its depth-0 phases into
-    [joinopt_phase_latency_seconds{phase}], per-tier latencies (when
-    adaptive) into [joinopt_tier_latency_seconds{tier}], and a flat
-    entry — fingerprint, relations, tier, cache outcome, pairs, wall
-    clock, allocation — into the registry's flight recorder, which
-    keeps the full span tree for requests over the slow threshold.
-    Requests that fail before a hypergraph exists (invalid tree,
-    unparseable SQL) record nothing. *)
+    [joinopt_optimize_latency_seconds{algo,cache,result}] histogram
+    and a flat flight-recorder entry — fingerprint, relations, tier,
+    cache outcome, pairs, wall clock, allocation — which keeps the
+    full span tree for requests over the slow threshold.  The other
+    series are read from the request's own span tree (a request with
+    [?tel] but no [?obs] gets a private collector): depth-0 phases
+    into [joinopt_phase_latency_seconds{phase}], every adaptive rung
+    that ran (budget-exhausted ones included, certificate-skipped ones
+    not) into [joinopt_tier_latency_seconds{tier}], and a parallel
+    enumeration's per-domain emit time into
+    [joinopt_parallel_merge_seconds{domain}].  Only the spans of this
+    request are read, so one collector may serve many requests.
+    [?tel] exists only at this layer; the optimizer below it is
+    observed through [?obs] alone.  Requests that fail before a
+    hypergraph exists (invalid tree, unparseable SQL) record
+    nothing. *)
 
 val optimize_sql :
   ?obs:Obs.Span.ctx ->
@@ -145,7 +148,9 @@ val optimize_sql :
   ?sels:(int -> float) ->
   string ->
   (result, string) Result.t
-(** Parse + bind (under a [parse] span) + {!optimize_tree}. *)
+(** Parse + bind (under a [parse] span) + {!optimize_tree}.  The
+    request's clock and collector start before parsing, so [?tel]
+    latency and phases include parse and bind. *)
 
 val optimize_graph :
   ?obs:Obs.Span.ctx ->
@@ -164,35 +169,53 @@ val optimize_graph :
     [tree] field of the result is the optimized plan re-materialized
     as an operator tree (under a [plan-emit] span when observed). *)
 
+val enumerate :
+  ?obs:Obs.Span.ctx ->
+  ?model:Costing.Cost_model.t ->
+  ?filter:Core.Emit.filter ->
+  ?budget:int ->
+  ?k:int ->
+  ?dpconv_objective:Core.Dpconv.objective ->
+  ?inspect:Inspect.Provenance.t ->
+  jobs:int ->
+  Core.Optimizer.algorithm ->
+  Hypergraph.Graph.t ->
+  (Core.Optimizer.result, string) Result.t
+(** The enumeration step every entry point runs, for callers that
+    bring their own hypergraph and need the optimizer's full result
+    (DP-table size, tier attempts): {!Core.Optimizer.run}, or with
+    [jobs > 1] {!Parallel.Par_dphyp} on that many domains — DPhyp
+    only, with a plan byte-identical to the sequential one.
+    [?inspect] records provenance and requires [jobs = 1].  An
+    exhausted budget
+    is [Error budget_error]; a refused combination (parallel
+    non-DPhyp, parallel provenance, [Dpccp] on a hypergraph, a filter
+    the algorithm does not support) is [Error] with its reason.  A run
+    that finds no plan is [Ok] with [plan = None]. *)
+
 val run_batch :
   ?sink:Obs.Sink.t ->
   ?pool:Parallel.Pool.t ->
-  ?tel:Obs.Export.t ->
-  ?cache:plan_cache ->
-  ?mode:conflict_mode ->
-  ?algo:Core.Optimizer.algorithm ->
-  ?model:Costing.Cost_model.t ->
-  ?budget:int ->
-  ?k:int ->
   jobs:int ->
-  Relalg.Optree.t list ->
-  (result, string) Result.t list
-(** Inter-query parallelism: optimize a batch of operator trees
-    concurrently on a pool of [jobs] domains (one task per query,
-    each query running the ordinary sequential pipeline), returning
-    per-query results in input order.  Queries share nothing but the
-    optional [?sink] and [?cache]: each gets a private span context
-    whose spans stream into the sink ({!Obs.Sink.emit} is
-    thread-safe), its profile lands in the query's own [result], and
-    cache hits/misses/coalesced waits are safe from every worker
-    domain (duplicate queries within one batch are optimized once —
-    single flight).  [?pool] reuses an existing Domain pool across
-    batches — the replay-serving configuration, keeping workers warm
-    instead of spawning a pool per call — in which case [jobs] is
-    ignored and the pool's own worker count applies; by default a
-    fresh pool of [jobs] domains is created and shut down, exactly
-    as before.  A task that raises something other than the
-    pipeline's handled errors aborts the whole batch. *)
+  (Obs.Span.ctx option -> 'a -> 'b) ->
+  'a list ->
+  'b list
+(** Inter-query parallelism: [run_batch ~jobs f xs] applies [f] to
+    every query concurrently on a pool of [jobs] domains (one task per
+    query), returning the results in input order.  [f] receives the
+    query's private span collector — [Some] one streaming into
+    [?sink] when a sink is given, [None] otherwise — and typically
+    passes it as [?obs] to {!optimize_tree} together with whatever
+    parameters (and shared [?cache] or [?tel]) the batch uses.  The
+    sink is safe to share ({!Obs.Sink.emit} is thread-safe), and so
+    are a plan cache and a telemetry registry: duplicate queries
+    within one batch are optimized once (single flight).  [?pool]
+    reuses an existing Domain pool across batches — the replay-serving
+    configuration, keeping workers warm instead of spawning a pool per
+    call — in which case [jobs] is ignored and the pool's own worker
+    count applies; by default a fresh pool of [jobs] domains is
+    created and shut down.  A task that raises aborts the whole
+    batch. *)
 
 val verify_on_data :
   ?rows:int -> ?seed:int -> result -> (int, string) Result.t

@@ -26,6 +26,20 @@ let elapsed ctx = now () -. ctx.epoch
 
 let spans ctx = List.rev ctx.recorded
 
+type mark = Sink.span list
+
+let mark ctx = ctx.recorded
+
+(* [recorded] only ever grows at its head, so the spans completed
+   since [m] are the prefix in front of the list [m] physically is;
+   walking it newest-first conses them back into completion order. *)
+let spans_since ctx m =
+  let rec take acc l =
+    if l == m then acc
+    else match l with [] -> acc | s :: rest -> take (s :: acc) rest
+  in
+  take [] ctx.recorded
+
 let set sp k v = sp.attrs <- (k, v) :: sp.attrs
 
 let set_opt sp k v = match sp with None -> () | Some sp -> set sp k v

@@ -37,6 +37,16 @@ val elapsed : ctx -> float
 val spans : ctx -> Sink.span list
 (** Completed spans in completion order (children before parents). *)
 
+type mark
+(** A point in a collector's history, so one request on a reused
+    collector can read back only its own spans. *)
+
+val mark : ctx -> mark
+(** The collector's history as of now. *)
+
+val spans_since : ctx -> mark -> Sink.span list
+(** The spans completed after [mark], in completion order. *)
+
 val with_ : ctx -> ?attrs:(string * value) list -> string -> (t -> 'a) -> 'a
 (** [with_ ctx name f] runs [f] under a span called [name] nested
     inside the currently open span.  The span closes when [f]

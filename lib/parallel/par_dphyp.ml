@@ -137,7 +137,7 @@ let cbuf_merge dp (c : Costing.Candidate.t) b =
 
 (* ---- the three phases -------------------------------------------- *)
 
-let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
+let run_parallel ?obs ~model ?filter ?budget ~pool g =
   let jobs = Pool.jobs pool in
   let n = G.num_nodes g in
   Obs.Span.with_opt obs "enumerate:dphyp-par" (fun sp ->
@@ -201,7 +201,7 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
               gs.(wid) dp)
       in
       (* Per-domain emit time: each worker accumulates into its own
-         slot (race-free), recorded into the telemetry histogram after
+         slot (race-free), attached to the span as [d<i>_emit_s] after
          the last layer barrier. *)
       let merge_s = Array.make jobs 0.0 in
       let merge_cand = Costing.Candidate.create () in
@@ -260,19 +260,6 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
             end
           done);
       Array.iter (fun c -> Core.Counters.absorb ~into:parent c) forks;
-      (match tel with
-      | None -> ()
-      | Some tel ->
-          Array.iteri
-            (fun i s ->
-              if s > 0.0 then
-                Obs.Export.observe_s tel
-                  ~help:
-                    "Per-domain seconds spent emitting buffered pairs \
-                     into candidate buffers"
-                  ~labels:[ ("domain", string_of_int i) ]
-                  "joinopt_parallel_merge_seconds" s)
-            merge_s);
       (match sp with
       | None -> ()
       | Some sp ->
@@ -287,7 +274,13 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
               Obs.Span.set sp
                 (Printf.sprintf "d%d_pairs" i)
                 (Obs.Span.Int c.pairs_considered))
-            forks);
+            forks;
+          Array.iteri
+            (fun i s ->
+              Obs.Span.set sp
+                (Printf.sprintf "d%d_emit_s" i)
+                (Obs.Span.Float s))
+            merge_s);
       {
         Core.Optimizer.plan = Dp.find dp (G.all_nodes g);
         counters = parent;
@@ -296,12 +289,12 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
         attempts = [];
       })
 
-let run ?obs ?tel ?(model = Costing.Cost_model.c_out) ?filter ?budget ~pool g
+let run ?obs ?(model = Costing.Cost_model.c_out) ?filter ?budget ~pool g
     =
   (* Wide graphs (n beyond the single-word width) don't fit the
      pair-packing scheme of the parallel replay, and exhaustive DP is
      not what anyone runs at that scale anyway — dispatch sequential
      and let the adaptive ladder's partitioned tier do its job. *)
   if Pool.jobs pool <= 1 || G.num_nodes g > Ns.small_capacity then
-    Core.Optimizer.run ?obs ?tel ~model ?filter ?budget Core.Optimizer.Dphyp g
-  else run_parallel ?obs ?tel ~model ?filter ?budget ~pool g
+    Core.Optimizer.run ?obs ~model ?filter ?budget Core.Optimizer.Dphyp g
+  else run_parallel ?obs ~model ?filter ?budget ~pool g

@@ -35,7 +35,6 @@
 
 val run :
   ?obs:Obs.Span.ctx ->
-  ?tel:Obs.Export.t ->
   ?model:Costing.Cost_model.t ->
   ?filter:Core.Emit.filter ->
   ?budget:int ->
@@ -46,9 +45,10 @@ val run :
     single-domain pool this dispatches to the sequential
     {!Core.Optimizer.run}, so [--jobs 1] is the unmodified algorithm.
     [?obs] records an ["enumerate:dphyp-par"] span with per-phase
-    child spans and pool/per-domain attributes.  [?tel] records each
-    worker domain's pair-emission time into the
-    [joinopt_parallel_merge_seconds{domain=...}] histogram.
+    child spans and pool/per-domain attributes: [d<i>_pairs], the
+    pairs domain [i] considered, and [d<i>_emit_s], the seconds it
+    spent emitting buffered pairs (what [Driver.Pipeline]'s serving
+    telemetry publishes as [joinopt_parallel_merge_seconds]).
     @raise Core.Counters.Budget_exhausted when [?budget] is spent. *)
 
 val connected_weakly :

@@ -268,8 +268,8 @@ let test_no_skip_when_bounded () =
 let test_skip_observed () =
   let ctx = Obs.Span.create () and tel = Obs.Export.create () in
   ignore
-    (Core.Adaptive.solve ~obs:ctx ~tel ~budget:1_000_000
-       (Workloads.Shapes.star 29));
+    (Driver.Pipeline.optimize_graph ~obs:ctx ~tel ~algo:Opt.Adaptive
+       ~budget:1_000_000 (Workloads.Shapes.star 29));
   (match
      List.find_opt
        (fun (sp : Obs.Sink.span) -> sp.name = "tier:exact")

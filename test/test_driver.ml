@@ -265,6 +265,123 @@ let test_analyze_errors () =
   | Error m -> check "budget error surfaced" true (m = D.budget_error)
   | Ok _ -> Alcotest.fail "budget exhaustion expected"
 
+(* ---------- serving telemetry ---------- *)
+
+(* The value of one Prometheus series line, 0 when absent. *)
+let prom_count tel series =
+  let prefix = series ^ " " in
+  String.split_on_char '\n' (Obs.Export.prometheus tel)
+  |> List.find_map (fun l ->
+         if String.starts_with ~prefix l then
+           int_of_string_opt
+             (String.sub l (String.length prefix)
+                (String.length l - String.length prefix))
+         else None)
+  |> Option.value ~default:0
+
+let phase_count tel phase =
+  prom_count tel
+    (Printf.sprintf {|joinopt_phase_latency_seconds_count{phase="%s"}|} phase)
+
+(* A SQL request with telemetry but no caller collector still records
+   its parse phase, and its latency clock covers every phase. *)
+let test_tel_sql_parse () =
+  let tel = Obs.Export.create ~slow_s:0.0 () in
+  (match D.optimize_sql ~tel sample_sql with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "one parse sample" 1 (phase_count tel "parse");
+  match Obs.Recorder.to_list (Obs.Export.recorder tel) with
+  | [ req ] ->
+      let phases =
+        List.filter (fun (sp : Obs.Sink.span) -> sp.depth = 0) req.spans
+      in
+      check "parse span kept" true
+        (List.exists (fun (sp : Obs.Sink.span) -> sp.name = "parse") phases);
+      let phase_s =
+        List.fold_left (fun a (sp : Obs.Sink.span) -> a +. sp.dur_s) 0.0 phases
+      in
+      check "latency covers every phase" true (req.wall_s >= phase_s)
+  | l -> Alcotest.failf "expected one recorded request, got %d" (List.length l)
+
+(* Two requests on one collector: each harvests only its own spans. *)
+let test_tel_reused_collector () =
+  let ctx = Obs.Span.create () and tel = Obs.Export.create ~slow_s:0.0 () in
+  for _ = 1 to 2 do
+    match D.optimize_sql ~obs:ctx ~tel sample_sql with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  done;
+  List.iter
+    (fun phase ->
+      Alcotest.(check int) (phase ^ " counted once per request") 2
+        (phase_count tel phase))
+    [ "parse"; "simplify"; "conflict-analysis"; "hypergraph-derive";
+      "enumerate" ];
+  match Obs.Recorder.to_list (Obs.Export.recorder tel) with
+  | [ _; second ] ->
+      Alcotest.(check int) "recorder entry keeps its own spans"
+        (List.length (Obs.Span.spans ctx))
+        (2 * List.length second.spans)
+  | l -> Alcotest.failf "expected two recorded requests, got %d" (List.length l)
+
+(* Tier latencies come from the request's tier spans: one sample per
+   rung that ran, none for a rung skipped on its certificate.  On
+   star-12 at 2000 pairs exact is skipped, idp-10 runs out and idp-7
+   answers. *)
+let test_tel_tiers_from_spans () =
+  let ctx = Obs.Span.create () and tel = Obs.Export.create () in
+  (match
+     D.optimize_graph ~obs:ctx ~tel ~algo:Core.Optimizer.Adaptive ~budget:2000
+       (Workloads.Shapes.star 12)
+   with
+  | Ok r ->
+      check "idp-7 answers" true (r.D.tier = Some (Core.Adaptive.Idp_k 7))
+  | Error m -> Alcotest.fail m);
+  let tier_spans =
+    List.filter
+      (fun (sp : Obs.Sink.span) -> String.starts_with ~prefix:"tier:" sp.name)
+      (Obs.Span.spans ctx)
+  in
+  let ran tier =
+    List.length
+      (List.filter
+         (fun (sp : Obs.Sink.span) ->
+           sp.name = "tier:" ^ tier && not (List.mem_assoc "skipped" sp.attrs))
+         tier_spans)
+  in
+  check "idp-10 raised" true
+    (List.exists
+       (fun (sp : Obs.Sink.span) ->
+         sp.name = "tier:idp-10" && List.mem_assoc "raised" sp.attrs)
+       tier_spans);
+  List.iter
+    (fun (tier, expected) ->
+      Alcotest.(check int) (tier ^ " spans that ran") expected (ran tier);
+      Alcotest.(check int) (tier ^ " latency samples") expected
+        (prom_count tel
+           (Printf.sprintf {|joinopt_tier_latency_seconds_count{tier="%s"}|}
+              tier)))
+    [ ("exact", 0); ("idp-10", 1); ("idp-7", 1) ]
+
+(* A parallel enumeration's per-domain emit times reach the merge
+   histogram through its span. *)
+let test_tel_parallel_merge () =
+  let tel = Obs.Export.create () in
+  (match D.optimize_graph ~tel ~jobs:2 (Workloads.Shapes.clique 10) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let samples =
+    List.fold_left
+      (fun acc d ->
+        acc
+        + prom_count tel
+            (Printf.sprintf
+               {|joinopt_parallel_merge_seconds_count{domain="%d"}|} d))
+      0 [ 0; 1 ]
+  in
+  check "per-domain merge samples" true (samples >= 1 && samples <= 2)
+
 let () =
   Alcotest.run "driver"
     [
@@ -286,6 +403,16 @@ let () =
             test_profile_unobserved_absent;
           Alcotest.test_case "adaptive tier ladder" `Quick
             test_profile_adaptive_ladder;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "sql records parse" `Quick test_tel_sql_parse;
+          Alcotest.test_case "reused collector" `Quick
+            test_tel_reused_collector;
+          Alcotest.test_case "tier latency from spans" `Quick
+            test_tel_tiers_from_spans;
+          Alcotest.test_case "parallel merge series" `Quick
+            test_tel_parallel_merge;
         ] );
       ( "analyze",
         [

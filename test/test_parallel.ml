@@ -213,12 +213,16 @@ let batch_trees () =
       | Error m -> Alcotest.failf "parse %S: %s" sql m)
     batch_sql
 
+(* The batch closure: the ordinary pipeline call on the query's
+   collector. *)
+let optimize obs t = Driver.Pipeline.optimize_tree ?obs t
+
 let test_run_batch () =
   let trees = batch_trees () in
   let seq =
     List.map (fun t -> Driver.Pipeline.optimize_tree t) trees
   in
-  let par = Driver.Pipeline.run_batch ~jobs:3 trees in
+  let par = Driver.Pipeline.run_batch ~jobs:3 optimize trees in
   Alcotest.(check int) "result count" (List.length seq) (List.length par);
   List.iteri
     (fun i (s, p) ->
@@ -236,7 +240,9 @@ let test_run_batch () =
 let test_run_batch_shared_sink () =
   let spans = ref [] in
   let sink = Obs.Sink.Memory spans in
-  let results = Driver.Pipeline.run_batch ~sink ~jobs:4 (batch_trees ()) in
+  let results =
+    Driver.Pipeline.run_batch ~sink ~jobs:4 optimize (batch_trees ())
+  in
   List.iter
     (fun r ->
       match r with
@@ -259,11 +265,11 @@ let test_run_batch_shared_sink () =
    the own-pool path. *)
 let test_run_batch_pool_reuse () =
   let trees = batch_trees () in
-  let own_pool = Driver.Pipeline.run_batch ~jobs:2 trees in
+  let own_pool = Driver.Pipeline.run_batch ~jobs:2 optimize trees in
   P.with_pool ~jobs:2 (fun pool ->
       let b0 = (P.stats pool).P.batches in
-      let first = Driver.Pipeline.run_batch ~pool ~jobs:7 trees in
-      let second = Driver.Pipeline.run_batch ~pool ~jobs:7 trees in
+      let first = Driver.Pipeline.run_batch ~pool ~jobs:7 optimize trees in
+      let second = Driver.Pipeline.run_batch ~pool ~jobs:7 optimize trees in
       Alcotest.(check int) "both batches ran on the given pool" (b0 + 2)
         (P.stats pool).P.batches;
       List.iter
@@ -285,6 +291,58 @@ let test_run_batch_pool_reuse () =
       let ran = ref false in
       P.run_fun pool 1 (fun _ _ -> ran := true);
       Alcotest.(check bool) "pool survives run_batch" true !ran)
+
+(* The closure carries every pipeline parameter, so a batch can run
+   what a single call can — here dpconv's certified C_out bound over a
+   skewed catalog.  Each plan costs exactly the bound a direct run
+   certifies, and differs from the default (C_max) objective's plan on
+   at least one query, so a dropped objective would show. *)
+let test_run_batch_dpconv_objective () =
+  let cards = [| 10.; 100000.; 50.; 3000.; 7. |]
+  and sels = [| 0.5; 0.001; 0.2; 0.01 |] in
+  let trees =
+    List.map
+      (fun sql ->
+        match Sqlfront.Binder.parse_and_bind sql with
+        | Ok b -> b.Sqlfront.Binder.tree
+        | Error m -> Alcotest.failf "parse %S: %s" sql m)
+      [
+        "SELECT * FROM h, s1, s2, s3 WHERE h.a = s1.a AND h.b = s2.b AND \
+         h.c = s3.c";
+        "SELECT * FROM a, b, c, d, e WHERE a.x = b.x AND b.y = c.y AND c.z \
+         = d.z AND d.w = e.w";
+      ]
+  in
+  let dpconv objective obs t =
+    Driver.Pipeline.optimize_tree ?obs ~algo:Opt.Dpconv
+      ~dpconv_objective:objective ~cards:(Array.get cards)
+      ~sels:(Array.get sels) t
+  in
+  let plan = function
+    | Ok r -> r.Driver.Pipeline.plan
+    | Error m -> Alcotest.fail m
+  in
+  let par =
+    Driver.Pipeline.run_batch ~jobs:2 (dpconv Core.Dpconv.Cout_bound) trees
+  in
+  List.iteri
+    (fun i (t, p) ->
+      let s = plan (dpconv Core.Dpconv.Cout_bound None t) in
+      Alcotest.(check string)
+        (Printf.sprintf "query %d: same plan" i)
+        (Plans.Plan.to_string s) (Plans.Plan.to_string (plan p));
+      let g = (Result.get_ok p).Driver.Pipeline.graph in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "query %d: costs the cout bound" i)
+        (Core.Dpconv.solve ~objective:Core.Dpconv.Cout_bound g).Core.Dpconv.bound
+        (plan p).Plans.Plan.cost)
+    (List.combine trees par);
+  check "the objective changes a plan" true
+    (List.exists2
+       (fun t p ->
+         Plans.Plan.to_string (plan (dpconv Core.Dpconv.Cmax None t))
+         <> Plans.Plan.to_string (plan p))
+       trees par)
 
 let () =
   Alcotest.run "parallel"
@@ -327,5 +385,7 @@ let () =
             test_run_batch_shared_sink;
           Alcotest.test_case "reuses an external pool" `Quick
             test_run_batch_pool_reuse;
+          Alcotest.test_case "closure sets the dpconv objective" `Quick
+            test_run_batch_dpconv_objective;
         ] );
     ]
