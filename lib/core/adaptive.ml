@@ -9,6 +9,20 @@ let tier_name = function
   | Greedy -> "greedy"
   | Conv -> "dpconv"
 
+let span_prefix = "tier:"
+
+let skipped_attr = "skipped"
+
+let span_name tier = span_prefix ^ tier_name tier
+
+let ran_tier (s : Obs.Sink.span) =
+  let name = s.Obs.Sink.name and p = String.length span_prefix in
+  if
+    String.starts_with ~prefix:span_prefix name
+    && not (List.mem_assoc skipped_attr s.Obs.Sink.attrs)
+  then Some (String.sub name p (String.length name - p))
+  else None
+
 (* The subset-convolution pre-tier pays Θ(n·2^n) word operations up
    front, which only beats DPhyp's Θ(3^n) pair stream when the graph
    is dense enough that most subsets are connected — on sparse graphs
@@ -69,7 +83,7 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
     (* Label every DP table the rung creates with its tier, so a
        provenance recording of a ladder run can attribute each memo
        decision to the rung that made it. *)
-    let label = "tier:" ^ tier_name tier in
+    let label = span_name tier in
     let f () = Plans.Dp_table.with_context label f in
     match obs with
     | None -> f ()
@@ -147,11 +161,11 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
               Obs.Span.with_ ctx
                 ~attrs:
                   [
-                    ("skipped", Obs.Span.Bool true);
+                    (skipped_attr, Obs.Span.Bool true);
                     ("min_pairs", Obs.Span.Int m);
                     ("pairs", Obs.Span.Int 0);
                   ]
-                ("tier:" ^ tier_name Exact) ignore)
+                (span_name Exact) ignore)
             obs;
           record ?skipped:needs Exact false exact_counters;
           on_exhausted ()

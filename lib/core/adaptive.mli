@@ -42,6 +42,11 @@ val tier_name : tier -> string
 (** ["exact"], ["partitioned"], ["idp-<k>"], ["greedy"], ["dpconv"] —
     used by the CLI and the benchmark JSON. *)
 
+val ran_tier : Obs.Sink.span -> string option
+(** [Some (tier_name t)] when the span is the ["tier:<name>"] span of
+    a rung {!solve} started — one the budget cut short included —
+    and [None] for a skipped rung's span or any other span. *)
+
 type attempt = {
   tier : tier;
   completed : bool;

@@ -90,10 +90,9 @@ let guard f =
   | exception Invalid_argument m -> Error m
   | exception Core.Counters.Budget_exhausted -> Error budget_error
 
-let enumerate ?obs ?model ?filter ?budget ?k ?dpconv_objective ?inspect ~jobs
-    algo graph =
-  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
-  guard (fun () -> run_algo ?obs ?filter q graph)
+let enumerate ?obs ?model ?budget ?k ?dpconv_objective ~jobs algo graph =
+  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
+  guard (fun () -> run_algo ?obs q graph)
 
 (* The exact cache key: every input that can change the returned plan
    bytes.  The serialized graph carries node order, cardinalities,
@@ -172,33 +171,28 @@ let phase_name (s : Obs.Sink.span) =
   else s.Obs.Sink.name
 
 (* The histograms one span of the request feeds: a depth-0 span is a
-   pipeline phase; a [tier:<name>] span is an adaptive rung, counted
-   when it ran (a rung the budget cut short included, a rung skipped
-   on its certificate not); the parallel enumerator's span carries
-   each domain's emit time as [d<i>_emit_s]. *)
+   pipeline phase; an adaptive rung that ran (a rung the budget cut
+   short included, a rung skipped on its certificate not) is a tier
+   sample; the parallel enumerator's span carries each domain's emit
+   time. *)
 let observe_span tel (s : Obs.Sink.span) =
-  let name = s.Obs.Sink.name in
   if s.Obs.Sink.depth = 0 then
     Obs.Export.observe_s tel ~help:phase_help
       ~labels:[ ("phase", phase_name s) ]
       "joinopt_phase_latency_seconds" s.Obs.Sink.dur_s;
-  if String.starts_with ~prefix:"tier:" name then begin
-    if not (List.mem_assoc "skipped" s.Obs.Sink.attrs) then
+  Option.iter
+    (fun tier ->
       Obs.Export.observe_s tel ~help:tier_help
-        ~labels:[ ("tier", String.sub name 5 (String.length name - 5)) ]
-        "joinopt_tier_latency_seconds" s.Obs.Sink.dur_s
-  end
-  else if name = "enumerate:dphyp-par" then
-    let attr key = List.assoc_opt key s.Obs.Sink.attrs in
-    let jobs = match attr "jobs" with Some (Obs.Span.Int j) -> j | _ -> 0 in
-    for i = 0 to jobs - 1 do
-      match attr (Printf.sprintf "d%d_emit_s" i) with
-      | Some (Obs.Span.Float sec) when sec > 0.0 ->
-          Obs.Export.observe_s tel ~help:merge_help
-            ~labels:[ ("domain", string_of_int i) ]
-            "joinopt_parallel_merge_seconds" sec
-      | _ -> ()
-    done
+        ~labels:[ ("tier", tier) ]
+        "joinopt_tier_latency_seconds" s.Obs.Sink.dur_s)
+    (Core.Adaptive.ran_tier s);
+  List.iter
+    (fun (i, sec) ->
+      if sec > 0.0 then
+        Obs.Export.observe_s tel ~help:merge_help
+          ~labels:[ ("domain", string_of_int i) ]
+          "joinopt_parallel_merge_seconds" sec)
+    (Parallel.Par_dphyp.emit_seconds s)
 
 (* One always-on record per served request: the overall latency
    histogram (labeled by algorithm, plan-cache outcome and
@@ -346,22 +340,16 @@ let tree_front ~mode ?cards ?sels q obs tree =
       and derived f =
         Obs.Span.with_opt obs "hypergraph-derive" (fun _ -> f ())
       in
+      let hyper a =
+        (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
+      and conservative () = Conflicts.Analysis.analyze ~conservative:true tree in
       let graph, filter =
         match mode with
         | Tes_literal ->
-            let a = analyzed (fun () -> Conflicts.Analysis.analyze tree) in
-            (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
-        | Tes_conservative ->
-            let a =
-              analyzed (fun () ->
-                  Conflicts.Analysis.analyze ~conservative:true tree)
-            in
-            (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
+            hyper (analyzed (fun () -> Conflicts.Analysis.analyze tree))
+        | Tes_conservative -> hyper (analyzed conservative)
         | Tes_generate_and_test ->
-            let a =
-              analyzed (fun () ->
-                  Conflicts.Analysis.analyze ~conservative:true tree)
-            in
+            let a = analyzed conservative in
             let g, f =
               derived (fun () -> Conflicts.Derive.ses_graph ?cards ?sels a)
             in

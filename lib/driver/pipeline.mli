@@ -172,11 +172,9 @@ val optimize_graph :
 val enumerate :
   ?obs:Obs.Span.ctx ->
   ?model:Costing.Cost_model.t ->
-  ?filter:Core.Emit.filter ->
   ?budget:int ->
   ?k:int ->
   ?dpconv_objective:Core.Dpconv.objective ->
-  ?inspect:Inspect.Provenance.t ->
   jobs:int ->
   Core.Optimizer.algorithm ->
   Hypergraph.Graph.t ->
@@ -185,13 +183,10 @@ val enumerate :
     bring their own hypergraph and need the optimizer's full result
     (DP-table size, tier attempts): {!Core.Optimizer.run}, or with
     [jobs > 1] {!Parallel.Par_dphyp} on that many domains — DPhyp
-    only, with a plan byte-identical to the sequential one.
-    [?inspect] records provenance and requires [jobs = 1].  An
-    exhausted budget
-    is [Error budget_error]; a refused combination (parallel
-    non-DPhyp, parallel provenance, [Dpccp] on a hypergraph, a filter
-    the algorithm does not support) is [Error] with its reason.  A run
-    that finds no plan is [Ok] with [plan = None]. *)
+    only, with a plan byte-identical to the sequential one.  An
+    exhausted budget is [Error budget_error]; a refused combination
+    (parallel non-DPhyp, [Dpccp] on a hypergraph) is [Error] with its
+    reason.  A run that finds no plan is [Ok] with [plan = None]. *)
 
 val run_batch :
   ?sink:Obs.Sink.t ->

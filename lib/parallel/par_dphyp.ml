@@ -137,10 +137,26 @@ let cbuf_merge dp (c : Costing.Candidate.t) b =
 
 (* ---- the three phases -------------------------------------------- *)
 
+let span_name = "enumerate:dphyp-par"
+
+let emit_attr i = Printf.sprintf "d%d_emit_s" i
+
+let emit_seconds (s : Obs.Sink.span) =
+  let attr key = List.assoc_opt key s.Obs.Sink.attrs in
+  match attr "jobs" with
+  | Some (Obs.Span.Int jobs) when s.Obs.Sink.name = span_name ->
+      List.filter_map
+        (fun i ->
+          match attr (emit_attr i) with
+          | Some (Obs.Span.Float sec) -> Some (i, sec)
+          | _ -> None)
+        (List.init jobs Fun.id)
+  | _ -> []
+
 let run_parallel ?obs ~model ?filter ?budget ~pool g =
   let jobs = Pool.jobs pool in
   let n = G.num_nodes g in
-  Obs.Span.with_opt obs "enumerate:dphyp-par" (fun sp ->
+  Obs.Span.with_opt obs span_name (fun sp ->
       let parent = Core.Counters.create_shared ?budget () in
       let forks = Array.init jobs (fun _ -> Core.Counters.fork parent) in
       let gs =
@@ -277,9 +293,7 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
             forks;
           Array.iteri
             (fun i s ->
-              Obs.Span.set sp
-                (Printf.sprintf "d%d_emit_s" i)
-                (Obs.Span.Float s))
+              Obs.Span.set sp (emit_attr i) (Obs.Span.Float s))
             merge_s);
       {
         Core.Optimizer.plan = Dp.find dp (G.all_nodes g);

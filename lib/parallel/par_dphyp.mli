@@ -51,6 +51,11 @@ val run :
     telemetry publishes as [joinopt_parallel_merge_seconds]).
     @raise Core.Counters.Budget_exhausted when [?budget] is spent. *)
 
+val emit_seconds : Obs.Sink.span -> (int * float) list
+(** The [(i, d<i>_emit_s)] attributes of an
+    ["enumerate:dphyp-par"] span, by domain; [[]] for any other
+    span. *)
+
 val connected_weakly :
   Hypergraph.Graph.t -> Nodeset.Node_set.t -> bool
 (** The oracle's notion of connectivity: closure from the minimal
