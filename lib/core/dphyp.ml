@@ -122,7 +122,7 @@ let solve ?model ?filter ?bound ?counters g =
 
 let solve_subset ?(model = Costing.Cost_model.c_out) ?leaf
     ?(counters = Counters.create ()) ~subset g =
-  let dp = Plans.Dp_table.create_for g in
+  let dp = Plans.Dp_table.create_for ~subset g in
   let e = Emit.make ~model ~counters g dp in
   run_subset ~emit:(Emit.emit e Emit.Symmetric) ~counters ?leaf ~subset g dp;
   (dp, Plans.Dp_table.find dp subset)

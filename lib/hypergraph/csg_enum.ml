@@ -29,45 +29,73 @@ let count_csg_cmp_pairs g = List.length (csg_cmp_pairs g)
 (* Cheap estimate of the connected-subgraph count for DP-table
    pre-sizing.  Exact counting is exponential, but the small layers
    are countable directly: c2 (connected pairs) and c3 (connected
-   triples) cost O(n^3) connectivity probes.  Layer sizes of the
-   common query shapes grow (or shrink) roughly geometrically —
+   triples).  Only a simple edge joins two nodes, so c2 is half the
+   summed simple degree, and a triple held together by simple edges
+   has two of them, so c3 is the number of 2-paths less twice the
+   triangles — O(sum of deg^2) set operations.  Only an edge covering
+   at most three nodes can join a pair to a third node, so a triple
+   a complex edge covers is then settled on its own.  Layer sizes of
+   the common query shapes grow (or shrink) roughly geometrically —
    chains stay flat, stars and cliques multiply by ~(n-k)/k — so we
    extrapolate with ratio c3/c2 and sum the resulting geometric
    series over the remaining layers.  The answer is a sizing hint,
    not a count: it is doubled for slack and capped so a pathological
    ratio cannot demand gigabytes. *)
-let estimate_connected_subgraphs g =
-  let n = Graph.num_nodes g in
+let estimate_connected_subgraphs ?subset g =
+  let s = match subset with Some s -> s | None -> Graph.all_nodes g in
+  let n = Ns.cardinal s in
   if n <= 2 then n + 1
   else if n > Ns.small_capacity then
-    (* Wide graphs never run whole-graph exhaustive DP — the table
+    (* Wide node sets never run exhaustive DP — a table over one
        only ever holds per-block entries of the partitioned tier — so
-       a linear hint is plenty, and the O(n^3) probe below would cost
-       more than the optimization itself at n ~ 1000. *)
+       a linear hint is plenty. *)
     max 64 (min (1 lsl 21) (16 * (n + Array.length (Graph.edges g))))
   else begin
+    let nb v = Ns.inter (Graph.simple_neighbors g v) s in
     let c2 = ref 0 and c3 = ref 0 in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let si = Ns.singleton i and sj = Ns.singleton j in
-        if Graph.connects g si sj then begin
-          incr c2;
-          for k = j + 1 to n - 1 do
-            let sij = Ns.union si sj and sk = Ns.singleton k in
-            if Graph.connects g sij sk then incr c3
-          done
-        end
-        else
-          for k = j + 1 to n - 1 do
-            let sk = Ns.singleton k in
-            let sik = Ns.union si sk and sjk = Ns.union sj sk in
-            if
-              (Graph.connects g si sk && Graph.connects g sik sj)
-              || (Graph.connects g sj sk && Graph.connects g sjk si)
-            then incr c3
-          done
-      done
-    done;
+    Ns.iter
+      (fun v ->
+        let nv = nb v in
+        let d = Ns.cardinal nv in
+        c3 := !c3 + (d * (d - 1) / 2);
+        (* each edge once, from its smaller end; each triangle once,
+           from its two smallest nodes *)
+        Ns.iter
+          (fun u ->
+            incr c2;
+            let tri = Ns.cardinal (Ns.diff (Ns.inter nv (nb u)) (Ns.upto u)) in
+            c3 := !c3 - (2 * tri))
+          (Ns.diff nv (Ns.upto v)))
+      s;
+    let triples =
+      List.sort_uniq Ns.compare
+        (List.filter_map
+           (fun (e : Hyperedge.t) ->
+             let c = Graph.edge_cover g e.id in
+             if Ns.cardinal c = 3 && Ns.subset c s then Some c else None)
+           (Graph.complex_edges g))
+    in
+    (* A triple with fewer than two simple edges is not in c3 yet.  It
+       counts when a joined pair in it connects to the third node: the
+       smallest pair if it is joined, else a pair through the largest
+       node. *)
+    List.iter
+      (fun t ->
+        let degrees =
+          Ns.fold (fun v a -> a + Ns.cardinal (Ns.inter (nb v) t)) t 0
+        in
+        match List.map Ns.singleton (Ns.to_list t) with
+        | [ si; sj; sk ] when degrees < 4 ->
+            let joins a b c =
+              Graph.connects g a b && Graph.connects g (Ns.union a b) c
+            in
+            let connected =
+              if Graph.connects g si sj then joins si sj sk
+              else joins si sk sj || joins sj sk si
+            in
+            if connected then incr c3
+        | _ -> ())
+      triples;
     let cap = 1 lsl 21 in
     let r = if !c2 = 0 then 1.0 else float_of_int !c3 /. float_of_int !c2 in
     let total = ref (float_of_int (n + !c2 + !c3)) in

@@ -82,15 +82,15 @@ let pp_table ppf p =
   let num s k =
     match attr_int s k with Some i -> string_of_int i | None -> "-"
   in
-  Format.fprintf ppf "%-36s %10s %12s %10s %10s %9s@." "phase" "ms"
-    "minor-words" "pairs" "ccp" "rejected";
-  Format.fprintf ppf "%s@." (String.make 93 '-');
+  Format.fprintf ppf "%-36s %10s %12s %12s %10s %10s %9s@." "phase" "ms"
+    "minor-words" "major-words" "pairs" "ccp" "rejected";
+  Format.fprintf ppf "%s@." (String.make 106 '-');
   List.iter
     (fun (s : Sink.span) ->
       let label = String.make (2 * s.depth) ' ' ^ s.name in
-      Format.fprintf ppf "%-36s %10.3f %12.0f %10s %10s %9s@." label
-        (s.dur_s *. 1e3) s.minor_words (num s "pairs") (num s "ccp")
-        (num s "filter_rejected"))
+      Format.fprintf ppf "%-36s %10.3f %12.0f %12.0f %10s %10s %9s@." label
+        (s.dur_s *. 1e3) s.minor_words s.major_words (num s "pairs")
+        (num s "ccp") (num s "filter_rejected"))
     p.spans;
   let covered =
     List.fold_left

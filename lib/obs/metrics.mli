@@ -104,7 +104,8 @@ val with_provenance : profile -> (string * float) list -> profile
 
 val pp_table : Format.formatter -> profile -> unit
 (** The per-phase explain table: one row per span (indented by
-    nesting depth) with milliseconds, minor-heap words, and the
+    nesting depth) with milliseconds, minor- and major-heap words
+    (large tables are allocated straight on the major heap), and the
     pairs/ccp/rejected attributes where a phase recorded them,
     followed by totals, the counter snapshot (with budget context),
     the winning tier and the DP-table occupancy. *)

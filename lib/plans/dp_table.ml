@@ -13,12 +13,15 @@ let flat_max_nodes = 18
 
 (* Wide queries key the hash on the node set itself: [Ns.hash] and
    [Ns.equal] are value-based, so the table is oblivious to which
-   representation a set arrived in. *)
+   representation a set arrived in.  [Ns.hash] keeps a block's bits
+   where they sit in its word, and a bucket is picked by the low bits
+   alone, so the hash is mixed first: a block of nodes 40..49 would
+   otherwise fill one bucket of a table sized for that block. *)
 module NsTbl = Hashtbl.Make (struct
   type t = Ns.t
 
   let equal = Ns.equal
-  let hash = Ns.hash
+  let hash s = Hashtbl.hash (Ns.hash s)
 end)
 
 module IntTbl = Hashtbl.Make (struct
@@ -85,7 +88,7 @@ let current_context () = !context_label
 
 let set_hook t h = t.hook <- h
 
-let create_for g =
+let create_for ?subset g =
   let n = G.num_nodes g in
   let index =
     if n <= flat_max_nodes then Flat (Array.make (1 lsl n) (-1))
@@ -93,8 +96,14 @@ let create_for g =
       (* OCaml's Hashtbl resizes once the load factor passes 2, so a
          bucket count of half the expected entries already avoids
          every rehash; creating with the full estimate leaves
-         headroom for it being low. *)
-      let hint = max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs g) in
+         headroom for it being low.  The table only ever holds
+         subsets of the node set it fills, so the estimate is taken
+         over that set and never exceeds its 2^k subsets. *)
+      let k = match subset with Some s -> Ns.cardinal s | None -> n in
+      let hint =
+        min (1 lsl min k 61)
+          (max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs ?subset g))
+      in
       if n <= Ns.small_capacity then Hashed (IntTbl.create hint)
       else Wide (NsTbl.create hint)
   in
@@ -119,12 +128,8 @@ let create_for g =
 let hash_stats t =
   match t.index with
   | Flat _ -> None
-  | Hashed h ->
-      let s = IntTbl.stats h in
-      Some (s.Hashtbl.num_buckets, s.Hashtbl.num_bindings)
-  | Wide h ->
-      let s = NsTbl.stats h in
-      Some (s.Hashtbl.num_buckets, s.Hashtbl.num_bindings)
+  | Hashed h -> Some (IntTbl.stats h)
+  | Wide h -> Some (NsTbl.stats h)
 
 let id t s =
   match t.index with

@@ -65,16 +65,20 @@ val with_context : string -> (unit -> 'a) -> 'a
 val current_context : unit -> string
 (** The ambient context label ([""] outside any {!with_context}). *)
 
-val create_for : Hypergraph.Graph.t -> t
-(** Table for the query [g]: a flat index for small [n]; beyond the
-    flat limit, the hash index is pre-sized from
-    {!Hypergraph.Csg_enum.estimate_connected_subgraphs} so filling it
-    does not rehash on the common shapes. *)
+val create_for : ?subset:Nodeset.Node_set.t -> Hypergraph.Graph.t -> t
+(** Table for the query [g], to be filled with connected subsets of
+    [subset] (default: every node; [Dphyp.solve_subset] passes
+    its block).  A flat index for small [n]; beyond the flat limit,
+    the hash index is pre-sized from
+    {!Hypergraph.Csg_enum.estimate_connected_subgraphs} over [subset]
+    and capped at its [2^k] subsets, so filling it does not rehash on
+    the common shapes and creating it costs O(Σ deg²) over the block
+    plus buckets in proportion to the block, not to [g]. *)
 
-val hash_stats : t -> (int * int) option
-(** [(buckets, bindings)] of the hash index; [None] on the flat
-    path.  Lets tests assert the pre-sizing really prevents
-    resizes. *)
+val hash_stats : t -> Hashtbl.statistics option
+(** Bucket statistics of the hash index; [None] on the flat path.
+    Lets tests assert the pre-sizing really prevents resizes and the
+    keys really spread over the buckets. *)
 
 val id : t -> Nodeset.Node_set.t -> int
 (** Entry id of the set, or [-1] if it has none.  Ids are dense and

@@ -977,6 +977,31 @@ let test_alloc_per_ccp () =
   check (Printf.sprintf "cycle-based-16 G6: %.1f words/ccp <= 20" split) true
     (split <= 20.0)
 
+(* Words allocated by a whole budgeted [Adaptive.solve]: minor plus
+   major less promoted, so a word is counted once wherever it was
+   allocated.  DP tables of the IDP and partitioned rungs are sized
+   from the block they fill; a table sized from the whole graph went
+   straight to the major heap at up to 2^21 buckets per round.  The
+   bounds are about twice the words measured (37k and ~0.3M; sized
+   from the whole graph, 4.3M and 10.7M). *)
+let adaptive_words g =
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Core.Adaptive.solve ~budget:1_000_000 g);
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let test_alloc_adaptive () =
+  List.iter
+    (fun (name, g, bound) ->
+      let w = adaptive_words g in
+      check
+        (Printf.sprintf "%s: %.0f words <= %.0f" name w bound)
+        true (w <= bound))
+    [
+      ("star-30", Workloads.Shapes.star 30, 75_000.);
+      ("grid-8x8", Workloads.Shapes.grid ~rows:8 ~cols:8 (), 650_000.);
+    ]
+
 (* ---------- properties over random graphs ---------- *)
 
 let prop_random_agreement =
@@ -1214,6 +1239,8 @@ let () =
           Alcotest.test_case "applicable_op" `Quick test_applicable_op;
           q prop_resolution_equivalence;
           Alcotest.test_case "minor words per ccp" `Quick test_alloc_per_ccp;
+          Alcotest.test_case "words per budgeted adaptive run" `Quick
+            test_alloc_adaptive;
         ] );
       ("properties", [ q prop_random_agreement; q prop_random_emission ]);
       ( "min-pairs",

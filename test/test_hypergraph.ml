@@ -580,6 +580,140 @@ let test_dot_hostile_names () =
   check "benign name unchanged" true
     (Hypergraph.Dot.escape_label "R0_ok" = "R0_ok")
 
+(* ---------- table-sizing estimate vs. the O(k^3) probe ---------- *)
+
+(* The estimator as it once stood in Csg_enum: c2 and c3 from O(k^3)
+   [connects] probes over the members of [subset], then the same
+   geometric extrapolation.  Kept as the reference the O(sum deg^2)
+   neighbor-set count must reproduce exactly. *)
+let reference_estimate ?subset g =
+  let s = Option.value subset ~default:(G.all_nodes g) in
+  let nodes = Array.of_list (Ns.to_list s) in
+  let n = Array.length nodes in
+  if n <= 2 then n + 1
+  else if n > Ns.small_capacity then
+    max 64 (min (1 lsl 21) (16 * (n + Array.length (G.edges g))))
+  else begin
+    let c2 = ref 0 and c3 = ref 0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let si = Ns.singleton nodes.(i) and sj = Ns.singleton nodes.(j) in
+        if G.connects g si sj then begin
+          incr c2;
+          for k = j + 1 to n - 1 do
+            let sij = Ns.union si sj and sk = Ns.singleton nodes.(k) in
+            if G.connects g sij sk then incr c3
+          done
+        end
+        else
+          for k = j + 1 to n - 1 do
+            let sk = Ns.singleton nodes.(k) in
+            let sik = Ns.union si sk and sjk = Ns.union sj sk in
+            if
+              (G.connects g si sk && G.connects g sik sj)
+              || (G.connects g sj sk && G.connects g sjk si)
+            then incr c3
+          done
+      done
+    done;
+    let cap = 1 lsl 21 in
+    let r = if !c2 = 0 then 1.0 else float_of_int !c3 /. float_of_int !c2 in
+    let total = ref (float_of_int (n + !c2 + !c3)) in
+    let layer = ref (float_of_int !c3) in
+    (try
+       for _ = 4 to n do
+         layer := !layer *. r;
+         total := !total +. !layer;
+         if !total > float_of_int cap then raise Exit
+       done
+     with Exit -> ());
+    let est = 2.0 *. !total in
+    max 64 (if est > float_of_int cap then cap else int_of_float est)
+  end
+
+(* A random 19-62 node graph: simple, or hyper with extra three-node
+   edges — complex [({a,b},{c})] and generalized [({a},{b},w={c})] —
+   since only edges covering at most three nodes reach c3. *)
+let random_wide_graph rng =
+  let module R = Random.State in
+  let n = 19 + R.int rng 44 in
+  let seed = R.bits rng in
+  let extra_edges = R.int rng (2 * n) in
+  if R.bool rng then Workloads.Random_graphs.simple ~seed ~n ~extra_edges ()
+  else
+    let g =
+      Workloads.Random_graphs.hyper ~seed ~n ~extra_edges
+        ~hyperedges:(1 + R.int rng 8) ~max_hypernode:(2 + R.int rng 2) ()
+    in
+    let base = G.edges g in
+    let m = Array.length base in
+    let extra =
+      List.init (R.int rng 12) (fun i ->
+          let a = R.int rng n in
+          let b = (a + 1 + R.int rng (n - 1)) mod n in
+          let c = ref (R.int rng n) in
+          while !c = a || !c = b do
+            c := R.int rng n
+          done;
+          let id = m + i in
+          if R.bool rng then He.make ~id (ns [ a; b ]) (Ns.singleton !c)
+          else He.make ~id ~w:(Ns.singleton !c) (Ns.singleton a) (Ns.singleton b))
+    in
+    G.make
+      (Array.init n (G.relation g))
+      (Array.append base (Array.of_list extra))
+
+(* A random connected block: grow from one node through edge covers
+   until the target size is reached or nothing more is adjacent. *)
+let random_block rng g =
+  let module R = Random.State in
+  let n = G.num_nodes g in
+  let target = 3 + R.int rng (min 20 (n - 2)) in
+  let block = ref (Ns.singleton (R.int rng n)) in
+  let stop = ref false in
+  while (not !stop) && Ns.cardinal !block < target do
+    let frontier =
+      Array.fold_left
+        (fun acc (e : He.t) ->
+          let c = He.covers e in
+          if Ns.intersects c !block then Ns.union acc c else acc)
+        Ns.empty (G.edges g)
+    in
+    match Ns.to_list (Ns.diff frontier !block) with
+    | [] -> stop := true
+    | vs -> block := Ns.add (List.nth vs (R.int rng (List.length vs))) !block
+  done;
+  !block
+
+let prop_estimate_matches_reference =
+  QCheck.Test.make ~name:"estimate = O(k^3) reference, graphs and blocks"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let rng = Random.State.make [| seed + 2_000_000 |] in
+      let g = random_wide_graph rng in
+      let subset = random_block rng g in
+      Csg.estimate_connected_subgraphs g = reference_estimate g
+      && Csg.estimate_connected_subgraphs ~subset g
+         = reference_estimate ~subset g)
+
+let test_estimate_shapes () =
+  List.iter
+    (fun (name, g) ->
+      check_int (name ^ " whole graph") (reference_estimate g)
+        (Csg.estimate_connected_subgraphs g);
+      let subset = Ns.range 0 9 in
+      check_int (name ^ " block 0..9")
+        (reference_estimate ~subset g)
+        (Csg.estimate_connected_subgraphs ~subset g))
+    [
+      ("chain62", Workloads.Shapes.chain 62);
+      ("cycle40", Workloads.Shapes.cycle 40);
+      ("star40", Workloads.Shapes.star 39);
+      ("clique24", Workloads.Shapes.clique 24);
+      ("grid8x7", Workloads.Shapes.grid ~rows:8 ~cols:7 ());
+      ("snowflake60", Workloads.Shapes.snowflake_n 60);
+      ("snowflake100", Workloads.Shapes.snowflake_n 100);
+    ]
+
 let () =
   Alcotest.run "hypergraph"
     [
@@ -628,6 +762,9 @@ let () =
           Alcotest.test_case "clique closed form" `Quick test_counts_clique;
           Alcotest.test_case "fig2 = 9" `Quick test_counts_fig2;
           Alcotest.test_case "join tree counts" `Quick test_join_tree_counts;
+          Alcotest.test_case "estimate = reference on shapes" `Quick
+            test_estimate_shapes;
+          QCheck_alcotest.to_alcotest prop_estimate_matches_reference;
         ] );
       ( "dot",
         [

@@ -252,9 +252,11 @@ let test_pipeline_inspect () =
         (List.for_all
            (fun (l, c) -> l.[0] = '{' && c > 0.0)
            p.Obs.Metrics.provenance);
+      let table = Format.asprintf "%a" Obs.Metrics.pp_table p in
       check "profile table prints the summary" true
-        (contains "costliest subsets"
-           (Format.asprintf "%a" Obs.Metrics.pp_table p))
+        (contains "costliest subsets" table);
+      check "profile table has a major-words column" true
+        (contains "major-words" table)
 
 let test_pipeline_inspect_refuses_parallel () =
   let g = chain 5 in

@@ -172,13 +172,13 @@ let test_presize_no_resize () =
       let fresh = Plans.Dp_table.create_for g in
       let b0 =
         match Plans.Dp_table.hash_stats fresh with
-        | Some (buckets, _) -> buckets
+        | Some s -> s.Hashtbl.num_buckets
         | None -> Alcotest.failf "%s: expected a hashed table" name
       in
       let dp, _ = Core.Dphyp.solve_with_table g in
       match Plans.Dp_table.hash_stats dp with
       | None -> Alcotest.failf "%s: expected a hashed table" name
-      | Some (buckets, bindings) ->
+      | Some { Hashtbl.num_buckets = buckets; num_bindings = bindings; _ } ->
           Alcotest.(check int)
             (name ^ ": buckets unchanged, i.e. no resize")
             b0 buckets;
@@ -191,6 +191,58 @@ let test_presize_no_resize () =
       ("chain20", Workloads.Shapes.chain 20);
       ("cycle20", Workloads.Shapes.cycle 20);
       ("grid4x5", Workloads.Shapes.grid ~rows:4 ~cols:5 ());
+    ]
+
+(* A block's table is sized from the block, not from the graph it
+   lives in: a 10-node block gets at most 2 * 2^10 buckets whatever
+   the graph's size or shape, filling it never resizes, and its sets
+   spread over the buckets even when every member sits high in its
+   word (a block of nodes 36..45 has ten zero low bits).  The block
+   grows breadth-first from the given node over simple edges. *)
+let test_block_presize () =
+  let block_of g k start =
+    let rec grow block frontier =
+      if Ns.cardinal block >= k then block
+      else
+        match Ns.min_elt_opt frontier with
+        | None -> block
+        | Some v ->
+            let block = Ns.add v block in
+            grow block
+              (Ns.diff (Ns.union frontier (G.simple_neighbors g v)) block)
+    in
+    grow Ns.empty (Ns.singleton start)
+  in
+  List.iter
+    (fun (name, g, start) ->
+      let subset = block_of g 10 start in
+      Alcotest.(check int) (name ^ ": block of 10") 10 (Ns.cardinal subset);
+      let fresh = Plans.Dp_table.create_for ~subset g in
+      let b0 =
+        match Plans.Dp_table.hash_stats fresh with
+        | Some s -> s.Hashtbl.num_buckets
+        | None -> Alcotest.failf "%s: expected a hashed table" name
+      in
+      check (name ^ ": at most 2 * 2^10 buckets") true (b0 <= 2 * 1024);
+      let dp, plan = Core.Dphyp.solve_subset ~subset g in
+      check (name ^ ": block solved") true (plan <> None);
+      match Plans.Dp_table.hash_stats dp with
+      | None -> Alcotest.failf "%s: expected a hashed table" name
+      | Some s ->
+          Alcotest.(check int)
+            (name ^ ": buckets unchanged, i.e. no resize")
+            b0 s.Hashtbl.num_buckets;
+          check (name ^ ": table was actually used") true
+            (s.Hashtbl.num_bindings > 0);
+          check
+            (Printf.sprintf "%s: longest bucket %d <= 8" name
+               s.Hashtbl.max_bucket_length)
+            true
+            (s.Hashtbl.max_bucket_length <= 8))
+    [
+      ("star40 (hashed)", Workloads.Shapes.star 39, 0);
+      ("snowflake100 (wide)", Workloads.Shapes.snowflake_n 100, 0);
+      ("chain100 from R45 (wide)", Workloads.Shapes.chain 100, 45);
     ]
 
 (* ---------- batch pipeline ---------- *)
@@ -376,6 +428,8 @@ let () =
         [
           Alcotest.test_case "pre-sized hashtbl never resizes" `Quick
             test_presize_no_resize;
+          Alcotest.test_case "block tables sized from the block" `Quick
+            test_block_presize;
         ] );
       ( "batch",
         [
