@@ -31,9 +31,10 @@ let algo_conv =
 
 let algo_arg =
   let doc =
-    "Algorithm: dphyp, dpsize, dpsub, dpccp, goo, topdown, tdpart, idp, \
-     adaptive or dpconv (subset-convolution DP — dense simple inner-join \
-     graphs up to 18 relations; see --dpconv-objective)."
+    Printf.sprintf
+      "Algorithm: %s (dpconv is subset-convolution DP — dense simple \
+       inner-join graphs up to 18 relations; see --dpconv-objective)."
+      (String.concat ", " (List.map Core.Optimizer.name Core.Optimizer.all))
   in
   Arg.(value & opt algo_conv Core.Optimizer.Dphyp & info [ "a"; "algo" ] ~doc)
 
@@ -70,8 +71,15 @@ let budget_arg =
   Arg.(value & opt (some int) None & info [ "b"; "budget" ] ~doc)
 
 let k_arg =
-  let doc = "IDP block size (relations optimized exactly per round)." in
-  Arg.(value & opt int Core.Idp.default_k & info [ "k" ] ~doc)
+  let doc =
+    Printf.sprintf
+      "IDP block size (relations optimized exactly per round) for idp, and \
+       for the stitching rounds of partition.  Absent: %d for idp, %d for \
+       partition (the adaptive ladder's partitioned tier)."
+      (Core.Optimizer.default_k Core.Optimizer.Idp)
+      (Core.Optimizer.default_k Core.Optimizer.Partition)
+  in
+  Arg.(value & opt (some int) None & info [ "k" ] ~doc)
 
 let model_arg =
   let model_conv =
@@ -196,10 +204,10 @@ let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
       (elapsed *. 1000.0)
 
 (* The pipeline's enumeration step under the CLI's wall clock. *)
-let timed_enumerate ?obs ~model ?budget ~k ?dpconv_objective ?(jobs = 1) algo
+let timed_enumerate ?obs ~model ?budget ?k ?dpconv_objective ?(jobs = 1) algo
     g =
   let t0 = Unix.gettimeofday () in
-  Driver.Pipeline.enumerate ?obs ~model ?budget ~k ?dpconv_objective ~jobs
+  Driver.Pipeline.enumerate ?obs ~model ?budget ?k ?dpconv_objective ~jobs
     algo g
   |> Result.map (fun r -> (r, Unix.gettimeofday () -. t0))
 
@@ -236,7 +244,7 @@ let optimize_cmd =
         if verbose then Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         match
-          timed_enumerate ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo
+          timed_enumerate ?obs ~model ?budget ?k ~dpconv_objective ~jobs algo
             g
         with
         | Error msg ->
@@ -277,7 +285,7 @@ let explain_cmd =
     in
     let go ?cache ctx =
       Driver.Pipeline.optimize_sql ~obs:ctx ?cache ~mode ~algo ~model ?budget
-        ~k ~dpconv_objective ~jobs (read_sql sql)
+        ?k ~dpconv_objective ~jobs (read_sql sql)
     in
     let report ctx (r : Driver.Pipeline.result) =
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@.@."
@@ -564,7 +572,7 @@ let shape_cmd =
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         match
-          timed_enumerate ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo
+          timed_enumerate ?obs ~model ?budget ?k ~dpconv_objective ~jobs algo
             g
         with
         | Error msg ->
@@ -614,7 +622,7 @@ let graph_cmd =
         | None -> ());
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        (match timed_enumerate ?obs ~model ?budget ~k ~jobs algo g with
+        (match timed_enumerate ?obs ~model ?budget ?k ~jobs algo g with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
             1
@@ -737,7 +745,7 @@ let run_cmd =
         let g0 = Conflicts.Derive.hypergraph analysis in
         let g = Executor.Estimate.calibrate inst g0 in
         match
-          match Driver.Pipeline.enumerate ~model ?budget ~k ~jobs:1 algo g with
+          match Driver.Pipeline.enumerate ~model ?budget ?k ~jobs:1 algo g with
           | Error msg ->
               Format.eprintf "error: %s@." msg;
               None
@@ -787,7 +795,7 @@ let analyze_cmd =
       stable profile trace_out =
     let obs = obs_ctx profile trace_out in
     match
-      Driver.Analyze.analyze_sql ?obs ~algo ~model ?budget ~k ~conservative
+      Driver.Analyze.analyze_sql ?obs ~algo ~model ?budget ?k ~conservative
         ~rows ~seed ?sample (read_sql sql)
     with
     | Error msg ->
@@ -867,7 +875,7 @@ let inspect_cmd =
           Inspect.Provenance.create ~sample ~max_subsets ~max_champions ()
         in
         match
-          Driver.Pipeline.optimize_graph ~inspect:prov ~algo ~model ?budget ~k
+          Driver.Pipeline.optimize_graph ~inspect:prov ~algo ~model ?budget ?k
             g
         with
         | Error msg ->
@@ -1008,7 +1016,7 @@ let tpch_cmd =
       List.iter
         (fun name ->
           let g = Workloads.Tpch.query ~sf name in
-          match timed_enumerate ~model ?budget ~k algo g with
+          match timed_enumerate ~model ?budget ?k algo g with
           | Error msg -> Format.printf "%-4s: %s@." name msg
           | Ok (r, elapsed) ->
               Format.printf "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@."
@@ -1025,7 +1033,7 @@ let tpch_cmd =
       match Workloads.Tpch.query ~sf query with
       | g -> (
           Format.printf "%a@." G.pp g;
-          match timed_enumerate ~model ?budget ~k algo g with
+          match timed_enumerate ~model ?budget ?k algo g with
           | Error msg ->
               Format.eprintf "error: %s@." msg;
               1

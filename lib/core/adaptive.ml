@@ -64,8 +64,7 @@ let default_ks = [ 10; 7; 5; 3 ]
    b pairs") and deterministic.  The final GOO rung is deliberately
    unbudgeted — it is O(n^2 · n) pairs and must always produce the
    answer of last resort. *)
-let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
-    ?(ks = default_ks) g =
+let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
   let attempts = ref [] in
   let record ?skipped tier completed (c : Counters.t) =
     attempts :=
@@ -95,54 +94,53 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
                   (Obs.Span.Int c.Counters.pairs_considered))
               f)
   in
-  let n = G.num_nodes g in
-  let rec descend = function
-        | [] ->
-            let counters = Counters.create () in
-            let plan =
-              tier_span Greedy counters (fun () -> Goo.solve ~model ~counters g)
-            in
-            finish Greedy counters 0 plan
-        | k :: rest when k >= n || k < 2 ->
-            (* k >= n would just repeat the exact run that already
-               blew the budget *)
-            descend rest
-        | k :: rest -> (
-            let counters = Counters.create ?budget () in
-            match
-              tier_span (Idp_k k) counters (fun () ->
-                  Idp.solve ?obs ~model ~counters ~k g)
-            with
-            | Some plan -> finish (Idp_k k) counters 0 (Some plan)
-            | None ->
-                record (Idp_k k) true counters;
-                descend rest
-            | exception Counters.Budget_exhausted ->
-                record (Idp_k k) false counters;
-                descend rest)
+  (* One budgeted rung: fresh counters, its span and table context.
+     [Some (counters, result)] when it ran to completion; [None] once
+     the budget cut it short, which is recorded here. *)
+  let attempt tier run =
+    let counters = Counters.create ?budget () in
+    match tier_span tier counters (fun () -> run counters) with
+    | r -> Some (counters, r)
+    | exception Counters.Budget_exhausted ->
+        record tier false counters;
+        None
   in
-  if n > Nodeset.Node_set.small_capacity then begin
+  let n = G.num_nodes g in
+  (* A rung that answers with a plan or falls through to [next]. *)
+  let rec rung tier run ~next =
+    match attempt tier run with
+    | Some (counters, Some plan) -> finish tier counters 0 (Some plan)
+    | Some (counters, None) ->
+        record tier true counters;
+        next ()
+    | None -> next ()
+  and descend = function
+    | [] ->
+        let counters = Counters.create () in
+        let plan =
+          tier_span Greedy counters (fun () -> Goo.solve ~model ~counters g)
+        in
+        finish Greedy counters 0 plan
+    | k :: rest when k >= n ->
+        (* k >= n would just repeat the exact run that already blew
+           the budget *)
+        descend rest
+    | k :: rest ->
+        rung (Idp_k k)
+          (fun counters -> Idp.solve ?obs ~model ~counters ~k g)
+          ~next:(fun () -> descend rest)
+  in
+  if n > Nodeset.Node_set.small_capacity then
     (* Wide queries: exhaustive DP over the whole graph is out of
        reach (and DPhyp would try to enumerate 2^n subsets), so the
        ladder starts at the partitioned tier — per-block exact DP
        stitched with IDP — and degrades through the IDP rungs to GOO
        exactly as before. *)
-    let counters = Counters.create ?budget () in
-    match
-      tier_span Partitioned counters (fun () ->
-          Partition.solve ?obs ~model ~counters g)
-    with
-    | Some plan -> finish Partitioned counters 0 (Some plan)
-    | None ->
-        record Partitioned true counters;
-        descend ks
-    | exception Counters.Budget_exhausted ->
-        record Partitioned false counters;
-        descend ks
-  end
+    rung Partitioned
+      (fun counters -> Partition.solve ?obs ~model ~counters g)
+      ~next:(fun () -> descend default_ks)
   else begin
     let exact ?bound ~on_exhausted () =
-      let exact_counters = Counters.create ?budget () in
       (* An unpruned rung ticks at least [Dphyp.min_pairs] pairs, so
          when that exceeds the budget the rung would certainly raise:
          record it as skipped and degrade at once.  A [?bound] prunes
@@ -167,20 +165,20 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
                   ]
                 (span_name Exact) ignore)
             obs;
-          record ?skipped:needs Exact false exact_counters;
+          record ?skipped:needs Exact false (Counters.create ());
           on_exhausted ()
       | None -> (
           match
-            tier_span Exact exact_counters (fun () ->
-                Dphyp.solve_with_table ~model ?bound ~counters:exact_counters g)
+            attempt Exact (fun counters ->
+                Dphyp.solve_with_table ~model ?bound ~counters g)
           with
-          | dp, plan -> finish Exact exact_counters (Plans.Dp_table.size dp) plan
-          | exception Counters.Budget_exhausted ->
-              record Exact false exact_counters;
-              on_exhausted ())
+          | Some (counters, (dp, plan)) ->
+              finish Exact counters (Plans.Dp_table.size dp) plan
+          | None -> on_exhausted ())
     in
-    if not (conv_applicable g) then exact ~on_exhausted:(fun () -> descend ks) ()
-    else begin
+    let fall_back () = descend default_ks in
+    if not (conv_applicable g) then exact ~on_exhausted:fall_back ()
+    else
       (* Dense simple graph: run the subset-convolution bound first.
          Its certified C_out upper bound prunes the exact run (see
          Dphyp's [bound]); if the exact rung then blows the budget the
@@ -189,37 +187,30 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
          exact bottleneck value C_max is a lower bound on the optimum:
          when the two meet, the dpconv plan is already optimal and the
          exact rung is skipped entirely. *)
-      let conv_counters = Counters.create ?budget () in
       match
-        tier_span Conv conv_counters (fun () ->
-            Dpconv.solve ~model ~objective:Dpconv.Cout_bound
-              ~counters:conv_counters g)
+        attempt Conv (fun counters ->
+            Dpconv.solve ~model ~objective:Dpconv.Cout_bound ~counters g)
       with
-      | exception Counters.Budget_exhausted ->
-          record Conv false conv_counters;
-          exact ~on_exhausted:(fun () -> descend ks) ()
-      | o -> (
-          match o.Dpconv.plan with
-          | None ->
-              record Conv true conv_counters;
-              exact ~on_exhausted:(fun () -> descend ks) ()
-          | Some plan ->
-              let conv_entries = Plans.Dp_table.size o.Dpconv.dp in
-              let tight =
-                (* the C_max lower bound argument is specific to
-                   output-cardinality costing *)
-                model.Costing.Cost_model.name = "cout"
-                && o.Dpconv.bound <= o.Dpconv.cmax *. (1. +. 1e-9)
-              in
-              if tight then finish Conv conv_counters conv_entries (Some plan)
-              else begin
-                record Conv true conv_counters;
-                exact ~bound:o.Dpconv.bound
-                  ~on_exhausted:(fun () ->
-                    finish Conv conv_counters conv_entries (Some plan))
-                  ()
-              end)
-    end
+      | None -> exact ~on_exhausted:fall_back ()
+      | Some (counters, { Dpconv.plan = None; _ }) ->
+          record Conv true counters;
+          exact ~on_exhausted:fall_back ()
+      | Some (counters, ({ Dpconv.plan = Some plan; _ } as o)) ->
+          let conv_entries = Plans.Dp_table.size o.Dpconv.dp in
+          let tight =
+            (* the C_max lower bound argument is specific to
+               output-cardinality costing *)
+            model.Costing.Cost_model.name = "cout"
+            && o.Dpconv.bound <= o.Dpconv.cmax *. (1. +. 1e-9)
+          in
+          if tight then finish Conv counters conv_entries (Some plan)
+          else begin
+            record Conv true counters;
+            exact ~bound:o.Dpconv.bound
+              ~on_exhausted:(fun () ->
+                finish Conv counters conv_entries (Some plan))
+              ()
+          end
   end
 
 (* The quality price of graceful degradation, as an aligned plan diff

@@ -5,10 +5,10 @@
     deterministic work budget (counted in considered pairs — see
     {!Counters}), the optimizer first attempts exact DPhyp; if the
     budget runs out it retries with {!Idp.solve} for each block size
-    in the shrinking schedule [ks], each attempt on a fresh budget
-    (smaller k = exponentially less work per round, so some rung fits
-    unless the budget is tiny); if every DP rung is exhausted it falls
-    back to unbudgeted {!Goo}, which always answers.  The outcome
+    in the shrinking schedule [10; 7; 5; 3], each attempt on a fresh
+    budget (smaller k = exponentially less work per round, so some
+    rung fits unless the budget is tiny); if every DP rung is exhausted
+    it falls back to unbudgeted {!Goo}, which always answers.  The outcome
     records which tier produced the plan and what every abandoned
     attempt cost, so clients and benchmarks can report degradation
     honestly.
@@ -19,8 +19,8 @@
     the plan, tier, counters and table size are those the full attempt
     would have produced.
 
-    Everything is deterministic: the same graph, budget and schedule
-    always produce the same tier, the same counters and the same
+    Everything is deterministic: the same graph and budget always
+    produce the same tier, the same counters and the same
     plan — no wall-clock measurements are involved. *)
 
 type tier =
@@ -71,14 +71,10 @@ type outcome = {
   attempts : attempt list;  (** every attempt, in execution order *)
 }
 
-val default_ks : int list
-(** The shrinking block-size schedule [[10; 7; 5; 3]]. *)
-
 val solve :
   ?obs:Obs.Span.ctx ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?ks:int list ->
   Hypergraph.Graph.t ->
   outcome
 (** Run the ladder.  [?obs] records one ["tier:<name>"] span per
@@ -95,8 +91,8 @@ val solve :
     bound-pruned rung may tick fewer pairs than the certificate
     counts, so it always runs.  Queries with more relations than
     {!Nodeset.Node_set.small_capacity} skip the exact rung and start
-    at {!Partitioned} instead.  Schedule entries with [k >= n] or
-    [k < 2] are skipped.  Never raises
+    at {!Partitioned} instead.  IDP rungs with [k >= n] are skipped.
+    Never raises
     {!Counters.Budget_exhausted}.
 
     Dense simple graphs (≥ 12 relations within

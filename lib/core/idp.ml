@@ -18,10 +18,12 @@ module He = Hypergraph.Hyperedge
    back onto the original graph: compound leaves are replaced by the
    root sub-plans they stand for and every join is rebuilt with
    Plan.join using the stored per-join selectivity and the edge-id
-   translation accumulated across contractions.  Cardinalities and
-   costs are reproduced exactly (same model, same selectivities, same
-   leaf cardinalities), so the returned plan is a plain root-graph
-   plan that Plan_check accepts and to_optree can execute. *)
+   translation accumulated across contractions ([state]).
+   Cardinalities and costs are reproduced exactly (same model, same
+   selectivities, same leaf cardinalities), so the returned plan is a
+   plain root-graph plan that Plan_check accepts and to_optree can
+   execute.  The partitioned tier (Partition) contracts its clustered
+   blocks through the same [state] and then runs the same [rounds]. *)
 
 let default_k = 7
 
@@ -85,102 +87,105 @@ let pick_entry g dp block =
   in
   at_size (Ns.cardinal block)
 
-let solve ?obs ?(model = Costing.Cost_model.c_out)
-    ?(counters = Counters.create ()) ?init ?(k = default_k) g =
-  if k < 2 then invalid_arg "Idp.solve: k must be at least 2";
-  let round_no = ref 0 in
-  (* [state = Some (emap, base)] after the first contraction: [emap]
-     translates current edge ids to root edge ids, [base.(v)] is the
-     root-graph plan the current node [v] stands for. *)
-  (* [kr] is the effective block size for this round.  It starts at
-     [k] and widens only when a round gets stuck — on hypergraphs a
-     small block may contain no contractible connected subset (every
-     candidate is straddled by a complex edge).  Widening is capped by
-     [n <= kr], where the round is plain exact DP and always decides. *)
-  let rec round g state kr =
-    let n = G.num_nodes g in
-    let step sp =
-      let leaf =
-        match state with
-        | None -> fun v -> Plans.Plan.scan g v
-        | Some (_, base) -> fun v -> Plans.Plan.materialized v base.(v)
-      in
-      let flatten p =
-        match state with
-        | None -> p
-        | Some (emap, base) ->
-            let rec go (p : Plans.Plan.t) =
-              match p.tree with
-              | Plans.Plan.Scan v -> base.(v)
-              | Plans.Plan.Compound c -> c.sub
-              | Plans.Plan.Join j ->
-                  Plans.Plan.join model ~op:j.op
-                    ~edge_ids:(List.map (fun id -> emap.(id)) j.edge_ids)
-                    ~sel:j.sel (go j.left) (go j.right)
-            in
-            go p
-      in
-      if n <= kr then begin
-        let _, plan =
-          Dphyp.solve_subset ~model ~leaf ~counters ~subset:(G.all_nodes g) g
-        in
-        Obs.Span.set_opt sp "final" (Obs.Span.Bool true);
-        `Done (Option.map flatten plan)
-      end
-      else begin
-        let block = choose_block g kr in
-        let dp, _ = Dphyp.solve_subset ~model ~leaf ~counters ~subset:block g in
-        match pick_entry g dp block with
-        | None ->
-            Obs.Span.set_opt sp "widened" (Obs.Span.Bool true);
-            `Widen (kr + 1)
-        | Some bp ->
-            let broot = flatten bp in
-            let { G.cgraph; node_of; edge_of } =
-              G.contract g ~block:bp.set ~card:broot.card ()
-            in
-            let emap' =
-              Array.map
-                (fun old_id ->
-                  match state with
-                  | Some (emap, _) -> emap.(old_id)
-                  | None -> old_id)
-                edge_of
-            in
-            let base' = Array.make (G.num_nodes cgraph) broot in
-            for v = 0 to n - 1 do
-              if not (Ns.mem v bp.set) then
-                base'.(node_of.(v)) <-
-                  (match state with
-                  | Some (_, base) -> base.(v)
-                  | None -> Plans.Plan.scan g v)
-            done;
-            `Next (cgraph, Some (emap', base'))
-      end
+(* [emap]: current edge id -> root edge id; [base.(v)]: the root plan
+   current node [v] stands for; [cur_of]: root node -> current node. *)
+type state = {
+  graph : G.t;
+  emap : int array;
+  base : Plans.Plan.t array;
+  cur_of : int array;
+}
+
+let start g =
+  let n = G.num_nodes g in
+  {
+    graph = g;
+    emap = Array.init (G.num_edges g) Fun.id;
+    base = Array.init n (Plans.Plan.scan g);
+    cur_of = Array.init n Fun.id;
+  }
+
+let flatten ~model st p =
+  let rec go (p : Plans.Plan.t) =
+    match p.tree with
+    | Plans.Plan.Scan v -> st.base.(v)
+    | Plans.Plan.Compound c -> c.sub
+    | Plans.Plan.Join j ->
+        Plans.Plan.join model ~op:j.op
+          ~edge_ids:(List.map (fun id -> st.emap.(id)) j.edge_ids)
+          ~sel:j.sel (go j.left) (go j.right)
+  in
+  go p
+
+let contract ~model st (bp : Plans.Plan.t) =
+  let broot = flatten ~model st bp in
+  let { G.cgraph; node_of; edge_of } =
+    G.contract st.graph ~block:bp.set ~card:broot.card ()
+  in
+  let base = Array.make (G.num_nodes cgraph) broot in
+  Array.iteri
+    (fun v p -> if not (Ns.mem v bp.set) then base.(node_of.(v)) <- p)
+    st.base;
+  {
+    graph = cgraph;
+    emap = Array.map (fun id -> st.emap.(id)) edge_of;
+    base;
+    cur_of = Array.map (fun v -> node_of.(v)) st.cur_of;
+  }
+
+let solve_block ?obs ~model ~counters st ~label ~span ~attrs subset k =
+  let label =
+    match Plans.Dp_table.current_context () with
+    | "" -> label
+    | outer -> outer ^ "/" ^ label
+  in
+  Plans.Dp_table.with_context label (fun () ->
+      Obs.Span.with_opt obs span ~attrs (fun sp ->
+          let leaf v = Plans.Plan.materialized v st.base.(v) in
+          k sp (Dphyp.solve_subset ~model ~leaf ~counters ~subset st.graph)))
+
+(* [kr] is the effective block size for this round.  It starts at [k]
+   and widens only when a round gets stuck — on hypergraphs a small
+   block may contain no contractible connected subset (every candidate
+   is straddled by a complex edge).  Widening is capped by [n <= kr],
+   where the round is plain exact DP and always decides. *)
+let rounds ?obs ~model ~counters ~k st =
+  let rec round no st kr =
+    let n = G.num_nodes st.graph in
+    let final = n <= kr in
+    let block =
+      if final then G.all_nodes st.graph else choose_block st.graph kr
     in
-    incr round_no;
     match
-      Plans.Dp_table.with_context
-        (let l = Printf.sprintf "idp:round:%d" !round_no in
-         match Plans.Dp_table.current_context () with
-         | "" -> l
-         | outer -> outer ^ "/" ^ l)
-        (fun () ->
-          Obs.Span.with_opt obs "idp-round"
-            ~attrs:
-              [
-                ("round", Obs.Span.Int !round_no);
-                ("nodes", Obs.Span.Int n);
-                ("k", Obs.Span.Int kr);
-              ]
-            step)
+      solve_block ?obs ~model ~counters st
+        ~label:(Printf.sprintf "idp:round:%d" no)
+        ~span:"idp-round"
+        ~attrs:
+          [
+            ("round", Obs.Span.Int no);
+            ("nodes", Obs.Span.Int n);
+            ("k", Obs.Span.Int kr);
+          ]
+        block
+        (fun sp (dp, plan) ->
+          if final then begin
+            Obs.Span.set_opt sp "final" (Obs.Span.Bool true);
+            `Done (Option.map (flatten ~model st) plan)
+          end
+          else
+            match pick_entry st.graph dp block with
+            | None ->
+                Obs.Span.set_opt sp "widened" (Obs.Span.Bool true);
+                `Widen
+            | Some bp -> `Next (contract ~model st bp))
     with
     | `Done plan -> plan
-    | `Widen kr' -> round g state kr'
-    | `Next (g', state') -> round g' state' k
+    | `Widen -> round (no + 1) st (kr + 1)
+    | `Next st -> round (no + 1) st k
   in
-  (* [?init] lets a caller that already contracted blocks of the root
-     graph (the partitioned tier) enter the rounds mid-flight: the
-     graph passed in is then a contracted one and [init] its (emap,
-     base) bookkeeping against the true root graph. *)
-  round g init k
+  round 1 st k
+
+let solve ?obs ?(model = Costing.Cost_model.c_out)
+    ?(counters = Counters.create ()) ?(k = default_k) g =
+  if k < 2 then invalid_arg "Idp.solve: k must be at least 2";
+  rounds ?obs ~model ~counters ~k (start g)

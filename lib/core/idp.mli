@@ -24,25 +24,71 @@ val solve :
   ?obs:Obs.Span.ctx ->
   ?model:Costing.Cost_model.t ->
   ?counters:Counters.t ->
-  ?init:int array * Plans.Plan.t array ->
   ?k:int ->
   Hypergraph.Graph.t ->
   Plans.Plan.t option
-(** Optimize with IDP-[k].  [?obs] records one ["idp-round"] span per
-    round (attributes: round number, remaining nodes, effective block
-    size, whether the round widened or finished).  A round whose block holds no contractible
+(** Optimize with IDP-[k]: {!rounds} from {!start}[ g].  [?obs]
+    records one ["idp-round"] span per round (attributes: round
+    number, remaining nodes, effective block size, whether the round
+    widened or finished).  A round whose block holds no contractible
     connected subset (complex hyperedges can straddle every candidate)
     widens its block size by one and retries, degenerating to plain
     exact DP in the worst case rather than failing; [None] is
     therefore reserved for graphs exact DPhyp itself cannot plan
     (disconnected inputs).  Callers wanting a guaranteed answer fall
-    back to {!Goo} (which is what {!Adaptive.solve} automates).  A budgeted [counters] makes
-    the run raise {!Counters.Budget_exhausted} when its budget is
-    spent.  @raise Invalid_argument if [k < 2].
+    back to {!Goo} (which is what {!Adaptive.solve} automates).  A
+    budgeted [counters] makes the run raise
+    {!Counters.Budget_exhausted} when its budget is spent.
+    @raise Invalid_argument if [k < 2], before any work. *)
 
-    [?init:(emap, base)] enters the rounds on an already-contracted
-    graph (the partitioned tier's hand-off): [g] is then a contraction
-    of the true root graph, [emap] translates [g]'s edge ids to root
-    edge ids, and [base.(v)] is the root-graph plan node [v] stands
-    for.  The returned plan is flattened against the root graph, as
-    always. *)
+(** {2 Block contraction}
+
+    The loop IDP shares with {!Partition.solve}, which enters it with
+    pre-clustered blocks. *)
+
+type state = private {
+  graph : Hypergraph.Graph.t;  (** the current, contracted graph *)
+  emap : int array;  (** current edge id -> root edge id *)
+  base : Plans.Plan.t array;  (** current node -> its root plan *)
+  cur_of : int array;  (** root node -> current node *)
+}
+
+val start : Hypergraph.Graph.t -> state
+(** The uncontracted graph: identity maps, scans as base plans. *)
+
+val flatten :
+  model:Costing.Cost_model.t -> state -> Plans.Plan.t -> Plans.Plan.t
+(** A current-graph plan rebuilt onto the root graph; cardinalities
+    and costs are reproduced exactly. *)
+
+val contract : model:Costing.Cost_model.t -> state -> Plans.Plan.t -> state
+(** Contract a plan's node set, which must be
+    {!Hypergraph.Graph.contractible}, to one node standing for it. *)
+
+val solve_block :
+  ?obs:Obs.Span.ctx ->
+  model:Costing.Cost_model.t ->
+  counters:Counters.t ->
+  state ->
+  label:string ->
+  span:string ->
+  attrs:(string * Obs.Span.value) list ->
+  Nodeset.Node_set.t ->
+  (Obs.Span.t option -> Plans.Dp_table.t * Plans.Plan.t option -> 'a) ->
+  'a
+(** [solve_block st ~label ~span ~attrs subset k] passes
+    {!Dphyp.solve_subset} on [subset], each node a materialized leaf of
+    its base plan, to [k]; both run under the span [span] and the
+    DP-table context [label], nested in the caller's. *)
+
+val rounds :
+  ?obs:Obs.Span.ctx ->
+  model:Costing.Cost_model.t ->
+  counters:Counters.t ->
+  k:int ->
+  state ->
+  Plans.Plan.t option
+(** IDP's rounds from [state] at block size [k] (callers refuse
+    [k < 2]), the plan flattened onto the root graph.  Round [i] is a
+    {!solve_block} labelled ["idp:round:<i>"] under an ["idp-round"]
+    span. *)

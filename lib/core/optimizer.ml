@@ -51,6 +51,10 @@ let exact = function
   | Dphyp | Dpsize | Dpsub | Dpccp | Topdown | Tdpart -> true
   | Goo | Idp | Partition | Adaptive | Dpconv -> false
 
+let default_k = function
+  | Partition -> Partition.default_stitch_k
+  | _ -> Idp.default_k
+
 type result = {
   plan : Plans.Plan.t option;
   counters : Counters.t;
@@ -59,8 +63,9 @@ type result = {
   attempts : Adaptive.attempt list;
 }
 
-let run ?obs ?model ?filter ?budget ?(k = Idp.default_k)
-    ?(dpconv_objective = Dpconv.Cmax) algo g =
+let run ?obs ?model ?filter ?budget ?k ?(dpconv_objective = Dpconv.Cmax) algo
+    g =
+  let k = Option.value k ~default:(default_k algo) in
   if filter <> None && not (supports_filter algo) then
     invalid_arg
       (Printf.sprintf "Optimizer.run: %s does not support a validity filter"

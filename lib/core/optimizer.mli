@@ -45,6 +45,10 @@ val exact : algorithm -> bool
     optimum, but carry no general guarantee; Dpconv is exact for the
     bottleneck objective C_max but not for the session cost model. *)
 
+val default_k : algorithm -> int
+(** What an omitted [?k] stands for: {!Partition.default_stitch_k} for
+    [Partition], {!Idp.default_k} for the rest. *)
+
 type result = {
   plan : Plans.Plan.t option;
   counters : Counters.t;
@@ -79,8 +83,9 @@ val run :
     [Adaptive] it drives the fallback ladder and never escapes; for
     every other algorithm exceeding it raises
     {!Counters.Budget_exhausted} — the caller asked for a hard limit
-    on an algorithm with no fallback.  [?k] is the IDP block size
-    (default {!Idp.default_k}; ignored except by [Idp]).
+    on an algorithm with no fallback.  [?k] is the IDP block size of
+    [Idp] and of [Partition]'s stitching (default {!default_k}[ algo];
+    ignored by every other algorithm).
     [?dpconv_objective] selects [Dpconv]'s objective (default
     {!Dpconv.Cmax}; ignored by every other algorithm).
 

@@ -16,21 +16,18 @@ module He = Hypergraph.Hyperedge
       so no block boundary ever straddles a hypernode (which would
       make the block uncontractible).
 
-   2. {e Solve each block exactly} with block-restricted DPhyp
-      (Dphyp.solve_subset) and contract it to a compound node
-      (Graph.contract), accumulating the same (emap, base) edge-id /
-      leaf-plan bookkeeping IDP uses.
+   2. {e Solve each block exactly} and contract it to a compound node
+      (Idp.solve_block, Idp.contract).
 
-   3. {e Stitch} the contracted graph with IDP-k entered mid-flight
-      (Idp.solve ~init): compound nodes are materialized leaves, and
-      IDP's rounds also absorb whatever the partition left as
+   3. {e Stitch} with IDP's rounds on the contracted graph
+      (Idp.rounds), which also absorb whatever the partition left as
       singletons (a star's satellites, say, can only cluster with the
-      hub, so most of them arrive here unmerged and are folded in
-      round by round).
+      hub, so most of them arrive here unmerged).
 
-   Every plan is flattened back onto the original graph as it is
-   built, so the result validates under Plan_check like any other
-   optimizer output. *)
+   So this tier is IDP entered with pre-clustered blocks.  Every plan
+   is flattened back onto the original graph as it is built, so the
+   result validates under Plan_check like any other optimizer
+   output. *)
 
 let default_block_size = 10
 let default_stitch_k = 10
@@ -95,91 +92,41 @@ let solve ?obs ?(model = Costing.Cost_model.c_out)
     ?(k = default_stitch_k) g0 =
   if block_size < 2 then
     invalid_arg "Partition.solve: block_size must be at least 2";
-  let n0 = G.num_nodes g0 in
+  if k < 2 then invalid_arg "Partition.solve: k must be at least 2";
   let blocks =
     Obs.Span.with_opt obs "partition:cluster"
-      ~attrs:[ ("nodes", Obs.Span.Int n0) ]
+      ~attrs:[ ("nodes", Obs.Span.Int (G.num_nodes g0)) ]
       (fun _ -> partition g0 ~block_size)
   in
-  (* Same bookkeeping as Idp's rounds: [emap] maps current edge ids to
-     root edge ids, [base.(v)] is the root plan current node [v]
-     stands for, [cur_of] the composed root-node renaming. *)
-  let cur = ref g0 in
-  let emap = ref (Array.init (G.num_edges g0) (fun i -> i)) in
-  let base = ref (Array.init n0 (fun v -> Plans.Plan.scan g0 v)) in
-  let cur_of = ref (Array.init n0 (fun v -> v)) in
-  let contracted = ref 0 in
-  let final = ref None in
-  let flatten p =
-    let emap = !emap and base = !base in
-    let rec go (p : Plans.Plan.t) =
-      match p.tree with
-      | Plans.Plan.Scan v -> base.(v)
-      | Plans.Plan.Compound c -> c.sub
-      | Plans.Plan.Join j ->
-          Plans.Plan.join model ~op:j.op
-            ~edge_ids:(List.map (fun id -> emap.(id)) j.edge_ids)
-            ~sel:j.sel (go j.left) (go j.right)
-    in
-    go p
-  in
-  List.iter
-    (fun block ->
-      if !final = None && Ns.cardinal block >= 2 then begin
+  let rec absorb (st : Idp.state) = function
+    | [] -> Idp.rounds ?obs ~model ~counters ~k st
+    | block :: rest when Ns.cardinal block < 2 -> absorb st rest
+    | block :: rest -> (
         let bcur =
-          Ns.fold (fun v acc -> Ns.add (!cur_of).(v) acc) block Ns.empty
-        in
-        let leaf v = Plans.Plan.materialized v (!base).(v) in
-        let solve_block _sp =
-          Dphyp.solve_subset ~model ~leaf ~counters ~subset:bcur !cur
+          Ns.fold (fun v acc -> Ns.add st.cur_of.(v) acc) block Ns.empty
         in
         let _dp, plan =
-          Plans.Dp_table.with_context
-            (let l = Printf.sprintf "partition:block:R%d" (Ns.min_elt block) in
-             match Plans.Dp_table.current_context () with
-             | "" -> l
-             | outer -> outer ^ "/" ^ l)
-            (fun () ->
-              Obs.Span.with_opt obs "partition:block"
-                ~attrs:[ ("block_nodes", Obs.Span.Int (Ns.cardinal bcur)) ]
-                solve_block)
+          Idp.solve_block ?obs ~model ~counters st
+            ~label:(Printf.sprintf "partition:block:R%d" (Ns.min_elt block))
+            ~span:"partition:block"
+            ~attrs:[ ("block_nodes", Obs.Span.Int (Ns.cardinal bcur)) ]
+            bcur
+            (fun _ r -> r)
         in
         match plan with
-        | None ->
+        | Some bp when Ns.cardinal bcur = G.num_nodes st.graph ->
+            (* one block covers the whole graph: that exact DP run
+               already decided everything *)
+            Some (Idp.flatten ~model st bp)
+        | Some bp when G.contractible st.graph bp.set ->
+            absorb (Idp.contract ~model st bp) rest
+        | _ ->
             (* the induced subgraph could not be assembled end-to-end
-               (complex-edge interactions); leave the block to the
-               stitching rounds *)
-            ()
-        | Some bp ->
-            if Ns.cardinal bcur = G.num_nodes !cur then
-              (* one block covers the whole graph: that exact DP run
-                 already decided everything *)
-              final := Some (flatten bp)
-            else if G.contractible !cur bp.set then begin
-              let broot = flatten bp in
-              let { G.cgraph; node_of; edge_of } =
-                G.contract !cur ~block:bp.set ~card:broot.card ()
-              in
-              let emap' = Array.map (fun old_id -> (!emap).(old_id)) edge_of in
-              let base' = Array.make (G.num_nodes cgraph) broot in
-              for v = 0 to G.num_nodes !cur - 1 do
-                if not (Ns.mem v bp.set) then base'.(node_of.(v)) <- (!base).(v)
-              done;
-              for v = 0 to n0 - 1 do
-                (!cur_of).(v) <- node_of.((!cur_of).(v))
-              done;
-              cur := cgraph;
-              emap := emap';
-              base := base';
-              incr contracted
-            end
-      end)
-    blocks;
-  match !final with
-  | Some _ as p -> p
-  | None ->
-      if !contracted = 0 then Idp.solve ?obs ~model ~counters ~k g0
-      else Idp.solve ?obs ~model ~counters ~init:(!emap, !base) ~k !cur
+               (complex-edge interactions), or its winner straddles a
+               complex edge; leave the block to the stitching rounds *)
+            absorb st rest)
+  in
+  absorb (Idp.start g0) blocks
 
 (* Where did the stitches lose cost against exhaustive DP?  Only
    answerable when the graph is small enough to solve exactly — which

@@ -4,12 +4,12 @@
     (greedy edge clustering: union-find merging along the most
     selective simple edges first, complex-hyperedge covers merged
     unconditionally so every block stays contractible), solves each
-    block {e exactly} with block-restricted DPhyp
-    ({!Dphyp.solve_subset}), contracts it to a compound node
-    ({!Hypergraph.Graph.contract}), and stitches the contracted graph
-    with IDP-k entered mid-flight ({!Idp.solve}[ ~init]) — which also
-    absorbs whatever the clustering left as singletons (e.g. a star's
-    satellites, which can only ever cluster with the hub).
+    block {e exactly} and contracts it to a compound node, then runs
+    IDP-k's rounds on the contracted graph — which also absorb
+    whatever the clustering left as singletons (e.g. a star's
+    satellites, which can only ever cluster with the hub).  It is IDP
+    entered with pre-clustered blocks: both go through one contraction
+    loop ({!Idp.solve_block}, {!Idp.contract}, {!Idp.rounds}).
 
     This is the tier {!Adaptive.solve} selects automatically for
     queries wider than {!Nodeset.Node_set.small_capacity} relations,
@@ -49,7 +49,8 @@ val solve :
     spans following.  A budgeted [counters] makes the run raise
     {!Counters.Budget_exhausted} when its budget is spent.  [None] is
     reserved for graphs IDP itself cannot plan (disconnected inputs).
-    @raise Invalid_argument if [block_size < 2]. *)
+    @raise Invalid_argument if [block_size < 2] or [k < 2], before any
+    work. *)
 
 val loss_report :
   ?model:Costing.Cost_model.t ->

@@ -97,11 +97,12 @@ let enumerate ?obs ?model ?budget ?k ?dpconv_objective ~jobs algo graph =
 (* The exact cache key: every input that can change the returned plan
    bytes.  The serialized graph carries node order, cardinalities,
    selectivities, operators, free sets and edge order (edge ids are
-   file order); algorithm, cost model, budget and IDP block size are
-   prepended.  [jobs] is deliberately absent — parallel enumeration
-   is byte-identical to sequential for every jobs count, so one entry
-   serves all of them (the differential test sweeps jobs to prove
-   it). *)
+   file order); algorithm, cost model, budget and the effective IDP
+   block size are prepended, so a request without [k] and one naming
+   a different block size never share an entry.  [jobs] is
+   deliberately absent — parallel enumeration is byte-identical to
+   sequential for every jobs count, so one entry serves all of them
+   (the differential test sweeps jobs to prove it). *)
 let exact_key q graph =
   Printf.sprintf "algo=%s model=%s budget=%s k=%d\n%s"
     (* the objective changes dpconv's plan, so it is part of the
@@ -117,7 +118,7 @@ let exact_key q graph =
     | Some (m : Costing.Cost_model.t) -> m.name
     | None -> Costing.Cost_model.c_out.name)
     (match q.budget with Some b -> string_of_int b | None -> "unlimited")
-    (Option.value q.k ~default:Core.Idp.default_k)
+    (Option.value q.k ~default:(Core.Optimizer.default_k q.algo))
     (Hypergraph.Serialize.to_string graph)
 
 (* Memoized enumeration.  A conflict-mode validity filter is a

@@ -288,6 +288,25 @@ let test_differential_jobs () =
   Alcotest.(check int) "one miss across the jobs sweep" 1
     (Pc.stats cache).Pc.misses
 
+(* An omitted k is the algorithm's own default — for partition the
+   adaptive ladder's stitch size 10 — and the key prints the effective
+   k: a request without k and one with k = 7 never share an entry,
+   while an explicit k = 10 finds the no-k entry. *)
+let test_partition_k_key () =
+  let cache = Driver.Pipeline.make_cache ~capacity:8 () in
+  let g = Workloads.Shapes.snowflake_n 80 and algo = Core.Optimizer.Partition in
+  let default = render (Driver.Pipeline.optimize_graph ~cache ~algo g) in
+  let k7 = render (Driver.Pipeline.optimize_graph ~cache ~algo ~k:7 g) in
+  Alcotest.(check int) "k = 7 misses" 2 (Pc.stats cache).Pc.misses;
+  Alcotest.(check string)
+    "k = 7 entry is a k = 7 plan"
+    (render (Driver.Pipeline.optimize_graph ~algo ~k:7 g))
+    k7;
+  check "k = 7 plan differs from the default" true (default <> k7);
+  let k10 = render (Driver.Pipeline.optimize_graph ~cache ~algo ~k:10 g) in
+  Alcotest.(check string) "k = 10 hits the no-k entry" default k10;
+  Alcotest.(check int) "one hit" 1 (Pc.stats cache).Pc.hits
+
 let batch_sql =
   [
     "SELECT * FROM a, b, c WHERE a.x = b.x AND b.y = c.y";
@@ -409,6 +428,8 @@ let () =
           Alcotest.test_case "graphs x algorithms" `Quick
             test_differential_graphs;
           Alcotest.test_case "jobs sweep" `Quick test_differential_jobs;
+          Alcotest.test_case "partition default k in the key" `Quick
+            test_partition_k_key;
           Alcotest.test_case "conflict modes" `Quick test_differential_modes;
           Alcotest.test_case "filter modes bypass" `Quick
             test_filter_mode_bypass;

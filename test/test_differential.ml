@@ -286,6 +286,121 @@ let test_skip_observed () =
   check "idp-10 latency sampled" true (contains_sub prom "tier=\"idp-10\"");
   check "no exact latency sample" false (contains_sub prom "tier=\"exact\"")
 
+(* ---------- large-query tiers, pinned byte for byte ---------- *)
+
+let counters_line (c : Core.Counters.t) =
+  Printf.sprintf "pairs=%d ccp=%d cost-calls=%d neighborhoods=%d"
+    c.Core.Counters.pairs_considered c.ccp_emitted c.cost_calls
+    c.neighborhood_calls
+
+let attempts_line attempts =
+  String.concat "; "
+    (List.map
+       (fun (a : Core.Adaptive.attempt) ->
+         Printf.sprintf "%s:%b:%d" (Core.Adaptive.tier_name a.tier)
+           a.completed a.pairs)
+       attempts)
+
+(* Wide graphs enter the ladder at the partitioned tier, which
+   answers within a 1M budget: per-block exact DP, then the IDP
+   stitching rounds.  Plans, counters and attempts pinned. *)
+let test_partitioned_pins () =
+  List.iter
+    (fun (name, g, digest, counters, attempts) ->
+      let r = Opt.run ~budget:1_000_000 Opt.Adaptive g in
+      Alcotest.(check string) (name ^ " plan") digest (plan_digest r);
+      Alcotest.(check string)
+        (name ^ " counters") counters
+        (counters_line r.Opt.counters);
+      Alcotest.(check string)
+        (name ^ " attempts") attempts
+        (attempts_line r.Opt.attempts))
+    [
+      ( "snowflake-80",
+        Workloads.Shapes.snowflake_n 80,
+        "17e18ffd16b32b87a4abefa7ce16af54",
+        "pairs=9676 ccp=9676 cost-calls=19352 neighborhoods=14584",
+        "partitioned:true:9676" );
+      ( "star-100",
+        Workloads.Shapes.star 100,
+        "7d5a4f446ae0b286a9a82f3d2bce09b5",
+        "pairs=25345 ccp=25345 cost-calls=50690 neighborhoods=36813",
+        "partitioned:true:25345" );
+      ( "chain-160",
+        Workloads.Shapes.chain 160,
+        "275c02be30e406a8e0bb07dbbc24601d",
+        "pairs=2230 ccp=2230 cost-calls=4460 neighborhoods=3950",
+        "partitioned:true:2230" );
+      ( "grid-8x8",
+        Workloads.Shapes.grid ~rows:8 ~cols:8 (),
+        "9252cadb4a9b415cc89d8822664741fe",
+        "pairs=5865 ccp=5865 cost-calls=11730 neighborhoods=8027",
+        "partitioned:true:5865" );
+    ]
+
+(* [-a partition] without k is the ladder's partitioned tier. *)
+let test_partition_is_partitioned_tier () =
+  List.iter
+    (fun (name, g) ->
+      let p = Opt.run Opt.Partition g and a = Core.Adaptive.solve g in
+      check (name ^ " partitioned tier") true
+        (a.Core.Adaptive.tier = Core.Adaptive.Partitioned);
+      Alcotest.(check string)
+        (name ^ " plan")
+        (Digest.to_hex
+           (Digest.string (Plans.Plan.to_string (Option.get a.Core.Adaptive.plan))))
+        (plan_digest p);
+      Alcotest.(check string)
+        (name ^ " counters")
+        (counters_line a.Core.Adaptive.counters)
+        (counters_line p.Opt.counters))
+    [
+      ("snowflake-80", Workloads.Shapes.snowflake_n 80);
+      ("star-100", Workloads.Shapes.star 100);
+    ]
+
+(* k < 2 is refused before any block is solved, whether or not one
+   block would cover the graph. *)
+let test_k_checked_first () =
+  List.iter
+    (fun n ->
+      let g = Workloads.Shapes.chain n in
+      List.iter
+        (fun (name, solve) ->
+          let counters = Core.Counters.create () in
+          (match solve counters g with
+          | _ -> Alcotest.failf "%s chain-%d: k = 1 accepted" name n
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s chain-%d: no pair before the check" name n)
+            0 counters.Core.Counters.pairs_considered)
+        [
+          ("partition", fun counters g -> Core.Partition.solve ~counters ~k:1 g);
+          ("idp", fun counters g -> Core.Idp.solve ~counters ~k:1 g);
+        ])
+    [ 8; 70 ]
+
+(* On star-hyper-16 at split level 4, IDP-3's blocks are straddled by
+   complex edges five times; each stuck round widens its block. *)
+let test_idp_widening_pin () =
+  let g = List.nth (Workloads.Splits.star_based 16) 4 in
+  let counters = Core.Counters.create () and ctx = Obs.Span.create () in
+  let plan = Option.get (Core.Idp.solve ~obs:ctx ~counters ~k:3 g) in
+  Alcotest.(check string)
+    "plan" "29bee7c6932524219d9f0d4d286c15a0"
+    (Digest.to_hex (Digest.string (Plans.Plan.to_string plan)));
+  Alcotest.(check string)
+    "counters" "pairs=92 ccp=92 cost-calls=184 neighborhoods=268"
+    (counters_line counters);
+  let spans = Obs.Span.spans ctx in
+  Alcotest.(check int) "rounds" 11 (List.length spans);
+  Alcotest.(check int)
+    "widened rounds" 5
+    (List.length
+       (List.filter
+          (fun (s : Obs.Sink.span) -> List.mem_assoc "widened" s.attrs)
+          spans))
+
 (* The gate fires exactly when min_pairs exceeds the budget, and
    then the rung it skipped would have raised.  Budgets range over
    [0, 2·min_pairs], plus both sides of the threshold. *)
@@ -753,6 +868,17 @@ let () =
           Alcotest.test_case "skip in spans, not in latency" `Quick
             test_skip_observed;
           q prop_skip_only_certain_overruns;
+        ] );
+      ( "large-query",
+        [
+          Alcotest.test_case "partitioned tier pinned at 1M" `Quick
+            test_partitioned_pins;
+          Alcotest.test_case "idp-3 widening on star-hyper-16" `Quick
+            test_idp_widening_pin;
+          Alcotest.test_case "partition = the partitioned tier" `Quick
+            test_partition_is_partitioned_tier;
+          Alcotest.test_case "k < 2 refused before any work" `Quick
+            test_k_checked_first;
         ] );
       ( "budget",
         [

@@ -111,21 +111,33 @@ let test_sampling () =
 (* ---------- context labels (adaptive ladder, IDP rounds) ---------- *)
 
 let test_context_labels () =
-  let g = Workloads.Shapes.star 6 in
+  let g = Workloads.Shapes.snowflake_n 80 in
   let prov = Prov.create () in
   let o =
-    Prov.with_recording prov (fun () -> Core.Adaptive.solve ~budget:50 g)
+    Prov.with_recording prov (fun () ->
+        Core.Adaptive.solve ~budget:1_000_000 g)
   in
-  check "fallback tier won" true (o.Core.Adaptive.tier <> Core.Adaptive.Exact);
+  check "partitioned tier won" true
+    (o.Core.Adaptive.tier = Core.Adaptive.Partitioned);
   let contexts =
     List.concat_map
       (fun sub -> List.map (fun c -> c.Prov.context) sub.Prov.champions)
       (Prov.subsets prov)
+    |> List.sort_uniq compare
   in
-  check "tier context captured" true
-    (List.exists (fun c -> contains "tier:" c) contexts);
-  check "idp round context nested under its tier" true
-    (List.exists (fun c -> contains "idp:round:" c) contexts)
+  (* eight clustered blocks, then two stitching rounds, every label
+     nested under its tier *)
+  Alcotest.(check (list string))
+    "contexts"
+    (List.map
+       (fun l -> "tier:partitioned/" ^ l)
+       [
+         "idp:round:1"; "idp:round:2"; "partition:block:R0";
+         "partition:block:R10"; "partition:block:R19"; "partition:block:R28";
+         "partition:block:R37"; "partition:block:R46"; "partition:block:R64";
+         "partition:block:R72";
+       ])
+    contexts
 
 (* ---------- renderings ---------- *)
 
