@@ -128,16 +128,19 @@ let trace_out_arg =
 let obs_ctx profile trace_out =
   if profile || trace_out <> None then Some (Obs.Span.create ()) else None
 
+let write_trace trace_out ctx =
+  Option.iter
+    (fun path ->
+      Obs.Sink.write_chrome path (Obs.Span.spans ctx);
+      Format.printf "span trace written to %s (open in Perfetto)@." path)
+    trace_out
+
 let report_obs obs profile trace_out (r : Core.Optimizer.result) =
   match obs with
   | None -> ()
   | Some ctx ->
       let p = Core.Optimizer.profile ctx r in
-      (match trace_out with
-      | Some path ->
-          Obs.Sink.write_chrome path (Obs.Span.spans ctx);
-          Format.printf "span trace written to %s (open in Perfetto)@." path
-      | None -> ());
+      write_trace trace_out ctx;
       if profile then Format.printf "@.%a" Obs.Metrics.pp_table p
 
 let shape_arg =
@@ -293,11 +296,7 @@ let explain_cmd =
       (match r.profile with
       | Some p -> Format.printf "%a" Obs.Metrics.pp_table p
       | None -> ());
-      (match trace_out with
-      | Some path ->
-          Obs.Sink.write_chrome path (Obs.Span.spans ctx);
-          Format.printf "span trace written to %s (open in Perfetto)@." path
-      | None -> ());
+      write_trace trace_out ctx;
       0
     in
     match cache_cap with
@@ -406,16 +405,12 @@ let replay_stream shape n rp =
   | exception Invalid_argument msg -> Error msg
 
 (* Serve every request of the stream through [optimize] on [jobs]
-   domains; the message of a failed request, if any. *)
+   domains; the message of the first failed request, if any. *)
 let serve_replay ~jobs w optimize =
-  let failed = Atomic.make None in
-  Parallel.Pool.with_pool ~jobs (fun pool ->
-      Parallel.Pool.run_fun pool (Array.length w.Workloads.Replay.requests)
-        (fun i _wid ->
-          match optimize (Workloads.Replay.graph w i) with
-          | Ok _ -> ()
-          | Error m -> Atomic.set failed (Some m)));
-  Atomic.get failed
+  Driver.Pipeline.run_batch ~jobs
+    (fun _obs i -> Result.map ignore (optimize (Workloads.Replay.graph w i)))
+    (List.init (Array.length w.Workloads.Replay.requests) Fun.id)
+  |> List.find_map (function Ok () -> None | Error m -> Some m)
 
 (* ------------------------------------------------------------------ *)
 (* cache-stats: replay a synthetic stream through a plan cache         *)
@@ -811,12 +806,7 @@ let analyze_cmd =
         (match obs with
         | None -> ()
         | Some ctx ->
-            (match trace_out with
-            | Some path ->
-                Obs.Sink.write_chrome path (Obs.Span.spans ctx);
-                Format.printf "span trace written to %s (open in Perfetto)@."
-                  path
-            | None -> ());
+            write_trace trace_out ctx;
             if profile then
               match rep.Driver.Analyze.profile with
               | Some p -> Format.printf "@.%a" Obs.Metrics.pp_table p
@@ -875,8 +865,8 @@ let inspect_cmd =
           Inspect.Provenance.create ~sample ~max_subsets ~max_champions ()
         in
         match
-          Driver.Pipeline.optimize_graph ~inspect:prov ~algo ~model ?budget ?k
-            g
+          Inspect.Provenance.with_recording prov (fun () ->
+              Driver.Pipeline.optimize_graph ~algo ~model ?budget ?k g)
         with
         | Error msg ->
             Format.eprintf "error: %s@." msg;

@@ -34,13 +34,6 @@ let budget_error =
   "work budget exhausted before a plan was found (use the adaptive algorithm \
    for graceful degradation)"
 
-(* Top-3 costliest memo subsets of a recorded run, with relation
-   names resolved — the pre-rendered shape the profile and the flight
-   recorder carry. *)
-let prov_summary graph prov =
-  let names i = (Hypergraph.Graph.relation graph i).Hypergraph.Graph.name in
-  Inspect.Provenance.top_costly_labeled ~names prov 3
-
 (* The optimizer parameters of one request — everything after the
    hypergraph exists that can change its plan, plus how to run it. *)
 type request = {
@@ -50,38 +43,27 @@ type request = {
   k : int option;
   dpconv_objective : Core.Dpconv.objective option;
   jobs : int;
-  inspect : Inspect.Provenance.t option;
 }
 
-let request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo =
-  { algo; model; budget; k; dpconv_objective; jobs; inspect }
+let request ?model ?budget ?k ?dpconv_objective ~jobs algo =
+  { algo; model; budget; k; dpconv_objective; jobs }
 
 (* Intra-query parallelism: [jobs > 1] runs the enumeration itself on
    a domain pool — only DPhyp has a parallel decomposition (see
    Parallel.Par_dphyp); every other algorithm refuses rather than
    silently running sequentially. *)
 let run_algo ?obs ?filter q graph =
-  let go () =
-    if q.jobs <= 1 then
-      Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget ?k:q.k
-        ?dpconv_objective:q.dpconv_objective q.algo graph
-    else if q.algo <> Core.Optimizer.Dphyp then
-      invalid_arg
-        (Printf.sprintf "jobs > 1 requires the dphyp algorithm (got %s)"
-           (Core.Optimizer.name q.algo))
-    else
-      Parallel.Pool.with_pool ~jobs:q.jobs (fun pool ->
-          Parallel.Par_dphyp.run ?obs ?model:q.model ?filter ?budget:q.budget
-            ~pool graph)
-  in
-  match q.inspect with
-  | None -> go ()
-  | Some prov ->
-      (* The recorder attaches through ambient (domain-wide) state;
-         a parallel enumeration would race on it. *)
-      if q.jobs > 1 then
-        invalid_arg "provenance recording (--inspect) requires jobs = 1";
-      Inspect.Provenance.with_recording prov go
+  if q.jobs <= 1 then
+    Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget ?k:q.k
+      ?dpconv_objective:q.dpconv_objective q.algo graph
+  else if q.algo <> Core.Optimizer.Dphyp then
+    invalid_arg
+      (Printf.sprintf "jobs > 1 requires the dphyp algorithm (got %s)"
+         (Core.Optimizer.name q.algo))
+  else
+    Parallel.Pool.with_pool ~jobs:q.jobs (fun pool ->
+        Parallel.Par_dphyp.run ?obs ?model:q.model ?filter ?budget:q.budget
+          ~pool graph)
 
 (* The errors an enumeration may raise, as values. *)
 let guard f =
@@ -123,10 +105,8 @@ let exact_key q graph =
 
 (* Memoized enumeration.  A conflict-mode validity filter is a
    closure the key cannot capture, so those runs bypass the cache
-   rather than risk serving a plan computed under a different filter;
-   so does a provenance-recorded request, which must actually
-   enumerate — a cache hit has no decision trail to record.  On a
-   miss the optimizer runs inside the requester's [cache] span (so
+   rather than risk serving a plan computed under a different filter.
+   On a miss the optimizer runs inside the requester's [cache] span (so
    explain shows enumerate nested under cache); a hit or a coalesced
    wait returns the memoized result untouched — the cached plan is
    the exact value a fresh run would build, because the key is exact.
@@ -138,7 +118,7 @@ let exact_key q graph =
    request with telemetry hashes the graph once. *)
 let run_cached ?obs ?cache ?filter q ~fp graph =
   match cache with
-  | Some c when filter = None && q.inspect = None ->
+  | Some c when filter = None ->
       Obs.Span.with_opt obs "cache" (fun sp ->
           let key =
             Cache.Plan_cache.key ~fingerprint:(Lazy.force fp)
@@ -222,18 +202,13 @@ let tel_record tel q ~spans ~t0 ~(gc0 : Gc.stat) ~graph ~fp outcome =
       ]
     "joinopt_optimize_latency_seconds" wall_s;
   List.iter (observe_span tel) spans;
-  let provenance =
-    match q.inspect with
-    | None -> []
-    | Some prov -> prov_summary graph prov
-  in
   Obs.Recorder.record (Obs.Export.recorder tel)
     ~fingerprint:(Cache.Fingerprint.to_hex (Lazy.force fp))
     ~relations:(Hypergraph.Graph.num_nodes graph)
     ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s
     ~minor_words:(gc1.Gc.minor_words -. gc0.Gc.minor_words)
     ~major_words:(gc1.Gc.major_words -. gc0.Gc.major_words)
-    ~provenance ~spans ()
+    ~spans ()
 
 let export_cache_stats tel cache =
   let s = Cache.Plan_cache.stats cache in
@@ -259,17 +234,12 @@ let export_cache_stats tel cache =
         "joinopt_plan_cache_entries" (float_of_int n))
     (Cache.Plan_cache.shard_entries cache)
 
-let build_profile ?cache ?inspect ~graph obs r =
+let build_profile ?cache obs r =
   Option.map
     (fun ctx ->
       let p = Core.Optimizer.profile ctx r in
-      let p =
-        match cache with
-        | Some c -> Obs.Metrics.with_cache p (cache_metrics c)
-        | None -> p
-      in
-      match inspect with
-      | Some prov -> Obs.Metrics.with_provenance p (prov_summary graph prov)
+      match cache with
+      | Some c -> Obs.Metrics.with_cache p (cache_metrics c)
       | None -> p)
     obs
 
@@ -318,7 +288,7 @@ let serve ?obs ?tel ?cache q front =
               plan;
               counters;
               tier;
-              profile = build_profile ?cache ?inspect:q.inspect ~graph obs r;
+              profile = build_profile ?cache obs r;
             }
       | Ok (({ Core.Optimizer.plan = None; _ } as r), outc) ->
           record (Ok (r, outc));
@@ -369,16 +339,16 @@ let tree_front ~mode ?cards ?sels q obs tree =
                (Core.Optimizer.name q.algo))
       | _ -> Ok { graph; filter; to_tree = (fun _ -> tree) })
 
-let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
+let optimize_tree ?obs ?tel ?cache ?(mode = Tes_literal)
     ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
     ?(jobs = 1) ?cards ?sels tree =
-  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
   serve ?obs ?tel ?cache q (fun ctx -> tree_front ~mode ?cards ?sels q ctx tree)
 
-let optimize_sql ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
+let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
     ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
     ?(jobs = 1) ?cards ?sels sql =
-  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
   serve ?obs ?tel ?cache q (fun ctx ->
       match
         Obs.Span.with_opt ctx "parse" (fun _ ->
@@ -387,9 +357,9 @@ let optimize_sql ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
       | Error m -> Error m
       | Ok bound -> tree_front ~mode ?cards ?sels q ctx bound.tree)
 
-let optimize_graph ?obs ?tel ?cache ?inspect ?(algo = Core.Optimizer.Dphyp)
-    ?model ?budget ?k ?dpconv_objective ?(jobs = 1) graph =
-  let q = request ?model ?budget ?k ?dpconv_objective ?inspect ~jobs algo in
+let optimize_graph ?obs ?tel ?cache ?(algo = Core.Optimizer.Dphyp) ?model
+    ?budget ?k ?dpconv_objective ?(jobs = 1) graph =
+  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
   serve ?obs ?tel ?cache q (fun ctx ->
       Ok
         {

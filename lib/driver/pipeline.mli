@@ -8,7 +8,13 @@
       match Driver.Pipeline.optimize_sql "SELECT * FROM a JOIN b ON a.k = b.k" with
       | Ok r -> Format.printf "%a@." Plans.Plan.pp r.plan
       | Error msg -> prerr_endline msg
-    ]} *)
+    ]}
+
+    A request is observed through two optional channels: [?obs]
+    collects its span tree and fills the result's [profile], [?tel]
+    feeds always-on serving telemetry.  Search-space provenance is
+    not a third channel: [Inspect.Provenance.with_recording] wraps
+    any call of this module and records the DP tables it builds. *)
 
 type conflict_mode =
   | Tes_literal  (** the paper's CalcTES with the literal path gate *)
@@ -68,7 +74,6 @@ val optimize_tree :
   ?obs:Obs.Span.ctx ->
   ?tel:Obs.Export.t ->
   ?cache:plan_cache ->
-  ?inspect:Inspect.Provenance.t ->
   ?mode:conflict_mode ->
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
@@ -102,16 +107,11 @@ val optimize_tree :
     — they produce the key — so a hit costs one fingerprint plus one
     serialization instead of an enumeration.
 
-    [?inspect] records search-space provenance into the given
-    recorder: every DP table the enumeration creates hooks itself
-    ({!Inspect.Provenance.with_recording}), so after the call the
-    recorder holds the champion history and pruning statistics behind
-    [joinopt inspect] / [joinopt why].  A recorded request bypasses
-    [?cache] (a cache hit has no decision trail) and requires
-    [jobs = 1] — the hook is ambient, single-domain state — yielding
-    [Error] otherwise.  The result's [profile] and the [?tel] flight
-    recorder gain the top-3 costliest memo subsets as a provenance
-    summary.
+    To record search-space provenance, wrap the call in
+    [Inspect.Provenance.with_recording]: every DP table the
+    enumeration builds records into the recorder, under any [?jobs]
+    (the parallel enumerator builds its one table on the calling
+    domain).  A plan-cache hit builds no table and records nothing.
 
     [?tel] is always-on serving telemetry, independent of [?obs]:
     every request records into the
@@ -136,7 +136,6 @@ val optimize_sql :
   ?obs:Obs.Span.ctx ->
   ?tel:Obs.Export.t ->
   ?cache:plan_cache ->
-  ?inspect:Inspect.Provenance.t ->
   ?mode:conflict_mode ->
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
@@ -156,7 +155,6 @@ val optimize_graph :
   ?obs:Obs.Span.ctx ->
   ?tel:Obs.Export.t ->
   ?cache:plan_cache ->
-  ?inspect:Inspect.Provenance.t ->
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->

@@ -14,23 +14,6 @@ type cache = { g : Graph.t; memo : bool NsTbl.t }
 
 let make_cache g = { g; memo = NsTbl.create 1024 }
 
-let reachable_overapprox g seed =
-  let grow s =
-    let acc = ref s in
-    Ns.iter (fun v -> acc := Ns.union !acc (Graph.simple_neighbors g v)) s;
-    Array.iter
-      (fun e ->
-        if Ns.intersects (Hyperedge.covers e) s then
-          acc := Ns.union !acc (Hyperedge.covers e))
-      (Graph.edges g);
-    !acc
-  in
-  let rec fix s =
-    let s' = grow s in
-    if Ns.equal s s' then s else fix s'
-  in
-  fix seed
-
 (* Definition 3, evaluated top-down with memoization: S is connected
    iff |S| = 1, or some partition (S1, S2) with min(S) ∈ S1 has both
    halves connected and an edge of the S-induced subgraph connecting

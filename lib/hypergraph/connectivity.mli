@@ -22,9 +22,3 @@ val is_connected : cache -> Nodeset.Node_set.t -> bool
 val is_connected_graph : Graph.t -> bool
 (** Is the whole hypergraph connected? *)
 
-val reachable_overapprox :
-  Graph.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t
-(** Weak reachability closure from a seed set (an edge glues every
-    relation it mentions).  A cheap over-approximation: a set can only
-    be connected if it is weakly connected.  Used as a fast negative
-    filter. *)

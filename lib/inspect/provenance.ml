@@ -24,8 +24,11 @@ module G = Hypergraph.Graph
    hooked without any algorithm threading a recorder parameter.  The
    algorithm layers label their tables with
    Plans.Dp_table.with_context; the label is captured into each
-   champion entry.  Single-domain only, like the ambient hook it
-   rides on — the driver refuses [?inspect] with [jobs > 1]. *)
+   champion entry.  The hook is domain-local, so recording covers the
+   tables the calling domain builds inside the wrapped call: a
+   parallel DPhyp run (one table, filled on the calling domain)
+   records what the sequential run records, and a batch running on
+   other domains records nothing. *)
 
 module NsTbl = Hashtbl.Make (struct
   type t = Ns.t
@@ -175,31 +178,10 @@ let subsets t =
 let champion sub =
   match sub.champions with [] -> None | c :: _ -> Some c
 
-(* Costliest recorded subsets by their final champion's cost,
-   costliest first; ties broken by set order so the ranking is
-   deterministic. *)
-let top_costly t k =
-  let ranked =
-    NsTbl.fold
-      (fun _ sub acc ->
-        match champion sub with
-        | Some c -> (sub.set, c.cost) :: acc
-        | None -> acc)
-      t.tbl []
-    |> List.stable_sort (fun (sa, ca) (sb, cb) ->
-           match Float.compare cb ca with
-           | 0 -> Ns.compare sa sb
-           | c -> c)
-  in
-  List.filteri (fun i _ -> i < k) ranked
-
 let set_to_string ?names s =
   match names with
   | Some f -> Format.asprintf "%a" (Ns.pp_named f) s
   | None -> Format.asprintf "%a" Ns.pp s
-
-let top_costly_labeled ?names t k =
-  List.map (fun (s, c) -> (set_to_string ?names s, c)) (top_costly t k)
 
 (* ---------- human table ---------- *)
 

@@ -14,8 +14,21 @@
     table the run builds — the main memo, partitioned-tier block
     tables, IDP round tables — hooks itself, with the algorithm
     layers' {!Plans.Dp_table.with_context} labels captured into each
-    champion entry.  Ambient state is single-domain: the driver
-    refuses provenance recording for parallel runs.
+    champion entry.  Recording wraps a call — any optimizer or
+    pipeline entry point — rather than being one of its parameters:
+
+    {[
+      let prov = Inspect.Provenance.create () in
+      Inspect.Provenance.with_recording prov (fun () ->
+          Driver.Pipeline.optimize_graph ~algo ~jobs g)
+    ]}
+
+    The hook is domain-local, so the recording covers the tables the
+    calling domain builds inside the call.  A parallel DPhyp run
+    builds its one table on the calling domain and fills it in
+    sequential per-subset order, so [--jobs N] records what
+    [--jobs 1] records; a plan-cache hit builds no table and records
+    nothing; work on other domains (a batch) is not recorded.
 
     Renders three ways: {!pp_table} (the human memo dump behind
     [joinopt inspect]), {!to_json} (the [obs_inspect/v1] schema), and
@@ -70,8 +83,8 @@ val attach : t -> Plans.Dp_table.t -> unit
     every table the wrapped run creates). *)
 
 val with_recording : t -> (unit -> 'a) -> 'a
-(** Run [body] with every DP table it creates attached to [t].
-    Single-domain (ambient observer); restores on exit. *)
+(** Run [body] with every DP table it creates on the calling domain
+    attached to [t]; restores the previous observer on exit. *)
 
 val stats : t -> stats
 
@@ -83,15 +96,6 @@ val subsets : t -> subset list
 
 val champion : subset -> champion option
 (** The current (final) champion, if any candidate ever installed. *)
-
-val top_costly : t -> int -> (Ns.t * float) list
-(** The [k] costliest recorded subsets by final champion cost,
-    costliest first, ties broken by set order. *)
-
-val top_costly_labeled :
-  ?names:(int -> string) -> t -> int -> (string * float) list
-(** {!top_costly} with sets pre-rendered — the shape
-    {!Obs.Recorder.record} and {!Obs.Metrics.with_provenance} take. *)
 
 val set_to_string : ?names:(int -> string) -> Ns.t -> string
 

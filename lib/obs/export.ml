@@ -278,14 +278,6 @@ let request_json (r : Recorder.request) =
     r.Recorder.minor_words r.Recorder.major_words;
   Buffer.add_string b
     (String.concat ", " (List.map Sink.span_to_json r.Recorder.spans));
-  Buffer.add_string b "], \"provenance\": [";
-  Buffer.add_string b
-    (String.concat ", "
-       (List.map
-          (fun (label, cost) ->
-            Printf.sprintf "{\"subset\": %s, \"cost\": %s}"
-              (Json_util.quote label) (prom_float cost))
-          r.Recorder.provenance));
   Buffer.add_string b "]}";
   Buffer.contents b
 
@@ -421,13 +413,6 @@ let print_stats ?(top = 5) ppf t =
           (Option.value r.Recorder.cache ~default:"-")
           r.Recorder.pairs
           (r.Recorder.wall_s *. 1e3)
-          (List.length r.Recorder.spans);
-        match r.Recorder.provenance with
-        | [] -> ()
-        | prov ->
-            Format.fprintf ppf "       costliest subsets: %a@." pp_kvs
-              (List.map
-                 (fun (label, cost) -> kv label (Printf.sprintf "%.4g" cost))
-                 prov))
+          (List.length r.Recorder.spans))
       slow
   end

@@ -90,9 +90,8 @@ val prometheus : t -> string
 
 val request_json : Recorder.request -> string
 (** One flight-recorder request as a JSON object — fingerprint,
-    algorithm, tier/cache labels, wall clock, allocation, the
-    provenance summary (costliest memo subsets, when recorded) and
-    the promoted span tree.  The shape {!to_json} embeds in its
+    algorithm, tier/cache labels, wall clock, allocation and the
+    promoted span tree.  The shape {!to_json} embeds in its
     [slow_requests] array. *)
 
 val to_json : ?top:int -> t -> string

@@ -41,11 +41,10 @@ type profile = {
   winning_tier : string option;
   quality : quality option;
   cache : cache_stats option;
-  provenance : (string * float) list;
 }
 
 let make ?counters ?(dp_entries = 0) ?(tiers = []) ?winning_tier ?quality
-    ?cache ?(provenance = []) ~total_s spans =
+    ?cache ~total_s spans =
   (* Sort with a total tie-break (start, depth, name): concurrent
      spans can share a start timestamp, and golden/--stable diffs need
      byte-stable ordering however the scheduler interleaved them. *)
@@ -60,16 +59,11 @@ let make ?counters ?(dp_entries = 0) ?(tiers = []) ?winning_tier ?quality
         | c -> c)
       spans
   in
-  {
-    spans; total_s; counters; dp_entries; tiers; winning_tier; quality; cache;
-    provenance;
-  }
+  { spans; total_s; counters; dp_entries; tiers; winning_tier; quality; cache }
 
 let with_quality p q = { p with quality = Some q }
 
 let with_cache p c = { p with cache = Some c }
-
-let with_provenance p prov = { p with provenance = prov }
 
 (* ---------- the explain table ---------- *)
 
@@ -158,12 +152,4 @@ let pp_table ppf p =
           Export.kv_ratio "entries" c.cache_entries c.cache_capacity;
         ]
   | None -> ());
-  (match p.provenance with
-  | [] -> ()
-  | prov ->
-      Format.fprintf ppf "costliest subsets: %a@." Export.pp_kvs
-        (List.map
-           (fun (label, cost) ->
-             Export.kv label (Printf.sprintf "%.4g" cost))
-           prov));
   Format.fprintf ppf "dp entries: %d@." p.dp_entries

@@ -68,12 +68,6 @@ type profile = {
   winning_tier : string option;
   quality : quality option;  (** measured plan quality, when executed *)
   cache : cache_stats option;  (** plan-cache snapshot, when one was used *)
-  provenance : (string * float) list;
-      (** search-space provenance summary: the costliest memo subsets
-          of the run as pre-rendered [(label, cost)] pairs — populated
-          when the run was provenance-recorded ([?inspect]), empty
-          otherwise.  Plain strings on purpose: the inspect layer owns
-          the plan types, [obs] stays at the bottom. *)
 }
 
 val make :
@@ -83,7 +77,6 @@ val make :
   ?winning_tier:string ->
   ?quality:quality ->
   ?cache:cache_stats ->
-  ?provenance:(string * float) list ->
   total_s:float ->
   Sink.span list ->
   profile
@@ -97,10 +90,6 @@ val with_quality : profile -> quality -> profile
 val with_cache : profile -> cache_stats -> profile
 (** Attach a plan-cache snapshot (the driver adds it after the
     optimizer built the base profile, mirroring {!with_quality}). *)
-
-val with_provenance : profile -> (string * float) list -> profile
-(** Attach a provenance summary (the driver adds it after a
-    provenance-recorded run, mirroring {!with_cache}). *)
 
 val pp_table : Format.formatter -> profile -> unit
 (** The per-phase explain table: one row per span (indented by

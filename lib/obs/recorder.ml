@@ -20,7 +20,6 @@ type request = {
   minor_words : float;
   major_words : float;
   spans : Sink.span list;
-  provenance : (string * float) list;
 }
 
 type t = {
@@ -46,7 +45,7 @@ let capacity t = Array.length t.ring
 let slow_threshold_s t = t.slow_s
 
 let record t ~fingerprint ~relations ~algo ?tier ?cache ~pairs ~wall_s
-    ~minor_words ~major_words ?(spans = []) ?(provenance = []) () =
+    ~minor_words ~major_words ?(spans = []) () =
   Mutex.lock t.lock;
   let slow = wall_s >= t.slow_s in
   let r =
@@ -61,10 +60,9 @@ let record t ~fingerprint ~relations ~algo ?tier ?cache ~pairs ~wall_s
       wall_s;
       minor_words;
       major_words;
-      (* promotion: only slow requests keep their span tree and their
-         provenance summary — fast requests stay a dozen words *)
+      (* promotion: only slow requests keep their span tree — fast
+         requests stay a dozen words *)
       spans = (if slow then spans else []);
-      provenance = (if slow then provenance else []);
     }
   in
   t.ring.(t.next) <- Some r;

@@ -24,12 +24,6 @@ type request = {
   major_words : float;
   spans : Sink.span list;
       (** full span tree — non-empty only for slow requests *)
-  provenance : (string * float) list;
-      (** provenance summary: the costliest memo subsets of the
-          request as [(label, cost)], pre-rendered by the layer that
-          owns plan types.  Like [spans], kept only for slow requests
-          — the flight recorder explains slow requests, it does not
-          tax fast ones. *)
 }
 
 type t
@@ -55,12 +49,11 @@ val record :
   minor_words:float ->
   major_words:float ->
   ?spans:Sink.span list ->
-  ?provenance:(string * float) list ->
   unit ->
   unit
-(** Append one request record, assigning its [seq].  [spans] and
-    [provenance] are kept only when [wall_s] reaches the slow
-    threshold.  Thread-safe. *)
+(** Append one request record, assigning its [seq].  [spans] are
+    kept only when [wall_s] reaches the slow threshold.
+    Thread-safe. *)
 
 val recorded : t -> int
 (** Requests ever recorded (>= the number retained). *)

@@ -66,25 +66,27 @@ type t = {
    builds (the main memo, per-block tables, IDP round tables) attaches
    its own offer hook without any algorithm threading a parameter;
    [with_context] lets the algorithm layers label which table is
-   active (tier, block, round) for the same observer.  Plain refs:
-   provenance recording is a single-domain affair (the parallel
-   enumerator refuses it), so no synchronization is needed. *)
+   active (tier, block, round) for the same observer.  Both are
+   domain-local: a spawned domain starts with no observer and an
+   empty label, so recording covers exactly the tables the calling
+   domain builds, and concurrent runs on other domains (a batch, a
+   pool) neither leak into the recorder nor see its labels. *)
 
-let create_observer : (t -> unit) option ref = ref None
+let create_observer : (t -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let context_label = ref ""
+let context_label = Domain.DLS.new_key (fun () -> "")
 
-let with_create_observer f body =
-  let saved = !create_observer in
-  create_observer := Some f;
-  Fun.protect ~finally:(fun () -> create_observer := saved) body
+let with_dls key v body =
+  let saved = Domain.DLS.get key in
+  Domain.DLS.set key v;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set key saved) body
 
-let with_context label body =
-  let saved = !context_label in
-  context_label := label;
-  Fun.protect ~finally:(fun () -> context_label := saved) body
+let with_create_observer f body = with_dls create_observer (Some f) body
 
-let current_context () = !context_label
+let with_context label body = with_dls context_label label body
+
+let current_context () = Domain.DLS.get context_label
 
 let set_hook t h = t.hook <- h
 
@@ -122,7 +124,7 @@ let create_for ?subset g =
       hook = None;
     }
   in
-  (match !create_observer with None -> () | Some f -> f t);
+  (match Domain.DLS.get create_observer with None -> () | Some f -> f t);
   t
 
 let hash_stats t =

@@ -52,18 +52,20 @@ val with_create_observer : (t -> unit) -> (unit -> 'a) -> 'a
     every table created ({!create_for}) during it (the previous observer is
     restored on exit).  This is how a provenance recorder attaches to
     the tables an optimizer run builds internally (per-block, per-IDP
-    round) without any algorithm threading a parameter.  Ambient,
-    single-domain only — the parallel enumerator refuses to run under
-    it. *)
+    round) without any algorithm threading a parameter.  Domain-local:
+    only tables created on the calling domain are observed; a domain
+    spawned during [body] starts with no observer. *)
 
 val with_context : string -> (unit -> 'a) -> 'a
 (** [with_context label body] sets the ambient table-context label for
     the duration of [body] (restored on exit).  Algorithm layers use
     it to tell a provenance observer {e which} table is being filled:
-    ["tier:exact"], ["partition:block:R3"], ["idp:round:2"], ... *)
+    ["tier:exact"], ["partition:block:R3"], ["idp:round:2"], ...
+    Domain-local, like {!with_create_observer}. *)
 
 val current_context : unit -> string
-(** The ambient context label ([""] outside any {!with_context}). *)
+(** The calling domain's context label ([""] outside any
+    {!with_context}). *)
 
 val create_for : ?subset:Nodeset.Node_set.t -> Hypergraph.Graph.t -> t
 (** Table for the query [g], to be filled with connected subsets of

@@ -191,11 +191,6 @@ let test_connectivity_chain () =
   check "gap disconnected" false (Conn.is_connected c (ns [ 0; 2 ]));
   check "whole chain" true (Conn.is_connected_graph g)
 
-let test_reachable_overapprox () =
-  let g = fig2 () in
-  Alcotest.(check (list int)) "reach all" [ 0; 1; 2; 3; 4; 5 ]
-    (Ns.to_list (Conn.reachable_overapprox g (ns [ 0 ])))
-
 let test_components_and_ensure_connected () =
   let g =
     G.make
@@ -746,7 +741,6 @@ let () =
           Alcotest.test_case "Definition 3 subtlety" `Quick
             test_connectivity_paper_subtlety;
           Alcotest.test_case "chain" `Quick test_connectivity_chain;
-          Alcotest.test_case "overapprox" `Quick test_reachable_overapprox;
         ] );
       ( "indexed-vs-naive",
         [

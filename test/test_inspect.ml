@@ -1,6 +1,7 @@
 (* Search-space provenance: recorder semantics (hooked DP tables,
-   champion history, bounds, sampling, ambient attachment), the
-   forced-order "why" analysis, and the pipeline/loss-report wiring. *)
+   champion history, bounds, sampling, domain-local attachment), the
+   forced-order "why" analysis, and recording wrapped around pipeline
+   calls plus the loss-report wiring. *)
 
 module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
@@ -65,6 +66,23 @@ let test_recording_scoped () =
   ignore (Core.Dphyp.solve g);
   check_int "no attachment outside the scope" before
     (Prov.stats prov).Prov.tables
+
+(* The observer and the context label are domain-local: a table built
+   on another domain while this one records is not hooked, and that
+   domain does not see this one's label. *)
+let test_recording_domain_local () =
+  let g = chain 4 in
+  let prov = Prov.create () in
+  let other_context =
+    Prov.with_recording prov (fun () ->
+        Plans.Dp_table.with_context "main-label" (fun () ->
+            Domain.join
+              (Domain.spawn (fun () ->
+                   ignore (Core.Dphyp.solve g);
+                   Plans.Dp_table.current_context ()))))
+  in
+  check_int "no foreign table hooked" 0 (Prov.stats prov).Prov.tables;
+  Alcotest.(check string) "no foreign context label" "" other_context
 
 (* ---------- bounds ---------- *)
 
@@ -165,21 +183,6 @@ let test_to_dot () =
   check "lattice edges present" true (contains " -> " dot);
   check "subset node labeled with cost" true (contains "cost=" dot)
 
-let test_top_costly () =
-  let g, prov = recorded_chain5 () in
-  let top = Prov.top_costly prov 3 in
-  check_int "asked-for length" 3 (List.length top);
-  (match top with
-  | (s, c) :: rest ->
-      check "costliest is the root" true (Ns.equal s (G.all_nodes g));
-      List.iter (fun (_, c') -> check "descending" true (c' <= c)) rest
-  | [] -> Alcotest.fail "empty top");
-  let labeled =
-    Prov.top_costly_labeled ~names:(fun i -> (G.relation g i).G.name) prov 2
-  in
-  check "labels rendered" true
-    (List.for_all (fun (l, _) -> String.length l > 0 && l.[0] = '{') labeled)
-
 (* ---------- why: forced-order analysis ---------- *)
 
 let test_why_suboptimal () =
@@ -248,49 +251,67 @@ let test_why_errors () =
 
 (* ---------- pipeline + loss-report wiring ---------- *)
 
-let test_pipeline_inspect () =
+(* Recording wraps any optimizer call: every table the pipeline's
+   enumeration builds is hooked, and the call's own profile is
+   untouched. *)
+let test_recording_wraps_pipeline () =
   let g = chain 5 in
   let prov = Prov.create () in
   let obs = Obs.Span.create () in
-  match Driver.Pipeline.optimize_graph ~obs ~inspect:prov g with
+  match
+    Prov.with_recording prov (fun () ->
+        Driver.Pipeline.optimize_graph ~obs g)
+  with
   | Error m -> Alcotest.fail m
   | Ok r ->
-      check "provenance recorded through the pipeline" true
+      check "provenance recorded around the pipeline" true
         ((Prov.stats prov).Prov.subsets > 0);
       let p = Option.get r.Driver.Pipeline.profile in
-      check_int "profile carries top-3 summary" 3
-        (List.length p.Obs.Metrics.provenance);
-      check "summary labels are rendered sets" true
-        (List.for_all
-           (fun (l, c) -> l.[0] = '{' && c > 0.0)
-           p.Obs.Metrics.provenance);
       let table = Format.asprintf "%a" Obs.Metrics.pp_table p in
-      check "profile table prints the summary" true
-        (contains "costliest subsets" table);
       check "profile table has a major-words column" true
         (contains "major-words" table)
 
-let test_pipeline_inspect_refuses_parallel () =
-  let g = chain 5 in
-  let prov = Prov.create () in
-  match Driver.Pipeline.optimize_graph ~inspect:prov ~jobs:2 g with
-  | Error m -> check "names the constraint" true (contains "jobs = 1" m)
-  | Ok _ -> Alcotest.fail "parallel inspect must be refused"
+(* The parallel enumerator builds and fills its one table on the
+   calling domain, in sequential per-subset order, so a [~jobs:2]
+   recording is the [~jobs:1] recording. *)
+let test_recording_parallel_equals_sequential () =
+  let recorded jobs g =
+    let prov = Prov.create () in
+    (match
+       Prov.with_recording prov (fun () ->
+           Driver.Pipeline.optimize_graph ~jobs g)
+     with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m);
+    Prov.to_json ~names:(fun i -> (G.relation g i).G.name) ~name:"g" prov
+  in
+  List.iter
+    (fun (label, g) ->
+      Alcotest.(check string) label (recorded 1 g) (recorded 2 g))
+    [
+      ("chain-8", chain 8);
+      ("clique-7", Workloads.Shapes.clique 7);
+      ("cycle-hyper-8 split 2",
+        List.nth (Workloads.Splits.cycle_based 8) 2);
+    ]
 
-(* A recorded request must bypass the plan cache: a hit would return
-   a plan without ever touching a DP table. *)
-let test_pipeline_inspect_bypasses_cache () =
+(* A plan-cache hit returns the memoized plan without building a DP
+   table, so there is nothing to record. *)
+let test_recording_cache_hit_records_nothing () =
   let g = chain 5 in
   let cache = Driver.Pipeline.make_cache ~capacity:8 () in
-  (match Driver.Pipeline.optimize_graph ~cache g with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  let prov = Prov.create () in
-  match Driver.Pipeline.optimize_graph ~cache ~inspect:prov g with
-  | Error m -> Alcotest.fail m
-  | Ok _ ->
-      check "provenance recorded despite a warm cache" true
-        ((Prov.stats prov).Prov.subsets > 0)
+  let record () =
+    let prov = Prov.create () in
+    (match
+       Prov.with_recording prov (fun () ->
+           Driver.Pipeline.optimize_graph ~cache g)
+     with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m);
+    (Prov.stats prov).Prov.tables
+  in
+  check_int "a miss enumerates and records" 1 (record ());
+  check_int "a hit builds no table" 0 (record ())
 
 let test_loss_reports () =
   let g = Workloads.Shapes.star 6 in
@@ -314,6 +335,8 @@ let () =
         [
           Alcotest.test_case "records a chain run" `Quick test_record_chain;
           Alcotest.test_case "recording is scoped" `Quick test_recording_scoped;
+          Alcotest.test_case "recording is domain-local" `Quick
+            test_recording_domain_local;
           Alcotest.test_case "max-subsets bound" `Quick test_max_subsets_bound;
           Alcotest.test_case "max-champions bound" `Quick
             test_max_champions_bound;
@@ -324,7 +347,6 @@ let () =
         [
           Alcotest.test_case "obs_inspect/v1 json" `Quick test_to_json;
           Alcotest.test_case "dot lattice" `Quick test_to_dot;
-          Alcotest.test_case "top costly subsets" `Quick test_top_costly;
         ] );
       ( "why",
         [
@@ -334,11 +356,12 @@ let () =
         ] );
       ( "wiring",
         [
-          Alcotest.test_case "pipeline ?inspect" `Quick test_pipeline_inspect;
-          Alcotest.test_case "refuses jobs > 1" `Quick
-            test_pipeline_inspect_refuses_parallel;
-          Alcotest.test_case "bypasses plan cache" `Quick
-            test_pipeline_inspect_bypasses_cache;
+          Alcotest.test_case "recording wraps the pipeline" `Quick
+            test_recording_wraps_pipeline;
+          Alcotest.test_case "jobs=2 records what jobs=1 records" `Quick
+            test_recording_parallel_equals_sequential;
+          Alcotest.test_case "cache hit records nothing" `Quick
+            test_recording_cache_hit_records_nothing;
           Alcotest.test_case "adaptive loss report" `Quick test_loss_reports;
         ] );
     ]

@@ -347,40 +347,6 @@ let test_recorder_promotion () =
   Alcotest.(check int) "fast request drops its spans" 0 (spans_of "fast");
   Alcotest.(check int) "slow request keeps its spans" 1 (spans_of "slow")
 
-(* Provenance summaries ride the same slow-promotion gate as spans:
-   always accepted by [record], kept only for slow requests. *)
-let test_recorder_provenance_promotion () =
-  let r = Obs.Recorder.create ~slow_s:0.05 ~capacity:8 () in
-  let provenance = [ ("{R0,R1,R2}", 123.5); ("{R0,R1}", 10.0) ] in
-  Obs.Recorder.record r ~fingerprint:"fast" ~relations:4 ~algo:"dphyp"
-    ~pairs:10 ~wall_s:0.01 ~minor_words:0.0 ~major_words:0.0 ~provenance ();
-  Obs.Recorder.record r ~fingerprint:"slow" ~relations:4 ~algo:"dphyp"
-    ~pairs:10 ~wall_s:0.06 ~minor_words:0.0 ~major_words:0.0 ~provenance ();
-  let prov_of fp =
-    let q =
-      List.find
-        (fun q -> q.Obs.Recorder.fingerprint = fp)
-        (Obs.Recorder.to_list r)
-    in
-    q.Obs.Recorder.provenance
-  in
-  Alcotest.(check int) "fast request drops provenance" 0
-    (List.length (prov_of "fast"));
-  Alcotest.(check (list string))
-    "slow request keeps provenance in order" [ "{R0,R1,R2}"; "{R0,R1}" ]
-    (List.map fst (prov_of "slow"));
-  (* and the JSON export renders it as a parseable array *)
-  let json = Obs.Export.request_json (List.nth (Obs.Recorder.to_list r) 1) in
-  Alcotest.(check bool) "json has provenance key" true
-    (let contains needle hay =
-       let nh = String.length hay and nn = String.length needle in
-       let rec go i =
-         i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-       in
-       go 0
-     in
-     contains "\"provenance\"" json && contains "{R0,R1,R2}" json)
-
 let test_recorder_slowest () =
   let r = Obs.Recorder.create ~capacity:8 () in
   List.iter
@@ -512,8 +478,6 @@ let () =
             test_recorder_ring_bounded;
           Alcotest.test_case "slow requests keep spans" `Quick
             test_recorder_promotion;
-          Alcotest.test_case "slow requests keep provenance" `Quick
-            test_recorder_provenance_promotion;
           Alcotest.test_case "slowest-k ordering" `Quick
             test_recorder_slowest;
         ] );
