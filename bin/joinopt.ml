@@ -135,13 +135,37 @@ let write_trace trace_out ctx =
       Format.printf "span trace written to %s (open in Perfetto)@." path)
     trace_out
 
-let report_obs obs profile trace_out (r : Core.Optimizer.result) =
-  match obs with
-  | None -> ()
-  | Some ctx ->
-      let p = Core.Optimizer.profile ctx r in
+let pp_tier_attempts ppf = function
+  | [] -> ()
+  | attempts ->
+      Format.fprintf ppf "tier attempts: %a@." Core.Adaptive.pp_attempts
+        attempts
+
+(* What explain and analyze --profile print under the phase table:
+   each fact of the run once, by the module that owns its record. *)
+let pp_run_facts ?cache ppf ~counters ~tier ~attempts ~dp_entries =
+  Format.fprintf ppf "counters: %a@." Core.Counters.pp counters;
+  pp_tier_attempts ppf attempts;
+  Option.iter
+    (fun t ->
+      Format.fprintf ppf "winning tier: %s@." (Core.Adaptive.tier_name t))
+    tier;
+  Option.iter
+    (fun c ->
+      Format.fprintf ppf "plan cache: %a@." Cache.Plan_cache.pp_stats
+        (Cache.Plan_cache.stats c))
+    cache;
+  Format.fprintf ppf "dp entries: %d@." dp_entries
+
+(* The table is rendered before the trace file is written, so its
+   [total:] line times the run, not the file. *)
+let report_obs obs profile trace_out trailer =
+  Option.iter
+    (fun ctx ->
+      let table = Format.asprintf "%a%t" Obs.Metrics.pp_table ctx trailer in
       write_trace trace_out ctx;
-      if profile then Format.printf "@.%a" Obs.Metrics.pp_table p
+      if profile then Format.printf "@.%s" table)
+    obs
 
 let shape_arg =
   let doc =
@@ -255,7 +279,8 @@ let optimize_cmd =
             1
         | Ok (r, elapsed) ->
             report_result g r elapsed;
-            report_obs obs profile trace_out r;
+            report_obs obs profile trace_out (fun ppf ->
+                pp_tier_attempts ppf r.attempts);
             (match dot_plan, r.Core.Optimizer.plan with
             | Some path, Some p ->
                 Plans.Plan_dot.write_file path g p;
@@ -290,12 +315,12 @@ let explain_cmd =
       Driver.Pipeline.optimize_sql ~obs:ctx ?cache ~mode ~algo ~model ?budget
         ?k ~dpconv_objective ~jobs (read_sql sql)
     in
-    let report ctx (r : Driver.Pipeline.result) =
+    let report ?cache ctx (r : Driver.Pipeline.result) =
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@.@."
         Plans.Plan.pp r.plan r.plan.cost r.plan.card;
-      (match r.profile with
-      | Some p -> Format.printf "%a" Obs.Metrics.pp_table p
-      | None -> ());
+      Format.printf "%a" Obs.Metrics.pp_table ctx;
+      pp_run_facts ?cache Format.std_formatter ~counters:r.counters
+        ~tier:r.tier ~attempts:r.attempts ~dp_entries:r.dp_entries;
       write_trace trace_out ctx;
       0
     in
@@ -325,7 +350,7 @@ let explain_cmd =
             | Ok r ->
                 Format.printf
                   "second run through a plan cache of capacity %d:@." capacity;
-                report ctx r))
+                report ~cache ctx r))
   in
   let cache_cap =
     Arg.(value & opt (some int) None
@@ -575,7 +600,8 @@ let shape_cmd =
             1
         | Ok (r, elapsed) ->
             report_result ~stable g r elapsed;
-            report_obs obs profile trace_out r;
+            report_obs obs profile trace_out (fun ppf ->
+                pp_tier_attempts ppf r.attempts);
             0)
   in
   let stable =
@@ -623,7 +649,8 @@ let graph_cmd =
             1
         | Ok (r, elapsed) ->
             report_result g r elapsed;
-            report_obs obs profile trace_out r;
+            report_obs obs profile trace_out (fun ppf ->
+                pp_tier_attempts ppf r.attempts);
             0)
   in
   let input =
@@ -803,14 +830,10 @@ let analyze_cmd =
             Obs.Atomic_file.write path (Driver.Analyze.to_json ~query:sql rep);
             Format.printf "analyze report written to %s@." path
         | None -> ());
-        (match obs with
-        | None -> ()
-        | Some ctx ->
-            write_trace trace_out ctx;
-            if profile then
-              match rep.Driver.Analyze.profile with
-              | Some p -> Format.printf "@.%a" Obs.Metrics.pp_table p
-              | None -> ());
+        let o = rep.Driver.Analyze.optimizer in
+        report_obs obs profile trace_out (fun ppf ->
+            pp_run_facts ppf ~counters:o.counters ~tier:o.tier
+              ~attempts:o.attempts ~dp_entries:o.dp_entries);
         0
   in
   let rows =
@@ -897,16 +920,12 @@ let inspect_cmd =
                 | None -> ());
                 Inspect.Provenance.pp_table ~names Format.std_formatter prov;
                 (* when a fallback tier won, show what it cost *)
-                match r.Driver.Pipeline.tier with
-                | Some t when t <> Core.Adaptive.Exact -> (
-                    match
-                      Core.Partition.loss_report
-                        ~labels:(Core.Adaptive.tier_name t, "exact")
-                        g plan
-                    with
-                    | Some rep -> Format.printf "@.loss vs exact:@.%s" rep
-                    | None -> ())
-                | _ -> ());
+                match
+                  Option.bind r.Driver.Pipeline.tier (fun t ->
+                      Core.Adaptive.loss_report ~model g t plan)
+                with
+                | Some rep -> Format.printf "@.loss vs exact:@.%s" rep
+                | None -> ());
             0)
   in
   let json =

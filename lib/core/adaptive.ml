@@ -213,10 +213,24 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
           end
   end
 
+let pp_attempt ppf a =
+  match a.skipped with
+  | Some (needs, budget) ->
+      Format.fprintf ppf "%s(skipped: needs ≥ %d pairs > budget %d)"
+        (tier_name a.tier) needs budget
+  | None ->
+      Format.fprintf ppf "%s(%d pairs%s)" (tier_name a.tier) a.pairs
+        (if a.completed then "" else ", budget ran out")
+
+let pp_attempts ppf attempts =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
+    pp_attempt ppf attempts
+
 (* The quality price of graceful degradation, as an aligned plan diff
    (see Partition.loss_report for the exact-baseline caveats). *)
-let loss_report ?model g (o : outcome) =
-  match (o.tier, o.plan) with
-  | Exact, _ | _, None -> None
-  | tier, Some plan ->
+let loss_report ?model g tier plan =
+  match tier with
+  | Exact -> None
+  | tier ->
       Partition.loss_report ?model ~labels:(tier_name tier, "exact") g plan

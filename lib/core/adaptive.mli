@@ -104,15 +104,22 @@ val solve :
     exact rung is skipped — tier {!Conv}.  The exact rung's result is
     unchanged by the pruning; only its cost drops. *)
 
+val pp_attempts : Format.formatter -> attempt list -> unit
+(** The ladder history on one line, in execution order:
+    [dpconv(2322 pairs) -> exact(5001 pairs, budget ran out) ->
+    dpconv(2322 pairs)], with a skipped rung as
+    [exact(skipped: needs ≥ N pairs > budget B)]. *)
+
 val loss_report :
   ?model:Costing.Cost_model.t ->
   Hypergraph.Graph.t ->
-  outcome ->
+  tier ->
+  Plans.Plan.t ->
   string option
-(** What did graceful degradation cost?  When the ladder fell back
-    (winning tier other than {!Exact}) and the graph is small enough
-    to solve exactly, re-solves with unbudgeted DPhyp and renders the
-    aligned {!Plans.Plan_diff} of the tier's plan against the exact
-    optimum, columns labeled with {!tier_name} / ["exact"].  [None]
-    when the ladder already won exactly, produced no plan, or no
+(** What did graceful degradation cost?  When [plan] came from a
+    fallback tier (anything but {!Exact}) and the graph is small
+    enough to solve exactly, re-solves with unbudgeted DPhyp and
+    renders the aligned {!Plans.Plan_diff} of the tier's plan against
+    the exact optimum, columns labeled with {!tier_name} /
+    ["exact"].  [None] when the ladder already won exactly or no
     exact baseline is computable. *)

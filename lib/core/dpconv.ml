@@ -113,44 +113,6 @@ let popcount_table size =
   done;
   fun s -> Char.code (Bytes.unsafe_get pop s)
 
-(* Ranked ("fast") subset convolution: zeta each cardinality slice,
-   multiply pointwise rank by rank, Möbius-invert each target rank.
-   The inversion is not optional even at the top rank — ẑf_i · ẑg_j
-   at S also counts overlapping pairs with |T1| + |T2| = |S| but
-   T1 ∪ T2 ⊊ S, and only Möbius cancels them. *)
-let subset_convolve ~bits f g =
-  check_len ~bits f "subset_convolve";
-  check_len ~bits g "subset_convolve";
-  let size = 1 lsl bits in
-  let popc = popcount_table size in
-  let slice a r =
-    let s = Array.make size 0 in
-    for i = 0 to size - 1 do
-      if popc i = r then s.(i) <- a.(i)
-    done;
-    zeta_in_place ~bits s;
-    s
-  in
-  let zf = Array.init (bits + 1) (slice f) in
-  let zg = Array.init (bits + 1) (slice g) in
-  let h = Array.make size 0 in
-  let c = Array.make size 0 in
-  for k = 0 to bits do
-    Array.fill c 0 size 0;
-    for i = 0 to k do
-      let a = zf.(i) and b = zg.(k - i) in
-      for s = 0 to size - 1 do
-        Array.unsafe_set c s
-          (Array.unsafe_get c s + (Array.unsafe_get a s * Array.unsafe_get b s))
-      done
-    done;
-    mobius_in_place ~bits c;
-    for s = 0 to size - 1 do
-      if popc s = k then h.(s) <- c.(s)
-    done
-  done;
-  h
-
 (* ---------- solver ---------- *)
 
 type outcome = {
@@ -265,7 +227,11 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
          f is the rank-k slice of the ranked subset convolution of the
          layers below — c(S) counts ordered partitions of S into two
          achievable halves — masked by connectivity and cards ≤ τ.
-         zf.(r) caches the zeta transform of each finished layer. *)
+         zf.(r) caches the zeta transform of each finished layer.  The
+         Möbius inversion is not optional even at the top rank:
+         ẑf_i · ẑf_j at S also counts overlapping pairs with
+         |T1| + |T2| = |S| but T1 ∪ T2 ⊊ S, and only Möbius cancels
+         them. *)
       let f = Bytes.create size in
       let zf = Array.make n [||] in
       for r = 1 to n - 1 do

@@ -96,9 +96,9 @@ val solve :
 
 (** {2 Transforms}
 
-    Exposed for the differential tests: in-place subset-sum (zeta) and
-    inversion (Möbius) over a flat lattice array, and the full ranked
-    fast subset convolution. *)
+    In-place subset-sum (zeta) and inversion (Möbius) over a flat
+    lattice array — the two transforms {!solve}'s ranked C_max
+    feasibility layers are built from. *)
 
 val zeta_in_place : bits:int -> int array -> unit
 (** [zeta_in_place ~bits a] replaces [a.(s)] with [Σ_{t ⊆ s} a.(t)]
@@ -106,8 +106,3 @@ val zeta_in_place : bits:int -> int array -> unit
 
 val mobius_in_place : bits:int -> int array -> unit
 (** Inverse of {!zeta_in_place}. *)
-
-val subset_convolve : bits:int -> int array -> int array -> int array
-(** [(f ∗ g)(s) = Σ_{t ⊆ s} f(t) · g(s \ t)] for every [s], via the
-    ranked transforms in O(2^bits · bits²) — the primitive the C_max
-    feasibility layers are built from. *)

@@ -71,39 +71,23 @@ let run ?obs ?model ?filter ?budget ?k ?(dpconv_objective = Dpconv.Cmax) algo
       (Printf.sprintf "Optimizer.run: %s does not support a validity filter"
          (name algo));
   let counters = Counters.create ?budget () in
+  let with_table (dp, plan) =
+    { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
+      attempts = [] }
+  and plan_only plan =
+    { plan; counters; dp_entries = 0; tier = None; attempts = [] }
+  in
   let enumerate () =
     match algo with
-    | Dphyp ->
-        let dp, plan = Dphyp.solve_with_table ?model ?filter ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Dpsize ->
-        let dp, plan = Dpsize.solve_with_table ?model ?filter ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Dpsub ->
-        let dp, plan = Dpsub.solve_with_table ?model ?filter ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Dpccp ->
-        let dp, plan = Dpccp.solve_with_table ?model ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Goo ->
-        let plan = Goo.solve ?model ~counters g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Topdown ->
-        let plan = Top_down.solve ?model ~counters g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Tdpart ->
-        let plan = Top_down_partition.solve ?model ~counters g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Idp ->
-        let plan = Idp.solve ?obs ?model ~counters ~k g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Partition ->
-        let plan = Partition.solve ?obs ?model ~counters ~k g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
+    | Dphyp -> with_table (Dphyp.solve_with_table ?model ?filter ~counters g)
+    | Dpsize -> with_table (Dpsize.solve_with_table ?model ?filter ~counters g)
+    | Dpsub -> with_table (Dpsub.solve_with_table ?model ?filter ~counters g)
+    | Dpccp -> with_table (Dpccp.solve_with_table ?model ~counters g)
+    | Goo -> plan_only (Goo.solve ?model ~counters g)
+    | Topdown -> plan_only (Top_down.solve ?model ~counters g)
+    | Tdpart -> plan_only (Top_down_partition.solve ?model ~counters g)
+    | Idp -> plan_only (Idp.solve ?obs ?model ~counters ~k g)
+    | Partition -> plan_only (Partition.solve ?obs ?model ~counters ~k g)
     | Adaptive ->
         let o = Adaptive.solve ?obs ?model ?budget g in
         {
@@ -115,13 +99,7 @@ let run ?obs ?model ?filter ?budget ?k ?(dpconv_objective = Dpconv.Cmax) algo
         }
     | Dpconv ->
         let o = Dpconv.solve ?model ~objective:dpconv_objective ~counters g in
-        {
-          plan = o.Dpconv.plan;
-          counters;
-          dp_entries = Plans.Dp_table.size o.Dpconv.dp;
-          tier = None;
-          attempts = [];
-        }
+        with_table (o.Dpconv.dp, o.Dpconv.plan)
   in
   match obs with
   | None -> enumerate ()
@@ -141,31 +119,3 @@ let plan_source algo r =
   match r.tier with
   | Some t -> name algo ^ ":" ^ Adaptive.tier_name t
   | None -> name algo
-
-let counters_snapshot (c : Counters.t) : Obs.Metrics.counters =
-  {
-    Obs.Metrics.pairs_considered = c.Counters.pairs_considered;
-    ccp_emitted = c.Counters.ccp_emitted;
-    cost_calls = c.Counters.cost_calls;
-    filter_rejected = c.Counters.filter_rejected;
-    neighborhood_calls = c.Counters.neighborhood_calls;
-    budget_limit = Counters.budget c;
-    budget_remaining = Counters.remaining c;
-  }
-
-let profile ctx r =
-  Obs.Metrics.make
-    ~counters:(counters_snapshot r.counters)
-    ~dp_entries:r.dp_entries
-    ~tiers:
-      (List.map
-         (fun (a : Adaptive.attempt) ->
-           {
-             Obs.Metrics.tier = Adaptive.tier_name a.tier;
-             completed = a.completed;
-             pairs = a.pairs;
-             skipped = a.skipped;
-           })
-         r.attempts)
-    ?winning_tier:(Option.map Adaptive.tier_name r.tier)
-    ~total_s:(Obs.Span.elapsed ctx) (Obs.Span.spans ctx)

@@ -98,12 +98,3 @@ val plan_source : algorithm -> result -> string
     to ["adaptive:<tier>"] when the adaptive ladder answered on a
     specific rung — what EXPLAIN ANALYZE reports as the plan's
     source. *)
-
-val counters_snapshot : Counters.t -> Obs.Metrics.counters
-(** Freeze the counters (including budget limit and remaining
-    headroom) into the plain-int record profiles carry. *)
-
-val profile : Obs.Span.ctx -> result -> Obs.Metrics.profile
-(** Assemble the structured profile of an observed run: the
-    collector's spans and elapsed time, the counter snapshot, the
-    DP-table occupancy and the tier-ladder attempts. *)

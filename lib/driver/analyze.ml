@@ -2,7 +2,7 @@
    estimate against what actually happened.
 
    The optimizer half of the pipeline was instrumented in the obs
-   work (spans, counters, profiles); this module closes the loop on
+   work (spans and counters); this module closes the loop on
    the executor side.  One call optimizes a query, builds a calibrated
    instance, executes the chosen plan through the single-pass stats
    collector of [Executor.Exec.eval_stats], and joins the optimizer's
@@ -45,7 +45,7 @@ type report = {
   exact_cout : float option;  (* measured C_out of the exact plan *)
   quality_delta : float option;  (* measured / exact *)
   exec_ms : float;  (* wall clock of executing the chosen plan *)
-  profile : Obs.Metrics.profile option;
+  optimizer : Opt.result;
 }
 
 let median = function
@@ -183,15 +183,6 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
             | _ -> None
           in
           let source = Opt.plan_source algo r in
-          let quality =
-            {
-              Obs.Metrics.q_tier = source;
-              est_cout;
-              measured_cout;
-              exact_cout;
-              delta = quality_delta;
-            }
-          in
           let exec_ms =
             match op_rows with row :: _ -> row.wall_ms | [] -> 0.0
           in
@@ -213,11 +204,7 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
               exact_cout;
               quality_delta;
               exec_ms;
-              profile =
-                Option.map
-                  (fun ctx ->
-                    Obs.Metrics.with_quality (Opt.profile ctx r) quality)
-                  obs;
+              optimizer = r;
             })
 
 let analyze_sql ?obs ?algo ?model ?budget ?k ?conservative ?rows ?domain

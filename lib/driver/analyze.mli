@@ -7,8 +7,8 @@
     count.  The report carries the per-operator est/actual/Q-error/
     time table behind [joinopt analyze], aggregate Q-error figures,
     and the measured plan-quality delta against the exact (DPhyp)
-    plan — recorded into the run's {!Obs.Metrics.profile} when
-    observability is on. *)
+    plan.  With [?obs] the phases land in the caller's span
+    collector, next to the optimizer's own spans. *)
 
 type op_row = {
   depth : int;  (** nesting depth in the plan tree, root = 0 *)
@@ -46,9 +46,9 @@ type report = {
           algorithm/tier *)
   quality_delta : float option;  (** [measured_cout / exact_cout] *)
   exec_ms : float;  (** wall clock of executing the chosen plan *)
-  profile : Obs.Metrics.profile option;
-      (** per-phase profile with the measured-quality record attached;
-          [None] unless [?obs] was passed *)
+  optimizer : Core.Optimizer.result;
+      (** the optimizer run behind [plan]: counters, tier, ladder
+          attempts and DP-table occupancy *)
 }
 
 val analyze_tree :

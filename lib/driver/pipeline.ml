@@ -12,23 +12,13 @@ type result = {
   plan : Plans.Plan.t;
   counters : Core.Counters.t;
   tier : Core.Adaptive.tier option;
-  profile : Obs.Metrics.profile option;
+  attempts : Core.Adaptive.attempt list;
+  dp_entries : int;
 }
 
 type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
 
 let make_cache ?shards ~capacity () = Cache.Plan_cache.create ?shards ~capacity ()
-
-let cache_metrics c : Obs.Metrics.cache_stats =
-  let s = Cache.Plan_cache.stats c in
-  {
-    Obs.Metrics.cache_hits = s.Cache.Plan_cache.hits;
-    cache_misses = s.misses;
-    cache_coalesced = s.coalesced;
-    cache_evictions = s.evictions;
-    cache_entries = s.entries;
-    cache_capacity = s.capacity;
-  }
 
 let budget_error =
   "work budget exhausted before a plan was found (use the adaptive algorithm \
@@ -234,15 +224,6 @@ let export_cache_stats tel cache =
         "joinopt_plan_cache_entries" (float_of_int n))
     (Cache.Plan_cache.shard_entries cache)
 
-let build_profile ?cache obs r =
-  Option.map
-    (fun ctx ->
-      let p = Core.Optimizer.profile ctx r in
-      match cache with
-      | Some c -> Obs.Metrics.with_cache p (cache_metrics c)
-      | None -> p)
-    obs
-
 (* What a request derives before enumeration: the hypergraph, the
    conflict mode's validity filter, and how the winning plan becomes
    the result's operator tree. *)
@@ -256,8 +237,7 @@ type front = {
    phases, tiers and slow-request trees from spans, so a request with
    [?tel] but no [?obs] gets a private collector; the clock starts
    before [front] runs, so parse and bind count.  When [front] fails
-   no hypergraph exists and nothing is recorded.  The result's
-   [profile] is still keyed off the caller's own [?obs]. *)
+   no hypergraph exists and nothing is recorded. *)
 let serve ?obs ?tel ?cache q front =
   let ctx =
     match (obs, tel) with None, Some _ -> Some (Obs.Span.create ()) | _ -> obs
@@ -277,19 +257,13 @@ let serve ?obs ?tel ?cache q front =
         | _ -> ()
       in
       match guard (fun () -> run_cached ?obs:ctx ?cache ?filter q ~fp graph) with
-      | Ok (({ Core.Optimizer.plan = Some plan; counters; tier; _ } as r), outc)
-        ->
+      | Ok
+          ( ({ Core.Optimizer.plan = Some plan; counters; tier; attempts;
+               dp_entries } as r),
+            outc ) ->
           let tree = to_tree plan in
           record (Ok (r, outc));
-          Ok
-            {
-              tree;
-              graph;
-              plan;
-              counters;
-              tier;
-              profile = build_profile ?cache obs r;
-            }
+          Ok { tree; graph; plan; counters; tier; attempts; dp_entries }
       | Ok (({ Core.Optimizer.plan = None; _ } as r), outc) ->
           record (Ok (r, outc));
           Error "no valid plan found"

@@ -11,9 +11,9 @@
     ]}
 
     A request is observed through two optional channels: [?obs]
-    collects its span tree and fills the result's [profile], [?tel]
-    feeds always-on serving telemetry.  Search-space provenance is
-    not a third channel: [Inspect.Provenance.with_recording] wraps
+    collects its span tree (render it with {!Obs.Metrics.pp_table}),
+    [?tel] feeds always-on serving telemetry.  Search-space provenance
+    is not a third channel: [Inspect.Provenance.with_recording] wraps
     any call of this module and records the DP tables it builds. *)
 
 type conflict_mode =
@@ -32,9 +32,10 @@ type result = {
   tier : Core.Adaptive.tier option;
       (** which adaptive rung produced the plan; [None] unless
           [algo = Adaptive] *)
-  profile : Obs.Metrics.profile option;
-      (** structured per-phase profile (spans, counter snapshot,
-          tier attempts); [None] unless [?obs] was passed *)
+  attempts : Core.Adaptive.attempt list;
+      (** the adaptive ladder's history ({!Core.Adaptive.pp_attempts});
+          [[]] unless [algo = Adaptive] *)
+  dp_entries : int;  (** DP/memo table occupancy of the winning run *)
 }
 
 val budget_error : string
@@ -57,10 +58,6 @@ type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
 
 val make_cache : ?shards:int -> capacity:int -> unit -> plan_cache
 (** [Cache.Plan_cache.create] at the pipeline's value type. *)
-
-val cache_metrics : plan_cache -> Obs.Metrics.cache_stats
-(** Snapshot the cache counters into the plain-int record profiles
-    carry (what [joinopt cache-stats] prints). *)
 
 val export_cache_stats : Obs.Export.t -> plan_cache -> unit
 (** Publish the cache's counters and occupancy into the telemetry
@@ -90,19 +87,21 @@ val optimize_tree :
     (default DPhyp).  [?obs] records one span per pipeline phase
     ([simplify], [conflict-analysis], [hypergraph-derive],
     [enumerate:<algo>] plus the per-tier / per-round spans inside it)
-    and fills the result's [profile]; omitting it runs the completely
-    un-instrumented path.  The enumeration is {!enumerate} under
-    [?model], [?budget], [?k], [?dpconv_objective] and [?jobs]
-    (default 1), and its [Error]s are returned as they are.  The
-    dpconv objective is part of the plan-cache key (it changes the
-    plan); other algorithms ignore it and keep their keys.  [Error]
-    also reports an invalid tree, a missing plan and an
+    into the caller's collector; omitting it runs the completely
+    un-instrumented path.  The result's counters, tier, attempts and
+    table occupancy are filled either way.  The enumeration is
+    {!enumerate} under [?model], [?budget], [?k], [?dpconv_objective]
+    and [?jobs] (default 1), and its [Error]s are returned as they
+    are.  The dpconv objective is part of the plan-cache key (it
+    changes the plan); other algorithms ignore it and keep their keys.
+    [Error] also reports an invalid tree, a missing plan and an
     algorithm/filter mismatch, each with a human-readable reason.
 
     [?cache] memoizes the enumeration step: the lookup (and, on a
     miss, the nested enumeration) runs under a [cache] span whose
-    [cache] attribute records [hit] / [miss] / [coalesced], and the
-    result's [profile] gains the cache-counter snapshot.  Parse,
+    [cache] attribute records [hit] / [miss] / [coalesced]; a hit
+    returns the cached run's counters, tier, attempts and table
+    occupancy, identical to a fresh run's.  Parse,
     simplification, conflict analysis and graph derivation always run
     — they produce the key — so a hit costs one fingerprint plus one
     serialization instead of an enumeration.

@@ -261,6 +261,8 @@ let json_opt_str = function
   | None -> "null"
   | Some s -> Json_util.quote s
 
+(* One flight-recorder request: the object [to_json] embeds in its
+   [slow_requests] array. *)
 let request_json (r : Recorder.request) =
   let b = Buffer.create 512 in
   Printf.bprintf b

@@ -88,12 +88,6 @@ val prometheus : t -> string
     per the exposition format; no value ever renders as NaN or
     infinity. *)
 
-val request_json : Recorder.request -> string
-(** One flight-recorder request as a JSON object — fingerprint,
-    algorithm, tier/cache labels, wall clock, allocation and the
-    promoted span tree.  The shape {!to_json} embeds in its
-    [slow_requests] array. *)
-
 val to_json : ?top:int -> t -> string
 (** The [obs_telemetry/v1] snapshot: sorted histogram / counter /
     gauge series (latencies in milliseconds) and the [top] (default

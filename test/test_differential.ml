@@ -191,6 +191,23 @@ let test_adaptive_clique20_budget () =
         (Plans.Plan.to_string p)
         (Plans.Plan.to_string (Option.get r'.Opt.plan))
 
+(* The ladder history as `--profile` and explain print it: the DPconv
+   pre-tier bounding the exact rung on a dense clique, and a certified
+   exact skip followed by the IDP rungs on a wider one. *)
+let test_adaptive_attempts_pinned () =
+  let attempts n budget =
+    let r = Opt.run ~budget Opt.Adaptive (Workloads.Shapes.clique n) in
+    Format.asprintf "%a" Core.Adaptive.pp_attempts r.Opt.attempts
+  in
+  Alcotest.(check string) "clique-12, budget 5000"
+    "dpconv(2322 pairs) -> exact(5001 pairs, budget ran out) -> \
+     dpconv(2322 pairs)"
+    (attempts 12 5_000);
+  Alcotest.(check string) "clique-20, budget 50000"
+    "exact(skipped: needs ≥ 4980736 pairs > budget 50000) -> \
+     idp-10(50001 pairs, budget ran out) -> idp-7(2899 pairs)"
+    (attempts 20 50_000)
+
 let test_adaptive_budget_one_falls_to_goo () =
   (* a budget too small for any DP rung must still produce a plan *)
   let g = Workloads.Shapes.clique 8 in
@@ -856,6 +873,8 @@ let () =
             test_adaptive_clique20_budget;
           Alcotest.test_case "budget 1 falls to goo" `Quick
             test_adaptive_budget_one_falls_to_goo;
+          Alcotest.test_case "attempts line pinned" `Quick
+            test_adaptive_attempts_pinned;
         ] );
       ( "certified-skip",
         [

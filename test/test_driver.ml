@@ -81,77 +81,78 @@ let test_custom_catalog () =
         (Hypergraph.Graph.cardinality r.D.graph 0)
   | Error m -> Alcotest.fail m
 
+let span_names ctx = List.map (fun s -> s.Obs.Sink.name) (Obs.Span.spans ctx)
+
 let test_profile_spans () =
-  (* an observed SQL run yields a profile with one span per pipeline
-     phase, in start order, whose durations are sane *)
+  (* an observed SQL run leaves one span per pipeline phase in the
+     caller's collector, whose durations are sane *)
   let ctx = Obs.Span.create () in
   match D.optimize_sql ~obs:ctx sample_sql with
   | Error m -> Alcotest.fail m
-  | Ok r -> (
-      match r.D.profile with
-      | None -> Alcotest.fail "observed run returned no profile"
-      | Some p ->
-          let names =
-            List.map (fun s -> s.Obs.Sink.name) p.Obs.Metrics.spans
-          in
-          List.iter
-            (fun phase ->
-              check ("span recorded: " ^ phase) true (List.mem phase names))
-            [
-              "parse";
-              "simplify";
-              "conflict-analysis";
-              "hypergraph-derive";
-              "enumerate:dphyp";
-            ];
-          check "phases sum within total" true
-            (List.for_all
-               (fun s -> s.Obs.Sink.dur_s <= p.Obs.Metrics.total_s)
-               p.Obs.Metrics.spans);
-          check "counters snapshotted" true
-            (match p.Obs.Metrics.counters with
-            | Some c -> c.Obs.Metrics.pairs_considered > 0
-            | None -> false))
-
-let test_profile_unobserved_absent () =
-  match D.optimize_sql sample_sql with
-  | Ok r -> check "no profile without obs" true (r.D.profile = None)
-  | Error m -> Alcotest.fail m
+  | Ok r ->
+      let names = span_names ctx in
+      List.iter
+        (fun phase ->
+          check ("span recorded: " ^ phase) true (List.mem phase names))
+        [
+          "parse";
+          "simplify";
+          "conflict-analysis";
+          "hypergraph-derive";
+          "enumerate:dphyp";
+        ];
+      let total_s = Obs.Span.elapsed ctx in
+      check "phases sum within total" true
+        (List.for_all
+           (fun s -> s.Obs.Sink.dur_s <= total_s)
+           (Obs.Span.spans ctx));
+      check "counters carried" true
+        (r.D.counters.Core.Counters.pairs_considered > 0)
 
 let test_profile_adaptive_ladder () =
-  (* a budgeted adaptive run records the failed exact attempt and the
-     fallback tiers in the profile *)
+  (* a budgeted adaptive run carries the failed exact attempt and the
+     fallback tiers; its spans show every rung *)
   let ctx = Obs.Span.create () in
   match
     D.optimize_graph ~obs:ctx ~algo:Core.Optimizer.Adaptive ~budget:2_000
       (Workloads.Shapes.clique 12)
   with
   | Error m -> Alcotest.fail m
-  | Ok r -> (
-      match r.D.profile with
-      | None -> Alcotest.fail "observed run returned no profile"
-      | Some p ->
-          check "ladder descended" true
-            (List.length p.Obs.Metrics.tiers >= 2);
-          check "exact tier lost" true
-            (p.Obs.Metrics.winning_tier <> Some "exact"
-            && p.Obs.Metrics.winning_tier <> None);
-          check "budget context snapshotted" true
-            (match p.Obs.Metrics.counters with
-            | Some c ->
-                c.Obs.Metrics.budget_limit = Some 2_000
-                && c.Obs.Metrics.budget_remaining <> None
-            | None -> false);
-          check "per-tier spans present" true
-            (List.exists
-               (fun s ->
-                 String.length s.Obs.Sink.name >= 5
-                 && String.sub s.Obs.Sink.name 0 5 = "tier:")
-               p.Obs.Metrics.spans);
-          check "plan-emit span present" true
-            (List.exists
-               (fun s -> s.Obs.Sink.name = "plan-emit")
-               p.Obs.Metrics.spans))
+  | Ok r ->
+      check "ladder descended" true (List.length r.D.attempts >= 2);
+      check "exact tier lost" true
+        (r.D.tier <> Some Core.Adaptive.Exact && r.D.tier <> None);
+      check "budget context carried" true
+        (Core.Counters.budget r.D.counters = Some 2_000
+        && Core.Counters.remaining r.D.counters <> None);
+      let names = span_names ctx in
+      check "per-tier spans present" true
+        (List.exists (String.starts_with ~prefix:"tier:") names);
+      check "plan-emit span present" true (List.mem "plan-emit" names)
+
+(* The result carries the optimizer's attempts and table occupancy on
+   every request: unobserved, and served from the plan cache. *)
+let test_profile_run_facts () =
+  let g = Workloads.Shapes.clique 12 and budget = 5_000 in
+  let o = Core.Optimizer.run ~budget Core.Optimizer.Adaptive g in
+  let same label (r : D.result) =
+    check (label ^ ": attempts") true
+      (r.D.attempts = o.Core.Optimizer.attempts);
+    Alcotest.(check int) (label ^ ": dp entries") o.Core.Optimizer.dp_entries
+      r.D.dp_entries
+  in
+  let cache = D.make_cache ~capacity:4 () in
+  let run ?cache () =
+    match D.optimize_graph ?cache ~algo:Core.Optimizer.Adaptive ~budget g with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  same "no obs" (run ());
+  same "cache miss" (run ~cache ());
+  same "cache hit" (run ~cache ());
+  Alcotest.(check int) "the last run was a hit" 1
+    (Cache.Plan_cache.stats cache).Cache.Plan_cache.hits;
+  check "ladder recorded" true (List.length o.Core.Optimizer.attempts = 3)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE                                                     *)
@@ -211,25 +212,20 @@ let test_analyze_per_node_consistency () =
   Alcotest.(check (float 1e-9)) "measured C_out = sum of join actuals"
     rep.A.measured_cout (float_of_int sum_join_rows)
 
-let test_analyze_profile_quality () =
+let test_analyze_profile_spans () =
+  (* the executor's phases land in the caller's collector, next to the
+     optimizer's; the optimizer result behind the plan is kept *)
   let ctx = Obs.Span.create () in
   let rep = analyze_ok ~obs:ctx analyze_sql in
-  match rep.A.profile with
-  | None -> Alcotest.fail "observed analyze returned no profile"
-  | Some p -> (
-      match p.Obs.Metrics.quality with
-      | None -> Alcotest.fail "profile carries no quality record"
-      | Some q ->
-          Alcotest.(check (float 1e-9)) "profile quality = report"
-            rep.A.measured_cout q.Obs.Metrics.measured_cout;
-          check "execute span recorded" true
-            (List.exists
-               (fun s -> s.Obs.Sink.name = "execute")
-               p.Obs.Metrics.spans);
-          check "verify span recorded" true
-            (List.exists
-               (fun s -> s.Obs.Sink.name = "verify")
-               p.Obs.Metrics.spans))
+  let names = span_names ctx in
+  List.iter
+    (fun phase ->
+      check ("span recorded: " ^ phase) true (List.mem phase names))
+    [ "calibrate"; "enumerate:dphyp"; "execute"; "verify" ];
+  check "optimizer result kept" true
+    (match rep.A.optimizer.Core.Optimizer.plan with
+    | Some p -> p == rep.A.plan
+    | None -> false)
 
 let test_analyze_json_schema () =
   let rep = analyze_ok analyze_sql in
@@ -399,8 +395,8 @@ let () =
       ( "profile",
         [
           Alcotest.test_case "pipeline phase spans" `Quick test_profile_spans;
-          Alcotest.test_case "absent when unobserved" `Quick
-            test_profile_unobserved_absent;
+          Alcotest.test_case "run facts without obs and on a cache hit"
+            `Quick test_profile_run_facts;
           Alcotest.test_case "adaptive tier ladder" `Quick
             test_profile_adaptive_ladder;
         ] );
@@ -421,8 +417,7 @@ let () =
             test_analyze_exact_delta_one;
           Alcotest.test_case "C_out = sum of join actuals" `Quick
             test_analyze_per_node_consistency;
-          Alcotest.test_case "profile carries quality" `Quick
-            test_analyze_profile_quality;
+          Alcotest.test_case "phase spans" `Quick test_analyze_profile_spans;
           Alcotest.test_case "obs_analyze/v1 shape" `Quick
             test_analyze_json_schema;
           Alcotest.test_case "errors" `Quick test_analyze_errors;

@@ -252,7 +252,7 @@ let test_why_errors () =
 (* ---------- pipeline + loss-report wiring ---------- *)
 
 (* Recording wraps any optimizer call: every table the pipeline's
-   enumeration builds is hooked, and the call's own profile is
+   enumeration builds is hooked, and the call's own span collector is
    untouched. *)
 let test_recording_wraps_pipeline () =
   let g = chain 5 in
@@ -263,11 +263,10 @@ let test_recording_wraps_pipeline () =
         Driver.Pipeline.optimize_graph ~obs g)
   with
   | Error m -> Alcotest.fail m
-  | Ok r ->
+  | Ok _ ->
       check "provenance recorded around the pipeline" true
         ((Prov.stats prov).Prov.subsets > 0);
-      let p = Option.get r.Driver.Pipeline.profile in
-      let table = Format.asprintf "%a" Obs.Metrics.pp_table p in
+      let table = Format.asprintf "%a" Obs.Metrics.pp_table obs in
       check "profile table has a major-words column" true
         (contains "major-words" table)
 
@@ -317,7 +316,8 @@ let test_loss_reports () =
   let g = Workloads.Shapes.star 6 in
   let o = Core.Adaptive.solve ~budget:50 g in
   check "fallback tier" true (o.Core.Adaptive.tier <> Core.Adaptive.Exact);
-  (match Core.Adaptive.loss_report g o with
+  let plan = Option.get o.Core.Adaptive.plan in
+  (match Core.Adaptive.loss_report g o.Core.Adaptive.tier plan with
   | None -> Alcotest.fail "expected a loss report"
   | Some rep ->
       check "columns labeled by tier" true
@@ -326,7 +326,10 @@ let test_loss_reports () =
       check "totals compared" true (contains "total cost" rep));
   (* exact wins -> nothing to report *)
   let exact = Core.Adaptive.solve g in
-  check "no report when exact won" true (Core.Adaptive.loss_report g exact = None)
+  check "no report when exact won" true
+    (Core.Adaptive.loss_report g exact.Core.Adaptive.tier
+       (Option.get exact.Core.Adaptive.plan)
+    = None)
 
 let () =
   Alcotest.run "inspect"

@@ -123,7 +123,7 @@ let test_jsonl_concurrent_emit () =
         lines)
 
 (* Two domains hammering one plan cache: the atomic counters the
-   Metrics cache_stats snapshot reads must conserve — every request is
+   Plan_cache.stats snapshot reads must conserve — every request is
    exactly one of hit / miss / coalesced, no increment may be lost to
    a data race, and with capacity above the key universe the misses
    are exactly the distinct keys. *)
@@ -208,9 +208,9 @@ let test_chrome_json_escaping () =
   Alcotest.(check bool) "newline in name escaped" true
     (contains j {|\"\\\npath|})
 
-(* Metrics.make sorts spans chronologically with a deterministic
+(* Metrics.sort orders spans chronologically with a deterministic
    (start, depth, name) tie-break: two permutations of the same span
-   list must produce the same profile. *)
+   list must produce the same table rows. *)
 let test_metrics_span_order_deterministic () =
   let sp name depth start_s =
     {
@@ -229,7 +229,7 @@ let test_metrics_span_order_deterministic () =
   let order l =
     List.map
       (fun (s : Obs.Sink.span) -> s.name)
-      (Obs.Metrics.make ~total_s:1.0 l).Obs.Metrics.spans
+      (Obs.Metrics.sort l)
   in
   Alcotest.(check (list string))
     "permutations sort identically" (order spans)

@@ -298,7 +298,7 @@ let test_run_batch_shared_sink () =
   List.iter
     (fun r ->
       match r with
-      | Ok r -> check "profile present" true (r.Driver.Pipeline.profile <> None)
+      | Ok _ -> ()
       | Error m -> Alcotest.fail m)
     results;
   (* every query streamed its pipeline spans into the one sink *)
