@@ -924,7 +924,9 @@ let inspect_cmd =
                   Option.bind r.Driver.Pipeline.tier (fun t ->
                       Core.Adaptive.loss_report ~model g t plan)
                 with
-                | Some rep -> Format.printf "@.loss vs exact:@.%s" rep
+                | Some (Ok rep) -> Format.printf "@.loss vs exact:@.%s" rep
+                | Some (Error why) ->
+                    Format.printf "@.exact baseline skipped: %s@." why
                 | None -> ());
             0)
   in

@@ -227,10 +227,36 @@ let pp_attempts ppf attempts =
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
     pp_attempt ppf attempts
 
-(* The quality price of graceful degradation, as an aligned plan diff
-   (see Partition.loss_report for the exact-baseline caveats). *)
+(* The exact plan as a quality reference.  A diagnostic, not a
+   planning path, so it is capped rather than budgeted by the caller:
+   the certificate turns away a run that would certainly blow the cap
+   (star-29 would need billions of pairs) before it allocates
+   anything, and the cap stops the rest. *)
+let exact_baseline_cap = 1_000_000
+
+let exact_baseline ?model g =
+  let needs = Dphyp.min_pairs g in
+  if needs > exact_baseline_cap then
+    Error
+      (Printf.sprintf "needs ≥ %d pairs > cap %d" needs exact_baseline_cap)
+  else
+    let counters = Counters.create ~budget:exact_baseline_cap () in
+    match Dphyp.solve ?model ~counters g with
+    | Some plan -> Ok plan
+    | None -> Error "the graph is disconnected"
+    | exception Counters.Budget_exhausted ->
+        Error (Printf.sprintf "ran out of its %d-pair cap" exact_baseline_cap)
+
+(* The quality price of graceful degradation, as an aligned plan
+   diff. *)
 let loss_report ?model g tier plan =
   match tier with
   | Exact -> None
   | tier ->
-      Partition.loss_report ?model ~labels:(tier_name tier, "exact") g plan
+      let names i = (G.relation g i).G.name in
+      Some
+        (Result.map
+           (fun exact ->
+             Plans.Plan_diff.report ~names ~labels:(tier_name tier, "exact")
+               plan exact)
+           (exact_baseline ?model g))

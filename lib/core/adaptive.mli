@@ -110,16 +110,24 @@ val pp_attempts : Format.formatter -> attempt list -> unit
     dpconv(2322 pairs)], with a skipped rung as
     [exact(skipped: needs ≥ N pairs > budget B)]. *)
 
+val exact_baseline :
+  ?model:Costing.Cost_model.t ->
+  Hypergraph.Graph.t ->
+  (Plans.Plan.t, string) result
+(** The exact DPhyp plan, the reference a fallback tier's plan is
+    measured against, within a fixed cap of 1,000,000 pairs.
+    [Error why] says why there is none: {!Dphyp.min_pairs} certifies
+    the run needs more pairs than the cap (it is then never started),
+    the run ran out of the cap, or the graph is disconnected. *)
+
 val loss_report :
   ?model:Costing.Cost_model.t ->
   Hypergraph.Graph.t ->
   tier ->
   Plans.Plan.t ->
-  string option
-(** What did graceful degradation cost?  When [plan] came from a
-    fallback tier (anything but {!Exact}) and the graph is small
-    enough to solve exactly, re-solves with unbudgeted DPhyp and
-    renders the aligned {!Plans.Plan_diff} of the tier's plan against
-    the exact optimum, columns labeled with {!tier_name} /
-    ["exact"].  [None] when the ladder already won exactly or no
-    exact baseline is computable. *)
+  (string, string) result option
+(** What did graceful degradation cost?  [None] when [plan] came from
+    the {!Exact} tier.  Otherwise [Ok] the aligned
+    {!Plans.Plan_diff} of the tier's plan against {!exact_baseline},
+    columns labeled with {!tier_name} / ["exact"], or [Error why]
+    there is no baseline. *)

@@ -60,7 +60,7 @@ let run ~emit ~counters g dp =
   let c = { g; dp; counters; emit } in
   let n = G.num_nodes g in
   for v = 0 to n - 1 do
-    Plans.Dp_table.force dp (Plans.Plan.scan g v)
+    Plans.Dp_table.leaf dp v ~cost:0.0
   done;
   for v = n - 1 downto 0 do
     let s = Ns.singleton v in

@@ -141,7 +141,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
   let dp = Plans.Dp_table.create_for g in
   let emit = Emit.make ~model ~counters g dp in
   for v = 0 to n - 1 do
-    Plans.Dp_table.force dp (Plans.Plan.scan g v)
+    Plans.Dp_table.leaf dp v ~cost:0.0
   done;
   if n = 1 then begin
     let plan = Plans.Dp_table.find dp (G.all_nodes g) in

@@ -98,13 +98,10 @@ let run_root ~mem ~emit ~counters g v =
   let c = { g; mem; counters; emit; restrict = Ns.empty } in
   process_root c (G.all_nodes g) v
 
-let run_subset ~emit ~counters ?leaf ~subset g dp =
-  let leaf =
-    match leaf with Some f -> f | None -> fun v -> Plans.Plan.scan g v
-  in
+let run_subset ~emit ~counters ?(leaf_cost = fun _ -> 0.0) ~subset g dp =
   let restrict = Ns.diff (G.all_nodes g) subset in
   let c = { g; mem = Plans.Dp_table.mem dp; counters; emit; restrict } in
-  Ns.iter (fun v -> Plans.Dp_table.force dp (leaf v)) subset;
+  Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:(leaf_cost v)) subset;
   Ns.iter_desc (fun v -> process_root c subset v) subset
 
 let run ~emit ~counters g dp =
@@ -120,11 +117,12 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter ?bound
 let solve ?model ?filter ?bound ?counters g =
   snd (solve_with_table ?model ?filter ?bound ?counters g)
 
-let solve_subset ?(model = Costing.Cost_model.c_out) ?leaf
+let solve_subset ?(model = Costing.Cost_model.c_out) ?leaf_cost
     ?(counters = Counters.create ()) ~subset g =
   let dp = Plans.Dp_table.create_for ~subset g in
   let e = Emit.make ~model ~counters g dp in
-  run_subset ~emit:(Emit.emit e Emit.Symmetric) ~counters ?leaf ~subset g dp;
+  run_subset ~emit:(Emit.emit e Emit.Symmetric) ~counters ?leaf_cost ~subset g
+    dp;
   (dp, Plans.Dp_table.find dp subset)
 
 let enumerate_ccps g =

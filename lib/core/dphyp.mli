@@ -50,16 +50,19 @@ val solve_with_table :
 
 val solve_subset :
   ?model:Costing.Cost_model.t ->
-  ?leaf:(int -> Plans.Plan.t) ->
+  ?leaf_cost:(int -> float) ->
   ?counters:Counters.t ->
   subset:Nodeset.Node_set.t ->
   Hypergraph.Graph.t ->
   Plans.Dp_table.t * Plans.Plan.t option
 (** Exact DPhyp restricted to the sub-hypergraph induced by [subset]:
     nodes outside [subset] are folded into every exclusion set, so no
-    csg or cmp ever leaves it.  [leaf] supplies the DP seed plan for
-    each node of [subset] (default {!Plans.Plan.scan}) — IDP passes
-    materialized compound leaves here.  Returns the block DP table and
+    csg or cmp ever leaves it.  [leaf_cost] supplies the DP seed cost
+    of each node of [subset] (default 0) — IDP passes the cost of the
+    block plan a contracted node stands for, whose cardinality the
+    contracted graph already carries.  The plans it returns then have
+    [Scan] leaves with those costs, to be flattened before they leave
+    the optimizer ({!Idp.flatten}).  Returns the block DP table and
     the best plan covering all of [subset], if the induced subgraph is
     connected.  With [subset = all_nodes] this is exactly
     {!solve_with_table} (without filter support). *)

@@ -7,7 +7,7 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ?filter ~model ~counters g dp in
   for v = 0 to n - 1 do
-    Plans.Dp_table.force dp (Plans.Plan.scan g v)
+    Plans.Dp_table.leaf dp v ~cost:0.0
   done;
   (* All subsets of V in increasing numeric order; subsets precede
      supersets, so dpTable membership of the halves is a sound

@@ -5,25 +5,25 @@ module He = Hypergraph.Hyperedge
 (* IDP-k (iterative dynamic programming, Kossmann & Stocker style,
    "IDP-M" flavor): pick a block of at most k relations, optimize it
    {e exactly} with block-restricted DPhyp (Dphyp.solve_subset),
-   materialize the winning sub-plan as a compound leaf
-   (Plan.materialized) of the graph with the block contracted to one
-   node (Graph.contract), and repeat until a single plan covers
-   everything.  Each round costs at most the 3^k of exact DP on k
-   relations, so total work is polynomial in n for fixed k — and with
-   k >= n the first round IS exact DPhyp, so IDP degrades continuously
-   from the optimum.
+   contract the winning sub-plan to one node of a coarser graph
+   (Graph.contract, which gives it the block plan's cardinality), and
+   repeat until a single plan covers everything; the next block DP
+   seeds that node's leaf with the block plan's cost.  Each round
+   costs at most the 3^k of exact DP on k relations, so total work is
+   polynomial in n for fixed k — and with k >= n the first round IS
+   exact DPhyp, so IDP degrades continuously from the optimum.
 
    Plans built on a contracted graph talk about contracted node sets
    and edge ids, so each round's winner is immediately {e flattened}
-   back onto the original graph: compound leaves are replaced by the
-   root sub-plans they stand for and every join is rebuilt with
-   Plan.join using the stored per-join selectivity and the edge-id
-   translation accumulated across contractions ([state]).
-   Cardinalities and costs are reproduced exactly (same model, same
-   selectivities, same leaf cardinalities), so the returned plan is a
-   plain root-graph plan that Plan_check accepts and to_optree can
-   execute.  The partitioned tier (Partition) contracts its clustered
-   blocks through the same [state] and then runs the same [rounds]. *)
+   back onto the original graph: every [Scan v] becomes the root plan
+   [v] stands for and every join is rebuilt with Plan.join using the
+   stored per-join selectivity and the edge-id translation accumulated
+   across contractions ([state]).  Cardinalities and costs are
+   reproduced exactly (same model, same selectivities, same leaf
+   cardinalities), so the returned plan is a plain root-graph plan
+   that Plan_check accepts and to_optree can execute.  The partitioned
+   tier (Partition) contracts its clustered blocks through the same
+   [state] and then runs the same [rounds]. *)
 
 let default_k = 7
 
@@ -109,7 +109,6 @@ let flatten ~model st p =
   let rec go (p : Plans.Plan.t) =
     match p.tree with
     | Plans.Plan.Scan v -> st.base.(v)
-    | Plans.Plan.Compound c -> c.sub
     | Plans.Plan.Join j ->
         Plans.Plan.join model ~op:j.op
           ~edge_ids:(List.map (fun id -> st.emap.(id)) j.edge_ids)
@@ -120,7 +119,7 @@ let flatten ~model st p =
 let contract ~model st (bp : Plans.Plan.t) =
   let broot = flatten ~model st bp in
   let { G.cgraph; node_of; edge_of } =
-    G.contract st.graph ~block:bp.set ~card:broot.card ()
+    G.contract st.graph ~block:bp.set ~card:broot.card
   in
   let base = Array.make (G.num_nodes cgraph) broot in
   Array.iteri
@@ -141,8 +140,9 @@ let solve_block ?obs ~model ~counters st ~label ~span ~attrs subset k =
   in
   Plans.Dp_table.with_context label (fun () ->
       Obs.Span.with_opt obs span ~attrs (fun sp ->
-          let leaf v = Plans.Plan.materialized v st.base.(v) in
-          k sp (Dphyp.solve_subset ~model ~leaf ~counters ~subset st.graph)))
+          let leaf_cost v = st.base.(v).cost in
+          k sp
+            (Dphyp.solve_subset ~model ~leaf_cost ~counters ~subset st.graph)))
 
 (* [kr] is the effective block size for this round.  It starts at [k]
    and widens only when a round gets stuck — on hypergraphs a small

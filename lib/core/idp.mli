@@ -4,9 +4,9 @@
     The budget-friendly middle ground between exact DPhyp and greedy
     GOO: each round runs {e exact} DPhyp restricted to a greedily
     chosen block of up to [k] relations ({!Dphyp.solve_subset}),
-    materializes the best contractible sub-plan as a compound leaf
-    ({!Plans.Plan.materialized}) of the contracted graph
-    ({!Hypergraph.Graph.contract}), and repeats until one plan covers
+    contracts the best contractible sub-plan to one node of a coarser
+    graph ({!Hypergraph.Graph.contract}), whose leaf the next block DP
+    seeds with that sub-plan's cost, and repeats until one plan covers
     the whole query.  Work per round is bounded by the 3{^k} of exact
     DP on [k] relations, so total work is polynomial in [n] for fixed
     [k]; with [k >= n] the single round is plain DPhyp, reproducing
@@ -58,8 +58,9 @@ val start : Hypergraph.Graph.t -> state
 
 val flatten :
   model:Costing.Cost_model.t -> state -> Plans.Plan.t -> Plans.Plan.t
-(** A current-graph plan rebuilt onto the root graph; cardinalities
-    and costs are reproduced exactly. *)
+(** A current-graph plan rebuilt onto the root graph: each [Scan v]
+    becomes [base.(v)] and each join is re-costed over the root edges;
+    cardinalities and costs are reproduced exactly. *)
 
 val contract : model:Costing.Cost_model.t -> state -> Plans.Plan.t -> state
 (** Contract a plan's node set, which must be
@@ -77,9 +78,10 @@ val solve_block :
   (Obs.Span.t option -> Plans.Dp_table.t * Plans.Plan.t option -> 'a) ->
   'a
 (** [solve_block st ~label ~span ~attrs subset k] passes
-    {!Dphyp.solve_subset} on [subset], each node a materialized leaf of
-    its base plan, to [k]; both run under the span [span] and the
-    DP-table context [label], nested in the caller's. *)
+    {!Dphyp.solve_subset} on [subset], each node's leaf seeded with
+    the cost of its base plan, to [k]; both run under the span [span]
+    and the DP-table context [label], nested in the caller's.  The
+    plan's leaves carry those costs until {!flatten}ed. *)
 
 val rounds :
   ?obs:Obs.Span.ctx ->

@@ -16,7 +16,7 @@ module He = Hypergraph.Hyperedge
       so no block boundary ever straddles a hypernode (which would
       make the block uncontractible).
 
-   2. {e Solve each block exactly} and contract it to a compound node
+   2. {e Solve each block exactly} and contract it to one node
       (Idp.solve_block, Idp.contract).
 
    3. {e Stitch} with IDP's rounds on the contracted graph
@@ -127,18 +127,3 @@ let solve ?obs ?(model = Costing.Cost_model.c_out)
             absorb st rest)
   in
   absorb (Idp.start g0) blocks
-
-(* Where did the stitches lose cost against exhaustive DP?  Only
-   answerable when the graph is small enough to solve exactly — which
-   is precisely the regime the tests exercise the partitioned tier in.
-   The exact re-solve is deliberately unbudgeted: this is a
-   diagnostic, not a planning path. *)
-let loss_report ?(model = Costing.Cost_model.c_out)
-    ?(labels = ("partitioned", "exact")) g plan =
-  if G.num_nodes g > Ns.small_capacity then None
-  else
-    match Dphyp.solve ~model g with
-    | None -> None
-    | Some exact ->
-        let names i = (G.relation g i).G.name in
-        Some (Plans.Plan_diff.report ~names ~labels plan exact)

@@ -4,7 +4,7 @@
     (greedy edge clustering: union-find merging along the most
     selective simple edges first, complex-hyperedge covers merged
     unconditionally so every block stays contractible), solves each
-    block {e exactly} and contracts it to a compound node, then runs
+    block {e exactly} and contracts it to one node, then runs
     IDP-k's rounds on the contracted graph — which also absorb
     whatever the clustering left as singletons (e.g. a star's
     satellites, which can only ever cluster with the hub).  It is IDP
@@ -51,19 +51,3 @@ val solve :
     reserved for graphs IDP itself cannot plan (disconnected inputs).
     @raise Invalid_argument if [block_size < 2] or [k < 2], before any
     work. *)
-
-val loss_report :
-  ?model:Costing.Cost_model.t ->
-  ?labels:string * string ->
-  Hypergraph.Graph.t ->
-  Plans.Plan.t ->
-  string option
-(** Where did the stitches lose cost against exhaustive DP?  Aligns
-    [plan] with a fresh (unbudgeted) exact DPhyp solve via
-    {!Plans.Plan_diff} and renders the divergent subtrees; [labels]
-    names the two columns (default ["partitioned"]/["exact"]).
-    [None] when the graph is wider than
-    {!Nodeset.Node_set.small_capacity} (no exact baseline is
-    computable — the very regime this tier exists for) or
-    disconnected.  A diagnostic for tests and [joinopt inspect], not
-    a planning path. *)

@@ -70,8 +70,6 @@ let build_rows g plan stats =
     let label, is_join =
       match p.tree with
       | Plans.Plan.Scan i -> ("scan " ^ (G.relation g i).G.name, false)
-      | Plans.Plan.Compound _ ->
-          invalid_arg "Analyze: plan contains an unflattened compound leaf"
       | Plans.Plan.Join j -> (Relalg.Operator.symbol j.op, true)
     in
     let stat = Hashtbl.find_opt by_set (Ns.to_int p.set) in
@@ -97,7 +95,7 @@ let build_rows g plan stats =
       }
       :: !out;
     match p.tree with
-    | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> ()
+    | Plans.Plan.Scan _ -> ()
     | Plans.Plan.Join j ->
         walk (depth + 1) j.left;
         walk (depth + 1) j.right
@@ -170,12 +168,12 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
             if is_exact then Some measured_cout
             else
               Obs.Span.with_opt obs "exact-reference" (fun _ ->
-                  match (Opt.run ?model Opt.Dphyp g).Opt.plan with
-                  | Some ep ->
+                  match Core.Adaptive.exact_baseline ?model g with
+                  | Ok ep ->
                       Some
                         (Executor.Stats.actual_cout inst
                            (Plans.Plan.to_optree g ep))
-                  | None -> None)
+                  | Error _ -> None)
           in
           let quality_delta =
             match exact_cout with

@@ -43,7 +43,8 @@ type report = {
   exact_cout : float option;
       (** measured C_out of the exact (DPhyp) plan; equals
           [measured_cout] when the plan already came from an exact
-          algorithm/tier *)
+          algorithm/tier, and [None] when
+          {!Core.Adaptive.exact_baseline} has no plan *)
   quality_delta : float option;  (** [measured_cout / exact_cout] *)
   exec_ms : float;  (** wall clock of executing the chosen plan *)
   optimizer : Core.Optimizer.result;

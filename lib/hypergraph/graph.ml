@@ -483,7 +483,7 @@ type contraction = {
   edge_of : int array;
 }
 
-let contract g ~block ~card ?name () =
+let contract g ~block ~card =
   if Ns.cardinal block < 2 then
     invalid_arg "Graph.contract: block needs at least two nodes";
   if not (Ns.subset block (all_nodes g)) then
@@ -513,14 +513,10 @@ let contract g ~block ~card ?name () =
   let n' = !next in
   let map_set s = Ns.fold (fun v acc -> Ns.add node_of.(v) acc) s Ns.empty in
   let name =
-    match name with
-    | Some n -> n
-    | None ->
-        "("
-        ^ String.concat "*"
-            (List.rev
-               (Ns.fold (fun v acc -> g.relations.(v).name :: acc) block []))
-        ^ ")"
+    "("
+    ^ String.concat "*"
+        (List.rev (Ns.fold (fun v acc -> g.relations.(v).name :: acc) block []))
+    ^ ")"
   in
   let rels = Array.make n' (base_rel "") in
   for v = 0 to g.n - 1 do

@@ -145,19 +145,14 @@ type contraction = {
           dropped; all others survive in id order) *)
 }
 
-val contract :
-  t ->
-  block:Nodeset.Node_set.t ->
-  card:float ->
-  ?name:string ->
-  unit ->
-  contraction
-(** Collapse [block] into one compound node — the graph-side half of a
-    step of iterative dynamic programming (the plan-side half is
-    {!Plans.Plan.materialized}; the driver is [Core.Idp]).  The
-    compound node takes the position of the block's minimal member in
-    the surviving node order and carries cardinality [card] (the block
-    plan's output estimate) and the block's outward free variables.
+val contract : t -> block:Nodeset.Node_set.t -> card:float -> contraction
+(** Collapse [block] into one compound node — a step of iterative
+    dynamic programming (the driver is [Core.Idp], whose block DP
+    seeds the node's leaf with the block plan's cost).  The compound
+    node takes the position of the block's minimal member in the
+    surviving node order, is named after its members ([(R0*R1)]) and
+    carries cardinality [card] (the block plan's output estimate) and
+    the block's outward free variables.
     Edges covered by the block disappear — an exact DP over the block
     applies all of them, pending inner ones included; every other edge
     keeps its payload with hypernodes mapped through [node_of].

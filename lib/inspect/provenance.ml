@@ -208,11 +208,9 @@ let pp_table ?names ppf t =
       | None -> ()
       | Some c ->
           let pair =
-            if Ns.is_empty c.left then "-"
-            else
-              Printf.sprintf "%s x %s"
-                (set_to_string ?names c.left)
-                (set_to_string ?names c.right)
+            Printf.sprintf "%s x %s"
+              (set_to_string ?names c.left)
+              (set_to_string ?names c.right)
           in
           Format.fprintf ppf "%-26s %12.4g %11.4g %6d %6d %5d  %s%s@."
             (set_to_string ?names sub.set)
@@ -319,17 +317,15 @@ let to_dot ?names ?(name = "search_space") t =
       match champion sub with
       | None -> ()
       | Some c ->
-          if not (Ns.is_empty c.left) then begin
-            List.iter
-              (fun half ->
-                let key = set_to_string ?names half in
-                if not (Hashtbl.mem ids key) then
-                  declare half key
-                    (if Ns.is_singleton half then "ellipse" else "box"))
-              [ c.left; c.right ];
-            pr "  s%d -> s%d;\n" (node_id c.left) (node_id sub.set);
-            pr "  s%d -> s%d;\n" (node_id c.right) (node_id sub.set)
-          end)
+          List.iter
+            (fun half ->
+              let key = set_to_string ?names half in
+              if not (Hashtbl.mem ids key) then
+                declare half key
+                  (if Ns.is_singleton half then "ellipse" else "box"))
+            [ c.left; c.right ];
+          pr "  s%d -> s%d;\n" (node_id c.left) (node_id sub.set);
+          pr "  s%d -> s%d;\n" (node_id c.right) (node_id sub.set))
     subs;
   pr "}\n";
   Buffer.contents buf

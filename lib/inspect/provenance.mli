@@ -38,8 +38,7 @@ module Ns = Nodeset.Node_set
 
 type champion = {
   left : Ns.t;
-      (** winning decomposition sides; both empty when the champion
-          was not a join (compound leaf) *)
+      (** winning decomposition sides *)
   right : Ns.t;
   cost : float;
   card : float;

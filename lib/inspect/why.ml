@@ -184,7 +184,7 @@ let gaps_of dp (forced : Plan.t) =
   let acc = ref [] in
   let rec walk (p : Plan.t) =
     match p.Plan.tree with
-    | Plan.Scan _ | Plan.Compound _ -> 0.0
+    | Plan.Scan _ -> 0.0
     | Plan.Join j ->
         let gl = walk j.Plan.left in
         let gr = walk j.Plan.right in
@@ -238,7 +238,6 @@ let analyze ?(model = Costing.Cost_model.c_out) g spec =
 let rec pp_order names ppf (p : Plan.t) =
   match p.Plan.tree with
   | Plan.Scan i -> Format.pp_print_string ppf (names i)
-  | Plan.Compound c -> Format.fprintf ppf "[%a]" (pp_order names) c.Plan.sub
   | Plan.Join j ->
       Format.fprintf ppf "(%a %a)" (pp_order names) j.Plan.left
         (pp_order names) j.Plan.right

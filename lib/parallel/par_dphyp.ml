@@ -1,7 +1,6 @@
 module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
-module Plan = Plans.Plan
 module Dp = Plans.Dp_table
 
 (* Subsets fit a flat 2^n oracle up to this size (same bound as
@@ -208,7 +207,7 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
          with its strict [<] keeps the same winners as the
          sequential run. *)
       let dp = Dp.create_for g in
-      Ns.iter (fun v -> Dp.force dp (Plan.scan g v)) (G.all_nodes g);
+      Ns.iter (fun v -> Dp.leaf dp v ~cost:0.0) (G.all_nodes g);
       let current = Array.init jobs (fun _ -> cbuf_create ()) in
       let emitters =
         Array.init jobs (fun wid ->

@@ -44,10 +44,9 @@ type hook =
 (* The entries, struct-of-arrays in insertion order: entry [i] is the
    best split found for [sets.(i)] — its left side, its operator code
    (see Plan), its total cost and output cardinality.  Leaves have an
-   empty left side and keep their plan in [leaves].  The arrays grow
-   by doubling, so a table holds one word per flat slot plus a few
-   words per live entry, and a candidate that loses touches nothing
-   but floats. *)
+   empty left side and plan as a scan.  The arrays grow by doubling,
+   so a table holds one word per flat slot plus a few words per live
+   entry, and a candidate that loses touches nothing but floats. *)
 type t = {
   g : G.t;
   index : index;
@@ -57,7 +56,6 @@ type t = {
   mutable costs : float array;
   mutable cards : float array;
   mutable len : int;
-  leaves : Plan.t option array;  (* per node *)
   mutable hook : hook option;
 }
 
@@ -120,7 +118,6 @@ let create_for ?subset g =
       costs = Array.make cap 0.0;
       cards = Array.make cap 0.0;
       len = 0;
-      leaves = Array.make n None;
       hook = None;
     }
   in
@@ -204,15 +201,13 @@ let offer t (c : Costing.Candidate.t) s ~left ~code =
   end
   else notify t s ~left c Rejected
 
-let force t (p : Plan.t) =
-  if not (Ns.is_singleton p.set) then
-    invalid_arg "Dp_table.force: leaf plans only";
-  let i = match id t p.set with -1 -> add t p.set | i -> i in
+let leaf t v ~cost =
+  let s = Ns.singleton v in
+  let i = match id t s with -1 -> add t s | i -> i in
   t.lefts.(i) <- Ns.empty;
   t.codes.(i) <- Plan.rejected;
-  t.costs.(i) <- p.cost;
-  t.cards.(i) <- p.card;
-  t.leaves.(Ns.min_elt p.set) <- Some p
+  t.costs.(i) <- cost;
+  t.cards.(i) <- G.cardinality t.g v
 
 let size t = t.len
 
@@ -224,7 +219,11 @@ let cost t s =
    this is the plan the enumeration costed. *)
 let rec plan_of t i =
   let s = t.sets.(i) and left = t.lefts.(i) in
-  if Ns.is_empty left then Option.get t.leaves.(Ns.min_elt s)
+  if Ns.is_empty left then
+    (* a scan shares the graph's cardinality and the constant 0, so a
+       plan kept in a cache holds no float boxes of its own *)
+    let p = Plan.scan t.g (Ns.min_elt s) in
+    if t.costs.(i) = 0.0 then p else { p with cost = t.costs.(i) }
   else
     let pl = plan_of t (id t left) in
     let pr = plan_of t (id t (Ns.diff s left)) in

@@ -39,7 +39,7 @@ type hook =
   unit
 (** Offer observer: called with the candidate's node set, its left
     side, its cost and cardinality, and what happened to it.
-    {!force} (leaf initialization) is deliberately unhooked —
+    {!leaf} (leaf initialization) is deliberately unhooked —
     champion history is about csg-cmp-pair decisions. *)
 
 val set_hook : t -> hook option -> unit
@@ -100,9 +100,11 @@ val offer :
     becomes the entry for [s] if there is none or it is strictly
     cheaper, so among equal costs the first candidate seen stays. *)
 
-val force : t -> Plan.t -> unit
-(** Install a leaf plan (a scan or a compound leaf) unconditionally.
-    @raise Invalid_argument for a plan over more than one node. *)
+val leaf : t -> int -> cost:float -> unit
+(** [leaf t v ~cost] installs the entry of node [v] unconditionally:
+    its cardinality is the table graph's, its cost [cost] — 0 for a
+    relation, a block plan's cost for a node IDP contracted.  It
+    plans as a [Scan v] with these numbers. *)
 
 val size : t -> int
 (** Number of entries — the number of connected subgraphs discovered

@@ -23,13 +23,13 @@ type t = {
 }
 
 and tree =
-  | Scan of int  (** base relation access *)
+  | Scan of int
+      (** relation access: cost 0 and the relation's catalog
+          cardinality.  Inside IDP a leaf of a contracted graph may
+          stand for a block plan and carry that plan's cost; such a
+          plan is flattened before it leaves the optimizer (see
+          [Core.Idp]), and {!Plan_check} flags one that was not. *)
   | Join of join
-  | Compound of compound
-      (** materialized sub-plan standing in as a leaf — the unit of
-          iterative dynamic programming (IDP), where a block of
-          relations is optimized exactly and then contracted to a
-          single node of a coarser graph *)
 
 and join = {
   op : Relalg.Operator.t;
@@ -47,21 +47,8 @@ and join = {
   right : t;
 }
 
-and compound = {
-  node : int;  (** the node this leaf occupies in {e its} graph *)
-  sub : t;
-      (** the materialized plan; its node sets refer to a different
-          (finer) graph than the plan containing this leaf *)
-}
-
 val scan : Hypergraph.Graph.t -> int -> t
 (** Plan for a single relation: cost 0, cardinality from catalog. *)
-
-val materialized : int -> t -> t
-(** [materialized i sub] — a leaf at node [i] standing for the
-    already-optimized plan [sub] (over a finer graph).  Cardinality
-    and cost are taken from [sub], so enumeration on the coarser graph
-    accounts for the work already committed inside the block. *)
 
 val join :
   Costing.Cost_model.t ->
@@ -132,18 +119,6 @@ val make_join :
     the given estimates, its operator from [code] and its edges and
     selectivity from {!resolve}. *)
 
-val num_joins : t -> int
-
-val leaves : t -> int list
-(** Relation indices, left-to-right plan order.  Compound leaves
-    contribute the leaves of their sub-plan (i.e. indices in the
-    sub-plan's graph). *)
-
-val is_left_deep : t -> bool
-
-val shape_equal : t -> t -> bool
-(** Structural equality of the join trees, ignoring costs. *)
-
 val estimates : t -> (Nodeset.Node_set.t * float) list
 (** [(relations, estimated cardinality)] of every plan node in
     postorder (children before parents, leaves included).  The
@@ -156,8 +131,7 @@ val to_optree : Hypergraph.Graph.t -> t -> Relalg.Optree.t
     carries the conjunction of its edges' predicates, the nestjoin
     aggregates if any, and the recovered operator.  Leaf numbering is
     the plan's, i.e. not necessarily left-to-right — the executor does
-    not care.  @raise Invalid_argument on an unflattened compound
-    leaf, whose sub-plan refers to a different graph. *)
+    not care. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering like [((R0 join R1) leftouter R2)]. *)

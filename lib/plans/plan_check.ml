@@ -6,6 +6,7 @@ module Op = Relalg.Operator
 type issue =
   | Overlapping_children of string
   | Wrong_set of string
+  | Bad_leaf of string
   | Edge_not_connecting of string
   | Edge_missed of string
   | Edge_duplicated of string
@@ -15,6 +16,7 @@ type issue =
 let issue_to_string = function
   | Overlapping_children s -> "overlapping children: " ^ s
   | Wrong_set s -> "wrong node set: " ^ s
+  | Bad_leaf s -> "leaf is not a plain scan: " ^ s
   | Edge_not_connecting s -> "edge does not connect the join: " ^ s
   | Edge_missed s -> "edge never applied: " ^ s
   | Edge_duplicated s -> "edge applied more than once: " ^ s
@@ -30,15 +32,14 @@ let check g (plan : Plan.t) =
     match p.tree with
     | Plan.Scan i ->
         if not (Ns.equal p.set (Ns.singleton i)) then
-          add (Wrong_set (Printf.sprintf "scan R%d has set %s" i (Ns.to_string p.set)))
-    | Plan.Compound c ->
-        (* the sub-plan lives over a finer graph; only the leaf's own
-           placement can be checked here *)
-        if not (Ns.equal p.set (Ns.singleton c.node)) then
+          add (Wrong_set (Printf.sprintf "scan R%d has set %s" i (Ns.to_string p.set)));
+        (* an unflattened IDP block plan has leaves that carry the
+           cost of the block they stand for *)
+        if p.cost <> 0.0 || not (Float.equal p.card (G.cardinality g i)) then
           add
-            (Wrong_set
-               (Printf.sprintf "compound leaf at R%d has set %s" c.node
-                  (Ns.to_string p.set)))
+            (Bad_leaf
+               (Printf.sprintf "scan R%d has cost %g and card %g" i p.cost
+                  p.card))
     | Plan.Join j ->
         let l = j.left.Plan.set and r = j.right.Plan.set in
         if not (Ns.disjoint l r) then
@@ -115,11 +116,3 @@ let check g (plan : Plan.t) =
       end)
     (G.edges g);
   List.rev !issues
-
-let check_exn g plan =
-  match check g plan with
-  | [] -> ()
-  | issues ->
-      failwith
-        ("Plan_check: "
-        ^ String.concat "; " (List.map issue_to_string issues))

@@ -6,7 +6,8 @@
 
     - the node sets of any join's children are disjoint and union to
       the parent's set;
-    - leaf sets are singletons matching their scan;
+    - leaf sets are singletons matching their scan, and a scan of
+      relation [i] has cost 0 and [i]'s cardinality;
     - every hyperedge of the query is {e applied exactly once}, namely
       at the first join where both of its sides are assembled — a
       predicate applied twice or never means a wrong result;
@@ -19,6 +20,9 @@
 type issue =
   | Overlapping_children of string
   | Wrong_set of string
+  | Bad_leaf of string
+      (** a scan whose cost is not 0 or whose cardinality is not its
+          relation's — e.g. an IDP block plan that was not flattened *)
   | Edge_not_connecting of string
   | Edge_missed of string  (** an edge both of whose sides are covered
                                somewhere, yet never applied *)
@@ -31,6 +35,3 @@ val issue_to_string : issue -> string
 val check : Hypergraph.Graph.t -> Plan.t -> issue list
 (** Empty list = structurally valid.  Does not re-derive optimality,
     only well-formedness. *)
-
-val check_exn : Hypergraph.Graph.t -> Plan.t -> unit
-(** @raise Failure with all issues rendered, if any. *)

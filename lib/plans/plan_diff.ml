@@ -23,15 +23,13 @@ type t = {
   right_total : float;
 }
 
-(* Collect every subtree as (set -> side).  Compound leaves are kept
-   as leaves: their sub-plan's sets refer to a different (finer)
-   graph, so recursing would align incomparable sets. *)
+(* Collect every subtree as (set -> side). *)
 let subtrees (p : Plan.t) =
   let acc = ref [] in
   let rec go (p : Plan.t) =
     acc := (p.set, { cost = p.cost; card = p.card; shape = Plan.to_string p }) :: !acc;
     match p.tree with
-    | Plan.Scan _ | Plan.Compound _ -> ()
+    | Plan.Scan _ -> ()
     | Plan.Join j ->
         go j.left;
         go j.right

@@ -32,8 +32,8 @@ type t = {
 }
 
 val diff : Plan.t -> Plan.t -> t
-(** Compound leaves are treated as leaves — their sub-plans refer to a
-    finer graph, so their internals cannot be aligned. *)
+(** Align two plans over the same graph by the relation set of each
+    subtree. *)
 
 val matching : entry -> bool
 (** Both sides present with (numerically) equal cost and

@@ -1,8 +1,8 @@
 module G = Hypergraph.Graph
 
 (* All label text that can contain user-controlled characters
-   (relation names from SQL, rendered sub-plans) goes through the
-   shared DOT escaper — see Hypergraph.Dot.escape_label. *)
+   (relation names from SQL) goes through the shared DOT escaper —
+   see Hypergraph.Dot.escape_label. *)
 let esc = Hypergraph.Dot.escape_label
 
 let to_dot ?(name = "plan") g plan =
@@ -18,10 +18,6 @@ let to_dot ?(name = "plan") g plan =
         pr "  n%d [shape=ellipse, label=\"%s\\ncard=%.0f\"];\n" id
           (esc (G.relation g i).G.name)
           p.card
-    | Plan.Compound c ->
-        pr "  n%d [shape=ellipse, label=\"%s\\ncard=%.0f cost=%.3g\"];\n" id
-          (esc (Plan.to_string c.sub))
-          p.card p.cost
     | Plan.Join j ->
         pr "  n%d [shape=box, label=\"%s\\ncard=%.3g cost=%.3g\\nedges=[%s]\"];\n"
           id

@@ -643,7 +643,7 @@ let brute_cmax g =
 
 let rec max_join_card (p : Plans.Plan.t) =
   match p.Plans.Plan.tree with
-  | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> 0.
+  | Plans.Plan.Scan _ -> 0.
   | Plans.Plan.Join j ->
       Float.max p.Plans.Plan.card
         (Float.max (max_join_card j.Plans.Plan.left)

@@ -51,7 +51,8 @@ let test_optimize_tree () =
 let test_optimize_graph () =
   match D.optimize_graph (Workloads.Shapes.cycle 6) with
   | Ok r ->
-      check "plan present" true (Plans.Plan.num_joins r.D.plan = 5);
+      check "plan covers the 6 relations" true
+        (Nodeset.Node_set.cardinal r.D.plan.Plans.Plan.set = 6);
       check "tree rematerialized" true (Ot.num_ops r.D.tree = 5)
   | Error m -> Alcotest.fail m
 

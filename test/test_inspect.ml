@@ -224,7 +224,6 @@ let test_why_optimal_order () =
       let rec spec (p : P.t) =
         match p.P.tree with
         | P.Scan i -> (G.relation g i).G.name
-        | P.Compound _ -> Alcotest.fail "unexpected compound"
         | P.Join j -> Printf.sprintf "(%s %s)" (spec j.P.left) (spec j.P.right)
       in
       match Inspect.Why.analyze g (spec best) with
@@ -318,8 +317,8 @@ let test_loss_reports () =
   check "fallback tier" true (o.Core.Adaptive.tier <> Core.Adaptive.Exact);
   let plan = Option.get o.Core.Adaptive.plan in
   (match Core.Adaptive.loss_report g o.Core.Adaptive.tier plan with
-  | None -> Alcotest.fail "expected a loss report"
-  | Some rep ->
+  | None | Some (Error _) -> Alcotest.fail "expected a loss report"
+  | Some (Ok rep) ->
       check "columns labeled by tier" true
         (contains (Core.Adaptive.tier_name o.Core.Adaptive.tier) rep
         && contains "exact" rep);
@@ -330,6 +329,24 @@ let test_loss_reports () =
     (Core.Adaptive.loss_report g exact.Core.Adaptive.tier
        (Option.get exact.Core.Adaptive.plan)
     = None)
+
+(* Star-29's exact DP needs billions of pairs: the loss report of its
+   idp plan turns the baseline away on the min_pairs certificate at
+   once instead of running it. *)
+let test_loss_report_skips_hopeless_exact () =
+  let g = Workloads.Shapes.star 29 in
+  let o = Core.Adaptive.solve ~budget:1_000_000 g in
+  check "idp-10 answers" true (o.Core.Adaptive.tier = Core.Adaptive.Idp_k 10);
+  let t0 = Unix.gettimeofday () in
+  (match
+     Core.Adaptive.loss_report g o.Core.Adaptive.tier
+       (Option.get o.Core.Adaptive.plan)
+   with
+  | Some (Error why) ->
+      Alcotest.(check string) "the reason names the certificate"
+        "needs ≥ 7784628224 pairs > cap 1000000" why
+  | _ -> Alcotest.fail "expected the exact baseline to be skipped");
+  check "well under a second" true (Unix.gettimeofday () -. t0 < 1.0)
 
 let () =
   Alcotest.run "inspect"
@@ -366,5 +383,7 @@ let () =
           Alcotest.test_case "cache hit records nothing" `Quick
             test_recording_cache_hit_records_nothing;
           Alcotest.test_case "adaptive loss report" `Quick test_loss_reports;
+          Alcotest.test_case "loss report skips a hopeless exact baseline"
+            `Quick test_loss_report_skips_hopeless_exact;
         ] );
     ]

@@ -28,8 +28,7 @@ let test_scan () =
   let p = P.scan g 1 in
   checkf "card from catalog" 200.0 p.P.card;
   checkf "scan cost 0" 0.0 p.P.cost;
-  Alcotest.(check (list int)) "set" [ 1 ] (Ns.to_list p.P.set);
-  check_int "no joins" 0 (P.num_joins p)
+  Alcotest.(check (list int)) "set" [ 1 ] (Ns.to_list p.P.set)
 
 let test_join_costs () =
   let g = graph3 () in
@@ -41,24 +40,13 @@ let test_join_costs () =
   checkf "card" 2000.0 j.P.card;
   checkf "cout cost = out card" 2000.0 j.P.cost;
   Alcotest.(check (list int)) "set union" [ 0; 1 ] (Ns.to_list j.P.set);
-  check_int "one join" 1 (P.num_joins j);
   (* costs accumulate through children *)
   let c = P.scan g 2 in
   let top =
     P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 1 ]
       ~sel:0.5 j c
   in
-  checkf "accumulated" (2000.0 +. (2000.0 *. 300.0 *. 0.5)) top.P.cost;
-  Alcotest.(check (list int)) "leaves order" [ 0; 1; 2 ] (P.leaves top);
-  check "left deep" true (P.is_left_deep top)
-
-let test_shape_equal () =
-  let g = graph3 () in
-  let a = P.scan g 0 and b = P.scan g 1 in
-  let mk sel = P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel a b in
-  check "same shape, different cost" true (P.shape_equal (mk 0.1) (mk 0.2));
-  let flipped = P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel:0.1 b a in
-  check "flipped differs" false (P.shape_equal (mk 0.1) flipped)
+  checkf "accumulated" (2000.0 +. (2000.0 *. 300.0 *. 0.5)) top.P.cost
 
 (* A priced candidate joining [a] and [b], as the emitter offers it. *)
 let candidate (p : P.t) =
@@ -71,9 +59,9 @@ let test_dp_table () =
   let g = graph3 () in
   let dp = Dp.create_for g in
   check "empty find" true (Dp.find dp (Ns.singleton 0) = None);
-  Dp.force dp (P.scan g 0);
-  Dp.force dp (P.scan g 1);
-  check "mem after force" true (Dp.mem dp (Ns.singleton 0));
+  Dp.leaf dp 0 ~cost:0.0;
+  Dp.leaf dp 1 ~cost:0.0;
+  check "mem after leaf" true (Dp.mem dp (Ns.singleton 0));
   check_int "size" 2 (Dp.size dp);
   let a = P.scan g 0 and b = P.scan g 1 in
   let expensive =
@@ -108,10 +96,15 @@ let test_size_buckets () =
   let g = graph3 () in
   let dp = Dp.create_for g in
   for v = 0 to 2 do
-    Dp.force dp (P.scan g v)
+    Dp.leaf dp v ~cost:(float_of_int v)
   done;
   Alcotest.(check (list int)) "all singletons, newest first" [ 2; 1; 0 ]
     (List.map Ns.min_elt (Dp.sets_of_size dp 1));
+  (match Dp.best dp (Ns.singleton 2) with
+  | { P.tree = P.Scan 2; card; cost; _ } ->
+      checkf "leaf card from the graph" 300.0 card;
+      checkf "leaf cost as installed" 2.0 cost
+  | _ -> Alcotest.fail "expected a scan of R2");
   check_int "no size-2 entries" 0 (List.length (Dp.sets_of_size dp 2))
 
 let test_to_optree () =
@@ -201,9 +194,32 @@ let test_plan_check_applied_tracking () =
     | P.Join j ->
         j.P.edge_ids = P.applied_edges g j.P.left.P.set j.P.right.P.set
         && firsts j.P.left && firsts j.P.right
-    | P.Scan _ | P.Compound _ -> true
+    | P.Scan _ -> true
   in
   check "every join applies what it first covers" true (firsts plan)
+
+(* IDP seeds a contracted node's leaf with the cost of the block plan
+   it stands for.  A block plan that escapes unflattened keeps those
+   leaves, and Plan_check must flag them; flattened, it is clean. *)
+let test_plan_check_unflattened_block () =
+  let g = Workloads.Shapes.chain 6 and model = Costing.Cost_model.c_out in
+  let pair = Ns.of_list [ 0; 1 ] in
+  let bp = Option.get (snd (Core.Dphyp.solve_subset ~subset:pair g)) in
+  let st = Core.Idp.contract ~model (Core.Idp.start g) bp in
+  let cg = st.Core.Idp.graph in
+  let leaf_cost v = st.Core.Idp.base.(v).P.cost in
+  check "the contracted leaf costs something" true (leaf_cost 0 > 0.0);
+  let plan =
+    Option.get
+      (snd (Core.Dphyp.solve_subset ~leaf_cost ~subset:(G.all_nodes cg) cg))
+  in
+  check "unflattened block plan flagged" true
+    (List.exists
+       (function Plans.Plan_check.Bad_leaf _ -> true | _ -> false)
+       (Plans.Plan_check.check cg plan));
+  Alcotest.(check (list string)) "flattened plan is clean" []
+    (List.map Plans.Plan_check.issue_to_string
+       (Plans.Plan_check.check g (Core.Idp.flatten ~model st plan)))
 
 let test_pp () =
   let g = graph3 () in
@@ -350,7 +366,6 @@ let () =
         [
           Alcotest.test_case "scan" `Quick test_scan;
           Alcotest.test_case "join costs" `Quick test_join_costs;
-          Alcotest.test_case "shape_equal" `Quick test_shape_equal;
           Alcotest.test_case "to_optree" `Quick test_to_optree;
           Alcotest.test_case "to_optree cross product" `Quick
             test_to_optree_cross_product;
@@ -364,6 +379,8 @@ let () =
             test_plan_check_catches_duplicate_edge;
           Alcotest.test_case "applied tracking" `Quick
             test_plan_check_applied_tracking;
+          Alcotest.test_case "unflattened block plan" `Quick
+            test_plan_check_unflattened_block;
         ] );
       ( "dp_table",
         [
