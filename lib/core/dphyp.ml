@@ -6,15 +6,8 @@ module G = Hypergraph.Graph
    emission action so that plan construction and pure enumeration
    share one code path.  [emit s1 s2] must install a dpTable entry for
    s1 ∪ s2 when (s1, s2) is a csg-cmp-pair — the connectivity tests
-   below are dpTable lookups, per the paper.
-
-   [restrict] holds nodes that must never appear in any csg or cmp:
-   it is folded into every exclusion set, so a run over [restrict =
-   V \ B] is exact DPhyp on the sub-hypergraph induced by the block
-   [B].  The whole-graph entry points use [restrict = ∅], in which
-   case every union below is a no-op and the behavior (and emission
-   order) is bit-for-bit the classic algorithm.  IDP-k (see Idp) is
-   the customer of the restricted form. *)
+   below are dpTable lookups, per the paper.  A block DP (see Idp)
+   runs the same algorithm on the block's induced subgraph. *)
 
 (* [mem] is the connectivity oracle of Section 3.2.  The sequential
    solver passes dpTable membership (entries exist for exactly the
@@ -28,7 +21,6 @@ type ctx = {
   mem : Ns.t -> bool;
   counters : Counters.t;
   emit : Ns.t -> Ns.t -> unit;
-  restrict : Ns.t;
 }
 
 let neighborhood c s x =
@@ -58,9 +50,7 @@ let rec enumerate_cmp_rec c s1 s2 x =
    seeds that are still to come below it (B_v(N)) so each complement
    is grown from its smallest contained neighbor only. *)
 let emit_csg c s1 =
-  let x =
-    Ns.union c.restrict (Ns.union s1 (Ns.upto (Ns.min_elt s1)))
-  in
+  let x = Ns.union s1 (Ns.upto (Ns.min_elt s1)) in
   let n = neighborhood c s1 x in
   Ns.iter_desc
     (fun v ->
@@ -88,24 +78,20 @@ let rec enumerate_csg_rec c s1 x =
    parallel enumerator can hand each root to a different domain —
    with a pure [mem] oracle the work under one root depends only on
    the graph, never on other roots' table writes. *)
-let process_root c subset v =
+let process_root c v =
   let s = Ns.singleton v in
   emit_csg c s;
-  enumerate_csg_rec c s
-    (Ns.union c.restrict (Ns.inter subset (Ns.upto v)))
+  enumerate_csg_rec c s (Ns.upto v)
 
 let run_root ~mem ~emit ~counters g v =
-  let c = { g; mem; counters; emit; restrict = Ns.empty } in
-  process_root c (G.all_nodes g) v
+  process_root { g; mem; counters; emit } v
 
-let run_subset ~emit ~counters ?(leaf_cost = fun _ -> 0.0) ~subset g dp =
-  let restrict = Ns.diff (G.all_nodes g) subset in
-  let c = { g; mem = Plans.Dp_table.mem dp; counters; emit; restrict } in
-  Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:(leaf_cost v)) subset;
-  Ns.iter_desc (fun v -> process_root c subset v) subset
-
-let run ~emit ~counters g dp =
-  run_subset ~emit ~counters ~subset:(G.all_nodes g) g dp
+(* Seed every leaf, then the descending root loop of Section 3. *)
+let run ~emit ~counters ?(leaf_cost = fun _ -> 0.0) g dp =
+  let c = { g; mem = Plans.Dp_table.mem dp; counters; emit } in
+  let all = G.all_nodes g in
+  Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:(leaf_cost v)) all;
+  Ns.iter_desc (fun v -> process_root c v) all
 
 let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter ?bound
     ?(counters = Counters.create ()) g =
@@ -117,13 +103,13 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter ?bound
 let solve ?model ?filter ?bound ?counters g =
   snd (solve_with_table ?model ?filter ?bound ?counters g)
 
-let solve_subset ?(model = Costing.Cost_model.c_out) ?leaf_cost
-    ?(counters = Counters.create ()) ~subset g =
-  let dp = Plans.Dp_table.create_for ~subset g in
+let solve_induced ?(model = Costing.Cost_model.c_out)
+    ?(counters = Counters.create ()) ~leaf_cost (ind : G.induced) =
+  let g = ind.sub in
+  let dp = Plans.Dp_table.create_for ~lift:(G.lift ind) g in
   let e = Emit.make ~model ~counters g dp in
-  run_subset ~emit:(Emit.emit e Emit.Symmetric) ~counters ?leaf_cost ~subset g
-    dp;
-  (dp, Plans.Dp_table.find dp subset)
+  run ~emit:(Emit.emit e Emit.Symmetric) ~counters ~leaf_cost g dp;
+  (dp, Plans.Dp_table.find dp (G.all_nodes g))
 
 let enumerate_ccps g =
   let counters = Counters.create () in

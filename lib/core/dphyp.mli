@@ -48,24 +48,20 @@ val solve_with_table :
 (** Like {!solve} but also returns the full DP table (for inspection
     of all connected subgraphs and their best plans). *)
 
-val solve_subset :
+val solve_induced :
   ?model:Costing.Cost_model.t ->
-  ?leaf_cost:(int -> float) ->
   ?counters:Counters.t ->
-  subset:Nodeset.Node_set.t ->
-  Hypergraph.Graph.t ->
+  leaf_cost:(int -> float) ->
+  Hypergraph.Graph.induced ->
   Plans.Dp_table.t * Plans.Plan.t option
-(** Exact DPhyp restricted to the sub-hypergraph induced by [subset]:
-    nodes outside [subset] are folded into every exclusion set, so no
-    csg or cmp ever leaves it.  [leaf_cost] supplies the DP seed cost
-    of each node of [subset] (default 0) — IDP passes the cost of the
-    block plan a contracted node stands for, whose cardinality the
-    contracted graph already carries.  The plans it returns then have
-    [Scan] leaves with those costs, to be flattened before they leave
-    the optimizer ({!Idp.flatten}).  Returns the block DP table and
-    the best plan covering all of [subset], if the induced subgraph is
-    connected.  With [subset = all_nodes] this is exactly
-    {!solve_with_table} (without filter support). *)
+(** Exact DPhyp on a block's induced subgraph
+    ({!Hypergraph.Graph.induced}): {!solve_with_table} on [sub] without
+    filter support, each leaf [v] seeded with cost [leaf_cost v] (IDP
+    passes the cost of the block plan a contracted node stands for).
+    Table and plan speak of [sub]'s nodes and edges; the table's offer
+    hook sees its sets lifted to the enclosing graph.  The plan's
+    [Scan] leaves carry the seeded costs, to be flattened before they
+    leave the optimizer ({!Idp.flatten}). *)
 
 val run_root :
   mem:(Nodeset.Node_set.t -> bool) ->

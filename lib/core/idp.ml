@@ -4,14 +4,15 @@ module He = Hypergraph.Hyperedge
 
 (* IDP-k (iterative dynamic programming, Kossmann & Stocker style,
    "IDP-M" flavor): pick a block of at most k relations, optimize it
-   {e exactly} with block-restricted DPhyp (Dphyp.solve_subset),
-   contract the winning sub-plan to one node of a coarser graph
-   (Graph.contract, which gives it the block plan's cardinality), and
-   repeat until a single plan covers everything; the next block DP
-   seeds that node's leaf with the block plan's cost.  Each round
-   costs at most the 3^k of exact DP on k relations, so total work is
-   polynomial in n for fixed k — and with k >= n the first round IS
-   exact DPhyp, so IDP degrades continuously from the optimum.
+   {e exactly} with DPhyp on the block's induced subgraph
+   (Graph.induced, Dphyp.solve_induced), contract the winning sub-plan
+   to one node of a coarser graph (Graph.contract, which gives it the
+   block plan's cardinality), and repeat until a single plan covers
+   everything; the next block DP seeds that node's leaf with the block
+   plan's cost.  Each round costs at most the 3^k of exact DP on k
+   relations, so total work is polynomial in n for fixed k — and with
+   k >= n the first round IS exact DPhyp, so IDP degrades continuously
+   from the optimum.
 
    Plans built on a contracted graph talk about contracted node sets
    and edge ids, so each round's winner is immediately {e flattened}
@@ -23,7 +24,12 @@ module He = Hypergraph.Hyperedge
    cardinalities), so the returned plan is a plain root-graph plan
    that Plan_check accepts and to_optree can execute.  The partitioned
    tier (Partition) contracts its clustered blocks through the same
-   [state] and then runs the same [rounds]. *)
+   [state] and then runs the same [rounds].
+
+   A block DP runs on the block's induced subgraph, whose rank order
+   keeps every order-dependent decision of DPhyp; what leaves it — the
+   winning plan, the entries [pick_entry] judges, the sets a
+   provenance hook records — is lifted back to the current graph. *)
 
 let default_k = 7
 
@@ -63,10 +69,34 @@ let choose_block g k =
   done;
   !block
 
-(* Best materialization candidate in the block DP table: the largest
+(* A block's DP ran on its induced subgraph ([ind.sub]); [plan] is
+   its winner in the current graph's node and edge ids. *)
+type block = {
+  ind : G.induced;
+  dp : Plans.Dp_table.t;
+  plan : Plans.Plan.t option;
+}
+
+(* An induced-subgraph plan in the current graph's node and edge ids;
+   cardinalities, costs, operators and selectivities carry over. *)
+let lift_plan (ind : G.induced) p =
+  let rec go (p : Plans.Plan.t) =
+    let set = G.lift ind p.set in
+    match p.tree with
+    | Plans.Plan.Scan v ->
+        { p with set; tree = Plans.Plan.Scan ind.members.(v) }
+    | Plans.Plan.Join j ->
+        let edge_ids = List.map (fun id -> ind.edge_ids.(id)) j.edge_ids in
+        let left = go j.left and right = go j.right in
+        { p with set; tree = Plans.Plan.Join { j with edge_ids; left; right } }
+  in
+  go p
+
+(* Best materialization candidate in a block DP table: the largest
    contractible entry, cheapest first, node-set order as the final
-   tie-break so the choice never depends on table iteration order. *)
-let pick_entry g dp block =
+   tie-break so the choice never depends on table iteration order.
+   Entries are judged as the current graph's node sets. *)
+let pick_entry g (b : block) =
   let better (ca, sa) (cb, sb) = ca < cb || (ca = cb && Ns.compare sa sb < 0) in
   let rec at_size s =
     if s < 2 then None
@@ -74,18 +104,22 @@ let pick_entry g dp block =
       let best =
         List.fold_left
           (fun acc set ->
-            if G.contractible g set then
-              let e = (Plans.Dp_table.cost dp set, set) in
-              match acc with Some b when better b e -> acc | _ -> Some e
+            let cur = G.lift b.ind set in
+            if G.contractible g cur then
+              let e = (Plans.Dp_table.cost b.dp set, cur) in
+              match acc with
+              | Some (best, _) when better best e -> acc
+              | _ -> Some (e, set)
             else acc)
           None
-          (Plans.Dp_table.sets_of_size dp s)
+          (Plans.Dp_table.sets_of_size b.dp s)
       in
       match best with
       | None -> at_size (s - 1)
-      | Some (_, set) -> Some (Plans.Dp_table.best dp set)
+      | Some (_, set) ->
+          Some (lift_plan b.ind (Plans.Dp_table.best b.dp set))
   in
-  at_size (Ns.cardinal block)
+  at_size (G.num_nodes b.ind.sub)
 
 (* [emap]: current edge id -> root edge id; [base.(v)]: the root plan
    current node [v] stands for; [cur_of]: root node -> current node. *)
@@ -140,9 +174,10 @@ let solve_block ?obs ~model ~counters st ~label ~span ~attrs subset k =
   in
   Plans.Dp_table.with_context label (fun () ->
       Obs.Span.with_opt obs span ~attrs (fun sp ->
-          let leaf_cost v = st.base.(v).cost in
-          k sp
-            (Dphyp.solve_subset ~model ~leaf_cost ~counters ~subset st.graph)))
+          let ind = G.induced st.graph subset in
+          let leaf_cost v = st.base.(ind.members.(v)).cost in
+          let dp, plan = Dphyp.solve_induced ~model ~leaf_cost ~counters ind in
+          k sp { ind; dp; plan = Option.map (lift_plan ind) plan }))
 
 (* [kr] is the effective block size for this round.  It starts at [k]
    and widens only when a round gets stuck — on hypergraphs a small
@@ -167,13 +202,13 @@ let rounds ?obs ~model ~counters ~k st =
             ("k", Obs.Span.Int kr);
           ]
         block
-        (fun sp (dp, plan) ->
+        (fun sp b ->
           if final then begin
             Obs.Span.set_opt sp "final" (Obs.Span.Bool true);
-            `Done (Option.map (flatten ~model st) plan)
+            `Done (Option.map (flatten ~model st) b.plan)
           end
           else
-            match pick_entry st.graph dp block with
+            match pick_entry st.graph b with
             | None ->
                 Obs.Span.set_opt sp "widened" (Obs.Span.Bool true);
                 `Widen

@@ -2,8 +2,8 @@
     relations.
 
     The budget-friendly middle ground between exact DPhyp and greedy
-    GOO: each round runs {e exact} DPhyp restricted to a greedily
-    chosen block of up to [k] relations ({!Dphyp.solve_subset}),
+    GOO: each round runs {e exact} DPhyp on the subgraph induced by a
+    greedily chosen block of up to [k] relations ({!solve_block}),
     contracts the best contractible sub-plan to one node of a coarser
     graph ({!Hypergraph.Graph.contract}), whose leaf the next block DP
     seeds with that sub-plan's cost, and repeats until one plan covers
@@ -66,6 +66,15 @@ val contract : model:Costing.Cost_model.t -> state -> Plans.Plan.t -> state
 (** Contract a plan's node set, which must be
     {!Hypergraph.Graph.contractible}, to one node standing for it. *)
 
+type block = private {
+  ind : Hypergraph.Graph.induced;
+      (** the block's induced subgraph, on which its DP ran *)
+  dp : Plans.Dp_table.t;  (** the block DP's table, over [ind.sub] *)
+  plan : Plans.Plan.t option;
+      (** the plan covering the whole block, if its induced subgraph
+          is connected, in the current graph's node and edge ids *)
+}
+
 val solve_block :
   ?obs:Obs.Span.ctx ->
   model:Costing.Cost_model.t ->
@@ -75,13 +84,17 @@ val solve_block :
   span:string ->
   attrs:(string * Obs.Span.value) list ->
   Nodeset.Node_set.t ->
-  (Obs.Span.t option -> Plans.Dp_table.t * Plans.Plan.t option -> 'a) ->
+  (Obs.Span.t option -> block -> 'a) ->
   'a
-(** [solve_block st ~label ~span ~attrs subset k] passes
-    {!Dphyp.solve_subset} on [subset], each node's leaf seeded with
-    the cost of its base plan, to [k]; both run under the span [span]
-    and the DP-table context [label], nested in the caller's.  The
-    plan's leaves carry those costs until {!flatten}ed. *)
+(** [solve_block st ~label ~span ~attrs subset k] runs
+    {!Dphyp.solve_induced} on the subgraph of the current graph induced
+    by [subset], each leaf seeded with its base plan's cost, and passes
+    the result to [k]; both run under the span [span] and the DP-table
+    context [label], nested in the caller's.  The subgraph renumbers
+    [subset] in rank order, so the block DP works on [|subset|]-bit sets
+    and a flat table however wide the query, while its plans, counters
+    and provenance equal those of DPhyp confined to [subset] in place.
+    The plan's leaves carry the seeded costs until {!flatten}ed. *)
 
 val rounds :
   ?obs:Obs.Span.ctx ->

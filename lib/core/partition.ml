@@ -16,8 +16,10 @@ module He = Hypergraph.Hyperedge
       so no block boundary ever straddles a hypernode (which would
       make the block uncontractible).
 
-   2. {e Solve each block exactly} and contract it to one node
-      (Idp.solve_block, Idp.contract).
+   2. {e Solve each block exactly} — DPhyp on the block's induced
+      subgraph, renumbered in rank order, so a 10-node block of a
+      160-relation query works on 10-bit sets and a flat 2^10 table —
+      and contract it to one node (Idp.solve_block, Idp.contract).
 
    3. {e Stitch} with IDP's rounds on the contracted graph
       (Idp.rounds), which also absorb whatever the partition left as
@@ -105,15 +107,15 @@ let solve ?obs ?(model = Costing.Cost_model.c_out)
         let bcur =
           Ns.fold (fun v acc -> Ns.add st.cur_of.(v) acc) block Ns.empty
         in
-        let _dp, plan =
+        let b =
           Idp.solve_block ?obs ~model ~counters st
             ~label:(Printf.sprintf "partition:block:R%d" (Ns.min_elt block))
             ~span:"partition:block"
             ~attrs:[ ("block_nodes", Obs.Span.Int (Ns.cardinal bcur)) ]
             bcur
-            (fun _ r -> r)
+            (fun _ b -> b)
         in
-        match plan with
+        match b.plan with
         | Some bp when Ns.cardinal bcur = G.num_nodes st.graph ->
             (* one block covers the whole graph: that exact DP run
                already decided everything *)

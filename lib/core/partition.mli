@@ -9,7 +9,8 @@
     whatever the clustering left as singletons (e.g. a star's
     satellites, which can only ever cluster with the hub).  It is IDP
     entered with pre-clustered blocks: both go through one contraction
-    loop ({!Idp.solve_block}, {!Idp.contract}, {!Idp.rounds}).
+    loop ({!Idp.solve_block}, {!Idp.contract}, {!Idp.rounds}), whose
+    block DPs run on the blocks' induced subgraphs.
 
     This is the tier {!Adaptive.solve} selects automatically for
     queries wider than {!Nodeset.Node_set.small_capacity} relations,

@@ -41,17 +41,16 @@ let count_csg_cmp_pairs g = List.length (csg_cmp_pairs g)
    series over the remaining layers.  The answer is a sizing hint,
    not a count: it is doubled for slack and capped so a pathological
    ratio cannot demand gigabytes. *)
-let estimate_connected_subgraphs ?subset g =
-  let s = match subset with Some s -> s | None -> Graph.all_nodes g in
-  let n = Ns.cardinal s in
+let estimate_connected_subgraphs g =
+  let n = Graph.num_nodes g in
   if n <= 2 then n + 1
   else if n > Ns.small_capacity then
-    (* Wide node sets never run exhaustive DP — a table over one
-       only ever holds per-block entries of the partitioned tier — so
-       a linear hint is plenty. *)
+    (* Graphs this wide are planned by the large-query tiers, whose
+       block tables are built on narrow induced subgraphs; a
+       whole-graph table over one gets a linear hint. *)
     max 64 (min (1 lsl 21) (16 * (n + Array.length (Graph.edges g))))
   else begin
-    let nb v = Ns.inter (Graph.simple_neighbors g v) s in
+    let nb = Graph.simple_neighbors g in
     let c2 = ref 0 and c3 = ref 0 in
     Ns.iter
       (fun v ->
@@ -66,13 +65,13 @@ let estimate_connected_subgraphs ?subset g =
             let tri = Ns.cardinal (Ns.diff (Ns.inter nv (nb u)) (Ns.upto u)) in
             c3 := !c3 - (2 * tri))
           (Ns.diff nv (Ns.upto v)))
-      s;
+      (Graph.all_nodes g);
     let triples =
       List.sort_uniq Ns.compare
         (List.filter_map
            (fun (e : Hyperedge.t) ->
              let c = Graph.edge_cover g e.id in
-             if Ns.cardinal c = 3 && Ns.subset c s then Some c else None)
+             if Ns.cardinal c = 3 then Some c else None)
            (Graph.complex_edges g))
     in
     (* A triple with fewer than two simple edges is not in c3 yet.  It

@@ -20,20 +20,17 @@ val csg_cmp_pairs :
 
 val count_csg_cmp_pairs : Graph.t -> int
 
-val estimate_connected_subgraphs :
-  ?subset:Nodeset.Node_set.t -> Graph.t -> int
+val estimate_connected_subgraphs : Graph.t -> int
 (** Cheap (polynomial) estimate of {!count_connected_subgraphs} for
-    pre-sizing DP hash tables, taken over the sub-hypergraph induced by
-    [subset] (default: every node).  The 2- and 3-node layers are
-    counted exactly from {!Graph.simple_neighbors} sets — O(Σ deg²)
-    set operations over the [k] nodes of [subset], plus O(1)
-    {!Graph.connects} probes per distinct triple a complex edge
-    covers — and the remaining layers extrapolated geometrically with
-    ratio c₃/c₂, then doubled for slack and capped at 2²¹.  Node sets
-    of more than 62 nodes get a linear hint instead.  A sizing hint,
-    not a count — it deliberately over-estimates so a table created
-    with it does not rehash while DPhyp fills it on the common
-    shapes. *)
+    pre-sizing DP hash tables.  The 2- and 3-node layers are counted
+    exactly from {!Graph.simple_neighbors} sets — O(Σ deg²) set
+    operations, plus O(1) {!Graph.connects} probes per distinct triple
+    a complex edge covers — and the remaining layers extrapolated
+    geometrically with ratio c₃/c₂, then doubled for slack and capped
+    at 2²¹.  Graphs of more than 62 nodes get a linear hint instead.
+    A sizing hint, not a count — it deliberately over-estimates so a
+    table created with it does not rehash while DPhyp fills it on the
+    common shapes. *)
 
 val count_join_trees : Graph.t -> int
 (** Number of cross-product-free {e ordered} bushy join trees for the

@@ -554,6 +554,50 @@ let contract g ~block ~card =
   let cgraph = make rels (Array.of_list (List.rev !edges')) in
   { cgraph; node_of; edge_of = Array.of_list (List.rev !edge_of) }
 
+(* ---- induced subgraphs (block DP support) ------------------------- *)
+
+(* The block's members renumbered 0..k-1 in ascending order, so every
+   decision the enumeration takes by node or edge order — neighborhood
+   seeds, root order, edge gathering, tie-breaks — comes out the same
+   on the subgraph as on the block inside [g]. *)
+type induced = { sub : t; members : int array; edge_ids : int array }
+
+let induced g block =
+  let members = Array.of_list (Ns.to_list block) in
+  let local = Array.make g.n (-1) in
+  Array.iteri (fun i v -> local.(v) <- i) members;
+  let map_set s =
+    Ns.fold
+      (fun v acc -> if local.(v) < 0 then acc else Ns.add local.(v) acc)
+      s Ns.empty
+  in
+  let rels =
+    Array.map
+      (fun v ->
+        let r = g.relations.(v) in
+        { r with free = map_set r.free })
+      members
+  in
+  let edges = ref [] and ids = ref [] and next_id = ref 0 in
+  Array.iter
+    (fun (e : Hyperedge.t) ->
+      if Ns.subset g.edge_covers.(e.id) block then begin
+        edges :=
+          Hyperedge.make ~w:(map_set e.w) ~op:e.op ~pred:e.pred ~sel:e.sel
+            ~aggs:e.aggs ~id:!next_id (map_set e.u) (map_set e.v)
+          :: !edges;
+        ids := e.id :: !ids;
+        incr next_id
+      end)
+    g.edges;
+  {
+    sub = make rels (Array.of_list (List.rev !edges));
+    members;
+    edge_ids = Array.of_list (List.rev !ids);
+  }
+
+let lift ind s = Ns.fold (fun v acc -> Ns.add ind.members.(v) acc) s Ns.empty
+
 let pp ppf g =
   Format.fprintf ppf "@[<v>hypergraph: %d nodes, %d edges@," g.n
     (Array.length g.edges);

@@ -159,4 +159,26 @@ val contract : t -> block:Nodeset.Node_set.t -> card:float -> contraction
     @raise Invalid_argument if the block has fewer than two nodes,
     mentions an out-of-range node, or is not {!contractible}. *)
 
+type induced = {
+  sub : t;
+      (** the block's relations, renumbered [0 .. k-1] in ascending
+          order, and the edges whose cover lies in the block *)
+  members : int array;  (** subgraph node -> node *)
+  edge_ids : int array;  (** subgraph edge id -> edge id *)
+}
+
+val induced : t -> Nodeset.Node_set.t -> induced
+(** [induced g block] — the sub-hypergraph of [g] induced by [block],
+    on which a block DP runs with [k]-node sets instead of [g]'s
+    (see [Core.Idp.solve_block]).  Renumbering keeps the nodes' order
+    and the surviving edges keep theirs (ascending id), so exact DPhyp
+    on [sub] takes every node-order and edge-order decision it would
+    take on the block inside [g].  Each free set is restricted to the
+    block: a dependency on a node outside it cannot matter to a join
+    of two sets inside it.  @raise Invalid_argument if [block] is
+    empty or mentions an out-of-range node. *)
+
+val lift : induced -> Nodeset.Node_set.t -> Nodeset.Node_set.t
+(** A subgraph node set in the enclosing graph's numbering. *)
+
 val pp : Format.formatter -> t -> unit

@@ -13,10 +13,10 @@ let flat_max_nodes = 18
 
 (* Wide queries key the hash on the node set itself: [Ns.hash] and
    [Ns.equal] are value-based, so the table is oblivious to which
-   representation a set arrived in.  [Ns.hash] keeps a block's bits
+   representation a set arrived in.  [Ns.hash] keeps a set's bits
    where they sit in its word, and a bucket is picked by the low bits
-   alone, so the hash is mixed first: a block of nodes 40..49 would
-   otherwise fill one bucket of a table sized for that block. *)
+   alone, so the hash is mixed first: sets of high-numbered nodes
+   would otherwise crowd a few buckets. *)
 module NsTbl = Hashtbl.Make (struct
   type t = Ns.t
 
@@ -57,6 +57,7 @@ type t = {
   mutable cards : float array;
   mutable len : int;
   mutable hook : hook option;
+  lift : Ns.t -> Ns.t;  (* table set -> the set a hook reports *)
 }
 
 (* Ambient provenance wiring.  The inspect layer installs a creation
@@ -88,7 +89,7 @@ let current_context () = Domain.DLS.get context_label
 
 let set_hook t h = t.hook <- h
 
-let create_for ?subset g =
+let create_for ?(lift = Fun.id) g =
   let n = G.num_nodes g in
   let index =
     if n <= flat_max_nodes then Flat (Array.make (1 lsl n) (-1))
@@ -96,13 +97,11 @@ let create_for ?subset g =
       (* OCaml's Hashtbl resizes once the load factor passes 2, so a
          bucket count of half the expected entries already avoids
          every rehash; creating with the full estimate leaves
-         headroom for it being low.  The table only ever holds
-         subsets of the node set it fills, so the estimate is taken
-         over that set and never exceeds its 2^k subsets. *)
-      let k = match subset with Some s -> Ns.cardinal s | None -> n in
+         headroom for it being low.  The table never holds more than
+         the graph's 2^n subsets. *)
       let hint =
-        min (1 lsl min k 61)
-          (max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs ?subset g))
+        min (1 lsl min n 61)
+          (max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs g))
       in
       if n <= Ns.small_capacity then Hashed (IntTbl.create hint)
       else Wide (NsTbl.create hint)
@@ -119,6 +118,7 @@ let create_for ?subset g =
       cards = Array.make cap 0.0;
       len = 0;
       hook = None;
+      lift;
     }
   in
   (match Domain.DLS.get create_observer with None -> () | Some f -> f t);
@@ -183,7 +183,9 @@ let store t i (c : Costing.Candidate.t) ~left ~code =
   t.cards.(i) <- c.card
 
 let notify t s ~left (c : Costing.Candidate.t) ev =
-  match t.hook with None -> () | Some f -> f s ~left ~cost:c.cost ~card:c.card ev
+  match t.hook with
+  | None -> ()
+  | Some f -> f (t.lift s) ~left:(t.lift left) ~cost:c.cost ~card:c.card ev
 
 (* Cost first: the incumbent's cost is one array read, and a losing
    candidate changes nothing.  Strict [<], so among equal costs the

@@ -67,15 +67,18 @@ val current_context : unit -> string
 (** The calling domain's context label ([""] outside any
     {!with_context}). *)
 
-val create_for : ?subset:Nodeset.Node_set.t -> Hypergraph.Graph.t -> t
-(** Table for the query [g], to be filled with connected subsets of
-    [subset] (default: every node; [Dphyp.solve_subset] passes
-    its block).  A flat index for small [n]; beyond the flat limit,
-    the hash index is pre-sized from
-    {!Hypergraph.Csg_enum.estimate_connected_subgraphs} over [subset]
-    and capped at its [2^k] subsets, so filling it does not rehash on
-    the common shapes and creating it costs O(Σ deg²) over the block
-    plus buckets in proportion to the block, not to [g]. *)
+val create_for :
+  ?lift:(Nodeset.Node_set.t -> Nodeset.Node_set.t) -> Hypergraph.Graph.t -> t
+(** Table for the query [g]: a flat index for small [n]; beyond the
+    flat limit, a hash index pre-sized from
+    {!Hypergraph.Csg_enum.estimate_connected_subgraphs}, so filling it
+    does not rehash on the common shapes.  A block DP runs on the
+    block's induced subgraph ({!Hypergraph.Graph.induced}), so its
+    table is a flat 2{^k} index over the block's [k] nodes whatever the
+    width of the query.  [lift] (default: identity) renames the sets
+    the offer {!hook} sees: a block table passes
+    {!Hypergraph.Graph.lift}, so provenance records the enclosing
+    graph's node sets. *)
 
 val hash_stats : t -> Hashtbl.statistics option
 (** Bucket statistics of the hash index; [None] on the flat path.

@@ -69,6 +69,64 @@ let rec split_where = function
   | Ast.True -> ([], [])
   | p -> ([ p ], [])
 
+(* Attach each WHERE conjunct at the first operator, in post-order,
+   whose tables cover it — it must be an inner join there, else the
+   filter over a padding/filtering operator has no sound home.  Each
+   operator's tables are computed once, bottom-up; the first failing
+   conjunct, in WHERE order, is the one reported; the tree is rebuilt
+   once, each operator's conjuncts folded in WHERE order. *)
+let attach_where tree conjs =
+  let count = Ot.num_ops tree in
+  let nodes = Array.make count None and scopes = Array.make count Ns.empty in
+  let next = ref 0 in
+  let rec scope = function
+    | Ot.Leaf l -> Ns.singleton l.Ot.node
+    | Ot.Node n ->
+        let tables = Ns.union (scope n.left) (scope n.right) in
+        nodes.(!next) <- Some n;
+        scopes.(!next) <- tables;
+        incr next;
+        tables
+  in
+  ignore (scope tree);
+  let attached = Array.make count [] in
+  List.iter
+    (fun p ->
+      let ft = P.free_tables p in
+      let i = ref 0 in
+      while !i < count && not (Ns.subset ft scopes.(!i)) do
+        incr i
+      done;
+      if !i = count then
+        fail "WHERE predicate %s references unknown tables" (P.to_string p);
+      let i = !i in
+      let n = Option.get nodes.(i) in
+      if n.op.Relalg.Operator.kind <> Relalg.Operator.Inner then
+        fail
+          "WHERE predicate %s applies across a %s and is not null-rejecting \
+           enough to simplify it; unsupported"
+          (P.to_string p)
+          (Relalg.Operator.symbol n.op);
+      attached.(i) <- p :: attached.(i))
+    conjs;
+  next := 0;
+  let rec rebuild = function
+    | Ot.Leaf _ as t -> t
+    | Ot.Node n as t -> (
+        let left = rebuild n.left in
+        let right = rebuild n.right in
+        let i = !next in
+        incr next;
+        match attached.(i) with
+        | [] when left == n.left && right == n.right -> t
+        | ps ->
+            let pred =
+              List.fold_left (fun acc p -> P.And (acc, p)) n.pred (List.rev ps)
+            in
+            Ot.Node { n with left; right; pred })
+  in
+  rebuild tree
+
 let bind (q : Ast.query) =
   try
     (* number relations in FROM order *)
@@ -119,7 +177,7 @@ let bind (q : Ast.query) =
        conjuncts simplify outer joins below it (Galindo-Legaria &
        Rosenthal) BEFORE attachment.  We reuse the Simplify pass by
        pretending the whole query sits under one inner join carrying
-       the WHERE predicate. *)
+       the WHERE predicate, then attach the conjuncts. *)
     let tree =
       match where_conjs with
       | [] -> !tree
@@ -129,41 +187,9 @@ let bind (q : Ast.query) =
               (Ot.leaf (Array.length tables) "<where>")
           in
           match Conflicts.Simplify.simplify wrapped with
-          | Ot.Node n -> n.left
+          | Ot.Node n -> attach_where n.left conjs
           | Ot.Leaf _ -> assert false)
     in
-    (* Attach each WHERE conjunct at the first operator where its
-       tables are in scope — it must be an inner join there, else the
-       filter over a padding/filtering operator has no sound home. *)
-    let attach tree p =
-      let ft = P.free_tables p in
-      let rec go t =
-        match t with
-        | Ot.Leaf _ -> None
-        | Ot.Node n -> (
-            match go n.left with
-            | Some left -> Some (Ot.Node { n with left })
-            | None -> (
-                match go n.right with
-                | Some right -> Some (Ot.Node { n with right })
-                | None ->
-                    if Ns.subset ft (Ot.tables t) then
-                      if n.op.Relalg.Operator.kind = Relalg.Operator.Inner
-                      then Some (Ot.Node { n with pred = P.And (n.pred, p) })
-                      else
-                        fail
-                          "WHERE predicate %s applies across a %s and is not \
-                           null-rejecting enough to simplify it; unsupported"
-                          (P.to_string p)
-                          (Relalg.Operator.symbol n.op)
-                    else None))
-      in
-      match go tree with
-      | Some t -> t
-      | None ->
-          fail "WHERE predicate %s references unknown tables" (P.to_string p)
-    in
-    let tree = List.fold_left attach tree where_conjs in
     (* append EXISTS / NOT EXISTS as semijoins / antijoins *)
     let tree =
       List.fold_left

@@ -805,7 +805,12 @@ let prop_resolution_equivalence =
         | None -> []
         | Some i ->
             let block = G.edge_cover g i in
-            let sub = Option.get (Core.Dphyp.solve_subset ~subset:block g |> snd) in
+            let sub =
+              Option.get
+                (Core.Dphyp.solve_induced ~leaf_cost:(fun _ -> 0.0)
+                   (G.induced g block)
+                |> snd)
+            in
             let c = G.contract g ~block ~card:sub.Plans.Plan.card in
             let node = c.G.node_of.(Ns.min_elt block) in
             [

@@ -580,7 +580,8 @@ let test_dot_hostile_names () =
 (* The estimator as it once stood in Csg_enum: c2 and c3 from O(k^3)
    [connects] probes over the members of [subset], then the same
    geometric extrapolation.  Kept as the reference the O(sum deg^2)
-   neighbor-set count must reproduce exactly. *)
+   neighbor-set count must reproduce exactly, on a whole graph and on
+   a block's induced subgraph. *)
 let reference_estimate ?subset g =
   let s = Option.value subset ~default:(G.all_nodes g) in
   let nodes = Array.of_list (Ns.to_list s) in
@@ -687,7 +688,7 @@ let prop_estimate_matches_reference =
       let g = random_wide_graph rng in
       let subset = random_block rng g in
       Csg.estimate_connected_subgraphs g = reference_estimate g
-      && Csg.estimate_connected_subgraphs ~subset g
+      && Csg.estimate_connected_subgraphs (G.induced g subset).G.sub
          = reference_estimate ~subset g)
 
 let test_estimate_shapes () =
@@ -698,7 +699,7 @@ let test_estimate_shapes () =
       let subset = Ns.range 0 9 in
       check_int (name ^ " block 0..9")
         (reference_estimate ~subset g)
-        (Csg.estimate_connected_subgraphs ~subset g))
+        (Csg.estimate_connected_subgraphs (G.induced g subset).G.sub))
     [
       ("chain62", Workloads.Shapes.chain 62);
       ("cycle40", Workloads.Shapes.cycle 40);

@@ -193,13 +193,13 @@ let test_presize_no_resize () =
       ("grid4x5", Workloads.Shapes.grid ~rows:4 ~cols:5 ());
     ]
 
-(* A block's table is sized from the block, not from the graph it
-   lives in: a 10-node block gets at most 2 * 2^10 buckets whatever
-   the graph's size or shape, filling it never resizes, and its sets
-   spread over the buckets even when every member sits high in its
-   word (a block of nodes 36..45 has ten zero low bits).  The block
-   grows breadth-first from the given node over simple edges. *)
-let test_block_presize () =
+(* A block's DP runs on the block's induced subgraph, so its table is
+   a flat 2^|block| index however wide the graph: a 10-node block of
+   a 40-node star, a 100-node snowflake or a 100-node chain (nodes
+   45..54, high in their word) gets a flat table of exactly the
+   block's connected subsets.  The block grows breadth-first from the
+   given node over simple edges. *)
+let test_block_table_flat () =
   let block_of g k start =
     let rec grow block frontier =
       if Ns.cardinal block >= k then block
@@ -217,33 +217,51 @@ let test_block_presize () =
     (fun (name, g, start) ->
       let subset = block_of g 10 start in
       Alcotest.(check int) (name ^ ": block of 10") 10 (Ns.cardinal subset);
-      let fresh = Plans.Dp_table.create_for ~subset g in
-      let b0 =
-        match Plans.Dp_table.hash_stats fresh with
-        | Some s -> s.Hashtbl.num_buckets
-        | None -> Alcotest.failf "%s: expected a hashed table" name
+      let tables = ref [] in
+      let b =
+        Plans.Dp_table.with_create_observer
+          (fun t -> tables := t :: !tables)
+          (fun () ->
+            Core.Idp.solve_block ~model:Costing.Cost_model.c_out
+              ~counters:(Core.Counters.create ()) (Core.Idp.start g) ~label:""
+              ~span:"" ~attrs:[] subset (fun _ b -> b))
       in
-      check (name ^ ": at most 2 * 2^10 buckets") true (b0 <= 2 * 1024);
-      let dp, plan = Core.Dphyp.solve_subset ~subset g in
-      check (name ^ ": block solved") true (plan <> None);
-      match Plans.Dp_table.hash_stats dp with
-      | None -> Alcotest.failf "%s: expected a hashed table" name
-      | Some s ->
-          Alcotest.(check int)
-            (name ^ ": buckets unchanged, i.e. no resize")
-            b0 s.Hashtbl.num_buckets;
-          check (name ^ ": table was actually used") true
-            (s.Hashtbl.num_bindings > 0);
-          check
-            (Printf.sprintf "%s: longest bucket %d <= 8" name
-               s.Hashtbl.max_bucket_length)
-            true
-            (s.Hashtbl.max_bucket_length <= 8))
+      Alcotest.(check int) (name ^ ": one table") 1 (List.length !tables);
+      check (name ^ ": it is the block's") true (List.hd !tables == b.Core.Idp.dp);
+      Alcotest.(check int)
+        (name ^ ": built on the block's nodes")
+        10
+        (G.num_nodes b.Core.Idp.ind.G.sub);
+      check (name ^ ": flat index") true (Plans.Dp_table.hash_stats b.dp = None);
+      Alcotest.(check int)
+        (name ^ ": one entry per connected subset")
+        (Hypergraph.Csg_enum.count_connected_subgraphs b.ind.G.sub)
+        (Plans.Dp_table.size b.dp);
+      check (name ^ ": block solved") true
+        (match b.plan with
+        | Some p -> Ns.equal p.Plans.Plan.set subset
+        | None -> false))
     [
-      ("star40 (hashed)", Workloads.Shapes.star 39, 0);
-      ("snowflake100 (wide)", Workloads.Shapes.snowflake_n 100, 0);
-      ("chain100 from R45 (wide)", Workloads.Shapes.chain 100, 45);
+      ("star40", Workloads.Shapes.star 39, 0);
+      ("snowflake100", Workloads.Shapes.snowflake_n 100, 0);
+      ("chain100 from R45", Workloads.Shapes.chain 100, 45);
     ]
+
+(* Every table a partitioned run creates — each block's and each
+   IDP round's — is built on a narrow induced subgraph, so none of
+   them falls back to hashing. *)
+let test_partitioned_tables_flat () =
+  let tables = ref [] in
+  let plan =
+    Plans.Dp_table.with_create_observer
+      (fun t -> tables := t :: !tables)
+      (fun () -> Core.Partition.solve (Workloads.Shapes.snowflake_n 80))
+  in
+  check "planned" true (plan <> None);
+  Alcotest.(check int) "tables: 8 blocks and 2 rounds" 10 (List.length !tables);
+  List.iter
+    (fun t -> check "flat index" true (Plans.Dp_table.hash_stats t = None))
+    !tables
 
 (* ---------- batch pipeline ---------- *)
 
@@ -428,8 +446,10 @@ let () =
         [
           Alcotest.test_case "pre-sized hashtbl never resizes" `Quick
             test_presize_no_resize;
-          Alcotest.test_case "block tables sized from the block" `Quick
-            test_block_presize;
+          Alcotest.test_case "a block's table is a flat 2^|block| index"
+            `Quick test_block_table_flat;
+          Alcotest.test_case "snowflake-80 builds only flat tables" `Quick
+            test_partitioned_tables_flat;
         ] );
       ( "batch",
         [

@@ -203,16 +203,18 @@ let test_plan_check_applied_tracking () =
    leaves, and Plan_check must flag them; flattened, it is clean. *)
 let test_plan_check_unflattened_block () =
   let g = Workloads.Shapes.chain 6 and model = Costing.Cost_model.c_out in
-  let pair = Ns.of_list [ 0; 1 ] in
-  let bp = Option.get (snd (Core.Dphyp.solve_subset ~subset:pair g)) in
-  let st = Core.Idp.contract ~model (Core.Idp.start g) bp in
-  let cg = st.Core.Idp.graph in
-  let leaf_cost v = st.Core.Idp.base.(v).P.cost in
-  check "the contracted leaf costs something" true (leaf_cost 0 > 0.0);
-  let plan =
+  let block st set =
+    let counters = Core.Counters.create () in
     Option.get
-      (snd (Core.Dphyp.solve_subset ~leaf_cost ~subset:(G.all_nodes cg) cg))
+      (Core.Idp.solve_block ~model ~counters st ~label:"" ~span:"" ~attrs:[]
+         set (fun _ b -> b.Core.Idp.plan))
   in
+  let st0 = Core.Idp.start g in
+  let st = Core.Idp.contract ~model st0 (block st0 (Ns.of_list [ 0; 1 ])) in
+  let cg = st.Core.Idp.graph in
+  check "the contracted leaf costs something"
+    true (st.Core.Idp.base.(0).P.cost > 0.0);
+  let plan = block st (G.all_nodes cg) in
   check "unflattened block plan flagged" true
     (List.exists
        (function Plans.Plan_check.Bad_leaf _ -> true | _ -> false)

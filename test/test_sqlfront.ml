@@ -283,6 +283,258 @@ let prop_wellformed_roundtrip =
       let printed = Format.asprintf "%a" A.pp_query q in
       Pa.parse printed = q)
 
+(* ---------- one-pass WHERE attachment vs. the per-conjunct walk ---------- *)
+
+(* The binder as it stood before WHERE conjuncts were attached in one
+   pass: each conjunct walks the tree on its own, recomputing every
+   operator's tables.  Kept as the reference the one-pass attachment
+   must reproduce, bound tree and error message alike. *)
+module Reference = struct
+  module Ast = Sqlfront.Ast
+  module P = Relalg.Predicate
+
+  exception Bind_error of string
+
+  let fail fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt
+
+  let kind_to_op = function
+    | Ast.Inner -> Op.join
+    | Ast.Left_outer -> Op.left_outer
+    | Ast.Full_outer -> Op.full_outer
+    | Ast.Semi -> Op.left_semi
+    | Ast.Anti -> Op.left_anti
+
+  let resolve_col aliases qualifier attr =
+    match qualifier with
+    | Some q -> (
+        match List.assoc_opt q aliases with
+        | Some idx -> idx
+        | None -> fail "unknown table alias %S in %s.%s" q q attr)
+    | None -> (
+        match aliases with
+        | [ (_, only) ] -> only
+        | _ -> fail "unqualified column %S is ambiguous; qualify it" attr)
+
+  let rec bind_scalar aliases = function
+    | Ast.Col (q, a) -> Relalg.Scalar.Col (resolve_col aliases q a, a)
+    | Ast.Int i -> Relalg.Scalar.Const (Relalg.Value.Int i)
+    | Ast.Str s -> Relalg.Scalar.Const (Relalg.Value.Str s)
+    | Ast.Add (a, b) -> Relalg.Scalar.Add (bind_scalar aliases a, bind_scalar aliases b)
+    | Ast.Sub (a, b) -> Relalg.Scalar.Sub (bind_scalar aliases a, bind_scalar aliases b)
+    | Ast.Mul (a, b) -> Relalg.Scalar.Mul (bind_scalar aliases a, bind_scalar aliases b)
+
+  let bind_cmp = function
+    | Ast.Eq -> P.Eq
+    | Ast.Ne -> P.Ne
+    | Ast.Lt -> P.Lt
+    | Ast.Le -> P.Le
+    | Ast.Gt -> P.Gt
+    | Ast.Ge -> P.Ge
+
+  let rec bind_pred aliases = function
+    | Ast.True -> P.True_
+    | Ast.False -> P.False_
+    | Ast.Cmp (c, a, b) ->
+        P.Cmp (bind_cmp c, bind_scalar aliases a, bind_scalar aliases b)
+    | Ast.And (a, b) -> P.And (bind_pred aliases a, bind_pred aliases b)
+    | Ast.Or (a, b) -> P.Or (bind_pred aliases a, bind_pred aliases b)
+    | Ast.Not a -> P.Not (bind_pred aliases a)
+    | Ast.Exists _ ->
+        fail
+          "EXISTS is only supported as a top-level conjunct of the WHERE clause"
+
+  (* split the WHERE AST into plain conjuncts and EXISTS conjuncts *)
+  let rec split_where = function
+    | Ast.And (a, b) ->
+        let pa, ea = split_where a and pb, eb = split_where b in
+        (pa @ pb, ea @ eb)
+    | Ast.Exists e -> ([], [ e ])
+    | Ast.True -> ([], [])
+    | p -> ([ p ], [])
+
+  let bind (q : Ast.query) =
+    try
+      (* number relations in FROM order *)
+      let items = q.from_first :: List.map (fun (j : Ast.join) -> j.item) q.from_rest in
+      let aliases = List.mapi (fun i (it : Ast.from_item) -> (it.alias, i)) items in
+      (if List.length (List.sort_uniq compare (List.map fst aliases))
+          <> List.length aliases
+      then fail "duplicate table alias in FROM clause");
+      (* EXISTS subqueries become extra relations numbered after the
+         FROM items, joined in with semijoins / antijoins *)
+      let plain_where, exists_list =
+        match q.where with None -> ([], []) | Some w -> split_where w
+      in
+      let n_from = List.length items in
+      let exists_aliases =
+        List.mapi
+          (fun i (e : Ast.exists_query) -> (e.Ast.item.Ast.alias, n_from + i))
+          exists_list
+      in
+      (if
+         List.exists
+           (fun (a, _) -> List.mem_assoc a aliases)
+           exists_aliases
+         || List.length (List.sort_uniq compare (List.map fst exists_aliases))
+            <> List.length exists_aliases
+       then fail "duplicate table alias between FROM and EXISTS subqueries");
+      let aliases = aliases @ exists_aliases in
+      let tables =
+        Array.of_list
+          (List.map (fun (it : Ast.from_item) -> it.Ast.table) items
+          @ List.map
+              (fun (e : Ast.exists_query) -> e.Ast.item.Ast.table)
+              exists_list)
+      in
+      let where_conjs = List.map (bind_pred aliases) plain_where in
+      (* Build the tree with ON predicates only first. *)
+      let leaf i = Ot.leaf i tables.(i) in
+      let tree = ref (leaf 0) in
+      List.iteri
+        (fun i (j : Ast.join) ->
+          let right = leaf (i + 1) in
+          let pred =
+            match j.on with Some p -> bind_pred aliases p | None -> P.True_
+          in
+          tree := Ot.op (kind_to_op j.kind) pred !tree right)
+        q.from_rest;
+      (* The WHERE clause filters the final result, so null-rejecting
+         conjuncts simplify outer joins below it (Galindo-Legaria &
+         Rosenthal) BEFORE attachment.  We reuse the Simplify pass by
+         pretending the whole query sits under one inner join carrying
+         the WHERE predicate. *)
+      let tree =
+        match where_conjs with
+        | [] -> !tree
+        | conjs -> (
+            let wrapped =
+              Ot.op Relalg.Operator.join (P.conj conjs) !tree
+                (Ot.leaf (Array.length tables) "<where>")
+            in
+            match Conflicts.Simplify.simplify wrapped with
+            | Ot.Node n -> n.left
+            | Ot.Leaf _ -> assert false)
+      in
+      (* Attach each WHERE conjunct at the first operator where its
+         tables are in scope — it must be an inner join there, else the
+         filter over a padding/filtering operator has no sound home. *)
+      let attach tree p =
+        let ft = P.free_tables p in
+        let rec go t =
+          match t with
+          | Ot.Leaf _ -> None
+          | Ot.Node n -> (
+              match go n.left with
+              | Some left -> Some (Ot.Node { n with left })
+              | None -> (
+                  match go n.right with
+                  | Some right -> Some (Ot.Node { n with right })
+                  | None ->
+                      if Ns.subset ft (Ot.tables t) then
+                        if n.op.Relalg.Operator.kind = Relalg.Operator.Inner
+                        then Some (Ot.Node { n with pred = P.And (n.pred, p) })
+                        else
+                          fail
+                            "WHERE predicate %s applies across a %s and is not \
+                             null-rejecting enough to simplify it; unsupported"
+                            (P.to_string p)
+                            (Relalg.Operator.symbol n.op)
+                      else None))
+        in
+        match go tree with
+        | Some t -> t
+        | None ->
+            fail "WHERE predicate %s references unknown tables" (P.to_string p)
+      in
+      let tree = List.fold_left attach tree where_conjs in
+      (* append EXISTS / NOT EXISTS as semijoins / antijoins *)
+      let tree =
+        List.fold_left
+          (fun acc ((e : Ast.exists_query), idx) ->
+            let pred =
+              match e.Ast.inner_where with
+              | Some p -> bind_pred aliases p
+              | None -> P.True_
+            in
+            let op =
+              if e.Ast.negated then Relalg.Operator.left_anti
+              else Relalg.Operator.left_semi
+            in
+            Ot.op op pred acc (Ot.leaf idx e.Ast.item.Ast.table))
+          tree
+          (List.mapi (fun i e -> (e, n_from + i)) exists_list)
+      in
+      (match Ot.validate tree with
+      | Ok () -> ()
+      | Error e -> fail "internal: invalid tree: %s" (Ot.error_to_string e));
+      Ok tree
+    with Bind_error msg -> Error msg
+end
+
+
+(* Random queries over 2-7 tables: comma joins and INNER/LEFT/FULL/
+   SEMI/ANTI joins with ON clauses, and WHERE clauses mixing one-,
+   two- and three-table conjuncts (cycle-closing ones included), OR
+   terms, an occasional EXISTS, and conjuncts that must fail: unknown
+   aliases, filters on the preserved side of an outer join,
+   single-table queries with a filter. *)
+let random_query rng =
+  let module R = Random.State in
+  let n = 1 + R.int rng 7 in
+  let t i = Printf.sprintf "t%d" i in
+  let col i = Printf.sprintf "%s.c%d" (t i) (R.int rng 3) in
+  let from =
+    String.concat " "
+      (List.init n (fun i ->
+           let item = Printf.sprintf "r%d %s" i (t i) in
+           if i = 0 then item
+           else
+             match R.int rng 6 with
+             | 0 -> ", " ^ item
+             | k ->
+                 let kind =
+                   [| "JOIN"; "LEFT JOIN"; "FULL JOIN"; "SEMI JOIN"; "ANTI JOIN" |]
+                 in
+                 Printf.sprintf "%s %s ON %s = %s" kind.(k - 1) item
+                   (col (R.int rng i)) (col i)))
+  in
+  let conjunct () =
+    let any () = R.int rng n in
+    match R.int rng 12 with
+    | 0 -> Printf.sprintf "%s = %d" (col (any ())) (R.int rng 9)
+    | 1 -> Printf.sprintf "%s = %s" (col 0) (col (n - 1))
+    | 2 | 3 ->
+        Printf.sprintf "%s + %s = %s" (col (any ())) (col (any ())) (col (any ()))
+    | 4 -> Printf.sprintf "(%s = 1 OR %s = 2)" (col (any ())) (col (any ()))
+    | 5 -> Printf.sprintf "zz.c0 = %s" (col (any ()))
+    | 6 ->
+        Printf.sprintf "EXISTS (SELECT * FROM e e WHERE e.k = %s)" (col (any ()))
+    | _ -> Printf.sprintf "%s = %s" (col (any ())) (col (any ()))
+  in
+  let where =
+    match R.int rng 5 with
+    | 0 -> ""
+    | k ->
+        " WHERE " ^ String.concat " AND " (List.init k (fun _ -> conjunct ()))
+  in
+  Printf.sprintf "SELECT * FROM %s%s" from where
+
+let prop_where_one_pass =
+  QCheck.Test.make ~name:"one-pass WHERE = per-conjunct walk" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let src = random_query (Random.State.make [| seed |]) in
+      let q = Pa.parse src in
+      let show = function
+        | Ok t -> "ok " ^ Ot.to_string t
+        | Error m -> "error " ^ m
+      in
+      let got = Result.map (fun (b : B.bound) -> b.tree) (B.bind q) in
+      let want = Reference.bind q in
+      got = want
+      || QCheck.Test.fail_reportf "%s@.one pass: %s@.reference: %s" src
+           (show got) (show want))
+
 (* ---------- full pipeline sanity ---------- *)
 
 let test_pipeline_execution_equivalence () =
@@ -337,6 +589,7 @@ let () =
           Alcotest.test_case "single table filter" `Quick
             test_bind_unqualified_single_table;
           Alcotest.test_case "semi/anti" `Quick test_bind_semi_anti;
+          QCheck_alcotest.to_alcotest prop_where_one_pass;
         ] );
       ( "exists",
         [
