@@ -16,7 +16,7 @@ let time_ms f =
   let r = ref (Obs.Span.with_ ctx "trial" (fun _ -> f ())) in
   let first =
     match Obs.Span.spans ctx with
-    | [ s ] -> s.Obs.Sink.dur_s
+    | [ s ] -> s.Obs.Span.dur_s
     | _ -> assert false
   in
   if first > 0.05 then (first *. 1000.0, !r)

@@ -104,7 +104,17 @@ let jobs_arg =
      only — other algorithms refuse); the chosen plan is byte-identical to \
      --jobs 1 for every value."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ ->
+          Error
+            (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let profile_arg =
   let doc =
@@ -131,7 +141,7 @@ let obs_ctx profile trace_out =
 let write_trace trace_out ctx =
   Option.iter
     (fun path ->
-      Obs.Sink.write_chrome path (Obs.Span.spans ctx);
+      Obs.Span.write_chrome path (Obs.Span.spans ctx);
       Format.printf "span trace written to %s (open in Perfetto)@." path)
     trace_out
 
@@ -433,7 +443,7 @@ let replay_stream shape n rp =
    domains; the message of the first failed request, if any. *)
 let serve_replay ~jobs w optimize =
   Driver.Pipeline.run_batch ~jobs
-    (fun _obs i -> Result.map ignore (optimize (Workloads.Replay.graph w i)))
+    (fun i -> Result.map ignore (optimize (Workloads.Replay.graph w i)))
     (List.init (Array.length w.Workloads.Replay.requests) Fun.id)
   |> List.find_map (function Ok () -> None | Error m -> Some m)
 

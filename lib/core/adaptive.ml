@@ -15,11 +15,11 @@ let skipped_attr = "skipped"
 
 let span_name tier = span_prefix ^ tier_name tier
 
-let ran_tier (s : Obs.Sink.span) =
-  let name = s.Obs.Sink.name and p = String.length span_prefix in
+let ran_tier (s : Obs.Span.span) =
+  let name = s.Obs.Span.name and p = String.length span_prefix in
   if
     String.starts_with ~prefix:span_prefix name
-    && not (List.mem_assoc skipped_attr s.Obs.Sink.attrs)
+    && not (List.mem_assoc skipped_attr s.Obs.Span.attrs)
   then Some (String.sub name p (String.length name - p))
   else None
 

@@ -18,7 +18,7 @@ type result = {
 
 type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
 
-let make_cache ?shards ~capacity () = Cache.Plan_cache.create ?shards ~capacity ()
+let make_cache ~capacity () = Cache.Plan_cache.create ~capacity ()
 
 let budget_error =
   "work budget exhausted before a plan was found (use the adaptive algorithm \
@@ -137,25 +137,25 @@ let merge_help =
 (* Depth-0 span names, with the algorithm-specific enumerate span
    collapsed to one "enumerate" phase so the series stays
    low-cardinality. *)
-let phase_name (s : Obs.Sink.span) =
-  if String.starts_with ~prefix:"enumerate:" s.Obs.Sink.name then "enumerate"
-  else s.Obs.Sink.name
+let phase_name (s : Obs.Span.span) =
+  if String.starts_with ~prefix:"enumerate:" s.Obs.Span.name then "enumerate"
+  else s.Obs.Span.name
 
 (* The histograms one span of the request feeds: a depth-0 span is a
    pipeline phase; an adaptive rung that ran (a rung the budget cut
    short included, a rung skipped on its certificate not) is a tier
    sample; the parallel enumerator's span carries each domain's emit
    time. *)
-let observe_span tel (s : Obs.Sink.span) =
-  if s.Obs.Sink.depth = 0 then
+let observe_span tel (s : Obs.Span.span) =
+  if s.Obs.Span.depth = 0 then
     Obs.Export.observe_s tel ~help:phase_help
       ~labels:[ ("phase", phase_name s) ]
-      "joinopt_phase_latency_seconds" s.Obs.Sink.dur_s;
+      "joinopt_phase_latency_seconds" s.Obs.Span.dur_s;
   Option.iter
     (fun tier ->
       Obs.Export.observe_s tel ~help:tier_help
         ~labels:[ ("tier", tier) ]
-        "joinopt_tier_latency_seconds" s.Obs.Sink.dur_s)
+        "joinopt_tier_latency_seconds" s.Obs.Span.dur_s)
     (Core.Adaptive.ran_tier s);
   List.iter
     (fun (i, sec) ->
@@ -347,20 +347,13 @@ let optimize_graph ?obs ?tel ?cache ?(algo = Core.Optimizer.Dphyp) ?model
 
 (* Inter-query parallelism: one pool task per query, each running
    [f] — typically a full sequential pipeline call — on whichever
-   domain picks it up.  Tasks share nothing but the optional sink,
-   and Obs.Sink.emit is serialized by a process-wide mutex, so all
-   per-query span contexts may stream into one [?sink]. *)
-let run_batch ?sink ?pool ~jobs f xs =
+   domain picks it up. *)
+let run_batch ~jobs f xs =
   let xs = Array.of_list xs in
   let out = Array.make (Array.length xs) None in
-  let go pool =
-    Parallel.Pool.run_fun pool (Array.length xs) (fun i _wid ->
-        let obs = Option.map (fun sink -> Obs.Span.create ~sink ()) sink in
-        out.(i) <- Some (f obs xs.(i)))
-  in
-  (match pool with
-  | Some pool -> go pool
-  | None -> Parallel.Pool.with_pool ~jobs go);
+  Parallel.Pool.with_pool ~jobs (fun pool ->
+      Parallel.Pool.run_fun pool (Array.length xs) (fun i _wid ->
+          out.(i) <- Some (f xs.(i))));
   Array.to_list (Array.map Option.get out)
 
 let verify_on_data ?(rows = 8) ?(seed = 42) r =

@@ -56,8 +56,9 @@ type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
     ({!Tes_generate_and_test}, {!Cdc}) bypass the cache — a filter is
     a closure the key cannot capture. *)
 
-val make_cache : ?shards:int -> capacity:int -> unit -> plan_cache
-(** [Cache.Plan_cache.create] at the pipeline's value type. *)
+val make_cache : capacity:int -> unit -> plan_cache
+(** [Cache.Plan_cache.create] at the pipeline's value type, with its
+    default shard count. *)
 
 val export_cache_stats : Obs.Export.t -> plan_cache -> unit
 (** Publish the cache's counters and occupancy into the telemetry
@@ -185,29 +186,16 @@ val enumerate :
     (parallel non-DPhyp, [Dpccp] on a hypergraph) is [Error] with its
     reason.  A run that finds no plan is [Ok] with [plan = None]. *)
 
-val run_batch :
-  ?sink:Obs.Sink.t ->
-  ?pool:Parallel.Pool.t ->
-  jobs:int ->
-  (Obs.Span.ctx option -> 'a -> 'b) ->
-  'a list ->
-  'b list
+val run_batch : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Inter-query parallelism: [run_batch ~jobs f xs] applies [f] to
-    every query concurrently on a pool of [jobs] domains (one task per
-    query), returning the results in input order.  [f] receives the
-    query's private span collector — [Some] one streaming into
-    [?sink] when a sink is given, [None] otherwise — and typically
-    passes it as [?obs] to {!optimize_tree} together with whatever
-    parameters (and shared [?cache] or [?tel]) the batch uses.  The
-    sink is safe to share ({!Obs.Sink.emit} is thread-safe), and so
-    are a plan cache and a telemetry registry: duplicate queries
-    within one batch are optimized once (single flight).  [?pool]
-    reuses an existing Domain pool across batches — the replay-serving
-    configuration, keeping workers warm instead of spawning a pool per
-    call — in which case [jobs] is ignored and the pool's own worker
-    count applies; by default a fresh pool of [jobs] domains is
-    created and shut down.  A task that raises aborts the whole
-    batch. *)
+    every query concurrently on a fresh pool of [jobs] domains (one
+    task per query), returning the results in input order.  [f] is
+    typically a call of {!optimize_graph} or {!optimize_tree} with
+    whatever parameters the batch uses; a plan cache and a telemetry
+    registry are safe to share between its calls, and duplicate
+    queries within one batch are optimized once (single flight).  A
+    span collector is not: give each call its own, or none.  A task
+    that raises aborts the whole batch. *)
 
 val verify_on_data :
   ?rows:int -> ?seed:int -> result -> (int, string) Result.t

@@ -4,33 +4,32 @@
    reports through.
 
    The registry is deliberately small and boring: assoc lists of
-   (metric name, sorted labels) -> instrument, guarded by one mutex.
-   Lookups allocate a tiny key and scan a list of at most a few dozen
-   series — nanoseconds next to the optimizations being measured; the
-   hot per-sample work happens inside Histogram's per-domain stripes,
-   not here.  Snapshots sort every series by (name, labels), so two
-   registries populated in different orders render byte-identical
-   documents. *)
+   (metric name, sorted labels) -> instrument, guarded by one mutex
+   under which every sample is recorded too.  Lookups allocate a tiny
+   key and scan a list of at most a few dozen series — nanoseconds
+   next to the optimizations being measured.  Snapshots sort every
+   series by (name, labels), so two registries populated in different
+   orders render byte-identical documents. *)
 
 type series = string * (string * string) list
 
 type t = {
   lock : Mutex.t;
   mutable hists : (series * Histogram.t) list;
-  mutable counters : (series * int Atomic.t) list;
+  mutable counters : (series * int ref) list;
   mutable gauges : (series * float ref) list;
   mutable help : (string * string) list; (* metric name -> HELP text *)
   recorder : Recorder.t;
 }
 
-let create ?(recorder_capacity = 256) ?slow_s () =
+let create ?slow_s () =
   {
     lock = Mutex.create ();
     hists = [];
     counters = [];
     gauges = [];
     help = [];
-    recorder = Recorder.create ?slow_s ~capacity:recorder_capacity ();
+    recorder = Recorder.create ?slow_s ~capacity:256 ();
   }
 
 let recorder t = t.recorder
@@ -47,47 +46,39 @@ let note_help t name = function
   | Some h ->
       if not (List.mem_assoc name t.help) then t.help <- (name, h) :: t.help
 
-let histogram t ?help ?(labels = []) name =
+(* The series [name]{labels} of [series] (created by [make] when new)
+   and the possibly extended list. *)
+let find_or_add series ~labels name make =
   let key = (name, sort_labels labels) in
+  match List.assoc_opt key series with
+  | Some x -> (x, series)
+  | None ->
+      let x = make () in
+      (x, (key, x) :: series)
+
+let observe t ?help ?(labels = []) name v =
   locked t (fun () ->
       note_help t name help;
-      match List.assoc_opt key t.hists with
-      | Some h -> h
-      | None ->
-          let h = Histogram.create () in
-          t.hists <- (key, h) :: t.hists;
-          h)
-
-let observe t ?help ?labels name v =
-  Histogram.record (histogram t ?help ?labels name) v
+      let h, hists = find_or_add t.hists ~labels name Histogram.create in
+      t.hists <- hists;
+      Histogram.record h v)
 
 let observe_s t ?help ?labels name seconds =
   observe t ?help ?labels name (int_of_float (seconds *. 1e9))
 
-let counter t ?help ?(labels = []) name =
-  let key = (name, sort_labels labels) in
+let set_counter t ?help ?(labels = []) name v =
   locked t (fun () ->
       note_help t name help;
-      match List.assoc_opt key t.counters with
-      | Some c -> c
-      | None ->
-          let c = Atomic.make 0 in
-          t.counters <- (key, c) :: t.counters;
-          c)
-
-let incr_counter t ?help ?labels name =
-  Atomic.incr (counter t ?help ?labels name)
-
-let set_counter t ?help ?labels name v =
-  Atomic.set (counter t ?help ?labels name) v
+      let c, counters = find_or_add t.counters ~labels name (fun () -> ref 0) in
+      t.counters <- counters;
+      c := v)
 
 let set_gauge t ?help ?(labels = []) name v =
-  let key = (name, sort_labels labels) in
   locked t (fun () ->
       note_help t name help;
-      match List.assoc_opt key t.gauges with
-      | Some g -> g := v
-      | None -> t.gauges <- (key, ref v) :: t.gauges)
+      let g, gauges = find_or_add t.gauges ~labels name (fun () -> ref 0.0) in
+      t.gauges <- gauges;
+      g := v)
 
 (* ---------- shared "k=v" formatting (Counters.pp, cache-stats, the
    stats subcommand all render through these, so the same numbers can
@@ -130,7 +121,7 @@ let snap t =
         s_counters =
           List.sort
             (fun (a, _) (b, _) -> compare_series a b)
-            (List.map (fun (k, c) -> (k, Atomic.get c)) t.counters);
+            (List.map (fun (k, c) -> (k, !c)) t.counters);
         s_gauges =
           List.sort
             (fun (a, _) (b, _) -> compare_series a b)
@@ -279,7 +270,7 @@ let request_json (r : Recorder.request) =
     (r.Recorder.wall_s *. 1e3)
     r.Recorder.minor_words r.Recorder.major_words;
   Buffer.add_string b
-    (String.concat ", " (List.map Sink.span_to_json r.Recorder.spans));
+    (String.concat ", " (List.map Span.span_to_json r.Recorder.spans));
   Buffer.add_string b "]}";
   Buffer.contents b
 

@@ -1,7 +1,7 @@
 (** The serving-telemetry registry and its export formats.
 
     An {!t} holds named, labeled instruments — latency
-    {!Histogram}s, monotonic counters, gauges — plus one
+    {!Histogram}s, counters, gauges — plus one
     {!Recorder} flight recorder, and renders them three ways:
 
     - {!prometheus}: Prometheus text exposition ([# HELP]/[# TYPE],
@@ -21,17 +21,18 @@
 
 type t
 
-val create : ?recorder_capacity:int -> ?slow_s:float -> unit -> t
-(** A fresh registry with an empty flight recorder of
-    [recorder_capacity] (default 256) requests; [slow_s] is the
-    recorder's span-promotion threshold. *)
+val create : ?slow_s:float -> unit -> t
+(** A fresh registry with an empty flight recorder of 256 requests;
+    [slow_s] is the recorder's span-promotion threshold. *)
 
 val recorder : t -> Recorder.t
 
-val histogram :
-  t -> ?help:string -> ?labels:(string * string) list -> string -> Histogram.t
-(** Get or create the histogram series [name]\{[labels]\}.  The first
-    [help] ever supplied for a metric name is the one exported. *)
+(** {2 Series}
+
+    Each call gets or creates the series [name]\{[labels]\} and
+    updates it under the registry's one lock, so a registry may be
+    fed from any number of domains.  The first [help] ever supplied
+    for a metric name is the one exported. *)
 
 val observe :
   t -> ?help:string -> ?labels:(string * string) list -> string -> int -> unit
@@ -47,14 +48,9 @@ val observe_s :
   unit
 (** [observe] taking seconds and converting to nanoseconds. *)
 
-val counter :
-  t -> ?help:string -> ?labels:(string * string) list -> string -> int Atomic.t
-
-val incr_counter :
-  t -> ?help:string -> ?labels:(string * string) list -> string -> unit
-
 val set_counter :
   t -> ?help:string -> ?labels:(string * string) list -> string -> int -> unit
+(** Set a counter series to an absolute value. *)
 
 val set_gauge :
   t -> ?help:string -> ?labels:(string * string) list -> string -> float -> unit

@@ -1,4 +1,4 @@
-(* HDR-style log-linear histogram with per-domain stripes.
+(* HDR-style log-linear histogram.
 
    Bucketing: values below [sub] (128) get exact unit buckets; above
    that, every power-of-two octave is split into [half] (64) equal
@@ -6,15 +6,9 @@
    (~1.6%).  Bucket indexes are computed with shifts only — no floats,
    no logs — and the whole grid is one fixed-size int array.
 
-   Recording: each domain owns a private stripe (found by scanning a
-   small atomically-published array for its domain id), so the hot
-   path is an array increment with no lock and no contended cache
-   line.  Stripe creation — once per domain per histogram — takes the
-   registry mutex.  Only the owner ever writes a stripe; [snapshot]
-   reads every stripe and merges, so counts recorded before a
-   [Domain.join] are exact in any snapshot taken after it (the join
-   provides the happens-before edge), and concurrent snapshots are
-   merely slightly stale, never torn (ints do not tear). *)
+   Recording is a plain array increment; the owner of a histogram
+   serializes access to it (Export records and snapshots under its
+   registry lock). *)
 
 let sub_bits = 7
 
@@ -58,89 +52,30 @@ let bucket_bounds i =
 
 let bucket_high i = snd (bucket_bounds i)
 
-type stripe = {
-  owner : int; (* domain id; only that domain writes this stripe *)
+type t = {
   counts : int array;
-  mutable s_count : int;
-  mutable s_sum : int;
-  mutable s_min : int;
-  mutable s_max : int;
+  mutable count : int;
+  mutable sum : int;
+  mutable min_v : int; (* max_int when empty *)
+  mutable max_v : int;
 }
 
-type t = { stripes : stripe array Atomic.t; reg : Mutex.t }
+type snapshot = t
 
-let create () = { stripes = Atomic.make [||]; reg = Mutex.create () }
-
-let new_stripe owner =
-  {
-    owner;
-    counts = Array.make num_buckets 0;
-    s_count = 0;
-    s_sum = 0;
-    s_min = max_int;
-    s_max = 0;
-  }
-
-let rec stripe_for t me =
-  let stripes = Atomic.get t.stripes in
-  let n = Array.length stripes in
-  let rec find i =
-    if i >= n then None
-    else if stripes.(i).owner = me then Some stripes.(i)
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some s -> s
-  | None ->
-      Mutex.lock t.reg;
-      (* only domain [me] can register [me], so no double-insert race;
-         re-publish atomically so concurrent readers never lose other
-         domains' stripes *)
-      let cur = Atomic.get t.stripes in
-      Atomic.set t.stripes (Array.append cur [| new_stripe me |]);
-      Mutex.unlock t.reg;
-      stripe_for t me
+let create () =
+  { counts = Array.make num_buckets 0; count = 0; sum = 0; min_v = max_int;
+    max_v = 0 }
 
 let record t v =
   let v = clamp v in
-  let s = stripe_for t (Domain.self () :> int) in
-  s.counts.(bucket_of v) <- s.counts.(bucket_of v) + 1;
-  s.s_count <- s.s_count + 1;
-  s.s_sum <- s.s_sum + v;
-  if v < s.s_min then s.s_min <- v;
-  if v > s.s_max then s.s_max <- v
+  let i = bucket_of v in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.count <- t.count + 1;
+  t.sum <- t.sum + v;
+  if v < t.min_v then t.min_v <- v;
+  if v > t.max_v then t.max_v <- v
 
-type snapshot = {
-  counts : int array;
-  count : int;
-  sum : int;
-  min_v : int; (* max_int when empty *)
-  max_v : int;
-}
-
-let snapshot t =
-  let out = Array.make num_buckets 0 in
-  let sum = ref 0 and mn = ref max_int and mx = ref 0 in
-  Array.iter
-    (fun (s : stripe) ->
-      Array.iteri (fun i c -> if c <> 0 then out.(i) <- out.(i) + c) s.counts;
-      sum := !sum + s.s_sum;
-      if s.s_min < !mn then mn := s.s_min;
-      if s.s_max > !mx then mx := s.s_max)
-    (Atomic.get t.stripes);
-  (* count from the merged array, so quantile walks and the reported
-     total can never disagree *)
-  let count = Array.fold_left ( + ) 0 out in
-  { counts = out; count; sum = !sum; min_v = !mn; max_v = !mx }
-
-let merge a b =
-  {
-    counts = Array.init num_buckets (fun i -> a.counts.(i) + b.counts.(i));
-    count = a.count + b.count;
-    sum = a.sum + b.sum;
-    min_v = min a.min_v b.min_v;
-    max_v = max a.max_v b.max_v;
-  }
+let snapshot t = { t with counts = Array.copy t.counts }
 
 let count s = s.count
 
@@ -193,14 +128,3 @@ let count_le s v =
      done
    with Exit -> ());
   !cum
-
-let buckets s =
-  let acc = ref [] in
-  for i = num_buckets - 1 downto 0 do
-    if s.counts.(i) <> 0 then acc := (bucket_high i, s.counts.(i)) :: !acc
-  done;
-  !acc
-
-let equal_snapshot a b =
-  a.count = b.count && a.sum = b.sum && a.min_v = b.min_v && a.max_v = b.max_v
-  && a.counts = b.counts

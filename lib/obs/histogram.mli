@@ -10,29 +10,20 @@
 
     {2 Concurrency}
 
-    Recording is {e lock-free-ish}: each domain owns a private stripe
-    of the bucket array, found by scanning a small atomically
-    published registry for its domain id; the hot path is then a
-    plain array increment with no lock and no shared cache line.
-    Stripe creation (once per domain per histogram) takes a mutex.
-    {!snapshot} merges every stripe: counts recorded by a domain that
-    has since been [Domain.join]ed are exactly visible (the join is
-    the happens-before edge), and a snapshot concurrent with active
-    recorders may be slightly stale but never torn or lost — the
-    per-domain counter-conservation test in [test/test_obs.ml] pins
-    this.
+    A histogram is not synchronized: its owner serializes every
+    {!record} and {!snapshot}.  {!Export} records each sample and
+    takes each snapshot under its registry lock, so histograms reached
+    through a registry may be fed from any number of domains.
 
     {2 Queries}
 
-    All queries run on immutable {!snapshot}s, which are mergeable
-    ([merge a b] is indistinguishable from recording both value
-    streams into one histogram — a tested identity).  {!quantile} is
+    All queries run on immutable {!snapshot}s.  {!quantile} is
     nearest-rank: the reported value lies in the same bucket as the
     exact sorted-list quantile, i.e. within one bucket's relative
     error. *)
 
 type t
-(** A live histogram, shareable across domains. *)
+(** A live histogram: one bucket array plus count, sum, min and max. *)
 
 val create : unit -> t
 
@@ -41,11 +32,9 @@ val record : t -> int -> unit
     [max_int]'s bucket range clamp to the top bucket. *)
 
 type snapshot
-(** An immutable merged view of every stripe. *)
+(** An immutable copy of a histogram. *)
 
 val snapshot : t -> snapshot
-
-val merge : snapshot -> snapshot -> snapshot
 
 val count : snapshot -> int
 (** Total recorded values. *)
@@ -76,14 +65,6 @@ val count_le : snapshot -> int -> int
     This is the cumulative-bucket query behind Prometheus [le]
     series. *)
 
-val buckets : snapshot -> (int * int) list
-(** Non-empty buckets in increasing value order, as
-    [(inclusive upper bound, count)]. *)
-
-val equal_snapshot : snapshot -> snapshot -> bool
-(** Structural equality of counts, totals and extrema (the merge
-    identity test uses this). *)
-
 (**/**)
 
 val bucket_of : int -> int
@@ -91,5 +72,3 @@ val bucket_of : int -> int
 
 val bucket_high : int -> int
 (** Inclusive upper bound of a bucket index (exposed for tests). *)
-
-val num_buckets : int

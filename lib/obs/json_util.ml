@@ -1,6 +1,6 @@
 (* JSON string escaping.  OCaml's [%S] is close to JSON but not JSON:
    control characters come out as decimal escapes ([\027]) that no
-   JSON parser accepts, and it never emits [\u] forms.  Every sink and
+   JSON parser accepts, and it never emits [\u] forms.  Every trace and
    snapshot emitter in this library quotes strings through here so a
    span or metric name containing quotes, backslashes or control
    characters cannot produce an unparseable trace. *)

@@ -2,8 +2,8 @@
 
     OCaml's [Printf %S] escapes control characters in OCaml lexical
     conventions (decimal [\027]), which is {e not} valid JSON.  The
-    Jsonl and Chrome sinks, the profile snapshots and the telemetry
-    exporter all quote strings through this module instead, so span
+    span and Chrome-trace renderers and the telemetry exporter all
+    quote strings through this module instead, so span
     and metric names containing quotes, backslashes or control
     characters always produce parseable documents. *)
 

@@ -1,6 +1,6 @@
 let sort spans =
   List.stable_sort
-    (fun (a : Sink.span) (b : Sink.span) ->
+    (fun (a : Span.span) (b : Span.span) ->
       match compare a.start_s b.start_s with
       | 0 -> (
           match compare a.depth b.depth with
@@ -9,9 +9,9 @@ let sort spans =
       | c -> c)
     spans
 
-let attr_int (s : Sink.span) key =
+let attr_int (s : Span.span) key =
   match List.assoc_opt key s.attrs with
-  | Some (Sink.Int i) -> Some i
+  | Some (Span.Int i) -> Some i
   | _ -> None
 
 let pp_table ppf ctx =
@@ -23,7 +23,7 @@ let pp_table ppf ctx =
     "minor-words" "major-words" "pairs" "ccp" "rejected";
   Format.fprintf ppf "%s@." (String.make 106 '-');
   List.iter
-    (fun (s : Sink.span) ->
+    (fun (s : Span.span) ->
       let label = String.make (2 * s.depth) ' ' ^ s.name in
       Format.fprintf ppf "%-36s %10.3f %12.0f %12.0f %10s %10s %9s@." label
         (s.dur_s *. 1e3) s.minor_words s.major_words (num s "pairs")
@@ -31,7 +31,7 @@ let pp_table ppf ctx =
     spans;
   let covered =
     List.fold_left
-      (fun acc (s : Sink.span) -> if s.depth = 0 then acc +. s.dur_s else acc)
+      (fun acc (s : Span.span) -> if s.depth = 0 then acc +. s.dur_s else acc)
       0.0 spans
   in
   Format.fprintf ppf "total: %.3f ms  (top-level phases cover %.1f%%)@."

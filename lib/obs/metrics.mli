@@ -7,7 +7,7 @@
     occupancy, plan-cache counters) is printed by the module that
     owns its record, not mirrored here. *)
 
-val sort : Sink.span list -> Sink.span list
+val sort : Span.span list -> Span.span list
 (** Chronological order with a total (start, depth, name) tie-break:
     concurrent spans can share a start timestamp, and [--stable]
     diffs need byte-stable rows however the scheduler interleaved

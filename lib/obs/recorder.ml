@@ -19,7 +19,7 @@ type request = {
   wall_s : float;
   minor_words : float;
   major_words : float;
-  spans : Sink.span list;
+  spans : Span.span list;
 }
 
 type t = {

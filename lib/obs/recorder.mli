@@ -22,7 +22,7 @@ type request = {
   wall_s : float;  (** end-to-end wall clock, seconds *)
   minor_words : float;  (** minor-heap allocation across the request *)
   major_words : float;
-  spans : Sink.span list;
+  spans : Span.span list;
       (** full span tree — non-empty only for slow requests *)
 }
 
@@ -48,7 +48,7 @@ val record :
   wall_s:float ->
   minor_words:float ->
   major_words:float ->
-  ?spans:Sink.span list ->
+  ?spans:Span.span list ->
   unit ->
   unit
 (** Append one request record, assigning its [seq].  [spans] are

@@ -1,32 +1,40 @@
-type value = Sink.value = Int of int | Float of float | Str of string | Bool of bool
+type value = Int of int | Float of float | Str of string | Bool of bool
+
+type span = {
+  name : string;
+  depth : int;
+  start_s : float;
+  dur_s : float;
+  minor_words : float;
+  major_words : float;
+  attrs : (string * value) list;
+}
 
 type ctx = {
-  sink : Sink.t;
   epoch : float;
-  mutable recorded : Sink.span list;  (* completion order, newest first *)
-  mutable depth : int;
+  mutable recorded : span list;  (* completion order, newest first *)
+  mutable open_depth : int;  (* spans currently open *)
 }
 
 type t = {
   ctx : ctx;
-  name : string;
+  label : string;
   span_depth : int;
   t0 : float;
   minor0 : float;
   major0 : float;
-  mutable attrs : (string * value) list;  (* newest first *)
+  mutable rev_attrs : (string * value) list;  (* newest first *)
 }
 
 let now () = Unix.gettimeofday ()
 
-let create ?(sink = Sink.Null) () =
-  { sink; epoch = now (); recorded = []; depth = 0 }
+let create () = { epoch = now (); recorded = []; open_depth = 0 }
 
 let elapsed ctx = now () -. ctx.epoch
 
 let spans ctx = List.rev ctx.recorded
 
-type mark = Sink.span list
+type mark = span list
 
 let mark ctx = ctx.recorded
 
@@ -40,17 +48,17 @@ let spans_since ctx m =
   in
   take [] ctx.recorded
 
-let set sp k v = sp.attrs <- (k, v) :: sp.attrs
+let set sp k v = sp.rev_attrs <- (k, v) :: sp.rev_attrs
 
 let set_opt sp k v = match sp with None -> () | Some sp -> set sp k v
 
 let close sp =
   let ctx = sp.ctx in
-  ctx.depth <- ctx.depth - 1;
+  ctx.open_depth <- ctx.open_depth - 1;
   let t1 = now () in
   let span =
     {
-      Sink.name = sp.name;
+      name = sp.label;
       depth = sp.span_depth;
       start_s = sp.t0 -. ctx.epoch;
       dur_s = t1 -. sp.t0;
@@ -58,25 +66,24 @@ let close sp =
          quick_stat's minor_words only advances at collections. *)
       minor_words = Gc.minor_words () -. sp.minor0;
       major_words = (Gc.quick_stat ()).Gc.major_words -. sp.major0;
-      attrs = List.rev sp.attrs;
+      attrs = List.rev sp.rev_attrs;
     }
   in
-  ctx.recorded <- span :: ctx.recorded;
-  Sink.emit ctx.sink span
+  ctx.recorded <- span :: ctx.recorded
 
 let with_ ctx ?(attrs = []) name f =
   let sp =
     {
       ctx;
-      name;
-      span_depth = ctx.depth;
+      label = name;
+      span_depth = ctx.open_depth;
       t0 = now ();
       minor0 = Gc.minor_words ();
       major0 = (Gc.quick_stat ()).Gc.major_words;
-      attrs = List.rev attrs;
+      rev_attrs = List.rev attrs;
     }
   in
-  ctx.depth <- ctx.depth + 1;
+  ctx.open_depth <- ctx.open_depth + 1;
   match f sp with
   | r ->
       close sp;
@@ -91,3 +98,57 @@ let with_opt ctx ?attrs name f =
   match ctx with
   | None -> f None
   | Some ctx -> with_ ctx ?attrs name (fun sp -> f (Some sp))
+
+(* ---------- export ---------- *)
+
+let value_to_json = function
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%.6g" f
+  | Str s -> Json_util.quote s
+  | Bool b -> if b then "true" else "false"
+
+(* Attrs render sorted by key so any two renderings of the same span
+   are byte-identical regardless of the order attrs were set. *)
+let attrs_to_json attrs =
+  let attrs =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) attrs
+  in
+  "{"
+  ^ String.concat ", "
+      (List.map
+         (fun (k, v) ->
+           Printf.sprintf "%s: %s" (Json_util.quote k) (value_to_json v))
+         attrs)
+  ^ "}"
+
+let span_to_json s =
+  Printf.sprintf
+    "{\"name\": %s, \"depth\": %d, \"start_ms\": %.4f, \"ms\": %.4f, \
+     \"minor_words\": %.0f, \"major_words\": %.0f, \"attrs\": %s}"
+    (Json_util.quote s.name) s.depth (s.start_s *. 1e3) (s.dur_s *. 1e3)
+    s.minor_words s.major_words (attrs_to_json s.attrs)
+
+(* Chrome trace-event format: "X" (complete) events with microsecond
+   timestamps; nesting is reconstructed by the viewer from ts/dur. *)
+let chrome_event s =
+  let args =
+    ("minor_words", Float s.minor_words)
+    :: ("major_words", Float s.major_words)
+    :: s.attrs
+  in
+  Printf.sprintf
+    "{\"name\": %s, \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \
+     \"tid\": 1, \"args\": %s}"
+    (Json_util.quote s.name) (s.start_s *. 1e6) (s.dur_s *. 1e6)
+    (attrs_to_json args)
+
+let chrome_trace_json spans =
+  "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
+  ^ String.concat ",\n" (List.map chrome_event spans)
+  ^ "\n]}\n"
+
+let write_chrome path spans =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (chrome_trace_json spans))

@@ -3,21 +3,37 @@
     A {!ctx} is a collector created around one optimizer run.  Every
     {!with_} call times a phase (parse, simplify, conflict analysis,
     enumeration, an IDP round, an adaptive tier attempt, ...),
-    captures the [Gc.quick_stat] allocation delta, records the
-    completed span in the collector, and forwards it to the
-    collector's {!Sink.t}.
+    captures the [Gc.quick_stat] allocation delta and records the
+    completed {!span} in the collector.  The collector is the only
+    place spans go: profiles ({!Metrics.pp_table}), telemetry and the
+    flight recorder read them back with {!spans} / {!spans_since}, and
+    [--trace-out] writes them with {!write_chrome}.
 
     The instrumented libraries take the collector as an [?obs]
     {e option}: code that is not handed one runs the un-instrumented
     path and pays nothing — this is the guarantee behind the
     "observability must not perturb enumeration" tests.  Spans close
     on exceptions too (tagged with a ["raised"] attribute), so a
-    budget-exhausted tier attempt still shows up in the trace. *)
+    budget-exhausted tier attempt still shows up in the trace.  A
+    collector belongs to one domain at a time. *)
 
-type value = Sink.value = Int of int | Float of float | Str of string | Bool of bool
+type value = Int of int | Float of float | Str of string | Bool of bool
+(** Span attribute values (counters, tier names, flags). *)
+
+type span = {
+  name : string;  (** phase name, e.g. ["enumerate:dphyp"] *)
+  depth : int;  (** nesting depth; 0 = top-level pipeline phase *)
+  start_s : float;  (** seconds since the owning collector's epoch *)
+  dur_s : float;  (** wall-clock duration in seconds *)
+  minor_words : float;
+      (** [Gc.minor_words] delta across the span, children included *)
+  major_words : float;  (** major-heap allocation delta *)
+  attrs : (string * value) list;  (** in the order they were set *)
+}
+(** A closed span. *)
 
 type ctx
-(** A span collector: a sink, an epoch, and the recorded spans. *)
+(** A span collector: an epoch and the recorded spans. *)
 
 type t
 (** An open span handle, used to attach attributes before it closes. *)
@@ -26,15 +42,13 @@ val now : unit -> float
 (** The one clock every component reports from ([Unix.gettimeofday],
     seconds).  Benchmarks and pipeline profiles both use this. *)
 
-val create : ?sink:Sink.t -> unit -> ctx
-(** Fresh collector; the epoch is [now ()].  Default sink is
-    {!Sink.Null} — spans are still recorded in the collector for
-    profile building, just not forwarded anywhere. *)
+val create : unit -> ctx
+(** Fresh collector; the epoch is [now ()]. *)
 
 val elapsed : ctx -> float
 (** Seconds since the collector was created. *)
 
-val spans : ctx -> Sink.span list
+val spans : ctx -> span list
 (** Completed spans in completion order (children before parents). *)
 
 type mark
@@ -44,7 +58,7 @@ type mark
 val mark : ctx -> mark
 (** The collector's history as of now. *)
 
-val spans_since : ctx -> mark -> Sink.span list
+val spans_since : ctx -> mark -> span list
 (** The spans completed after [mark], in completion order. *)
 
 val with_ : ctx -> ?attrs:(string * value) list -> string -> (t -> 'a) -> 'a
@@ -62,3 +76,20 @@ val with_opt :
     None] — the zero-cost disabled path. *)
 
 val set_opt : t option -> string -> value -> unit
+
+(** {2 Export} *)
+
+val span_to_json : span -> string
+(** One span as a single-line JSON object with keys [name], [depth],
+    [start_ms], [ms], [minor_words], [major_words], [attrs] (sorted
+    by key) — one span of a slow request in the [obs_telemetry/v1]
+    export. *)
+
+val chrome_trace_json : span list -> string
+(** A complete Chrome trace-event JSON document, loadable in Perfetto
+    ({:https://ui.perfetto.dev}) or [chrome://tracing]: one ["X"]
+    duration event per span in list order, microsecond timestamps,
+    the allocation deltas and attributes as [args]. *)
+
+val write_chrome : string -> span list -> unit
+(** [chrome_trace_json] to a file. *)

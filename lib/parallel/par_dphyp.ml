@@ -3,11 +3,6 @@ module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
 module Dp = Plans.Dp_table
 
-(* Subsets fit a flat 2^n oracle up to this size (same bound as
-   Dp_table.flat_max_nodes); beyond it the oracle switches to
-   per-domain memo tables. *)
-let flat_max = 18
-
 (* ---- growable int vector (pair buffer) --------------------------- *)
 
 type vec = { mutable buf : int array; mutable len : int }
@@ -58,13 +53,14 @@ let connected_weakly g s =
       done;
       Ns.equal !reach s
 
-(* One oracle closure per worker domain.  Flat: a shared bool array
-   over all 2^n subsets, filled in parallel (disjoint word-sized
+(* One oracle closure per worker domain.  Flat (up to
+   Dp.flat_max_nodes, the DP table's own flat bound): a shared bool
+   array over all 2^n subsets, filled in parallel (disjoint word-sized
    slots — race-free) and read-only afterwards.  Hashed: a private
    memo per domain, computing the closure on demand. *)
 let build_oracles pool g jobs =
   let n = G.num_nodes g in
-  if n <= flat_max then begin
+  if n <= Dp.flat_max_nodes then begin
     let size = 1 lsl n in
     let conn = Array.make size false in
     let nchunks = min size (jobs * 4) in
@@ -140,10 +136,10 @@ let span_name = "enumerate:dphyp-par"
 
 let emit_attr i = Printf.sprintf "d%d_emit_s" i
 
-let emit_seconds (s : Obs.Sink.span) =
-  let attr key = List.assoc_opt key s.Obs.Sink.attrs in
+let emit_seconds (s : Obs.Span.span) =
+  let attr key = List.assoc_opt key s.Obs.Span.attrs in
   match attr "jobs" with
-  | Some (Obs.Span.Int jobs) when s.Obs.Sink.name = span_name ->
+  | Some (Obs.Span.Int jobs) when s.Obs.Span.name = span_name ->
       List.filter_map
         (fun i ->
           match attr (emit_attr i) with

@@ -51,7 +51,7 @@ val run :
     telemetry publishes as [joinopt_parallel_merge_seconds]).
     @raise Core.Counters.Budget_exhausted when [?budget] is spent. *)
 
-val emit_seconds : Obs.Sink.span -> (int * float) list
+val emit_seconds : Obs.Span.span -> (int * float) list
 (** The [(i, d<i>_emit_s)] attributes of an
     ["enumerate:dphyp-par"] span, by domain; [[]] for any other
     span. *)

@@ -17,8 +17,13 @@
     stored splits, once, after enumeration.
 
     A set maps to its entry id through a flat int array indexed by the
-    set's bit pattern for queries of up to 18 relations, and through a
-    hash table beyond; the switchover is invisible to callers. *)
+    set's bit pattern for queries of up to {!flat_max_nodes} relations,
+    and through a hash table beyond; the switchover is invisible to
+    callers. *)
+
+val flat_max_nodes : int
+(** The widest query (18 relations) whose sets index a flat 2{^n}
+    array. *)
 
 type t
 

@@ -363,8 +363,8 @@ let test_counters_pp_budget () =
   check "pp prints the headroom" true (contains s "remaining=99")
 
 let test_null_sink_counters_identical () =
-  (* observability must not perturb enumeration: a run under a
-     Null-sink collector produces byte-identical counters, DP-table
+  (* observability must not perturb enumeration: a run observed by a
+     span collector produces byte-identical counters, DP-table
      occupancy and plan cost to an un-observed run *)
   let snapshot (r : Opt.result) =
     ( r.counters.Core.Counters.pairs_considered,

@@ -289,7 +289,7 @@ let test_skip_observed () =
        ~budget:1_000_000 (Workloads.Shapes.star 29));
   (match
      List.find_opt
-       (fun (sp : Obs.Sink.span) -> sp.name = "tier:exact")
+       (fun (sp : Obs.Span.span) -> sp.name = "tier:exact")
        (Obs.Span.spans ctx)
    with
   | None -> Alcotest.fail "no tier:exact span"
@@ -558,7 +558,7 @@ let test_idp_widening_pin () =
     "widened rounds" 5
     (List.length
        (List.filter
-          (fun (s : Obs.Sink.span) -> List.mem_assoc "widened" s.attrs)
+          (fun (s : Obs.Span.span) -> List.mem_assoc "widened" s.attrs)
           spans))
 
 (* The gate fires exactly when min_pairs exceeds the budget, and

@@ -82,7 +82,7 @@ let test_custom_catalog () =
         (Hypergraph.Graph.cardinality r.D.graph 0)
   | Error m -> Alcotest.fail m
 
-let span_names ctx = List.map (fun s -> s.Obs.Sink.name) (Obs.Span.spans ctx)
+let span_names ctx = List.map (fun s -> s.Obs.Span.name) (Obs.Span.spans ctx)
 
 let test_profile_spans () =
   (* an observed SQL run leaves one span per pipeline phase in the
@@ -105,7 +105,7 @@ let test_profile_spans () =
       let total_s = Obs.Span.elapsed ctx in
       check "phases sum within total" true
         (List.for_all
-           (fun s -> s.Obs.Sink.dur_s <= total_s)
+           (fun s -> s.Obs.Span.dur_s <= total_s)
            (Obs.Span.spans ctx));
       check "counters carried" true
         (r.D.counters.Core.Counters.pairs_considered > 0)
@@ -291,12 +291,12 @@ let test_tel_sql_parse () =
   match Obs.Recorder.to_list (Obs.Export.recorder tel) with
   | [ req ] ->
       let phases =
-        List.filter (fun (sp : Obs.Sink.span) -> sp.depth = 0) req.spans
+        List.filter (fun (sp : Obs.Span.span) -> sp.depth = 0) req.spans
       in
       check "parse span kept" true
-        (List.exists (fun (sp : Obs.Sink.span) -> sp.name = "parse") phases);
+        (List.exists (fun (sp : Obs.Span.span) -> sp.name = "parse") phases);
       let phase_s =
-        List.fold_left (fun a (sp : Obs.Sink.span) -> a +. sp.dur_s) 0.0 phases
+        List.fold_left (fun a (sp : Obs.Span.span) -> a +. sp.dur_s) 0.0 phases
       in
       check "latency covers every phase" true (req.wall_s >= phase_s)
   | l -> Alcotest.failf "expected one recorded request, got %d" (List.length l)
@@ -337,19 +337,19 @@ let test_tel_tiers_from_spans () =
   | Error m -> Alcotest.fail m);
   let tier_spans =
     List.filter
-      (fun (sp : Obs.Sink.span) -> String.starts_with ~prefix:"tier:" sp.name)
+      (fun (sp : Obs.Span.span) -> String.starts_with ~prefix:"tier:" sp.name)
       (Obs.Span.spans ctx)
   in
   let ran tier =
     List.length
       (List.filter
-         (fun (sp : Obs.Sink.span) ->
+         (fun (sp : Obs.Span.span) ->
            sp.name = "tier:" ^ tier && not (List.mem_assoc "skipped" sp.attrs))
          tier_spans)
   in
   check "idp-10 raised" true
     (List.exists
-       (fun (sp : Obs.Sink.span) ->
+       (fun (sp : Obs.Span.span) ->
          sp.name = "tier:idp-10" && List.mem_assoc "raised" sp.attrs)
        tier_spans);
   List.iter

@@ -1,7 +1,6 @@
-(* Observability plumbing: sink durability.  The Jsonl sink must make
-   every completed span visible on disk immediately (a crashed run
-   still leaves a readable trace) and close must really release the
-   underlying channel. *)
+(* Observability plumbing: span export, telemetry counters, JSON
+   escaping, histograms, the flight recorder and the export
+   registry. *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -9,118 +8,60 @@ let contains s sub =
   m = 0 || go 0
 
 let with_temp f =
-  let path = Filename.temp_file "obs_sink" ".jsonl" in
+  let path = Filename.temp_file "obs_trace" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let test_jsonl_flushes_per_span () =
-  with_temp (fun path ->
-      let oc = open_out path in
-      let sink = Obs.Sink.Jsonl oc in
-      let ctx = Obs.Span.create ~sink () in
-      Obs.Span.with_ ctx "phase-one" (fun sp ->
-          Obs.Span.set sp "rows" (Obs.Span.Int 7));
-      (* deliberately NO close: emit must have flushed already *)
-      let ic = open_in path in
-      let line = input_line ic in
-      close_in ic;
-      Alcotest.(check bool) "span on disk without close" true
-        (contains line "\"phase-one\"");
-      Alcotest.(check bool) "attrs on disk too" true
-        (contains line "\"rows\": 7");
-      Obs.Sink.close sink)
-
-let test_close_closes_channel () =
-  with_temp (fun path ->
-      let oc = open_out path in
-      let sink = Obs.Sink.Jsonl oc in
-      Obs.Sink.emit sink
-        {
-          Obs.Sink.name = "only";
-          depth = 0;
-          start_s = 0.0;
-          dur_s = 0.001;
-          minor_words = 0.0;
-          major_words = 0.0;
-          attrs = [];
-        };
-      Obs.Sink.close sink;
-      (* the channel must be gone: further output fails *)
-      Alcotest.(check bool) "writing after close fails" true
-        (match
-           output_string oc "trailing";
-           flush oc
-         with
-        | () -> false
-        | exception Sys_error _ -> true);
-      let ic = open_in path in
-      let line = input_line ic in
-      let eof = match input_line ic with
-        | _ -> false
-        | exception End_of_file -> true
-      in
-      close_in ic;
-      Alcotest.(check bool) "exactly the emitted span" true
-        (contains line "\"only\"" && eof))
-
-(* Two domains hammering one sink concurrently (each through its own
-   span context — contexts stay single-domain, only the sink is
-   shared, as in Driver.Pipeline.run_batch).  Every span must survive,
-   and for Jsonl every line must parse as a complete record: a torn
-   write would interleave fragments. *)
-
-let span_storm tag rounds sink =
-  let ctx = Obs.Span.create ~sink () in
-  for i = 0 to rounds - 1 do
-    Obs.Span.with_ ctx (Printf.sprintf "%s-%d" tag i) (fun sp ->
-        Obs.Span.set sp "round" (Obs.Span.Int i))
-  done
-
-let test_memory_concurrent_emit () =
-  let rounds = 500 in
-  let spans = ref [] in
-  let sink = Obs.Sink.Memory spans in
-  let d = Domain.spawn (fun () -> span_storm "left" rounds sink) in
-  span_storm "right" rounds sink;
-  Domain.join d;
-  Alcotest.(check int) "no span lost" (2 * rounds) (List.length !spans);
-  let count tag =
-    List.length
-      (List.filter
-         (fun (s : Obs.Sink.span) -> contains s.name (tag ^ "-"))
-         !spans)
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file -> List.rev acc
   in
-  Alcotest.(check int) "all left spans" rounds (count "left");
-  Alcotest.(check int) "all right spans" rounds (count "right")
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go [])
 
-let test_jsonl_concurrent_emit () =
+(* The one span export: a pipeline run's collector written through
+   [write_chrome] holds one "X" event per collected span, one per
+   line, in completion order, each carrying the span's attributes as
+   [args]. *)
+let test_write_chrome_pipeline () =
+  let obs = Obs.Span.create () in
+  (match
+     Driver.Pipeline.optimize_sql ~obs
+       "SELECT * FROM a, b, c, d WHERE a.x = b.x AND b.y = c.y AND c.z = d.z"
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let spans = Obs.Span.spans obs in
+  Alcotest.(check bool) "an attributed span was collected" true
+    (List.exists (fun (s : Obs.Span.span) -> s.attrs <> []) spans);
   with_temp (fun path ->
-      let rounds = 300 in
-      let oc = open_out path in
-      let sink = Obs.Sink.Jsonl oc in
-      let d = Domain.spawn (fun () -> span_storm "left" rounds sink) in
-      span_storm "right" rounds sink;
-      Domain.join d;
-      Obs.Sink.close sink;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let lines = !lines in
-      Alcotest.(check int) "one line per span" (2 * rounds)
-        (List.length lines);
-      List.iter
-        (fun line ->
-          (* un-torn lines: each is one complete span record *)
-          Alcotest.(check bool) "line is a complete record" true
-            (String.length line > 0
-            && line.[0] = '{'
-            && line.[String.length line - 1] = '}'
-            && contains line "\"round\""))
-        lines)
+      Obs.Span.write_chrome path spans;
+      let events = List.filter (fun l -> contains l {|"ph": "X"|}) (read_lines path) in
+      Alcotest.(check int) "one event per span" (List.length spans)
+        (List.length events);
+      let json = function
+        | Obs.Span.Int i -> string_of_int i
+        | Float f -> Printf.sprintf "%.6g" f
+        | Str s -> Obs.Json_util.quote s
+        | Bool b -> string_of_bool b
+      in
+      List.iter2
+        (fun (s : Obs.Span.span) ev ->
+          Alcotest.(check bool)
+            (Printf.sprintf "event names %s" s.name) true
+            (String.starts_with ~prefix:
+               (Printf.sprintf {|{"name": %s, "ph": "X"|}
+                  (Obs.Json_util.quote s.name))
+               ev);
+          List.iter
+            (fun (k, v) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s carries %s" s.name k) true
+                (contains ev
+                   (Printf.sprintf "%s: %s" (Obs.Json_util.quote k) (json v))))
+            s.attrs)
+        spans events)
 
 (* Two domains hammering one plan cache: the atomic counters the
    Plan_cache.stats snapshot reads must conserve — every request is
@@ -162,20 +103,20 @@ let test_cache_counter_hammer () =
 
 let hostile_span =
   {
-    Obs.Sink.name = "he said \"hi\"\\\npath\tend";
+    Obs.Span.name = "he said \"hi\"\\\npath\tend";
     depth = 0;
     start_s = 0.0;
     dur_s = 0.001;
     minor_words = 0.0;
     major_words = 0.0;
-    attrs = [ ("zkey", Obs.Sink.Str "v\"w"); ("akey", Obs.Sink.Int 1) ];
+    attrs = [ ("zkey", Obs.Span.Str "v\"w"); ("akey", Obs.Span.Int 1) ];
   }
 
 let has_raw_control s =
   String.exists (fun c -> Char.code c < 0x20) s
 
 let test_span_json_escaping () =
-  let j = Obs.Sink.span_to_json hostile_span in
+  let j = Obs.Span.span_to_json hostile_span in
   Alcotest.(check bool) "no raw control characters" false
     (has_raw_control j);
   Alcotest.(check bool) "quotes escaped" true
@@ -185,7 +126,7 @@ let test_span_json_escaping () =
   Alcotest.(check bool) "attr value escaped" true (contains j {|v\"w|})
 
 let test_span_json_attrs_sorted () =
-  let j = Obs.Sink.span_to_json hostile_span in
+  let j = Obs.Span.span_to_json hostile_span in
   let idx sub =
     let n = String.length j and m = String.length sub in
     let rec go i = if i + m > n then -1
@@ -201,7 +142,7 @@ let test_chrome_json_escaping () =
   (* the document itself is pretty-printed (raw newlines between
      events are legitimate); inside string values, every control
      character must be escaped *)
-  let j = Obs.Sink.chrome_trace_json [ hostile_span ] in
+  let j = Obs.Span.chrome_trace_json [ hostile_span ] in
   Alcotest.(check bool) "no raw tab" false (String.contains j '\t');
   Alcotest.(check bool) "quotes escaped" true
     (contains j {|he said \"hi\"|});
@@ -214,7 +155,7 @@ let test_chrome_json_escaping () =
 let test_metrics_span_order_deterministic () =
   let sp name depth start_s =
     {
-      Obs.Sink.name;
+      Obs.Span.name;
       depth;
       start_s;
       dur_s = 0.001;
@@ -228,7 +169,7 @@ let test_metrics_span_order_deterministic () =
   in
   let order l =
     List.map
-      (fun (s : Obs.Sink.span) -> s.name)
+      (fun (s : Obs.Span.span) -> s.name)
       (Obs.Metrics.sort l)
   in
   Alcotest.(check (list string))
@@ -280,34 +221,30 @@ let qcheck_count_le_model =
       in
       H.count_le s v = model)
 
-let qcheck_merge_identity =
-  QCheck.Test.make ~name:"merge = record both streams" ~count:300
-    QCheck.(pair values_gen values_gen)
-    (fun (a, b) ->
-      H.equal_snapshot
-        (H.merge (record_all a) (record_all b))
-        (record_all (a @ b)))
-
-(* Two domains recording concurrently into one histogram: after the
-   join, the snapshot must account for every value exactly — total
-   count, exact sum, exact extrema.  A lost update or a torn stripe
-   merge shows up as a missing count. *)
-let test_histogram_two_domain_conservation () =
-  let h = H.create () in
-  let n = 20_000 in
+(* Two domains observing concurrently into one registry series: the
+   registry records every sample under its lock, so after the join the
+   series must account for every value exactly — count, exact sum,
+   exact extrema.  A lost update shows up as a missing count. *)
+let test_observe_two_domain_conservation () =
+  let tel = Obs.Export.create () in
+  let name = "joinopt_optimize_latency_seconds" and n = 20_000 in
+  (* whole microseconds, so the millisecond extrema print exactly *)
   let record_range lo =
     for i = lo to lo + n - 1 do
-      H.record h i
+      Obs.Export.observe tel name (i * 1000)
     done
   in
   let d = Domain.spawn (fun () -> record_range 1) in
   record_range (n + 1);
   Domain.join d;
-  let s = H.snapshot h in
-  Alcotest.(check int) "every record counted" (2 * n) (H.count s);
-  Alcotest.(check int) "exact sum" (n * (2 * n + 1)) (H.sum s);
-  Alcotest.(check int) "exact min" 1 (H.min_recorded s);
-  Alcotest.(check int) "exact max" (2 * n) (H.max_recorded s)
+  let p = Obs.Export.prometheus tel and j = Obs.Export.to_json tel in
+  let has what sub = Alcotest.(check bool) what true (contains p sub || contains j sub) in
+  has "every sample counted" (Printf.sprintf "%s_count %d\n" name (2 * n));
+  has "exact sum"
+    (Printf.sprintf "%s_sum %.9f\n" name
+       (float_of_int (n * ((2 * n) + 1) * 1000) /. 1e9));
+  has "exact min" {|"min_ms": 0.0010,|};
+  has "exact max" (Printf.sprintf {|"max_ms": %.4f}|} (float_of_int (2 * n) /. 1e3))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: bounded ring, slow-span promotion, slowest-k.     *)
@@ -412,41 +349,58 @@ let test_export_prometheus_shape () =
   Alcotest.(check bool) "no NaN in exposition" false
     (contains (String.lowercase_ascii p) "nan")
 
-(* incr_counter from two domains: the counter is one Atomic.t, so no
-   increment may be lost. *)
+(* set_counter from two domains, each creating and updating series of
+   its own: every update goes through the registry lock, so no series
+   may be lost when both domains add to the series list at once, and
+   every series ends at its last value — the exposition's counter
+   total is exactly the sum of the final values. *)
 let test_export_counter_two_domains () =
   let tel = Obs.Export.create () in
-  let n = 10_000 in
-  let bump () =
-    for _ = 1 to n do
-      Obs.Export.incr_counter tel
-        ~labels:[ ("outcome", "hit") ]
-        "joinopt_plan_cache_requests_total"
+  let name = "joinopt_plan_cache_requests_total" in
+  let series = 2_000 and rounds = 3 in
+  let ready = Atomic.make 0 in
+  let bump who () =
+    (* start together, so series creation overlaps *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for k = 0 to series - 1 do
+      for v = 1 to rounds do
+        Obs.Export.set_counter tel
+          ~labels:[ ("outcome", Printf.sprintf "%s%d" who k) ]
+          name v
+      done
     done
   in
-  let d = Domain.spawn bump in
-  bump ();
+  let d = Domain.spawn (bump "a") in
+  bump "b" ();
   Domain.join d;
-  Alcotest.(check int) "every increment counted" (2 * n)
-    (Atomic.get
-       (Obs.Export.counter tel
-          ~labels:[ ("outcome", "hit") ]
-          "joinopt_plan_cache_requests_total"))
+  let lines =
+    List.filter
+      (fun l -> String.starts_with ~prefix:(name ^ "{") l)
+      (String.split_on_char '\n' (Obs.Export.prometheus tel))
+  in
+  Alcotest.(check int) "every series present" (2 * series)
+    (List.length lines);
+  let total =
+    List.fold_left
+      (fun acc l ->
+        let i = String.rindex l ' ' in
+        acc + int_of_string (String.sub l (i + 1) (String.length l - i - 1)))
+      0 lines
+  in
+  Alcotest.(check int) "every series at its last value"
+    (2 * series * rounds) total
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
     [
-      ( "sink",
+      ( "span export",
         [
-          Alcotest.test_case "jsonl flushes per span" `Quick
-            test_jsonl_flushes_per_span;
-          Alcotest.test_case "close closes the channel" `Quick
-            test_close_closes_channel;
-          Alcotest.test_case "memory sink: two-domain emit" `Quick
-            test_memory_concurrent_emit;
-          Alcotest.test_case "jsonl sink: two-domain emit" `Quick
-            test_jsonl_concurrent_emit;
+          Alcotest.test_case "write_chrome: one event per pipeline span"
+            `Quick test_write_chrome_pipeline;
         ] );
       ( "cache counters",
         [
@@ -468,9 +422,8 @@ let () =
         [
           q qcheck_quantile_bound;
           q qcheck_count_le_model;
-          q qcheck_merge_identity;
           Alcotest.test_case "two-domain recording conserves" `Quick
-            test_histogram_two_domain_conservation;
+            test_observe_two_domain_conservation;
         ] );
       ( "recorder",
         [

@@ -283,9 +283,8 @@ let batch_trees () =
       | Error m -> Alcotest.failf "parse %S: %s" sql m)
     batch_sql
 
-(* The batch closure: the ordinary pipeline call on the query's
-   collector. *)
-let optimize obs t = Driver.Pipeline.optimize_tree ?obs t
+(* The batch closure: the ordinary pipeline call. *)
+let optimize t = Driver.Pipeline.optimize_tree t
 
 let test_run_batch () =
   let trees = batch_trees () in
@@ -306,61 +305,6 @@ let test_run_batch () =
           Alcotest.(check string) (Printf.sprintf "query %d: error" i) a b
       | _ -> Alcotest.failf "query %d: Ok/Error mismatch" i)
     (List.combine seq par)
-
-let test_run_batch_shared_sink () =
-  let spans = ref [] in
-  let sink = Obs.Sink.Memory spans in
-  let results =
-    Driver.Pipeline.run_batch ~sink ~jobs:4 optimize (batch_trees ())
-  in
-  List.iter
-    (fun r ->
-      match r with
-      | Ok _ -> ()
-      | Error m -> Alcotest.fail m)
-    results;
-  (* every query streamed its pipeline spans into the one sink *)
-  let enum_spans =
-    List.filter
-      (fun (s : Obs.Sink.span) ->
-        String.length s.name >= 9 && String.sub s.name 0 9 = "enumerate")
-      !spans
-  in
-  Alcotest.(check int) "one enumerate span per query"
-    (List.length batch_sql) (List.length enum_spans)
-
-(* ?pool reuse: two batches on one externally owned pool — the serving
-   configuration — must run on that pool (its batch counter moves) and
-   the pool must survive for the caller, producing the same plans as
-   the own-pool path. *)
-let test_run_batch_pool_reuse () =
-  let trees = batch_trees () in
-  let own_pool = Driver.Pipeline.run_batch ~jobs:2 optimize trees in
-  P.with_pool ~jobs:2 (fun pool ->
-      let b0 = (P.stats pool).P.batches in
-      let first = Driver.Pipeline.run_batch ~pool ~jobs:7 optimize trees in
-      let second = Driver.Pipeline.run_batch ~pool ~jobs:7 optimize trees in
-      Alcotest.(check int) "both batches ran on the given pool" (b0 + 2)
-        (P.stats pool).P.batches;
-      List.iter
-        (fun results ->
-          List.iteri
-            (fun i (a, b) ->
-              match (a, b) with
-              | Ok a, Ok b ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "query %d: same plan on reused pool" i)
-                    (Plans.Plan.to_string a.Driver.Pipeline.plan)
-                    (Plans.Plan.to_string b.Driver.Pipeline.plan)
-              | Error a, Error b ->
-                  Alcotest.(check string) "same error" a b
-              | _ -> Alcotest.failf "query %d: Ok/Error mismatch" i)
-            (List.combine own_pool results))
-        [ first; second ];
-      (* the pool is still usable after run_batch returned *)
-      let ran = ref false in
-      P.run_fun pool 1 (fun _ _ -> ran := true);
-      Alcotest.(check bool) "pool survives run_batch" true !ran)
 
 (* The closure carries every pipeline parameter, so a batch can run
    what a single call can — here dpconv's certified C_out bound over a
@@ -383,8 +327,8 @@ let test_run_batch_dpconv_objective () =
          = d.z AND d.w = e.w";
       ]
   in
-  let dpconv objective obs t =
-    Driver.Pipeline.optimize_tree ?obs ~algo:Opt.Dpconv
+  let dpconv objective t =
+    Driver.Pipeline.optimize_tree ~algo:Opt.Dpconv
       ~dpconv_objective:objective ~cards:(Array.get cards)
       ~sels:(Array.get sels) t
   in
@@ -397,7 +341,7 @@ let test_run_batch_dpconv_objective () =
   in
   List.iteri
     (fun i (t, p) ->
-      let s = plan (dpconv Core.Dpconv.Cout_bound None t) in
+      let s = plan (dpconv Core.Dpconv.Cout_bound t) in
       Alcotest.(check string)
         (Printf.sprintf "query %d: same plan" i)
         (Plans.Plan.to_string s) (Plans.Plan.to_string (plan p));
@@ -410,7 +354,7 @@ let test_run_batch_dpconv_objective () =
   check "the objective changes a plan" true
     (List.exists2
        (fun t p ->
-         Plans.Plan.to_string (plan (dpconv Core.Dpconv.Cmax None t))
+         Plans.Plan.to_string (plan (dpconv Core.Dpconv.Cmax t))
          <> Plans.Plan.to_string (plan p))
        trees par)
 
@@ -455,10 +399,6 @@ let () =
         [
           Alcotest.test_case "run_batch matches sequential" `Quick
             test_run_batch;
-          Alcotest.test_case "shared sink collects all queries" `Quick
-            test_run_batch_shared_sink;
-          Alcotest.test_case "reuses an external pool" `Quick
-            test_run_batch_pool_reuse;
           Alcotest.test_case "closure sets the dpconv objective" `Quick
             test_run_batch_dpconv_objective;
         ] );
