@@ -29,6 +29,18 @@ let algo_conv =
   in
   Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Core.Optimizer.name a))
 
+(* An integer flag that must be at least 1; anything else is a usage
+   error. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let algo_arg =
   let doc =
     Printf.sprintf
@@ -76,10 +88,27 @@ let k_arg =
       "IDP block size (relations optimized exactly per round) for idp, and \
        for the stitching rounds of partition.  Absent: %d for idp, %d for \
        partition (the adaptive ladder's partitioned tier)."
-      (Core.Optimizer.default_k Core.Optimizer.Idp)
-      (Core.Optimizer.default_k Core.Optimizer.Partition)
+      Core.Idp.default_k Core.Partition.default_stitch_k
   in
   Arg.(value & opt (some int) None & info [ "k" ] ~doc)
+
+(* -a, -k and --dpconv-objective as one algorithm value.  -k sets the
+   block size of idp and partition and is ignored by every other
+   algorithm; the objective is read by dpconv alone.  Subcommands
+   without --dpconv-objective pass [~objective:false] and run dpconv
+   at its default, cmax. *)
+let algo_term ?(objective = true) () =
+  let with_params algo k obj =
+    match ((algo : Core.Optimizer.algorithm), k) with
+    | Idp _, Some k -> Core.Optimizer.Idp { k }
+    | Partition _, Some k -> Partition { k }
+    | Dpconv _, _ -> Dpconv obj
+    | algo, _ -> algo
+  in
+  let obj =
+    if objective then dpconv_objective_arg else Term.const Core.Dpconv.Cmax
+  in
+  Term.(const with_params $ algo_arg $ k_arg $ obj)
 
 let model_arg =
   let model_conv =
@@ -103,16 +132,6 @@ let jobs_arg =
      pool of that many domains (layer-synchronous, sharded DP table; dphyp \
      only — other algorithms refuse); the chosen plan is byte-identical to \
      --jobs 1 for every value."
-  in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ ->
-          Error
-            (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
   in
   Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -193,28 +212,30 @@ let splits_arg =
   Arg.(value & opt int 0 & info [ "splits" ] ~doc)
 
 let graph_of_shape shape n splits =
-  match shape with
-  | "chain" -> Ok (Workloads.Shapes.chain n)
-  | "cycle" -> Ok (Workloads.Shapes.cycle n)
-  | "star" -> Ok (Workloads.Shapes.star n)
-  | "clique" -> Ok (Workloads.Shapes.clique n)
-  | "grid" -> Ok (Workloads.Shapes.grid ~rows:2 ~cols:((n + 1) / 2) ())
-  | "snowflake" -> (
-      match Workloads.Shapes.snowflake_n n with
-      | g -> Ok g
-      | exception Invalid_argument msg -> Error msg)
-  | "cycle-hyper" | "star-hyper" -> (
-      let fam =
-        if shape = "cycle-hyper" then Workloads.Splits.cycle_based n
-        else Workloads.Splits.star_based n
-      in
-      match List.nth_opt fam splits with
-      | Some g -> Ok g
-      | None ->
-          Error
-            (Printf.sprintf "split level %d out of range (max %d)" splits
-               (Workloads.Splits.num_splits fam)))
-  | s -> Error (Printf.sprintf "unknown shape %S" s)
+  let split fam =
+    match if splits < 0 then None else List.nth_opt fam splits with
+    | Some g -> Ok g
+    | None ->
+        Error
+          (Printf.sprintf "split level %d out of range (max %d)" splits
+             (Workloads.Splits.num_splits fam))
+  in
+  (* every generator rejects a size it cannot build with
+     [Invalid_argument] *)
+  match
+    match shape with
+    | "chain" -> Ok (Workloads.Shapes.chain n)
+    | "cycle" -> Ok (Workloads.Shapes.cycle n)
+    | "star" -> Ok (Workloads.Shapes.star n)
+    | "clique" -> Ok (Workloads.Shapes.clique n)
+    | "grid" -> Ok (Workloads.Shapes.grid ~rows:2 ~cols:((n + 1) / 2) ())
+    | "snowflake" -> Ok (Workloads.Shapes.snowflake_n n)
+    | "cycle-hyper" -> split (Workloads.Splits.cycle_based n)
+    | "star-hyper" -> split (Workloads.Splits.star_based n)
+    | s -> Error (Printf.sprintf "unknown shape %S" s)
+  with
+  | r -> r
+  | exception Invalid_argument msg -> Error msg
 
 let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
   (match r.plan with
@@ -241,11 +262,9 @@ let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
       (elapsed *. 1000.0)
 
 (* The pipeline's enumeration step under the CLI's wall clock. *)
-let timed_enumerate ?obs ~model ?budget ?k ?dpconv_objective ?(jobs = 1) algo
-    g =
+let timed_enumerate ?obs ~model ?budget ?(jobs = 1) algo g =
   let t0 = Unix.gettimeofday () in
-  Driver.Pipeline.enumerate ?obs ~model ?budget ?k ?dpconv_objective ~jobs
-    algo g
+  Driver.Pipeline.enumerate ?obs ~model ?budget ~jobs algo g
   |> Result.map (fun r -> (r, Unix.gettimeofday () -. t0))
 
 (* ------------------------------------------------------------------ *)
@@ -256,19 +275,16 @@ let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc)
 
 let read_sql s =
-  if String.length s > 0 && s.[0] = '@' then begin
+  if String.length s > 0 && s.[0] = '@' then
     let path = String.sub s 1 (String.length s - 1) in
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
-  else s
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error msg -> Error msg
+  else Ok s
 
 let optimize_cmd =
-  let run sql algo model budget k dpconv_objective jobs conservative verbose
-      dot_plan profile trace_out =
-    match Sqlfront.Binder.parse_and_bind (read_sql sql) with
+  let run sql algo model budget jobs conservative verbose dot_plan profile
+      trace_out =
+    match Result.bind (read_sql sql) Sqlfront.Binder.parse_and_bind with
     | Error msg ->
         Format.eprintf "error: %s@." msg;
         1
@@ -280,10 +296,7 @@ let optimize_cmd =
         let g = Conflicts.Derive.hypergraph analysis in
         if verbose then Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        match
-          timed_enumerate ?obs ~model ?budget ?k ~dpconv_objective ~jobs algo
-            g
-        with
+        match timed_enumerate ?obs ~model ?budget ~jobs algo g with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
             1
@@ -307,23 +320,23 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a SQL query")
-    Term.(const run $ sql_arg $ algo_arg $ model_arg $ budget_arg $ k_arg
-          $ dpconv_objective_arg $ jobs_arg $ conservative_arg $ verbose
-          $ dot_plan $ profile_arg $ trace_out_arg)
+    Term.(const run $ sql_arg $ algo_term () $ model_arg $ budget_arg
+          $ jobs_arg $ conservative_arg $ verbose $ dot_plan $ profile_arg
+          $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain: full-pipeline profile of one SQL query                     *)
 
 let explain_cmd =
-  let run sql algo model budget k dpconv_objective jobs conservative cache_cap
-      trace_out =
+  let run sql algo model budget jobs conservative cache_cap trace_out =
     let mode =
       if conservative then Driver.Pipeline.Tes_conservative
       else Driver.Pipeline.Tes_literal
     in
     let go ?cache ctx =
-      Driver.Pipeline.optimize_sql ~obs:ctx ?cache ~mode ~algo ~model ?budget
-        ?k ~dpconv_objective ~jobs (read_sql sql)
+      Result.bind (read_sql sql)
+        (Driver.Pipeline.optimize_sql ~obs:ctx ?cache ~mode ~algo ~model
+           ?budget ~jobs)
     in
     let report ?cache ctx (r : Driver.Pipeline.result) =
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@.@."
@@ -363,7 +376,7 @@ let explain_cmd =
                 report ~cache ctx r))
   in
   let cache_cap =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "cache" ] ~docv:"N"
              ~doc:"Run the query twice through a plan cache of capacity \
                    $(docv) and print the second (warm) run's profile: the \
@@ -377,9 +390,8 @@ let explain_cmd =
           pipeline phase (parse, simplify, conflict analysis, hypergraph \
           derivation, enumeration with its tier/round sub-spans) with \
           wall-clock ms, minor-heap allocation and enumeration counters.")
-    Term.(const run $ sql_arg $ algo_arg $ model_arg $ budget_arg $ k_arg
-          $ dpconv_objective_arg $ jobs_arg $ conservative_arg $ cache_cap
-          $ trace_out_arg)
+    Term.(const run $ sql_arg $ algo_term () $ model_arg $ budget_arg
+          $ jobs_arg $ conservative_arg $ cache_cap $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* the replay stream shared by cache-stats and stats                   *)
@@ -409,7 +421,8 @@ let replay_args =
              ~doc:"Zipf skew exponent of template popularity (0 = uniform).")
   in
   let capacity =
-    Arg.(value & opt int 64 & info [ "capacity" ] ~doc:"Plan-cache capacity.")
+    Arg.(value & opt positive 64
+         & info [ "capacity" ] ~doc:"Plan-cache capacity.")
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Stream and catalog seed.")
@@ -592,8 +605,7 @@ let stats_cmd =
 (* shape: benchmark graphs                                             *)
 
 let shape_cmd =
-  let run shape n splits algo model budget k dpconv_objective jobs stable
-      profile trace_out =
+  let run shape n splits algo model budget jobs stable profile trace_out =
     match graph_of_shape shape n splits with
     | Error msg ->
         Format.eprintf "error: %s@." msg;
@@ -601,10 +613,7 @@ let shape_cmd =
     | Ok g -> (
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        match
-          timed_enumerate ?obs ~model ?budget ?k ~dpconv_objective ~jobs algo
-            g
-        with
+        match timed_enumerate ?obs ~model ?budget ~jobs algo g with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
             1
@@ -623,15 +632,15 @@ let shape_cmd =
   in
   Cmd.v
     (Cmd.info "shape" ~doc:"Generate a benchmark graph and optimize it")
-    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_arg $ model_arg
-          $ budget_arg $ k_arg $ dpconv_objective_arg $ jobs_arg $ stable
-          $ profile_arg $ trace_out_arg)
+    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term ()
+          $ model_arg $ budget_arg $ jobs_arg $ stable $ profile_arg
+          $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* graph: save / load / optimize serialized hypergraphs                *)
 
 let graph_cmd =
-  let run input algo model budget k jobs save profile trace_out =
+  let run input algo model budget jobs save profile trace_out =
     let g_result =
       if String.length input > 0 && input.[0] = '@' then
         Hypergraph.Serialize.read_file
@@ -653,7 +662,7 @@ let graph_cmd =
         | None -> ());
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        (match timed_enumerate ?obs ~model ?budget ?k ~jobs algo g with
+        (match timed_enumerate ?obs ~model ?budget ~jobs algo g with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
             1
@@ -676,8 +685,8 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph" ~doc:"Optimize a serialized hypergraph (see \
                             Hypergraph.Serialize for the format)")
-    Term.(const run $ input $ algo_arg $ model_arg $ budget_arg $ k_arg
-          $ jobs_arg $ save $ profile_arg $ trace_out_arg)
+    Term.(const run $ input $ algo_term ~objective:false () $ model_arg
+          $ budget_arg $ jobs_arg $ save $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ccp: counts                                                         *)
@@ -765,8 +774,8 @@ let trace_cmd =
 (* run: SQL -> optimize -> execute on a generated instance             *)
 
 let run_cmd =
-  let run sql algo model budget k conservative rows seed =
-    match Sqlfront.Binder.parse_and_bind (read_sql sql) with
+  let run sql algo model budget conservative rows seed =
+    match Result.bind (read_sql sql) Sqlfront.Binder.parse_and_bind with
     | Error msg ->
         Format.eprintf "error: %s@." msg;
         1
@@ -777,7 +786,7 @@ let run_cmd =
         let g0 = Conflicts.Derive.hypergraph analysis in
         let g = Executor.Estimate.calibrate inst g0 in
         match
-          match Driver.Pipeline.enumerate ~model ?budget ?k ~jobs:1 algo g with
+          match Driver.Pipeline.enumerate ~model ?budget ~jobs:1 algo g with
           | Error msg ->
               Format.eprintf "error: %s@." msg;
               None
@@ -816,19 +825,20 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize a SQL query and execute it on generated data")
-    Term.(const run $ sql_arg $ algo_arg $ model_arg $ budget_arg $ k_arg
-          $ conservative_arg $ rows $ seed)
+    Term.(const run $ sql_arg $ algo_term ~objective:false () $ model_arg
+          $ budget_arg $ conservative_arg $ rows $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* analyze: EXPLAIN ANALYZE — per-operator est/actual/Q-error          *)
 
 let analyze_cmd =
-  let run sql algo model budget k conservative rows seed sample json_out
-      stable profile trace_out =
+  let run sql algo model budget conservative rows seed sample json_out stable
+      profile trace_out =
     let obs = obs_ctx profile trace_out in
     match
-      Driver.Analyze.analyze_sql ?obs ~algo ~model ?budget ?k ~conservative
-        ~rows ~seed ?sample (read_sql sql)
+      Result.bind (read_sql sql)
+        (Driver.Analyze.analyze_sql ?obs ~algo ~model ?budget ~conservative
+           ~rows ~seed ?sample)
     with
     | Error msg ->
         Format.eprintf "error: %s@." msg;
@@ -854,7 +864,7 @@ let analyze_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Data generator seed.")
   in
   let sample =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "sample" ]
              ~doc:"Rows sampled per side when calibrating selectivities.")
   in
@@ -879,15 +889,15 @@ let analyze_cmd =
           wall-clock and predicate evaluations — plus aggregate Q-error, \
           the measured C_out of the chosen vs. the exact plan, and a \
           result-correctness check against the original operator order.")
-    Term.(const run $ sql_arg $ algo_arg $ model_arg $ budget_arg $ k_arg
-          $ conservative_arg $ rows $ seed $ sample $ json_out $ stable
-          $ profile_arg $ trace_out_arg)
+    Term.(const run $ sql_arg $ algo_term ~objective:false () $ model_arg
+          $ budget_arg $ conservative_arg $ rows $ seed $ sample $ json_out
+          $ stable $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* inspect: search-space provenance — memo dump / JSON / lattice       *)
 
 let inspect_cmd =
-  let run shape n splits algo model budget k json dot out sample max_subsets
+  let run shape n splits algo model budget json dot out sample max_subsets
       max_champions =
     match graph_of_shape shape n splits with
     | Error msg ->
@@ -899,7 +909,7 @@ let inspect_cmd =
         in
         match
           Inspect.Provenance.with_recording prov (fun () ->
-              Driver.Pipeline.optimize_graph ~algo ~model ?budget ?k g)
+              Driver.Pipeline.optimize_graph ~algo ~model ?budget g)
         with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
@@ -960,19 +970,19 @@ let inspect_cmd =
                    stdout (atomic temp-file + rename).")
   in
   let sample =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "sample" ]
              ~doc:"Keep champion history only for subsets whose hash is 0 \
                    mod $(docv) (1 = record everything; aggregate counts \
                    always cover every update).")
   in
   let max_subsets =
-    Arg.(value & opt int 65536
+    Arg.(value & opt positive 65536
          & info [ "max-subsets" ]
              ~doc:"Bound on subsets with recorded history.")
   in
   let max_champions =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive 8
          & info [ "max-champions" ]
              ~doc:"Champion-history entries kept per subset (oldest \
                    dropped).")
@@ -987,9 +997,9 @@ let inspect_cmd =
           ($(b,--json)) or a Graphviz subset lattice ($(b,--dot)).  With a \
           fallback tier (e.g. $(b,--algo) adaptive $(b,--budget) N) also \
           prints the aligned plan diff against exact DP.")
-    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_arg $ model_arg
-          $ budget_arg $ k_arg $ json $ dot $ out $ sample $ max_subsets
-          $ max_champions)
+    Term.(const run $ shape_arg $ n_arg $ splits_arg
+          $ algo_term ~objective:false () $ model_arg $ budget_arg $ json $ dot
+          $ out $ sample $ max_subsets $ max_champions)
 
 (* ------------------------------------------------------------------ *)
 (* why: cost a forced join order against the recorded memo             *)
@@ -1032,12 +1042,12 @@ let why_cmd =
 (* tpch: canned realistic join graphs                                  *)
 
 let tpch_cmd =
-  let run query algo model budget k sf =
+  let run query algo model budget sf =
     if query = "all" then begin
       List.iter
         (fun name ->
           let g = Workloads.Tpch.query ~sf name in
-          match timed_enumerate ~model ?budget ?k algo g with
+          match timed_enumerate ~model ?budget algo g with
           | Error msg -> Format.printf "%-4s: %s@." name msg
           | Ok (r, elapsed) ->
               Format.printf "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@."
@@ -1054,7 +1064,7 @@ let tpch_cmd =
       match Workloads.Tpch.query ~sf query with
       | g -> (
           Format.printf "%a@." G.pp g;
-          match timed_enumerate ~model ?budget ?k algo g with
+          match timed_enumerate ~model ?budget algo g with
           | Error msg ->
               Format.eprintf "error: %s@." msg;
               1
@@ -1074,7 +1084,8 @@ let tpch_cmd =
   in
   Cmd.v
     (Cmd.info "tpch" ~doc:"Optimize TPC-H-shaped join graphs")
-    Term.(const run $ query $ algo_arg $ model_arg $ budget_arg $ k_arg $ sf)
+    Term.(const run $ query $ algo_term ~objective:false () $ model_arg
+          $ budget_arg $ sf)
 
 let main =
   let info =

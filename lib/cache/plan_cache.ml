@@ -32,14 +32,13 @@ let outcome_name = function
   | Miss -> "miss"
   | Coalesced -> "coalesced"
 
-let create ?(shards = 16) ~capacity () =
+let create ~capacity =
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity < 1";
-  if shards < 1 then invalid_arg "Plan_cache.create: shards < 1";
   (* Capacity is enforced per shard, so a shard needs slack: with one
      entry per shard, two hot keys hashing together evict each other
-     on every request.  Clamp the stripe count so each shard holds at
-     least 4 entries (and never more stripes than capacity). *)
-  let shards = max 1 (min shards (capacity / 4)) in
+     on every request.  Up to 16 stripes, clamped so each shard holds
+     at least 4 entries (and never more stripes than capacity). *)
+  let shards = max 1 (min 16 (capacity / 4)) in
   let cap = (capacity + shards - 1) / shards in
   {
     shards =

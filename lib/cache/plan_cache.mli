@@ -50,14 +50,14 @@ val key : fingerprint:Fingerprint.t -> exact:string -> key
 
 type 'v t
 
-val create : ?shards:int -> capacity:int -> unit -> 'v t
-(** [create ~capacity ()] — a cache holding at most [capacity]
-    completed entries, striped over [shards] (default 16) independently
-    locked shards.  Capacity is enforced per shard, so the stripe
-    count is clamped down until each shard holds at least 4 entries —
-    a one-entry shard would let two colliding hot keys evict each
-    other on every request.
-    @raise Invalid_argument if [capacity < 1] or [shards < 1]. *)
+val create : capacity:int -> 'v t
+(** [create ~capacity] — a cache holding at most [capacity] completed
+    entries, striped over up to 16 independently locked shards.
+    Capacity is enforced per shard, so the stripe count is clamped
+    down until each shard holds at least 4 entries — a one-entry shard
+    would let two colliding hot keys evict each other on every
+    request.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 type outcome =
   | Hit  (** served from the cache *)

@@ -1,17 +1,16 @@
 module Ns = Nodeset.Node_set
-module Se = Nodeset.Subset_enum
 module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
 
 (* DPconv (Stoian, arXiv 2409.08013): join ordering by fast subset
    convolution instead of csg-cmp-pair enumeration.
 
-   The whole module works on the dense lattice indexes of
-   Subset_enum.Lattice over the full node set: a subset is an int in
-   [0, 2^n), arrays of size 2^n carry one value per subset, and the
-   zeta / Möbius transforms walk them bit by bit.  Everything below
-   max_relations stays on the Node_set single-word fast path, so index
-   <-> set conversions are free.
+   The whole module works on the subset lattice of {0..n-1} as dense
+   ints: a subset is its own bit pattern in [0, 2^n), arrays of size
+   2^n carry one value per subset, and the zeta / Möbius transforms
+   walk them bit by bit.  Every graph it accepts has at most
+   max_relations nodes, so an index is a single-word Node_set as it
+   stands (Node_set.unsafe_of_int).
 
    C_max ("minimize the largest intermediate") decomposes over the
    lattice: "can S be assembled with every intermediate cardinality
@@ -149,7 +148,6 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
     { plan; cmax = 0.; bound; feasible = 1; dp }
   end
   else begin
-    let lat = Se.Lattice.make (G.all_nodes g) in
     let size = 1 lsl n in
     let full = size - 1 in
     let popc = popcount_table size in
@@ -411,8 +409,8 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           build t;
           build (s lxor t);
           Emit.emit emit Emit.Symmetric
-            (Se.Lattice.of_index lat t)
-            (Se.Lattice.of_index lat (s lxor t))
+            (Ns.unsafe_of_int t)
+            (Ns.unsafe_of_int (s lxor t))
         end
       in
       build full;

@@ -13,10 +13,10 @@
     pipeline over the subset lattice costing Õ(2^n) per threshold, and
     a binary search over the O(2^n) distinct intermediate
     cardinalities pins the exact optimum — Õ(2^n) total instead of
-    Θ(3^n).  Subsets are dense array indexes via
-    [Subset_enum.Lattice]; a connectivity mask computed from the
-    graph's incidence indexes keeps disconnected subsets out of every
-    layer, so no disconnected set can ever become a champion.
+    Θ(3^n).  A subset of the [n] relations is its own bit pattern, a
+    dense array index below 2{^n}; a connectivity mask computed from
+    the graph's incidence indexes keeps disconnected subsets out of
+    every layer, so no disconnected set can ever become a champion.
 
     The sum objective C_out does not decompose over a boolean lattice,
     so this module offers a {e certified upper bound} instead

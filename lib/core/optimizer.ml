@@ -6,14 +6,15 @@ type algorithm =
   | Goo
   | Topdown
   | Tdpart
-  | Idp
-  | Partition
+  | Idp of { k : int }
+  | Partition of { k : int }
   | Adaptive
-  | Dpconv
+  | Dpconv of Dpconv.objective
 
 let all =
-  [ Dphyp; Dpsize; Dpsub; Dpccp; Goo; Topdown; Tdpart; Idp; Partition;
-    Adaptive; Dpconv ]
+  [ Dphyp; Dpsize; Dpsub; Dpccp; Goo; Topdown; Tdpart;
+    Idp { k = Idp.default_k }; Partition { k = Partition.default_stitch_k };
+    Adaptive; Dpconv Dpconv.Cmax ]
 
 let name = function
   | Dphyp -> "dphyp"
@@ -23,37 +24,22 @@ let name = function
   | Goo -> "goo"
   | Topdown -> "topdown"
   | Tdpart -> "tdpart"
-  | Idp -> "idp"
-  | Partition -> "partition"
+  | Idp _ -> "idp"
+  | Partition _ -> "partition"
   | Adaptive -> "adaptive"
-  | Dpconv -> "dpconv"
+  | Dpconv _ -> "dpconv"
 
-let of_name = function
-  | "dphyp" -> Some Dphyp
-  | "dpsize" -> Some Dpsize
-  | "dpsub" -> Some Dpsub
-  | "dpccp" -> Some Dpccp
-  | "goo" -> Some Goo
-  | "topdown" -> Some Topdown
-  | "tdpart" -> Some Tdpart
-  | "idp" -> Some Idp
-  | "partition" -> Some Partition
-  | "adaptive" -> Some Adaptive
-  | "dpconv" -> Some Dpconv
-  | _ -> None
+let of_name s = List.find_opt (fun a -> name a = s) all
 
 let supports_filter = function
   | Dphyp | Dpsize | Dpsub -> true
-  | Dpccp | Goo | Topdown | Tdpart | Idp | Partition | Adaptive | Dpconv ->
+  | Dpccp | Goo | Topdown | Tdpart | Idp _ | Partition _ | Adaptive
+  | Dpconv _ ->
       false
 
 let exact = function
   | Dphyp | Dpsize | Dpsub | Dpccp | Topdown | Tdpart -> true
-  | Goo | Idp | Partition | Adaptive | Dpconv -> false
-
-let default_k = function
-  | Partition -> Partition.default_stitch_k
-  | _ -> Idp.default_k
+  | Goo | Idp _ | Partition _ | Adaptive | Dpconv _ -> false
 
 type result = {
   plan : Plans.Plan.t option;
@@ -63,9 +49,7 @@ type result = {
   attempts : Adaptive.attempt list;
 }
 
-let run ?obs ?model ?filter ?budget ?k ?(dpconv_objective = Dpconv.Cmax) algo
-    g =
-  let k = Option.value k ~default:(default_k algo) in
+let run ?obs ?model ?filter ?budget algo g =
   if filter <> None && not (supports_filter algo) then
     invalid_arg
       (Printf.sprintf "Optimizer.run: %s does not support a validity filter"
@@ -86,8 +70,8 @@ let run ?obs ?model ?filter ?budget ?k ?(dpconv_objective = Dpconv.Cmax) algo
     | Goo -> plan_only (Goo.solve ?model ~counters g)
     | Topdown -> plan_only (Top_down.solve ?model ~counters g)
     | Tdpart -> plan_only (Top_down_partition.solve ?model ~counters g)
-    | Idp -> plan_only (Idp.solve ?obs ?model ~counters ~k g)
-    | Partition -> plan_only (Partition.solve ?obs ?model ~counters ~k g)
+    | Idp { k } -> plan_only (Idp.solve ?obs ?model ~counters ~k g)
+    | Partition { k } -> plan_only (Partition.solve ?obs ?model ~counters ~k g)
     | Adaptive ->
         let o = Adaptive.solve ?obs ?model ?budget g in
         {
@@ -97,8 +81,8 @@ let run ?obs ?model ?filter ?budget ?k ?(dpconv_objective = Dpconv.Cmax) algo
           tier = Some o.Adaptive.tier;
           attempts = o.Adaptive.attempts;
         }
-    | Dpconv ->
-        let o = Dpconv.solve ?model ~objective:dpconv_objective ~counters g in
+    | Dpconv objective ->
+        let o = Dpconv.solve ?model ~objective ~counters g in
         with_table (o.Dpconv.dp, o.Dpconv.plan)
   in
   match obs with

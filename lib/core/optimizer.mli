@@ -11,10 +11,11 @@ type algorithm =
   | Goo
   | Topdown
   | Tdpart
-  | Idp  (** iterative DP over blocks of [k] relations ({!Idp}) *)
-  | Partition
+  | Idp of { k : int }
+      (** iterative DP over blocks of [k] relations ({!Idp}) *)
+  | Partition of { k : int }
       (** large-query tier: greedy edge-clustered partition, per-block
-          exact DP, IDP-k stitch ({!Partition}) — the only DP-quality
+          exact DP, IDP-[k] stitch ({!Partition}) — the only DP-quality
           algorithm that runs past
           {!Nodeset.Node_set.small_capacity} relations *)
   | Adaptive
@@ -22,17 +23,26 @@ type algorithm =
           then IDP with shrinking k, then GOO ({!Adaptive}); on dense
           simple graphs a subset-convolution pre-tier ({!Dpconv})
           bounds and prunes the exact run *)
-  | Dpconv
+  | Dpconv of Dpconv.objective
       (** subset-convolution DP ({!Dpconv}): exact bottleneck (C_max)
           optimum in Õ(2^n), or a certified C_out upper bound — simple
           inner-join graphs of at most {!Dpconv.max_relations}
           relations only *)
+(** An algorithm value carries every parameter its algorithm reads:
+    IDP's block size, the partitioned tier's stitch size and DPconv's
+    objective.  The other eight take only the graph. *)
 
 val all : algorithm list
+(** Every algorithm once, parameters at their defaults (see
+    {!of_name}). *)
 
 val name : algorithm -> string
+(** The algorithm's name, without its parameters. *)
 
 val of_name : string -> algorithm option
+(** The inverse of {!name}, with the defaults: [Idp] at
+    {!Idp.default_k}, [Partition] at {!Partition.default_stitch_k} and
+    [Dpconv] at [Cmax]. *)
 
 val supports_filter : algorithm -> bool
 (** Only the DP algorithms accept an external validity filter
@@ -44,10 +54,6 @@ val exact : algorithm -> bool
     unlimited budget and IDP with [k >= n] do return the exact
     optimum, but carry no general guarantee; Dpconv is exact for the
     bottleneck objective C_max but not for the session cost model. *)
-
-val default_k : algorithm -> int
-(** What an omitted [?k] stands for: {!Partition.default_stitch_k} for
-    [Partition], {!Idp.default_k} for the rest. *)
 
 type result = {
   plan : Plans.Plan.t option;
@@ -66,8 +72,6 @@ val run :
   ?model:Costing.Cost_model.t ->
   ?filter:Emit.filter ->
   ?budget:int ->
-  ?k:int ->
-  ?dpconv_objective:Dpconv.objective ->
   algorithm ->
   Hypergraph.Graph.t ->
   result
@@ -83,11 +87,7 @@ val run :
     [Adaptive] it drives the fallback ladder and never escapes; for
     every other algorithm exceeding it raises
     {!Counters.Budget_exhausted} — the caller asked for a hard limit
-    on an algorithm with no fallback.  [?k] is the IDP block size of
-    [Idp] and of [Partition]'s stitching (default {!default_k}[ algo];
-    ignored by every other algorithm).
-    [?dpconv_objective] selects [Dpconv]'s objective (default
-    {!Dpconv.Cmax}; ignored by every other algorithm).
+    on an algorithm with no fallback.
 
     @raise Invalid_argument when [Dpccp] is given a hypergraph with
     non-simple edges, or a [filter] is passed to an algorithm that

@@ -103,7 +103,7 @@ let build_rows g plan stats =
   walk 0 plan;
   List.rev !out
 
-let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
+let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
     ?(conservative = false) ?(rows = 8) ?(domain = 4) ?(seed = 42) ?sample
     tree =
   match Relalg.Optree.validate tree with
@@ -126,7 +126,7 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
         Obs.Span.with_opt obs "calibrate" (fun _ ->
             Executor.Estimate.calibrate ?sample ~seed inst g0)
       in
-      match Pipeline.enumerate ?obs ?model ?budget ?k ~jobs:1 algo g with
+      match Pipeline.enumerate ?obs ?model ?budget ~jobs:1 algo g with
       | Error m -> Error m
       | Ok { Opt.plan = None; _ } -> Error "no valid plan found"
       | Ok ({ Opt.plan = Some plan; _ } as r) ->
@@ -205,15 +205,15 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
               optimizer = r;
             })
 
-let analyze_sql ?obs ?algo ?model ?budget ?k ?conservative ?rows ?domain
-    ?seed ?sample sql =
+let analyze_sql ?obs ?algo ?model ?budget ?conservative ?rows ?domain ?seed
+    ?sample sql =
   match
     Obs.Span.with_opt obs "parse" (fun _ -> Sqlfront.Binder.parse_and_bind sql)
   with
   | Error m -> Error m
   | Ok bound ->
-      analyze_tree ?obs ?algo ?model ?budget ?k ?conservative ?rows ?domain
-        ?seed ?sample bound.tree
+      analyze_tree ?obs ?algo ?model ?budget ?conservative ?rows ?domain ?seed
+        ?sample bound.tree
 
 (* ---------- rendering ---------- *)
 

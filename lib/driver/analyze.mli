@@ -57,7 +57,6 @@ val analyze_tree :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?k:int ->
   ?conservative:bool ->
   ?rows:int ->
   ?domain:int ->
@@ -79,7 +78,6 @@ val analyze_sql :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?k:int ->
   ?conservative:bool ->
   ?rows:int ->
   ?domain:int ->

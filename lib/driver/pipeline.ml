@@ -18,25 +18,21 @@ type result = {
 
 type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
 
-let make_cache ~capacity () = Cache.Plan_cache.create ~capacity ()
+let make_cache ~capacity () = Cache.Plan_cache.create ~capacity
 
 let budget_error =
   "work budget exhausted before a plan was found (use the adaptive algorithm \
    for graceful degradation)"
 
 (* The optimizer parameters of one request — everything after the
-   hypergraph exists that can change its plan, plus how to run it. *)
+   hypergraph exists that can change its plan, plus how to run it.
+   The algorithm value carries the parameters its algorithm reads. *)
 type request = {
   algo : Core.Optimizer.algorithm;
   model : Costing.Cost_model.t option;
   budget : int option;
-  k : int option;
-  dpconv_objective : Core.Dpconv.objective option;
   jobs : int;
 }
-
-let request ?model ?budget ?k ?dpconv_objective ~jobs algo =
-  { algo; model; budget; k; dpconv_objective; jobs }
 
 (* Intra-query parallelism: [jobs > 1] runs the enumeration itself on
    a domain pool — only DPhyp has a parallel decomposition (see
@@ -44,8 +40,8 @@ let request ?model ?budget ?k ?dpconv_objective ~jobs algo =
    silently running sequentially. *)
 let run_algo ?obs ?filter q graph =
   if q.jobs <= 1 then
-    Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget ?k:q.k
-      ?dpconv_objective:q.dpconv_objective q.algo graph
+    Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget q.algo
+      graph
   else if q.algo <> Core.Optimizer.Dphyp then
     invalid_arg
       (Printf.sprintf "jobs > 1 requires the dphyp algorithm (got %s)"
@@ -62,35 +58,35 @@ let guard f =
   | exception Invalid_argument m -> Error m
   | exception Core.Counters.Budget_exhausted -> Error budget_error
 
-let enumerate ?obs ?model ?budget ?k ?dpconv_objective ~jobs algo graph =
-  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
+let enumerate ?obs ?model ?budget ~jobs algo graph =
+  let q = { algo; model; budget; jobs } in
   guard (fun () -> run_algo ?obs q graph)
 
 (* The exact cache key: every input that can change the returned plan
    bytes.  The serialized graph carries node order, cardinalities,
    selectivities, operators, free sets and edge order (edge ids are
-   file order); algorithm, cost model, budget and the effective IDP
-   block size are prepended, so a request without [k] and one naming
-   a different block size never share an entry.  [jobs] is
+   file order); algorithm, cost model, budget and block size are
+   prepended.  DPconv's objective changes its plan, so it refines the
+   algorithm component; an algorithm without a block size prints
+   {!Core.Idp.default_k}, so every key keeps one layout.  [jobs] is
    deliberately absent — parallel enumeration is byte-identical to
    sequential for every jobs count, so one entry serves all of them
    (the differential test sweeps jobs to prove it). *)
 let exact_key q graph =
-  Printf.sprintf "algo=%s model=%s budget=%s k=%d\n%s"
-    (* the objective changes dpconv's plan, so it is part of the
-       algorithm component; other algorithms ignore it and keep their
-       existing keys *)
-    (match q.algo with
-    | Core.Optimizer.Dpconv ->
-        Core.Optimizer.name q.algo ^ ":"
-        ^ Core.Dpconv.objective_name
-            (Option.value q.dpconv_objective ~default:Core.Dpconv.Cmax)
-    | algo -> Core.Optimizer.name algo)
+  let open Core.Optimizer in
+  let algo, k =
+    match q.algo with
+    | Idp { k } | Partition { k } -> (name q.algo, k)
+    | Dpconv o ->
+        (name q.algo ^ ":" ^ Core.Dpconv.objective_name o, Core.Idp.default_k)
+    | a -> (name a, Core.Idp.default_k)
+  in
+  Printf.sprintf "algo=%s model=%s budget=%s k=%d\n%s" algo
     (match q.model with
     | Some (m : Costing.Cost_model.t) -> m.name
     | None -> Costing.Cost_model.c_out.name)
     (match q.budget with Some b -> string_of_int b | None -> "unlimited")
-    (Option.value q.k ~default:(Core.Optimizer.default_k q.algo))
+    k
     (Hypergraph.Serialize.to_string graph)
 
 (* Memoized enumeration.  A conflict-mode validity filter is a
@@ -314,15 +310,15 @@ let tree_front ~mode ?cards ?sels q obs tree =
       | _ -> Ok { graph; filter; to_tree = (fun _ -> tree) })
 
 let optimize_tree ?obs ?tel ?cache ?(mode = Tes_literal)
-    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
-    ?(jobs = 1) ?cards ?sels tree =
-  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?(jobs = 1) ?cards ?sels
+    tree =
+  let q = { algo; model; budget; jobs } in
   serve ?obs ?tel ?cache q (fun ctx -> tree_front ~mode ?cards ?sels q ctx tree)
 
 let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
-    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
-    ?(jobs = 1) ?cards ?sels sql =
-  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?(jobs = 1) ?cards ?sels
+    sql =
+  let q = { algo; model; budget; jobs } in
   serve ?obs ?tel ?cache q (fun ctx ->
       match
         Obs.Span.with_opt ctx "parse" (fun _ ->
@@ -332,8 +328,8 @@ let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
       | Ok bound -> tree_front ~mode ?cards ?sels q ctx bound.tree)
 
 let optimize_graph ?obs ?tel ?cache ?(algo = Core.Optimizer.Dphyp) ?model
-    ?budget ?k ?dpconv_objective ?(jobs = 1) graph =
-  let q = request ?model ?budget ?k ?dpconv_objective ~jobs algo in
+    ?budget ?(jobs = 1) graph =
+  let q = { algo; model; budget; jobs } in
   serve ?obs ?tel ?cache q (fun ctx ->
       Ok
         {

@@ -57,8 +57,7 @@ type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
     a closure the key cannot capture. *)
 
 val make_cache : capacity:int -> unit -> plan_cache
-(** [Cache.Plan_cache.create] at the pipeline's value type, with its
-    default shard count. *)
+(** [Cache.Plan_cache.create] at the pipeline's value type. *)
 
 val export_cache_stats : Obs.Export.t -> plan_cache -> unit
 (** Publish the cache's counters and occupancy into the telemetry
@@ -76,8 +75,6 @@ val optimize_tree :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?k:int ->
-  ?dpconv_objective:Core.Dpconv.objective ->
   ?jobs:int ->
   ?cards:(int -> float) ->
   ?sels:(int -> float) ->
@@ -91,10 +88,10 @@ val optimize_tree :
     into the caller's collector; omitting it runs the completely
     un-instrumented path.  The result's counters, tier, attempts and
     table occupancy are filled either way.  The enumeration is
-    {!enumerate} under [?model], [?budget], [?k], [?dpconv_objective]
-    and [?jobs] (default 1), and its [Error]s are returned as they
-    are.  The dpconv objective is part of the plan-cache key (it
-    changes the plan); other algorithms ignore it and keep their keys.
+    {!enumerate} under [?model], [?budget] and [?jobs] (default 1),
+    and its [Error]s are returned as they are.  The algorithm value
+    carries its own parameters (IDP's block size, DPconv's objective),
+    and the plan-cache key includes them.
     [Error] also reports an invalid tree, a missing plan and an
     algorithm/filter mismatch, each with a human-readable reason.
 
@@ -140,8 +137,6 @@ val optimize_sql :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?k:int ->
-  ?dpconv_objective:Core.Dpconv.objective ->
   ?jobs:int ->
   ?cards:(int -> float) ->
   ?sels:(int -> float) ->
@@ -158,8 +153,6 @@ val optimize_graph :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?k:int ->
-  ?dpconv_objective:Core.Dpconv.objective ->
   ?jobs:int ->
   Hypergraph.Graph.t ->
   (result, string) Result.t
@@ -171,8 +164,6 @@ val enumerate :
   ?obs:Obs.Span.ctx ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?k:int ->
-  ?dpconv_objective:Core.Dpconv.objective ->
   jobs:int ->
   Core.Optimizer.algorithm ->
   Hypergraph.Graph.t ->

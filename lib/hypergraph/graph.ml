@@ -284,35 +284,6 @@ let minimize g simple =
     g.cand_keep.(i) <- !keep
   done
 
-let candidate_hypernodes g s x =
-  collect_candidates g s x;
-  let acc = ref [] in
-  for i = 0 to g.cand_len - 1 do
-    acc := g.cand.(i) :: !acc
-  done;
-  !acc
-
-let eligible_hypernodes g s x =
-  let simple = Ns.diff (simple_neighborhood g s) (Ns.union s x) in
-  collect_candidates g s x;
-  minimize g simple;
-  (* Singleton hypernodes from simple neighbors, descending node
-     order; surviving complex candidates in front of them in reverse
-     generation order, duplicates collapsed onto the latest-generated
-     copy — the order the list-based implementation produced. *)
-  let acc = ref (Ns.fold (fun v acc -> Ns.singleton v :: acc) simple []) in
-  for i = 0 to g.cand_len - 1 do
-    if g.cand_keep.(i) then begin
-      let c = g.cand.(i) in
-      let dup = ref false in
-      for j = i + 1 to g.cand_len - 1 do
-        if Ns.equal g.cand.(j) c then dup := true
-      done;
-      if not !dup then acc := c :: !acc
-    end
-  done;
-  !acc
-
 let neighborhood g s x =
   let simple = Ns.diff (simple_neighborhood g s) (Ns.union s x) in
   if Ns.disjoint s g.complex_union then simple

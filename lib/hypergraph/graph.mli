@@ -87,15 +87,6 @@ val neighborhood : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node
     edges [(u,v,w)] contribute the dynamic hypernode [v ∪ (w \ S)]
     (Section 6). *)
 
-val candidate_hypernodes :
-  t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t list
-(** The raw candidate set [E♮0(S, X)] before minimization — exposed
-    for tests. *)
-
-val eligible_hypernodes :
-  t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t list
-(** The non-subsumed set [E♮(S, X)] itself — exposed for tests. *)
-
 val connects : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> bool
 (** Is there an edge connecting the two disjoint sets (Def. 7)? *)
 

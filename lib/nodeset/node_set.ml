@@ -524,8 +524,6 @@ module Internal = struct
 
   let force_wide s = if is_small s then wd [| smv s |] else s
 
-  let force_wide_mode () = !force_wide_flag
-
   let with_force_wide f =
     let saved = !force_wide_flag in
     force_wide_flag := true;

@@ -182,10 +182,6 @@ module Internal : sig
   val force_wide : t -> t
   (** The same set, re-represented as a (one-word) wide value. *)
 
-  val force_wide_mode : unit -> bool
-  (** Whether constructors are currently routed to the wide
-      representation. *)
-
   val with_force_wide : (unit -> 'a) -> 'a
   (** Run a thunk with every constructor ([singleton], [add], [full],
       [range], [below], [upto], [of_list], ...) producing wide

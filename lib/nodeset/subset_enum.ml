@@ -54,92 +54,6 @@ let fold_nonempty m f acc =
   iter_nonempty m (fun s -> acc := f !acc s);
   !acc
 
-(* ---------- rank-indexed lattice addressing ----------
-
-   The subset-convolution transforms (Core.Dpconv) want the subsets of
-   a universe U as indexes into a flat array of size 2^|U|: bit j of
-   the index selects the j-th smallest member of U.  When U is the
-   contiguous prefix {0..k-1} on the single-word path this is exactly
-   [Node_set.to_int]; any other universe goes through the member
-   table.  Rank iteration (all subsets of a fixed cardinality, in
-   increasing index order) is Gosper's hack on the dense indexes. *)
-
-module Lattice = struct
-  type t = {
-    universe : Node_set.t;
-    members : int array;  (* j-th smallest member of the universe *)
-    size : int;  (* 2^|universe| *)
-    contiguous : bool;  (* index = raw bit pattern *)
-  }
-
-  let make universe =
-    let members = Array.of_list (Node_set.to_list universe) in
-    let k = Array.length members in
-    if k >= Node_set.small_capacity then
-      invalid_arg
-        (Printf.sprintf
-           "Subset_enum.Lattice: universe with %d members is not indexable" k);
-    let contiguous =
-      Node_set.fits_small universe && Node_set.to_int universe = (1 lsl k) - 1
-    in
-    { universe; members; size = 1 lsl k; contiguous }
-
-  let universe l = l.universe
-
-  let bits l = Array.length l.members
-
-  let size l = l.size
-
-  let index_of l s =
-    if not (Node_set.subset s l.universe) then
-      invalid_arg "Subset_enum.Lattice.index_of: not a subset of the universe";
-    if l.contiguous then Node_set.to_int s
-    else begin
-      let idx = ref 0 in
-      for j = 0 to Array.length l.members - 1 do
-        if Node_set.mem l.members.(j) s then idx := !idx lor (1 lsl j)
-      done;
-      !idx
-    end
-
-  let of_index l idx =
-    if idx < 0 || idx >= l.size then
-      invalid_arg "Subset_enum.Lattice.of_index: index out of range";
-    if l.contiguous && not (Node_set.Internal.force_wide_mode ()) then
-      Node_set.unsafe_of_int idx
-    else begin
-      let s = ref Node_set.empty in
-      let rem = ref idx in
-      while !rem <> 0 do
-        let j =
-          (* index of the lowest set bit *)
-          let b = !rem land - !rem in
-          let rec tz j b = if b land 1 = 1 then j else tz (j + 1) (b lsr 1) in
-          tz 0 b
-        in
-        s := Node_set.add l.members.(j) !s;
-        rem := !rem land (!rem - 1)
-      done;
-      !s
-    end
-
-  (* Gosper's hack: next larger integer with the same popcount. *)
-  let iter_rank l ~rank f =
-    let k = Array.length l.members in
-    if rank < 0 || rank > k then
-      invalid_arg "Subset_enum.Lattice.iter_rank: rank out of range"
-    else if rank = 0 then f 0 Node_set.empty
-    else begin
-      let c = ref ((1 lsl rank) - 1) in
-      while !c < l.size do
-        f !c (of_index l !c);
-        let lo = !c land - !c in
-        let ripple = !c + lo in
-        c := ripple lor (((!c lxor ripple) / lo) lsr 2)
-      done
-    end
-end
-
 exception Found
 
 let exists_nonempty m p =

@@ -31,45 +31,3 @@ val count : Node_set.t -> (Node_set.t -> bool) -> int
 val to_list_nonempty : Node_set.t -> Node_set.t list
 (** All non-empty subsets, increasing numeric order.  Intended for
     tests on small masks. *)
-
-(** Rank-indexed addressing of the subset lattice of a universe [U]:
-    every subset maps to a dense index in [0, 2^|U|) (bit [j] of the
-    index selects the [j]-th smallest member of [U]), which is how the
-    zeta/Möbius transforms of subset convolution (see [Core.Dpconv])
-    lay the lattice out in flat arrays.  When [U] is the contiguous
-    prefix [{0..k-1}] on the single-word path the index {e is} the raw
-    bit pattern and the conversions are free; any other universe (or a
-    forced-wide representation) goes through the member table, so the
-    mapping is representation-independent. *)
-module Lattice : sig
-  type t
-
-  val make : Node_set.t -> t
-  (** Index structure for the subsets of the given universe.
-      @raise Invalid_argument if the universe has
-      [Node_set.small_capacity] or more members (the dense index must
-      fit an [int]). *)
-
-  val universe : t -> Node_set.t
-
-  val bits : t -> int
-  (** Number of members of the universe [k]. *)
-
-  val size : t -> int
-  (** [2^k], the number of subsets (valid indexes are [0..size-1]). *)
-
-  val index_of : t -> Node_set.t -> int
-  (** Dense index of a subset.  @raise Invalid_argument if the set is
-      not a subset of the universe. *)
-
-  val of_index : t -> int -> Node_set.t
-  (** Inverse of {!index_of}.  @raise Invalid_argument if the index is
-      outside [0, size). *)
-
-  val iter_rank : t -> rank:int -> (int -> Node_set.t -> unit) -> unit
-  (** [iter_rank l ~rank f] calls [f index subset] on every subset of
-      the universe with exactly [rank] members, in increasing index
-      order (Gosper's hack) — the layer-by-layer walk of the ranked
-      transforms.  @raise Invalid_argument if [rank] is negative or
-      exceeds {!bits}. *)
-end

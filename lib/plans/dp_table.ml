@@ -11,12 +11,13 @@ module G = Hypergraph.Graph
 
 let flat_max_nodes = 18
 
-(* Wide queries key the hash on the node set itself: [Ns.hash] and
-   [Ns.equal] are value-based, so the table is oblivious to which
-   representation a set arrived in.  [Ns.hash] keeps a set's bits
-   where they sit in its word, and a bucket is picked by the low bits
-   alone, so the hash is mixed first: sets of high-numbered nodes
-   would otherwise crowd a few buckets. *)
+(* The hash index keys on the node set itself, at any width:
+   [Ns.hash] and [Ns.equal] are value-based, so the table is oblivious
+   to which representation a set arrived in, and a one-word set
+   hashes as its bit pattern.  [Ns.hash] keeps a set's bits where they
+   sit in its word, and a bucket is picked by the low bits alone, so
+   the hash is mixed first: sets of high-numbered nodes would
+   otherwise crowd a few buckets. *)
 module NsTbl = Hashtbl.Make (struct
   type t = Ns.t
 
@@ -24,17 +25,9 @@ module NsTbl = Hashtbl.Make (struct
   let hash s = Hashtbl.hash (Ns.hash s)
 end)
 
-module IntTbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
 type index =
   | Flat of int array  (* slot [Ns.to_int s]: entry id, or -1 *)
-  | Hashed of int IntTbl.t
-  | Wide of int NsTbl.t
+  | Hashed of int NsTbl.t
 
 type event = Installed | Displaced of float | Rejected
 
@@ -103,8 +96,7 @@ let create_for ?(lift = Fun.id) g =
         min (1 lsl min n 61)
           (max 16 (Hypergraph.Csg_enum.estimate_connected_subgraphs g))
       in
-      if n <= Ns.small_capacity then Hashed (IntTbl.create hint)
-      else Wide (NsTbl.create hint)
+      Hashed (NsTbl.create hint)
   in
   let cap = 64 in
   let t =
@@ -127,23 +119,19 @@ let create_for ?(lift = Fun.id) g =
 let hash_stats t =
   match t.index with
   | Flat _ -> None
-  | Hashed h -> Some (IntTbl.stats h)
-  | Wide h -> Some (NsTbl.stats h)
+  | Hashed h -> Some (NsTbl.stats h)
 
 let id t s =
   match t.index with
   | Flat a -> a.(Ns.to_int s)
-  | Hashed h -> (
-      match IntTbl.find h (Ns.to_int s) with i -> i | exception Not_found -> -1)
-  | Wide h -> ( match NsTbl.find h s with i -> i | exception Not_found -> -1)
+  | Hashed h -> ( match NsTbl.find h s with i -> i | exception Not_found -> -1)
 
 (* The connectivity test of every enumerator, mostly on sets with no
    entry: no exception on a miss. *)
 let mem t s =
   match t.index with
   | Flat a -> a.(Ns.to_int s) >= 0
-  | Hashed h -> IntTbl.mem h (Ns.to_int s)
-  | Wide h -> NsTbl.mem h s
+  | Hashed h -> NsTbl.mem h s
 
 let grow t =
   let cap = 2 * Array.length t.sets in
@@ -166,8 +154,7 @@ let add t s =
   t.sets.(i) <- s;
   (match t.index with
   | Flat a -> a.(Ns.to_int s) <- i
-  | Hashed h -> IntTbl.replace h (Ns.to_int s) i
-  | Wide h -> NsTbl.replace h s i);
+  | Hashed h -> NsTbl.replace h s i);
   i
 
 let load t (c : Costing.Candidate.t) i1 i2 =

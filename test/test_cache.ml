@@ -156,7 +156,7 @@ let mk_key tag seed =
   Pc.key ~fingerprint:(Fp.of_graph (random_graph seed)) ~exact:tag
 
 let test_hit_miss_counting () =
-  let c = Pc.create ~capacity:8 () in
+  let c = Pc.create ~capacity:8 in
   let v, o = Pc.find_or_compute c (mk_key "a" 1) (fun () -> 1) in
   Alcotest.(check int) "computed" 1 v;
   check "first is a miss" true (o = Pc.Miss);
@@ -176,7 +176,7 @@ let test_hit_miss_counting () =
   check "find misses absent" true (Pc.find c (mk_key "c" 3) = None)
 
 let test_capacity_eviction () =
-  let c = Pc.create ~shards:1 ~capacity:4 () in
+  let c = Pc.create ~capacity:4 in
   for i = 0 to 5 do
     ignore
       (Pc.find_or_compute c (mk_key (string_of_int i) i) (fun () -> i))
@@ -188,7 +188,7 @@ let test_capacity_eviction () =
 (* GreedyDual: an expensive-to-recompute entry must outlive cheap ones
    under pressure, even when the cheap ones are equally recent. *)
 let test_cost_aware_eviction () =
-  let c = Pc.create ~shards:1 ~capacity:4 () in
+  let c = Pc.create ~capacity:4 in
   let insert tag cost_s =
     ignore
       (Pc.find_or_compute c (mk_key tag 0) (fun () ->
@@ -208,7 +208,7 @@ let test_cost_aware_eviction () =
   Alcotest.(check int) "evicted two" 2 (Pc.stats c).Pc.evictions
 
 let test_single_flight () =
-  let c = Pc.create ~capacity:8 () in
+  let c = Pc.create ~capacity:8 in
   let computed = Atomic.make 0 in
   let key = mk_key "flight" 5 in
   let work () =
@@ -228,7 +228,7 @@ let test_single_flight () =
     (s.Pc.hits + s.Pc.coalesced)
 
 let test_failure_recovery () =
-  let c = Pc.create ~capacity:8 () in
+  let c = Pc.create ~capacity:8 in
   let key = mk_key "boom" 6 in
   (match Pc.find_or_compute c key (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "exception must propagate"
@@ -288,23 +288,25 @@ let test_differential_jobs () =
   Alcotest.(check int) "one miss across the jobs sweep" 1
     (Pc.stats cache).Pc.misses
 
-(* An omitted k is the algorithm's own default — for partition the
-   adaptive ladder's stitch size 10 — and the key prints the effective
-   k: a request without k and one with k = 7 never share an entry,
-   while an explicit k = 10 finds the no-k entry. *)
+(* [-a partition] names the adaptive ladder's stitch size 10, and the
+   key prints the algorithm's k: the default and k = 7 never share an
+   entry, while an explicit k = 10 finds the default's entry. *)
 let test_partition_k_key () =
   let cache = Driver.Pipeline.make_cache ~capacity:8 () in
-  let g = Workloads.Shapes.snowflake_n 80 and algo = Core.Optimizer.Partition in
-  let default = render (Driver.Pipeline.optimize_graph ~cache ~algo g) in
-  let k7 = render (Driver.Pipeline.optimize_graph ~cache ~algo ~k:7 g) in
+  let g = Workloads.Shapes.snowflake_n 80 in
+  let optimize ?cache algo =
+    render (Driver.Pipeline.optimize_graph ?cache ~algo g)
+  and partition k = Core.Optimizer.Partition { k } in
+  let default =
+    optimize ~cache (Option.get (Core.Optimizer.of_name "partition"))
+  in
+  let k7 = optimize ~cache (partition 7) in
   Alcotest.(check int) "k = 7 misses" 2 (Pc.stats cache).Pc.misses;
   Alcotest.(check string)
-    "k = 7 entry is a k = 7 plan"
-    (render (Driver.Pipeline.optimize_graph ~algo ~k:7 g))
-    k7;
+    "k = 7 entry is a k = 7 plan" (optimize (partition 7)) k7;
   check "k = 7 plan differs from the default" true (default <> k7);
-  let k10 = render (Driver.Pipeline.optimize_graph ~cache ~algo ~k:10 g) in
-  Alcotest.(check string) "k = 10 hits the no-k entry" default k10;
+  let k10 = optimize ~cache (partition 10) in
+  Alcotest.(check string) "k = 10 hits the default entry" default k10;
   Alcotest.(check int) "one hit" 1 (Pc.stats cache).Pc.hits
 
 let batch_sql =

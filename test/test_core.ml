@@ -389,7 +389,7 @@ let test_null_sink_counters_identical () =
             (snapshot plain = snapshot traced))
         [
           (Opt.Dphyp, None);
-          (Opt.Idp, None);
+          (Opt.Idp { k = Core.Idp.default_k }, None);
           (Opt.Adaptive, None);
           (Opt.Adaptive, Some 50);
         ])

@@ -105,7 +105,7 @@ let prop_idp_exact_when_k_covers =
     (fun seed ->
       let g = random_hyper seed in
       let exact = cost_of "dphyp" (Opt.run Opt.Dphyp g) in
-      let idp = cost_of "idp" (Opt.run ~k:(G.num_nodes g) Opt.Idp g) in
+      let idp = cost_of "idp" (Opt.run (Opt.Idp { k = G.num_nodes g }) g) in
       close exact idp)
 
 let prop_idp_valid_and_no_better =
@@ -115,7 +115,7 @@ let prop_idp_valid_and_no_better =
     (fun seed ->
       let g = random_hyper seed in
       let exact = cost_of "dphyp" (Opt.run Opt.Dphyp g) in
-      match (Opt.run ~k:3 Opt.Idp g).plan with
+      match (Opt.run (Opt.Idp { k = 3 }) g).plan with
       | None -> QCheck.Test.fail_report "idp k=3 found no plan"
       | Some p ->
           Plans.Plan_check.check g p = []
@@ -359,7 +359,8 @@ let test_partitioned_pins () =
 let test_partition_is_partitioned_tier () =
   List.iter
     (fun (name, g) ->
-      let p = Opt.run Opt.Partition g and a = Core.Adaptive.solve g in
+      let p = Opt.run (Option.get (Opt.of_name "partition")) g
+      and a = Core.Adaptive.solve g in
       check (name ^ " partitioned tier") true
         (a.Core.Adaptive.tier = Core.Adaptive.Partitioned);
       Alcotest.(check string)
@@ -607,7 +608,7 @@ let test_budget_exhausted_raises () =
         Core.Counters.Budget_exhausted
         (fun () -> ignore (Opt.run ~budget:50 algo g)))
     [ Opt.Dphyp; Opt.Dpsize; Opt.Dpsub; Opt.Goo; Opt.Topdown; Opt.Tdpart;
-      Opt.Idp ]
+      Opt.Idp { k = Core.Idp.default_k } ]
 
 let test_budget_large_enough_is_silent () =
   let g = Workloads.Shapes.chain 6 in

@@ -213,86 +213,6 @@ let prop_count =
              (fun s -> Ns.cardinal s mod 2 = 0)
              (Se.to_list_nonempty m)))
 
-(* ---------- Lattice: rank-indexed subset addressing ---------- *)
-
-let test_lattice_contiguous () =
-  let l = Se.Lattice.make (Ns.full 4) in
-  check_int "bits" 4 (Se.Lattice.bits l);
-  check_int "size" 16 (Se.Lattice.size l);
-  (* contiguous universe: index = raw bit pattern *)
-  check_int "index is bit pattern" 0b1010
-    (Se.Lattice.index_of l (Ns.of_list [ 1; 3 ]));
-  check_list "of_index inverse" [ 1; 3 ]
-    (Ns.to_list (Se.Lattice.of_index l 0b1010))
-
-let test_lattice_sparse () =
-  (* universe {2,5,9}: bit j of the index selects the j-th smallest *)
-  let l = Se.Lattice.make (Ns.of_list [ 2; 5; 9 ]) in
-  check_int "size" 8 (Se.Lattice.size l);
-  check_int "index of {5}" 0b010 (Se.Lattice.index_of l (Ns.singleton 5));
-  check_int "index of {2,9}" 0b101 (Se.Lattice.index_of l (Ns.of_list [ 2; 9 ]));
-  check_list "of_index 0b110" [ 5; 9 ] (Ns.to_list (Se.Lattice.of_index l 0b110));
-  Alcotest.check_raises "non-subset rejected"
-    (Invalid_argument
-       "Subset_enum.Lattice.index_of: not a subset of the universe") (fun () ->
-      ignore (Se.Lattice.index_of l (Ns.singleton 3)))
-
-let test_lattice_rank_iter () =
-  let l = Se.Lattice.make (Ns.of_list [ 0; 1; 2; 3; 4 ]) in
-  let seen = ref [] in
-  Se.Lattice.iter_rank l ~rank:2 (fun i s -> seen := (i, Ns.to_list s) :: !seen);
-  let seen = List.rev !seen in
-  check_int "C(5,2) subsets" 10 (List.length seen);
-  let idxs = List.map fst seen in
-  check "increasing index order" true (List.sort compare idxs = idxs);
-  check "all rank 2" true (List.for_all (fun (_, s) -> List.length s = 2) seen);
-  (* rank 0 is the empty set at index 0, rank k the universe *)
-  Se.Lattice.iter_rank l ~rank:0 (fun i s ->
-      check_int "rank-0 index" 0 i;
-      check "rank-0 set empty" true (Ns.is_empty s));
-  Se.Lattice.iter_rank l ~rank:5 (fun i s ->
-      check_int "rank-5 index" 31 i;
-      check "rank-5 full" true (Ns.equal s (Se.Lattice.universe l)))
-
-(* Small-vs-forced-wide oracle (PR 7 style): the lattice addressing
-   must be representation-independent — building the structure and
-   running every conversion with all constructors forced to the wide
-   representation must give value-identical results to the small
-   path. *)
-let prop_lattice_wide_oracle =
-  QCheck.Test.make ~name:"lattice small vs forced-wide oracle" ~count:200
-    QCheck.(small_list (int_bound 20))
-    (fun univ ->
-      let univ = List.sort_uniq compare univ in
-      QCheck.assume (List.length univ <= 10);
-      let run () =
-        let l = Se.Lattice.make (Ns.of_list univ) in
-        let k = Se.Lattice.bits l in
-        (* every index round-trips; collect rank layers *)
-        let round =
-          List.init (Se.Lattice.size l) (fun i ->
-              let s = Se.Lattice.of_index l i in
-              (i, Ns.to_list s, Se.Lattice.index_of l s))
-        in
-        let layers =
-          List.init (k + 1) (fun r ->
-              let acc = ref [] in
-              Se.Lattice.iter_rank l ~rank:r (fun i s ->
-                  acc := (i, Ns.to_list s) :: !acc);
-              List.rev !acc)
-        in
-        (round, layers)
-      in
-      let small = run () in
-      let wide = Ns.Internal.with_force_wide run in
-      let round, layers = small in
-      List.for_all (fun (i, _, i') -> i = i') round
-      && small = wide
-      && List.concat_map (fun l -> l) layers
-         |> List.map fst
-         |> List.sort compare
-         = List.init (List.length round) (fun i -> i))
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "nodeset"
@@ -328,12 +248,5 @@ let () =
           Alcotest.test_case "exists" `Quick test_exists_nonempty;
           q prop_subsets_are_subsets;
           q prop_count;
-        ] );
-      ( "lattice",
-        [
-          Alcotest.test_case "contiguous" `Quick test_lattice_contiguous;
-          Alcotest.test_case "sparse" `Quick test_lattice_sparse;
-          Alcotest.test_case "rank_iter" `Quick test_lattice_rank_iter;
-          q prop_lattice_wide_oracle;
         ] );
     ]

@@ -69,7 +69,7 @@ let test_write_chrome_pipeline () =
    a data race, and with capacity above the key universe the misses
    are exactly the distinct keys. *)
 let test_cache_counter_hammer () =
-  let cache = Cache.Plan_cache.create ~capacity:64 () in
+  let cache = Cache.Plan_cache.create ~capacity:64 in
   let distinct = 10 and rounds = 400 in
   let fp = Cache.Fingerprint.of_graph (Workloads.Shapes.star 4) in
   let hammer tag =

@@ -328,8 +328,8 @@ let test_run_batch_dpconv_objective () =
       ]
   in
   let dpconv objective t =
-    Driver.Pipeline.optimize_tree ~algo:Opt.Dpconv
-      ~dpconv_objective:objective ~cards:(Array.get cards)
+    Driver.Pipeline.optimize_tree ~algo:(Opt.Dpconv objective)
+      ~cards:(Array.get cards)
       ~sels:(Array.get sels) t
   in
   let plan = function

@@ -362,7 +362,7 @@ let test_boundary_63_relations () =
    algorithm of the Optimizer. *)
 let test_optimizer_partition_algo () =
   let g = Workloads.Shapes.chain 12 in
-  let rp = Opt.run ~k:16 Opt.Partition g in
+  let rp = Opt.run (Opt.Partition { k = 16 }) g in
   let re = Opt.run Opt.Dphyp g in
   match (rp.Opt.plan, re.Opt.plan) with
   | Some p, Some e ->
