@@ -29,17 +29,21 @@ let algo_conv =
   in
   Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Core.Optimizer.name a))
 
-(* An integer flag that must be at least 1; anything else is a usage
+(* An integer flag with a lower bound; anything else is a usage
    error. *)
-let positive =
+let at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= lo -> Ok n
     | _ ->
         Error
-          (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+          (`Msg
+             (Printf.sprintf "invalid value %S, expected an integer >= %d" s
+                lo))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive = at_least 1
 
 let algo_arg =
   let doc =
@@ -156,6 +160,11 @@ let trace_out_arg =
    is observed at all, [report_obs] renders the table / trace file. *)
 let obs_ctx profile trace_out =
   if profile || trace_out <> None then Some (Obs.Span.create ()) else None
+
+(* A failed command: its message on stderr, exit 1. *)
+let fail msg =
+  Format.eprintf "error: %s@." msg;
+  1
 
 let write_trace trace_out ctx =
   Option.iter
@@ -285,9 +294,7 @@ let optimize_cmd =
   let run sql algo model budget jobs conservative verbose dot_plan profile
       trace_out =
     match Result.bind (read_sql sql) Sqlfront.Binder.parse_and_bind with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok bound -> (
         let tree = Conflicts.Simplify.simplify bound.tree in
         Format.printf "initial operator tree:@.%a@." Relalg.Optree.pp tree;
@@ -297,9 +304,7 @@ let optimize_cmd =
         if verbose then Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         match timed_enumerate ?obs ~model ?budget ~jobs algo g with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok (r, elapsed) ->
             report_result g r elapsed;
             report_obs obs profile trace_out (fun ppf ->
@@ -351,9 +356,7 @@ let explain_cmd =
     | None -> (
         let ctx = Obs.Span.create () in
         match go ctx with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok r -> report ctx r)
     | Some capacity -> (
         (* first run fills the cache (miss), second is the profile the
@@ -361,15 +364,11 @@ let explain_cmd =
            gains the plan-cache counter line *)
         let cache = Driver.Pipeline.make_cache ~capacity () in
         match go ~cache (Obs.Span.create ()) with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok _ -> (
             let ctx = Obs.Span.create () in
             match go ~cache ctx with
-            | Error msg ->
-                Format.eprintf "error: %s@." msg;
-                1
+            | Error msg -> fail msg
             | Ok r ->
                 Format.printf
                   "second run through a plan cache of capacity %d:@." capacity;
@@ -412,7 +411,7 @@ let replay_args =
                    shape, different catalog seeds).")
   in
   let requests =
-    Arg.(value & opt int 200
+    Arg.(value & opt positive 200
          & info [ "requests" ] ~doc:"Length of the replay request stream.")
   in
   let alpha =
@@ -466,9 +465,7 @@ let serve_replay ~jobs w optimize =
 let cache_stats_cmd =
   let run shape n rp jobs =
     match replay_stream shape n rp with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok w -> (
         let cache = Driver.Pipeline.make_cache ~capacity:rp.capacity () in
         let t0 = Unix.gettimeofday () in
@@ -477,9 +474,7 @@ let cache_stats_cmd =
         in
         let dt = Unix.gettimeofday () -. t0 in
         match failed with
-        | Some m ->
-            Format.eprintf "error: a replayed request failed: %s@." m;
-            1
+        | Some m -> fail ("a replayed request failed: " ^ m)
         | None ->
             Format.printf
               "replayed %d requests over %d %s-%d variants (zipf %.2f, %d \
@@ -510,9 +505,7 @@ let cache_stats_cmd =
 let stats_cmd =
   let run shape n rp jobs algo budget prometheus json out top slow_ms =
     match replay_stream shape n rp with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok w -> (
         let tel = Obs.Export.create ~slow_s:(slow_ms /. 1e3) () in
         let cache = Driver.Pipeline.make_cache ~capacity:rp.capacity () in
@@ -520,9 +513,7 @@ let stats_cmd =
           serve_replay ~jobs w
             (Driver.Pipeline.optimize_graph ~tel ~cache ~algo ?budget)
         with
-        | Some m ->
-            Format.eprintf "error: a replayed request failed: %s@." m;
-            1
+        | Some m -> fail ("a replayed request failed: " ^ m)
         | None -> (
             Driver.Pipeline.export_cache_stats tel cache;
             let doc =
@@ -607,16 +598,12 @@ let stats_cmd =
 let shape_cmd =
   let run shape n splits algo model budget jobs stable profile trace_out =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g -> (
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         match timed_enumerate ?obs ~model ?budget ~jobs algo g with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok (r, elapsed) ->
             report_result ~stable g r elapsed;
             report_obs obs profile trace_out (fun ppf ->
@@ -651,9 +638,7 @@ let graph_cmd =
         | Error _ -> Hypergraph.Serialize.of_string input
     in
     match g_result with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         (match save with
         | Some path ->
@@ -663,9 +648,7 @@ let graph_cmd =
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
         (match timed_enumerate ?obs ~model ?budget ~jobs algo g with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok (r, elapsed) ->
             report_result g r elapsed;
             report_obs obs profile trace_out (fun ppf ->
@@ -694,9 +677,7 @@ let graph_cmd =
 let ccp_cmd =
   let run shape n splits brute =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         let trace = Core.Dphyp.enumerate_ccps g in
         Format.printf "DPhyp emits %d csg-cmp-pairs@." (List.length trace);
@@ -725,9 +706,7 @@ let ccp_cmd =
 let dot_cmd =
   let run shape n splits out =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         (match out with
         | Some path ->
@@ -750,9 +729,7 @@ let dot_cmd =
 let trace_cmd =
   let run shape n splits =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         List.iteri
           (fun i (s1, s2) ->
@@ -773,60 +750,43 @@ let trace_cmd =
 (* ------------------------------------------------------------------ *)
 (* run: SQL -> optimize -> execute on a generated instance             *)
 
+(* The generated instance of run and analyze. *)
+let rows_arg =
+  Arg.(value & opt (at_least 0) 8
+       & info [ "rows" ] ~doc:"Rows per generated base table.")
+
+let data_seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Data generator seed.")
+
 let run_cmd =
   let run sql algo model budget conservative rows seed =
-    match Result.bind (read_sql sql) Sqlfront.Binder.parse_and_bind with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | Ok bound -> (
-        let tree = Conflicts.Simplify.simplify bound.tree in
-        let analysis = Conflicts.Analysis.analyze ~conservative tree in
-        let inst = Executor.Instance.for_tree ~rows ~domain:4 ~seed tree in
-        let g0 = Conflicts.Derive.hypergraph analysis in
-        let g = Executor.Estimate.calibrate inst g0 in
-        match
-          match Driver.Pipeline.enumerate ~model ?budget ~jobs:1 algo g with
-          | Error msg ->
-              Format.eprintf "error: %s@." msg;
-              None
-          | Ok r -> r.Core.Optimizer.plan
-        with
+    match
+      Result.bind (read_sql sql)
+        (Driver.Analyze.execute_sql ~algo ~model ?budget ~conservative ~rows
+           ~seed)
+    with
+    | Error msg -> fail msg
+    | Ok { plan; tuples; mismatch; _ } ->
+        Format.printf "plan: %a  (est. cost %.4g, est. rows %.4g)@."
+          Plans.Plan.pp plan plan.Plans.Plan.cost plan.Plans.Plan.card;
+        (match mismatch with
         | None ->
-            Format.eprintf "no plan found@.";
-            1
-        | Some plan ->
-            Format.printf "plan: %a  (est. cost %.4g, est. rows %.4g)@."
-              Plans.Plan.pp plan plan.Plans.Plan.cost plan.Plans.Plan.card;
-            let optimized = Plans.Plan.to_optree g plan in
-            let result = Executor.Exec.eval inst optimized in
-            let universe = Executor.Exec.output_tables tree in
-            let expected = Executor.Exec.eval inst tree in
-            (match Executor.Bag.diff_summary ~universe expected result with
-            | None ->
-                Format.printf
-                  "verified: plan result equals original-order result (%d \
-                   tuples)@."
-                  (List.length result)
-            | Some m -> Format.printf "MISMATCH: %s@." m);
-            Format.printf "@.first tuples:@.";
-            List.iteri
-              (fun i env ->
-                if i < 10 then Format.printf "  %a@." Executor.Env.pp env)
-              result;
-            0)
-  in
-  let rows =
-    Arg.(value & opt int 8
-         & info [ "rows" ] ~doc:"Rows per generated base table.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Data generator seed.")
+            Format.printf
+              "verified: plan result equals original-order result (%d \
+               tuples)@."
+              (List.length tuples)
+        | Some m -> Format.printf "MISMATCH: %s@." m);
+        Format.printf "@.first tuples:@.";
+        List.iteri
+          (fun i env ->
+            if i < 10 then Format.printf "  %a@." Executor.Env.pp env)
+          tuples;
+        0
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize a SQL query and execute it on generated data")
     Term.(const run $ sql_arg $ algo_term ~objective:false () $ model_arg
-          $ budget_arg $ conservative_arg $ rows $ seed)
+          $ budget_arg $ conservative_arg $ rows_arg $ data_seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze: EXPLAIN ANALYZE — per-operator est/actual/Q-error          *)
@@ -840,9 +800,7 @@ let analyze_cmd =
         (Driver.Analyze.analyze_sql ?obs ~algo ~model ?budget ~conservative
            ~rows ~seed ?sample)
     with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok rep ->
         Format.printf "%a" (Driver.Analyze.pp ~stable) rep;
         (match json_out with
@@ -855,13 +813,6 @@ let analyze_cmd =
             pp_run_facts ppf ~counters:o.counters ~tier:o.tier
               ~attempts:o.attempts ~dp_entries:o.dp_entries);
         0
-  in
-  let rows =
-    Arg.(value & opt int 8
-         & info [ "rows" ] ~doc:"Rows per generated base table.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Data generator seed.")
   in
   let sample =
     Arg.(value & opt (some positive) None
@@ -890,8 +841,8 @@ let analyze_cmd =
           the measured C_out of the chosen vs. the exact plan, and a \
           result-correctness check against the original operator order.")
     Term.(const run $ sql_arg $ algo_term ~objective:false () $ model_arg
-          $ budget_arg $ conservative_arg $ rows $ seed $ sample $ json_out
-          $ stable $ profile_arg $ trace_out_arg)
+          $ budget_arg $ conservative_arg $ rows_arg $ data_seed_arg $ sample
+          $ json_out $ stable $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* inspect: search-space provenance — memo dump / JSON / lattice       *)
@@ -900,9 +851,7 @@ let inspect_cmd =
   let run shape n splits algo model budget json dot out sample max_subsets
       max_champions =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g -> (
         let prov =
           Inspect.Provenance.create ~sample ~max_subsets ~max_champions ()
@@ -911,9 +860,7 @@ let inspect_cmd =
           Inspect.Provenance.with_recording prov (fun () ->
               Driver.Pipeline.optimize_graph ~algo ~model ?budget g)
         with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok r ->
             let names i = (G.relation g i).G.name in
             let doc =
@@ -1007,14 +954,10 @@ let inspect_cmd =
 let why_cmd =
   let run shape n splits model force_order =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g -> (
         match Inspect.Why.analyze ~model g force_order with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok rep ->
             Format.printf "%a" Inspect.Why.pp rep;
             0)
@@ -1043,37 +986,38 @@ let why_cmd =
 
 let tpch_cmd =
   let run query algo model budget sf =
-    if query = "all" then begin
-      List.iter
-        (fun name ->
-          let g = Workloads.Tpch.query ~sf name in
-          match timed_enumerate ~model ?budget algo g with
-          | Error msg -> Format.printf "%-4s: %s@." name msg
-          | Ok (r, elapsed) ->
-              Format.printf "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@."
-                name (G.num_nodes g) (elapsed *. 1000.0)
-                (match r.Core.Optimizer.plan with
-                | Some p -> p.Plans.Plan.cost
-                | None -> nan)
-                (Format.pp_print_option Plans.Plan.pp)
-                r.Core.Optimizer.plan)
-        Workloads.Tpch.query_names;
-      0
-    end
-    else
-      match Workloads.Tpch.query ~sf query with
-      | g -> (
-          Format.printf "%a@." G.pp g;
-          match timed_enumerate ~model ?budget algo g with
-          | Error msg ->
-              Format.eprintf "error: %s@." msg;
-              1
-          | Ok (r, elapsed) ->
-              report_result g r elapsed;
-              0)
-      | exception Invalid_argument msg ->
-          Format.eprintf "error: %s@." msg;
-          1
+    let graph name = Workloads.Tpch.query ~sf name in
+    (* every graph is built before the first is optimized, so a bad
+       name or scale factor fails before any output *)
+    match
+      if query = "all" then
+        `All (List.map (fun n -> (n, graph n)) Workloads.Tpch.query_names)
+      else `One (graph query)
+    with
+    | exception Invalid_argument msg -> fail msg
+    | `One g -> (
+        Format.printf "%a@." G.pp g;
+        match timed_enumerate ~model ?budget algo g with
+        | Error msg -> fail msg
+        | Ok (r, elapsed) ->
+            report_result g r elapsed;
+            0)
+    | `All graphs ->
+        List.iter
+          (fun (name, g) ->
+            match timed_enumerate ~model ?budget algo g with
+            | Error msg -> Format.printf "%-4s: %s@." name msg
+            | Ok (r, elapsed) ->
+                Format.printf
+                  "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@." name
+                  (G.num_nodes g) (elapsed *. 1000.0)
+                  (match r.Core.Optimizer.plan with
+                  | Some p -> p.Plans.Plan.cost
+                  | None -> nan)
+                  (Format.pp_print_option Plans.Plan.pp)
+                  r.Core.Optimizer.plan)
+          graphs;
+        0
   in
   let query =
     Arg.(value & pos 0 string "all"

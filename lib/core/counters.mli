@@ -30,8 +30,8 @@ type t = {
   mutable cost_calls : int;
       (** plans actually costed (commutative operators cost two) *)
   mutable filter_rejected : int;
-      (** pairs rejected by an external validity filter (the
-          TES-generate-and-test mode of Section 5.8) *)
+      (** pairs rejected by an external validity filter (CD-C, or
+          the generate-and-test baseline of Section 5.8) *)
   mutable neighborhood_calls : int;  (** N(S,X) evaluations (DPhyp) *)
   mutable budget_limit : int;
       (** maximum [pairs_considered] before {!Budget_exhausted};

@@ -7,11 +7,11 @@ module G = Hypergraph.Graph
    Ordered means each unordered pair is visited in both directions
    across the s1 range, so emission is directed (one plan per visit),
    just like Figure 1's single [dpTable[S1] B dpTable[S2]]. *)
-let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
+let solve_with_table ?(model = Costing.Cost_model.c_out)
     ?(counters = Counters.create ()) g =
   let n = G.num_nodes g in
   let dp = Plans.Dp_table.create_for g in
-  let e = Emit.make ?filter ~model ~counters g dp in
+  let e = Emit.make ~model ~counters g dp in
   for v = 0 to n - 1 do
     Plans.Dp_table.leaf dp v ~cost:0.0
   done;
@@ -35,6 +35,3 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
     done
   done;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))
-
-let solve ?model ?filter ?counters g =
-  snd (solve_with_table ?model ?filter ?counters g)

@@ -10,18 +10,11 @@
 
     Hyperedge support needs no structural change (Section 4.1): only
     the connectedness test generalizes, via
-    {!Hypergraph.Graph.connecting_edges}. *)
-
-val solve :
-  ?model:Costing.Cost_model.t ->
-  ?filter:Emit.filter ->
-  ?counters:Counters.t ->
-  Hypergraph.Graph.t ->
-  Plans.Plan.t option
+    {!Hypergraph.Graph.connecting_edges}.  It takes no validity
+    filter: only {!Dphyp} does (see {!Optimizer.run}). *)
 
 val solve_with_table :
   ?model:Costing.Cost_model.t ->
-  ?filter:Emit.filter ->
   ?counters:Counters.t ->
   Hypergraph.Graph.t ->
   Plans.Dp_table.t * Plans.Plan.t option

@@ -1,11 +1,11 @@
 module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
 
-let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
+let solve_with_table ?(model = Costing.Cost_model.c_out)
     ?(counters = Counters.create ()) g =
   let n = G.num_nodes g in
   let dp = Plans.Dp_table.create_for g in
-  let e = Emit.make ?filter ~model ~counters g dp in
+  let e = Emit.make ~model ~counters g dp in
   for v = 0 to n - 1 do
     Plans.Dp_table.leaf dp v ~cost:0.0
   done;
@@ -27,6 +27,3 @@ let solve_with_table ?(model = Costing.Cost_model.c_out) ?filter
           then Emit.emit e Emit.Directed s1 s2)
   done;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))
-
-let solve ?model ?filter ?counters g =
-  snd (solve_with_table ?model ?filter ?counters g)

@@ -10,18 +10,11 @@
     csg-cmp-pairs — the counter gap DPsub shows in the benches.
 
     Hyperedge support again needs only the generalized connectedness
-    test (Section 4.1). *)
-
-val solve :
-  ?model:Costing.Cost_model.t ->
-  ?filter:Emit.filter ->
-  ?counters:Counters.t ->
-  Hypergraph.Graph.t ->
-  Plans.Plan.t option
+    test (Section 4.1).  It takes no validity filter: only {!Dphyp}
+    does (see {!Optimizer.run}). *)
 
 val solve_with_table :
   ?model:Costing.Cost_model.t ->
-  ?filter:Emit.filter ->
   ?counters:Counters.t ->
   Hypergraph.Graph.t ->
   Plans.Dp_table.t * Plans.Plan.t option

@@ -23,9 +23,10 @@ type filter =
   Nodeset.Node_set.t ->
   (Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation) list ->
   bool
-(** Extra validity test applied before pricing — the
-    TES-generate-and-test mode of Section 5.8 plugs in here.  Receives
-    the pair ordered as given to {!emit} and its connecting edges. *)
+(** Extra validity test applied before pricing — CD-C's conflict rules
+    and the generate-and-test baseline of Section 5.8 plug in here.
+    Receives the pair ordered as given to {!emit} and its connecting
+    edges. *)
 
 type direction =
   | Symmetric

@@ -31,12 +31,6 @@ let name = function
 
 let of_name s = List.find_opt (fun a -> name a = s) all
 
-let supports_filter = function
-  | Dphyp | Dpsize | Dpsub -> true
-  | Dpccp | Goo | Topdown | Tdpart | Idp _ | Partition _ | Adaptive
-  | Dpconv _ ->
-      false
-
 let exact = function
   | Dphyp | Dpsize | Dpsub | Dpccp | Topdown | Tdpart -> true
   | Goo | Idp _ | Partition _ | Adaptive | Dpconv _ -> false
@@ -50,7 +44,7 @@ type result = {
 }
 
 let run ?obs ?model ?filter ?budget algo g =
-  if filter <> None && not (supports_filter algo) then
+  if filter <> None && algo <> Dphyp then
     invalid_arg
       (Printf.sprintf "Optimizer.run: %s does not support a validity filter"
          (name algo));
@@ -64,8 +58,8 @@ let run ?obs ?model ?filter ?budget algo g =
   let enumerate () =
     match algo with
     | Dphyp -> with_table (Dphyp.solve_with_table ?model ?filter ~counters g)
-    | Dpsize -> with_table (Dpsize.solve_with_table ?model ?filter ~counters g)
-    | Dpsub -> with_table (Dpsub.solve_with_table ?model ?filter ~counters g)
+    | Dpsize -> with_table (Dpsize.solve_with_table ?model ~counters g)
+    | Dpsub -> with_table (Dpsub.solve_with_table ?model ~counters g)
     | Dpccp -> with_table (Dpccp.solve_with_table ?model ~counters g)
     | Goo -> plan_only (Goo.solve ?model ~counters g)
     | Topdown -> plan_only (Top_down.solve ?model ~counters g)

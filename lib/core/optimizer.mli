@@ -44,10 +44,6 @@ val of_name : string -> algorithm option
     {!Idp.default_k}, [Partition] at {!Partition.default_stitch_k} and
     [Dpconv] at [Cmax]. *)
 
-val supports_filter : algorithm -> bool
-(** Only the DP algorithms accept an external validity filter
-    (TES-generate-and-test mode). *)
-
 val exact : algorithm -> bool
 (** Does the algorithm guarantee the optimal plan (everything except
     GOO, IDP, Partition, Adaptive and Dpconv)?  Note Adaptive with an
@@ -89,9 +85,13 @@ val run :
     {!Counters.Budget_exhausted} — the caller asked for a hard limit
     on an algorithm with no fallback.
 
+    [?filter] is an external validity filter ({!Emit.filter}: CD-C's
+    conflict rules, or the Section 5.8 generate-and-test TES test);
+    only [Dphyp] accepts one.
+
     @raise Invalid_argument when [Dpccp] is given a hypergraph with
-    non-simple edges, or a [filter] is passed to an algorithm that
-    does not support one. *)
+    non-simple edges, or a [filter] is passed to any algorithm but
+    [Dphyp]. *)
 
 val plan_source : algorithm -> result -> string
 (** Provenance label of the returned plan: the algorithm name, refined

@@ -31,6 +31,13 @@ type op_row = {
   is_join : bool;
 }
 
+type execution = {
+  plan : Plans.Plan.t;
+  optimizer : Opt.result;
+  tuples : Executor.Env.t list;
+  mismatch : string option;
+}
+
 type report = {
   plan : Plans.Plan.t;
   source : string;  (* Optimizer.plan_source: algo / adaptive tier *)
@@ -103,24 +110,21 @@ let build_rows g plan stats =
   walk 0 plan;
   List.rev !out
 
-let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
-    ?(conservative = false) ?(rows = 8) ?(domain = 4) ?(seed = 42) ?sample
-    tree =
-  match Relalg.Optree.validate tree with
-  | Error e -> Error ("invalid operator tree: " ^ Relalg.Optree.error_to_string e)
-  | Ok () -> (
-      let tree =
-        Obs.Span.with_opt obs "simplify" (fun _ ->
-            Conflicts.Simplify.simplify tree)
-      in
-      let analysis =
-        Obs.Span.with_opt obs "conflict-analysis" (fun _ ->
-            Conflicts.Analysis.analyze ~conservative tree)
-      in
-      let g0 =
-        Obs.Span.with_opt obs "hypergraph-derive" (fun _ ->
-            Conflicts.Derive.hypergraph analysis)
-      in
+(* What analyze and execute_sql share: derive through the pipeline's
+   front end, calibrate the catalog on a generated instance, enumerate,
+   execute the plan and compare its bag against the initial tree's.
+   The TES modes derive no validity filter, so enumeration needs none.
+   Returns the execution and what analyze measures against: the
+   calibrated graph, the instance, the plan's per-operator stats and
+   the initial tree's measured C_out. *)
+let execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed
+    ?sample tree =
+  let mode =
+    if conservative then Pipeline.Tes_conservative else Pipeline.Tes_literal
+  in
+  match Pipeline.derive ?obs ~mode tree with
+  | Error m -> Error m
+  | Ok { Pipeline.tree; graph = g0; filter = _ } -> (
       let inst = Executor.Instance.for_tree ~rows ~domain ~seed tree in
       let g =
         Obs.Span.with_opt obs "calibrate" (fun _ ->
@@ -134,86 +138,100 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
             Obs.Span.with_opt obs "plan-emit" (fun _ ->
                 Plans.Plan.to_optree g plan)
           in
-          let result, stats = Executor.Exec.eval_stats ?obs inst optimized in
-          let op_rows = build_rows g plan stats in
-          let joins = List.filter (fun row -> row.is_join) op_rows in
-          let qs = List.filter_map (fun row -> row.q_error) joins in
-          let est_cout =
-            List.fold_left (fun s row -> s +. row.est_card) 0.0 joins
-          in
-          let measured_cout =
-            List.fold_left
-              (fun s row -> s +. float_of_int row.actual_rows)
-              0.0 joins
-          in
+          let tuples, stats = Executor.Exec.eval_stats ?obs inst optimized in
           let mismatch, original_cout =
             Obs.Span.with_opt obs "verify" (fun _ ->
                 let expected, orig_stats =
                   Executor.Exec.eval_stats inst tree
                 in
                 let universe = Executor.Exec.output_tables tree in
-                ( Executor.Bag.diff_summary ~universe expected result,
+                ( Executor.Bag.diff_summary ~universe expected tuples,
                   List.fold_left
                     (fun s (st : Executor.Exec.op_stat) ->
                       if st.op = None then s
                       else s +. float_of_int st.rows_out)
                     0.0 orig_stats ))
           in
-          (* Exact reference: when the plan came from a heuristic tier,
-             measure the C_out the exact plan would have achieved. *)
-          let is_exact =
-            Opt.exact algo || r.Opt.tier = Some Core.Adaptive.Exact
-          in
-          let exact_cout =
-            if is_exact then Some measured_cout
-            else
-              Obs.Span.with_opt obs "exact-reference" (fun _ ->
-                  match Core.Adaptive.exact_baseline ?model g with
-                  | Ok ep ->
-                      Some
-                        (Executor.Stats.actual_cout inst
-                           (Plans.Plan.to_optree g ep))
-                  | Error _ -> None)
-          in
-          let quality_delta =
-            match exact_cout with
-            | Some e when e > 0.0 -> Some (measured_cout /. e)
-            | _ -> None
-          in
-          let source = Opt.plan_source algo r in
-          let exec_ms =
-            match op_rows with row :: _ -> row.wall_ms | [] -> 0.0
-          in
           Ok
-            {
-              plan;
-              source;
-              rows = op_rows;
-              result_rows = List.length result;
-              mismatch;
-              max_q =
-                (match qs with
-                | [] -> None
-                | qs -> Some (List.fold_left Float.max neg_infinity qs));
-              median_q = median qs;
-              est_cout;
-              measured_cout;
-              original_cout;
-              exact_cout;
-              quality_delta;
-              exec_ms;
-              optimizer = r;
-            })
+            ( { plan; optimizer = r; tuples; mismatch },
+              g,
+              inst,
+              stats,
+              original_cout ))
+
+let parse obs sql =
+  Obs.Span.with_opt obs "parse" (fun _ -> Sqlfront.Binder.parse_and_bind sql)
+  |> Result.map (fun (b : Sqlfront.Binder.bound) -> b.tree)
+
+let execute_sql ~algo ?model ?budget ~conservative ~rows ~seed sql =
+  Result.bind (parse None sql) (fun tree ->
+      execute ~algo ?model ?budget ~conservative ~rows ~domain:4 ~seed tree
+      |> Result.map (fun (ex, _, _, _, _) -> ex))
+
+let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
+    ?(conservative = false) ?(rows = 8) ?(domain = 4) ?(seed = 42) ?sample
+    tree =
+  execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed ?sample
+    tree
+  |> Result.map
+       (fun ({ plan; optimizer = r; tuples; mismatch }, g, inst, stats,
+             original_cout) ->
+      let op_rows = build_rows g plan stats in
+      let joins = List.filter (fun row -> row.is_join) op_rows in
+      let qs = List.filter_map (fun row -> row.q_error) joins in
+      let est_cout =
+        List.fold_left (fun s row -> s +. row.est_card) 0.0 joins
+      in
+      let measured_cout =
+        List.fold_left
+          (fun s row -> s +. float_of_int row.actual_rows)
+          0.0 joins
+      in
+      (* Exact reference: when the plan came from a heuristic tier,
+         measure the C_out the exact plan would have achieved. *)
+      let is_exact = Opt.exact algo || r.Opt.tier = Some Core.Adaptive.Exact in
+      let exact_cout =
+        if is_exact then Some measured_cout
+        else
+          Obs.Span.with_opt obs "exact-reference" (fun _ ->
+              match Core.Adaptive.exact_baseline ?model g with
+              | Ok ep ->
+                  Some
+                    (Executor.Stats.actual_cout inst
+                       (Plans.Plan.to_optree g ep))
+              | Error _ -> None)
+      in
+      let quality_delta =
+        match exact_cout with
+        | Some e when e > 0.0 -> Some (measured_cout /. e)
+        | _ -> None
+      in
+      let exec_ms = match op_rows with row :: _ -> row.wall_ms | [] -> 0.0 in
+      {
+        plan;
+        source = Opt.plan_source algo r;
+        rows = op_rows;
+        result_rows = List.length tuples;
+        mismatch;
+        max_q =
+          (match qs with
+          | [] -> None
+          | qs -> Some (List.fold_left Float.max neg_infinity qs));
+        median_q = median qs;
+        est_cout;
+        measured_cout;
+        original_cout;
+        exact_cout;
+        quality_delta;
+        exec_ms;
+        optimizer = r;
+      })
 
 let analyze_sql ?obs ?algo ?model ?budget ?conservative ?rows ?domain ?seed
     ?sample sql =
-  match
-    Obs.Span.with_opt obs "parse" (fun _ -> Sqlfront.Binder.parse_and_bind sql)
-  with
-  | Error m -> Error m
-  | Ok bound ->
-      analyze_tree ?obs ?algo ?model ?budget ?conservative ?rows ?domain ?seed
-        ?sample bound.tree
+  Result.bind (parse obs sql)
+    (analyze_tree ?obs ?algo ?model ?budget ?conservative ?rows ?domain ?seed
+       ?sample)
 
 (* ---------- rendering ---------- *)
 

@@ -64,12 +64,14 @@ val analyze_tree :
   ?sample:int ->
   Relalg.Optree.t ->
   (report, string) result
-(** Simplify, analyze conflicts, derive the hypergraph, build a
-    deterministic random instance ([rows] per table, default 8;
-    values in [0, domain), default 4; generator [seed], default 42),
-    calibrate the catalog on it ({!Executor.Estimate.calibrate} with
-    the same [seed], so the whole report is reproducible), optimize
-    with [algo], execute, and measure.  [?obs] additionally records
+(** Derive the hypergraph through {!Pipeline.derive} (under
+    {!Pipeline.Tes_conservative} when [conservative], else
+    {!Pipeline.Tes_literal}), build a deterministic random instance
+    ([rows] per table, default 8; values in [0, domain), default 4;
+    generator [seed], default 42), calibrate the catalog on it
+    ({!Executor.Estimate.calibrate} with the same [seed], so the whole
+    report is reproducible), optimize with [algo], execute, and
+    measure.  [?obs] additionally records
     [calibrate], [execute], [verify] and (for heuristic plans)
     [exact-reference] spans on top of the optimizer's own. *)
 
@@ -86,6 +88,29 @@ val analyze_sql :
   string ->
   (report, string) result
 (** Parse + bind (under a [parse] span) + {!analyze_tree}. *)
+
+type execution = {
+  plan : Plans.Plan.t;
+  optimizer : Core.Optimizer.result;  (** the optimizer run behind [plan] *)
+  tuples : Executor.Env.t list;  (** the plan's result, in output order *)
+  mismatch : string option;  (** as in {!report} *)
+}
+
+val execute_sql :
+  algo:Core.Optimizer.algorithm ->
+  ?model:Costing.Cost_model.t ->
+  ?budget:int ->
+  conservative:bool ->
+  rows:int ->
+  seed:int ->
+  string ->
+  (execution, string) result
+(** The front half of {!analyze_sql}, for callers that want the
+    result tuples and the verdict, not the report: the same parse,
+    derivation, instance (values in [0, 4)), calibration, enumeration,
+    execution and verification, without spans, the per-operator rows
+    and the exact reference.  With the same [algo], [conservative],
+    [rows] and [seed] its plan is {!analyze_sql}'s. *)
 
 val pp : ?stable:bool -> Format.formatter -> report -> unit
 (** The EXPLAIN ANALYZE table: one row per operator (indented by plan

@@ -1,10 +1,12 @@
 module Ot = Relalg.Optree
 
-type conflict_mode =
-  | Tes_literal
-  | Tes_conservative
-  | Tes_generate_and_test
-  | Cdc
+type conflict_mode = Tes_literal | Tes_conservative | Cdc
+
+type derived = {
+  tree : Ot.t;
+  graph : Hypergraph.Graph.t;
+  filter : Core.Emit.filter option;
+}
 
 type result = {
   tree : Ot.t;
@@ -220,14 +222,43 @@ let export_cache_stats tel cache =
         "joinopt_plan_cache_entries" (float_of_int n))
     (Cache.Plan_cache.shard_entries cache)
 
-(* What a request derives before enumeration: the hypergraph, the
-   conflict mode's validity filter, and how the winning plan becomes
-   the result's operator tree. *)
-type front = {
-  graph : Hypergraph.Graph.t;
-  filter : Core.Emit.filter option;
-  to_tree : Plans.Plan.t -> Ot.t;
-}
+(* Validate, simplify, analyze conflicts under [mode] and derive the
+   hypergraph, one span per phase.  Only CD-C derives a validity
+   filter. *)
+let derive ?obs ?cards ?sels ~mode tree =
+  match Ot.validate tree with
+  | Error e -> Error ("invalid operator tree: " ^ Ot.error_to_string e)
+  | Ok () ->
+      let tree =
+        Obs.Span.with_opt obs "simplify" (fun _ ->
+            Conflicts.Simplify.simplify tree)
+      in
+      let analyzed f = Obs.Span.with_opt obs "conflict-analysis" (fun _ -> f ())
+      and derived f =
+        Obs.Span.with_opt obs "hypergraph-derive" (fun _ -> f ())
+      in
+      let graph, filter =
+        match mode with
+        | Tes_literal | Tes_conservative ->
+            let conservative = mode = Tes_conservative in
+            let a =
+              analyzed (fun () -> Conflicts.Analysis.analyze ~conservative tree)
+            in
+            ( derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a),
+              None )
+        | Cdc ->
+            let a = analyzed (fun () -> Conflicts.Cdc.analyze tree) in
+            let g, f =
+              derived (fun () -> Conflicts.Cdc.derive ?cards ?sels a)
+            in
+            (g, Some f)
+      in
+      Ok ({ tree; graph; filter } : derived)
+
+(* What a request brings to enumeration: a derived tree, whose
+   simplified form is the result's operator tree, or a bare graph,
+   whose winning plan is emitted as one. *)
+type front = Derived of derived | Graph of Hypergraph.Graph.t
 
 (* The one path every entry point finishes on.  Telemetry reads its
    phases, tiers and slow-request trees from spans, so a request with
@@ -243,7 +274,12 @@ let serve ?obs ?tel ?cache q front =
   let gc0 = Gc.quick_stat () in
   match front ctx with
   | Error m -> Error m
-  | Ok { graph; filter; to_tree } -> (
+  | Ok front -> (
+      let graph, filter =
+        match front with
+        | Derived d -> (d.graph, d.filter)
+        | Graph g -> (g, None)
+      in
       let fp = lazy (Cache.Fingerprint.of_graph graph) in
       let record outcome =
         match (tel, ctx, mark) with
@@ -257,7 +293,13 @@ let serve ?obs ?tel ?cache q front =
           ( ({ Core.Optimizer.plan = Some plan; counters; tier; attempts;
                dp_entries } as r),
             outc ) ->
-          let tree = to_tree plan in
+          let tree =
+            match front with
+            | Derived d -> d.tree
+            | Graph g ->
+                Obs.Span.with_opt ctx "plan-emit" (fun _ ->
+                    Plans.Plan.to_optree g plan)
+          in
           record (Ok (r, outc));
           Ok { tree; graph; plan; counters; tier; attempts; dp_entries }
       | Ok (({ Core.Optimizer.plan = None; _ } as r), outc) ->
@@ -267,53 +309,13 @@ let serve ?obs ?tel ?cache q front =
           record (Error ());
           Error m)
 
-(* Simplify, analyze conflicts under [mode] and derive the
-   hypergraph, one span per phase. *)
-let tree_front ~mode ?cards ?sels q obs tree =
-  match Ot.validate tree with
-  | Error e -> Error ("invalid operator tree: " ^ Ot.error_to_string e)
-  | Ok () -> (
-      let tree =
-        Obs.Span.with_opt obs "simplify" (fun _ ->
-            Conflicts.Simplify.simplify tree)
-      in
-      let analyzed f = Obs.Span.with_opt obs "conflict-analysis" (fun _ -> f ())
-      and derived f =
-        Obs.Span.with_opt obs "hypergraph-derive" (fun _ -> f ())
-      in
-      let hyper a =
-        (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
-      and conservative () = Conflicts.Analysis.analyze ~conservative:true tree in
-      let graph, filter =
-        match mode with
-        | Tes_literal ->
-            hyper (analyzed (fun () -> Conflicts.Analysis.analyze tree))
-        | Tes_conservative -> hyper (analyzed conservative)
-        | Tes_generate_and_test ->
-            let a = analyzed conservative in
-            let g, f =
-              derived (fun () -> Conflicts.Derive.ses_graph ?cards ?sels a)
-            in
-            (g, Some f)
-        | Cdc ->
-            let a = analyzed (fun () -> Conflicts.Cdc.analyze tree) in
-            let g, f = derived (fun () -> Conflicts.Cdc.derive ?cards ?sels a) in
-            (g, Some f)
-      in
-      match (filter, Core.Optimizer.supports_filter q.algo) with
-      | Some _, false ->
-          Error
-            (Printf.sprintf
-               "conflict mode needs a validity filter, which %s does not \
-                support"
-               (Core.Optimizer.name q.algo))
-      | _ -> Ok { graph; filter; to_tree = (fun _ -> tree) })
-
 let optimize_tree ?obs ?tel ?cache ?(mode = Tes_literal)
     ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?(jobs = 1) ?cards ?sels
     tree =
   let q = { algo; model; budget; jobs } in
-  serve ?obs ?tel ?cache q (fun ctx -> tree_front ~mode ?cards ?sels q ctx tree)
+  serve ?obs ?tel ?cache q (fun ctx ->
+      derive ?obs:ctx ?cards ?sels ~mode tree
+      |> Result.map (fun d -> Derived d))
 
 let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
     ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?(jobs = 1) ?cards ?sels
@@ -325,21 +327,14 @@ let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
             Sqlfront.Binder.parse_and_bind sql)
       with
       | Error m -> Error m
-      | Ok bound -> tree_front ~mode ?cards ?sels q ctx bound.tree)
+      | Ok bound ->
+          derive ?obs:ctx ?cards ?sels ~mode bound.tree
+          |> Result.map (fun d -> Derived d))
 
 let optimize_graph ?obs ?tel ?cache ?(algo = Core.Optimizer.Dphyp) ?model
     ?budget ?(jobs = 1) graph =
   let q = { algo; model; budget; jobs } in
-  serve ?obs ?tel ?cache q (fun ctx ->
-      Ok
-        {
-          graph;
-          filter = None;
-          to_tree =
-            (fun plan ->
-              Obs.Span.with_opt ctx "plan-emit" (fun _ ->
-                  Plans.Plan.to_optree graph plan));
-        })
+  serve ?obs ?tel ?cache q (fun _ -> Ok (Graph graph))
 
 (* Inter-query parallelism: one pool task per query, each running
    [f] — typically a full sequential pipeline call — on whichever

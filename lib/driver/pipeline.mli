@@ -20,9 +20,13 @@ type conflict_mode =
   | Tes_literal  (** the paper's CalcTES with the literal path gate *)
   | Tes_conservative
       (** CalcTES with the widened gate (reproduces Figure 8a) *)
-  | Tes_generate_and_test
-      (** SES edges plus a TES validity filter (Section 5.8 baseline) *)
-  | Cdc  (** the SIGMOD 2013 rule-based successor *)
+  | Cdc
+      (** the SIGMOD 2013 rule-based successor: hyperedges plus a
+          validity filter, which only DPhyp accepts *)
+(** The Section 5.8 generate-and-test baseline (SES edges plus a TES
+    validity filter) is not a mode: it costs the same as
+    {!Tes_conservative} on every measured input, and Figure 8a calls
+    [Conflicts.Derive.ses_graph] and {!Core.Optimizer.run} directly. *)
 
 type result = {
   tree : Relalg.Optree.t;  (** after simplification *)
@@ -52,8 +56,7 @@ type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
     cost, counters, tier) to what a fresh enumeration would produce.
     [jobs] is not part of the key: parallel enumeration output is
     byte-identical to sequential, so one entry serves every jobs
-    count.  Conflict modes that need a validity filter
-    ({!Tes_generate_and_test}, {!Cdc}) bypass the cache — a filter is
+    count.  {!Cdc} requests bypass the cache: their validity filter is
     a closure the key cannot capture. *)
 
 val make_cache : capacity:int -> unit -> plan_cache
@@ -66,6 +69,25 @@ val export_cache_stats : Obs.Export.t -> plan_cache -> unit
     [joinopt_plan_cache_entries{shard=...}] gauges and the capacity
     gauge.  Call before rendering an export — the values are absolute
     snapshots, safe to re-publish at any time. *)
+
+type derived = {
+  tree : Relalg.Optree.t;  (** after simplification *)
+  graph : Hypergraph.Graph.t;
+  filter : Core.Emit.filter option;  (** [Some] under {!Cdc} only *)
+}
+
+val derive :
+  ?obs:Obs.Span.ctx ->
+  ?cards:(int -> float) ->
+  ?sels:(int -> float) ->
+  mode:conflict_mode ->
+  Relalg.Optree.t ->
+  (derived, string) Result.t
+(** The front end every tree request runs: validate, simplify, run
+    conflict analysis under [mode] and derive the hypergraph, with
+    [simplify], [conflict-analysis] and [hypergraph-derive] spans.
+    [?cards] and [?sels] override the derived catalog.  An invalid
+    tree is [Error]. *)
 
 val optimize_tree :
   ?obs:Obs.Span.ctx ->
@@ -92,8 +114,10 @@ val optimize_tree :
     and its [Error]s are returned as they are.  The algorithm value
     carries its own parameters (IDP's block size, DPconv's objective),
     and the plan-cache key includes them.
-    [Error] also reports an invalid tree, a missing plan and an
-    algorithm/filter mismatch, each with a human-readable reason.
+    [Error] also reports an invalid tree and a missing plan, each with
+    a human-readable reason, and {!Cdc} under any algorithm but DPhyp
+    with {!Core.Optimizer.run}'s ["<algo> does not support a validity
+    filter"].
 
     [?cache] memoizes the enumeration step: the lookup (and, on a
     miss, the nested enumeration) runs under a [cache] span whose

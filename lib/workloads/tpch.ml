@@ -101,7 +101,20 @@ let tables_of_query name =
   let _, tables, _ = find name in
   tables
 
+(* The smallest scaled table, supplier, keeps at least one row, and
+   the largest, lineitem, a finite count. *)
+let min_sf = 1e-4
+
 let query ?sf name =
+  (match sf with
+  | Some sf
+    when not (sf >= min_sf && Float.is_finite (card ~sf Lineitem)) ->
+      invalid_arg
+        (Printf.sprintf
+           "Tpch.query: sf must be a scale factor >= %g that keeps every \
+            table finite (got %g)" min_sf
+           sf)
+  | _ -> ());
   let _, tables, edges = find name in
   let tarr = Array.of_list tables in
   let rels =

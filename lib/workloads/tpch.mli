@@ -32,9 +32,11 @@ val query_names : string list
 (** ["q2"; "q3"; "q5"; "q7"; "q8"; "q9"; "q10"] *)
 
 val query : ?sf:float -> string -> Hypergraph.Graph.t
-(** Join graph of the named query.  @raise Invalid_argument for
-    unknown names.  Node indices follow the order of first mention in
-    the query's FROM clause; every graph is connected. *)
+(** Join graph of the named query at scale factor [sf] (default 1.0).
+    @raise Invalid_argument for unknown names, and for an [sf] below
+    [1e-4], where the supplier table would scale below one row, or so
+    large that the lineitem table's cardinality is not finite.  Node indices follow the order of first
+    mention in the query's FROM clause; every graph is connected. *)
 
 val tables_of_query : string -> table list
 (** The relations of the named query, in node-index order. *)

@@ -640,7 +640,7 @@ let test_filter_rejected_by_non_filter_algos () =
               "Optimizer.run: %s does not support a validity filter"
               (Opt.name algo)))
         (fun () -> ignore (Opt.run ~filter:(fun _ _ _ -> true) algo g)))
-    (List.filter (fun a -> not (Opt.supports_filter a)) Opt.all)
+    (List.filter (fun a -> a <> Opt.Dphyp) Opt.all)
 
 (* ---------- non-inner regression across conflict modes ---------- *)
 
@@ -648,7 +648,6 @@ let modes =
   [
     ("tes-literal", D.Tes_literal);
     ("tes-conservative", D.Tes_conservative);
-    ("tes-generate-and-test", D.Tes_generate_and_test);
     ("cdc", D.Cdc);
   ]
 

@@ -23,7 +23,7 @@ let test_optimize_sql_all_modes () =
           | Ok _ -> ()
           | Error m -> Alcotest.fail m)
       | Error m -> Alcotest.fail m)
-    D.[ Tes_literal; Tes_conservative; Tes_generate_and_test; Cdc ]
+    D.[ Tes_literal; Tes_conservative; Cdc ]
 
 let test_modes_agree_on_inner () =
   (* pure inner joins: every conflict mode admits the full space, so
@@ -38,7 +38,7 @@ let test_modes_agree_on_inner () =
   List.iter
     (fun mode ->
       check "same optimum" true (Float.abs (cost mode -. c0) <= 1e-9 *. c0))
-    D.[ Tes_conservative; Tes_generate_and_test; Cdc ]
+    D.[ Tes_conservative; Cdc ]
 
 let test_optimize_tree () =
   let tree = Workloads.Noninner.star_antijoins ~n_rel:6 ~k:3 () in
@@ -56,6 +56,11 @@ let test_optimize_graph () =
       check "tree rematerialized" true (Ot.num_ops r.D.tree = 5)
   | Error m -> Alcotest.fail m
 
+let contains s sub =
+  let n = String.length s and l = String.length sub in
+  let rec go i = i + l <= n && (String.sub s i l = sub || go (i + 1)) in
+  go 0
+
 let test_errors () =
   check "parse error surfaces" true
     (match D.optimize_sql "SELECT FROM" with Error _ -> true | Ok _ -> false);
@@ -71,7 +76,18 @@ let test_errors () =
        D.optimize_sql ~mode:D.Cdc ~algo:Core.Optimizer.Goo sample_sql
      with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  (* only DPhyp takes CD-C's filter: Optimizer.run's refusal comes
+     back as an Error, not an exception *)
+  let tree = Workloads.Noninner.star_antijoins ~n_rel:4 ~k:2 () in
+  List.iter
+    (fun algo ->
+      match D.optimize_tree ~mode:D.Cdc ~algo tree with
+      | Error m ->
+          check m true
+            (contains m "does not support a validity filter")
+      | Ok _ -> Alcotest.failf "cdc under %s served" (Core.Optimizer.name algo))
+    Core.Optimizer.[ Dpsize; Dpsub; Goo ]
 
 let test_custom_catalog () =
   let sql = "SELECT * FROM big JOIN small ON big.k = small.k" in
@@ -81,6 +97,34 @@ let test_custom_catalog () =
       Alcotest.(check (float 1e-6)) "catalog respected" 1_000_000.0
         (Hypergraph.Graph.cardinality r.D.graph 0)
   | Error m -> Alcotest.fail m
+
+(* Why CD-C keeps the validity-filter path: on R0 ▷ R3 over
+   R0 ⟕ (R1 ⟗ R2) both TES gates forbid the cheap orders CD-C admits
+   (default cards: 10,101 against 110,001 literal and 1.01e7
+   conservative), and CD-C's plan is still correct. *)
+let test_cdc_beats_tes_gates () =
+  let ops_all =
+    Relalg.Operator.
+      [ join; left_outer; full_outer; left_semi; left_anti; left_nest ]
+  in
+  let tree = Workloads.Random_trees.random_tree ~seed:122 ~n:4 ~ops:ops_all in
+  let run mode =
+    match D.optimize_tree ~mode tree with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let cdc = run D.Cdc in
+  List.iter
+    (fun (name, mode) ->
+      let gate = (run mode).D.plan.Plans.Plan.cost in
+      check
+        (Printf.sprintf "cdc %g < %s %g" cdc.D.plan.Plans.Plan.cost name gate)
+        true
+        (cdc.D.plan.Plans.Plan.cost < gate))
+    [ ("literal", D.Tes_literal); ("conservative", D.Tes_conservative) ];
+  match D.verify_on_data cdc with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "cdc plan: %s" m
 
 let span_names ctx = List.map (fun s -> s.Obs.Span.name) (Obs.Span.spans ctx)
 
@@ -231,13 +275,8 @@ let test_analyze_profile_spans () =
 let test_analyze_json_schema () =
   let rep = analyze_ok analyze_sql in
   let js = A.to_json ~query:analyze_sql rep in
-  let contains sub =
-    let n = String.length js and l = String.length sub in
-    let rec go i = i + l <= n && (String.sub js i l = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
-    (fun key -> check key true (contains key))
+    (fun key -> check key true (contains js key))
     [
       "\"schema\": \"obs_analyze/v1\"";
       "\"operators\"";
@@ -249,6 +288,24 @@ let test_analyze_json_schema () =
       "\"measured_cout\"";
       "\"verified\": true";
     ]
+
+(* execute_sql is analyze's front half: at 40 rows the calibration
+   samples, so the two agree only when both seed it from [seed]. *)
+let test_execute_matches_analyze () =
+  let sql = "SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.x = c.x" in
+  match
+    ( A.execute_sql ~algo:Core.Optimizer.Dphyp ~conservative:false ~rows:40
+        ~seed:1 sql,
+      A.analyze_sql ~rows:40 ~seed:1 sql )
+  with
+  | Ok ex, Ok rep ->
+      check "same plan" true
+        (Plans.Plan.to_string ex.A.plan = Plans.Plan.to_string rep.A.plan);
+      Alcotest.(check (float 1e-9)) "est. cost = C_out est" rep.A.est_cout
+        ex.A.plan.Plans.Plan.cost;
+      Alcotest.(check int) "tuples" rep.A.result_rows (List.length ex.A.tuples);
+      check "verdict" true (ex.A.mismatch = None && rep.A.mismatch = None)
+  | Error m, _ | _, Error m -> Alcotest.fail m
 
 let test_analyze_errors () =
   (match A.analyze_sql "SELECT * FROM" with
@@ -392,6 +449,8 @@ let () =
           Alcotest.test_case "graph entry point" `Quick test_optimize_graph;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "custom catalog" `Quick test_custom_catalog;
+          Alcotest.test_case "cdc beats both tes gates" `Quick
+            test_cdc_beats_tes_gates;
         ] );
       ( "profile",
         [
@@ -422,5 +481,7 @@ let () =
           Alcotest.test_case "obs_analyze/v1 shape" `Quick
             test_analyze_json_schema;
           Alcotest.test_case "errors" `Quick test_analyze_errors;
+          Alcotest.test_case "execute_sql matches analyze" `Quick
+            test_execute_matches_analyze;
         ] );
     ]

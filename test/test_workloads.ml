@@ -196,7 +196,17 @@ let test_tpch_cards () =
     (Workloads.Tpch.card ~sf:2.0 Workloads.Tpch.Nation);
   check "unknown query" true
     (try ignore (Workloads.Tpch.query "q99"); false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* below 1e-4 the supplier table scales under one row; at 1e303
+     lineitem's cardinality overflows *)
+  List.iter
+    (fun sf ->
+      check (Printf.sprintf "sf %g rejected" sf) true
+        (try ignore (Workloads.Tpch.query ~sf "q5"); false
+         with Invalid_argument _ -> true))
+    [ 0.0; 1e-9; -1.0; nan; infinity; 1e303 ];
+  check "sf 1e-4 accepted" true
+    (Hypergraph.Graph.num_nodes (Workloads.Tpch.query ~sf:1e-4 "q5") = 6)
 
 (* ---------- random generators ---------- *)
 
