@@ -167,10 +167,12 @@ let observe_span tel (s : Obs.Span.span) =
    histogram (labeled by algorithm, plan-cache outcome and
    ok/error), the phase, tier and merge histograms read from the
    request's own spans, and a flight-recorder entry (which keeps the
-   whole span tree when the request was slow). *)
-let tel_record tel q ~spans ~t0 ~(gc0 : Gc.stat) ~graph ~fp outcome =
+   whole span tree when the request was slow).  [minor0]/[major0] are
+   the serving domain's [Gc.counters] at the request's start, so the
+   entry's words leave out worker domains under [jobs > 1]. *)
+let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
   let wall_s = Obs.Span.now () -. t0 in
-  let gc1 = Gc.quick_stat () in
+  let minor1, _, major1 = Gc.counters () in
   let algo_name = Core.Optimizer.name q.algo in
   let ok, tier, pairs, cache_outcome =
     match outcome with
@@ -194,8 +196,7 @@ let tel_record tel q ~spans ~t0 ~(gc0 : Gc.stat) ~graph ~fp outcome =
     ~fingerprint:(Cache.Fingerprint.to_hex (Lazy.force fp))
     ~relations:(Hypergraph.Graph.num_nodes graph)
     ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s
-    ~minor_words:(gc1.Gc.minor_words -. gc0.Gc.minor_words)
-    ~major_words:(gc1.Gc.major_words -. gc0.Gc.major_words)
+    ~minor_words:(minor1 -. minor0) ~major_words:(major1 -. major0)
     ~spans ()
 
 let export_cache_stats tel cache =
@@ -271,7 +272,7 @@ let serve ?obs ?tel ?cache q front =
   in
   let mark = Option.map Obs.Span.mark ctx in
   let t0 = Obs.Span.now () in
-  let gc0 = Gc.quick_stat () in
+  let minor0, _, major0 = Gc.counters () in
   match front ctx with
   | Error m -> Error m
   | Ok front -> (
@@ -285,7 +286,7 @@ let serve ?obs ?tel ?cache q front =
         match (tel, ctx, mark) with
         | Some tel, Some ctx, Some mark ->
             tel_record tel q ~spans:(Obs.Span.spans_since ctx mark) ~t0
-              ~gc0 ~graph ~fp outcome
+              ~minor0 ~major0 ~graph ~fp outcome
         | _ -> ()
       in
       match guard (fun () -> run_cached ?obs:ctx ?cache ?filter q ~fp graph) with

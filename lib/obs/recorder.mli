@@ -20,8 +20,10 @@ type request = {
   cache : string option;  (** plan-cache outcome: hit/miss/coalesced *)
   pairs : int;  (** candidate pairs the request considered *)
   wall_s : float;  (** end-to-end wall clock, seconds *)
-  minor_words : float;  (** minor-heap allocation across the request *)
-  major_words : float;
+  minor_words : float;
+      (** minor-heap words the serving domain allocated across the
+          request ([Gc.counters]; worker domains are not counted) *)
+  major_words : float;  (** major-heap words, same domain *)
   spans : Span.span list;
       (** full span tree — non-empty only for slow requests *)
 }

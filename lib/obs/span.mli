@@ -3,8 +3,11 @@
     A {!ctx} is a collector created around one optimizer run.  Every
     {!with_} call times a phase (parse, simplify, conflict analysis,
     enumeration, an IDP round, an adaptive tier attempt, ...),
-    captures the [Gc.quick_stat] allocation delta and records the
-    completed {!span} in the collector.  The collector is the only
+    captures the allocation delta read from [Gc.counters] and records
+    the completed {!span} in the collector.  The words are the calling
+    domain's exact counts, even when no collection ran inside the
+    span; allocation by other domains (the workers of a [--jobs N]
+    run) is not in them.  The collector is the only
     place spans go: profiles ({!Metrics.pp_table}), telemetry and the
     flight recorder read them back with {!spans} / {!spans_since}, and
     [--trace-out] writes them with {!write_chrome}.
@@ -26,8 +29,11 @@ type span = {
   start_s : float;  (** seconds since the owning collector's epoch *)
   dur_s : float;  (** wall-clock duration in seconds *)
   minor_words : float;
-      (** [Gc.minor_words] delta across the span, children included *)
-  major_words : float;  (** major-heap allocation delta *)
+      (** minor-heap words the calling domain allocated across the
+          span, children included *)
+  major_words : float;
+      (** major-heap words the calling domain allocated across the
+          span, promoted and direct *)
   attrs : (string * value) list;  (** in the order they were set *)
 }
 (** A closed span. *)

@@ -418,6 +418,22 @@ let test_tel_tiers_from_spans () =
               tier)))
     [ ("exact", 0); ("idp-10", 1); ("idp-7", 1) ]
 
+(* A request's recorder entry carries the words it allocated, exact
+   without a collection: a one-shot SQL request allocates far less
+   than a minor heap, so a reading that only advances at collections
+   reads 0 unless one happens to fall inside the request. *)
+let test_tel_request_words () =
+  let tel = Obs.Export.create () in
+  (match D.optimize_sql ~tel sample_sql with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  match Obs.Recorder.to_list (Obs.Export.recorder tel) with
+  | [ req ] ->
+      check "minor words counted" true (req.Obs.Recorder.minor_words > 0.0);
+      check "major words not negative" true
+        (req.Obs.Recorder.major_words >= 0.0)
+  | l -> Alcotest.failf "expected one recorded request, got %d" (List.length l)
+
 (* A parallel enumeration's per-domain emit times reach the merge
    histogram through its span. *)
 let test_tel_parallel_merge () =
@@ -469,6 +485,8 @@ let () =
             test_tel_tiers_from_spans;
           Alcotest.test_case "parallel merge series" `Quick
             test_tel_parallel_merge;
+          Alcotest.test_case "recorder entry counts words" `Quick
+            test_tel_request_words;
         ] );
       ( "analyze",
         [

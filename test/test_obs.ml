@@ -247,6 +247,41 @@ let test_observe_two_domain_conservation () =
   has "exact max" (Printf.sprintf {|"max_ms": %.4f}|} (float_of_int (2 * n) /. 1e3))
 
 (* ------------------------------------------------------------------ *)
+(* GC words: a span reads the calling domain's exact counters.        *)
+
+(* An array past the minor heap's size limit is allocated directly in
+   the major heap; no collection runs, yet the span counts it. *)
+let test_span_major_words () =
+  let ctx = Obs.Span.create () in
+  Obs.Span.with_ ctx "alloc" (fun _ ->
+      ignore (Sys.opaque_identity (Array.make 10_000 0)));
+  match Obs.Span.spans ctx with
+  | [ s ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "major words %.0f >= 10000" s.major_words)
+        true
+        (s.major_words >= 10_000.0)
+  | l -> Alcotest.failf "expected one span, got %d" (List.length l)
+
+(* What an empty span costs, measured around the whole call: the open
+   handle, the closed record, their float boxes, one list cell and two
+   [Gc.counters] readings of 10 words each — 49 words in the dev
+   build.  A runtime-wide snapshot such as [Gc.quick_stat] in their
+   place makes it 79. *)
+let empty_span_words = 49.0
+
+let test_span_empty_alloc () =
+  let ctx = Obs.Span.create () in
+  let once () = Obs.Span.with_ ctx "empty" (fun _ -> ()) in
+  once ();
+  let w0 = Gc.minor_words () in
+  once ();
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" w empty_span_words)
+    true (w <= empty_span_words)
+
+(* ------------------------------------------------------------------ *)
 (* Flight recorder: bounded ring, slow-span promotion, slowest-k.     *)
 
 let rec_record ?spans ?(wall_s = 0.001) r fp =
@@ -424,6 +459,13 @@ let () =
           q qcheck_count_le_model;
           Alcotest.test_case "two-domain recording conserves" `Quick
             test_observe_two_domain_conservation;
+        ] );
+      ( "gc words",
+        [
+          Alcotest.test_case "span counts direct major allocation" `Quick
+            test_span_major_words;
+          Alcotest.test_case "empty span allocation bounded" `Quick
+            test_span_empty_alloc;
         ] );
       ( "recorder",
         [

@@ -23,9 +23,33 @@ let test_lexer_basic () =
         L.IDENT "x"; L.LE; L.STRING "hi"; L.EOF;
       ])
 
+(* The 26 keywords, in any case, lex to [KW] in upper case; a word
+   that only contains a keyword, or one that is a keyword in other
+   dialects ([ORDER]), stays an identifier and keeps its case. *)
+let keywords =
+  [ "SELECT"; "FROM"; "WHERE"; "JOIN"; "INNER"; "LEFT"; "RIGHT"; "FULL";
+    "OUTER"; "SEMI"; "ANTI"; "ON"; "AND"; "OR"; "NOT"; "AS"; "EXISTS";
+    "COUNT"; "SUM"; "MIN"; "MAX"; "AVG"; "GROUP"; "BY"; "TRUE"; "FALSE" ]
+
 let test_lexer_case_insensitive_keywords () =
-  check "select lowercase" true (L.tokenize "select" = [ L.KW "SELECT"; L.EOF ]);
-  check "ident keeps case" true (L.tokenize "Foo" = [ L.IDENT "Foo"; L.EOF ])
+  let mixed w =
+    String.mapi
+      (fun i c -> if i mod 2 = 0 then c else Char.lowercase_ascii c)
+      w
+  in
+  List.iter
+    (fun kw ->
+      List.iter
+        (fun w ->
+          check (w ^ " is a keyword") true (L.tokenize w = [ L.KW kw; L.EOF ]))
+        [ kw; String.lowercase_ascii kw; mixed kw ])
+    keywords;
+  List.iter
+    (fun w ->
+      check (w ^ " is an identifier") true
+        (L.tokenize w = [ L.IDENT w; L.EOF ]))
+    [ "Foo"; "selected"; "from_date"; "byte"; "onion"; "order"; "ORDER";
+      "Sums"; "ands"; "_on"; "as1" ]
 
 let test_lexer_operators () =
   check "two-char ops" true
