@@ -84,7 +84,7 @@ let budget_arg =
      degrades from exact DPhyp through IDP-k to greedy GOO; any other \
      algorithm fails once the budget is spent."
   in
-  Arg.(value & opt (some int) None & info [ "b"; "budget" ] ~doc)
+  Arg.(value & opt (some (at_least 0)) None & info [ "b"; "budget" ] ~doc)
 
 let k_arg =
   let doc =
@@ -96,23 +96,43 @@ let k_arg =
   in
   Arg.(value & opt (some int) None & info [ "k" ] ~doc)
 
-(* -a, -k and --dpconv-objective as one algorithm value.  -k sets the
-   block size of idp and partition and is ignored by every other
-   algorithm; the objective is read by dpconv alone.  Subcommands
-   without --dpconv-objective pass [~objective:false] and run dpconv
-   at its default, cmax. *)
-let algo_term ?(objective = true) () =
-  let with_params algo k obj =
+let jobs_arg doc =
+  Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+(* -a, -k, --dpconv-objective and --jobs as one algorithm value.  -k
+   sets the block size of idp and partition and is ignored by every
+   other algorithm; the objective is read by dpconv alone; --jobs > 1
+   makes dphyp parallel and is a usage error on any other algorithm.
+   Subcommands without --dpconv-objective pass [~objective:false] and
+   run dpconv at its default, cmax; those without --jobs run on one
+   domain. *)
+let algo_term ?(objective = true) ?(jobs = false) () =
+  let with_params algo k obj jobs =
     match ((algo : Core.Optimizer.algorithm), k) with
-    | Idp _, Some k -> Core.Optimizer.Idp { k }
-    | Partition _, Some k -> Partition { k }
-    | Dpconv _, _ -> Dpconv obj
-    | algo, _ -> algo
+    | Dphyp, _ when jobs > 1 -> `Ok (Core.Optimizer.Par_dphyp { jobs })
+    | algo, _ when jobs > 1 ->
+        `Error
+          ( true,
+            Printf.sprintf "--jobs %d requires --algo dphyp (got %s)" jobs
+              (Core.Optimizer.name algo) )
+    | Idp _, Some k -> `Ok (Core.Optimizer.Idp { k })
+    | Partition _, Some k -> `Ok (Partition { k })
+    | Dpconv _, _ -> `Ok (Dpconv obj)
+    | algo, _ -> `Ok algo
   in
   let obj =
     if objective then dpconv_objective_arg else Term.const Core.Dpconv.Cmax
   in
-  Term.(const with_params $ algo_arg $ k_arg $ obj)
+  let jobs =
+    if jobs then
+      jobs_arg
+        "Enumeration domains.  With $(docv) > 1 the DPhyp enumeration runs \
+         on a pool of that many domains (layer-synchronous, one DP table); \
+         the chosen plan is byte-identical to --jobs 1 for every value.  \
+         Any other algorithm with $(docv) > 1 is a usage error."
+    else Term.const 1
+  in
+  Term.(ret (const with_params $ algo_arg $ k_arg $ obj $ jobs))
 
 let model_arg =
   let model_conv =
@@ -129,15 +149,6 @@ let model_arg =
 let conservative_arg =
   let doc = "Use the conservative conflict-detection gate (see DESIGN.md)." in
   Arg.(value & flag & info [ "conservative" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Enumeration domains.  With $(docv) > 1 the DPhyp enumeration runs on a \
-     pool of that many domains (layer-synchronous, sharded DP table; dphyp \
-     only — other algorithms refuse); the chosen plan is byte-identical to \
-     --jobs 1 for every value."
-  in
-  Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let profile_arg =
   let doc =
@@ -271,9 +282,9 @@ let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
       (elapsed *. 1000.0)
 
 (* The pipeline's enumeration step under the CLI's wall clock. *)
-let timed_enumerate ?obs ~model ?budget ?(jobs = 1) algo g =
+let timed_enumerate ?obs ~model ?budget algo g =
   let t0 = Unix.gettimeofday () in
-  Driver.Pipeline.enumerate ?obs ~model ?budget ~jobs algo g
+  Driver.Pipeline.enumerate ?obs ~model ?budget algo g
   |> Result.map (fun r -> (r, Unix.gettimeofday () -. t0))
 
 (* ------------------------------------------------------------------ *)
@@ -291,7 +302,7 @@ let read_sql s =
   else Ok s
 
 let optimize_cmd =
-  let run sql algo model budget jobs conservative verbose dot_plan profile
+  let run sql algo model budget conservative verbose dot_plan profile
       trace_out =
     match Result.bind (read_sql sql) Sqlfront.Binder.parse_and_bind with
     | Error msg -> fail msg
@@ -303,7 +314,7 @@ let optimize_cmd =
         let g = Conflicts.Derive.hypergraph analysis in
         if verbose then Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        match timed_enumerate ?obs ~model ?budget ~jobs algo g with
+        match timed_enumerate ?obs ~model ?budget algo g with
         | Error msg -> fail msg
         | Ok (r, elapsed) ->
             report_result g r elapsed;
@@ -325,15 +336,15 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a SQL query")
-    Term.(const run $ sql_arg $ algo_term () $ model_arg $ budget_arg
-          $ jobs_arg $ conservative_arg $ verbose $ dot_plan $ profile_arg
+    Term.(const run $ sql_arg $ algo_term ~jobs:true () $ model_arg
+          $ budget_arg $ conservative_arg $ verbose $ dot_plan $ profile_arg
           $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain: full-pipeline profile of one SQL query                     *)
 
 let explain_cmd =
-  let run sql algo model budget jobs conservative cache_cap trace_out =
+  let run sql algo model budget conservative cache_cap trace_out =
     let mode =
       if conservative then Driver.Pipeline.Tes_conservative
       else Driver.Pipeline.Tes_literal
@@ -341,7 +352,7 @@ let explain_cmd =
     let go ?cache ctx =
       Result.bind (read_sql sql)
         (Driver.Pipeline.optimize_sql ~obs:ctx ?cache ~mode ~algo ~model
-           ?budget ~jobs)
+           ?budget)
     in
     let report ?cache ctx (r : Driver.Pipeline.result) =
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@.@."
@@ -389,8 +400,8 @@ let explain_cmd =
           pipeline phase (parse, simplify, conflict analysis, hypergraph \
           derivation, enumeration with its tier/round sub-spans) with \
           wall-clock ms, minor-heap allocation and enumeration counters.")
-    Term.(const run $ sql_arg $ algo_term () $ model_arg $ budget_arg
-          $ jobs_arg $ conservative_arg $ cache_cap $ trace_out_arg)
+    Term.(const run $ sql_arg $ algo_term ~jobs:true () $ model_arg
+          $ budget_arg $ conservative_arg $ cache_cap $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* the replay stream shared by cache-stats and stats                   *)
@@ -451,6 +462,12 @@ let replay_stream shape n rp =
   | w -> Ok w
   | exception Invalid_argument msg -> Error msg
 
+let serve_jobs_arg =
+  jobs_arg
+    "Serving domains: the replayed requests run concurrently on a pool of \
+     $(docv) domains sharing one plan cache, each request enumerated on \
+     the domain that serves it."
+
 (* Serve every request of the stream through [optimize] on [jobs]
    domains; the message of the first failed request, if any. *)
 let serve_replay ~jobs w optimize =
@@ -497,7 +514,7 @@ let cache_stats_cmd =
           plan cache on a domain pool and print the hit/miss/coalesced/\
           eviction counters and the served throughput — the \
           optimizer-as-a-service serving loop in one command.")
-    Term.(const run $ shape_arg $ n_arg $ replay_args $ jobs_arg)
+    Term.(const run $ shape_arg $ n_arg $ replay_args $ serve_jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats: serve a replay with always-on telemetry and export it        *)
@@ -570,7 +587,7 @@ let stats_cmd =
                    instead of stdout.")
   in
   let top =
-    Arg.(value & opt int 5
+    Arg.(value & opt (at_least 0) 5
          & info [ "top" ] ~doc:"Slowest requests to list from the flight \
                                 recorder.")
   in
@@ -589,20 +606,20 @@ let stats_cmd =
           occupancy, and a flight recorder of the slowest requests — then \
           print the summary table, or export it with $(b,--prometheus) / \
           $(b,--json).")
-    Term.(const run $ shape_arg $ n_arg $ replay_args $ jobs_arg $ algo
+    Term.(const run $ shape_arg $ n_arg $ replay_args $ serve_jobs_arg $ algo
           $ budget_arg $ prometheus $ json $ out $ top $ slow_ms)
 
 (* ------------------------------------------------------------------ *)
 (* shape: benchmark graphs                                             *)
 
 let shape_cmd =
-  let run shape n splits algo model budget jobs stable profile trace_out =
+  let run shape n splits algo model budget stable profile trace_out =
     match graph_of_shape shape n splits with
     | Error msg -> fail msg
     | Ok g -> (
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        match timed_enumerate ?obs ~model ?budget ~jobs algo g with
+        match timed_enumerate ?obs ~model ?budget algo g with
         | Error msg -> fail msg
         | Ok (r, elapsed) ->
             report_result ~stable g r elapsed;
@@ -619,15 +636,14 @@ let shape_cmd =
   in
   Cmd.v
     (Cmd.info "shape" ~doc:"Generate a benchmark graph and optimize it")
-    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term ()
-          $ model_arg $ budget_arg $ jobs_arg $ stable $ profile_arg
-          $ trace_out_arg)
+    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term ~jobs:true ()
+          $ model_arg $ budget_arg $ stable $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* graph: save / load / optimize serialized hypergraphs                *)
 
 let graph_cmd =
-  let run input algo model budget jobs save profile trace_out =
+  let run input algo model budget save profile trace_out =
     let g_result =
       if String.length input > 0 && input.[0] = '@' then
         Hypergraph.Serialize.read_file
@@ -647,7 +663,7 @@ let graph_cmd =
         | None -> ());
         Format.printf "%a@." G.pp g;
         let obs = obs_ctx profile trace_out in
-        (match timed_enumerate ?obs ~model ?budget ~jobs algo g with
+        (match timed_enumerate ?obs ~model ?budget algo g with
         | Error msg -> fail msg
         | Ok (r, elapsed) ->
             report_result g r elapsed;
@@ -668,8 +684,8 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph" ~doc:"Optimize a serialized hypergraph (see \
                             Hypergraph.Serialize for the format)")
-    Term.(const run $ input $ algo_term ~objective:false () $ model_arg
-          $ budget_arg $ jobs_arg $ save $ profile_arg $ trace_out_arg)
+    Term.(const run $ input $ algo_term ~objective:false ~jobs:true ()
+          $ model_arg $ budget_arg $ save $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ccp: counts                                                         *)

@@ -6,6 +6,9 @@ module Ot = Relalg.Optree
 type filter =
   Ns.t -> Ns.t -> (He.t * He.orientation) list -> bool
 
+(* Shared edge construction; empty sides fall back to the operator's
+   full subtree side, which encodes a cross-product constraint per
+   Section 2.1. *)
 let edge_of_op ~cards:_ ~sel ~id ~l ~r (info : Analysis.op_info) =
   let l = if Ns.is_empty l then info.left_tables else l in
   let r = if Ns.is_empty r then info.right_tables else r in

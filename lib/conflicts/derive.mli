@@ -40,15 +40,3 @@ val ses_graph :
   Analysis.t ->
   Hypergraph.Graph.t * filter
 (** SES-derived graph plus TES validity filter. *)
-
-val edge_of_op :
-  cards:(int -> float) ->
-  sel:float ->
-  id:int ->
-  l:Nodeset.Node_set.t ->
-  r:Nodeset.Node_set.t ->
-  Analysis.op_info ->
-  Hypergraph.Hyperedge.t
-(** Shared edge construction (exposed for tests); empty sides fall
-    back to the operator's full subtree side, which encodes a
-    cross-product constraint per Section 2.1. *)

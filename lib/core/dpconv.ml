@@ -74,6 +74,11 @@ let require_supported g =
 
 (* ---------- transforms ---------- *)
 
+(* In-place subset-sum (zeta: [a.(s)] becomes [Σ_{t ⊆ s} a.(t)] for
+   every [s] in [0, 2^bits)) and its inverse (Möbius) over a flat
+   lattice array of length [2^bits] — the two transforms the ranked
+   C_max feasibility layers are built from. *)
+
 let check_len ~bits a name =
   if Array.length a <> 1 lsl bits then
     invalid_arg (Printf.sprintf "Dpconv.%s: array length must be 2^bits" name)

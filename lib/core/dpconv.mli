@@ -93,16 +93,3 @@ val solve :
     still bounds the adversarial part of the run.
     @raise Invalid_argument if the graph is not {!supported}.
     @raise Counters.Budget_exhausted like every other strategy. *)
-
-(** {2 Transforms}
-
-    In-place subset-sum (zeta) and inversion (Möbius) over a flat
-    lattice array — the two transforms {!solve}'s ranked C_max
-    feasibility layers are built from. *)
-
-val zeta_in_place : bits:int -> int array -> unit
-(** [zeta_in_place ~bits a] replaces [a.(s)] with [Σ_{t ⊆ s} a.(t)]
-    for every [s] in [0, 2^bits); [a] must have length [2^bits]. *)
-
-val mobius_in_place : bits:int -> int array -> unit
-(** Inverse of {!zeta_in_place}. *)

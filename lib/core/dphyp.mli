@@ -78,7 +78,7 @@ val run_root :
     work under one root depends only on the graph and the oracle, so
     different roots can run on different domains against per-domain
     {!Hypergraph.Graph.copy_scratch} copies.  The parallel enumerator
-    ({!Parallel.Par_dphyp}) is the customer; with [mem] = dpTable
+    ({!Par_dphyp}) is the customer; with [mem] = dpTable
     membership and roots visited in descending order this is exactly
     the sequential algorithm. *)
 

@@ -2,6 +2,7 @@ module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
 module Dp = Plans.Dp_table
+module Pool = Parallel.Pool
 
 (* ---- growable int vector (pair buffer) --------------------------- *)
 
@@ -132,28 +133,11 @@ let cbuf_merge dp (c : Costing.Candidate.t) b =
 
 (* ---- the three phases -------------------------------------------- *)
 
-let span_name = "enumerate:dphyp-par"
-
-let emit_attr i = Printf.sprintf "d%d_emit_s" i
-
-let emit_seconds (s : Obs.Span.span) =
-  let attr key = List.assoc_opt key s.Obs.Span.attrs in
-  match attr "jobs" with
-  | Some (Obs.Span.Int jobs) when s.Obs.Span.name = span_name ->
-      List.filter_map
-        (fun i ->
-          match attr (emit_attr i) with
-          | Some (Obs.Span.Float sec) -> Some (i, sec)
-          | _ -> None)
-        (List.init jobs Fun.id)
-  | _ -> []
-
-let run_parallel ?obs ~model ?filter ?budget ~pool g =
-  let jobs = Pool.jobs pool in
+let solve_with_table ?obs ?(model = Costing.Cost_model.c_out) ?filter
+    ~counters ~jobs g =
   let n = G.num_nodes g in
-  Obs.Span.with_opt obs span_name (fun sp ->
-      let parent = Core.Counters.create_shared ?budget () in
-      let forks = Array.init jobs (fun _ -> Core.Counters.fork parent) in
+  Pool.with_pool ~jobs (fun pool ->
+      let forks = Array.init jobs (fun _ -> Counters.fork counters) in
       let gs =
         Array.init jobs (fun i -> if i = 0 then g else G.copy_scratch g)
       in
@@ -171,7 +155,7 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
       let buckets =
         Array.init n (fun _ -> Array.init (n + 1) (fun _ -> vec_create ()))
       in
-      Obs.Span.with_opt obs "par:enumerate" (fun _ ->
+      Obs.Span.with_opt obs "par:enumerate" (fun sp ->
           Pool.run_fun pool n (fun root wid ->
               let by_layer = buckets.(root) in
               let emit s1 s2 =
@@ -184,14 +168,25 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
                   vec_push v (Ns.to_int s2)
                 end
               in
-              Core.Dphyp.run_root ~mem:oracles.(wid) ~emit
-                ~counters:forks.(wid) gs.(wid) root));
-      let total_pairs =
-        Array.fold_left
-          (fun acc bl -> Array.fold_left (fun a v -> a + v.len) acc bl)
-          0 buckets
-        / stride
-      in
+              Dphyp.run_root ~mem:oracles.(wid) ~emit ~counters:forks.(wid)
+                gs.(wid) root);
+          match sp with
+          | None -> ()
+          | Some sp ->
+              let buffered =
+                Array.fold_left
+                  (fun acc bl -> Array.fold_left (fun a v -> a + v.len) acc bl)
+                  0 buckets
+                / stride
+              in
+              Obs.Span.set sp "jobs" (Obs.Span.Int jobs);
+              Obs.Span.set sp "pairs_buffered" (Obs.Span.Int buffered);
+              Array.iteri
+                (fun i (c : Counters.t) ->
+                  Obs.Span.set sp
+                    (Printf.sprintf "d%d_pairs" i)
+                    (Obs.Span.Int c.pairs_considered))
+                forks);
       (* Phase 2: layer-synchronous emission k = 2..n.  During a
          layer the DP table is read-only: every lookup hits an entry
          of size < k, final since the previous layer.  Each chunk of
@@ -207,14 +202,10 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
       let current = Array.init jobs (fun _ -> cbuf_create ()) in
       let emitters =
         Array.init jobs (fun wid ->
-            Core.Emit.make ?filter ~model ~counters:forks.(wid)
+            Emit.make ?filter ~model ~counters:forks.(wid)
               ~sink:(fun c s ~left ~code -> cbuf_push current.(wid) c s ~left ~code)
               gs.(wid) dp)
       in
-      (* Per-domain emit time: each worker accumulates into its own
-         slot (race-free), attached to the span as [d<i>_emit_s] after
-         the last layer barrier. *)
-      let merge_s = Array.make jobs 0.0 in
       let merge_cand = Costing.Candidate.create () in
       Obs.Span.with_opt obs "par:emit" (fun _ ->
           for k = 2 to n do
@@ -237,10 +228,6 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
               let chunk = (total + nchunks - 1) / nchunks in
               let bufs = Array.init nchunks (fun _ -> cbuf_create ()) in
               Pool.run_fun pool nchunks (fun ci wid ->
-                  let t0 = Obs.Span.now () in
-                  Fun.protect ~finally:(fun () ->
-                      merge_s.(wid) <- merge_s.(wid) +. (Obs.Span.now () -. t0))
-                  @@ fun () ->
                   let lo = ci * chunk and hi = min total ((ci + 1) * chunk) in
                   if lo < hi then begin
                     current.(wid) <- bufs.(ci);
@@ -264,46 +251,11 @@ let run_parallel ?obs ~model ?filter ?budget ~pool g =
                           ( Ns.unsafe_of_int v.buf.(2 * pos),
                             Ns.unsafe_of_int v.buf.((2 * pos) + 1) )
                       in
-                      Core.Emit.emit e Core.Emit.Symmetric s1 s2
+                      Emit.emit e Emit.Symmetric s1 s2
                     done
                   end);
               Array.iter (cbuf_merge dp merge_cand) bufs
             end
           done);
-      Array.iter (fun c -> Core.Counters.absorb ~into:parent c) forks;
-      (match sp with
-      | None -> ()
-      | Some sp ->
-          Obs.Span.set sp "jobs" (Obs.Span.Int jobs);
-          Obs.Span.set sp "pairs_buffered" (Obs.Span.Int total_pairs);
-          let st = Pool.stats pool in
-          Obs.Span.set sp "pool_tasks" (Obs.Span.Int st.Pool.tasks_run);
-          Obs.Span.set sp "pool_wait_ms"
-            (Obs.Span.Float (st.Pool.wait_s *. 1000.));
-          Array.iteri
-            (fun i (c : Core.Counters.t) ->
-              Obs.Span.set sp
-                (Printf.sprintf "d%d_pairs" i)
-                (Obs.Span.Int c.pairs_considered))
-            forks;
-          Array.iteri
-            (fun i s ->
-              Obs.Span.set sp (emit_attr i) (Obs.Span.Float s))
-            merge_s);
-      {
-        Core.Optimizer.plan = Dp.find dp (G.all_nodes g);
-        counters = parent;
-        dp_entries = Dp.size dp;
-        tier = None;
-        attempts = [];
-      })
-
-let run ?obs ?(model = Costing.Cost_model.c_out) ?filter ?budget ~pool g
-    =
-  (* Wide graphs (n beyond the single-word width) don't fit the
-     pair-packing scheme of the parallel replay, and exhaustive DP is
-     not what anyone runs at that scale anyway — dispatch sequential
-     and let the adaptive ladder's partitioned tier do its job. *)
-  if Pool.jobs pool <= 1 || G.num_nodes g > Ns.small_capacity then
-    Core.Optimizer.run ?obs ~model ?filter ?budget Core.Optimizer.Dphyp g
-  else run_parallel ?obs ~model ?filter ?budget ~pool g
+      Array.iter (fun c -> Counters.absorb ~into:counters c) forks;
+      (dp, Dp.find dp (G.all_nodes g)))

@@ -15,7 +15,7 @@
       emitter drops, so plans, [ccp_emitted], [cost_calls] and
       [filter_rejected] are identical to the sequential run.
     + {b Enumerate} — each root of the descending root loop runs on
-      some domain ({!Core.Dphyp.run_root}) against a per-domain
+      some domain ({!Dphyp.run_root}) against a per-domain
       {!Hypergraph.Graph.copy_scratch}, recording its csg-cmp-pairs
       bucketed by result cardinality.
     + {b Emit} — for each layer [k = 2 .. n], the recorded size-[k]
@@ -29,32 +29,32 @@
       byte-identical to the sequential one.
 
     Budgets use the shared atomic tally of
-    {!Core.Counters.create_shared}: the total considered pairs across
+    {!Counters.create_shared}: the total considered pairs across
     all domains is capped, overshooting the sequential trigger point
     by at most one in-flight pair per domain. *)
 
-val run :
+val solve_with_table :
   ?obs:Obs.Span.ctx ->
   ?model:Costing.Cost_model.t ->
-  ?filter:Core.Emit.filter ->
-  ?budget:int ->
-  pool:Pool.t ->
+  ?filter:Emit.filter ->
+  counters:Counters.t ->
+  jobs:int ->
   Hypergraph.Graph.t ->
-  Core.Optimizer.result
-(** Optimize with DPhyp using every domain of [pool].  With a
-    single-domain pool this dispatches to the sequential
-    {!Core.Optimizer.run}, so [--jobs 1] is the unmodified algorithm.
-    [?obs] records an ["enumerate:dphyp-par"] span with per-phase
-    child spans and pool/per-domain attributes: [d<i>_pairs], the
-    pairs domain [i] considered, and [d<i>_emit_s], the seconds it
-    spent emitting buffered pairs (what [Driver.Pipeline]'s serving
-    telemetry publishes as [joinopt_parallel_merge_seconds]).
-    @raise Core.Counters.Budget_exhausted when [?budget] is spent. *)
-
-val emit_seconds : Obs.Span.span -> (int * float) list
-(** The [(i, d<i>_emit_s)] attributes of an
-    ["enumerate:dphyp-par"] span, by domain; [[]] for any other
-    span. *)
+  Plans.Dp_table.t * Plans.Plan.t option
+(** {!Dphyp.solve_with_table} on a pool of [jobs] domains: the same
+    table occupancy and plan, and the same emission-side counters
+    folded into [counters], which must come from
+    {!Counters.create_shared}.  The graph must fit one machine word
+    ({!Nodeset.Node_set.small_capacity} relations); the caller is
+    {!Optimizer.run}, which runs [Par_dphyp { jobs }] sequentially at
+    [jobs <= 1] or on wider graphs.  [?obs] records one
+    ["par:oracle"], ["par:enumerate"] and ["par:emit"] span per phase
+    into the caller's open span; the enumerate span carries [jobs],
+    [pairs_buffered] and [d<i>_pairs], the pairs domain [i]
+    considered.
+    @raise Counters.Budget_exhausted when the shared budget is spent.
+    @raise Invalid_argument when [counters] are not shared or
+    [jobs < 1]. *)
 
 val connected_weakly :
   Hypergraph.Graph.t -> Nodeset.Node_set.t -> bool

@@ -22,9 +22,6 @@
     DPhyp's (equal whenever one block covers the whole query — then
     the block DP {e is} the exact DP). *)
 
-val default_block_size : int
-(** Block size used when [?block_size] is omitted (10). *)
-
 val default_stitch_k : int
 (** IDP block size for the stitching rounds when [?k] is omitted
     (10). *)
@@ -44,7 +41,8 @@ val solve :
   ?k:int ->
   Hypergraph.Graph.t ->
   Plans.Plan.t option
-(** Optimize via partition + per-block exact DP + IDP-k stitch.
+(** Optimize via partition + per-block exact DP + IDP-k stitch, with
+    blocks of at most [?block_size] relations (default 10).
     [?obs] records one ["partition:cluster"] span and a
     ["partition:block"] span per solved block, with the IDP rounds'
     spans following.  A budgeted [counters] makes the run raise

@@ -130,7 +130,7 @@ let execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed
         Obs.Span.with_opt obs "calibrate" (fun _ ->
             Executor.Estimate.calibrate ?sample ~seed inst g0)
       in
-      match Pipeline.enumerate ?obs ?model ?budget ~jobs:1 algo g with
+      match Pipeline.enumerate ?obs ?model ?budget algo g with
       | Error m -> Error m
       | Ok { Opt.plan = None; _ } -> Error "no valid plan found"
       | Ok ({ Opt.plan = Some plan; _ } as r) ->

@@ -27,31 +27,13 @@ let budget_error =
    for graceful degradation)"
 
 (* The optimizer parameters of one request — everything after the
-   hypergraph exists that can change its plan, plus how to run it.
-   The algorithm value carries the parameters its algorithm reads. *)
+   hypergraph exists that can change its plan.  The algorithm value
+   carries the parameters its algorithm reads. *)
 type request = {
   algo : Core.Optimizer.algorithm;
   model : Costing.Cost_model.t option;
   budget : int option;
-  jobs : int;
 }
-
-(* Intra-query parallelism: [jobs > 1] runs the enumeration itself on
-   a domain pool — only DPhyp has a parallel decomposition (see
-   Parallel.Par_dphyp); every other algorithm refuses rather than
-   silently running sequentially. *)
-let run_algo ?obs ?filter q graph =
-  if q.jobs <= 1 then
-    Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget q.algo
-      graph
-  else if q.algo <> Core.Optimizer.Dphyp then
-    invalid_arg
-      (Printf.sprintf "jobs > 1 requires the dphyp algorithm (got %s)"
-         (Core.Optimizer.name q.algo))
-  else
-    Parallel.Pool.with_pool ~jobs:q.jobs (fun pool ->
-        Parallel.Par_dphyp.run ?obs ?model:q.model ?filter ?budget:q.budget
-          ~pool graph)
 
 (* The errors an enumeration may raise, as values. *)
 let guard f =
@@ -60,9 +42,8 @@ let guard f =
   | exception Invalid_argument m -> Error m
   | exception Core.Counters.Budget_exhausted -> Error budget_error
 
-let enumerate ?obs ?model ?budget ~jobs algo graph =
-  let q = { algo; model; budget; jobs } in
-  guard (fun () -> run_algo ?obs q graph)
+let enumerate ?obs ?model ?budget algo graph =
+  guard (fun () -> Core.Optimizer.run ?obs ?model ?budget algo graph)
 
 (* The exact cache key: every input that can change the returned plan
    bytes.  The serialized graph carries node order, cardinalities,
@@ -70,10 +51,10 @@ let enumerate ?obs ?model ?budget ~jobs algo graph =
    file order); algorithm, cost model, budget and block size are
    prepended.  DPconv's objective changes its plan, so it refines the
    algorithm component; an algorithm without a block size prints
-   {!Core.Idp.default_k}, so every key keeps one layout.  [jobs] is
-   deliberately absent — parallel enumeration is byte-identical to
-   sequential for every jobs count, so one entry serves all of them
-   (the differential test sweeps jobs to prove it). *)
+   {!Core.Idp.default_k}, so every key keeps one layout.  Parallel
+   DPhyp's domain count is deliberately absent — its plan is
+   byte-identical to sequential DPhyp's for every count, so one entry
+   serves all of them (the cache test sweeps the count to prove it). *)
 let exact_key q graph =
   let open Core.Optimizer in
   let algo, k =
@@ -105,6 +86,10 @@ let exact_key q graph =
    graph fingerprint, shared with the telemetry recorder so a cached
    request with telemetry hashes the graph once. *)
 let run_cached ?obs ?cache ?filter q ~fp graph =
+  let run ?filter () =
+    Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget q.algo
+      graph
+  in
   match cache with
   | Some c when filter = None ->
       Obs.Span.with_opt obs "cache" (fun sp ->
@@ -113,13 +98,12 @@ let run_cached ?obs ?cache ?filter q ~fp graph =
               ~exact:(exact_key q graph)
           in
           let r, outcome =
-            Cache.Plan_cache.find_or_compute c key (fun () ->
-                run_algo ?obs q graph)
+            Cache.Plan_cache.find_or_compute c key (fun () -> run ())
           in
           let name = Cache.Plan_cache.outcome_name outcome in
           Obs.Span.set_opt sp "cache" (Obs.Span.Str name);
           (r, Some name))
-  | _ -> (run_algo ?obs ?filter q graph, None)
+  | _ -> (run ?filter (), None)
 
 (* ---------- serving telemetry ---------- *)
 
@@ -128,9 +112,6 @@ let latency_help = "End-to-end optimize latency in seconds"
 let phase_help = "Per-pipeline-phase latency in seconds"
 
 let tier_help = "Wall-clock seconds spent in each adaptive tier"
-
-let merge_help =
-  "Per-domain seconds spent emitting buffered pairs into candidate buffers"
 
 (* Depth-0 span names, with the algorithm-specific enumerate span
    collapsed to one "enumerate" phase so the series stays
@@ -142,8 +123,7 @@ let phase_name (s : Obs.Span.span) =
 (* The histograms one span of the request feeds: a depth-0 span is a
    pipeline phase; an adaptive rung that ran (a rung the budget cut
    short included, a rung skipped on its certificate not) is a tier
-   sample; the parallel enumerator's span carries each domain's emit
-   time. *)
+   sample. *)
 let observe_span tel (s : Obs.Span.span) =
   if s.Obs.Span.depth = 0 then
     Obs.Export.observe_s tel ~help:phase_help
@@ -154,22 +134,15 @@ let observe_span tel (s : Obs.Span.span) =
       Obs.Export.observe_s tel ~help:tier_help
         ~labels:[ ("tier", tier) ]
         "joinopt_tier_latency_seconds" s.Obs.Span.dur_s)
-    (Core.Adaptive.ran_tier s);
-  List.iter
-    (fun (i, sec) ->
-      if sec > 0.0 then
-        Obs.Export.observe_s tel ~help:merge_help
-          ~labels:[ ("domain", string_of_int i) ]
-          "joinopt_parallel_merge_seconds" sec)
-    (Parallel.Par_dphyp.emit_seconds s)
+    (Core.Adaptive.ran_tier s)
 
 (* One always-on record per served request: the overall latency
    histogram (labeled by algorithm, plan-cache outcome and
-   ok/error), the phase, tier and merge histograms read from the
-   request's own spans, and a flight-recorder entry (which keeps the
-   whole span tree when the request was slow).  [minor0]/[major0] are
-   the serving domain's [Gc.counters] at the request's start, so the
-   entry's words leave out worker domains under [jobs > 1]. *)
+   ok/error), the phase and tier histograms read from the request's
+   own spans, and a flight-recorder entry (which keeps the whole span
+   tree when the request was slow).  [minor0]/[major0] are the
+   serving domain's [Gc.counters] at the request's start, so the
+   entry's words leave out the worker domains of parallel DPhyp. *)
 let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
   let wall_s = Obs.Span.now () -. t0 in
   let minor1, _, major1 = Gc.counters () in
@@ -311,17 +284,15 @@ let serve ?obs ?tel ?cache q front =
           Error m)
 
 let optimize_tree ?obs ?tel ?cache ?(mode = Tes_literal)
-    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?(jobs = 1) ?cards ?sels
-    tree =
-  let q = { algo; model; budget; jobs } in
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?cards ?sels tree =
+  let q = { algo; model; budget } in
   serve ?obs ?tel ?cache q (fun ctx ->
       derive ?obs:ctx ?cards ?sels ~mode tree
       |> Result.map (fun d -> Derived d))
 
 let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
-    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?(jobs = 1) ?cards ?sels
-    sql =
-  let q = { algo; model; budget; jobs } in
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?cards ?sels sql =
+  let q = { algo; model; budget } in
   serve ?obs ?tel ?cache q (fun ctx ->
       match
         Obs.Span.with_opt ctx "parse" (fun _ ->
@@ -333,8 +304,8 @@ let optimize_sql ?obs ?tel ?cache ?(mode = Tes_literal)
           |> Result.map (fun d -> Derived d))
 
 let optimize_graph ?obs ?tel ?cache ?(algo = Core.Optimizer.Dphyp) ?model
-    ?budget ?(jobs = 1) graph =
-  let q = { algo; model; budget; jobs } in
+    ?budget graph =
+  let q = { algo; model; budget } in
   serve ?obs ?tel ?cache q (fun _ -> Ok (Graph graph))
 
 (* Inter-query parallelism: one pool task per query, each running

@@ -54,10 +54,10 @@ type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
     sharding plus the verbatim serialized graph and optimizer
     parameters — so a hit returns a result byte-identical (plan tree,
     cost, counters, tier) to what a fresh enumeration would produce.
-    [jobs] is not part of the key: parallel enumeration output is
-    byte-identical to sequential, so one entry serves every jobs
-    count.  {!Cdc} requests bypass the cache: their validity filter is
-    a closure the key cannot capture. *)
+    Parallel DPhyp's domain count is not part of the key: its output
+    is byte-identical to sequential DPhyp's, so one entry serves DPhyp
+    on any number of domains.  {!Cdc} requests bypass the cache: their
+    validity filter is a closure the key cannot capture. *)
 
 val make_cache : capacity:int -> unit -> plan_cache
 (** [Cache.Plan_cache.create] at the pipeline's value type. *)
@@ -97,7 +97,6 @@ val optimize_tree :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?jobs:int ->
   ?cards:(int -> float) ->
   ?sels:(int -> float) ->
   Relalg.Optree.t ->
@@ -110,10 +109,11 @@ val optimize_tree :
     into the caller's collector; omitting it runs the completely
     un-instrumented path.  The result's counters, tier, attempts and
     table occupancy are filled either way.  The enumeration is
-    {!enumerate} under [?model], [?budget] and [?jobs] (default 1),
-    and its [Error]s are returned as they are.  The algorithm value
-    carries its own parameters (IDP's block size, DPconv's objective),
-    and the plan-cache key includes them.
+    {!enumerate} under [?model] and [?budget], and its [Error]s are
+    returned as they are.  The algorithm value carries its own
+    parameters (IDP's block size, DPconv's objective, parallel
+    DPhyp's domain count), and the plan-cache key includes those that
+    can change the plan.
     [Error] also reports an invalid tree and a missing plan, each with
     a human-readable reason, and {!Cdc} under any algorithm but DPhyp
     with {!Core.Optimizer.run}'s ["<algo> does not support a validity
@@ -130,9 +130,9 @@ val optimize_tree :
 
     To record search-space provenance, wrap the call in
     [Inspect.Provenance.with_recording]: every DP table the
-    enumeration builds records into the recorder, under any [?jobs]
-    (the parallel enumerator builds its one table on the calling
-    domain).  A plan-cache hit builds no table and records nothing.
+    enumeration builds records into the recorder, parallel DPhyp's
+    included (it builds its one table on the calling domain).  A
+    plan-cache hit builds no table and records nothing.
 
     [?tel] is always-on serving telemetry, independent of [?obs]:
     every request records into the
@@ -142,12 +142,11 @@ val optimize_tree :
     full span tree for requests over the slow threshold.  The other
     series are read from the request's own span tree (a request with
     [?tel] but no [?obs] gets a private collector): depth-0 phases
-    into [joinopt_phase_latency_seconds{phase}], every adaptive rung
-    that ran (budget-exhausted ones included, certificate-skipped ones
-    not) into [joinopt_tier_latency_seconds{tier}], and a parallel
-    enumeration's per-domain emit time into
-    [joinopt_parallel_merge_seconds{domain}].  Only the spans of this
-    request are read, so one collector may serve many requests.
+    into [joinopt_phase_latency_seconds{phase}] and every adaptive
+    rung that ran (budget-exhausted ones included, certificate-skipped
+    ones not) into [joinopt_tier_latency_seconds{tier}].  Only the
+    spans of this request are read, so one collector may serve many
+    requests.
     [?tel] exists only at this layer; the optimizer below it is
     observed through [?obs] alone.  Requests that fail before a
     hypergraph exists (invalid tree, unparseable SQL) record
@@ -161,7 +160,6 @@ val optimize_sql :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?jobs:int ->
   ?cards:(int -> float) ->
   ?sels:(int -> float) ->
   string ->
@@ -177,7 +175,6 @@ val optimize_graph :
   ?algo:Core.Optimizer.algorithm ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  ?jobs:int ->
   Hypergraph.Graph.t ->
   (result, string) Result.t
 (** Plain-hypergraph entry point (inner joins / pre-built edges); the
@@ -188,18 +185,16 @@ val enumerate :
   ?obs:Obs.Span.ctx ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
-  jobs:int ->
   Core.Optimizer.algorithm ->
   Hypergraph.Graph.t ->
   (Core.Optimizer.result, string) Result.t
 (** The enumeration step every entry point runs, for callers that
     bring their own hypergraph and need the optimizer's full result
-    (DP-table size, tier attempts): {!Core.Optimizer.run}, or with
-    [jobs > 1] {!Parallel.Par_dphyp} on that many domains — DPhyp
-    only, with a plan byte-identical to the sequential one.  An
-    exhausted budget is [Error budget_error]; a refused combination
-    (parallel non-DPhyp, [Dpccp] on a hypergraph) is [Error] with its
-    reason.  A run that finds no plan is [Ok] with [plan = None]. *)
+    (DP-table size, tier attempts): {!Core.Optimizer.run} with its
+    exceptions as values.  An exhausted budget is
+    [Error budget_error]; a refused input ([Dpccp] on a hypergraph) is
+    [Error] with its reason.  A run that finds no plan is [Ok] with
+    [plan = None]. *)
 
 val run_batch : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Inter-query parallelism: [run_batch ~jobs f xs] applies [f] to

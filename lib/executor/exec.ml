@@ -183,8 +183,6 @@ let rec eval_i coll inst ~outer tree =
       a.a_wall <- a.a_wall +. (Obs.Span.now () -. t0));
   result
 
-let eval_env inst ~outer tree = eval_i None inst ~outer tree
-
 let eval inst tree = eval_i None inst ~outer:Env.empty tree
 
 let eval_stats ?obs inst tree =

@@ -20,9 +20,6 @@
 val eval : Instance.t -> Relalg.Optree.t -> Env.t list
 (** Evaluate a closed tree (no free variables at the root). *)
 
-val eval_env : Instance.t -> outer:Env.t -> Relalg.Optree.t -> Env.t list
-(** Evaluate with outer bindings in scope (dependent subtrees). *)
-
 type op_stat = {
   tables : Nodeset.Node_set.t;
       (** T(subtree) — unique within a tree and equal to the [set] of

@@ -34,6 +34,8 @@ let rec pred_cols acc = function
       pred_cols (pred_cols acc a) b
   | Relalg.Predicate.Not a -> pred_cols acc a
 
+(* Per-table attribute lists harvested from every predicate and
+   aggregate in the tree (deduplicated, sorted). *)
 let attrs_for_tree tree =
   let cols = ref [] in
   let rec walk = function

@@ -27,10 +27,6 @@ val rows_of : t -> outer:Env.t -> int -> Env.row list
 (** Materialize a leaf's rows (applying the function to [outer] for
     table functions). *)
 
-val attrs_for_tree : Relalg.Optree.t -> (int * string list) list
-(** Per-table attribute lists harvested from every predicate and
-    aggregate in the tree (deduplicated, sorted). *)
-
 val for_tree :
   ?rows:int -> ?domain:int -> seed:int -> Relalg.Optree.t -> t
 (** Random instance: every leaf gets [rows] (default 6) rows with the

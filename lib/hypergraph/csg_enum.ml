@@ -1,6 +1,7 @@
 module Ns = Nodeset.Node_set
 module Se = Nodeset.Subset_enum
 
+(* All connected subsets of the node set, ascending numeric order. *)
 let connected_subgraphs g =
   let cache = Connectivity.make_cache g in
   let acc = ref [] in

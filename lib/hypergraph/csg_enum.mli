@@ -7,9 +7,6 @@
     trace and for the machine-independent [#ccp] columns of the
     benchmark report. *)
 
-val connected_subgraphs : Graph.t -> Nodeset.Node_set.t list
-(** All connected subsets of the node set, ascending numeric order. *)
-
 val count_connected_subgraphs : Graph.t -> int
 
 val csg_cmp_pairs :

@@ -19,8 +19,6 @@ let escape_label s =
     s;
   Buffer.contents buf
 
-let quote_label s = "\"" ^ escape_label s ^ "\""
-
 let to_dot ?(name = "query") g =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -12,9 +12,6 @@ val escape_label : string -> string
     lattice) routes user-controlled text — relation names above all —
     through this. *)
 
-val quote_label : string -> string
-(** [escape_label] wrapped in double quotes. *)
-
 val write_atomically : string -> (out_channel -> unit) -> unit
 (** [write_atomically path body] writes through a temporary file in
     the same directory and renames it over [path] on success, so a

@@ -20,14 +20,14 @@
     {[
       let prov = Inspect.Provenance.create () in
       Inspect.Provenance.with_recording prov (fun () ->
-          Driver.Pipeline.optimize_graph ~algo ~jobs g)
+          Driver.Pipeline.optimize_graph ~algo g)
     ]}
 
     The hook is domain-local, so the recording covers the tables the
     calling domain builds inside the call.  A parallel DPhyp run
     builds its one table on the calling domain and fills it in
-    sequential per-subset order, so [--jobs N] records what
-    [--jobs 1] records; a plan-cache hit builds no table and records
+    sequential per-subset order, so [Par_dphyp { jobs }] records what
+    [Dphyp] records; a plan-cache hit builds no table and records
     nothing; work on other domains (a batch) is not recorded.
 
     Renders three ways: {!pp_table} (the human memo dump behind

@@ -13,12 +13,6 @@
    barrier), so phase data handed across [run_list] calls needs no
    per-field synchronization. *)
 
-type stats = {
-  tasks_run : int;
-  batches : int;
-  wait_s : float;  (** cumulative time workers spent blocked for work *)
-}
-
 type t = {
   jobs : int;
   m : Mutex.t;
@@ -28,9 +22,6 @@ type t = {
   mutable pending : int;  (* tasks submitted and not yet finished *)
   mutable stop : bool;
   mutable err : (int * exn * Printexc.raw_backtrace) option;
-  mutable tasks_run : int;
-  mutable batches : int;
-  mutable wait_s : float;
   mutable workers : unit Domain.t list;
 }
 
@@ -58,7 +49,6 @@ let step p wid =
            record_error p i e bt;
            Mutex.unlock p.m));
       Mutex.lock p.m;
-      p.tasks_run <- p.tasks_run + 1;
       p.pending <- p.pending - 1;
       if p.pending = 0 then Condition.broadcast p.done_cv;
       true
@@ -69,11 +59,7 @@ let worker p wid =
   while !continue do
     if step p wid then ()
     else if p.stop then continue := false
-    else begin
-      let t0 = Unix.gettimeofday () in
-      Condition.wait p.work_cv p.m;
-      p.wait_s <- p.wait_s +. (Unix.gettimeofday () -. t0)
-    end
+    else Condition.wait p.work_cv p.m
   done;
   Mutex.unlock p.m
 
@@ -89,9 +75,6 @@ let create ~jobs =
       pending = 0;
       stop = false;
       err = None;
-      tasks_run = 0;
-      batches = 0;
-      wait_s = 0.0;
       workers = [];
     }
   in
@@ -117,7 +100,6 @@ let run_list p tasks =
       p.err <- None;
       List.iteri (fun i f -> Queue.add (i, f) p.queue) tasks;
       p.pending <- List.length tasks;
-      p.batches <- p.batches + 1;
       Condition.broadcast p.work_cv;
       (* the caller drains the queue as worker 0, then waits for the
          stragglers running on other domains *)
@@ -150,9 +132,3 @@ let shutdown p =
 let with_pool ~jobs f =
   let p = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
-
-let stats p =
-  Mutex.lock p.m;
-  let s = { tasks_run = p.tasks_run; batches = p.batches; wait_s = p.wait_s } in
-  Mutex.unlock p.m;
-  s

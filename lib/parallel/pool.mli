@@ -14,12 +14,6 @@
 
 type t
 
-type stats = {
-  tasks_run : int;  (** tasks executed (or skipped-after-error) so far *)
-  batches : int;  (** {!run_list} calls so far *)
-  wait_s : float;  (** cumulative time workers spent blocked for work *)
-}
-
 val create : jobs:int -> t
 (** @raise Invalid_argument if [jobs < 1]. *)
 
@@ -43,5 +37,3 @@ val shutdown : t -> unit
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
-
-val stats : t -> stats

@@ -116,10 +116,6 @@ let validate t =
   in
   scope t
 
-let rec map_leaves f = function
-  | Leaf l -> Leaf (f l)
-  | Node n -> Node { n with left = map_leaves f n.left; right = map_leaves f n.right }
-
 let rec height = function
   | Leaf _ -> 1
   | Node n -> 1 + max (height n.left) (height n.right)

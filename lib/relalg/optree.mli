@@ -75,8 +75,6 @@ val validate : t -> (unit, error) result
 
 val error_to_string : error -> string
 
-val map_leaves : (leaf -> leaf) -> t -> t
-
 val height : t -> int
 
 val is_left_deep : t -> bool

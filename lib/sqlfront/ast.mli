@@ -46,5 +46,3 @@ val pp_query : Format.formatter -> query -> unit
 
 val kind_str : join_kind -> string
 (** "JOIN", "LEFT JOIN", ... — used in error messages. *)
-
-val pp_pred : Format.formatter -> pred -> unit

@@ -3,8 +3,6 @@ module P = Relalg.Predicate
 module Op = Relalg.Operator
 module Ns = Nodeset.Node_set
 
-let random_shape _rng n = [ List.init n (fun i -> i) ]
-
 (* Build a random bushy tree over the leaf interval [lo, hi]: split at
    a random point, recurse.  Leaves stay in increasing order left to
    right, satisfying the Section 5.4 numbering by construction. *)

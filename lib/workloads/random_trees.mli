@@ -12,7 +12,3 @@ val random_tree :
   seed:int -> n:int -> ops:Relalg.Operator.t list -> Relalg.Optree.t
 (** @raise Invalid_argument if [n < 2] or [ops] is empty.  The result
     always passes {!Relalg.Optree.validate}. *)
-
-val random_shape : Random.State.t -> int -> int list list
-(** Internal helper exposed for tests: a random composition of [n]
-    leaves into nested groups. *)

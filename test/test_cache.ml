@@ -278,13 +278,17 @@ let test_differential_jobs () =
   List.iter
     (fun jobs ->
       let cached =
-        render (Driver.Pipeline.optimize_graph ~cache ~jobs g)
+        render
+          (Driver.Pipeline.optimize_graph ~cache
+             ~algo:(Core.Optimizer.Par_dphyp { jobs })
+             g)
       in
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d same bytes through cache" jobs)
         fresh cached)
     [ 1; 2; 3; 4 ];
-  (* jobs is not part of the key: one entry served all four sweeps *)
+  (* the domain count is not part of the key: one entry served all
+     four sweeps *)
   Alcotest.(check int) "one miss across the jobs sweep" 1
     (Pc.stats cache).Pc.misses
 

@@ -955,7 +955,7 @@ let prop_parallel_identical_shapes =
       | Ok seq ->
           List.for_all
             (fun jobs ->
-              match D.optimize_graph ~jobs g with
+              match D.optimize_graph ~algo:(Opt.Par_dphyp { jobs }) g with
               | Ok par -> plan_fingerprint par = plan_fingerprint seq
               | Error m -> QCheck.Test.fail_report m)
             [ 1; 2; 4 ])
@@ -984,7 +984,9 @@ let prop_parallel_identical_modes =
           | Ok seq ->
               List.for_all
                 (fun jobs ->
-                  match D.optimize_tree ~mode ~jobs tree with
+                  match
+                    D.optimize_tree ~mode ~algo:(Opt.Par_dphyp { jobs }) tree
+                  with
                   | Ok par -> plan_fingerprint par = plan_fingerprint seq
                   | Error m ->
                       QCheck.Test.fail_report

@@ -434,24 +434,6 @@ let test_tel_request_words () =
         (req.Obs.Recorder.major_words >= 0.0)
   | l -> Alcotest.failf "expected one recorded request, got %d" (List.length l)
 
-(* A parallel enumeration's per-domain emit times reach the merge
-   histogram through its span. *)
-let test_tel_parallel_merge () =
-  let tel = Obs.Export.create () in
-  (match D.optimize_graph ~tel ~jobs:2 (Workloads.Shapes.clique 10) with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  let samples =
-    List.fold_left
-      (fun acc d ->
-        acc
-        + prom_count tel
-            (Printf.sprintf
-               {|joinopt_parallel_merge_seconds_count{domain="%d"}|} d))
-      0 [ 0; 1 ]
-  in
-  check "per-domain merge samples" true (samples >= 1 && samples <= 2)
-
 let () =
   Alcotest.run "driver"
     [
@@ -483,8 +465,6 @@ let () =
             test_tel_reused_collector;
           Alcotest.test_case "tier latency from spans" `Quick
             test_tel_tiers_from_spans;
-          Alcotest.test_case "parallel merge series" `Quick
-            test_tel_parallel_merge;
           Alcotest.test_case "recorder entry counts words" `Quick
             test_tel_request_words;
         ] );

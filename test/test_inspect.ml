@@ -270,14 +270,16 @@ let test_recording_wraps_pipeline () =
         (contains "major-words" table)
 
 (* The parallel enumerator builds and fills its one table on the
-   calling domain, in sequential per-subset order, so a [~jobs:2]
-   recording is the [~jobs:1] recording. *)
+   calling domain, in sequential per-subset order, so a two-domain
+   recording is the one-domain recording. *)
 let test_recording_parallel_equals_sequential () =
   let recorded jobs g =
     let prov = Prov.create () in
     (match
        Prov.with_recording prov (fun () ->
-           Driver.Pipeline.optimize_graph ~jobs g)
+           Driver.Pipeline.optimize_graph
+             ~algo:(Core.Optimizer.Par_dphyp { jobs })
+             g)
      with
     | Ok _ -> ()
     | Error m -> Alcotest.fail m);

@@ -14,7 +14,7 @@ module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
 module Opt = Core.Optimizer
 module P = Parallel.Pool
-module Pd = Parallel.Par_dphyp
+module Pd = Core.Par_dphyp
 
 let check = Alcotest.(check bool)
 
@@ -31,10 +31,7 @@ let test_pool_basics () =
       (* pool is reusable across batches, worker ids stay in range *)
       let wid_ok = Array.make 16 true in
       P.run_fun p 16 (fun i wid -> wid_ok.(i) <- wid >= 0 && wid < 4);
-      Array.iter (fun ok -> check "wid in range" true ok) wid_ok;
-      let st = P.stats p in
-      Alcotest.(check int) "tasks_run" 116 st.P.tasks_run;
-      Alcotest.(check int) "batches" 2 st.P.batches)
+      Array.iter (fun ok -> check "wid in range" true ok) wid_ok)
 
 let test_pool_sequential_inline () =
   (* jobs = 1 spawns no domains: tasks run inline, in order *)
@@ -117,27 +114,25 @@ let par_graphs ~strict =
               ~extra_edges:2 ~hyperedges:2 ~max_hypernode:3 () ))
 
 let par_identity ~strict jobs () =
-  P.with_pool ~jobs (fun pool ->
-      List.iter
-        (fun (name, g) ->
-          let seq = Opt.run Opt.Dphyp g in
-          let par = Pd.run ~pool g in
-          same_result ~strict (Printf.sprintf "%s/jobs%d" name jobs) seq par)
-        (par_graphs ~strict))
+  List.iter
+    (fun (name, g) ->
+      let seq = Opt.run Opt.Dphyp g in
+      let par = Opt.run (Opt.Par_dphyp { jobs }) g in
+      same_result ~strict (Printf.sprintf "%s/jobs%d" name jobs) seq par)
+    (par_graphs ~strict)
 
 (* n > 18: the flat subset oracle and flat DP table both give way to
    hash tables; identity must survive the representation switch. *)
 let test_par_identity_hashed () =
-  P.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun (name, g) ->
-          let seq = Opt.run Opt.Dphyp g in
-          let par = Pd.run ~pool g in
-          same_result ~strict:true name seq par)
-        [
-          ("chain20", Workloads.Shapes.chain 20);
-          ("cycle20", Workloads.Shapes.cycle 20);
-        ])
+  List.iter
+    (fun (name, g) ->
+      let seq = Opt.run Opt.Dphyp g in
+      let par = Opt.run (Opt.Par_dphyp { jobs = 4 }) g in
+      same_result ~strict:true name seq par)
+    [
+      ("chain20", Workloads.Shapes.chain 20);
+      ("cycle20", Workloads.Shapes.cycle 20);
+    ]
 
 (* The oracle may only ever over-approximate Definition 3 — a miss
    would prune real csg-cmp-pairs and silently change plans. *)
@@ -159,10 +154,9 @@ let test_oracle_overapproximates () =
    exercises the hashed representations on the way). *)
 let test_budget_parallel () =
   let g = Workloads.Shapes.clique 20 in
-  P.with_pool ~jobs:4 (fun pool ->
-      match Pd.run ~budget:50_000 ~pool g with
-      | _ -> Alcotest.fail "expected Budget_exhausted"
-      | exception Core.Counters.Budget_exhausted -> ())
+  match Opt.run ~budget:50_000 (Opt.Par_dphyp { jobs = 4 }) g with
+  | _ -> Alcotest.fail "expected Budget_exhausted"
+  | exception Core.Counters.Budget_exhausted -> ()
 
 (* ---------- DP table pre-sizing (n > 18 fallback) ---------- *)
 
