@@ -3,16 +3,23 @@
    Subcommands:
      optimize   parse a SQL query, run conflict analysis + an optimizer
      explain    optimize a SQL query and print the per-phase profile
-     shape      generate a benchmark graph and optimize it
      analyze    EXPLAIN ANALYZE: per-operator est/actual rows + Q-error
-     cache-stats  replay a Zipf-skewed stream through a plan cache
-     stats      replay with always-on telemetry; table / Prometheus / JSON
+     run        optimize a SQL query and execute it on generated data
+     shape      generate a benchmark graph and optimize it
+     graph      optimize a serialized hypergraph (file, shape or text)
+     tpch       optimize TPC-H-shaped join graphs
+     stats      replay a Zipf-skewed stream through a plan cache with
+                always-on telemetry; table / Prometheus / JSON
      ccp        csg-cmp-pair counts (DPhyp vs. brute force)
-     dot        Graphviz export of a query or shape hypergraph
+     dot        Graphviz export of a shape hypergraph
      inspect    search-space provenance: memo dump / JSON / lattice
      why        cost a forced join order against the recorded memo
      trace      csg-cmp-pair emission trace (the paper's Figure 3);
-                execution span tracing is --trace-out, not this  *)
+                execution span tracing is --trace-out, not this
+
+   Every subcommand that optimizes goes through one of
+   [Driver.Pipeline.optimize_sql] / [optimize_graph] (run and analyze
+   through [Driver.Analyze], which calls [optimize_graph]). *)
 
 module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
@@ -73,9 +80,10 @@ let dpconv_objective_arg =
     "Objective for --algo dpconv: cmax (exact bottleneck optimum — smallest \
      achievable largest intermediate — in O(2^n) subset convolutions) or \
      cout-bound (certified upper bound on the C_out optimum, with the \
-     witness plan)."
+     witness plan).  Any other algorithm with this option is a usage \
+     error."
   in
-  Arg.(value & opt objective_conv Core.Dpconv.Cmax
+  Arg.(value & opt (some ~none:"cmax" objective_conv) None
        & info [ "dpconv-objective" ] ~doc)
 
 let budget_arg =
@@ -91,7 +99,8 @@ let k_arg =
     Printf.sprintf
       "IDP block size (relations optimized exactly per round) for idp, and \
        for the stitching rounds of partition.  Absent: %d for idp, %d for \
-       partition (the adaptive ladder's partitioned tier)."
+       partition (the adaptive ladder's partitioned tier).  Any other \
+       algorithm with -k is a usage error."
       Core.Idp.default_k Core.Partition.default_stitch_k
   in
   Arg.(value & opt (some int) None & info [ "k" ] ~doc)
@@ -100,29 +109,36 @@ let jobs_arg doc =
   Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* -a, -k, --dpconv-objective and --jobs as one algorithm value.  -k
-   sets the block size of idp and partition and is ignored by every
-   other algorithm; the objective is read by dpconv alone; --jobs > 1
-   makes dphyp parallel and is a usage error on any other algorithm.
-   Subcommands without --dpconv-objective pass [~objective:false] and
-   run dpconv at its default, cmax; those without --jobs run on one
-   domain. *)
+   sets the block size of idp and partition, the objective is read by
+   dpconv, and --jobs > 1 makes dphyp parallel; each is a usage error
+   on any other algorithm.  Subcommands without --dpconv-objective
+   pass [~objective:false] and run dpconv at its default, cmax; those
+   without --jobs run on one domain. *)
 let algo_term ?(objective = true) ?(jobs = false) () =
-  let with_params algo k obj jobs =
-    match ((algo : Core.Optimizer.algorithm), k) with
-    | Dphyp, _ when jobs > 1 -> `Ok (Core.Optimizer.Par_dphyp { jobs })
-    | algo, _ when jobs > 1 ->
-        `Error
-          ( true,
-            Printf.sprintf "--jobs %d requires --algo dphyp (got %s)" jobs
-              (Core.Optimizer.name algo) )
-    | Idp _, Some k -> `Ok (Core.Optimizer.Idp { k })
-    | Partition _, Some k -> `Ok (Partition { k })
-    | Dpconv _, _ -> `Ok (Dpconv obj)
-    | algo, _ -> `Ok algo
+  let with_params (algo : Core.Optimizer.algorithm) k obj jobs =
+    let usage flag needs =
+      `Error
+        ( true,
+          Printf.sprintf "%s requires --algo %s (got %s)" flag needs
+            (Core.Optimizer.name algo) )
+    in
+    let takes_k = match algo with Idp _ | Partition _ -> true | _ -> false
+    and takes_objective = match algo with Dpconv _ -> true | _ -> false in
+    if jobs > 1 && algo <> Dphyp then
+      usage (Printf.sprintf "--jobs %d" jobs) "dphyp"
+    else if k <> None && not takes_k then usage "-k" "idp or partition"
+    else if obj <> None && not takes_objective then
+      usage "--dpconv-objective" "dpconv"
+    else
+      `Ok
+        (match (algo, k, obj) with
+        | Idp _, Some k, _ -> Core.Optimizer.Idp { k }
+        | Partition _, Some k, _ -> Partition { k }
+        | Dpconv _, _, Some o -> Dpconv o
+        | Dphyp, _, _ when jobs > 1 -> Par_dphyp { jobs }
+        | _ -> algo)
   in
-  let obj =
-    if objective then dpconv_objective_arg else Term.const Core.Dpconv.Cmax
-  in
+  let obj = if objective then dpconv_objective_arg else Term.const None in
   let jobs =
     if jobs then
       jobs_arg
@@ -192,19 +208,19 @@ let pp_tier_attempts ppf = function
 
 (* What explain and analyze --profile print under the phase table:
    each fact of the run once, by the module that owns its record. *)
-let pp_run_facts ?cache ppf ~counters ~tier ~attempts ~dp_entries =
-  Format.fprintf ppf "counters: %a@." Core.Counters.pp counters;
-  pp_tier_attempts ppf attempts;
+let pp_run_facts ?cache ppf (r : Driver.Pipeline.result) =
+  Format.fprintf ppf "counters: %a@." Core.Counters.pp r.counters;
+  pp_tier_attempts ppf r.attempts;
   Option.iter
     (fun t ->
       Format.fprintf ppf "winning tier: %s@." (Core.Adaptive.tier_name t))
-    tier;
+    r.tier;
   Option.iter
     (fun c ->
       Format.fprintf ppf "plan cache: %a@." Cache.Plan_cache.pp_stats
         (Cache.Plan_cache.stats c))
     cache;
-  Format.fprintf ppf "dp entries: %d@." dp_entries
+  Format.fprintf ppf "dp entries: %d@." r.dp_entries
 
 (* The table is rendered before the trace file is written, so its
    [total:] line times the run, not the file. *)
@@ -231,7 +247,9 @@ let splits_arg =
   let doc = "Hyperedge split level for cycle-hyper / star-hyper." in
   Arg.(value & opt int 0 & info [ "splits" ] ~doc)
 
-let graph_of_shape shape n splits =
+(* A generated graph; [?p] sets the catalog (default
+   [Workloads.Shapes.default_params]). *)
+let graph_of_shape ?p shape n splits =
   let split fam =
     match if splits < 0 then None else List.nth_opt fam splits with
     | Some g -> Ok g
@@ -244,48 +262,63 @@ let graph_of_shape shape n splits =
      [Invalid_argument] *)
   match
     match shape with
-    | "chain" -> Ok (Workloads.Shapes.chain n)
-    | "cycle" -> Ok (Workloads.Shapes.cycle n)
-    | "star" -> Ok (Workloads.Shapes.star n)
-    | "clique" -> Ok (Workloads.Shapes.clique n)
-    | "grid" -> Ok (Workloads.Shapes.grid ~rows:2 ~cols:((n + 1) / 2) ())
-    | "snowflake" -> Ok (Workloads.Shapes.snowflake_n n)
-    | "cycle-hyper" -> split (Workloads.Splits.cycle_based n)
-    | "star-hyper" -> split (Workloads.Splits.star_based n)
+    | "chain" -> Ok (Workloads.Shapes.chain ?p n)
+    | "cycle" -> Ok (Workloads.Shapes.cycle ?p n)
+    | "star" -> Ok (Workloads.Shapes.star ?p n)
+    | "clique" -> Ok (Workloads.Shapes.clique ?p n)
+    | "grid" -> Ok (Workloads.Shapes.grid ?p ~rows:2 ~cols:((n + 1) / 2) ())
+    | "snowflake" -> Ok (Workloads.Shapes.snowflake_n ?p n)
+    | "cycle-hyper" -> split (Workloads.Splits.cycle_based ?p n)
+    | "star-hyper" -> split (Workloads.Splits.star_based ?p n)
     | s -> Error (Printf.sprintf "unknown shape %S" s)
   with
   | r -> r
   | exception Invalid_argument msg -> Error msg
 
-let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
-  (match r.plan with
-  | Some p ->
+(* A pipeline call under the CLI's wall clock: the [time:] field. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  Result.map (fun r -> (r, Unix.gettimeofday () -. t0)) (f ())
+
+(* Optimize through [optimize obs] under the CLI's wall clock (the
+   [time:] field), observed when --profile or --trace-out asks for it,
+   and print [before r], the plan and its run facts, the profile and
+   [after r]. *)
+let optimize_and_report ?(stable = false) ?(before = ignore) ?(after = ignore)
+    ~profile ~trace_out optimize =
+  let obs = obs_ctx profile trace_out in
+  match timed (fun () -> optimize obs) with
+  | Error msg -> fail msg
+  | Ok ((r : Driver.Pipeline.result), elapsed) ->
+      let p = r.plan in
+      before r;
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@."
         Plans.Plan.pp p p.cost p.card;
-      Format.printf "@[<v>%a@]" (Plans.Plan.pp_verbose g) p;
-      (match Plans.Plan_check.check g p with
+      Format.printf "@[<v>%a@]" (Plans.Plan.pp_verbose r.graph) p;
+      (match Plans.Plan_check.check r.graph p with
       | [] -> Format.printf "plan check: ok@."
       | issues ->
           Format.printf "plan check: %d issue(s)@." (List.length issues);
           List.iter
             (fun i ->
               Format.printf "  %s@." (Plans.Plan_check.issue_to_string i))
-            issues)
-  | None -> Format.printf "no plan found@.");
-  (match r.tier with
-  | Some t -> Format.printf "tier: %s@." (Core.Adaptive.tier_name t)
-  | None -> ());
-  Format.printf "counters: %a@." Core.Counters.pp r.counters;
-  if stable then Format.printf "dp entries: %d@." r.dp_entries
-  else
-    Format.printf "dp entries: %d   time: %.3f ms@." r.dp_entries
-      (elapsed *. 1000.0)
+            issues);
+      Option.iter
+        (fun t -> Format.printf "tier: %s@." (Core.Adaptive.tier_name t))
+        r.tier;
+      Format.printf "counters: %a@." Core.Counters.pp r.counters;
+      if stable then Format.printf "dp entries: %d@." r.dp_entries
+      else
+        Format.printf "dp entries: %d   time: %.3f ms@." r.dp_entries
+          (elapsed *. 1000.0);
+      report_obs obs profile trace_out (fun ppf ->
+          pp_tier_attempts ppf r.attempts);
+      after r;
+      0
 
-(* The pipeline's enumeration step under the CLI's wall clock. *)
-let timed_enumerate ?obs ~model ?budget algo g =
-  let t0 = Unix.gettimeofday () in
-  Driver.Pipeline.enumerate ?obs ~model ?budget algo g
-  |> Result.map (fun r -> (r, Unix.gettimeofday () -. t0))
+let conflict_mode conservative =
+  if conservative then Driver.Pipeline.Tes_conservative
+  else Driver.Pipeline.Tes_literal
 
 (* ------------------------------------------------------------------ *)
 (* optimize: SQL pipeline                                              *)
@@ -304,28 +337,28 @@ let read_sql s =
 let optimize_cmd =
   let run sql algo model budget conservative verbose dot_plan profile
       trace_out =
-    match Result.bind (read_sql sql) Sqlfront.Binder.parse_and_bind with
+    match read_sql sql with
     | Error msg -> fail msg
-    | Ok bound -> (
-        let tree = Conflicts.Simplify.simplify bound.tree in
-        Format.printf "initial operator tree:@.%a@." Relalg.Optree.pp tree;
-        let analysis = Conflicts.Analysis.analyze ~conservative tree in
-        if verbose then Format.printf "%a@." Conflicts.Analysis.pp analysis;
-        let g = Conflicts.Derive.hypergraph analysis in
-        if verbose then Format.printf "%a@." G.pp g;
-        let obs = obs_ctx profile trace_out in
-        match timed_enumerate ?obs ~model ?budget algo g with
-        | Error msg -> fail msg
-        | Ok (r, elapsed) ->
-            report_result g r elapsed;
-            report_obs obs profile trace_out (fun ppf ->
-                pp_tier_attempts ppf r.attempts);
-            (match dot_plan, r.Core.Optimizer.plan with
-            | Some path, Some p ->
-                Plans.Plan_dot.write_file path g p;
-                Format.printf "plan graph written to %s@." path
-            | _ -> ());
-            0)
+    | Ok sql ->
+        (* -v prints the analysis behind the graph: the pipeline keeps
+           its tree and graph, so it is re-run here only to print *)
+        let before (r : Driver.Pipeline.result) =
+          Format.printf "initial operator tree:@.%a@." Relalg.Optree.pp r.tree;
+          if verbose then begin
+            Format.printf "%a@." Conflicts.Analysis.pp
+              (Conflicts.Analysis.analyze ~conservative r.tree);
+            Format.printf "%a@." G.pp r.graph
+          end
+        and after (r : Driver.Pipeline.result) =
+          Option.iter
+            (fun path ->
+              Plans.Plan_dot.write_file path r.graph r.plan;
+              Format.printf "plan graph written to %s@." path)
+            dot_plan
+        in
+        optimize_and_report ~before ~after ~profile ~trace_out (fun obs ->
+            Driver.Pipeline.optimize_sql ?obs ~mode:(conflict_mode conservative)
+              ~algo ~model ?budget sql)
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print analysis and graph.")
@@ -345,10 +378,7 @@ let optimize_cmd =
 
 let explain_cmd =
   let run sql algo model budget conservative cache_cap trace_out =
-    let mode =
-      if conservative then Driver.Pipeline.Tes_conservative
-      else Driver.Pipeline.Tes_literal
-    in
+    let mode = conflict_mode conservative in
     let go ?cache ctx =
       Result.bind (read_sql sql)
         (Driver.Pipeline.optimize_sql ~obs:ctx ?cache ~mode ~algo ~model
@@ -358,8 +388,7 @@ let explain_cmd =
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@.@."
         Plans.Plan.pp r.plan r.plan.cost r.plan.card;
       Format.printf "%a" Obs.Metrics.pp_table ctx;
-      pp_run_facts ?cache Format.std_formatter ~counters:r.counters
-        ~tier:r.tier ~attempts:r.attempts ~dp_entries:r.dp_entries;
+      pp_run_facts ?cache Format.std_formatter r;
       write_trace trace_out ctx;
       0
     in
@@ -404,7 +433,7 @@ let explain_cmd =
           $ budget_arg $ conservative_arg $ cache_cap $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* the replay stream shared by cache-stats and stats                   *)
+(* stats: serve a replay with always-on telemetry and export it        *)
 
 type replay = {
   variants : int;
@@ -446,14 +475,7 @@ let replay_args =
 let replay_stream shape n rp =
   let gen i =
     let p = { Workloads.Shapes.default_params with seed = rp.seed + i } in
-    match shape with
-    | "chain" -> Workloads.Shapes.chain ~p n
-    | "cycle" -> Workloads.Shapes.cycle ~p n
-    | "star" -> Workloads.Shapes.star ~p n
-    | "clique" -> Workloads.Shapes.clique ~p n
-    | s ->
-        invalid_arg
-          (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)" s)
+    match graph_of_shape ~p shape n 0 with Ok g -> g | Error m -> invalid_arg m
   in
   match
     Workloads.Replay.of_generator ~seed:rp.seed ~alpha:rp.alpha
@@ -475,49 +497,6 @@ let serve_replay ~jobs w optimize =
     (fun i -> Result.map ignore (optimize (Workloads.Replay.graph w i)))
     (List.init (Array.length w.Workloads.Replay.requests) Fun.id)
   |> List.find_map (function Ok () -> None | Error m -> Some m)
-
-(* ------------------------------------------------------------------ *)
-(* cache-stats: replay a synthetic stream through a plan cache         *)
-
-let cache_stats_cmd =
-  let run shape n rp jobs =
-    match replay_stream shape n rp with
-    | Error msg -> fail msg
-    | Ok w -> (
-        let cache = Driver.Pipeline.make_cache ~capacity:rp.capacity () in
-        let t0 = Unix.gettimeofday () in
-        let failed =
-          serve_replay ~jobs w (Driver.Pipeline.optimize_graph ~cache)
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        match failed with
-        | Some m -> fail ("a replayed request failed: " ^ m)
-        | None ->
-            Format.printf
-              "replayed %d requests over %d %s-%d variants (zipf %.2f, %d \
-               touched) on %d domain%s@."
-              rp.requests rp.variants shape n rp.alpha
-              (Workloads.Replay.distinct_requested w)
-              jobs
-              (if jobs = 1 then "" else "s");
-            Format.printf "cache: %a@." Cache.Plan_cache.pp_stats
-              (Cache.Plan_cache.stats cache);
-            Format.printf "throughput: %.0f plans/sec  (%.3f ms/request)@."
-              (float_of_int rp.requests /. dt)
-              (dt *. 1e3 /. float_of_int rp.requests);
-            0)
-  in
-  Cmd.v
-    (Cmd.info "cache-stats"
-       ~doc:
-         "Replay a Zipf-skewed synthetic query stream through a concurrent \
-          plan cache on a domain pool and print the hit/miss/coalesced/\
-          eviction counters and the served throughput — the \
-          optimizer-as-a-service serving loop in one command.")
-    Term.(const run $ shape_arg $ n_arg $ replay_args $ serve_jobs_arg)
-
-(* ------------------------------------------------------------------ *)
-(* stats: serve a replay with always-on telemetry and export it        *)
 
 let stats_cmd =
   let run shape n rp jobs algo budget prometheus json out top slow_ms =
@@ -616,16 +595,10 @@ let shape_cmd =
   let run shape n splits algo model budget stable profile trace_out =
     match graph_of_shape shape n splits with
     | Error msg -> fail msg
-    | Ok g -> (
+    | Ok g ->
         Format.printf "%a@." G.pp g;
-        let obs = obs_ctx profile trace_out in
-        match timed_enumerate ?obs ~model ?budget algo g with
-        | Error msg -> fail msg
-        | Ok (r, elapsed) ->
-            report_result ~stable g r elapsed;
-            report_obs obs profile trace_out (fun ppf ->
-                pp_tier_attempts ppf r.attempts);
-            0)
+        optimize_and_report ~stable ~profile ~trace_out (fun obs ->
+            Driver.Pipeline.optimize_graph ?obs ~algo ~model ?budget g)
   in
   let stable =
     Arg.(value & flag
@@ -662,14 +635,8 @@ let graph_cmd =
             Format.printf "wrote %s@." path
         | None -> ());
         Format.printf "%a@." G.pp g;
-        let obs = obs_ctx profile trace_out in
-        (match timed_enumerate ?obs ~model ?budget algo g with
-        | Error msg -> fail msg
-        | Ok (r, elapsed) ->
-            report_result g r elapsed;
-            report_obs obs profile trace_out (fun ppf ->
-                pp_tier_attempts ppf r.attempts);
-            0)
+        optimize_and_report ~profile ~trace_out (fun obs ->
+            Driver.Pipeline.optimize_graph ?obs ~algo ~model ?budget g)
   in
   let input =
     Arg.(required & pos 0 (some string) None
@@ -782,7 +749,7 @@ let run_cmd =
            ~seed)
     with
     | Error msg -> fail msg
-    | Ok { plan; tuples; mismatch; _ } ->
+    | Ok { optimized = { plan; _ }; tuples; mismatch } ->
         Format.printf "plan: %a  (est. cost %.4g, est. rows %.4g)@."
           Plans.Plan.pp plan plan.Plans.Plan.cost plan.Plans.Plan.card;
         (match mismatch with
@@ -824,10 +791,8 @@ let analyze_cmd =
             Obs.Atomic_file.write path (Driver.Analyze.to_json ~query:sql rep);
             Format.printf "analyze report written to %s@." path
         | None -> ());
-        let o = rep.Driver.Analyze.optimizer in
         report_obs obs profile trace_out (fun ppf ->
-            pp_run_facts ppf ~counters:o.counters ~tier:o.tier
-              ~attempts:o.attempts ~dp_entries:o.dp_entries);
+            pp_run_facts ppf rep.optimized);
         0
   in
   let sample =
@@ -894,17 +859,17 @@ let inspect_cmd =
                 Obs.Atomic_file.write path doc;
                 Format.printf "inspect report written to %s@." path
             | None, _ ->
-                let plan = r.Driver.Pipeline.plan in
+                let plan = r.plan in
                 Format.printf "plan: %a@.cost: %.4g@." Plans.Plan.pp plan
                   plan.Plans.Plan.cost;
-                (match r.Driver.Pipeline.tier with
+                (match r.tier with
                 | Some t ->
                     Format.printf "tier: %s@." (Core.Adaptive.tier_name t)
                 | None -> ());
                 Inspect.Provenance.pp_table ~names Format.std_formatter prov;
                 (* when a fallback tier won, show what it cost *)
                 match
-                  Option.bind r.Driver.Pipeline.tier (fun t ->
+                  Option.bind r.tier (fun t ->
                       Core.Adaptive.loss_report ~model g t plan)
                 with
                 | Some (Ok rep) -> Format.printf "@.loss vs exact:@.%s" rep
@@ -1003,6 +968,9 @@ let why_cmd =
 let tpch_cmd =
   let run query algo model budget sf =
     let graph name = Workloads.Tpch.query ~sf name in
+    let optimize ?obs g =
+      Driver.Pipeline.optimize_graph ?obs ~algo ~model ?budget g
+    in
     (* every graph is built before the first is optimized, so a bad
        name or scale factor fails before any output *)
     match
@@ -1011,27 +979,20 @@ let tpch_cmd =
       else `One (graph query)
     with
     | exception Invalid_argument msg -> fail msg
-    | `One g -> (
+    | `One g ->
         Format.printf "%a@." G.pp g;
-        match timed_enumerate ~model ?budget algo g with
-        | Error msg -> fail msg
-        | Ok (r, elapsed) ->
-            report_result g r elapsed;
-            0)
+        optimize_and_report ~profile:false ~trace_out:None (fun obs ->
+            optimize ?obs g)
     | `All graphs ->
         List.iter
           (fun (name, g) ->
-            match timed_enumerate ~model ?budget algo g with
+            match timed (fun () -> optimize g) with
             | Error msg -> Format.printf "%-4s: %s@." name msg
-            | Ok (r, elapsed) ->
+            | Ok ((r : Driver.Pipeline.result), elapsed) ->
                 Format.printf
                   "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@." name
-                  (G.num_nodes g) (elapsed *. 1000.0)
-                  (match r.Core.Optimizer.plan with
-                  | Some p -> p.Plans.Plan.cost
-                  | None -> nan)
-                  (Format.pp_print_option Plans.Plan.pp)
-                  r.Core.Optimizer.plan)
+                  (G.num_nodes g) (elapsed *. 1000.0) r.plan.cost
+                  Plans.Plan.pp r.plan)
           graphs;
         0
   in
@@ -1055,7 +1016,7 @@ let main =
   Cmd.group info
     [
       optimize_cmd; explain_cmd; analyze_cmd; run_cmd; shape_cmd; graph_cmd;
-      cache_stats_cmd; stats_cmd; ccp_cmd; dot_cmd; trace_cmd; inspect_cmd;
+      stats_cmd; ccp_cmd; dot_cmd; trace_cmd; inspect_cmd;
       why_cmd; tpch_cmd;
     ]
 

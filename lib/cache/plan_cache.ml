@@ -214,8 +214,8 @@ let shard_entries t =
     t.shards
 
 (* Rendered through the shared telemetry formatting (Obs.Export), so
-   `joinopt cache-stats`, EXPLAIN ANALYZE and `joinopt stats` can
-   never format these counters differently. *)
+   `joinopt explain --cache` and `joinopt stats` can never format
+   these counters differently. *)
 let pp_stats ppf s =
   Obs.Export.pp_kvs ppf
     [

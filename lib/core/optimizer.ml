@@ -115,7 +115,7 @@ let run ?obs ?model ?filter ?budget algo g =
           set "dp_entries" r.dp_entries;
           r)
 
-let plan_source algo r =
-  match r.tier with
+let plan_source algo tier =
+  match tier with
   | Some t -> name algo ^ ":" ^ Adaptive.tier_name t
   | None -> name algo

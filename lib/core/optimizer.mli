@@ -108,8 +108,8 @@ val run :
     non-simple edges, or a [filter] is passed to any algorithm but
     [Dphyp] and [Par_dphyp]. *)
 
-val plan_source : algorithm -> result -> string
-(** Provenance label of the returned plan: the algorithm name, refined
-    to ["adaptive:<tier>"] when the adaptive ladder answered on a
-    specific rung — what EXPLAIN ANALYZE reports as the plan's
+val plan_source : algorithm -> Adaptive.tier option -> string
+(** Provenance label of a plan: the algorithm name, refined to
+    ["adaptive:<tier>"] when the adaptive ladder answered on the
+    given rung — what EXPLAIN ANALYZE reports as the plan's
     source. *)

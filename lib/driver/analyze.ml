@@ -32,14 +32,13 @@ type op_row = {
 }
 
 type execution = {
-  plan : Plans.Plan.t;
-  optimizer : Opt.result;
+  optimized : Pipeline.result;
   tuples : Executor.Env.t list;
   mismatch : string option;
 }
 
 type report = {
-  plan : Plans.Plan.t;
+  optimized : Pipeline.result;
   source : string;  (* Optimizer.plan_source: algo / adaptive tier *)
   rows : op_row list;  (* preorder: parents before children *)
   result_rows : int;
@@ -52,7 +51,6 @@ type report = {
   exact_cout : float option;  (* measured C_out of the exact plan *)
   quality_delta : float option;  (* measured / exact *)
   exec_ms : float;  (* wall clock of executing the chosen plan *)
-  optimizer : Opt.result;
 }
 
 let median = function
@@ -111,12 +109,12 @@ let build_rows g plan stats =
   List.rev !out
 
 (* What analyze and execute_sql share: derive through the pipeline's
-   front end, calibrate the catalog on a generated instance, enumerate,
-   execute the plan and compare its bag against the initial tree's.
-   The TES modes derive no validity filter, so enumeration needs none.
-   Returns the execution and what analyze measures against: the
-   calibrated graph, the instance, the plan's per-operator stats and
-   the initial tree's measured C_out. *)
+   front end, calibrate the catalog on a generated instance, optimize
+   the calibrated graph through the pipeline, execute the plan and
+   compare its bag against the initial tree's.  The TES modes derive
+   no validity filter, so the graph needs none.  Returns the execution
+   and what analyze measures against: the instance, the plan's
+   per-operator stats and the initial tree's measured C_out. *)
 let execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed
     ?sample tree =
   let mode =
@@ -130,15 +128,10 @@ let execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed
         Obs.Span.with_opt obs "calibrate" (fun _ ->
             Executor.Estimate.calibrate ?sample ~seed inst g0)
       in
-      match Pipeline.enumerate ?obs ?model ?budget algo g with
+      match Pipeline.optimize_graph ?obs ~algo ?model ?budget g with
       | Error m -> Error m
-      | Ok { Opt.plan = None; _ } -> Error "no valid plan found"
-      | Ok ({ Opt.plan = Some plan; _ } as r) ->
-          let optimized =
-            Obs.Span.with_opt obs "plan-emit" (fun _ ->
-                Plans.Plan.to_optree g plan)
-          in
-          let tuples, stats = Executor.Exec.eval_stats ?obs inst optimized in
+      | Ok r ->
+          let tuples, stats = Executor.Exec.eval_stats ?obs inst r.tree in
           let mismatch, original_cout =
             Obs.Span.with_opt obs "verify" (fun _ ->
                 let expected, orig_stats =
@@ -152,12 +145,7 @@ let execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed
                       else s +. float_of_int st.rows_out)
                     0.0 orig_stats ))
           in
-          Ok
-            ( { plan; optimizer = r; tuples; mismatch },
-              g,
-              inst,
-              stats,
-              original_cout ))
+          Ok ({ optimized = r; tuples; mismatch }, inst, stats, original_cout))
 
 let parse obs sql =
   Obs.Span.with_opt obs "parse" (fun _ -> Sqlfront.Binder.parse_and_bind sql)
@@ -166,7 +154,7 @@ let parse obs sql =
 let execute_sql ~algo ?model ?budget ~conservative ~rows ~seed sql =
   Result.bind (parse None sql) (fun tree ->
       execute ~algo ?model ?budget ~conservative ~rows ~domain:4 ~seed tree
-      |> Result.map (fun (ex, _, _, _, _) -> ex))
+      |> Result.map (fun (ex, _, _, _) -> ex))
 
 let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
     ?(conservative = false) ?(rows = 8) ?(domain = 4) ?(seed = 42) ?sample
@@ -174,9 +162,9 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
   execute ?obs ~algo ?model ?budget ~conservative ~rows ~domain ~seed ?sample
     tree
   |> Result.map
-       (fun ({ plan; optimizer = r; tuples; mismatch }, g, inst, stats,
-             original_cout) ->
-      let op_rows = build_rows g plan stats in
+       (fun ({ optimized = r; tuples; mismatch }, inst, stats, original_cout) ->
+      let g = r.graph in
+      let op_rows = build_rows g r.plan stats in
       let joins = List.filter (fun row -> row.is_join) op_rows in
       let qs = List.filter_map (fun row -> row.q_error) joins in
       let est_cout =
@@ -189,7 +177,7 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
       in
       (* Exact reference: when the plan came from a heuristic tier,
          measure the C_out the exact plan would have achieved. *)
-      let is_exact = Opt.exact algo || r.Opt.tier = Some Core.Adaptive.Exact in
+      let is_exact = Opt.exact algo || r.tier = Some Core.Adaptive.Exact in
       let exact_cout =
         if is_exact then Some measured_cout
         else
@@ -208,8 +196,8 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
       in
       let exec_ms = match op_rows with row :: _ -> row.wall_ms | [] -> 0.0 in
       {
-        plan;
-        source = Opt.plan_source algo r;
+        optimized = r;
+        source = Opt.plan_source algo r.tier;
         rows = op_rows;
         result_rows = List.length tuples;
         mismatch;
@@ -224,7 +212,6 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget
         exact_cout;
         quality_delta;
         exec_ms;
-        optimizer = r;
       })
 
 let analyze_sql ?obs ?algo ?model ?budget ?conservative ?rows ?domain ?seed
@@ -240,7 +227,8 @@ let fmt_q = function None -> "-" | Some q -> Printf.sprintf "%.2f" q
 let fmt_ms ~stable ms = if stable then "-" else Printf.sprintf "%.3f" ms
 
 let pp ?(stable = false) ppf r =
-  Format.fprintf ppf "plan: %a   (source: %s)@." Plans.Plan.pp r.plan r.source;
+  Format.fprintf ppf "plan: %a   (source: %s)@." Plans.Plan.pp r.optimized.plan
+    r.source;
   Format.fprintf ppf "@.%-34s %10s %10s %8s %10s %10s@." "operator" "est rows"
     "actual" "q-error" "ms" "pred-evals";
   Format.fprintf ppf "%s@." (String.make 87 '-');
@@ -310,7 +298,7 @@ let to_json ?(query = "") r =
   Buffer.add_string b "  \"schema\": \"obs_analyze/v1\",\n";
   Printf.bprintf b "  \"query\": %S,\n" query;
   Printf.bprintf b "  \"source\": %S,\n" r.source;
-  Printf.bprintf b "  \"plan\": %S,\n" (Plans.Plan.to_string r.plan);
+  Printf.bprintf b "  \"plan\": %S,\n" (Plans.Plan.to_string r.optimized.plan);
   Buffer.add_string b "  \"operators\": [\n";
   Buffer.add_string b (String.concat ",\n" (List.map row_json r.rows));
   Buffer.add_string b "\n  ],\n";

@@ -26,7 +26,10 @@ type op_row = {
 }
 
 type report = {
-  plan : Plans.Plan.t;
+  optimized : Pipeline.result;
+      (** the pipeline run behind the report: the plan over the
+          calibrated graph, its operator tree, counters, tier, ladder
+          attempts and DP-table occupancy *)
   source : string;
       (** plan provenance ({!Core.Optimizer.plan_source}): the
           algorithm, or the adaptive tier that answered *)
@@ -47,9 +50,6 @@ type report = {
           {!Core.Adaptive.exact_baseline} has no plan *)
   quality_delta : float option;  (** [measured_cout / exact_cout] *)
   exec_ms : float;  (** wall clock of executing the chosen plan *)
-  optimizer : Core.Optimizer.result;
-      (** the optimizer run behind [plan]: counters, tier, ladder
-          attempts and DP-table occupancy *)
 }
 
 val analyze_tree :
@@ -70,8 +70,9 @@ val analyze_tree :
     ([rows] per table, default 8; values in [0, domain), default 4;
     generator [seed], default 42), calibrate the catalog on it
     ({!Executor.Estimate.calibrate} with the same [seed], so the whole
-    report is reproducible), optimize with [algo], execute, and
-    measure.  [?obs] additionally records
+    report is reproducible), optimize the calibrated graph with [algo]
+    through {!Pipeline.optimize_graph}, execute, and measure.  [?obs]
+    additionally records
     [calibrate], [execute], [verify] and (for heuristic plans)
     [exact-reference] spans on top of the optimizer's own. *)
 
@@ -90,8 +91,7 @@ val analyze_sql :
 (** Parse + bind (under a [parse] span) + {!analyze_tree}. *)
 
 type execution = {
-  plan : Plans.Plan.t;
-  optimizer : Core.Optimizer.result;  (** the optimizer run behind [plan] *)
+  optimized : Pipeline.result;  (** as in {!report} *)
   tuples : Executor.Env.t list;  (** the plan's result, in output order *)
   mismatch : string option;  (** as in {!report} *)
 }

@@ -42,9 +42,6 @@ let guard f =
   | exception Invalid_argument m -> Error m
   | exception Core.Counters.Budget_exhausted -> Error budget_error
 
-let enumerate ?obs ?model ?budget algo graph =
-  guard (fun () -> Core.Optimizer.run ?obs ?model ?budget algo graph)
-
 (* The exact cache key: every input that can change the returned plan
    bytes.  The serialized graph carries node order, cardinalities,
    selectivities, operators, free sets and edge order (edge ids are

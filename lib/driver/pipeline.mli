@@ -109,15 +109,15 @@ val optimize_tree :
     into the caller's collector; omitting it runs the completely
     un-instrumented path.  The result's counters, tier, attempts and
     table occupancy are filled either way.  The enumeration is
-    {!enumerate} under [?model] and [?budget], and its [Error]s are
-    returned as they are.  The algorithm value carries its own
-    parameters (IDP's block size, DPconv's objective, parallel
-    DPhyp's domain count), and the plan-cache key includes those that
-    can change the plan.
-    [Error] also reports an invalid tree and a missing plan, each with
-    a human-readable reason, and {!Cdc} under any algorithm but DPhyp
-    with {!Core.Optimizer.run}'s ["<algo> does not support a validity
-    filter"].
+    {!Core.Optimizer.run} under [?model] and [?budget], with its
+    exceptions as values: an exhausted budget is [Error budget_error],
+    a refused input ([Dpccp] on a hypergraph, {!Cdc} under any
+    algorithm but DPhyp) is [Error] with its reason.  The algorithm
+    value carries its own parameters (IDP's block size, DPconv's
+    objective, parallel DPhyp's domain count), and the plan-cache key
+    includes those that can change the plan.
+    [Error] also reports an invalid tree, and a run that finds no plan
+    as ["no valid plan found"].
 
     [?cache] memoizes the enumeration step: the lookup (and, on a
     miss, the nested enumeration) runs under a [cache] span whose
@@ -179,22 +179,9 @@ val optimize_graph :
   (result, string) Result.t
 (** Plain-hypergraph entry point (inner joins / pre-built edges); the
     [tree] field of the result is the optimized plan re-materialized
-    as an operator tree (under a [plan-emit] span when observed). *)
-
-val enumerate :
-  ?obs:Obs.Span.ctx ->
-  ?model:Costing.Cost_model.t ->
-  ?budget:int ->
-  Core.Optimizer.algorithm ->
-  Hypergraph.Graph.t ->
-  (Core.Optimizer.result, string) Result.t
-(** The enumeration step every entry point runs, for callers that
-    bring their own hypergraph and need the optimizer's full result
-    (DP-table size, tier attempts): {!Core.Optimizer.run} with its
-    exceptions as values.  An exhausted budget is
-    [Error budget_error]; a refused input ([Dpccp] on a hypergraph) is
-    [Error] with its reason.  A run that finds no plan is [Ok] with
-    [plan = None]. *)
+    as an operator tree (under a [plan-emit] span when observed).  A
+    graph without a plan, such as a disconnected one, is
+    [Error "no valid plan found"]. *)
 
 val run_batch : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Inter-query parallelism: [run_batch ~jobs f xs] applies [f] to

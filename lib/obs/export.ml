@@ -80,9 +80,9 @@ let set_gauge t ?help ?(labels = []) name v =
       t.gauges <- gauges;
       g := v)
 
-(* ---------- shared "k=v" formatting (Counters.pp, cache-stats, the
-   stats subcommand all render through these, so the same numbers can
-   never print differently in different subcommands) ---------- *)
+(* ---------- shared "k=v" formatting (Counters.pp, Plan_cache.pp_stats
+   and the stats subcommand render through these, so the same numbers
+   can never print differently in different subcommands) ---------- *)
 
 let kv k v = (k, v)
 

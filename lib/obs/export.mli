@@ -57,7 +57,7 @@ val set_gauge :
 
 (** {2 Shared key=value formatting}
 
-    [Counters.pp], [joinopt cache-stats] and [joinopt stats] all
+    [Counters.pp], [Plan_cache.pp_stats] and [joinopt stats] all
     print through these helpers, so the same quantity can never be
     formatted two different ways by two different subcommands. *)
 

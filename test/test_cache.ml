@@ -168,7 +168,7 @@ let test_hit_miss_counting () =
   Alcotest.(check int) "hits" 1 s.Pc.hits;
   Alcotest.(check int) "misses" 2 s.Pc.misses;
   Alcotest.(check int) "entries" 2 s.Pc.entries;
-  (* the line `joinopt cache-stats` prints *)
+  (* the `plan cache:` line of `joinopt explain --cache` *)
   Alcotest.(check string) "rendered stats"
     "hits=1 misses=2 coalesced=0 evictions=0 entries=2/8"
     (Format.asprintf "%a" Pc.pp_stats s);

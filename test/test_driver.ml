@@ -218,7 +218,7 @@ let test_analyze_report () =
   let root = List.hd rep.A.rows in
   check "root is a join" true root.A.is_join;
   check "root covers all tables" true
-    (Nodeset.Node_set.equal root.A.tables rep.A.plan.Plans.Plan.set);
+    (Nodeset.Node_set.equal root.A.tables rep.A.optimized.D.plan.Plans.Plan.set);
   check "root depth 0" true (root.A.depth = 0);
   List.iter
     (fun (r : A.op_row) ->
@@ -259,18 +259,21 @@ let test_analyze_per_node_consistency () =
 
 let test_analyze_profile_spans () =
   (* the executor's phases land in the caller's collector, next to the
-     optimizer's; the optimizer result behind the plan is kept *)
+     pipeline's; the pipeline emits the plan's operator tree once, and
+     the report keeps that result: its tree is its plan over its graph *)
   let ctx = Obs.Span.create () in
   let rep = analyze_ok ~obs:ctx analyze_sql in
   let names = span_names ctx in
   List.iter
     (fun phase ->
       check ("span recorded: " ^ phase) true (List.mem phase names))
-    [ "calibrate"; "enumerate:dphyp"; "execute"; "verify" ];
-  check "optimizer result kept" true
-    (match rep.A.optimizer.Core.Optimizer.plan with
-    | Some p -> p == rep.A.plan
-    | None -> false)
+    [ "calibrate"; "enumerate:dphyp"; "plan-emit"; "execute"; "verify" ];
+  Alcotest.(check int) "plan emitted once" 1
+    (List.length (List.filter (( = ) "plan-emit") names));
+  let r = rep.A.optimized in
+  check "pipeline result kept" true
+    (Format.asprintf "%a" Ot.pp r.D.tree
+     = Format.asprintf "%a" Ot.pp (Plans.Plan.to_optree r.D.graph r.D.plan))
 
 let test_analyze_json_schema () =
   let rep = analyze_ok analyze_sql in
@@ -300,9 +303,10 @@ let test_execute_matches_analyze () =
   with
   | Ok ex, Ok rep ->
       check "same plan" true
-        (Plans.Plan.to_string ex.A.plan = Plans.Plan.to_string rep.A.plan);
+        (Plans.Plan.to_string ex.A.optimized.D.plan
+        = Plans.Plan.to_string rep.A.optimized.D.plan);
       Alcotest.(check (float 1e-9)) "est. cost = C_out est" rep.A.est_cout
-        ex.A.plan.Plans.Plan.cost;
+        ex.A.optimized.D.plan.Plans.Plan.cost;
       Alcotest.(check int) "tuples" rep.A.result_rows (List.length ex.A.tuples);
       check "verdict" true (ex.A.mismatch = None && rep.A.mismatch = None)
   | Error m, _ | _, Error m -> Alcotest.fail m
