@@ -1,40 +1,44 @@
-(* Shared benchmark plumbing: adaptive wall-clock timing and table
-   rendering.  Times below ~50 ms are measured by repetition; longer
-   runs are measured once (their variance is irrelevant next to the
-   orders-of-magnitude differences the paper reports).  All timing
-   goes through Obs.Span — the same clock the pipeline profiles
-   report from — so bench numbers and profile spans are directly
-   comparable. *)
+(* Shared benchmark plumbing: wall-clock timing with its spread, and
+   table rendering.  A time is the median of five timed batches, each
+   repeating the run until it spans ~16 ms (once for a slow run), with
+   the batches' quartiles as its spread.  All timing reads
+   Obs.Span.now — the clock the pipeline profiles report from — so
+   bench numbers and profile spans are directly comparable. *)
 
 let now = Obs.Span.now
 
-(* Adaptive timing: one trial run (measured as an Obs span); if fast,
-   repeat until ~80 ms of total work and average.  Returns
-   (milliseconds, result of last run). *)
-let time_ms f =
-  let ctx = Obs.Span.create () in
-  let r = ref (Obs.Span.with_ ctx "trial" (fun _ -> f ())) in
-  let first =
-    match Obs.Span.spans ctx with
-    | [ s ] -> s.Obs.Span.dur_s
-    | _ -> assert false
-  in
-  if first > 0.05 then (first *. 1000.0, !r)
-  else begin
-    let reps = max 3 (int_of_float (0.08 /. Float.max 1e-6 first)) in
-    let t0 = now () in
-    for _ = 1 to reps do
-      r := f ()
-    done;
-    let per = (now () -. t0) /. float_of_int reps in
-    (per *. 1000.0, !r)
-  end
+(* Milliseconds per run: the median of the batches and their first and
+   third quartiles. *)
+type timing = { ms : float; q1 : float; q3 : float }
 
-let fmt_ms ms =
+(* One trial run sizes the batches; then five timed batches, whose
+   sorted per-run times give the median and quartiles by rank.
+   Returns the timing and the result of the last run. *)
+let time_ms f =
+  let t0 = now () in
+  let r = ref (f ()) in
+  let first = now () -. t0 in
+  let reps = max 1 (int_of_float (0.016 /. Float.max 1e-6 first)) in
+  let per_run =
+    Array.init 5 (fun _ ->
+        let t0 = now () in
+        for _ = 1 to reps do
+          r := f ()
+        done;
+        (now () -. t0) /. float_of_int reps *. 1000.0)
+  in
+  Array.sort Float.compare per_run;
+  ({ ms = per_run.(2); q1 = per_run.(1); q3 = per_run.(3) }, !r)
+
+let fmt_float ms =
   if ms < 0.01 then Printf.sprintf "%.4f" ms
   else if ms < 1.0 then Printf.sprintf "%.3f" ms
   else if ms < 100.0 then Printf.sprintf "%.2f" ms
   else Printf.sprintf "%.0f" ms
+
+(* A time cell: the median ± half the interquartile range. *)
+let fmt_ms t =
+  Printf.sprintf "%s ±%s" (fmt_float t.ms) (fmt_float ((t.q3 -. t.q1) /. 2.))
 
 let csv_dir : string option ref = ref None
 
@@ -93,7 +97,7 @@ let print_table ~columns ~rows =
   flush stdout
 
 type measured = {
-  ms : float;
+  ms : timing;
   ccp : int;
   pairs : int;
   cost : float;

@@ -23,23 +23,20 @@ let ran_tier (s : Obs.Span.span) =
   then Some (String.sub name p (String.length name - p))
   else None
 
-(* The subset-convolution pre-tier pays Θ(n·2^n) word operations up
-   front, which only beats DPhyp's Θ(3^n) pair stream when the graph
-   is dense enough that most subsets are connected — on sparse graphs
-   DPhyp's neighborhood walk never visits them.  12 relations is where
-   the clique crossover sits; 0.4 of the complete graph's edges keeps
-   the connected fraction (and hence the transform's useful work)
-   high. *)
-let conv_min_nodes = 12
-let conv_min_density = 0.4
+(* The dense band: simple inner graphs with at least 0.4 of the
+   complete graph's edges (the wide path above small_capacity never
+   reaches it).  There most subsets are connected, so DPhyp's pair
+   stream nears its Θ(3^n) worst case, and a cost bound prunes most
+   of it.  GOO's plan gives that bound in O(n^3) pairs: on
+   [Dpconv.simple_inner] graphs DPhyp prices every merge GOO makes, so
+   GOO's cost bounds the optimum. *)
+let dense_min_density = 0.4
 
-let conv_applicable g =
+let dense g =
   let n = G.num_nodes g in
-  n >= conv_min_nodes
-  && n <= Dpconv.max_relations
-  && Dpconv.supported g
+  Dpconv.simple_inner g
   && float_of_int (G.num_edges g)
-     >= conv_min_density *. float_of_int (n * (n - 1) / 2)
+     >= dense_min_density *. float_of_int (n * (n - 1) / 2)
 
 type attempt = {
   tier : tier;
@@ -61,9 +58,9 @@ let default_ks = [ 10; 7; 5; 3 ]
 (* Every tier gets a fresh budget: the point of the ladder is that
    each rung does strictly less work per answer, so re-charging the
    budget keeps the semantics simple ("no single strategy may exceed
-   b pairs") and deterministic.  The final GOO rung is deliberately
-   unbudgeted — it is O(n^2 · n) pairs and must always produce the
-   answer of last resort. *)
+   b pairs") and deterministic.  GOO runs deliberately unbudgeted —
+   it is O(n^2 · n) pairs and must always produce the answer of last
+   resort (and, on dense graphs, the first bound). *)
 let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
   let attempts = ref [] in
   let record ?skipped tier completed (c : Counters.t) =
@@ -177,40 +174,25 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
           | None -> on_exhausted ())
     in
     let fall_back () = descend default_ks in
-    if not (conv_applicable g) then exact ~on_exhausted:fall_back ()
+    if not (dense g) then exact ~on_exhausted:fall_back ()
     else
-      (* Dense simple graph: run the subset-convolution bound first.
-         Its certified C_out upper bound prunes the exact run (see
-         Dphyp's [bound]); if the exact rung then blows the budget the
-         dpconv plan — a real, checked plan — beats restarting from
-         IDP.  And since any plan's C_out sums its join outputs, the
-         exact bottleneck value C_max is a lower bound on the optimum:
-         when the two meet, the dpconv plan is already optimal and the
-         exact rung is skipped entirely. *)
+      (* Dense graph: GOO first, unbudgeted like the last rung.  Its
+         cost, with slack for the rounding of a sum priced in another
+         order, bounds the exact run (see Dphyp's [bound]), which
+         voids the min_pairs certificate; if the bounded rung still
+         blows the budget, GOO's plan answers.  A completed rung's
+         result stands, [None] on a disconnected graph included. *)
+      let counters = Counters.create () in
       match
-        attempt Conv (fun counters ->
-            Dpconv.solve ~model ~objective:Dpconv.Cout_bound ~counters g)
+        tier_span Greedy counters (fun () -> Goo.solve ~model ~counters g)
       with
       | None -> exact ~on_exhausted:fall_back ()
-      | Some (counters, { Dpconv.plan = None; _ }) ->
-          record Conv true counters;
-          exact ~on_exhausted:fall_back ()
-      | Some (counters, ({ Dpconv.plan = Some plan; _ } as o)) ->
-          let conv_entries = Plans.Dp_table.size o.Dpconv.dp in
-          let tight =
-            (* the C_max lower bound argument is specific to
-               output-cardinality costing *)
-            model.Costing.Cost_model.name = "cout"
-            && o.Dpconv.bound <= o.Dpconv.cmax *. (1. +. 1e-9)
-          in
-          if tight then finish Conv counters conv_entries (Some plan)
-          else begin
-            record Conv true counters;
-            exact ~bound:o.Dpconv.bound
-              ~on_exhausted:(fun () ->
-                finish Conv counters conv_entries (Some plan))
-              ()
-          end
+      | Some goo ->
+          record Greedy true counters;
+          exact
+            ~bound:(goo.Plans.Plan.cost *. (1. +. 1e-9))
+            ~on_exhausted:(fun () -> finish Greedy counters 0 (Some goo))
+            ()
   end
 
 let pp_attempt ppf a =

@@ -19,6 +19,10 @@
     the plan, tier, counters and table size are those the full attempt
     would have produced.
 
+    On dense graphs GOO runs first and its plan's cost bounds the
+    exact rung, which prunes it; that rung is never skipped, and when
+    it runs out of budget GOO's plan answers.
+
     Everything is deterministic: the same graph and budget always
     produce the same tier, the same counters and the same
     plan — no wall-clock measurements are involved. *)
@@ -31,12 +35,13 @@ type tier =
           queries wider than {!Nodeset.Node_set.small_capacity}
           relations *)
   | Idp_k of int  (** IDP with this block size produced the plan *)
-  | Greedy  (** budget forced the fall back to GOO *)
+  | Greedy
+      (** GOO's plan answered: every DP rung ran out of budget, or
+          the GOO-bounded exact rung of a dense graph did *)
   | Conv
-      (** the subset-convolution plan answered: its certified bound
-          met the C_max lower bound (provably optimal, exact rung
-          skipped), or the bound-pruned exact rung blew the budget and
-          the dpconv plan is the best complete plan in hand *)
+      (** never produced by {!solve}: the ladder no longer runs a
+          subset-convolution tier.  Kept so existing matches on a
+          tier (and its name, ["dpconv"]) stay valid. *)
 
 val tier_name : tier -> string
 (** ["exact"], ["partitioned"], ["idp-<k>"], ["greedy"], ["dpconv"] —
@@ -83,9 +88,9 @@ val solve :
     underneath.  Without [?budget] the exact tier always completes
     and the outcome equals plain DPhyp (tier {!Exact}).
 
-    With [?budget], an exact rung that runs unpruned (no dense
-    pre-tier, or the pre-tier produced no plan) is skipped when
-    {!Dphyp.min_pairs} exceeds the budget.  The skip is recorded as an
+    With [?budget], an exact rung that runs unpruned (any graph
+    outside the dense band) is skipped when {!Dphyp.min_pairs}
+    exceeds the budget.  The skip is recorded as an
     attempt with [skipped] set and 0 pairs, and as a ["tier:exact"]
     span with a ["skipped"] tag and a ["min_pairs"] attribute.  A
     bound-pruned rung may tick fewer pairs than the certificate
@@ -95,19 +100,23 @@ val solve :
     Never raises
     {!Counters.Budget_exhausted}.
 
-    Dense simple graphs (≥ 12 relations within
-    {!Dpconv.max_relations}, ≥ 40% of the complete graph's edges,
-    {!Dpconv.supported}) get a subset-convolution pre-tier: [Dpconv]'s
-    C_out mode computes a certified upper bound whose witness plan is
-    kept in hand, the bound prunes the exact DPhyp rung, and when the
-    bound already meets the C_max lower bound (C_out model only) the
-    exact rung is skipped — tier {!Conv}.  The exact rung's result is
-    unchanged by the pruning; only its cost drops. *)
+    Graphs in the dense band (at most
+    {!Nodeset.Node_set.small_capacity} relations, ≥ 40% of the
+    complete graph's edges, {!Dpconv.simple_inner}) run {!Goo.solve}
+    first, unbudgeted, on its own ["tier:greedy"] span, recorded as an
+    attempt.  On that class GOO never takes its cross-product fallback
+    on a connected graph, so DPhyp prices every merge of GOO's plan and
+    [goo.cost × (1 + 1e-9)] is a valid [?bound] for the exact rung.
+    The bound voids the min_pairs certificate, so the bounded rung
+    always runs.  If it completes, its result stands — unchanged by
+    the pruning, [None] on a disconnected graph; if it runs out of
+    budget, GOO's plan answers (tier {!Greedy}, recorded last).  So in
+    the band the ladder never costs more than GOO's plan. *)
 
 val pp_attempts : Format.formatter -> attempt list -> unit
 (** The ladder history on one line, in execution order:
-    [dpconv(2322 pairs) -> exact(5001 pairs, budget ran out) ->
-    dpconv(2322 pairs)], with a skipped rung as
+    [greedy(286 pairs) -> exact(5001 pairs, budget ran out) ->
+    greedy(286 pairs)], with a skipped rung as
     [exact(skipped: needs ≥ N pairs > budget B)]. *)
 
 val exact_baseline :

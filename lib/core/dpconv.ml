@@ -52,17 +52,19 @@ let no_free g =
   done;
   !ok
 
-(* Simple inner graphs only: on those, a partition of a connected set
+(* Simple inner graphs: on those, a partition of a connected set
    into two connected halves always has a crossing simple edge, i.e.
    it IS a csg-cmp-pair — the fact that lets the convolution count
    partitions instead of enumerating pairs.  A complex edge's
    hypernode can straddle a cut without connecting it (Def. 7), so the
-   convolution would accept partitions DPhyp rejects. *)
+   convolution would accept partitions DPhyp rejects.  The same fact
+   makes every merge GOO takes on a connected such graph a pair DPhyp
+   prices ([Adaptive] bounds its dense rung with GOO's cost). *)
+let simple_inner g = (not (G.has_hyperedges g)) && all_inner g && no_free g
+
 let supported g =
   let n = G.num_nodes g in
-  n >= 1 && n <= max_relations
-  && (not (G.has_hyperedges g))
-  && all_inner g && no_free g
+  n >= 1 && n <= max_relations && simple_inner g
 
 let require_supported g =
   if not (supported g) then

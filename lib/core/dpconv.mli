@@ -33,9 +33,8 @@
     partition of a connected set into two connected halves is a valid
     csg-cmp-pair, which is the algebraic fact the convolution relies
     on; with complex edges the convolution would accept partitions
-    DPhyp rejects.  [Adaptive] gates the dense tier on {!supported};
-    direct calls on an unsupported graph raise [Invalid_argument],
-    mirroring [Dpccp]. *)
+    DPhyp rejects.  Direct calls on an unsupported graph raise
+    [Invalid_argument], mirroring [Dpccp]. *)
 
 type objective =
   | Cmax  (** exact bottleneck optimum, plus a witness plan *)
@@ -54,10 +53,16 @@ val max_relations : int
     Θ(n·2^n) words — about 40 MB at the cap — and every layer touches
     all of it. *)
 
+val simple_inner : Hypergraph.Graph.t -> bool
+(** Simple edges only, all operators inner, no free variables: the
+    class on which every split of a connected set into two connected
+    halves is a csg-cmp-pair.  So GOO never takes its cross-product
+    fallback on a connected such graph, and DPhyp prices every merge
+    GOO makes; [Adaptive] bounds its dense exact rung on that. *)
+
 val supported : Hypergraph.Graph.t -> bool
-(** Whether {!solve} accepts the graph: at most {!max_relations}
-    relations, simple edges only, all operators inner, no free
-    variables. *)
+(** Whether {!solve} accepts the graph: 1 to {!max_relations}
+    relations and {!simple_inner}. *)
 
 type outcome = {
   plan : Plans.Plan.t option;

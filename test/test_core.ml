@@ -463,6 +463,71 @@ let test_unit_cardinalities () =
 
 (* ---------- plan sampling ---------- *)
 
+(* Random valid plans from the whole search space: each connected set
+   splits along a random csg-cmp decomposition, with a random operator
+   order among the valid candidates.  Exponential in the worst case, so
+   only for small graphs; no sampled plan may beat the DP optimum,
+   which checks the DP against the whole space rather than only
+   against the other exact algorithms.  [None] when the graph admits
+   no valid plan. *)
+let random_plan ~seed g =
+  let rng = Random.State.make [| 524287; seed |] in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let counters = Core.Counters.create () in
+  let conn = Hypergraph.Connectivity.make_cache g in
+  let rec build s =
+    if Ns.is_singleton s then Some (Plans.Plan.scan g (Ns.min_elt s))
+    else begin
+      (* canonical partitions (min(s) on the left), random order *)
+      let parts =
+        Nodeset.Subset_enum.fold_nonempty (Ns.without_min s)
+          (fun acc s2 ->
+            let s1 = Ns.diff s s2 in
+            if
+              Hypergraph.Connectivity.is_connected conn s1
+              && Hypergraph.Connectivity.is_connected conn s2
+              && G.connects g s1 s2
+            then (s1, s2) :: acc
+            else acc)
+          []
+      in
+      let rec try_parts = function
+        | [] -> None
+        | (s1, s2) :: rest -> (
+            match (build s1, build s2) with
+            | Some p1, Some p2 -> (
+                match
+                  Core.Emit.candidates ~model:Costing.Cost_model.c_out
+                    ~counters g p1 p2
+                with
+                | [] -> try_parts rest
+                | cands ->
+                    Some
+                      (List.nth cands (Random.State.int rng (List.length cands)))
+                )
+            | _ -> try_parts rest)
+      in
+      try_parts (shuffle parts)
+    end
+  in
+  build (G.all_nodes g)
+
+(* Costs of the successfully sampled plans, one attempt per seed. *)
+let sample_costs ~seeds g =
+  List.filter_map
+    (fun seed ->
+      Option.map (fun (p : Plans.Plan.t) -> p.cost) (random_plan ~seed g))
+    seeds
+
 let test_sampled_plans_never_beat_optimum () =
   List.iter
     (fun (name, g) ->
@@ -474,7 +539,7 @@ let test_sampled_plans_never_beat_optimum () =
               (Printf.sprintf "%s sample %d: optimum <= sample" name i)
               true
               (opt <= c +. 1e-9))
-          (Core.Plan_sample.sample_costs ~seeds:(List.init 8 Fun.id) g)
+          (sample_costs ~seeds:(List.init 8 Fun.id) g)
       end)
     (graphs_under_test ())
 
@@ -484,7 +549,7 @@ let test_sampled_plans_structurally_valid () =
       if G.num_nodes g <= 8 then
         List.iter
           (fun seed ->
-            match Core.Plan_sample.random_plan ~seed g with
+            match random_plan ~seed g with
             | None -> Alcotest.failf "%s: no sampled plan" name
             | Some p -> (
                 check (name ^ ": covers all") true
@@ -503,7 +568,7 @@ let test_sampling_diversity () =
   let g = Workloads.Shapes.clique 5 in
   let plans =
     List.filter_map
-      (fun seed -> Core.Plan_sample.random_plan ~seed g)
+      (fun seed -> random_plan ~seed g)
       (List.init 12 Fun.id)
   in
   let distinct =

@@ -37,6 +37,14 @@ let random_hyper seed =
   Workloads.Random_graphs.hyper ~seed ~n:(5 + (seed mod 3)) ~extra_edges:2
     ~hyperedges:2 ~max_hypernode:3 ()
 
+(* The adaptive ladder's dense band, restated: simple inner edges and
+   at least 40% of the complete graph's edges (every graph here is
+   narrower than a small node set). *)
+let in_dense_band g =
+  let n = G.num_nodes g in
+  Core.Dpconv.simple_inner g
+  && float_of_int (G.num_edges g) >= 0.4 *. float_of_int (n * (n - 1) / 2)
+
 (* The deterministic differential suite: named shapes, hyperedge split
    families, and a band of random hypergraphs. *)
 let suite_graphs () =
@@ -191,22 +199,126 @@ let test_adaptive_clique20_budget () =
         (Plans.Plan.to_string p)
         (Plans.Plan.to_string (Option.get r'.Opt.plan))
 
-(* The ladder history as `--profile` and explain print it: the DPconv
-   pre-tier bounding the exact rung on a dense clique, and a certified
-   exact skip followed by the IDP rungs on a wider one. *)
+(* The ladder history as `--profile` and explain print it: GOO's plan
+   bounding the exact rung on dense cliques and answering when that
+   rung runs out, and a certified exact skip followed by the IDP rungs
+   on a sparse star. *)
 let test_adaptive_attempts_pinned () =
-  let attempts n budget =
-    let r = Opt.run ~budget Opt.Adaptive (Workloads.Shapes.clique n) in
+  let attempts g budget =
+    let r = Opt.run ~budget Opt.Adaptive g in
     Format.asprintf "%a" Core.Adaptive.pp_attempts r.Opt.attempts
   in
   Alcotest.(check string) "clique-12, budget 5000"
-    "dpconv(2322 pairs) -> exact(5001 pairs, budget ran out) -> \
-     dpconv(2322 pairs)"
-    (attempts 12 5_000);
+    "greedy(286 pairs) -> exact(5001 pairs, budget ran out) -> \
+     greedy(286 pairs)"
+    (attempts (Workloads.Shapes.clique 12) 5_000);
   Alcotest.(check string) "clique-20, budget 50000"
-    "exact(skipped: needs ≥ 4980736 pairs > budget 50000) -> \
-     idp-10(50001 pairs, budget ran out) -> idp-7(2899 pairs)"
-    (attempts 20 50_000)
+    "greedy(1330 pairs) -> exact(50001 pairs, budget ran out) -> \
+     greedy(1330 pairs)"
+    (attempts (Workloads.Shapes.clique 20) 50_000);
+  Alcotest.(check string) "clique-10, budget 10000"
+    "greedy(165 pairs) -> exact(4255 pairs)"
+    (attempts (Workloads.Shapes.clique 10) 10_000);
+  Alcotest.(check string) "star-10, budget 2000"
+    "exact(skipped: needs ≥ 5120 pairs > budget 2000) -> \
+     idp-10(2001 pairs, budget ran out) -> idp-7(224 pairs)"
+    (attempts (Workloads.Shapes.star 10) 2_000)
+
+(* The dense band: GOO runs first and its cost prunes the exact rung
+   without changing its answer; a sparse graph of the same size never
+   enters the band. *)
+let test_dense_band_prunes () =
+  let g = Workloads.Shapes.clique 12 in
+  let dphyp = Opt.run Opt.Dphyp g and r = Opt.run Opt.Adaptive g in
+  Alcotest.(check string)
+    "adaptive (bound-pruned exact) = plain exact"
+    (Plans.Plan.to_string (Option.get dphyp.Opt.plan))
+    (Plans.Plan.to_string (Option.get r.Opt.plan));
+  check "exact tier won" true (r.Opt.tier = Some Core.Adaptive.Exact);
+  Alcotest.(check string) "greedy first, then the pruned rung"
+    "greedy(286 pairs) -> exact(29605 pairs)"
+    (Format.asprintf "%a" Core.Adaptive.pp_attempts r.Opt.attempts);
+  check "the bound prunes (261625 pairs unpruned)" true
+    (r.Opt.counters.Core.Counters.pairs_considered
+    < dphyp.Opt.counters.Core.Counters.pairs_considered);
+  let r2 = Opt.run Opt.Adaptive (Workloads.Shapes.cycle 12) in
+  check "no greedy attempt on a sparse graph" true
+    (List.for_all
+       (fun (a : Core.Adaptive.attempt) ->
+         a.Core.Adaptive.tier <> Core.Adaptive.Greedy)
+       r2.Opt.attempts)
+
+(* A budget too small for the bounded exact rung: GOO's plan, already
+   in hand, answers instead of degrading to IDP. *)
+let test_dense_band_greedy_answers () =
+  let g = Workloads.Shapes.clique 12 in
+  let exact = cost_of "clique12/dphyp" (Opt.run Opt.Dphyp g) in
+  let r = Opt.run ~budget:5_000 Opt.Adaptive g in
+  check "greedy tier won under budget" true
+    (r.Opt.tier = Some Core.Adaptive.Greedy);
+  Alcotest.(check string)
+    "GOO's plan"
+    (Plans.Plan.to_string (Option.get (Core.Goo.solve g)))
+    (Plans.Plan.to_string (Option.get r.Opt.plan));
+  Alcotest.(check string) "cost" "5.047e+07"
+    (Printf.sprintf "%.4g" (cost_of "clique12/adaptive-budget" r));
+  check "GOO's plan bounds the optimum" true
+    (cost_of "clique12/adaptive-budget" r >= exact)
+
+(* Without a budget the ladder's answer is DPhyp's, byte for byte,
+   whether GOO's cost prunes the exact rung (dense band) or not.
+   Graphs of up to 11 relations range over every density; wider ones
+   stay sparse, where unpruned DPhyp is cheap. *)
+let prop_adaptive_unlimited_same_plan =
+  QCheck.Test.make
+    ~name:"adaptive without budget = dphyp's plan, in and out of the dense band"
+    ~count:80
+    QCheck.(pair (int_bound 10_000) (int_bound 100))
+    (fun (seed, pct) ->
+      let n = 2 + (seed mod 13) in
+      let chords = (n * (n - 1) / 2) - (n - 1) in
+      let pct = if n > 11 then pct mod 15 else pct in
+      let g =
+        Workloads.Random_graphs.simple ~seed ~n
+          ~extra_edges:(2 * chords * pct / 100) ()
+      in
+      List.for_all
+        (fun (model : Costing.Cost_model.t) ->
+          let plan algo =
+            Plans.Plan.to_string (Option.get (Opt.run ~model algo g).Opt.plan)
+          in
+          let a = plan Opt.Adaptive and d = plan Opt.Dphyp in
+          a = d
+          || QCheck.Test.fail_reportf "%s, n=%d, band=%b: adaptive %s, dphyp %s"
+               model.name n (in_dense_band g) a d)
+        [ Costing.Cost_model.c_out; Costing.Cost_model.c_mm ])
+
+(* In the dense band GOO's plan is the floor: at any budget the ladder
+   answers with GOO's plan or a cheaper one.  Cliques of 4-20
+   relations and random dense graphs, at a random budget and at
+   10,000 pairs. *)
+let prop_dense_band_within_goo =
+  QCheck.Test.make ~name:"dense band: ladder cost <= GOO's at any budget"
+    ~count:100
+    QCheck.(pair (int_bound 10_000) (int_bound 20_000))
+    (fun (seed, budget) ->
+      let n = 4 + (seed mod 17) in
+      List.for_all
+        (fun g ->
+          (not (in_dense_band g))
+          ||
+          let goo = (Option.get (Core.Goo.solve g)).Plans.Plan.cost in
+          List.for_all
+            (fun budget ->
+              let c = cost_of "adaptive" (Opt.run ~budget Opt.Adaptive g) in
+              c <= goo *. (1. +. 1e-9)
+              || QCheck.Test.fail_reportf "n=%d, budget %d: ladder %g > GOO %g"
+                   n budget c goo)
+            [ budget; 10_000 ])
+        [
+          Workloads.Shapes.clique n;
+          Workloads.Random_graphs.simple ~seed ~n ~extra_edges:(n * n) ();
+        ])
 
 let test_adaptive_budget_one_falls_to_goo () =
   (* a budget too small for any DP rung must still produce a plan *)
@@ -255,18 +367,28 @@ let test_skip_star29 () =
         && idp.completed && idp.pairs = 6916 && idp.skipped = None)
   | _ -> Alcotest.fail "expected two attempts: exact (skipped), idp-10"
 
+(* Clique-20 is in the dense band, so GOO's cost bounds its exact rung
+   and the certificate (4,980,736 pairs) does not apply: the bounded
+   rung runs out of its 50k budget and GOO's plan answers, at 3.02e4
+   where the skip-then-IDP ladder answered at 2.42e12. *)
 let test_skip_clique20 () =
-  let r = Opt.run ~budget:50_000 Opt.Adaptive (Workloads.Shapes.clique 20) in
-  check "idp-7 answers" true (r.Opt.tier = Some (Core.Adaptive.Idp_k 7));
-  Alcotest.(check int) "winner pairs" 2899
+  let g = Workloads.Shapes.clique 20 in
+  let r = Opt.run ~budget:50_000 Opt.Adaptive g in
+  check "greedy answers" true (r.Opt.tier = Some Core.Adaptive.Greedy);
+  Alcotest.(check int) "winner pairs" 1330
     r.Opt.counters.Core.Counters.pairs_considered;
   Alcotest.(check string)
-    "same plan" "949228c7fb3f40787db7de70fe7d026d" (plan_digest r);
-  (* exact skipped (was 50,001), idp-10 ran out, idp-7 answered *)
-  Alcotest.(check int) "ladder pairs" 52_900 (ladder_pairs r)
+    "GOO's plan"
+    (Plans.Plan.to_string (Option.get (Core.Goo.solve g)))
+    (Plans.Plan.to_string (Option.get r.Opt.plan));
+  Alcotest.(check string) "cost" "3.02e+04"
+    (Printf.sprintf "%.3g" (cost_of "clique-20" r));
+  (* greedy, the bounded exact rung that ran out, greedy again (was
+     52,900: exact skipped, idp-10 ran out, idp-7 answered) *)
+  Alcotest.(check int) "ladder pairs" 52_661 (ladder_pairs r)
 
 (* The certificate counts an unpruned run, so it says nothing about
-   the exact rung the dense pre-tier prunes with its cost bound: on
+   the exact rung GOO's cost bound prunes on a dense graph: on
    clique-12 that rung runs even though min_pairs (11264) exceeds the
    budget. *)
 let test_no_skip_when_bounded () =
@@ -274,11 +396,11 @@ let test_no_skip_when_bounded () =
   check "certificate exceeds the budget" true (Core.Dphyp.min_pairs g > 5_000);
   let r = Opt.run ~budget:5_000 Opt.Adaptive g in
   match r.Opt.attempts with
-  | [ _conv; exact; _answer ] ->
+  | [ _greedy; exact; _answer ] ->
       check "bound-pruned exact ran" true
         (exact.Core.Adaptive.tier = Core.Adaptive.Exact
         && exact.skipped = None && exact.pairs = 5_001)
-  | _ -> Alcotest.fail "expected dpconv, exact, dpconv"
+  | _ -> Alcotest.fail "expected greedy, exact, greedy"
 
 (* The skipped rung still shows in the trace and spans, but it has no
    latency sample: it never ran. *)
@@ -562,12 +684,16 @@ let test_idp_widening_pin () =
           (fun (s : Obs.Span.span) -> List.mem_assoc "widened" s.attrs)
           spans))
 
-(* The gate fires exactly when min_pairs exceeds the budget, and
-   then the rung it skipped would have raised.  Budgets range over
+(* The gate fires exactly when the exact rung would run unpruned (the
+   graph is outside the dense band) and min_pairs exceeds the budget,
+   and then the rung it skipped would have raised.  Budgets range over
    [0, 2·min_pairs], plus both sides of the threshold. *)
 let prop_skip_only_certain_overruns =
   QCheck.Test.make
-    ~name:"gate fires iff min_pairs > budget; skipped rungs would raise" ~count:100
+    ~name:
+      "gate fires iff min_pairs > budget on an unpruned rung; skipped rungs \
+       would raise"
+    ~count:100
     QCheck.(pair (int_bound 10_000) (int_bound 2_000))
     (fun (seed, frac) ->
       let g =
@@ -576,7 +702,7 @@ let prop_skip_only_certain_overruns =
             ~extra_edges:(seed mod 4) ()
         else random_hyper seed
       in
-      let m = Core.Dphyp.min_pairs g in
+      let m = Core.Dphyp.min_pairs g and unpruned = not (in_dense_band g) in
       let skipped budget =
         List.exists
           (fun (a : Core.Adaptive.attempt) -> a.skipped <> None)
@@ -584,7 +710,7 @@ let prop_skip_only_certain_overruns =
       in
       List.for_all
         (fun budget ->
-          let fires = m > budget in
+          let fires = unpruned && m > budget in
           skipped budget = fires
           && ((not fires)
              ||
@@ -867,48 +993,6 @@ let prop_dpconv_cout_random =
       check_dpconv_cout "random-simple" g;
       true)
 
-(* The adaptive dense tier: the convolution runs first on dense simple
-   graphs and its certified bound prunes the exact rung without
-   changing its answer. *)
-let test_dpconv_adaptive_dense () =
-  let g = Workloads.Shapes.clique 12 in
-  let exact = cost_of "clique12/dphyp" (Opt.run Opt.Dphyp g) in
-  let r = Opt.run Opt.Adaptive g in
-  Alcotest.(check (float 1e-9))
-    "adaptive (bound-pruned exact) = plain exact" exact
-    (cost_of "clique12/adaptive" r);
-  check "conv tier attempted" true
-    (List.exists
-       (fun (a : Core.Adaptive.attempt) ->
-         a.Core.Adaptive.tier = Core.Adaptive.Conv)
-       r.Opt.attempts);
-  check "exact tier won" true (r.Opt.tier = Some Core.Adaptive.Exact);
-  (* sparse graph in the same size band: the density gate must not
-     fire and the ladder is exactly what it was before *)
-  let sparse = Workloads.Shapes.cycle 12 in
-  let r2 = Opt.run Opt.Adaptive sparse in
-  check "no conv tier on sparse graph" true
-    (List.for_all
-       (fun (a : Core.Adaptive.attempt) ->
-         a.Core.Adaptive.tier <> Core.Adaptive.Conv)
-       r2.Opt.attempts)
-
-(* Budget large enough for the convolution but not for the pruned
-   exact rung: the certified dpconv plan answers instead of degrading
-   to IDP. *)
-let test_dpconv_adaptive_budget () =
-  let g = Workloads.Shapes.clique 12 in
-  let exact = cost_of "clique12/dphyp" (Opt.run Opt.Dphyp g) in
-  let r = Opt.run ~budget:5_000 Opt.Adaptive g in
-  check "conv tier won under budget" true
-    (r.Opt.tier = Some Core.Adaptive.Conv);
-  let cost = cost_of "clique12/adaptive-budget" r in
-  check "certified plan bounds the optimum" true
-    (cost >= exact -. (1e-9 *. exact));
-  match r.Opt.plan with
-  | None -> Alcotest.fail "no plan from the conv tier"
-  | Some p -> check "conv plan valid" true (Plans.Plan_check.check g p = [])
-
 let test_dpconv_rejects_unsupported () =
   let hyper =
     Workloads.Random_graphs.hyper ~seed:7 ~n:6 ~extra_edges:1 ~hyperedges:2
@@ -1020,6 +1104,12 @@ let () =
             test_adaptive_budget_one_falls_to_goo;
           Alcotest.test_case "attempts line pinned" `Quick
             test_adaptive_attempts_pinned;
+          Alcotest.test_case "dense band prunes, answer unchanged" `Quick
+            test_dense_band_prunes;
+          Alcotest.test_case "dense band: GOO answers under budget" `Quick
+            test_dense_band_greedy_answers;
+          q prop_adaptive_unlimited_same_plan;
+          q prop_dense_band_within_goo;
         ] );
       ( "certified-skip",
         [
@@ -1077,10 +1167,6 @@ let () =
           Alcotest.test_case "cout bound >= exact on suite graphs" `Quick
             test_dpconv_cout_suite;
           q prop_dpconv_cout_random;
-          Alcotest.test_case "adaptive dense tier prunes, answer unchanged"
-            `Quick test_dpconv_adaptive_dense;
-          Alcotest.test_case "adaptive conv tier answers under budget" `Quick
-            test_dpconv_adaptive_budget;
           Alcotest.test_case "rejects unsupported graphs" `Quick
             test_dpconv_rejects_unsupported;
         ] );

@@ -155,25 +155,35 @@ let test_profile_spans () =
         (r.D.counters.Core.Counters.pairs_considered > 0)
 
 let test_profile_adaptive_ladder () =
-  (* a budgeted adaptive run carries the failed exact attempt and the
-     fallback tiers; its spans show every rung *)
-  let ctx = Obs.Span.create () in
-  match
-    D.optimize_graph ~obs:ctx ~algo:Core.Optimizer.Adaptive ~budget:2_000
-      (Workloads.Shapes.clique 12)
-  with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      check "ladder descended" true (List.length r.D.attempts >= 2);
-      check "exact tier lost" true
-        (r.D.tier <> Some Core.Adaptive.Exact && r.D.tier <> None);
-      check "budget context carried" true
-        (Core.Counters.budget r.D.counters = Some 2_000
-        && Core.Counters.remaining r.D.counters <> None);
-      let names = span_names ctx in
-      check "per-tier spans present" true
-        (List.exists (String.starts_with ~prefix:"tier:") names);
-      check "plan-emit span present" true (List.mem "plan-emit" names)
+  (* a budgeted adaptive run carries every attempt and its spans show
+     every rung.  On dense clique-12, GOO runs first, its cost bounds
+     the exact rung, and its plan answers when that rung runs out. *)
+  let ladder budget g =
+    let ctx = Obs.Span.create () in
+    match D.optimize_graph ~obs:ctx ~algo:Core.Optimizer.Adaptive ~budget g with
+    | Error m -> Alcotest.fail m
+    | Ok r -> (r, span_names ctx)
+  in
+  let r, names = ladder 2_000 (Workloads.Shapes.clique 12) in
+  Alcotest.(check string) "clique-12 attempts"
+    "greedy(286 pairs) -> exact(2001 pairs, budget ran out) -> \
+     greedy(286 pairs)"
+    (Format.asprintf "%a" Core.Adaptive.pp_attempts r.D.attempts);
+  check "greedy answers" true (r.D.tier = Some Core.Adaptive.Greedy);
+  check "the answering GOO run is unbudgeted" true
+    (Core.Counters.budget r.D.counters = None);
+  check "greedy and exact spans, no dpconv span" true
+    (List.mem "tier:greedy" names && List.mem "tier:exact" names
+    && not (List.mem "tier:dpconv" names));
+  check "plan-emit span present" true (List.mem "plan-emit" names);
+  (* sparse star-10: the exact rung is skipped and an IDP rung answers
+     on budgeted counters *)
+  let r, names = ladder 2_000 (Workloads.Shapes.star 10) in
+  check "idp-7 answers" true (r.D.tier = Some (Core.Adaptive.Idp_k 7));
+  check "budget context carried" true
+    (Core.Counters.budget r.D.counters = Some 2_000
+    && Core.Counters.remaining r.D.counters <> None);
+  check "no greedy span" false (List.mem "tier:greedy" names)
 
 (* The result carries the optimizer's attempts and table occupancy on
    every request: unobserved, and served from the plan cache. *)
