@@ -5,8 +5,8 @@
    the exact rung on dense graphs) answered, how long it took, how
    much of the budget the winner spent, how many pairs the whole
    ladder spent (a rung skipped on its certificate counts 0; GOO's
-   plan, when it answers a dense graph, counts twice, as its bound
-   run and as the answer), and — where exact DP is cheap enough to run
+   run, which bounds a dense graph's exact rung and may answer,
+   counts once), and — where exact DP is cheap enough to run
    as a reference — how far the returned plan is from the true
    optimum.  The cliques are the dense points: clique-10 at 10k pairs
    finishes its GOO-bounded exact rung, clique-12 at 5k and clique-20

@@ -5,10 +5,7 @@ module He = Hypergraph.Hyperedge
 type t = int64
 
 let equal = Int64.equal
-let compare = Int64.compare
-let hash (f : t) = Int64.to_int f land max_int
 let to_hex f = Printf.sprintf "%016Lx" f
-let pp ppf f = Format.pp_print_string ppf (to_hex f)
 
 (* ---------- FNV-1a (64-bit) ----------
    Pure integer arithmetic: deterministic across runs, domains and
@@ -66,8 +63,8 @@ let edge_sig colors (e : He.t) =
 (* Refinement rounds.  Three rounds propagate information across a
    3-hop neighborhood — plenty to separate the classic shapes — and
    any fixed count preserves invariance; discriminating power beyond
-   this is not a correctness concern because cache hits are confirmed
-   against the exact key (see Plan_cache). *)
+   this is not a correctness concern because the plan cache's exact
+   key, not the fingerprint, decides hits (see Plan_cache). *)
 let rounds = 3
 
 let of_graph g =

@@ -27,10 +27,9 @@
 
     Fingerprints of non-isomorphic graphs {e may} collide (both by
     design — refinement is not a complete isomorphism test — and by
-    pigeonhole); callers that key a cache on them must confirm hits
-    against an exact representation of the query.
-    {!Plan_cache.key} pairs a fingerprint with exactly such a
-    verbatim key for that reason. *)
+    pigeonhole), so they label requests (the telemetry recorder's
+    entries) and never decide a cache hit: {!Plan_cache} keys on the
+    verbatim query. *)
 
 type t
 (** A 64-bit fingerprint. *)
@@ -44,12 +43,5 @@ val of_graph : Hypergraph.Graph.t -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val hash : t -> int
-(** Non-negative; suitable for shard selection and hash tables. *)
-
 val to_hex : t -> string
 (** 16 lowercase hex digits. *)
-
-val pp : Format.formatter -> t -> unit

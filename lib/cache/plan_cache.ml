@@ -1,8 +1,14 @@
-type key = { fp : Fingerprint.t; exact : string }
+(* A served request's [fp] becomes its entry's: see [touch]. *)
+type key = { exact : string; mutable fp : Fingerprint.t Lazy.t }
 
-let key ~fingerprint ~exact = { fp = fingerprint; exact }
+let key ~fingerprint ~exact = { exact; fp = Lazy.from_val fingerprint }
 
-type 'v ready = { value : 'v; mutable priority : float; opt_ms : float }
+let deferred_key ~fingerprint ~exact = { exact; fp = fingerprint }
+
+let fingerprint k = Lazy.force k.fp
+
+type 'v ready =
+  { value : 'v; fp : Fingerprint.t; mutable priority : float; opt_ms : float }
 
 type 'v state = In_flight | Ready of 'v ready
 
@@ -57,22 +63,11 @@ let create ~capacity =
     evictions = Atomic.make 0;
   }
 
-(* FNV-1a over the exact key: shard routing must separate distinct
-   keys that share a fingerprint (isomorphic templates differing only
-   in catalogs are exactly the hot case a replay cache serves), so the
-   stripe index mixes both.  Deterministic and address-free, like the
-   fingerprint itself. *)
-let fnv_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-             0x100000001b3L)
-    s;
-  Int64.to_int !h land max_int
-
+(* [Hashtbl.hash] mixes every byte of the exact key.  A shard's table
+   picks buckets by the low bits of that same hash, so the stripe takes
+   high bits of a multiplicative mix (2^30 × 2^32 fits a positive int). *)
 let shard_of t k =
-  t.shards.((Fingerprint.hash k.fp lxor fnv_string k.exact)
+  t.shards.(((Hashtbl.hash k.exact * 0x9e3779b1) lsr 32)
             mod Array.length t.shards)
 
 let ready_count sh =
@@ -107,14 +102,18 @@ let evict_over_capacity t sh =
     decr over
   done
 
-let touch sh r = r.priority <- sh.clock +. r.opt_ms
+(* Serve [r] to [k]: refresh its priority and hand over its
+   fingerprint, so the requester never computes one. *)
+let touch sh (k : key) r =
+  r.priority <- sh.clock +. r.opt_ms;
+  k.fp <- Lazy.from_val r.fp
 
 let rec find_or_compute t k f =
   let sh = shard_of t k in
   Mutex.lock sh.lock;
   match Hashtbl.find_opt sh.tbl k.exact with
   | Some { state = Ready r; _ } ->
-      touch sh r;
+      touch sh k r;
       Mutex.unlock sh.lock;
       Atomic.incr t.hits;
       (r.value, Hit)
@@ -124,7 +123,7 @@ let rec find_or_compute t k f =
         Condition.wait sh.published sh.lock;
         match Hashtbl.find_opt sh.tbl k.exact with
         | Some { state = Ready r; _ } ->
-            touch sh r;
+            touch sh k r;
             Mutex.unlock sh.lock;
             Atomic.incr t.coalesced;
             Some r.value
@@ -147,8 +146,10 @@ let rec find_or_compute t k f =
       match f () with
       | v ->
           let opt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+          let fp = fingerprint k in
           Mutex.lock sh.lock;
-          entry.state <- Ready { value = v; priority = sh.clock +. opt_ms; opt_ms };
+          entry.state <-
+            Ready { value = v; fp; priority = sh.clock +. opt_ms; opt_ms };
           evict_over_capacity t sh;
           Condition.broadcast sh.published;
           Mutex.unlock sh.lock;

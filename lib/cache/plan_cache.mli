@@ -4,16 +4,14 @@
 
     {2 Keys}
 
-    A {!key} pairs a {!Fingerprint.t} with an {e exact} textual key
-    (e.g. the verbatim {!Hypergraph.Serialize.to_string} of the graph
-    plus the optimizer parameters).  Shard routing hashes both parts
-    (isomorphic templates share a fingerprint, and those are exactly
-    the hot keys a replay workload hammers — routing by fingerprint
-    alone would pile them onto one stripe); the exact key decides
-    hits, so a fingerprint collision — possible by design — can never
-    serve a plan for a different query.  Two requests hit the same
-    entry iff their exact keys are byte-equal, which is what makes
-    cached results byte-identical to fresh ones.
+    A {!key} pairs an {e exact} textual key (e.g. the verbatim
+    {!Hypergraph.Serialize.to_string} of the graph plus the optimizer
+    parameters) with the graph's {!Fingerprint.t}.  The exact key alone
+    routes shards and decides hits: two requests hit the same entry iff
+    their exact keys are byte-equal, which is what makes cached results
+    byte-identical to fresh ones.  The fingerprint only labels the
+    request; a miss computes it and stores it with the entry, and a hit
+    or a coalesced wait reads that copy back (equal keys, equal graph).
 
     {2 Concurrency}
 
@@ -47,6 +45,12 @@
 type key
 
 val key : fingerprint:Fingerprint.t -> exact:string -> key
+
+val deferred_key : fingerprint:Fingerprint.t Lazy.t -> exact:string -> key
+(** Forced only by a miss, or by {!fingerprint} before any lookup. *)
+
+val fingerprint : key -> Fingerprint.t
+(** After a lookup that found an entry, the entry's fingerprint. *)
 
 type 'v t
 

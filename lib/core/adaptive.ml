@@ -102,6 +102,18 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
         record tier false counters;
         None
   in
+  (* GOO, unbudgeted.  The request's budget still frames its answer:
+     the returned counters hold GOO's counts under that budget, so a
+     greedy answer prints and exports the budget it was given. *)
+  let greedy () =
+    let counters = Counters.create () in
+    let plan =
+      tier_span Greedy counters (fun () -> Goo.solve ~model ~counters g)
+    in
+    let answer = Counters.create ?budget () in
+    Counters.absorb ~into:answer counters;
+    (answer, plan)
+  in
   let n = G.num_nodes g in
   (* A rung that answers with a plan or falls through to [next]. *)
   let rec rung tier run ~next =
@@ -113,10 +125,7 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
     | None -> next ()
   and descend = function
     | [] ->
-        let counters = Counters.create () in
-        let plan =
-          tier_span Greedy counters (fun () -> Goo.solve ~model ~counters g)
-        in
+        let counters, plan = greedy () in
         finish Greedy counters 0 plan
     | k :: rest when k >= n ->
         (* k >= n would just repeat the exact run that already blew
@@ -182,16 +191,18 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget g =
          voids the min_pairs certificate; if the bounded rung still
          blows the budget, GOO's plan answers.  A completed rung's
          result stands, [None] on a disconnected graph included. *)
-      let counters = Counters.create () in
-      match
-        tier_span Greedy counters (fun () -> Goo.solve ~model ~counters g)
-      with
-      | None -> exact ~on_exhausted:fall_back ()
-      | Some goo ->
+      match greedy () with
+      | _, None -> exact ~on_exhausted:fall_back ()
+      | counters, Some goo ->
           record Greedy true counters;
           exact
             ~bound:(goo.Plans.Plan.cost *. (1. +. 1e-9))
-            ~on_exhausted:(fun () -> finish Greedy counters 0 (Some goo))
+            ~on_exhausted:(fun () ->
+              (* GOO ran once: its entry moves behind the rung it
+                 bounded, where [finish] lists the winner *)
+              attempts :=
+                List.filter (fun (a : attempt) -> a.tier <> Greedy) !attempts;
+              finish Greedy counters 0 (Some goo))
             ()
   end
 

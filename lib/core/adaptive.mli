@@ -70,10 +70,17 @@ type outcome = {
           cross-product fallback is disabled — not reachable through
           {!Optimizer.run} on connected inputs) *)
   tier : tier;  (** the tier that produced [plan] *)
-  counters : Counters.t;  (** counters of the winning attempt *)
+  counters : Counters.t;
+      (** counters of the winning attempt, under the request's budget:
+          GOO runs unbudgeted, and its answer's counters are a copy
+          of its counts made with [?budget] *)
   dp_entries : int;  (** DP table size of the winning attempt; 0 for
                          IDP/GOO tiers *)
-  attempts : attempt list;  (** every attempt, in execution order *)
+  attempts : attempt list;
+      (** every attempt, the winner last.  In execution order, except
+          that GOO's run on a dense graph is listed once: before the
+          exact rung it bounded when that rung completes, after it
+          (as the winner) when its plan answers. *)
 }
 
 val solve :
@@ -110,13 +117,14 @@ val solve :
     The bound voids the min_pairs certificate, so the bounded rung
     always runs.  If it completes, its result stands — unchanged by
     the pruning, [None] on a disconnected graph; if it runs out of
-    budget, GOO's plan answers (tier {!Greedy}, recorded last).  So in
+    budget, GOO's plan answers (tier {!Greedy}, its one attempt listed
+    after the exact rung's).  So in
     the band the ladder never costs more than GOO's plan. *)
 
 val pp_attempts : Format.formatter -> attempt list -> unit
 (** The ladder history on one line, in execution order:
-    [greedy(286 pairs) -> exact(5001 pairs, budget ran out) ->
-    greedy(286 pairs)], with a skipped rung as
+    [exact(5001 pairs, budget ran out) -> greedy(286 pairs)], with a
+    skipped rung as
     [exact(skipped: needs ≥ N pairs > budget B)]. *)
 
 val exact_baseline :

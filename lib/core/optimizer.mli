@@ -21,8 +21,7 @@ type algorithm =
   | Adaptive
       (** budgeted ladder: DPhyp (or {!Partition} on wide queries),
           then IDP with shrinking k, then GOO ({!Adaptive}); on dense
-          simple graphs a subset-convolution pre-tier ({!Dpconv})
-          bounds and prunes the exact run *)
+          simple graphs GOO's plan bounds and prunes the exact run *)
   | Dpconv of Dpconv.objective
       (** subset-convolution DP ({!Dpconv}): exact bottleneck (C_max)
           optimum in Õ(2^n), or a certified C_out upper bound — simple

@@ -51,7 +51,9 @@ let guard f =
    {!Core.Idp.default_k}, so every key keeps one layout.  Parallel
    DPhyp's domain count is deliberately absent — its plan is
    byte-identical to sequential DPhyp's for every count, so one entry
-   serves all of them (the cache test sweeps the count to prove it). *)
+   serves all of them (the cache test sweeps the count to prove it).
+   Header and graph go into one buffer, without Printf: a cache hit
+   pays for little else. *)
 let exact_key q graph =
   let open Core.Optimizer in
   let algo, k =
@@ -61,13 +63,20 @@ let exact_key q graph =
         (name q.algo ^ ":" ^ Core.Dpconv.objective_name o, Core.Idp.default_k)
     | a -> (name a, Core.Idp.default_k)
   in
-  Printf.sprintf "algo=%s model=%s budget=%s k=%d\n%s" algo
-    (match q.model with
-    | Some (m : Costing.Cost_model.t) -> m.name
-    | None -> Costing.Cost_model.c_out.name)
-    (match q.budget with Some b -> string_of_int b | None -> "unlimited")
-    k
-    (Hypergraph.Serialize.to_string graph)
+  let buf = Buffer.create 1024 in
+  List.iter (Buffer.add_string buf)
+    [
+      "algo="; algo;
+      " model=";
+      (match q.model with
+      | Some (m : Costing.Cost_model.t) -> m.name
+      | None -> Costing.Cost_model.c_out.name);
+      " budget=";
+      (match q.budget with Some b -> string_of_int b | None -> "unlimited");
+      " k="; string_of_int k; "\n";
+    ];
+  Hypergraph.Serialize.add_graph buf graph;
+  Buffer.contents buf
 
 (* Memoized enumeration.  A conflict-mode validity filter is a
    closure the key cannot capture, so those runs bypass the cache
@@ -77,11 +86,12 @@ let exact_key q graph =
    wait returns the memoized result untouched — the cached plan is
    the exact value a fresh run would build, because the key is exact.
 
-   Returns the optimizer result plus the plan-cache outcome name, so
-   the telemetry layer can label series and recorder entries without
-   re-deriving it from span attributes.  [fp] is the request's lazy
-   graph fingerprint, shared with the telemetry recorder so a cached
-   request with telemetry hashes the graph once. *)
+   Returns the optimizer result plus the plan-cache outcome name and
+   key, so the telemetry layer can label series and recorder entries
+   without re-deriving them.  [fp] is the request's lazy graph
+   fingerprint, deferred in the key: a miss forces it, while a hit
+   reads the fingerprint its entry stored, so the recorder's label
+   never costs a cached request a fingerprint. *)
 let run_cached ?obs ?cache ?filter q ~fp graph =
   let run ?filter () =
     Core.Optimizer.run ?obs ?model:q.model ?filter ?budget:q.budget q.algo
@@ -91,7 +101,7 @@ let run_cached ?obs ?cache ?filter q ~fp graph =
   | Some c when filter = None ->
       Obs.Span.with_opt obs "cache" (fun sp ->
           let key =
-            Cache.Plan_cache.key ~fingerprint:(Lazy.force fp)
+            Cache.Plan_cache.deferred_key ~fingerprint:fp
               ~exact:(exact_key q graph)
           in
           let r, outcome =
@@ -99,7 +109,7 @@ let run_cached ?obs ?cache ?filter q ~fp graph =
           in
           let name = Cache.Plan_cache.outcome_name outcome in
           Obs.Span.set_opt sp "cache" (Obs.Span.Str name);
-          (r, Some name))
+          (r, Some (name, key)))
   | _ -> (run ?filter (), None)
 
 (* ---------- serving telemetry ---------- *)
@@ -139,20 +149,23 @@ let observe_span tel (s : Obs.Span.span) =
    own spans, and a flight-recorder entry (which keeps the whole span
    tree when the request was slow).  [minor0]/[major0] are the
    serving domain's [Gc.counters] at the request's start, so the
-   entry's words leave out the worker domains of parallel DPhyp. *)
+   entry's words leave out the worker domains of parallel DPhyp.  The
+   entry's label is the graph's fingerprint: a cached request's key
+   holds it, any other request forces [fp]. *)
 let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
   let wall_s = Obs.Span.now () -. t0 in
   let minor1, _, major1 = Gc.counters () in
   let algo_name = Core.Optimizer.name q.algo in
-  let ok, tier, pairs, cache_outcome =
+  let ok, tier, pairs, cached =
     match outcome with
-    | Ok ((r : Core.Optimizer.result), outc) ->
+    | Ok ((r : Core.Optimizer.result), cached) ->
         ( r.Core.Optimizer.plan <> None,
           Option.map Core.Adaptive.tier_name r.Core.Optimizer.tier,
           r.Core.Optimizer.counters.Core.Counters.pairs_considered,
-          outc )
+          cached )
     | Error () -> (false, None, 0, None)
   in
+  let cache_outcome = Option.map fst cached in
   Obs.Export.observe_s tel ~help:latency_help
     ~labels:
       [
@@ -163,7 +176,11 @@ let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
     "joinopt_optimize_latency_seconds" wall_s;
   List.iter (observe_span tel) spans;
   Obs.Recorder.record (Obs.Export.recorder tel)
-    ~fingerprint:(Cache.Fingerprint.to_hex (Lazy.force fp))
+    ~fingerprint:
+      (Cache.Fingerprint.to_hex
+         (match cached with
+         | Some (_, key) -> Cache.Plan_cache.fingerprint key
+         | None -> Lazy.force fp))
     ~relations:(Hypergraph.Graph.num_nodes graph)
     ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s
     ~minor_words:(minor1 -. minor0) ~major_words:(major1 -. major0)

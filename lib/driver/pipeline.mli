@@ -125,8 +125,11 @@ val optimize_tree :
     returns the cached run's counters, tier, attempts and table
     occupancy, identical to a fresh run's.  Parse,
     simplification, conflict analysis and graph derivation always run
-    — they produce the key — so a hit costs one fingerprint plus one
-    serialization instead of an enumeration.
+    — they produce the key — so a hit costs one serialization and one
+    lookup instead of an enumeration.  The key's graph fingerprint
+    (the recorder's label under [?tel]) is computed on a miss and
+    stored with the entry, so a hit or coalesced wait reads it back
+    rather than fingerprinting its graph.
 
     To record search-space provenance, wrap the call in
     [Inspect.Provenance.with_recording]: every DP table the

@@ -1,25 +1,59 @@
 module Ns = Nodeset.Node_set
 module He = Hyperedge
 
-let set_to_string s = String.concat "," (List.map string_of_int (Ns.to_list s))
+(* The primitive behind Printf's [%.17g], so the bytes match a
+   Printf-written file exactly. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string g =
-  let buf = Buffer.create 512 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "# %d relations, %d edges\n" (Graph.num_nodes g) (Graph.num_edges g);
+let add_float buf x = Buffer.add_string buf (format_float "%.17g" x)
+
+(* A count or a node index, so never negative. *)
+let rec add_int buf i =
+  if i >= 10 then add_int buf (i / 10);
+  Buffer.add_char buf (Char.chr (48 + (i mod 10)))
+
+let add_graph buf g =
+  let add = Buffer.add_string buf in
+  let first = ref true in
+  let member v =
+    if !first then first := false else Buffer.add_char buf ',';
+    add_int buf v
+  in
+  (* [key], then the members in increasing order, comma-separated *)
+  let add_set key s =
+    add key;
+    first := true;
+    Ns.iter member s
+  in
+  add "# ";
+  add_int buf (Graph.num_nodes g);
+  add " relations, ";
+  add_int buf (Graph.num_edges g);
+  add " edges\n";
   for i = 0 to Graph.num_nodes g - 1 do
     let r = Graph.relation g i in
-    pr "rel %s card=%.17g" r.Graph.name r.Graph.card;
-    if not (Ns.is_empty r.Graph.free) then
-      pr " free=%s" (set_to_string r.Graph.free);
-    pr "\n"
+    add "rel ";
+    add r.Graph.name;
+    add " card=";
+    add_float buf r.Graph.card;
+    if not (Ns.is_empty r.Graph.free) then add_set " free=" r.Graph.free;
+    add "\n"
   done;
   Array.iter
     (fun (e : He.t) ->
-      pr "edge u=%s v=%s" (set_to_string e.u) (set_to_string e.v);
-      if not (Ns.is_empty e.w) then pr " w=%s" (set_to_string e.w);
-      pr " op=%s sel=%.17g\n" (Relalg.Operator.symbol e.op) e.sel)
-    (Graph.edges g);
+      add_set "edge u=" e.u;
+      add_set " v=" e.v;
+      if not (Ns.is_empty e.w) then add_set " w=" e.w;
+      add " op=";
+      add (Relalg.Operator.symbol e.op);
+      add " sel=";
+      add_float buf e.sel;
+      add "\n")
+    (Graph.edges g)
+
+let to_string g =
+  let buf = Buffer.create 512 in
+  add_graph buf g;
   Buffer.contents buf
 
 exception Parse of string

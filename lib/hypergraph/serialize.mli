@@ -21,6 +21,11 @@
 
 val to_string : Graph.t -> string
 
+val add_graph : Buffer.t -> Graph.t -> unit
+(** [add_graph buf g] appends {!to_string}'s text of [g] to [buf], in
+    one pass without [Printf]: a caller that prefixes the text (the
+    plan cache's exact key) writes both into one buffer. *)
+
 val of_string : string -> (Graph.t, string) result
 (** Errors carry a line number and a reason.  A [card] must be finite
     and positive: [card=inf] or an overflowing literal such as

@@ -238,6 +238,43 @@ let test_failure_recovery () =
   Alcotest.(check string) "recomputed after failure" "ok" v;
   check "fresh miss" true (o = Pc.Miss)
 
+(* A hit or a coalesced wait reads the fingerprint its entry stored:
+   the requester's deferred fingerprint raises if forced, so any
+   fingerprinting on those paths fails the test. *)
+let test_served_keys_not_fingerprinted () =
+  let c = Pc.create ~capacity:8 in
+  let fp = Fp.of_graph (random_graph 3) in
+  let unforced exact =
+    Pc.deferred_key ~fingerprint:(lazy (failwith "fingerprinted")) ~exact
+  in
+  let miss = Pc.deferred_key ~fingerprint:(lazy fp) ~exact:"q" in
+  check "first is a miss" true
+    (Pc.find_or_compute c miss (fun () -> 1) = (1, Pc.Miss));
+  let k = unforced "q" in
+  check "second is a hit" true
+    (Pc.find_or_compute c k (fun () -> 2) = (1, Pc.Hit));
+  check "the hit reads the stored fingerprint" true
+    (Fp.equal fp (Pc.fingerprint k));
+  (* a waiter on another domain's miss *)
+  let started = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Pc.find_or_compute c (Pc.key ~fingerprint:fp ~exact:"slow") (fun () ->
+            Atomic.set started true;
+            Unix.sleepf 0.05;
+            3))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let k = unforced "slow" in
+  let v, o = Pc.find_or_compute c k (fun () -> 4) in
+  ignore (Domain.join d);
+  check "the waiter is served" true
+    (v = 3 && (o = Pc.Coalesced || o = Pc.Hit));
+  check "the waiter reads the stored fingerprint" true
+    (Fp.equal fp (Pc.fingerprint k))
+
 (* ---------- cached plans are byte-identical to fresh ones ---------- *)
 
 let render (r : (Driver.Pipeline.result, string) Result.t) =
@@ -313,6 +350,39 @@ let test_partition_k_key () =
   Alcotest.(check string) "k = 10 hits the default entry" default k10;
   Alcotest.(check int) "one hit" 1 (Pc.stats cache).Pc.hits
 
+(* The exact key's layout, pinned by the Printf format it was first
+   written with: a request's entry is found under the key that format
+   builds, for block sizes, both DPconv objectives, another cost model
+   and a budget. *)
+let test_exact_key_layout () =
+  let module Opt = Core.Optimizer in
+  let g = Workloads.Shapes.clique 6 in
+  let d = Core.Idp.default_k in
+  List.iter
+    (fun (algo, model, budget, (a, m, b, k)) ->
+      let exact =
+        Printf.sprintf "algo=%s model=%s budget=%s k=%d\n%s" a m b k
+          (Hypergraph.Serialize.to_string g)
+      in
+      let cache = Driver.Pipeline.make_cache ~capacity:4 () in
+      (match Driver.Pipeline.optimize_graph ~cache ~algo ?model ?budget g with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" a msg);
+      check (String.escaped exact) true
+        (Pc.find cache (Pc.key ~fingerprint:(Fp.of_graph g) ~exact) <> None))
+    [
+      (Opt.Dphyp, None, None, ("dphyp", "cout", "unlimited", d));
+      (Opt.Idp { k = 4 }, None, None, ("idp", "cout", "unlimited", 4));
+      ( Opt.Partition { k = 3 }, None, None,
+        ("partition", "cout", "unlimited", 3) );
+      (Opt.Dpconv Cmax, None, None, ("dpconv:cmax", "cout", "unlimited", d));
+      ( Opt.Dpconv Cout_bound, None, None,
+        ("dpconv:cout-bound", "cout", "unlimited", d) );
+      ( Opt.Dphyp, Some Costing.Cost_model.c_mm, None,
+        ("dphyp", "cmm", "unlimited", d) );
+      (Opt.Adaptive, None, Some 5_000, ("adaptive", "cout", "5000", d));
+    ]
+
 let batch_sql =
   [
     "SELECT * FROM a, b, c WHERE a.x = b.x AND b.y = c.y";
@@ -333,9 +403,9 @@ let contains hay needle =
   go 0
 
 (* Cached requests served with telemetry: the plans stay fresh-equal,
-   every flight-recorder entry carries the same fingerprint the cache
-   key was built from (the pipeline hashes the graph once and hands it
-   to both), and the registry exports the serving series. *)
+   every flight-recorder entry carries the graph's fingerprint (a miss
+   computes it for the key and the recorder, a hit reads the one its
+   entry stored), and the registry exports the serving series. *)
 let test_differential_modes () =
   let cache = Driver.Pipeline.make_cache ~capacity:64 () in
   let tel = Obs.Export.create () in
@@ -425,6 +495,8 @@ let () =
             test_cost_aware_eviction;
           Alcotest.test_case "single flight" `Quick test_single_flight;
           Alcotest.test_case "failure recovery" `Quick test_failure_recovery;
+          Alcotest.test_case "served keys are not fingerprinted" `Quick
+            test_served_keys_not_fingerprinted;
         ] );
       ( "differential",
         [
@@ -433,6 +505,7 @@ let () =
           Alcotest.test_case "jobs sweep" `Quick test_differential_jobs;
           Alcotest.test_case "partition default k in the key" `Quick
             test_partition_k_key;
+          Alcotest.test_case "exact key layout" `Quick test_exact_key_layout;
           Alcotest.test_case "conflict modes" `Quick test_differential_modes;
           Alcotest.test_case "filter modes bypass" `Quick
             test_filter_mode_bypass;

@@ -201,20 +201,18 @@ let test_adaptive_clique20_budget () =
 
 (* The ladder history as `--profile` and explain print it: GOO's plan
    bounding the exact rung on dense cliques and answering when that
-   rung runs out, and a certified exact skip followed by the IDP rungs
-   on a sparse star. *)
+   rung runs out (GOO listed once, last, as the winner), and a
+   certified exact skip followed by the IDP rungs on a sparse star. *)
 let test_adaptive_attempts_pinned () =
   let attempts g budget =
     let r = Opt.run ~budget Opt.Adaptive g in
     Format.asprintf "%a" Core.Adaptive.pp_attempts r.Opt.attempts
   in
   Alcotest.(check string) "clique-12, budget 5000"
-    "greedy(286 pairs) -> exact(5001 pairs, budget ran out) -> \
-     greedy(286 pairs)"
+    "exact(5001 pairs, budget ran out) -> greedy(286 pairs)"
     (attempts (Workloads.Shapes.clique 12) 5_000);
   Alcotest.(check string) "clique-20, budget 50000"
-    "greedy(1330 pairs) -> exact(50001 pairs, budget ran out) -> \
-     greedy(1330 pairs)"
+    "exact(50001 pairs, budget ran out) -> greedy(1330 pairs)"
     (attempts (Workloads.Shapes.clique 20) 50_000);
   Alcotest.(check string) "clique-10, budget 10000"
     "greedy(165 pairs) -> exact(4255 pairs)"
@@ -383,9 +381,11 @@ let test_skip_clique20 () =
     (Plans.Plan.to_string (Option.get r.Opt.plan));
   Alcotest.(check string) "cost" "3.02e+04"
     (Printf.sprintf "%.3g" (cost_of "clique-20" r));
-  (* greedy, the bounded exact rung that ran out, greedy again (was
+  check "the answer carries the budget" true
+    (Core.Counters.budget r.Opt.counters = Some 50_000);
+  (* the bounded exact rung that ran out and GOO, counted once (was
      52,900: exact skipped, idp-10 ran out, idp-7 answered) *)
-  Alcotest.(check int) "ladder pairs" 52_661 (ladder_pairs r)
+  Alcotest.(check int) "ladder pairs" 51_331 (ladder_pairs r)
 
 (* The certificate counts an unpruned run, so it says nothing about
    the exact rung GOO's cost bound prunes on a dense graph: on
@@ -396,11 +396,11 @@ let test_no_skip_when_bounded () =
   check "certificate exceeds the budget" true (Core.Dphyp.min_pairs g > 5_000);
   let r = Opt.run ~budget:5_000 Opt.Adaptive g in
   match r.Opt.attempts with
-  | [ _greedy; exact; _answer ] ->
+  | [ exact; _answer ] ->
       check "bound-pruned exact ran" true
         (exact.Core.Adaptive.tier = Core.Adaptive.Exact
         && exact.skipped = None && exact.pairs = 5_001)
-  | _ -> Alcotest.fail "expected greedy, exact, greedy"
+  | _ -> Alcotest.fail "expected exact, greedy"
 
 (* The skipped rung still shows in the trace and spans, but it has no
    latency sample: it never ran. *)

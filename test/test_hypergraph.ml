@@ -526,6 +526,99 @@ let test_serialize_errors () =
     (err "rel A card=1e400\nrel B\nedge u=0 v=1");
   check "comments and blanks ok" false (err "# hi\n\nrel A\nrel B\nedge u=0 v=1")
 
+(* The Printf writer [Serialize.to_string] replaced, kept as the
+   reference its bytes must match: the plan cache's exact keys, the
+   benchmark's graph texts and its digests all read these bytes. *)
+let printf_to_string g =
+  let set_to_string s =
+    String.concat "," (List.map string_of_int (Ns.to_list s))
+  in
+  let buf = Buffer.create 512 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pr "# %d relations, %d edges\n" (G.num_nodes g) (G.num_edges g);
+  for i = 0 to G.num_nodes g - 1 do
+    let r = G.relation g i in
+    pr "rel %s card=%.17g" r.G.name r.G.card;
+    if not (Ns.is_empty r.G.free) then
+      pr " free=%s" (set_to_string r.G.free);
+    pr "\n"
+  done;
+  Array.iter
+    (fun (e : He.t) ->
+      pr "edge u=%s v=%s" (set_to_string e.u) (set_to_string e.v);
+      if not (Ns.is_empty e.w) then pr " w=%s" (set_to_string e.w);
+      pr " op=%s sel=%.17g\n" (Relalg.Operator.symbol e.op) e.sel)
+    (G.edges g);
+  Buffer.contents buf
+
+(* Random graphs for the writer: up to 80 relations (sets past one
+   machine word included), free sets, w hyperedges, every operator in
+   both variants, and statistics at the edges of the float range:
+   1e-300, 1e300, subnormals, integers, thirds and random values. *)
+let writer_graph seed =
+  let rng = Random.State.make [| seed; 4242 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let n =
+    if seed mod 5 = 0 then 63 + Random.State.int rng 18
+    else 1 + Random.State.int rng 12
+  in
+  let subset p exclude =
+    let s = ref Ns.empty in
+    for v = 0 to n - 1 do
+      if (not (Ns.mem v exclude)) && Random.State.float rng 1.0 < p then
+        s := Ns.add v !s
+    done;
+    !s
+  in
+  let cards =
+    [| 1e-300; 1e300; 5e-324; 2.2e-310; 1.; 42.; 1000.; 123456789.;
+       9007199254740992.; 1. /. 3.; 0.1 |]
+  and sels = [| 1.; 5e-324; 1e-300; 4.9e-310; 0.5; 0.1; 1. /. 3.; 1e-6 |] in
+  let stat pool =
+    if Random.State.bool rng then pick pool
+    else
+      (Float.of_int (1 + Random.State.int rng 1_000_000)
+      *. Random.State.float rng 1.0)
+      +. 1e-9
+  in
+  let rels =
+    Array.init n (fun i ->
+        let free =
+          if Random.State.int rng 4 = 0 then subset 0.2 (Ns.singleton i)
+          else Ns.empty
+        in
+        G.base_rel ~free ~card:(stat cards) (Printf.sprintf "R%d" i))
+  in
+  let edges =
+    if n < 2 then [||]
+    else
+      Array.init (Random.State.int rng (2 * n)) (fun id ->
+          let a = Random.State.int rng n in
+          let b = (a + 1 + Random.State.int rng (n - 1)) mod n in
+          let u = Ns.add a (subset 0.1 (Ns.singleton b)) in
+          let v = Ns.add b (subset 0.1 u) in
+          let w =
+            if Random.State.int rng 3 = 0 then subset 0.1 (Ns.union u v)
+            else Ns.empty
+          in
+          let kind = pick (Array.of_list Relalg.Operator.all_kinds) in
+          let dependent =
+            kind <> Relalg.Operator.Full_outer && Random.State.bool rng
+          in
+          let sel = Float.min 1. (stat sels) in
+          He.make ~w ~op:(Relalg.Operator.make ~dependent kind) ~sel ~id u v)
+  in
+  G.make rels edges
+
+let prop_writer_matches_printf =
+  QCheck.Test.make ~name:"to_string = the Printf writer, byte for byte"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let g = writer_graph seed in
+      let s = Hypergraph.Serialize.to_string g in
+      String.equal s (printf_to_string g)
+      || QCheck.Test.fail_reportf "seed %d:@.%s@.Printf:@.%s" seed s
+           (printf_to_string g))
+
 (* ---------- DOT export ---------- *)
 
 let test_dot () =
@@ -760,5 +853,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_serialize_roundtrip;
           Alcotest.test_case "same optimum" `Quick test_serialize_optimizes_same;
           Alcotest.test_case "errors" `Quick test_serialize_errors;
+          QCheck_alcotest.to_alcotest prop_writer_matches_printf;
         ] );
     ]
