@@ -68,11 +68,16 @@ let run ~emit ~counters g dp =
     enumerate_csg_rec c s (Ns.upto v)
   done
 
+(* DPccp carries no neighborhoods: the emitter gets them fresh. *)
+let emit_simple e g s1 s2 =
+  Emit.emit e Emit.Symmetric s1 (G.simple_neighborhood g s1) s2
+    (G.simple_neighborhood g s2)
+
 let solve_with_table ?(model = Costing.Cost_model.c_out)
     ?(counters = Counters.create ()) g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ~model ~counters g dp in
-  run ~emit:(Emit.emit e Emit.Symmetric) ~counters g dp;
+  run ~emit:(emit_simple e g) ~counters g dp;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))
 
 let solve ?model ?counters g = snd (solve_with_table ?model ?counters g)
@@ -84,7 +89,7 @@ let enumerate_ccps g =
   let trace = ref [] in
   let emit s1 s2 =
     trace := (s1, s2) :: !trace;
-    Emit.emit e Emit.Symmetric s1 s2
+    emit_simple e g s1 s2
   in
   run ~emit ~counters g dp;
   List.rev !trace

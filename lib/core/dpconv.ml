@@ -415,9 +415,9 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           let t = split.(s) in
           build t;
           build (s lxor t);
-          Emit.emit emit Emit.Symmetric
-            (Ns.unsafe_of_int t)
-            (Ns.unsafe_of_int (s lxor t))
+          let s1 = Ns.unsafe_of_int t and s2 = Ns.unsafe_of_int (s lxor t) in
+          Emit.emit emit Emit.Symmetric s1 (G.simple_neighborhood g s1) s2
+            (G.simple_neighborhood g s2)
         end
       in
       build full;

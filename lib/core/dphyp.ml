@@ -15,33 +15,47 @@ module G = Hypergraph.Graph
    supersets); the parallel enumerator passes a precomputed pure
    oracle so enumeration can run before — and independently of — any
    table writes.  See Par_dphyp for why an over-approximating oracle
-   still yields identical plans. *)
+   still yields identical plans.
+
+   Every set the ccp loop grows travels with its simple neighborhood
+   (the union of its members' [G.simple_neighbors]), so a neighborhood
+   adds only the neighbors of the subset just added, connectivity is
+   one word test and [emit] resolves the pair from the cut.  [s1] and
+   [nb1] hold the csg [emit_csg] is finding complements for, so the
+   recursion closures capture no more than the sets they grow. *)
 type ctx = {
   g : G.t;
   mem : Ns.t -> bool;
   counters : Counters.t;
-  emit : Ns.t -> Ns.t -> unit;
+  emit : Ns.t -> Ns.t -> Ns.t -> Ns.t -> unit;
+  mutable s1 : Ns.t;
+  mutable nb1 : Ns.t;
 }
 
-let neighborhood c s x =
+let neighborhood c s nb x =
   c.counters.Counters.neighborhood_calls <-
     c.counters.Counters.neighborhood_calls + 1;
-  G.neighborhood c.g s x
+  G.neighborhood c.g s nb x
 
-(* EnumerateCmpRec(S1, S2, X): extend the complement seed S2 until it
-   connects to S1; emit on every connected extension that has a
-   dpTable entry, then recurse.  (Pseudocode fix: one neighborhood, X
-   grows by N only for the recursion.) *)
-let rec enumerate_cmp_rec c s1 s2 x =
-  let n = neighborhood c s2 x in
+(* EnumerateCmpRec(S1, S2, X): extend the complement seed S2 (with
+   simple neighborhood [nb2]) until it connects to S1; emit on every
+   connected extension that has a dpTable entry, then recurse.
+   (Pseudocode fix: one neighborhood, X grows by N only for the
+   recursion.) *)
+let rec enumerate_cmp_rec c s2 nb2 x =
+  let n = neighborhood c s2 nb2 x in
   if not (Ns.is_empty n) then begin
     Se.iter_nonempty n (fun sub ->
         let s2' = Ns.union s2 sub in
         Counters.tick_pair c.counters;
-        if c.mem s2' && G.connects c.g s1 s2' then
-          c.emit s1 s2');
+        if c.mem s2' && G.connects c.g c.s1 c.nb1 s2' then
+          c.emit c.s1 c.nb1 s2'
+            (Ns.union nb2 (G.simple_neighborhood c.g sub)));
     let x' = Ns.union x n in
-    Se.iter_nonempty n (fun sub -> enumerate_cmp_rec c s1 (Ns.union s2 sub) x')
+    Se.iter_nonempty n (fun sub ->
+        enumerate_cmp_rec c (Ns.union s2 sub)
+          (Ns.union nb2 (G.simple_neighborhood c.g sub))
+          x')
   end
 
 (* EmitCsg(S1): find all complement seeds in the neighborhood of S1,
@@ -50,21 +64,24 @@ let rec enumerate_cmp_rec c s1 s2 x =
    seeds that are still to come below it (B_v(N)) so each complement
    is grown from its smallest contained neighbor only. *)
 let emit_csg c s1 =
+  c.s1 <- s1;
+  c.nb1 <- G.simple_neighborhood c.g s1;
   let x = Ns.union s1 (Ns.upto (Ns.min_elt s1)) in
-  let n = neighborhood c s1 x in
+  let n = neighborhood c s1 c.nb1 x in
   Ns.iter_desc
     (fun v ->
-      let s2 = Ns.singleton v in
+      let s2 = Ns.singleton v and nb2 = G.simple_neighbors c.g v in
       Counters.tick_pair c.counters;
-      if G.connects c.g s1 s2 then c.emit s1 s2;
-      enumerate_cmp_rec c s1 s2 (Ns.union x (Ns.inter n (Ns.upto v))))
+      if G.connects c.g s1 c.nb1 s2 then c.emit s1 c.nb1 s2 nb2;
+      enumerate_cmp_rec c s2 nb2 (Ns.union x (Ns.inter n (Ns.upto v))))
     n
 
 (* EnumerateCsgRec(S1, X): grow the connected subgraph S1; every
    extension with a dpTable entry (i.e. connected) is a new csg to
-   find complements for. *)
+   find complements for.  It runs once per csg, so it computes S1's
+   neighborhood afresh rather than carry it. *)
 let rec enumerate_csg_rec c s1 x =
-  let n = neighborhood c s1 x in
+  let n = neighborhood c s1 (G.simple_neighborhood c.g s1) x in
   if not (Ns.is_empty n) then begin
     Se.iter_nonempty n (fun sub ->
         let s1' = Ns.union s1 sub in
@@ -83,12 +100,15 @@ let process_root c v =
   emit_csg c s;
   enumerate_csg_rec c s (Ns.upto v)
 
+let context g ~mem ~counters ~emit =
+  { g; mem; counters; emit; s1 = Ns.empty; nb1 = Ns.empty }
+
 let run_root ~mem ~emit ~counters g v =
-  process_root { g; mem; counters; emit } v
+  process_root (context g ~mem ~counters ~emit) v
 
 (* Seed every leaf, then the descending root loop of Section 3. *)
 let run ~emit ~counters ?(leaf_cost = fun _ -> 0.0) g dp =
-  let c = { g; mem = Plans.Dp_table.mem dp; counters; emit } in
+  let c = context g ~mem:(Plans.Dp_table.mem dp) ~counters ~emit in
   let all = G.all_nodes g in
   Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:(leaf_cost v)) all;
   Ns.iter_desc (fun v -> process_root c v) all
@@ -116,9 +136,9 @@ let enumerate_ccps g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ~model:Costing.Cost_model.c_out ~counters g dp in
   let trace = ref [] in
-  let emit s1 s2 =
+  let emit s1 nb1 s2 nb2 =
     trace := (s1, s2) :: !trace;
-    Emit.emit e Emit.Symmetric s1 s2
+    Emit.emit e Emit.Symmetric s1 nb1 s2 nb2
   in
   run ~emit ~counters g dp;
   List.rev !trace

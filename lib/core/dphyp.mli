@@ -65,22 +65,29 @@ val solve_induced :
 
 val run_root :
   mem:(Nodeset.Node_set.t -> bool) ->
-  emit:(Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit) ->
+  emit:
+    (Nodeset.Node_set.t ->
+    Nodeset.Node_set.t ->
+    Nodeset.Node_set.t ->
+    Nodeset.Node_set.t ->
+    unit) ->
   counters:Counters.t ->
   Hypergraph.Graph.t ->
   int ->
   unit
 (** One iteration of the whole-graph solver's descending root loop:
     enumerate every csg-cmp-pair whose csg has minimal node [v]
-    (exclusion set [upto v]), calling [emit] on each.  [mem] replaces
-    the dpTable-membership connectivity test with a caller-supplied
-    oracle, making the call pure with respect to any DP table: the
-    work under one root depends only on the graph and the oracle, so
-    different roots can run on different domains against per-domain
-    {!Hypergraph.Graph.copy_scratch} copies.  The parallel enumerator
-    ({!Par_dphyp}) is the customer; with [mem] = dpTable
-    membership and roots visited in descending order this is exactly
-    the sequential algorithm. *)
+    (exclusion set [upto v]), calling [emit s1 nb1 s2 nb2] on each,
+    where [nb1] and [nb2] are the sides' carried
+    {!Hypergraph.Graph.simple_neighborhood}s (what {!Emit.emit}
+    takes).  [mem] replaces the dpTable-membership connectivity test
+    with a caller-supplied oracle, making the call pure with respect
+    to any DP table: the work under one root depends only on the graph
+    and the oracle, so different roots can run on different domains
+    against per-domain {!Hypergraph.Graph.copy_scratch} copies.  The
+    parallel enumerator ({!Par_dphyp}) is the customer; with [mem] =
+    dpTable membership and roots visited in descending order this is
+    exactly the sequential algorithm. *)
 
 val enumerate_ccps :
   Hypergraph.Graph.t ->

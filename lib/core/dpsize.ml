@@ -28,8 +28,12 @@ let solve_with_table ?(model = Costing.Cost_model.c_out)
           List.iter
             (fun set2 ->
               Counters.tick_pair counters;
-              if Ns.disjoint set1 set2 && G.connects g set1 set2 then
-                Emit.emit e Emit.Directed set1 set2)
+              if Ns.disjoint set1 set2 then begin
+                let nb1 = G.simple_neighborhood g set1 in
+                if G.connects g set1 nb1 set2 then
+                  Emit.emit e Emit.Directed set1 nb1 set2
+                    (G.simple_neighborhood g set2)
+              end)
             sets2)
         sets1
     done

@@ -91,13 +91,13 @@ let passes_filter t s1 s2 =
       || (c.Counters.filter_rejected <- c.Counters.filter_rejected + 1;
           false)
 
-let emit t dir s1 s2 =
+let emit t dir s1 nb1 s2 nb2 =
   let i1 = Dp.id t.dp s1 in
   if i1 >= 0 then begin
     let i2 = Dp.id t.dp s2 in
     if i2 >= 0 then begin
       let pr = t.pr in
-      let res = Plan.resolve pr.g s1 s2 pr.cand in
+      let res = Plan.resolve pr.g s1 nb1 s2 nb2 pr.cand in
       if res <> Plan.rejected && passes_filter t s1 s2 then begin
         pr.counters.Counters.ccp_emitted <- pr.counters.Counters.ccp_emitted + 1;
         Dp.load t.dp pr.cand i1 i2;
@@ -114,7 +114,10 @@ let candidates ~model ~counters g (p1 : Plan.t) (p2 : Plan.t) =
   in
   let c = Costing.Candidate.create () in
   let pr = { g; model; counters; cand = c; sink } in
-  let res = Plan.resolve g p1.set p2.set c in
+  let res =
+    Plan.resolve g p1.set (G.simple_neighborhood g p1.set) p2.set
+      (G.simple_neighborhood g p2.set) c
+  in
   if res <> Plan.rejected then begin
     c.left_card <- p1.card;
     c.left_cost <- p1.cost;

@@ -77,9 +77,23 @@ val make :
     default one and [bound] is ignored — the parallel enumerator
     buffers candidates this way. *)
 
-val emit : t -> direction -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit
-(** Emit one pair.  No-op if a side has no table entry, no edge
-    connects the pair, or the filter rejects it. *)
+val emit :
+  t ->
+  direction ->
+  Nodeset.Node_set.t ->
+  Nodeset.Node_set.t ->
+  Nodeset.Node_set.t ->
+  Nodeset.Node_set.t ->
+  unit
+(** [emit t dir s1 nb1 s2 nb2] emits one pair, where [nb1] and [nb2]
+    are the sides' {!Hypergraph.Graph.simple_neighborhood}s (DPhyp
+    carries them; other callers compute them).  Resolution gathers
+    the pair's edges from the incidence lists of the cut ([s1 ∩ nb2]
+    or [s2 ∩ nb1], on the side with fewer members) and of that side's
+    nodes on complex edges, so on a graph of simple edges its cost
+    scales with the cut, not with the sides.  No-op if a side has no
+    table entry, no edge connects the pair, or the filter rejects
+    it. *)
 
 val candidates :
   model:Costing.Cost_model.t ->

@@ -158,7 +158,7 @@ let solve_with_table ?obs ?(model = Costing.Cost_model.c_out) ?filter
       Obs.Span.with_opt obs "par:enumerate" (fun sp ->
           Pool.run_fun pool n (fun root wid ->
               let by_layer = buckets.(root) in
-              let emit s1 s2 =
+              let emit s1 _ s2 _ =
                 let k = Ns.cardinal s1 + Ns.cardinal s2 in
                 let v = by_layer.(k) in
                 if stride = 1 then
@@ -251,7 +251,8 @@ let solve_with_table ?obs ?(model = Costing.Cost_model.c_out) ?filter
                           ( Ns.unsafe_of_int v.buf.(2 * pos),
                             Ns.unsafe_of_int v.buf.((2 * pos) + 1) )
                       in
-                      Emit.emit e Emit.Symmetric s1 s2
+                      Emit.emit e Emit.Symmetric s1 (G.simple_neighborhood g s1)
+                        s2 (G.simple_neighborhood g s2)
                     done
                   end);
               Array.iter (cbuf_merge dp merge_cand) bufs

@@ -44,7 +44,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(counters = Counters.create ())
             let rec grow c x =
               counters.Counters.neighborhood_calls <-
                 counters.Counters.neighborhood_calls + 1;
-              let n = G.neighborhood g c x in
+              let n = G.neighborhood g c (G.simple_neighborhood g c) x in
               if not (Ns.is_empty n) then begin
                 Se.iter_nonempty n (fun sub -> consider (Ns.union c sub));
                 let x' = Ns.union x n in

@@ -148,13 +148,15 @@ let observe_span tel (s : Obs.Span.span) =
    ok/error), the phase and tier histograms read from the request's
    own spans, and a flight-recorder entry (which keeps the whole span
    tree when the request was slow).  [minor0]/[major0] are the
-   serving domain's [Gc.counters] at the request's start, so the
-   entry's words leave out the worker domains of parallel DPhyp.  The
-   entry's label is the graph's fingerprint: a cached request's key
-   holds it, any other request forces [fp]. *)
+   serving domain's [Obs.Span.minor_words] and [Gc.counters] major
+   words at the request's start, so the entry's words leave out the
+   worker domains of parallel DPhyp.  The entry's label is the graph's
+   fingerprint: a cached request's key holds it, any other request
+   forces [fp]. *)
 let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
   let wall_s = Obs.Span.now () -. t0 in
-  let minor1, _, major1 = Gc.counters () in
+  let minor1 = Obs.Span.minor_words () in
+  let _, _, major1 = Gc.counters () in
   let algo_name = Core.Optimizer.name q.algo in
   let ok, tier, pairs, cached =
     match outcome with
@@ -183,7 +185,8 @@ let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
          | None -> Lazy.force fp))
     ~relations:(Hypergraph.Graph.num_nodes graph)
     ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s
-    ~minor_words:(minor1 -. minor0) ~major_words:(major1 -. major0)
+    ~minor_words:(float_of_int (minor1 - minor0))
+    ~major_words:(major1 -. major0)
     ~spans ()
 
 let export_cache_stats tel cache =
@@ -259,7 +262,8 @@ let serve ?obs ?tel ?cache q front =
   in
   let mark = Option.map Obs.Span.mark ctx in
   let t0 = Obs.Span.now () in
-  let minor0, _, major0 = Gc.counters () in
+  let minor0 = Obs.Span.minor_words () in
+  let _, _, major0 = Gc.counters () in
   match front ctx with
   | Error m -> Error m
   | Ok front -> (

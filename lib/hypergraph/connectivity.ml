@@ -31,7 +31,7 @@ let rec is_connected c s =
              T ⊆ rest, T ⊊ rest. *)
           Se.exists_nonempty rest (fun s2 ->
               let s1 = Ns.diff s s2 in
-              Graph.connects c.g s1 s2
+              Graph.connects c.g s1 (Graph.simple_neighborhood c.g s1) s2
               && is_connected c s1 && is_connected c s2)
         in
         NsTbl.replace c.memo s result;

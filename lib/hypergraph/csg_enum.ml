@@ -1,6 +1,9 @@
 module Ns = Nodeset.Node_set
 module Se = Nodeset.Subset_enum
 
+(* Nothing here carries neighborhoods: each test computes its own. *)
+let connects g s1 s2 = Graph.connects g s1 (Graph.simple_neighborhood g s1) s2
+
 (* All connected subsets of the node set, ascending numeric order. *)
 let connected_subgraphs g =
   let cache = Connectivity.make_cache g in
@@ -21,7 +24,7 @@ let csg_cmp_pairs g =
             if
               Ns.min_elt s1 < Ns.min_elt s2
               && Connectivity.is_connected cache s2
-              && Graph.connects g s1 s2
+              && connects g s1 s2
             then acc := (s1, s2) :: !acc));
   List.rev !acc
 
@@ -86,11 +89,9 @@ let estimate_connected_subgraphs g =
         in
         match List.map Ns.singleton (Ns.to_list t) with
         | [ si; sj; sk ] when degrees < 4 ->
-            let joins a b c =
-              Graph.connects g a b && Graph.connects g (Ns.union a b) c
-            in
+            let joins a b c = connects g a b && connects g (Ns.union a b) c in
             let connected =
-              if Graph.connects g si sj then joins si sj sk
+              if connects g si sj then joins si sj sk
               else joins si sk sj || joins sj sk si
             in
             if connected then incr c3
@@ -134,7 +135,7 @@ let count_join_trees g =
               if
                 Connectivity.is_connected conn s1
                 && Connectivity.is_connected conn s2
-                && Graph.connects g s1 s2
+                && connects g s1 s2
               then total := !total + (2 * trees s1 * trees s2));
           NsTbl.replace memo s !total;
           !total

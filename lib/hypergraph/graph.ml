@@ -284,8 +284,10 @@ let minimize g simple =
     g.cand_keep.(i) <- !keep
   done
 
-let neighborhood g s x =
-  let simple = Ns.diff (simple_neighborhood g s) (Ns.union s x) in
+(* [nb] is [simple_neighborhood g s], which DPhyp carries down its
+   recursion instead of re-walking [s]. *)
+let neighborhood g s nb x =
+  let simple = Ns.diff nb (Ns.union s x) in
   if Ns.disjoint s g.complex_union then simple
   else begin
     collect_candidates g s x;
@@ -302,50 +304,66 @@ let neighborhood g s x =
 
 exception Found_edge
 
-(* Any edge connecting s1 and s2 covers nodes on both sides, so it is
-   incident to the smaller side — scan only those. *)
-let connects g s1 s2 =
-  let small, big =
-    if Ns.cardinal s1 <= Ns.cardinal s2 then (s1, s2) else (s2, s1)
-  in
+(* The members of [s1] or [s2], whichever side has fewer, that lie on
+   a complex edge — every complex edge meeting both sides is incident
+   to them.  Empty when a side meets no complex edge. *)
+let complex_side g s1 s2 =
+  let c1 = Ns.inter s1 g.complex_union in
+  if Ns.is_empty c1 then c1
+  else
+    let c2 = Ns.inter s2 g.complex_union in
+    if Ns.is_empty c2 then c2
+    else if Ns.cardinal c1 <= Ns.cardinal c2 then c1
+    else c2
+
+(* A simple edge joins s1 and s2 iff s2 meets s1's simple
+   neighborhood: one word test on the common path. *)
+let connects g s1 nb1 s2 =
+  Ns.intersects nb1 s2
+  ||
   try
-    let rem = ref small in
+    let rem = ref (complex_side g s1 s2) in
     while not (Ns.is_empty !rem) do
-      if Ns.intersects g.simple_nb.(Ns.min_elt !rem) big then raise Found_edge;
+      let lst = g.complex_by_node.(Ns.min_elt !rem) in
+      for i = 0 to Array.length lst - 1 do
+        if Hyperedge.connects g.complex_arr.(lst.(i)) s1 s2 then
+          raise Found_edge
+      done;
       rem := Ns.without_min !rem
     done;
-    if Ns.intersects g.complex_union small then begin
-      let rem = ref small in
-      while not (Ns.is_empty !rem) do
-        let lst = g.complex_by_node.(Ns.min_elt !rem) in
-        for i = 0 to Array.length lst - 1 do
-          if Hyperedge.connects g.complex_arr.(lst.(i)) s1 s2 then
-            raise Found_edge
-        done;
-        rem := Ns.without_min !rem
-      done
-    end;
     false
   with Found_edge -> true
 
-(* Gather into [g.edge_buf], deduplicated via stamps and restored to
-   ascending order, the ids of the edges incident to the smaller of
-   the two sets — every edge meeting both sides is among them.
-   Returns the count. *)
-let gather_incident_small g s1 s2 =
-  let small = if Ns.cardinal s1 <= Ns.cardinal s2 then s1 else s2 in
+(* Every edge a pair applies meets both sides, so it is incident to
+   the side with fewer members, and to few of its nodes: a simple edge
+   to one on the cut (a simple neighbor of the other side), a complex
+   edge to one on a complex edge.  Only their incidence lists are
+   scanned — on a graph of simple edges, just the cut's. *)
+let gather_pair_edges g s1 nb1 s2 nb2 =
+  let scan =
+    if Ns.cardinal s1 <= Ns.cardinal s2 then
+      Ns.inter s1 (Ns.union nb2 g.complex_union)
+    else Ns.inter s2 (Ns.union nb1 g.complex_union)
+  in
+  let both = Ns.union s1 s2 in
   g.stamp <- g.stamp + 1;
   let st = g.stamp in
   let cnt = ref 0 in
-  let rem = ref small in
+  let rem = ref scan in
   while not (Ns.is_empty !rem) do
     let lst = g.edges_by_node.(Ns.min_elt !rem) in
     for i = 0 to Array.length lst - 1 do
       let id = lst.(i) in
       if g.edge_stamp.(id) <> st then begin
         g.edge_stamp.(id) <- st;
-        g.edge_buf.(!cnt) <- id;
-        incr cnt
+        let cover = g.edge_covers.(id) in
+        if
+          Ns.subset cover both && Ns.intersects cover s1
+          && Ns.intersects cover s2
+        then begin
+          g.edge_buf.(!cnt) <- id;
+          incr cnt
+        end
       end
     done;
     rem := Ns.without_min !rem
@@ -353,25 +371,15 @@ let gather_incident_small g s1 s2 =
   insertion_sort g.edge_buf !cnt;
   !cnt
 
-let gather_pair_edges g s1 s2 =
-  let cnt = gather_incident_small g s1 s2 in
-  let both = Ns.union s1 s2 in
-  let kept = ref 0 in
-  for i = 0 to cnt - 1 do
-    let id = g.edge_buf.(i) in
-    let cover = g.edge_covers.(id) in
-    if Ns.subset cover both && Ns.intersects cover s1 && Ns.intersects cover s2
-    then begin
-      g.edge_buf.(!kept) <- id;
-      incr kept
-    end
-  done;
-  !kept
-
 let gathered g i = g.edge_buf.(i)
 
+(* A connecting edge is covered by s1 ∪ s2 and meets both sides, so
+   it is among the pair's gathered edges. *)
 let connecting_edges g s1 s2 =
-  let cnt = gather_incident_small g s1 s2 in
+  let cnt =
+    gather_pair_edges g s1 (simple_neighborhood g s1) s2
+      (simple_neighborhood g s2)
+  in
   let acc = ref [] in
   for i = cnt - 1 downto 0 do
     let e = g.edges.(g.edge_buf.(i)) in

@@ -4,10 +4,19 @@
     and free-variable sets for dependent evaluation) and its
     hyperedges.  Construction precomputes per-node indexes — simple
     neighbor masks and, for each node, the complex edges and the edges
-    of any kind whose cover contains it — so that {!neighborhood},
-    {!connects} and {!connecting_edges} only examine edges incident to
-    their argument sets, and owns a scratch arena that makes candidate
-    generation allocation-free on the common path.
+    of any kind whose cover contains it — and owns a scratch arena
+    that makes candidate generation allocation-free on the common
+    path.
+
+    The enumeration accessors take a set together with its simple
+    neighborhood ({!simple_neighborhood}), which DPhyp carries down
+    its recursion, so their cost scales with the cut between the two
+    sides of a pair, not with the sides: {!connects} is one word test
+    unless both sides meet a complex edge, {!gather_pair_edges} scans
+    the incidence lists of the smaller side's nodes on the cut (and on
+    complex edges) only, and {!neighborhood} adds only the complex
+    candidates to the carried set.  Callers that carry nothing pass
+    [simple_neighborhood g s].
 
     Because of that arena the accessors are {b not reentrant}: do not
     call them from inside a callback of another accessor on the same
@@ -79,16 +88,21 @@ val simple_neighborhood : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t
 val complex_edges : t -> Hyperedge.t list
 (** Edges that are not simple, in id order. *)
 
-val neighborhood : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t
-(** [neighborhood g s x] is the paper's [N(S, X)] (Equation 1):
+val neighborhood :
+  t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t ->
+  Nodeset.Node_set.t
+(** [neighborhood g s nb x], where [nb] is [simple_neighborhood g s],
+    is the paper's [N(S, X)] (Equation 1):
     the union over non-subsumed eligible hypernodes [v] of [min(v)],
     where a hypernode [v] is eligible if some edge leads from inside
     [S] to [v] and [v] is disjoint from both [S] and [X].  Generalized
     edges [(u,v,w)] contribute the dynamic hypernode [v ∪ (w \ S)]
     (Section 6). *)
 
-val connects : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> bool
-(** Is there an edge connecting the two disjoint sets (Def. 7)? *)
+val connects :
+  t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> bool
+(** [connects g s1 nb1 s2], where [nb1] is [simple_neighborhood g s1]:
+    is there an edge connecting the two disjoint sets (Def. 7)? *)
 
 val connecting_edges :
   t -> Nodeset.Node_set.t -> Nodeset.Node_set.t ->
@@ -96,12 +110,18 @@ val connecting_edges :
 (** All edges connecting the pair, with orientation relative to
     [(s1, s2)] — what EmitCsgCmp conjoins into the join predicate. *)
 
-val gather_pair_edges : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> int
-(** [gather_pair_edges g s1 s2] collects into the scratch arena, in
-    ascending id order, the edges a join of the disjoint sets [s1] and
-    [s2] is the first to cover: those with [u ∪ v ∪ w ⊆ s1 ∪ s2] that
-    meet both sides.  Returns their count; read them with {!gathered}
-    before the next arena-backed call on [g]. *)
+val gather_pair_edges :
+  t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> Nodeset.Node_set.t ->
+  Nodeset.Node_set.t -> int
+(** [gather_pair_edges g s1 nb1 s2 nb2], where [nb1] and [nb2] are the
+    {!simple_neighborhood}s of [s1] and [s2], collects into the
+    scratch arena, in ascending id order, the edges a join of the
+    disjoint sets [s1] and [s2] is the first to cover: those with
+    [u ∪ v ∪ w ⊆ s1 ∪ s2] that meet both sides.  It scans the
+    incidence lists of the side with fewer members, and of its nodes
+    only those on the cut ([s1 ∩ nb2] or [s2 ∩ nb1]) or on a complex
+    edge.  Returns their count; read them with {!gathered} before the
+    next arena-backed call on [g]. *)
 
 val gathered : t -> int -> int
 (** [gathered g i] — id of the [i]-th edge of the last

@@ -22,7 +22,8 @@ type request = {
   wall_s : float;  (** end-to-end wall clock, seconds *)
   minor_words : float;
       (** minor-heap words the serving domain allocated across the
-          request ([Gc.counters]; worker domains are not counted) *)
+          request ({!Span.minor_words}; worker domains are not
+          counted) *)
   major_words : float;  (** major-heap words, same domain *)
   spans : Span.span list;
       (** full span tree — non-empty only for slow requests *)

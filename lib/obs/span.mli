@@ -3,14 +3,15 @@
     A {!ctx} is a collector created around one optimizer run.  Every
     {!with_} call times a phase (parse, simplify, conflict analysis,
     enumeration, an IDP round, an adaptive tier attempt, ...),
-    captures the allocation delta read from [Gc.counters] and records
-    the completed {!span} in the collector.  The words are the calling
-    domain's exact counts, even when no collection ran inside the
-    span; allocation by other domains (the workers of a [--jobs N]
-    run) is not in them.  The collector is the only
-    place spans go: profiles ({!Metrics.pp_table}), telemetry and the
-    flight recorder read them back with {!spans} / {!spans_since}, and
-    [--trace-out] writes them with {!write_chrome}.
+    captures the allocation delta ({!minor_words} and the major words
+    of [Gc.counters]) and records the completed {!span} in the
+    collector.  The words are the calling domain's exact counts, even
+    when no collection ran inside the span; allocation by other
+    domains (the workers of a [--jobs N] run) is not in them.  The
+    collector is the only place spans go: profiles
+    ({!Metrics.pp_table}), telemetry and the flight recorder read them
+    back with {!spans} / {!spans_since}, and [--trace-out] writes them
+    with {!write_chrome}.
 
     The instrumented libraries take the collector as an [?obs]
     {e option}: code that is not handed one runs the un-instrumented
@@ -47,6 +48,14 @@ type t
 val now : unit -> float
 (** The one clock every component reports from ([Unix.gettimeofday],
     seconds).  Benchmarks and pipeline profiles both use this. *)
+
+val minor_words : unit -> int
+(** Minor-heap words the calling domain has allocated so far, exact
+    and without allocating: [Gc.minor_words] as an int.  (On OCaml
+    5.1 the minor field of [Gc.counters] counts only an eighth of the
+    words allocated since the last minor collection, so spans and
+    request records take their minor words from here and only their
+    major words from [Gc.counters].) *)
 
 val create : unit -> ctx
 (** Fresh collector; the epoch is [now ()]. *)

@@ -37,9 +37,9 @@ let join model ~op ~edge_ids ~sel left right =
    A plan over [s] has applied exactly the edges whose cover lies in
    [s] (doc/algorithm.mld, "applied = covered"), so the edges a join
    of [s1] and [s2] applies are the ones [G.gather_pair_edges]
-   collects: covered by [s1 ∪ s2], meeting both sides.  Those that
-   [He.orient] aligns with the cut are connecting; the rest are
-   pending and conjoined as filters.
+   collects from the cut between them: covered by [s1 ∪ s2], meeting
+   both sides.  Those that [He.orient] aligns with the cut are
+   connecting; the rest are pending and conjoined as filters.
 
    Resolution codes: [rejected]; [0] when every connecting edge is
    inner; otherwise [2 (id + 1) + b] for the single non-inner
@@ -51,8 +51,8 @@ let join model ~op ~edge_ids ~sel left right =
 
 let rejected = -1
 
-let resolve g s1 s2 (c : Costing.Candidate.t) =
-  let n = G.gather_pair_edges g s1 s2 in
+let resolve g s1 nb1 s2 nb2 (c : Costing.Candidate.t) =
+  let n = G.gather_pair_edges g s1 nb1 s2 nb2 in
   let res = ref 0 and connecting = ref false and ok = ref true in
   let pending = ref 0 and conn_sel = ref 1.0 in
   for i = 0 to n - 1 do
@@ -102,9 +102,9 @@ let operator g code =
   if code land 1 = 1 then Op.to_dependent op else op
 
 (* Connecting edges ascending, then pending edges ascending. *)
-let applied_edges g s1 s2 =
+let applied g s1 nb1 s2 nb2 =
   let conn = ref [] and pend = ref [] in
-  for i = G.gather_pair_edges g s1 s2 - 1 downto 0 do
+  for i = G.gather_pair_edges g s1 nb1 s2 nb2 - 1 downto 0 do
     let id = G.gathered g i in
     match He.orient (G.edge g id) s1 s2 with
     | Some _ -> conn := id :: !conn
@@ -112,10 +112,15 @@ let applied_edges g s1 s2 =
   done;
   !conn @ !pend
 
+let applied_edges g s1 s2 =
+  applied g s1 (G.simple_neighborhood g s1) s2 (G.simple_neighborhood g s2)
+
 let make_join g ~code ~card ~cost left right =
   let c = Costing.Candidate.create () in
-  ignore (resolve g left.set right.set c);
-  let edge_ids = applied_edges g left.set right.set in
+  let nb1 = G.simple_neighborhood g left.set
+  and nb2 = G.simple_neighborhood g right.set in
+  ignore (resolve g left.set nb1 right.set nb2 c);
+  let edge_ids = applied g left.set nb1 right.set nb2 in
   {
     set = Ns.union left.set right.set;
     card;

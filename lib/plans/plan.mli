@@ -75,13 +75,17 @@ val resolve :
   Hypergraph.Graph.t ->
   Nodeset.Node_set.t ->
   Nodeset.Node_set.t ->
+  Nodeset.Node_set.t ->
+  Nodeset.Node_set.t ->
   Costing.Candidate.t ->
   int
-(** [resolve g s1 s2 c] resolves the pair.  The join applies its
-    connecting edges (aligned with the cut, Definition 7) and its
-    pending edges (covered by [s1 ∪ s2], meeting both sides, not
-    aligned), which a real optimizer must still evaluate once, as
-    filters.  Returns {!rejected} when no edge connects the pair, a
+(** [resolve g s1 nb1 s2 nb2 c] resolves the pair, where [nb1] and
+    [nb2] are the sides' {!Hypergraph.Graph.simple_neighborhood}s: the
+    edges come from {!Hypergraph.Graph.gather_pair_edges}, which scans
+    only the cut between the sides.  The join applies its connecting
+    edges (aligned with the cut, Definition 7) and its pending edges
+    (covered by [s1 ∪ s2], meeting both sides, not aligned), which a
+    real optimizer must still evaluate once, as filters.  Returns {!rejected} when no edge connects the pair, a
     pending edge is non-inner (the decomposition is invalid), or two
     non-inner edges connect it; otherwise sets [c.sel] to the
     connecting selectivities multiplied in ascending id order, times

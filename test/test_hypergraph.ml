@@ -13,6 +13,12 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ns = Ns.of_list
 
+(* The accessors take a set's simple neighborhood; these tests carry
+   none, so they compute it. *)
+let neighborhood g s x = G.neighborhood g s (G.simple_neighborhood g s) x
+
+let connects g s1 s2 = G.connects g s1 (G.simple_neighborhood g s1) s2
+
 (* The paper's Figure 2 hypergraph: R1..R6 are nodes 0..5. *)
 let fig2 () =
   let simple id a b = He.simple ~id a b in
@@ -97,7 +103,7 @@ let test_neighborhood_paper_example () =
      N(S,X) = {R4} = node 3 — only the canonical representative. *)
   let s = ns [ 0; 1; 2 ] in
   Alcotest.(check (list int)) "N({R1,R2,R3})" [ 3 ]
-    (Ns.to_list (G.neighborhood g s s));
+    (Ns.to_list (neighborhood g s s));
   (* E♮(S,X) = {{R4,R5,R6}}: excluding any one of its members leaves
      no eligible hypernode *)
   List.iter
@@ -105,24 +111,24 @@ let test_neighborhood_paper_example () =
       Alcotest.(check (list int))
         (Printf.sprintf "N({R1,R2,R3}, X+R%d)" (v + 1))
         []
-        (Ns.to_list (G.neighborhood g s (Ns.add v s))))
+        (Ns.to_list (neighborhood g s (Ns.add v s))))
     [ 3; 4; 5 ]
 
 let test_neighborhood_simple_edges () =
   let g = fig2 () in
   (* neighborhood of {R5}=node 4 with nothing excluded: {R4, R6} *)
   Alcotest.(check (list int)) "N({R5})" [ 3; 5 ]
-    (Ns.to_list (G.neighborhood g (ns [ 4 ]) Ns.empty));
+    (Ns.to_list (neighborhood g (ns [ 4 ]) Ns.empty));
   (* with node 3 excluded: {R6} *)
   Alcotest.(check (list int)) "N({R5},X={R4})" [ 5 ]
-    (Ns.to_list (G.neighborhood g (ns [ 4 ]) (ns [ 3 ])))
+    (Ns.to_list (neighborhood g (ns [ 4 ]) (ns [ 3 ])))
 
 let test_neighborhood_exclusion_of_hypernode () =
   let g = fig2 () in
   (* excluding any member of {R4,R5,R6} hides the hyperedge *)
   let s = ns [ 0; 1; 2 ] in
   check "excluded member blocks hypernode" true
-    (Ns.is_empty (G.neighborhood g s (Ns.union s (ns [ 4 ]))))
+    (Ns.is_empty (neighborhood g s (Ns.union s (ns [ 4 ]))))
 
 let test_neighborhood_subsumption () =
   (* two complex edges where one candidate subsumes another: the
@@ -138,7 +144,7 @@ let test_neighborhood_subsumption () =
   (* from {0,1}: candidates {2,3,4} (edge0) and {3,4} (edge1);
      {3,4} ⊂ {2,3,4} so only min{3,4}=3 enters the neighborhood *)
   Alcotest.(check (list int)) "subsumed dropped" [ 3 ]
-    (Ns.to_list (G.neighborhood g (ns [ 0; 1 ]) Ns.empty))
+    (Ns.to_list (neighborhood g (ns [ 0; 1 ]) Ns.empty))
 
 let test_neighborhood_generalized () =
   (* (u={0}, v={2}, w={1}): from S={0}, the dynamic hypernode is
@@ -149,10 +155,10 @@ let test_neighborhood_generalized () =
       [| He.make ~id:0 ~w:(ns [ 1 ]) (ns [ 0 ]) (ns [ 2 ]) |]
   in
   Alcotest.(check (list int)) "dynamic hypernode rep" [ 1 ]
-    (Ns.to_list (G.neighborhood g (ns [ 0 ]) Ns.empty));
+    (Ns.to_list (neighborhood g (ns [ 0 ]) Ns.empty));
   (* from S={0,1}: w is inside S, hypernode is {2} *)
   Alcotest.(check (list int)) "w inside S" [ 2 ]
-    (Ns.to_list (G.neighborhood g (ns [ 0; 1 ]) Ns.empty))
+    (Ns.to_list (neighborhood g (ns [ 0; 1 ]) Ns.empty))
 
 (* ---------- connecting edges ---------- *)
 
@@ -163,7 +169,7 @@ let test_connecting_edges () =
   (match edges with
   | [ (e, He.Forward) ] -> check_int "the hyperedge" 4 e.He.id
   | _ -> Alcotest.fail "expected forward hyperedge");
-  check "no edge R1-R4" false (G.connects g (ns [ 0 ]) (ns [ 3 ]));
+  check "no edge R1-R4" false (connects g (ns [ 0 ]) (ns [ 3 ]));
   check "simple edge backward" true
     (match G.connecting_edges g (ns [ 1 ]) (ns [ 0 ]) with
     | [ (_, He.Backward) ] -> true
@@ -406,7 +412,7 @@ let prop_neighborhood_agrees =
       let s = random_set rng n in
       let s = if Ns.is_empty s then Ns.singleton (Random.State.int rng n) else s in
       let x = random_set rng n in
-      Ns.equal (G.neighborhood g s x) (naive_neighborhood g s x))
+      Ns.equal (neighborhood g s x) (naive_neighborhood g s x))
 
 let prop_connects_agrees =
   QCheck.Test.make ~name:"indexed connects/connecting_edges = naive"
@@ -431,7 +437,7 @@ let prop_connects_agrees =
             (G.connecting_edges g s1 s2)
             (naive_connecting_edges g s1 s2)
         in
-        G.connects g s1 s2 = naive_connects g s1 s2 && same_edges)
+        connects g s1 s2 = naive_connects g s1 s2 && same_edges)
 
 let test_components_long_chain () =
   (* 40 isolated relations glue into a chain of 39 cross-product
@@ -675,11 +681,11 @@ let reference_estimate ?subset g =
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         let si = Ns.singleton nodes.(i) and sj = Ns.singleton nodes.(j) in
-        if G.connects g si sj then begin
+        if connects g si sj then begin
           incr c2;
           for k = j + 1 to n - 1 do
             let sij = Ns.union si sj and sk = Ns.singleton nodes.(k) in
-            if G.connects g sij sk then incr c3
+            if connects g sij sk then incr c3
           done
         end
         else
@@ -687,8 +693,8 @@ let reference_estimate ?subset g =
             let sk = Ns.singleton nodes.(k) in
             let sik = Ns.union si sk and sjk = Ns.union sj sk in
             if
-              (G.connects g si sk && G.connects g sik sj)
-              || (G.connects g sj sk && G.connects g sjk si)
+              (connects g si sk && connects g sik sj)
+              || (connects g sj sk && connects g sjk si)
             then incr c3
           done
       done

@@ -281,6 +281,24 @@ let test_span_empty_alloc () =
     (Printf.sprintf "%.0f words <= %.0f" w empty_span_words)
     true (w <= empty_span_words)
 
+(* A span around a known minor allocation reports that allocation, to
+   within the span's own words: 10,000 list cells are 30,000 words.
+   The minor field of [Gc.counters] read about an eighth of the words
+   allocated since the last minor collection here. *)
+let test_span_minor_words () =
+  let ctx = Obs.Span.create () in
+  let rec build acc k = if k = 0 then acc else build (k :: acc) (k - 1) in
+  Obs.Span.with_ ctx "alloc" (fun _ ->
+      ignore (Sys.opaque_identity (build [] 10_000)));
+  match Obs.Span.spans ctx with
+  | [ s ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "minor words %.0f = 30000 within %.0f" s.minor_words
+           empty_span_words)
+        true
+        (Float.abs (s.minor_words -. 30_000.0) <= empty_span_words)
+  | l -> Alcotest.failf "expected one span, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: bounded ring, slow-span promotion, slowest-k.     *)
 
@@ -466,6 +484,8 @@ let () =
             test_span_major_words;
           Alcotest.test_case "empty span allocation bounded" `Quick
             test_span_empty_alloc;
+          Alcotest.test_case "span counts minor allocation" `Quick
+            test_span_minor_words;
         ] );
       ( "recorder",
         [
