@@ -105,17 +105,13 @@ let k_arg =
   in
   Arg.(value & opt (some int) None & info [ "k" ] ~doc)
 
-let jobs_arg doc =
-  Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-(* -a, -k, --dpconv-objective and --jobs as one algorithm value.  -k
-   sets the block size of idp and partition, the objective is read by
-   dpconv, and --jobs > 1 makes dphyp parallel; each is a usage error
-   on any other algorithm.  Subcommands without --dpconv-objective
-   pass [~objective:false] and run dpconv at its default, cmax; those
-   without --jobs run on one domain. *)
-let algo_term ?(objective = true) ?(jobs = false) () =
-  let with_params (algo : Core.Optimizer.algorithm) k obj jobs =
+(* -a, -k and --dpconv-objective as one algorithm value.  -k sets the
+   block size of idp and partition, and the objective is read by
+   dpconv; each is a usage error on any other algorithm.  Subcommands
+   without --dpconv-objective pass [~objective:false] and run dpconv
+   at its default, cmax. *)
+let algo_term ?(objective = true) () =
+  let with_params (algo : Core.Optimizer.algorithm) k obj =
     let usage flag needs =
       `Error
         ( true,
@@ -124,9 +120,7 @@ let algo_term ?(objective = true) ?(jobs = false) () =
     in
     let takes_k = match algo with Idp _ | Partition _ -> true | _ -> false
     and takes_objective = match algo with Dpconv _ -> true | _ -> false in
-    if jobs > 1 && algo <> Dphyp then
-      usage (Printf.sprintf "--jobs %d" jobs) "dphyp"
-    else if k <> None && not takes_k then usage "-k" "idp or partition"
+    if k <> None && not takes_k then usage "-k" "idp or partition"
     else if obj <> None && not takes_objective then
       usage "--dpconv-objective" "dpconv"
     else
@@ -135,20 +129,10 @@ let algo_term ?(objective = true) ?(jobs = false) () =
         | Idp _, Some k, _ -> Core.Optimizer.Idp { k }
         | Partition _, Some k, _ -> Partition { k }
         | Dpconv _, _, Some o -> Dpconv o
-        | Dphyp, _, _ when jobs > 1 -> Par_dphyp { jobs }
         | _ -> algo)
   in
   let obj = if objective then dpconv_objective_arg else Term.const None in
-  let jobs =
-    if jobs then
-      jobs_arg
-        "Enumeration domains.  With $(docv) > 1 the DPhyp enumeration runs \
-         on a pool of that many domains (layer-synchronous, one DP table); \
-         the chosen plan is byte-identical to --jobs 1 for every value.  \
-         Any other algorithm with $(docv) > 1 is a usage error."
-    else Term.const 1
-  in
-  Term.(ret (const with_params $ algo_arg $ k_arg $ obj $ jobs))
+  Term.(ret (const with_params $ algo_arg $ k_arg $ obj))
 
 let model_arg =
   let model_conv =
@@ -369,7 +353,7 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a SQL query")
-    Term.(const run $ sql_arg $ algo_term ~jobs:true () $ model_arg
+    Term.(const run $ sql_arg $ algo_term () $ model_arg
           $ budget_arg $ conservative_arg $ verbose $ dot_plan $ profile_arg
           $ trace_out_arg)
 
@@ -429,7 +413,7 @@ let explain_cmd =
           pipeline phase (parse, simplify, conflict analysis, hypergraph \
           derivation, enumeration with its tier/round sub-spans) with \
           wall-clock ms, minor-heap allocation and enumeration counters.")
-    Term.(const run $ sql_arg $ algo_term ~jobs:true () $ model_arg
+    Term.(const run $ sql_arg $ algo_term () $ model_arg
           $ budget_arg $ conservative_arg $ cache_cap $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -485,10 +469,12 @@ let replay_stream shape n rp =
   | exception Invalid_argument msg -> Error msg
 
 let serve_jobs_arg =
-  jobs_arg
-    "Serving domains: the replayed requests run concurrently on a pool of \
-     $(docv) domains sharing one plan cache, each request enumerated on \
-     the domain that serves it."
+  let doc =
+    "Serving domains: the replayed requests run concurrently on $(docv) \
+     domains sharing one plan cache, each request enumerated on the \
+     domain that serves it."
+  in
+  Arg.(value & opt positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* Serve every request of the stream through [optimize] on [jobs]
    domains; the message of the first failed request, if any. *)
@@ -604,12 +590,11 @@ let shape_cmd =
     Arg.(value & flag
          & info [ "stable" ]
              ~doc:"Suppress the wall-clock column so output is byte-stable \
-                   across runs (golden tests; e.g. to diff --jobs N against \
-                   --jobs 1).")
+                   across runs (golden tests).")
   in
   Cmd.v
     (Cmd.info "shape" ~doc:"Generate a benchmark graph and optimize it")
-    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term ~jobs:true ()
+    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term ()
           $ model_arg $ budget_arg $ stable $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -651,7 +636,7 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph" ~doc:"Optimize a serialized hypergraph (see \
                             Hypergraph.Serialize for the format)")
-    Term.(const run $ input $ algo_term ~objective:false ~jobs:true ()
+    Term.(const run $ input $ algo_term ~objective:false ()
           $ model_arg $ budget_arg $ save $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)

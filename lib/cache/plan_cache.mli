@@ -15,11 +15,11 @@
 
     {2 Concurrency}
 
-    Safe to share across domains (e.g. the workers of
-    [Parallel.Pool]).  Each shard has its own mutex, so requests for
-    different shards never contend; the global counters are
-    [Atomic.t], bumpable from any domain.  The user-supplied compute
-    function runs {e outside} every lock.
+    Safe to share across domains (e.g. the tasks of a
+    [Driver.Pipeline.run_batch]).  Each shard has its own mutex, so
+    requests for different shards never contend; the global counters
+    are [Atomic.t], bumpable from any domain.  The user-supplied
+    compute function runs {e outside} every lock.
 
     Single flight: when N requests miss on the same key
     concurrently, exactly one runs the computation; the other N−1

@@ -7,7 +7,6 @@ type t = {
   mutable filter_rejected : int;
   mutable neighborhood_calls : int;
   mutable budget_limit : int;
-  shared : int Atomic.t option;
 }
 
 let check_budget budget =
@@ -16,26 +15,15 @@ let check_budget budget =
   | Some b ->
       if b < 0 then invalid_arg "Counters.create: negative budget" else b
 
-let make ~budget_limit ~shared =
+let create ?budget () =
   {
     pairs_considered = 0;
     ccp_emitted = 0;
     cost_calls = 0;
     filter_rejected = 0;
     neighborhood_calls = 0;
-    budget_limit;
-    shared;
+    budget_limit = check_budget budget;
   }
-
-let create ?budget () = make ~budget_limit:(check_budget budget) ~shared:None
-
-let create_shared ?budget () =
-  make ~budget_limit:(check_budget budget) ~shared:(Some (Atomic.make 0))
-
-let fork t =
-  match t.shared with
-  | None -> invalid_arg "Counters.fork: counters were not created shared"
-  | Some _ -> make ~budget_limit:t.budget_limit ~shared:t.shared
 
 let absorb ~into c =
   into.pairs_considered <- into.pairs_considered + c.pairs_considered;
@@ -46,34 +34,20 @@ let absorb ~into c =
 
 let budget t = if t.budget_limit = max_int then None else Some t.budget_limit
 
-let global_pairs t =
-  match t.shared with
-  | None -> t.pairs_considered
-  | Some a -> Atomic.get a
-
 let remaining t =
   if t.budget_limit = max_int then None
-  else Some (max 0 (t.budget_limit - global_pairs t))
+  else Some (max 0 (t.budget_limit - t.pairs_considered))
 
 let tick_pair t =
   t.pairs_considered <- t.pairs_considered + 1;
-  match t.shared with
-  | None -> if t.pairs_considered > t.budget_limit then raise Budget_exhausted
-  | Some a ->
-      (* The fetch-and-add makes the budget a global property of the
-         whole family of forks: the (b+1)-th tick anywhere raises, so
-         concurrent enumerators overshoot by at most one in-flight
-         pair per domain. *)
-      if Atomic.fetch_and_add a 1 + 1 > t.budget_limit then
-        raise Budget_exhausted
+  if t.pairs_considered > t.budget_limit then raise Budget_exhausted
 
 let reset t =
   t.pairs_considered <- 0;
   t.ccp_emitted <- 0;
   t.cost_calls <- 0;
   t.filter_rejected <- 0;
-  t.neighborhood_calls <- 0;
-  match t.shared with None -> () | Some a -> Atomic.set a 0
+  t.neighborhood_calls <- 0
 
 (* Rendered through the shared telemetry formatting so this line can
    never disagree with what `joinopt stats` exports. *)
@@ -87,10 +61,10 @@ let pp ppf t =
        Obs.Export.kv_int "neighborhoods" t.neighborhood_calls;
      ]
     @
-    if t.budget_limit = max_int then [ Obs.Export.kv "budget" "unlimited" ]
-    else
-      [
-        Obs.Export.kv_int "budget" t.budget_limit;
-        Obs.Export.kv_int "remaining"
-          (max 0 (t.budget_limit - global_pairs t));
-      ])
+    match remaining t with
+    | None -> [ Obs.Export.kv "budget" "unlimited" ]
+    | Some r ->
+        [
+          Obs.Export.kv_int "budget" t.budget_limit;
+          Obs.Export.kv_int "remaining" r;
+        ])

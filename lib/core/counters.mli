@@ -36,9 +36,6 @@ type t = {
   mutable budget_limit : int;
       (** maximum [pairs_considered] before {!Budget_exhausted};
           [max_int] means unlimited *)
-  shared : int Atomic.t option;
-      (** shared pair tally for budget enforcement across a family of
-          {!fork}s; [None] for ordinary single-domain counters *)
 }
 
 val create : ?budget:int -> unit -> t
@@ -46,33 +43,17 @@ val create : ?budget:int -> unit -> t
     means unlimited work.  @raise Invalid_argument on a negative
     budget. *)
 
-val create_shared : ?budget:int -> unit -> t
-(** Like {!create}, but budget accounting goes through an atomic
-    tally shared with every {!fork}, so the budget caps the {e
-    total} pairs considered by all domains of a parallel run.  The
-    (b+1)-th tick anywhere raises {!Budget_exhausted}; concurrent
-    enumerators overshoot the sequential trigger point by at most one
-    in-flight pair per domain (see doc/algorithm.mld, "Parallel
-    enumeration"). *)
-
-val fork : t -> t
-(** A domain-private view of shared counters: all plain tallies start
-    at zero and are mutated without synchronization (one fork per
-    domain), while {!tick_pair} charges the shared atomic budget.
-    Fold the forks back with {!absorb} after joining.
-    @raise Invalid_argument on counters not made by {!create_shared}. *)
-
 val absorb : into:t -> t -> unit
-(** Add a fork's plain tallies into the parent (call after the
-    domain running the fork has been joined). *)
+(** [absorb ~into c] adds [c]'s tallies into [into], leaving both
+    budget limits alone (the adaptive ladder frames GOO's unbudgeted
+    counts in the request's budget this way). *)
 
 val budget : t -> int option
 (** The budget the counters were created with, if any. *)
 
 val remaining : t -> int option
 (** Headroom left under the budget ([limit - pairs_considered],
-    floored at 0, counted against the shared tally for
-    {!create_shared} counters); [None] when unlimited. *)
+    floored at 0); [None] when unlimited. *)
 
 val tick_pair : t -> unit
 (** Charge one considered pair.  @raise Budget_exhausted when the

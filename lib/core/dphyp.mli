@@ -35,8 +35,8 @@ val solve :
     every enumeration subtree growing out of a dropped entry is
     skipped too.  The returned plan is identical to the unbounded
     run's whenever the bound is valid and the model is additive with
-    non-negative join costs ([Adaptive] feeds it the certified bound
-    from [Dpconv]'s C_out mode). *)
+    non-negative join costs ([Adaptive] feeds it GOO's plan cost
+    × (1 + 1e-9) on dense simple graphs). *)
 
 val solve_with_table :
   ?model:Costing.Cost_model.t ->
@@ -63,8 +63,7 @@ val solve_induced :
     [Scan] leaves carry the seeded costs, to be flattened before they
     leave the optimizer ({!Idp.flatten}). *)
 
-val run_root :
-  mem:(Nodeset.Node_set.t -> bool) ->
+val run :
   emit:
     (Nodeset.Node_set.t ->
     Nodeset.Node_set.t ->
@@ -72,22 +71,18 @@ val run_root :
     Nodeset.Node_set.t ->
     unit) ->
   counters:Counters.t ->
+  ?leaf_cost:(int -> float) ->
   Hypergraph.Graph.t ->
-  int ->
+  Plans.Dp_table.t ->
   unit
-(** One iteration of the whole-graph solver's descending root loop:
-    enumerate every csg-cmp-pair whose csg has minimal node [v]
-    (exclusion set [upto v]), calling [emit s1 nb1 s2 nb2] on each,
-    where [nb1] and [nb2] are the sides' carried
+(** The whole-graph enumeration on a fresh table: seed every leaf
+    (cost [leaf_cost v], default 0), then visit the roots in
+    descending order, calling [emit s1 nb1 s2 nb2] on each
+    csg-cmp-pair, where [nb1] and [nb2] are the sides' carried
     {!Hypergraph.Graph.simple_neighborhood}s (what {!Emit.emit}
-    takes).  [mem] replaces the dpTable-membership connectivity test
-    with a caller-supplied oracle, making the call pure with respect
-    to any DP table: the work under one root depends only on the graph
-    and the oracle, so different roots can run on different domains
-    against per-domain {!Hypergraph.Graph.copy_scratch} copies.  The
-    parallel enumerator ({!Par_dphyp}) is the customer; with [mem] =
-    dpTable membership and roots visited in descending order this is
-    exactly the sequential algorithm. *)
+    takes).  Connectivity is table membership, so [emit] must install
+    the table entry for [s1 ∪ s2]; {!solve_with_table} passes
+    {!Emit.emit}, a test can wrap it to inspect each pair. *)
 
 val enumerate_ccps :
   Hypergraph.Graph.t ->

@@ -8,6 +8,11 @@ type filter = Ns.t -> Ns.t -> (He.t * He.orientation) list -> bool
 
 type direction = Symmetric | Directed
 
+(* Receives every priced candidate: the candidate (cost and cardinality
+   filled in), the joined set, its left side and the operator code, in
+   the contract order — first the edge-dictated argument order, then
+   the commutative swap.  [make] offers it to the table, [candidates]
+   builds a plan from it. *)
 type sink = Costing.Candidate.t -> Ns.t -> left:Ns.t -> code:int -> unit
 
 (* What pricing a candidate needs; GOO and top-down search use it
@@ -22,7 +27,7 @@ type pricer = {
 
 type t = { pr : pricer; dp : Dp.t; filter : filter option }
 
-(* The default sink.  [bound] is an upper bound on the cost of any
+(* The table's sink.  [bound] is an upper bound on the cost of any
    useful plan: candidates above it never enter the table, which also
    prunes the enumeration subtrees they would have seeded.  Safe
    whenever costs are additive and non-negative (every subplan of an
@@ -31,9 +36,9 @@ type t = { pr : pricer; dp : Dp.t; filter : filter option }
 let offer_within dp bound (c : Costing.Candidate.t) s ~left ~code =
   if c.cost <= bound then Dp.offer dp c s ~left ~code
 
-let make ?filter ?(bound = infinity) ?sink ~model ~counters g dp =
-  let sink = match sink with Some f -> f | None -> offer_within dp bound in
+let make ?filter ?(bound = infinity) ~model ~counters g dp =
   let cand = Costing.Candidate.create () in
+  let sink = offer_within dp bound in
   { pr = { g; model; counters; cand; sink }; dp; filter }
 
 (* Exchange the operands of the candidate: the pair's sides are loaded

@@ -6,8 +6,8 @@
     resolves the join ({!Plans.Plan.resolve}: connecting and pending
     edges, selectivity, operator recovery per Section 5.4), then
     prices each valid argument order — switched to the dependent
-    operator when [FT(P2) ∩ S1 ≠ ∅] (Section 5.6) — and hands it to
-    a sink, by default the DP table.
+    operator when [FT(P2) ∩ S1 ≠ ∅] (Section 5.6) — and offers it to
+    the DP table.
 
     Emission is cost-first: the candidate is a set of floats in a
     {!Costing.Candidate.t}, and one that loses to the incumbent
@@ -39,43 +39,28 @@ type direction =
           symmetric candidate arises when the loop visits the swapped
           pair *)
 
-type sink =
-  Costing.Candidate.t ->
-  Nodeset.Node_set.t ->
-  left:Nodeset.Node_set.t ->
-  code:int ->
-  unit
-(** Receives every priced candidate: the candidate (cost and
-    cardinality filled in), the joined set, its left side and the
-    operator code ({!Plans.Plan.op_code}).  Called in the contract
-    order — first the edge-dictated argument order, then the
-    commutative swap. *)
-
 type t
 (** Emission context: graph, cost model, DP table, counters, filter,
-    sink. *)
+    bound. *)
 
 val make :
   ?filter:filter ->
   ?bound:float ->
-  ?sink:sink ->
   model:Costing.Cost_model.t ->
   counters:Counters.t ->
   Hypergraph.Graph.t ->
   Plans.Dp_table.t ->
   t
-(** The table supplies both sides' entries.  The default sink offers
-    each candidate to the same table ({!Plans.Dp_table.offer}) when
-    its cost is at most [bound] (default [infinity]), a known upper
-    bound on the optimal plan cost — e.g. the certified bound of
-    [Dpconv]'s C_out mode.  Candidates costing more never enter the
-    table, which in turn prunes every enumeration subtree they would
-    have seeded.  Sound whenever the cost model is additive with
-    non-negative join costs: each subplan of an optimal plan costs at
+(** The table supplies both sides' entries, and each priced candidate
+    is offered to the same table ({!Plans.Dp_table.offer}) when its
+    cost is at most [bound] (default [infinity]), a known upper bound
+    on the optimal plan cost — e.g. GOO's plan cost × (1 + 1e-9),
+    which the adaptive ladder passes on dense simple graphs.
+    Candidates costing more never enter the table, which in turn
+    prunes every enumeration subtree they would have seeded.  Sound
+    whenever the cost model is additive with non-negative join costs: each subplan of an optimal plan costs at
     most the optimum, so the surviving table (and the final plan) is
-    identical to the unbounded run's.  A custom [sink] replaces the
-    default one and [bound] is ignored — the parallel enumerator
-    buffers candidates this way. *)
+    identical to the unbounded run's. *)
 
 val emit :
   t ->

@@ -10,7 +10,6 @@ type algorithm =
   | Partition of { k : int }
   | Adaptive
   | Dpconv of Dpconv.objective
-  | Par_dphyp of { jobs : int }
 
 let all =
   [ Dphyp; Dpsize; Dpsub; Dpccp; Goo; Topdown; Tdpart;
@@ -18,7 +17,7 @@ let all =
     Adaptive; Dpconv Dpconv.Cmax ]
 
 let name = function
-  | Dphyp | Par_dphyp _ -> "dphyp"
+  | Dphyp -> "dphyp"
   | Dpsize -> "dpsize"
   | Dpsub -> "dpsub"
   | Dpccp -> "dpccp"
@@ -33,7 +32,7 @@ let name = function
 let of_name s = List.find_opt (fun a -> name a = s) all
 
 let exact = function
-  | Dphyp | Par_dphyp _ | Dpsize | Dpsub | Dpccp | Topdown | Tdpart -> true
+  | Dphyp | Dpsize | Dpsub | Dpccp | Topdown | Tdpart -> true
   | Goo | Idp _ | Partition _ | Adaptive | Dpconv _ -> false
 
 type result = {
@@ -46,28 +45,12 @@ type result = {
 
 let run ?obs ?model ?filter ?budget algo g =
   (match (algo, filter) with
-  | (Dphyp | Par_dphyp _), _ | _, None -> ()
+  | Dphyp, _ | _, None -> ()
   | _ ->
       invalid_arg
         (Printf.sprintf "Optimizer.run: %s does not support a validity filter"
            (name algo)));
-  (* One domain needs no pool, and the parallel replay packs a pair's
-     sides into machine words, so a graph wider than one word runs
-     sequentially too. *)
-  let algo =
-    match algo with
-    | Par_dphyp { jobs }
-      when jobs <= 1
-           || Hypergraph.Graph.num_nodes g > Nodeset.Node_set.small_capacity
-      ->
-        Dphyp
-    | a -> a
-  in
-  let counters =
-    match algo with
-    | Par_dphyp _ -> Counters.create_shared ?budget ()
-    | _ -> Counters.create ?budget ()
-  in
+  let counters = Counters.create ?budget () in
   let with_table (dp, plan) =
     { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
       attempts = [] }
@@ -77,9 +60,6 @@ let run ?obs ?model ?filter ?budget algo g =
   let enumerate () =
     match algo with
     | Dphyp -> with_table (Dphyp.solve_with_table ?model ?filter ~counters g)
-    | Par_dphyp { jobs } ->
-        with_table
-          (Par_dphyp.solve_with_table ?obs ?model ?filter ~counters ~jobs g)
     | Dpsize -> with_table (Dpsize.solve_with_table ?model ~counters g)
     | Dpsub -> with_table (Dpsub.solve_with_table ?model ~counters g)
     | Dpccp -> with_table (Dpccp.solve_with_table ?model ~counters g)

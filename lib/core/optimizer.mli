@@ -27,27 +27,16 @@ type algorithm =
           optimum in Õ(2^n), or a certified C_out upper bound — simple
           inner-join graphs of at most {!Dpconv.max_relations}
           relations only *)
-  | Par_dphyp of { jobs : int }
-      (** DPhyp on [jobs] domains ({!Par_dphyp}): the plan, table
-          occupancy and emission-side counters of {!Dphyp}, whose
-          name it shares.  At [jobs <= 1], or past
-          {!Nodeset.Node_set.small_capacity} relations, it runs
-          sequential DPhyp. *)
 (** An algorithm value carries every parameter its algorithm reads:
-    IDP's block size, the partitioned tier's stitch size, DPconv's
-    objective and parallel DPhyp's domain count.  The other eight
-    take only the graph. *)
+    IDP's block size, the partitioned tier's stitch size and DPconv's
+    objective.  The other eight take only the graph. *)
 
 val all : algorithm list
 (** Every algorithm once, parameters at their defaults (see
-    {!of_name}).  [Par_dphyp] is not listed: it is [Dphyp] run on
-    more domains. *)
+    {!of_name}). *)
 
 val name : algorithm -> string
-(** The algorithm's name, without its parameters.  [Par_dphyp] is
-    ["dphyp"], so plan-cache keys, telemetry labels, {!plan_source}
-    and the ["enumerate:dphyp"] span do not depend on the domain
-    count. *)
+(** The algorithm's name, without its parameters. *)
 
 val of_name : string -> algorithm option
 (** The inverse of {!name}, with the defaults: [Idp] at
@@ -97,15 +86,13 @@ val run :
 
     [?filter] is an external validity filter ({!Emit.filter}: CD-C's
     conflict rules, or the Section 5.8 generate-and-test TES test);
-    only [Dphyp] and [Par_dphyp] accept one.
+    only [Dphyp] accepts one.
 
-    This is the one place an algorithm value becomes a solver call;
-    [Par_dphyp] runs on a pool of its [jobs] domains created for the
-    call, its phase spans nested under ["enumerate:dphyp"].
+    This is the one place an algorithm value becomes a solver call.
 
     @raise Invalid_argument when [Dpccp] is given a hypergraph with
     non-simple edges, or a [filter] is passed to any algorithm but
-    [Dphyp] and [Par_dphyp]. *)
+    [Dphyp]. *)
 
 val plan_source : algorithm -> Adaptive.tier option -> string
 (** Provenance label of a plan: the algorithm name, refined to

@@ -48,12 +48,9 @@ let guard f =
    file order); algorithm, cost model, budget and block size are
    prepended.  DPconv's objective changes its plan, so it refines the
    algorithm component; an algorithm without a block size prints
-   {!Core.Idp.default_k}, so every key keeps one layout.  Parallel
-   DPhyp's domain count is deliberately absent — its plan is
-   byte-identical to sequential DPhyp's for every count, so one entry
-   serves all of them (the cache test sweeps the count to prove it).
-   Header and graph go into one buffer, without Printf: a cache hit
-   pays for little else. *)
+   {!Core.Idp.default_k}, so every key keeps one layout.  Header and
+   graph go into one buffer, without Printf: a cache hit pays for
+   little else. *)
 let exact_key q graph =
   let open Core.Optimizer in
   let algo, k =
@@ -149,8 +146,7 @@ let observe_span tel (s : Obs.Span.span) =
    own spans, and a flight-recorder entry (which keeps the whole span
    tree when the request was slow).  [minor0]/[major0] are the
    serving domain's [Obs.Span.minor_words] and [Gc.counters] major
-   words at the request's start, so the entry's words leave out the
-   worker domains of parallel DPhyp.  The entry's label is the graph's
+   words at the request's start.  The entry's label is the graph's
    fingerprint: a cached request's key holds it, any other request
    forces [fp]. *)
 let tel_record tel q ~spans ~t0 ~minor0 ~major0 ~graph ~fp outcome =
@@ -326,16 +322,39 @@ let optimize_graph ?obs ?tel ?cache ?(algo = Core.Optimizer.Dphyp) ?model
   let q = { algo; model; budget } in
   serve ?obs ?tel ?cache q (fun _ -> Ok (Graph graph))
 
-(* Inter-query parallelism: one pool task per query, each running
-   [f] — typically a full sequential pipeline call — on whichever
-   domain picks it up. *)
+(* Inter-query parallelism, one shot: the caller and [min jobs n - 1]
+   spawned domains take task indices from one atomic counter, each
+   running [f] — typically a full sequential pipeline call — on the
+   domain that took it.  A failure moves the counter past the end, so
+   no task starts after it.  Every index below the failing one was
+   taken by then, so the lowest-indexed failing task always runs, and
+   its exception is the one re-raised.  [Domain.join] publishes the
+   workers' writes to [out] and [err]. *)
 let run_batch ~jobs f xs =
+  if jobs < 1 then invalid_arg "Pipeline.run_batch: jobs must be >= 1";
   let xs = Array.of_list xs in
-  let out = Array.make (Array.length xs) None in
-  Parallel.Pool.with_pool ~jobs (fun pool ->
-      Parallel.Pool.run_fun pool (Array.length xs) (fun i _wid ->
-          out.(i) <- Some (f xs.(i))));
-  Array.to_list (Array.map Option.get out)
+  let n = Array.length xs in
+  let out = Array.make n None and err = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (match f xs.(i) with
+      | y -> out.(i) <- Some y
+      | exception e ->
+          err.(i) <- Some (e, Printexc.get_raw_backtrace ());
+          Atomic.set next n);
+      work ()
+    end
+  in
+  let domains =
+    List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn work)
+  in
+  work ();
+  List.iter Domain.join domains;
+  match Array.find_map Fun.id err with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> Array.to_list (Array.map Option.get out)
 
 let verify_on_data ?(rows = 8) ?(seed = 42) r =
   let inst = Executor.Instance.for_tree ~rows ~seed r.tree in

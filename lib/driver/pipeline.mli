@@ -54,9 +54,7 @@ type plan_cache = Core.Optimizer.result Cache.Plan_cache.t
     sharding plus the verbatim serialized graph and optimizer
     parameters — so a hit returns a result byte-identical (plan tree,
     cost, counters, tier) to what a fresh enumeration would produce.
-    Parallel DPhyp's domain count is not part of the key: its output
-    is byte-identical to sequential DPhyp's, so one entry serves DPhyp
-    on any number of domains.  {!Cdc} requests bypass the cache: their
+    {!Cdc} requests bypass the cache: their
     validity filter is a closure the key cannot capture. *)
 
 val make_cache : capacity:int -> unit -> plan_cache
@@ -114,7 +112,7 @@ val optimize_tree :
     a refused input ([Dpccp] on a hypergraph, {!Cdc} under any
     algorithm but DPhyp) is [Error] with its reason.  The algorithm
     value carries its own parameters (IDP's block size, DPconv's
-    objective, parallel DPhyp's domain count), and the plan-cache key
+    objective), and the plan-cache key
     includes those that can change the plan.
     [Error] also reports an invalid tree, and a run that finds no plan
     as ["no valid plan found"].
@@ -133,9 +131,8 @@ val optimize_tree :
 
     To record search-space provenance, wrap the call in
     [Inspect.Provenance.with_recording]: every DP table the
-    enumeration builds records into the recorder, parallel DPhyp's
-    included (it builds its one table on the calling domain).  A
-    plan-cache hit builds no table and records nothing.
+    enumeration builds on the calling domain records into the
+    recorder.  A plan-cache hit builds no table and records nothing.
 
     [?tel] is always-on serving telemetry, independent of [?obs]:
     every request records into the
@@ -188,14 +185,19 @@ val optimize_graph :
 
 val run_batch : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Inter-query parallelism: [run_batch ~jobs f xs] applies [f] to
-    every query concurrently on a fresh pool of [jobs] domains (one
-    task per query), returning the results in input order.  [f] is
-    typically a call of {!optimize_graph} or {!optimize_tree} with
-    whatever parameters the batch uses; a plan cache and a telemetry
-    registry are safe to share between its calls, and duplicate
-    queries within one batch are optimized once (single flight).  A
-    span collector is not: give each call its own, or none.  A task
-    that raises aborts the whole batch. *)
+    every query and returns the results in input order.  The caller
+    and [min jobs (List.length xs) - 1] domains spawned for this call
+    take the queries from one shared counter, and every domain is
+    joined before it returns; [jobs = 1] spawns nothing and runs [f]
+    on the calling domain, in input order.  [f] is typically a call
+    of {!optimize_graph} or {!optimize_tree} with whatever parameters
+    the batch uses; a plan cache and a telemetry registry are safe to
+    share between its calls, and duplicate queries within one batch
+    are optimized once (single flight).  A span collector is not:
+    give each call its own, or none.  Once a task raises, no further
+    task starts, and the exception of the lowest-indexed failing task
+    is re-raised with its backtrace.
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val verify_on_data :
   ?rows:int -> ?seed:int -> result -> (int, string) Result.t

@@ -146,25 +146,6 @@ let make relations edges =
     stamp = 0;
   }
 
-(* A shallow copy sharing every immutable index but owning a fresh
-   scratch arena.  This is the unit of domain-parallelism: the
-   relations, edges and incidence indexes are written once by [make]
-   and only read afterwards, so any number of domains may use their
-   own copy concurrently — the arena (the only mutable state) is
-   private to each copy. *)
-let copy_scratch g =
-  {
-    g with
-    cand = Array.make (Array.length g.cand) Ns.empty;
-    cand_card = Array.make (Array.length g.cand_card) 0;
-    cand_order = Array.make (Array.length g.cand_order) 0;
-    cand_keep = Array.make (Array.length g.cand_keep) false;
-    cand_len = 0;
-    edge_buf = Array.make (Array.length g.edge_buf) 0;
-    edge_stamp = Array.make (Array.length g.edge_stamp) 0;
-    stamp = 0;
-  }
-
 let num_nodes g = g.n
 
 let all_nodes g = Ns.full g.n

@@ -47,13 +47,6 @@ val make : rel array -> Hyperedge.t array -> t
     inconsistent ids, out-of-range nodes, or more than
     [Node_set.max_nodes] relations. *)
 
-val copy_scratch : t -> t
-(** A copy sharing all immutable indexes but owning a fresh scratch
-    arena.  The immutable parts are written once by {!make} and only
-    read afterwards, so giving each domain its own copy makes the
-    arena-backed accessors ({!neighborhood}, {!connecting_edges}, …)
-    safe to call concurrently — one copy per domain, never shared. *)
-
 val num_nodes : t -> int
 
 val all_nodes : t -> Nodeset.Node_set.t

@@ -25,10 +25,8 @@ module G = Hypergraph.Graph
    algorithm layers label their tables with
    Plans.Dp_table.with_context; the label is captured into each
    champion entry.  The hook is domain-local, so recording covers the
-   tables the calling domain builds inside the wrapped call: a
-   parallel DPhyp run (one table, filled on the calling domain)
-   records what the sequential run records, and a batch running on
-   other domains records nothing. *)
+   tables the calling domain builds inside the wrapped call; a batch
+   running on other domains records nothing. *)
 
 module NsTbl = Hashtbl.Make (struct
   type t = Ns.t

@@ -24,11 +24,9 @@
     ]}
 
     The hook is domain-local, so the recording covers the tables the
-    calling domain builds inside the call.  A parallel DPhyp run
-    builds its one table on the calling domain and fills it in
-    sequential per-subset order, so [Par_dphyp { jobs }] records what
-    [Dphyp] records; a plan-cache hit builds no table and records
-    nothing; work on other domains (a batch) is not recorded.
+    calling domain builds inside the call; a plan-cache hit builds no
+    table and records nothing; work on other domains (a batch) is not
+    recorded.
 
     Renders three ways: {!pp_table} (the human memo dump behind
     [joinopt inspect]), {!to_json} (the [obs_inspect/v1] schema), and

@@ -22,7 +22,7 @@ type request = {
   wall_s : float;  (** end-to-end wall clock, seconds *)
   minor_words : float;
       (** minor-heap words the serving domain allocated across the
-          request ({!Span.minor_words}; worker domains are not
+          request ({!Span.minor_words}; other domains are not
           counted) *)
   major_words : float;  (** major-heap words, same domain *)
   spans : Span.span list;

@@ -7,7 +7,7 @@
     of [Gc.counters]) and records the completed {!span} in the
     collector.  The words are the calling domain's exact counts, even
     when no collection ran inside the span; allocation by other
-    domains (the workers of a [--jobs N] run) is not in them.  The
+    domains (the other tasks of a batch) is not in them.  The
     collector is the only place spans go: profiles
     ({!Metrics.pp_table}), telemetry and the flight recorder read them
     back with {!spans} / {!spans_since}, and [--trace-out] writes them

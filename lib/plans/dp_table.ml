@@ -61,8 +61,8 @@ type t = {
    active (tier, block, round) for the same observer.  Both are
    domain-local: a spawned domain starts with no observer and an
    empty label, so recording covers exactly the tables the calling
-   domain builds, and concurrent runs on other domains (a batch, a
-   pool) neither leak into the recorder nor see its labels. *)
+   domain builds, and concurrent runs on other domains (a batch)
+   neither leak into the recorder nor see its labels. *)
 
 let create_observer : (t -> unit) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)

@@ -1,7 +1,8 @@
 (* Plan-cache layer: fingerprint invariances (qcheck), eviction and
    single-flight semantics of the concurrent cache, and the
    differential guarantee that a cached plan is byte-identical to a
-   fresh uncached enumeration across algorithms, modes and jobs. *)
+   fresh uncached enumeration across algorithms, modes and batch
+   jobs counts. *)
 
 module Fp = Cache.Fingerprint
 module Pc = Cache.Plan_cache
@@ -308,24 +309,23 @@ let test_differential_graphs () =
         Core.Optimizer.all)
     [ 0; 1; 2; 3; 4; 5 ]
 
+(* A batch sweep: every jobs count serves four copies of one request
+   through a shared cache, each on its own graph.  All equal the fresh
+   render, and single flight makes the first batch's one miss the only
+   one. *)
 let test_differential_jobs () =
   let cache = Driver.Pipeline.make_cache ~capacity:64 () in
-  let g = Workloads.Shapes.star 7 in
-  let fresh = render (Driver.Pipeline.optimize_graph g) in
+  let fresh = render (Driver.Pipeline.optimize_graph (Workloads.Shapes.star 7)) in
   List.iter
     (fun jobs ->
-      let cached =
-        render
-          (Driver.Pipeline.optimize_graph ~cache
-             ~algo:(Core.Optimizer.Par_dphyp { jobs })
-             g)
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d same bytes through cache" jobs)
-        fresh cached)
+      Driver.Pipeline.run_batch ~jobs
+        (fun g -> render (Driver.Pipeline.optimize_graph ~cache g))
+        (List.init 4 (fun _ -> Workloads.Shapes.star 7))
+      |> List.iter
+           (Alcotest.(check string)
+              (Printf.sprintf "jobs=%d same bytes through cache" jobs)
+              fresh))
     [ 1; 2; 3; 4 ];
-  (* the domain count is not part of the key: one entry served all
-     four sweeps *)
   Alcotest.(check int) "one miss across the jobs sweep" 1
     (Pc.stats cache).Pc.misses
 

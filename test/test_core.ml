@@ -1006,12 +1006,7 @@ let carried_agrees g =
       [ (s1, nb1); (s2, nb2) ];
     Core.Emit.emit e Core.Emit.Symmetric s1 nb1 s2 nb2
   in
-  for v = 0 to G.num_nodes g - 1 do
-    Plans.Dp_table.leaf dp v ~cost:0.0
-  done;
-  for v = G.num_nodes g - 1 downto 0 do
-    Core.Dphyp.run_root ~mem:(Plans.Dp_table.mem dp) ~emit ~counters g v
-  done;
+  Core.Dphyp.run ~emit ~counters g dp;
   !ok && !pairs = List.length (Core.Dphyp.enumerate_ccps g)
 
 (* The same agreement on random disjoint pairs, which also covers the

@@ -1009,75 +1009,6 @@ let test_dpconv_rejects_unsupported () =
   check "clique-19 over the cap" false
     (Dc.supported (Workloads.Shapes.clique 19))
 
-(* ---------- parallel enumeration is invisible ---------- *)
-
-(* Whatever the shape, the size (n <= 14) and the jobs count, the
-   parallel enumerator must hand back plans identical in cost and
-   structure to the sequential run — the deterministic tie-break makes
-   this exact string equality, not just cost agreement. *)
-
-let plan_fingerprint (r : D.result) =
-  Printf.sprintf "%s|%.17g|%.17g"
-    (Plans.Plan.to_string r.D.plan)
-    r.D.plan.Plans.Plan.cost r.D.plan.Plans.Plan.card
-
-let prop_parallel_identical_shapes =
-  QCheck.Test.make
-    ~name:"parallel dphyp jobs in {1,2,4} = sequential (random shapes)"
-    ~count:24
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let g =
-        match seed mod 4 with
-        | 0 -> Workloads.Shapes.chain (4 + (seed mod 11)) (* n <= 14 *)
-        | 1 -> Workloads.Shapes.cycle (4 + (seed mod 11))
-        | 2 -> Workloads.Shapes.star (4 + (seed mod 11))
-        | _ -> Workloads.Shapes.clique (4 + (seed mod 7)) (* n <= 10 *)
-      in
-      match D.optimize_graph g with
-      | Error m -> QCheck.Test.fail_report m
-      | Ok seq ->
-          List.for_all
-            (fun jobs ->
-              match D.optimize_graph ~algo:(Opt.Par_dphyp { jobs }) g with
-              | Ok par -> plan_fingerprint par = plan_fingerprint seq
-              | Error m -> QCheck.Test.fail_report m)
-            [ 1; 2; 4 ])
-
-let prop_parallel_identical_modes =
-  QCheck.Test.make
-    ~name:"parallel dphyp identical under every conflict mode" ~count:10
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let tree =
-        if seed mod 2 = 0 then
-          Workloads.Noninner.star_antijoins
-            ~n_rel:(5 + (seed mod 3))
-            ~k:(1 + (seed mod 3))
-            ()
-        else
-          Workloads.Noninner.cycle_outerjoins
-            ~n_rel:(5 + (seed mod 3))
-            ~k:(1 + (seed mod 2))
-            ()
-      in
-      List.for_all
-        (fun (mname, mode) ->
-          match D.optimize_tree ~mode tree with
-          | Error m -> QCheck.Test.fail_report (mname ^ ": " ^ m)
-          | Ok seq ->
-              List.for_all
-                (fun jobs ->
-                  match
-                    D.optimize_tree ~mode ~algo:(Opt.Par_dphyp { jobs }) tree
-                  with
-                  | Ok par -> plan_fingerprint par = plan_fingerprint seq
-                  | Error m ->
-                      QCheck.Test.fail_report
-                        (Printf.sprintf "%s/jobs%d: %s" mname jobs m))
-                [ 2; 4 ])
-        modes)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "differential"
@@ -1169,10 +1100,5 @@ let () =
           q prop_dpconv_cout_random;
           Alcotest.test_case "rejects unsupported graphs" `Quick
             test_dpconv_rejects_unsupported;
-        ] );
-      ( "parallel",
-        [
-          q prop_parallel_identical_shapes;
-          q prop_parallel_identical_modes;
         ] );
     ]

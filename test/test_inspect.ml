@@ -269,32 +269,6 @@ let test_recording_wraps_pipeline () =
       check "profile table has a major-words column" true
         (contains "major-words" table)
 
-(* The parallel enumerator builds and fills its one table on the
-   calling domain, in sequential per-subset order, so a two-domain
-   recording is the one-domain recording. *)
-let test_recording_parallel_equals_sequential () =
-  let recorded jobs g =
-    let prov = Prov.create () in
-    (match
-       Prov.with_recording prov (fun () ->
-           Driver.Pipeline.optimize_graph
-             ~algo:(Core.Optimizer.Par_dphyp { jobs })
-             g)
-     with
-    | Ok _ -> ()
-    | Error m -> Alcotest.fail m);
-    Prov.to_json ~names:(fun i -> (G.relation g i).G.name) ~name:"g" prov
-  in
-  List.iter
-    (fun (label, g) ->
-      Alcotest.(check string) label (recorded 1 g) (recorded 2 g))
-    [
-      ("chain-8", chain 8);
-      ("clique-7", Workloads.Shapes.clique 7);
-      ("cycle-hyper-8 split 2",
-        List.nth (Workloads.Splits.cycle_based 8) 2);
-    ]
-
 (* A plan-cache hit returns the memoized plan without building a DP
    table, so there is nothing to record. *)
 let test_recording_cache_hit_records_nothing () =
@@ -380,8 +354,6 @@ let () =
         [
           Alcotest.test_case "recording wraps the pipeline" `Quick
             test_recording_wraps_pipeline;
-          Alcotest.test_case "jobs=2 records what jobs=1 records" `Quick
-            test_recording_parallel_equals_sequential;
           Alcotest.test_case "cache hit records nothing" `Quick
             test_recording_cache_hit_records_nothing;
           Alcotest.test_case "adaptive loss report" `Quick test_loss_reports;

@@ -1,71 +1,72 @@
-(* Domain pool behavior and parallel-vs-sequential DPhyp identity.
+(* Batch parallelism ({!Driver.Pipeline.run_batch}, the one place the
+   library spawns domains) and the DP-table layouts of DPhyp's runs.
 
-   The contract under test is strong: for every jobs count the
-   parallel enumerator must return the byte-identical plan, the same
-   DP-table occupancy and the same emission-side counters as the
-   sequential algorithm.  On purely simple (inner-join) graphs the
-   connectivity oracle coincides with dpTable membership, so even the
-   enumeration-side counters (pairs considered, neighborhood calls)
-   are pinned; on hypergraphs the oracle may legitimately
-   over-approximate, so only plan/table/emission identity is
-   asserted there. *)
+   The batch contract: results in input order for every jobs count;
+   [jobs = 1] runs inline on the calling domain, in order; once tasks
+   fail, the lowest-indexed failure surfaces; [jobs < 1] is
+   Invalid_argument.  The identity cases run sequential DPhyp on
+   several graphs at once and pin each result — plan, DP-table
+   occupancy and every counter — to the one-domain run, so no
+   enumerator state is shared between domains. *)
 
 module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
 module Opt = Core.Optimizer
-module P = Parallel.Pool
-module Pd = Core.Par_dphyp
 
 let check = Alcotest.(check bool)
 
-(* ---------- pool ---------- *)
+let run_batch = Driver.Pipeline.run_batch
 
-let test_pool_basics () =
-  P.with_pool ~jobs:4 (fun p ->
-      Alcotest.(check int) "jobs" 4 (P.jobs p);
-      let a = Array.make 100 0 in
-      P.run_fun p 100 (fun i _wid -> a.(i) <- i * i);
-      Array.iteri
-        (fun i v -> Alcotest.(check int) "task result" (i * i) v)
-        a;
-      (* pool is reusable across batches, worker ids stay in range *)
-      let wid_ok = Array.make 16 true in
-      P.run_fun p 16 (fun i wid -> wid_ok.(i) <- wid >= 0 && wid < 4);
-      Array.iter (fun ok -> check "wid in range" true ok) wid_ok)
+(* ---------- run_batch ---------- *)
 
-let test_pool_sequential_inline () =
-  (* jobs = 1 spawns no domains: tasks run inline, in order *)
-  P.with_pool ~jobs:1 (fun p ->
-      let order = ref [] in
-      P.run_fun p 5 (fun i wid ->
-          Alcotest.(check int) "wid" 0 wid;
-          order := i :: !order);
-      Alcotest.(check (list int)) "in-order" [ 0; 1; 2; 3; 4 ]
-        (List.rev !order))
+let test_batch_order () =
+  let xs = List.init 10 Fun.id in
+  let expected = List.map (fun i -> i * i) xs in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d" jobs)
+        expected
+        (run_batch ~jobs (fun i -> i * i) xs))
+    [ 1; 2; 3; 16 ];
+  Alcotest.(check (list int)) "more jobs than tasks" [ 0; 1; 4 ]
+    (run_batch ~jobs:8 (fun i -> i * i) [ 0; 1; 2 ]);
+  Alcotest.(check (list int)) "no tasks" [] (run_batch ~jobs:3 Fun.id [])
 
-let test_pool_exceptions () =
-  P.with_pool ~jobs:3 (fun p ->
-      (* the lowest-indexed failure wins regardless of interleaving *)
-      (match
-         P.run_list p
-           (List.init 20 (fun i _wid ->
-                if i >= 5 then failwith (string_of_int i)))
-       with
-      | () -> Alcotest.fail "expected a Failure"
-      | exception Failure m -> Alcotest.(check string) "lowest index" "5" m);
-      (* the pool survives a failing batch *)
-      let ran = ref false in
-      P.run_fun p 1 (fun _ _ -> ran := true);
-      check "usable after failure" true !ran);
-  let p = P.create ~jobs:2 in
-  P.shutdown p;
-  P.shutdown p;
-  (* idempotent *)
-  match P.run_fun p 1 (fun _ _ -> ()) with
-  | () -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ()
+let test_batch_inline () =
+  let self = Domain.self () and order = ref [] in
+  ignore
+    (run_batch ~jobs:1
+       (fun i ->
+         check "on the calling domain" true (Domain.self () = self);
+         order := i :: !order)
+       [ 0; 1; 2; 3; 4 ]);
+  Alcotest.(check (list int)) "in order" [ 0; 1; 2; 3; 4 ] (List.rev !order)
 
-(* ---------- parallel DPhyp vs sequential ---------- *)
+let test_batch_exceptions () =
+  List.iter
+    (fun jobs ->
+      match
+        run_batch ~jobs
+          (fun i -> if i = 2 || i = 5 then failwith (string_of_int i))
+          (List.init 8 Fun.id)
+      with
+      | _ -> Alcotest.failf "jobs=%d: expected a Failure" jobs
+      | exception Failure m ->
+          Alcotest.(check string)
+            (Printf.sprintf "jobs=%d: lowest index" jobs)
+            "2" m)
+    [ 1; 2; 3 ]
+
+let test_batch_jobs_positive () =
+  List.iter
+    (fun jobs ->
+      match run_batch ~jobs Fun.id [ 1 ] with
+      | _ -> Alcotest.failf "jobs=%d: expected Invalid_argument" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
+(* ---------- concurrent DPhyp runs vs one domain ---------- *)
 
 let plan_str (r : Opt.result) =
   match r.plan with
@@ -74,89 +75,61 @@ let plan_str (r : Opt.result) =
       Printf.sprintf "%s cost=%.17g card=%.17g" (Plans.Plan.to_string p)
         p.Plans.Plan.cost p.Plans.Plan.card
 
-let same_result ~strict name (seq : Opt.result) (par : Opt.result) =
+let same_result name (seq : Opt.result) (par : Opt.result) =
   Alcotest.(check string) (name ^ ": plan") (plan_str seq) (plan_str par);
   Alcotest.(check int) (name ^ ": dp entries") seq.dp_entries par.dp_entries;
   let cs = seq.counters and cp = par.counters in
-  Alcotest.(check int)
-    (name ^ ": ccp_emitted")
-    cs.Core.Counters.ccp_emitted cp.Core.Counters.ccp_emitted;
-  Alcotest.(check int) (name ^ ": cost_calls") cs.cost_calls cp.cost_calls;
-  Alcotest.(check int)
-    (name ^ ": filter_rejected")
-    cs.filter_rejected cp.filter_rejected;
-  if strict then begin
-    Alcotest.(check int)
-      (name ^ ": pairs_considered")
-      cs.pairs_considered cp.pairs_considered;
-    Alcotest.(check int)
-      (name ^ ": neighborhood_calls")
-      cs.neighborhood_calls cp.neighborhood_calls
-  end
-
-let par_graphs ~strict =
-  if strict then
-    [
-      ("chain9", Workloads.Shapes.chain 9);
-      ("cycle9", Workloads.Shapes.cycle 9);
-      ("cycle10", Workloads.Shapes.cycle 10);
-      ("star8", Workloads.Shapes.star 8);
-      ("clique8", Workloads.Shapes.clique 8);
-      ("grid3x3", Workloads.Shapes.grid ~rows:3 ~cols:3 ());
-    ]
-  else
-    List.mapi
-      (fun i g -> (Printf.sprintf "cycle8-split%d" i, g))
-      (Workloads.Splits.cycle_based 8)
-    @ List.init 6 (fun i ->
-          ( Printf.sprintf "random-hyper-%d" i,
-            Workloads.Random_graphs.hyper ~seed:(i * 991) ~n:(6 + (i mod 3))
-              ~extra_edges:2 ~hyperedges:2 ~max_hypernode:3 () ))
-
-let par_identity ~strict jobs () =
   List.iter
-    (fun (name, g) ->
-      let seq = Opt.run Opt.Dphyp g in
-      let par = Opt.run (Opt.Par_dphyp { jobs }) g in
-      same_result ~strict (Printf.sprintf "%s/jobs%d" name jobs) seq par)
-    (par_graphs ~strict)
+    (fun (what, get) ->
+      Alcotest.(check int) (name ^ ": " ^ what) (get cs) (get cp))
+    Core.Counters.
+      [
+        ("pairs_considered", fun c -> c.pairs_considered);
+        ("ccp_emitted", fun c -> c.ccp_emitted);
+        ("cost_calls", fun c -> c.cost_calls);
+        ("filter_rejected", fun c -> c.filter_rejected);
+        ("neighborhood_calls", fun c -> c.neighborhood_calls);
+      ]
 
-(* n > 18: the flat subset oracle and flat DP table both give way to
-   hash tables; identity must survive the representation switch. *)
-let test_par_identity_hashed () =
-  List.iter
-    (fun (name, g) ->
-      let seq = Opt.run Opt.Dphyp g in
-      let par = Opt.run (Opt.Par_dphyp { jobs = 4 }) g in
-      same_result ~strict:true name seq par)
-    [
-      ("chain20", Workloads.Shapes.chain 20);
-      ("cycle20", Workloads.Shapes.cycle 20);
-    ]
+(* Each graph is its own task, so no two domains share a graph's
+   scratch arena. *)
+let batch_identity jobs graphs () =
+  let graphs = graphs () in
+  let seq = List.map (fun (_, g) -> Opt.run Opt.Dphyp g) graphs in
+  let par = run_batch ~jobs (fun (_, g) -> Opt.run Opt.Dphyp g) graphs in
+  List.iter2
+    (fun ((name, _), s) p ->
+      same_result (Printf.sprintf "%s/jobs%d" name jobs) s p)
+    (List.combine graphs seq) par
 
-(* The oracle may only ever over-approximate Definition 3 — a miss
-   would prune real csg-cmp-pairs and silently change plans. *)
-let test_oracle_overapproximates () =
-  List.iter
-    (fun (_, g) ->
-      let cache = Hypergraph.Connectivity.make_cache g in
-      let n = G.num_nodes g in
-      for key = 1 to (1 lsl n) - 1 do
-        let s = Ns.unsafe_of_int key in
-        if Hypergraph.Connectivity.is_connected cache s then
-          check "weak closure covers Def. 3" true (Pd.connected_weakly g s)
-      done)
-    (par_graphs ~strict:false)
+let simple_graphs () =
+  [
+    ("chain9", Workloads.Shapes.chain 9);
+    ("cycle9", Workloads.Shapes.cycle 9);
+    ("cycle10", Workloads.Shapes.cycle 10);
+    ("star8", Workloads.Shapes.star 8);
+    ("clique8", Workloads.Shapes.clique 8);
+    ("grid3x3", Workloads.Shapes.grid ~rows:3 ~cols:3 ());
+  ]
 
-(* Shared-budget semantics: the total considered pairs across all
-   domains is capped, so a query whose sequential enumeration blows
-   the budget must also blow it under every jobs count (clique-20
-   exercises the hashed representations on the way). *)
-let test_budget_parallel () =
-  let g = Workloads.Shapes.clique 20 in
-  match Opt.run ~budget:50_000 (Opt.Par_dphyp { jobs = 4 }) g with
-  | _ -> Alcotest.fail "expected Budget_exhausted"
-  | exception Core.Counters.Budget_exhausted -> ()
+let hyper_graphs () =
+  List.mapi
+    (fun i g -> (Printf.sprintf "cycle8-split%d" i, g))
+    (Workloads.Splits.cycle_based 8)
+  @ List.init 6 (fun i ->
+        ( Printf.sprintf "random-hyper-%d" i,
+          Workloads.Random_graphs.hyper ~seed:(i * 991) ~n:(6 + (i mod 3))
+            ~extra_edges:2 ~hyperedges:2 ~max_hypernode:3 () ))
+
+(* n > 18: the flat subset index and flat DP table both give way to
+   hash tables. *)
+let hashed_graphs () =
+  [
+    ("chain20", Workloads.Shapes.chain 20);
+    ("cycle20", Workloads.Shapes.cycle 20);
+    ("chain22", Workloads.Shapes.chain 22);
+    ("cycle21", Workloads.Shapes.cycle 21);
+  ]
 
 (* ---------- DP table pre-sizing (n > 18 fallback) ---------- *)
 
@@ -355,31 +328,32 @@ let test_run_batch_dpconv_objective () =
 let () =
   Alcotest.run "parallel"
     [
-      ( "pool",
+      ( "batch",
         [
-          Alcotest.test_case "basics" `Quick test_pool_basics;
-          Alcotest.test_case "jobs=1 inline" `Quick
-            test_pool_sequential_inline;
-          Alcotest.test_case "exceptions" `Quick test_pool_exceptions;
+          Alcotest.test_case "results in input order" `Quick test_batch_order;
+          Alcotest.test_case "jobs=1 inline" `Quick test_batch_inline;
+          Alcotest.test_case "lowest-indexed failure surfaces" `Quick
+            test_batch_exceptions;
+          Alcotest.test_case "jobs < 1 rejected" `Quick
+            test_batch_jobs_positive;
+          Alcotest.test_case "run_batch matches sequential" `Quick
+            test_run_batch;
+          Alcotest.test_case "closure sets the dpconv objective" `Quick
+            test_run_batch_dpconv_objective;
         ] );
       ( "identity",
         [
           Alcotest.test_case "jobs=1 (dispatches sequential)" `Quick
-            (par_identity ~strict:true 1);
+            (batch_identity 1 simple_graphs);
           Alcotest.test_case "jobs=2 simple shapes (all counters)" `Quick
-            (par_identity ~strict:true 2);
+            (batch_identity 2 simple_graphs);
           Alcotest.test_case "jobs=4 simple shapes (all counters)" `Quick
-            (par_identity ~strict:true 4);
+            (batch_identity 4 simple_graphs);
           Alcotest.test_case "jobs=3 hypergraphs (plans + emission)" `Quick
-            (par_identity ~strict:false 3);
+            (batch_identity 3 hyper_graphs);
           Alcotest.test_case "jobs=4 hashed tables (n=20)" `Slow
-            test_par_identity_hashed;
-          Alcotest.test_case "oracle over-approximates Def. 3" `Quick
-            test_oracle_overapproximates;
+            (batch_identity 4 hashed_graphs);
         ] );
-      ( "budget",
-        [ Alcotest.test_case "shared budget fires" `Quick test_budget_parallel ]
-      );
       ( "dp-table",
         [
           Alcotest.test_case "pre-sized hashtbl never resizes" `Quick
@@ -388,12 +362,5 @@ let () =
             `Quick test_block_table_flat;
           Alcotest.test_case "snowflake-80 builds only flat tables" `Quick
             test_partitioned_tables_flat;
-        ] );
-      ( "batch",
-        [
-          Alcotest.test_case "run_batch matches sequential" `Quick
-            test_run_batch;
-          Alcotest.test_case "closure sets the dpconv objective" `Quick
-            test_run_batch_dpconv_objective;
         ] );
     ]
