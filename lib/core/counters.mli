@@ -28,7 +28,10 @@ type t = {
           for DPhyp this equals the number of csg-cmp-pairs when no
           filter rejects *)
   mutable cost_calls : int;
-      (** plans actually costed (commutative operators cost two) *)
+      (** argument orders actually priced: two for a commutative
+          operator, except a plain inner join under a symmetric model
+          (C_out), priced once; on inner joins a DPhyp run reads
+          [ccp] under C_out and [2 × ccp] under C_mm *)
   mutable filter_rejected : int;
       (** pairs rejected by an external validity filter (CD-C, or
           the generate-and-test baseline of Section 5.8) *)

@@ -6,7 +6,10 @@ type ctx = {
   g : G.t;
   dp : Plans.Dp_table.t;
   counters : Counters.t;
-  emit : Ns.t -> Ns.t -> unit;
+  emit : Ns.t -> int -> Ns.t -> int -> unit;
+  mutable i1 : int;
+      (* entry id of the csg [emit_csg] is finding complements for, kept
+         here so the recursion closures capture nothing more *)
 }
 
 (* Simple-graph neighborhood: union of adjacencies minus S and X. *)
@@ -18,26 +21,30 @@ let neighborhood c s x =
 let connected c s1 s2 =
   Ns.exists (fun v -> Ns.intersects (G.simple_neighbors c.g v) s2) s1
 
+(* The probes that find a side connected return its entry id, and a
+   singleton's id is its node (leaves are seeded in ascending order on
+   a fresh table). *)
 let rec enumerate_cmp_rec c s1 s2 x =
   let n = neighborhood c s2 x in
   if not (Ns.is_empty n) then begin
     Se.iter_nonempty n (fun sub ->
         let s2' = Ns.union s2 sub in
         Counters.tick_pair c.counters;
-        if Plans.Dp_table.mem c.dp s2' && connected c s1 s2' then
-          c.emit s1 s2');
+        let i2 = Plans.Dp_table.id c.dp s2' in
+        if i2 >= 0 && connected c s1 s2' then c.emit s1 c.i1 s2' i2);
     let x' = Ns.union x n in
     Se.iter_nonempty n (fun sub -> enumerate_cmp_rec c s1 (Ns.union s2 sub) x')
   end
 
-let emit_csg c s1 =
+let emit_csg c s1 i1 =
+  c.i1 <- i1;
   let x = Ns.union s1 (Ns.upto (Ns.min_elt s1)) in
   let n = neighborhood c s1 x in
   Ns.iter_desc
     (fun v ->
       let s2 = Ns.singleton v in
       Counters.tick_pair c.counters;
-      if connected c s1 s2 then c.emit s1 s2;
+      if connected c s1 s2 then c.emit s1 c.i1 s2 v;
       enumerate_cmp_rec c s1 s2 (Ns.union x (Ns.inter n (Ns.upto v))))
     n
 
@@ -46,7 +53,8 @@ let rec enumerate_csg_rec c s1 x =
   if not (Ns.is_empty n) then begin
     Se.iter_nonempty n (fun sub ->
         let s1' = Ns.union s1 sub in
-        if Plans.Dp_table.mem c.dp s1' then emit_csg c s1');
+        let i1 = Plans.Dp_table.id c.dp s1' in
+        if i1 >= 0 then emit_csg c s1' i1);
     let x' = Ns.union x n in
     Se.iter_nonempty n (fun sub -> enumerate_csg_rec c (Ns.union s1 sub) x')
   end
@@ -57,20 +65,20 @@ let check_simple g =
 
 let run ~emit ~counters g dp =
   check_simple g;
-  let c = { g; dp; counters; emit } in
+  let c = { g; dp; counters; emit; i1 = -1 } in
   let n = G.num_nodes g in
   for v = 0 to n - 1 do
     Plans.Dp_table.leaf dp v ~cost:0.0
   done;
   for v = n - 1 downto 0 do
     let s = Ns.singleton v in
-    emit_csg c s;
+    emit_csg c s v;
     enumerate_csg_rec c s (Ns.upto v)
   done
 
 (* DPccp carries no neighborhoods: the emitter gets them fresh. *)
-let emit_simple e g s1 s2 =
-  Emit.emit e Emit.Symmetric s1 (G.simple_neighborhood g s1) s2
+let emit_simple e g s1 i1 s2 i2 =
+  Emit.emit e Emit.Symmetric s1 i1 (G.simple_neighborhood g s1) s2 i2
     (G.simple_neighborhood g s2)
 
 let solve_with_table ?(model = Costing.Cost_model.c_out)
@@ -87,9 +95,9 @@ let enumerate_ccps g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ~model:Costing.Cost_model.c_out ~counters g dp in
   let trace = ref [] in
-  let emit s1 s2 =
+  let emit s1 i1 s2 i2 =
     trace := (s1, s2) :: !trace;
-    emit_simple e g s1 s2
+    emit_simple e g s1 i1 s2 i2
   in
   run ~emit ~counters g dp;
   List.rev !trace

@@ -416,7 +416,8 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           build t;
           build (s lxor t);
           let s1 = Ns.unsafe_of_int t and s2 = Ns.unsafe_of_int (s lxor t) in
-          Emit.emit emit Emit.Symmetric s1 (G.simple_neighborhood g s1) s2
+          Emit.emit emit Emit.Symmetric s1 (Plans.Dp_table.id dp s1)
+            (G.simple_neighborhood g s1) s2 (Plans.Dp_table.id dp s2)
             (G.simple_neighborhood g s2)
         end
       in

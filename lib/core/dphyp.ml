@@ -14,19 +14,24 @@ module G = Hypergraph.Graph
 (* Every set the ccp loop grows travels with its simple neighborhood
    (the union of its members' [G.simple_neighbors]), so a neighborhood
    adds only the neighbors of the subset just added, connectivity is
-   one word test and [emit] resolves the pair from the cut.  [s1] and
-   [nb1] hold the csg [emit_csg] is finding complements for, so the
-   recursion closures capture no more than the sets they grow.  [mem]
-   is the table's membership test, partially applied once: in a dev
-   build on a 2-core host, calling it served 2–4% more requests per
-   second on [bench/e2e]'s hyper_cold and dense_adaptive than calling
-   [Plans.Dp_table.mem] with the table at every probe. *)
+   one word test and [emit] resolves the pair from the cut.  [s1],
+   [i1] and [nb1] hold the csg [emit_csg] is finding complements for
+   and its entry id, so the recursion closures capture no more than
+   the sets they grow.  [id] is the table's membership probe,
+   partially applied once; it returns the entry id a hit hands on to
+   [emit], so a pair probes the table for neither side again.  In a
+   dev build on a 2-core host, calling the partial application served
+   2–4% more requests per second on [bench/e2e]'s hyper_cold and
+   dense_adaptive than calling the table's probe with the table at
+   every test.  A singleton's id is its node: [run] seeds the leaves
+   of a fresh table in ascending order. *)
 type ctx = {
   g : G.t;
-  mem : Ns.t -> bool;
+  id : Ns.t -> int;
   counters : Counters.t;
-  emit : Ns.t -> Ns.t -> Ns.t -> Ns.t -> unit;
+  emit : Ns.t -> int -> Ns.t -> Ns.t -> int -> Ns.t -> unit;
   mutable s1 : Ns.t;
+  mutable i1 : int;
   mutable nb1 : Ns.t;
 }
 
@@ -46,8 +51,9 @@ let rec enumerate_cmp_rec c s2 nb2 x =
     Se.iter_nonempty n (fun sub ->
         let s2' = Ns.union s2 sub in
         Counters.tick_pair c.counters;
-        if c.mem s2' && G.connects c.g c.s1 c.nb1 s2' then
-          c.emit c.s1 c.nb1 s2'
+        let i2 = c.id s2' in
+        if i2 >= 0 && G.connects c.g c.s1 c.nb1 s2' then
+          c.emit c.s1 c.i1 c.nb1 s2' i2
             (Ns.union nb2 (G.simple_neighborhood c.g sub)));
     let x' = Ns.union x n in
     Se.iter_nonempty n (fun sub ->
@@ -61,8 +67,9 @@ let rec enumerate_cmp_rec c s2 nb2 x =
    descending node order, and each EnumerateCmpRec call forbids the
    seeds that are still to come below it (B_v(N)) so each complement
    is grown from its smallest contained neighbor only. *)
-let emit_csg c s1 =
+let emit_csg c s1 i1 =
   c.s1 <- s1;
+  c.i1 <- i1;
   c.nb1 <- G.simple_neighborhood c.g s1;
   let x = Ns.union s1 (Ns.upto (Ns.min_elt s1)) in
   let n = neighborhood c s1 c.nb1 x in
@@ -70,7 +77,7 @@ let emit_csg c s1 =
     (fun v ->
       let s2 = Ns.singleton v and nb2 = G.simple_neighbors c.g v in
       Counters.tick_pair c.counters;
-      if G.connects c.g s1 c.nb1 s2 then c.emit s1 c.nb1 s2 nb2;
+      if G.connects c.g s1 c.nb1 s2 then c.emit s1 c.i1 c.nb1 s2 v nb2;
       enumerate_cmp_rec c s2 nb2 (Ns.union x (Ns.inter n (Ns.upto v))))
     n
 
@@ -83,7 +90,8 @@ let rec enumerate_csg_rec c s1 x =
   if not (Ns.is_empty n) then begin
     Se.iter_nonempty n (fun sub ->
         let s1' = Ns.union s1 sub in
-        if c.mem s1' then emit_csg c s1');
+        let i1 = c.id s1' in
+        if i1 >= 0 then emit_csg c s1' i1);
     let x' = Ns.union x n in
     Se.iter_nonempty n (fun sub -> enumerate_csg_rec c (Ns.union s1 sub) x')
   end
@@ -92,14 +100,14 @@ let rec enumerate_csg_rec c s1 x =
    root [v], everything DPhyp does for csgs whose minimal node is
    [v]. *)
 let run ~emit ~counters ?(leaf_cost = fun _ -> 0.0) g dp =
-  let mem = Plans.Dp_table.mem dp in
-  let c = { g; mem; counters; emit; s1 = Ns.empty; nb1 = Ns.empty } in
+  let id = Plans.Dp_table.id dp in
+  let c = { g; id; counters; emit; s1 = Ns.empty; i1 = -1; nb1 = Ns.empty } in
   let all = G.all_nodes g in
   Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:(leaf_cost v)) all;
   Ns.iter_desc
     (fun v ->
       let s = Ns.singleton v in
-      emit_csg c s;
+      emit_csg c s v;
       enumerate_csg_rec c s (Ns.upto v))
     all
 
@@ -126,9 +134,9 @@ let enumerate_ccps g =
   let dp = Plans.Dp_table.create_for g in
   let e = Emit.make ~model:Costing.Cost_model.c_out ~counters g dp in
   let trace = ref [] in
-  let emit s1 nb1 s2 nb2 =
+  let emit s1 i1 nb1 s2 i2 nb2 =
     trace := (s1, s2) :: !trace;
-    Emit.emit e Emit.Symmetric s1 nb1 s2 nb2
+    Emit.emit e Emit.Symmetric s1 i1 nb1 s2 i2 nb2
   in
   run ~emit ~counters g dp;
   List.rev !trace

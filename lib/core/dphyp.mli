@@ -66,8 +66,10 @@ val solve_induced :
 val run :
   emit:
     (Nodeset.Node_set.t ->
+    int ->
     Nodeset.Node_set.t ->
     Nodeset.Node_set.t ->
+    int ->
     Nodeset.Node_set.t ->
     unit) ->
   counters:Counters.t ->
@@ -77,10 +79,11 @@ val run :
   unit
 (** The whole-graph enumeration on a fresh table: seed every leaf
     (cost [leaf_cost v], default 0), then visit the roots in
-    descending order, calling [emit s1 nb1 s2 nb2] on each
-    csg-cmp-pair, where [nb1] and [nb2] are the sides' carried
-    {!Hypergraph.Graph.simple_neighborhood}s (what {!Emit.emit}
-    takes).  Connectivity is table membership, so [emit] must install
+    descending order, calling [emit s1 i1 nb1 s2 i2 nb2] on each
+    csg-cmp-pair, where [i1] and [i2] are the sides' table entry ids
+    (from the membership probes that found them connected) and [nb1]
+    and [nb2] their carried {!Hypergraph.Graph.simple_neighborhood}s
+    (what {!Emit.emit} takes).  Connectivity is table membership, so [emit] must install
     the table entry for [s1 ∪ s2]; {!solve_with_table} passes
     {!Emit.emit}, a test can wrap it to inspect each pair. *)
 

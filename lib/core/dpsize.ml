@@ -31,7 +31,10 @@ let solve_with_table ?(model = Costing.Cost_model.c_out)
               if Ns.disjoint set1 set2 then begin
                 let nb1 = G.simple_neighborhood g set1 in
                 if G.connects g set1 nb1 set2 then
-                  Emit.emit e Emit.Directed set1 nb1 set2
+                  Emit.emit e Emit.Directed set1
+                    (Plans.Dp_table.id dp set1)
+                    nb1 set2
+                    (Plans.Dp_table.id dp set2)
                     (G.simple_neighborhood g set2)
               end)
             sets2)

@@ -21,10 +21,12 @@ let solve_with_table ?(model = Costing.Cost_model.c_out)
       Nodeset.Subset_enum.iter_proper_nonempty set (fun s1 ->
           let s2 = Ns.diff set s1 in
           Counters.tick_pair counters;
-          if Plans.Dp_table.mem dp s1 && Plans.Dp_table.mem dp s2 then begin
+          let i1 = Plans.Dp_table.id dp s1 and i2 = Plans.Dp_table.id dp s2 in
+          if i1 >= 0 && i2 >= 0 then begin
             let nb1 = G.simple_neighborhood g s1 in
             if G.connects g s1 nb1 s2 then
-              Emit.emit e Emit.Directed s1 nb1 s2 (G.simple_neighborhood g s2)
+              Emit.emit e Emit.Directed s1 i1 nb1 s2 i2
+                (G.simple_neighborhood g s2)
           end)
   done;
   (dp, Plans.Dp_table.find dp (G.all_nodes g))

@@ -9,11 +9,13 @@ type filter = Ns.t -> Ns.t -> (He.t * He.orientation) list -> bool
 type direction = Symmetric | Directed
 
 (* Receives every priced candidate: the candidate (cost and cardinality
-   filled in), the joined set, its left side and the operator code, in
-   the contract order — first the edge-dictated argument order, then
-   the commutative swap.  [make] offers it to the table, [candidates]
-   builds a plan from it. *)
-type sink = Costing.Candidate.t -> Ns.t -> left:Ns.t -> code:int -> unit
+   filled in), the joined set's entry id ([-1]: none yet), the joined
+   set, its left side and the operator code, in the contract order —
+   first the edge-dictated argument order, then the commutative swap —
+   and returns the set's entry id after it.  [make] offers it to the
+   table, [candidates] builds a plan from it. *)
+type sink =
+  Costing.Candidate.t -> int -> Ns.t -> left:Ns.t -> code:int -> int
 
 (* What pricing a candidate needs; GOO and top-down search use it
    without a DP table. *)
@@ -33,8 +35,8 @@ type t = { pr : pricer; dp : Dp.t; filter : filter option }
    whenever costs are additive and non-negative (every subplan of an
    optimal plan then costs at most the optimum): the surviving table
    is identical to the unbounded one.  [infinity] = off. *)
-let offer_within dp bound (c : Costing.Candidate.t) s ~left ~code =
-  if c.cost <= bound then Dp.offer dp c s ~left ~code
+let offer_within dp bound (c : Costing.Candidate.t) i s ~left ~code =
+  if c.cost <= bound then Dp.offer dp c i s ~left ~code else i
 
 let make ?filter ?(bound = infinity) ~model ~counters g dp =
   let cand = Costing.Candidate.create () in
@@ -50,21 +52,26 @@ let swap_sides (c : Costing.Candidate.t) =
   c.right_card <- card;
   c.right_cost <- cost
 
-let price t s ~left ~code =
+let price t i s ~left ~code =
   t.counters.Counters.cost_calls <- t.counters.Counters.cost_calls + 1;
   Costing.Cost_model.price t.model (Plan.operator t.g code) t.cand;
-  t.sink t.cand s ~left ~code
+  t.sink t.cand i s ~left ~code
 
-let s1_left t res s s1 s2 =
+(* The two argument orders of a pair joining into [s], whose entry id
+   is [i]: each returns the id after its offer ([i] when its operator
+   code is rejected). *)
+let s1_left t res i s s1 s2 =
   let code = Plan.op_code t.g res ~left:s1 ~right:s2 in
-  if code <> Plan.rejected then price t s ~left:s1 ~code
+  if code = Plan.rejected then i else price t i s ~left:s1 ~code
 
-let s2_left t res s s1 s2 =
+let s2_left t res i s s1 s2 =
   let code = Plan.op_code t.g (Plan.flip res) ~left:s2 ~right:s1 in
-  if code <> Plan.rejected then begin
+  if code = Plan.rejected then i
+  else begin
     swap_sides t.cand;
-    price t s ~left:s2 ~code;
-    swap_sides t.cand
+    let i = price t i s ~left:s2 ~code in
+    swap_sides t.cand;
+    i
   end
 
 (* Every valid argument order of a resolved pair whose operands sit
@@ -72,19 +79,23 @@ let s2_left t res s s1 s2 =
    edge-dictated order (s1 on the left unless the pair's non-inner
    edge points the other way), then the commutative swap.  Directed
    emission builds only s1 on the left, exactly like Figure 1's
-   [dpTable[S1] B dpTable[S2]]. *)
-let orders t dir res s1 s2 =
-  let s = Ns.union s1 s2 in
+   [dpTable[S1] B dpTable[S2]].  With [once], a pair whose s1-left
+   order is the plain join (code 0: no non-inner edge, neither side
+   depends on the other) skips the swap: it is the same operator, and
+   a symmetric model prices it to the same bits, so the table's
+   strict [<] would reject it. *)
+let orders t ~once dir res i s s1 s2 =
   match dir with
-  | Directed -> s1_left t res s s1 s2
+  | Directed -> ignore (s1_left t res i s s1 s2)
   | Symmetric ->
-      if Plan.backward res then begin
-        s2_left t res s s1 s2;
-        s1_left t res s s1 s2
-      end
+      if Plan.backward res then
+        ignore (s1_left t res (s2_left t res i s s1 s2) s s1 s2)
       else begin
-        s1_left t res s s1 s2;
-        s2_left t res s s1 s2
+        let code = Plan.op_code t.g res ~left:s1 ~right:s2 in
+        let i =
+          if code = Plan.rejected then i else price t i s ~left:s1 ~code
+        in
+        if not (once && code = 0) then ignore (s2_left t res i s s1 s2)
       end
 
 let passes_filter t s1 s2 =
@@ -96,26 +107,28 @@ let passes_filter t s1 s2 =
       || (c.Counters.filter_rejected <- c.Counters.filter_rejected + 1;
           false)
 
-let emit t dir s1 nb1 s2 nb2 =
-  let i1 = Dp.id t.dp s1 in
-  if i1 >= 0 then begin
-    let i2 = Dp.id t.dp s2 in
-    if i2 >= 0 then begin
-      let pr = t.pr in
-      let res = Plan.resolve pr.g s1 nb1 s2 nb2 pr.cand in
-      if res <> Plan.rejected && passes_filter t s1 s2 then begin
-        pr.counters.Counters.ccp_emitted <- pr.counters.Counters.ccp_emitted + 1;
-        Dp.load t.dp pr.cand i1 i2;
-        orders pr dir res s1 s2
-      end
+(* One table probe per pair: the sides' ids come from the caller's
+   membership probes, and the joined set is looked up once for both
+   argument orders. *)
+let emit t dir s1 i1 nb1 s2 i2 nb2 =
+  if i1 >= 0 && i2 >= 0 then begin
+    let pr = t.pr in
+    let res = Plan.resolve pr.g s1 nb1 s2 nb2 pr.cand in
+    if res <> Plan.rejected && passes_filter t s1 s2 then begin
+      pr.counters.Counters.ccp_emitted <- pr.counters.Counters.ccp_emitted + 1;
+      Dp.load t.dp pr.cand i1 i2;
+      let s = Ns.union s1 s2 in
+      orders pr ~once:pr.model.Costing.Cost_model.symmetric dir res
+        (Dp.id t.dp s) s s1 s2
     end
   end
 
 let candidates ~model ~counters g (p1 : Plan.t) (p2 : Plan.t) =
   let out = ref [] in
-  let sink (c : Costing.Candidate.t) _s ~left ~code =
+  let sink (c : Costing.Candidate.t) i _s ~left ~code =
     let l, r = if Ns.equal left p1.set then (p1, p2) else (p2, p1) in
-    out := Plan.make_join g ~code ~card:c.card ~cost:c.cost l r :: !out
+    out := Plan.make_join g ~code ~card:c.card ~cost:c.cost l r :: !out;
+    i
   in
   let c = Costing.Candidate.create () in
   let pr = { g; model; counters; cand = c; sink } in
@@ -128,6 +141,7 @@ let candidates ~model ~counters g (p1 : Plan.t) (p2 : Plan.t) =
     c.left_cost <- p1.cost;
     c.right_card <- p2.card;
     c.right_cost <- p2.cost;
-    orders pr Symmetric res p1.set p2.set
+    orders pr ~once:false Symmetric res (-1) (Ns.union p1.set p2.set) p1.set
+      p2.set
   end;
   List.rev !out

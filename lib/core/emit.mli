@@ -16,7 +16,12 @@
 
     Commutativity handling follows Section 2.2: the symmetric
     enumerators produce each pair once, so for commutative operators
-    {!emit} prices both argument orders. *)
+    {!emit} considers both argument orders.  Under a symmetric cost
+    model ([symmetric] in {!Costing.Cost_model.t}: C_out) it prices a
+    plain inner join (operator code 0) in one order only: the swap is
+    the same operator at the same cost and cardinality, which the
+    table's strict [<] would reject.  {!candidates} still prices every
+    valid order. *)
 
 type filter =
   Nodeset.Node_set.t ->
@@ -31,9 +36,10 @@ type filter =
 type direction =
   | Symmetric
       (** for DPhyp, DPccp: the pair is unordered; both argument
-          orders are tried for commutative operators, and the
-          operator's own orientation (which side is the hyperedge's
-          [u]) decides the order for non-commutative ones *)
+          orders are tried for commutative operators (one for a plain
+          inner join under a symmetric model), and the operator's own
+          orientation (which side is the hyperedge's [u]) decides the
+          order for non-commutative ones *)
   | Directed
       (** for DPsize, DPsub: only the first set goes on the left; the
           symmetric candidate arises when the loop visits the swapped
@@ -66,19 +72,24 @@ val emit :
   t ->
   direction ->
   Nodeset.Node_set.t ->
+  int ->
   Nodeset.Node_set.t ->
   Nodeset.Node_set.t ->
+  int ->
   Nodeset.Node_set.t ->
   unit
-(** [emit t dir s1 nb1 s2 nb2] emits one pair, where [nb1] and [nb2]
-    are the sides' {!Hypergraph.Graph.simple_neighborhood}s (DPhyp
-    carries them; other callers compute them).  Resolution gathers
-    the pair's edges from the incidence lists of the cut ([s1 ∩ nb2]
-    or [s2 ∩ nb1], on the side with fewer members) and of that side's
-    nodes on complex edges, so on a graph of simple edges its cost
-    scales with the cut, not with the sides.  No-op if a side has no
-    table entry, no edge connects the pair, or the filter rejects
-    it. *)
+(** [emit t dir s1 i1 nb1 s2 i2 nb2] emits one pair, where [i1] and
+    [i2] are the sides' entry ids (the caller's
+    {!Plans.Dp_table.id} probes) and [nb1] and [nb2] their
+    {!Hypergraph.Graph.simple_neighborhood}s (DPhyp carries them;
+    other callers compute them).  Resolution gathers the pair's edges
+    from the incidence lists of the cut ([s1 ∩ nb2] or [s2 ∩ nb1], on
+    the side with fewer members) and of that side's nodes on complex
+    edges, so on a graph of simple edges its cost scales with the
+    cut, not with the sides.  The joined set is looked up once, and
+    every priced order offers into that slot.  No-op if a side has no
+    table entry (id [-1]), no edge connects the pair, or the filter
+    rejects it. *)
 
 val candidates :
   model:Costing.Cost_model.t ->

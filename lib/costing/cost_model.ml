@@ -1,10 +1,10 @@
 type formula = Cout | Cmm
 
-type t = { name : string; formula : formula }
+type t = { name : string; formula : formula; symmetric : bool }
 
-let c_out = { name = "cout"; formula = Cout }
+let c_out = { name = "cout"; formula = Cout; symmetric = true }
 
-let c_mm = { name = "cmm"; formula = Cmm }
+let c_mm = { name = "cmm"; formula = Cmm; symmetric = false }
 
 let[@inline] op_cost t (op : Relalg.Operator.t) ~left_card ~right_card ~out_card
     =

@@ -21,7 +21,19 @@ type formula =
   | Cout  (** sum of intermediate result cardinalities *)
   | Cmm  (** main-memory nested-loop / hash join model *)
 
-type t = { name : string; formula : formula }
+type t = private {
+  name : string;
+  formula : formula;
+  symmetric : bool;
+      (** Whether the formula prices a plain inner join the same in
+          both argument orders, bit for bit: {!price} of [l ⋈ r] and
+          of [r ⋈ l] give equal [card] and [cost].  True of {!c_out},
+          whose card [l·r·sel] and cost [lc + rc + card] use only
+          commuting float operations; false of {!c_mm}, whose hash
+          join builds on the right.  A property of the formula, not a
+          setting: the DP core prices such a join in one order when it
+          holds. *)
+}
 (** A cost model: a closed set of formulas, so pricing is a direct
     match rather than a call through a closure. *)
 

@@ -100,9 +100,13 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val pp_table : ?names:(int -> string) -> Format.formatter -> t -> unit
 (** Human memo dump: one row per recorded subset — final cost and
-    cardinality, candidates seen, candidates pruned, history depth,
-    the winning pair and its context label — followed by the
-    aggregate stats line. *)
+    cardinality, candidates seen ([cands]), candidates pruned
+    ([prune]), history depth, the winning pair and its context label
+    — followed by the aggregate stats line.  A candidate is one offer
+    to the table, i.e. one priced argument order: under C_out a plain
+    inner join is priced in one order ({!Core.Emit.emit}), so its pair
+    counts once, while C_mm and a commutative non-inner operator
+    offer both orders. *)
 
 val to_json : ?names:(int -> string) -> ?name:string -> t -> string
 (** The [obs_inspect/v1] document: config, aggregate stats, and per

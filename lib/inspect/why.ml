@@ -189,8 +189,9 @@ let gaps_of dp (forced : Plan.t) =
         let gl = walk j.Plan.left in
         let gr = walk j.Plan.right in
         let best =
-          if Plans.Dp_table.mem dp p.Plan.set then Plans.Dp_table.cost dp p.Plan.set
-          else p.Plan.cost
+          match Plans.Dp_table.cost dp p.Plan.set with
+          | c -> c
+          | exception Not_found -> p.Plan.cost
         in
         let total = Float.max 0.0 (p.Plan.cost -. best) in
         let local = Float.max 0.0 (total -. gl -. gr) in

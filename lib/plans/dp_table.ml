@@ -3,8 +3,8 @@ module G = Hypergraph.Graph
 
 (* Two indexes from node set to entry id behind one interface.  For
    small queries the index is a flat int array over the bit pattern
-   of the node set, so [id]/[mem] — executed once or more per
-   considered csg-cmp-pair — are single array probes with no hashing.
+   of the node set, so [id] — executed once or more per considered
+   csg-cmp-pair — is a single array probe with no hashing.
    Beyond [flat_max_nodes] it falls back to a hash table: 2^18 slots
    cost ~2 MB and fill in microseconds at [create] time, while 2^n
    beyond that starts to rival the enumeration itself. *)
@@ -17,12 +17,21 @@ let flat_max_nodes = 18
    hashes as its bit pattern.  [Ns.hash] keeps a set's bits where they
    sit in its word, and a bucket is picked by the low bits alone, so
    the hash is mixed first: sets of high-numbered nodes would
-   otherwise crowd a few buckets. *)
+   otherwise crowd a few buckets.  The mixer is two multiply-xorshift
+   rounds (SplitMix64's finalizer, constants cut to OCaml's 63-bit
+   ints), a few instructions in place of a call into the runtime's
+   [Hashtbl.hash].  Both rounds matter: with one, the csgs of a chain
+   (runs of contiguous bits) piled into long buckets. *)
+let mix h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
 module NsTbl = Hashtbl.Make (struct
   type t = Ns.t
 
   let equal = Ns.equal
-  let hash s = Hashtbl.hash (Ns.hash s)
+  let hash s = mix (Ns.hash s)
 end)
 
 type index =
@@ -121,17 +130,13 @@ let hash_stats t =
   | Flat _ -> None
   | Hashed h -> Some (NsTbl.stats h)
 
+(* The connectivity test of every enumerator, and it hands a hit's id
+   on, so neither outcome may allocate: [find_opt] would box every
+   hit, while a [Not_found] raised without a backtrace is a jump. *)
 let id t s =
   match t.index with
   | Flat a -> a.(Ns.to_int s)
   | Hashed h -> ( match NsTbl.find h s with i -> i | exception Not_found -> -1)
-
-(* The connectivity test of every enumerator, mostly on sets with no
-   entry: no exception on a miss. *)
-let mem t s =
-  match t.index with
-  | Flat a -> a.(Ns.to_int s) >= 0
-  | Hashed h -> NsTbl.mem h s
 
 let grow t =
   let cap = 2 * Array.length t.sets in
@@ -176,19 +181,23 @@ let notify t s ~left (c : Costing.Candidate.t) ev =
 
 (* Cost first: the incumbent's cost is one array read, and a losing
    candidate changes nothing.  Strict [<], so among equal costs the
-   first candidate seen stays. *)
-let offer t (c : Costing.Candidate.t) s ~left ~code =
-  let i = id t s in
+   first candidate seen stays.  The caller has looked the slot up. *)
+let offer t (c : Costing.Candidate.t) i s ~left ~code =
   if i < 0 then begin
-    store t (add t s) c ~left ~code;
-    notify t s ~left c Installed
+    let i = add t s in
+    store t i c ~left ~code;
+    notify t s ~left c Installed;
+    i
   end
-  else if c.cost < t.costs.(i) then begin
-    (* the event block is built only for an attached hook *)
-    if t.hook != None then notify t s ~left c (Displaced t.costs.(i));
-    store t i c ~left ~code
+  else begin
+    if c.cost < t.costs.(i) then begin
+      (* the event block is built only for an attached hook *)
+      if t.hook != None then notify t s ~left c (Displaced t.costs.(i));
+      store t i c ~left ~code
+    end
+    else notify t s ~left c Rejected;
+    i
   end
-  else notify t s ~left c Rejected
 
 let leaf t v ~cost =
   let s = Ns.singleton v in

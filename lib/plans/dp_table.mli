@@ -18,8 +18,11 @@
 
     A set maps to its entry id through a flat int array indexed by the
     set's bit pattern for queries of up to {!flat_max_nodes} relations,
-    and through a hash table beyond; the switchover is invisible to
-    callers. *)
+    and through a hash table beyond, whose bucket is picked by the
+    set's {!Nodeset.Node_set.hash} mixed through two multiply-xorshift
+    rounds in OCaml (the csgs of chains and cycles are runs of
+    contiguous bits, which a weaker mix piles into few buckets); the
+    switchover is invisible to callers. *)
 
 val flat_max_nodes : int
 (** The widest query (18 relations) whose sets index a flat 2{^n}
@@ -92,21 +95,31 @@ val hash_stats : t -> Hashtbl.statistics option
 
 val id : t -> Nodeset.Node_set.t -> int
 (** Entry id of the set, or [-1] if it has none.  Ids are dense and
-    stable. *)
-
-val mem : t -> Nodeset.Node_set.t -> bool
+    stable.  This is the membership probe of every enumerator: it
+    hands back the id the pair's {!load} and the set's {!offer} then
+    use without probing again.  Seeding the {!leaf}s of a fresh table
+    in ascending node order gives node [v]'s singleton the id [v]. *)
 
 val load : t -> Costing.Candidate.t -> int -> int -> unit
 (** [load t c i1 i2] copies the cardinality and cost of entry [i1]
     into [c]'s left operand and those of [i2] into its right one. *)
 
 val offer :
-  t -> Costing.Candidate.t -> Nodeset.Node_set.t -> left:Nodeset.Node_set.t ->
-  code:int -> unit
-(** [offer t c s ~left ~code] — the priced candidate [c] splits [s]
-    into [left] and [s \ left] under operator code [code].  It
-    becomes the entry for [s] if there is none or it is strictly
-    cheaper, so among equal costs the first candidate seen stays. *)
+  t ->
+  Costing.Candidate.t ->
+  int ->
+  Nodeset.Node_set.t ->
+  left:Nodeset.Node_set.t ->
+  code:int ->
+  int
+(** [offer t c i s ~left ~code] — the priced candidate [c] splits [s]
+    into [left] and [s \ left] under operator code [code]; [i] is
+    [s]'s entry id as {!id} returned it ([-1]: none yet).  The
+    candidate becomes the entry for [s] if there is none or it is
+    strictly cheaper, so among equal costs the first candidate seen
+    stays.  Returns [s]'s entry id after the offer, so the candidates
+    for one set (a pair's two argument orders) offer into one slot
+    looked up once. *)
 
 val leaf : t -> int -> cost:float -> unit
 (** [leaf t v ~cost] installs the entry of node [v] unconditionally:

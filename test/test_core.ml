@@ -984,9 +984,11 @@ let carried_agrees g =
         prerr_endline m)
       fmt
   in
-  let emit s1 nb1 s2 nb2 =
+  let emit s1 i1 nb1 s2 i2 nb2 =
     incr pairs;
     let show = Ns.to_string in
+    if i1 <> Plans.Dp_table.id dp s1 || i2 <> Plans.Dp_table.id dp s2 then
+      fail "%s %s: ids %d %d are not the entries'" (show s1) (show s2) i1 i2;
     if not (Ns.equal nb1 (G.simple_neighborhood g s1)) then
       fail "nb(%s) carried as %s" (show s1) (show nb1);
     if not (Ns.equal nb2 (G.simple_neighborhood g s2)) then
@@ -1004,7 +1006,7 @@ let carried_agrees g =
         if not (Ns.equal (G.neighborhood g s nb x) (Walk.neighborhood g s x)) then
           fail "N(%s, %s) differs" (show s) (show x))
       [ (s1, nb1); (s2, nb2) ];
-    Core.Emit.emit e Core.Emit.Symmetric s1 nb1 s2 nb2
+    Core.Emit.emit e Core.Emit.Symmetric s1 i1 nb1 s2 i2 nb2
   in
   Core.Dphyp.run ~emit ~counters g dp;
   !ok && !pairs = List.length (Core.Dphyp.enumerate_ccps g)
@@ -1034,6 +1036,126 @@ let prop_carried_neighborhoods =
       let g = carried_graph seed in
       carried_agrees g
       && random_pairs_agree (Random.State.make [| seed; 1 |]) g)
+
+(* ---------- each pair priced once ---------- *)
+
+(* The operator code a table stores for plan [p]'s split. *)
+let code_of g (p : Plans.Plan.t) =
+  match p.tree with
+  | Plans.Plan.Scan _ -> Plans.Plan.rejected
+  | Plans.Plan.Join j ->
+      let l = j.left.set and r = j.right.set in
+      let res =
+        Plans.Plan.resolve g l (G.simple_neighborhood g l) r
+          (G.simple_neighborhood g r) (Costing.Candidate.create ())
+      in
+      Plans.Plan.op_code g res ~left:l ~right:r
+
+(* DPhyp offers one slot per pair and, under a symmetric model, prices
+   a plain inner join in one order.  The reference prices every valid
+   order of each pair DPhyp emits through [Emit.candidates] and offers
+   each, in contract order, to a table of its own.  Both tables must
+   hold the same sets in the same order, and per set the same left
+   side, operator (the stored code's), cost and card to the bit.  The
+   premise is checked on the way: under C_out a pair whose first
+   order has code 0 has exactly two candidates, alike to the bit, and
+   those are the only cost calls DPhyp saves. *)
+let priced_once_agrees model g =
+  let bits = Int64.bits_of_float in
+  let n = G.num_nodes g in
+  let counters = Core.Counters.create () in
+  let dp = Plans.Dp_table.create_for g in
+  let e = Core.Emit.make ~model ~counters g dp in
+  let rf = Plans.Dp_table.create_for g in
+  for v = 0 to n - 1 do
+    Plans.Dp_table.leaf rf v ~cost:0.0
+  done;
+  let ref_counters = Core.Counters.create () in
+  let premise = ref true and saved = ref 0 in
+  let replay s1 s2 =
+    match (Plans.Dp_table.find rf s1, Plans.Dp_table.find rf s2) with
+    | Some p1, Some p2 ->
+        let cands =
+          Core.Emit.candidates ~model ~counters:ref_counters g p1 p2
+        in
+        (match cands with
+        | first :: rest when model.Costing.Cost_model.symmetric
+                             && code_of g first = 0 ->
+            incr saved;
+            premise :=
+              !premise
+              && (match rest with
+                 | [ second ] ->
+                     code_of g second = 0
+                     && bits first.cost = bits second.cost
+                     && bits first.card = bits second.card
+                 | _ -> false)
+        | _ -> ());
+        List.iter
+          (fun (p : Plans.Plan.t) ->
+            let left =
+              match p.tree with
+              | Plans.Plan.Join j -> j.left.set
+              | Plans.Plan.Scan _ -> Ns.empty
+            in
+            let c = Costing.Candidate.create () in
+            c.card <- p.card;
+            c.cost <- p.cost;
+            ignore
+              (Plans.Dp_table.offer rf c (Plans.Dp_table.id rf p.set) p.set
+                 ~left ~code:(code_of g p)))
+          cands
+    | _ -> ()
+  in
+  let emit s1 i1 nb1 s2 i2 nb2 =
+    replay s1 s2;
+    Core.Emit.emit e Core.Emit.Symmetric s1 i1 nb1 s2 i2 nb2
+  in
+  Core.Dphyp.run ~emit ~counters g dp;
+  let top t s =
+    match Plans.Dp_table.find t s with
+    | None -> None
+    | Some (p : Plans.Plan.t) ->
+        let split =
+          match p.tree with
+          | Plans.Plan.Join j -> Some (Ns.to_int j.left.set, j.op)
+          | Plans.Plan.Scan _ -> None
+        in
+        Some (split, bits p.cost, bits p.card)
+  in
+  let same_entries =
+    List.for_all
+      (fun k ->
+        let sets = Plans.Dp_table.sets_of_size dp k in
+        List.equal Ns.equal sets (Plans.Dp_table.sets_of_size rf k)
+        && List.for_all (fun s -> top dp s = top rf s) sets)
+      (List.init n (fun k -> k + 1))
+  in
+  !premise && same_entries
+  && Plans.Dp_table.size dp = Plans.Dp_table.size rf
+  && counters.Core.Counters.cost_calls
+     = ref_counters.Core.Counters.cost_calls - !saved
+
+let prop_priced_once =
+  QCheck.Test.make
+    ~name:"one-order pricing builds the both-orders table, c_out and c_mm"
+    ~count:200 QCheck.(int_bound 100_000)
+    (fun seed ->
+      (* derived from a random operator tree: full outer joins, the
+         commutative non-inner operator, whose swap does not tie *)
+      let derived =
+        Conflicts.Derive.hypergraph
+          (Conflicts.Analysis.analyze
+             (Conflicts.Simplify.simplify
+                (Workloads.Random_trees.random_tree ~seed ~n:(4 + (seed mod 4))
+                   ~ops:Relalg.Operator.[ join; left_outer; full_outer; left_semi;
+                                          left_anti; left_nest ])))
+      in
+      List.for_all
+        (fun g ->
+          priced_once_agrees Costing.Cost_model.c_out g
+          && priced_once_agrees Costing.Cost_model.c_mm g)
+        [ carried_graph seed; derived ])
 
 (* ---------- certified minimum pairs ---------- *)
 
@@ -1473,6 +1595,7 @@ let () =
           Alcotest.test_case "applicable_op" `Quick test_applicable_op;
           q prop_resolution_equivalence;
           q prop_carried_neighborhoods;
+          q prop_priced_once;
           Alcotest.test_case "minor words per ccp" `Quick test_alloc_per_ccp;
           Alcotest.test_case "words per budgeted adaptive run" `Quick
             test_alloc_adaptive;

@@ -160,6 +160,31 @@ let test_presize_no_resize () =
       ("grid4x5", Workloads.Shapes.grid ~rows:4 ~cols:5 ());
     ]
 
+(* The hash index must spread the sets DPhyp stores.  A chain's csgs
+   are runs of contiguous bits and a cycle's are runs that may wrap,
+   so their raw patterns share low bits, and a weak mix crowds them
+   into a few buckets.  Of chain-62's 1,953 csgs in 8,192 buckets,
+   one multiply and one xor-shift put 153 into one bucket and the
+   runtime's [Hashtbl.hash] of the pattern 31; the two-round mix
+   puts 4.  Every csg of chain-62 and cycle-50 has an entry; the
+   longest bucket stays short. *)
+let test_hash_spread () =
+  List.iter
+    (fun (name, g, csgs) ->
+      let dp, _ = Core.Dphyp.solve_with_table g in
+      match Plans.Dp_table.hash_stats dp with
+      | None -> Alcotest.failf "%s: expected a hashed table" name
+      | Some st ->
+          Alcotest.(check int) (name ^ ": one entry per csg") csgs
+            st.Hashtbl.num_bindings;
+          if st.max_bucket_length > 8 then
+            Alcotest.failf "%s: %d sets share one of %d buckets" name
+              st.max_bucket_length st.num_buckets)
+    [
+      ("chain62", Workloads.Shapes.chain 62, 62 * 63 / 2);
+      ("cycle50", Workloads.Shapes.cycle 50, (50 * 49) + 1);
+    ]
+
 (* A block's DP runs on the block's induced subgraph, so its table is
    a flat 2^|block| index however wide the graph: a 10-node block of
    a 40-node star, a 100-node snowflake or a 100-node chain (nodes
@@ -358,6 +383,8 @@ let () =
         [
           Alcotest.test_case "pre-sized hashtbl never resizes" `Quick
             test_presize_no_resize;
+          Alcotest.test_case "contiguous runs spread over the buckets" `Quick
+            test_hash_spread;
           Alcotest.test_case "a block's table is a flat 2^|block| index"
             `Quick test_block_table_flat;
           Alcotest.test_case "snowflake-80 builds only flat tables" `Quick

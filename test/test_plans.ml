@@ -61,7 +61,7 @@ let test_dp_table () =
   check "empty find" true (Dp.find dp (Ns.singleton 0) = None);
   Dp.leaf dp 0 ~cost:0.0;
   Dp.leaf dp 1 ~cost:0.0;
-  check "mem after leaf" true (Dp.mem dp (Ns.singleton 0));
+  check_int "leaf 0 seeded first has id 0" 0 (Dp.id dp (Ns.singleton 0));
   check_int "size" 2 (Dp.size dp);
   let a = P.scan g 0 and b = P.scan g 1 in
   let expensive =
@@ -70,7 +70,10 @@ let test_dp_table () =
   let cheap =
     P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel:0.1 a b
   in
-  let offer p left = Dp.offer dp (candidate p) p.P.set ~left ~code:0 in
+  let offer p left =
+    let i = Dp.offer dp (candidate p) (Dp.id dp p.P.set) p.P.set ~left ~code:0 in
+    check_int "offer returns the set's id" (Dp.id dp p.P.set) i
+  in
   let ab = cheap.P.set in
   offer expensive a.P.set;
   checkf "first install" expensive.P.cost (Dp.cost dp ab);
@@ -267,10 +270,14 @@ let qcheck_update_model =
                 | None -> true
                 | Some best -> p.P.cost < best
               in
-              Dp.offer dp (candidate p) p.P.set ~left:(Ns.singleton i) ~code:0;
+              let id =
+                Dp.offer dp (candidate p) (Dp.id dp p.P.set) p.P.set
+                  ~left:(Ns.singleton i) ~code:0
+              in
               if expected then Hashtbl.replace model i p.P.cost;
               Dp.cost dp p.P.set = Hashtbl.find model i
-              && Dp.size dp = Hashtbl.length model)
+              && Dp.size dp = Hashtbl.length model
+              && id = Dp.id dp p.P.set)
             ops)
         [ 3; 30; 80 ])
 
