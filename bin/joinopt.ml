@@ -55,36 +55,11 @@ let positive = at_least 1
 let algo_arg =
   let doc =
     Printf.sprintf
-      "Algorithm: %s (dpconv is subset-convolution DP — dense simple \
-       inner-join graphs up to 18 relations; see --dpconv-objective)."
+      "Algorithm: %s (dpconv is subset-convolution DP for the bottleneck \
+       cost C_max — simple inner-join graphs up to 18 relations)."
       (String.concat ", " (List.map Core.Optimizer.name Core.Optimizer.all))
   in
   Arg.(value & opt algo_conv Core.Optimizer.Dphyp & info [ "a"; "algo" ] ~doc)
-
-let dpconv_objective_arg =
-  let objective_conv =
-    let parse s =
-      match Core.Dpconv.objective_of_name s with
-      | Some o -> Ok o
-      | None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown dpconv objective %S (expected cmax or cout-bound)"
-                  s))
-    in
-    Arg.conv
-      (parse, fun ppf o -> Format.pp_print_string ppf (Core.Dpconv.objective_name o))
-  in
-  let doc =
-    "Objective for --algo dpconv: cmax (exact bottleneck optimum — smallest \
-     achievable largest intermediate — in O(2^n) subset convolutions) or \
-     cout-bound (certified upper bound on the C_out optimum, with the \
-     witness plan).  Any other algorithm with this option is a usage \
-     error."
-  in
-  Arg.(value & opt (some ~none:"cmax" objective_conv) None
-       & info [ "dpconv-objective" ] ~doc)
 
 let budget_arg =
   let doc =
@@ -105,34 +80,21 @@ let k_arg =
   in
   Arg.(value & opt (some int) None & info [ "k" ] ~doc)
 
-(* -a, -k and --dpconv-objective as one algorithm value.  -k sets the
-   block size of idp and partition, and the objective is read by
-   dpconv; each is a usage error on any other algorithm.  Subcommands
-   without --dpconv-objective pass [~objective:false] and run dpconv
-   at its default, cmax. *)
-let algo_term ?(objective = true) () =
-  let with_params (algo : Core.Optimizer.algorithm) k obj =
-    let usage flag needs =
-      `Error
-        ( true,
-          Printf.sprintf "%s requires --algo %s (got %s)" flag needs
-            (Core.Optimizer.name algo) )
-    in
-    let takes_k = match algo with Idp _ | Partition _ -> true | _ -> false
-    and takes_objective = match algo with Dpconv _ -> true | _ -> false in
-    if k <> None && not takes_k then usage "-k" "idp or partition"
-    else if obj <> None && not takes_objective then
-      usage "--dpconv-objective" "dpconv"
-    else
-      `Ok
-        (match (algo, k, obj) with
-        | Idp _, Some k, _ -> Core.Optimizer.Idp { k }
-        | Partition _, Some k, _ -> Partition { k }
-        | Dpconv _, _, Some o -> Dpconv o
-        | _ -> algo)
+(* -a and -k as one algorithm value.  -k sets the block size of idp
+   and partition and is a usage error on any other algorithm. *)
+let algo_term =
+  let with_k (algo : Core.Optimizer.algorithm) k =
+    match (algo, k) with
+    | _, None -> `Ok algo
+    | Idp _, Some k -> `Ok (Core.Optimizer.Idp { k })
+    | Partition _, Some k -> `Ok (Partition { k })
+    | _, Some _ ->
+        `Error
+          ( true,
+            Printf.sprintf "-k requires --algo idp or partition (got %s)"
+              (Core.Optimizer.name algo) )
   in
-  let obj = if objective then dpconv_objective_arg else Term.const None in
-  Term.(ret (const with_params $ algo_arg $ k_arg $ obj))
+  Term.(ret (const with_k $ algo_arg $ k_arg))
 
 let model_arg =
   let model_conv =
@@ -353,7 +315,7 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a SQL query")
-    Term.(const run $ sql_arg $ algo_term () $ model_arg
+    Term.(const run $ sql_arg $ algo_term $ model_arg
           $ budget_arg $ conservative_arg $ verbose $ dot_plan $ profile_arg
           $ trace_out_arg)
 
@@ -413,7 +375,7 @@ let explain_cmd =
           pipeline phase (parse, simplify, conflict analysis, hypergraph \
           derivation, enumeration with its tier/round sub-spans) with \
           wall-clock ms, minor-heap allocation and enumeration counters.")
-    Term.(const run $ sql_arg $ algo_term () $ model_arg
+    Term.(const run $ sql_arg $ algo_term $ model_arg
           $ budget_arg $ conservative_arg $ cache_cap $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -594,7 +556,7 @@ let shape_cmd =
   in
   Cmd.v
     (Cmd.info "shape" ~doc:"Generate a benchmark graph and optimize it")
-    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term ()
+    Term.(const run $ shape_arg $ n_arg $ splits_arg $ algo_term
           $ model_arg $ budget_arg $ stable $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -636,7 +598,7 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph" ~doc:"Optimize a serialized hypergraph (see \
                             Hypergraph.Serialize for the format)")
-    Term.(const run $ input $ algo_term ~objective:false ()
+    Term.(const run $ input $ algo_term
           $ model_arg $ budget_arg $ save $ profile_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -753,7 +715,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize a SQL query and execute it on generated data")
-    Term.(const run $ sql_arg $ algo_term ~objective:false () $ model_arg
+    Term.(const run $ sql_arg $ algo_term $ model_arg
           $ budget_arg $ conservative_arg $ rows_arg $ data_seed_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -806,7 +768,7 @@ let analyze_cmd =
           wall-clock and predicate evaluations — plus aggregate Q-error, \
           the measured C_out of the chosen vs. the exact plan, and a \
           result-correctness check against the original operator order.")
-    Term.(const run $ sql_arg $ algo_term ~objective:false () $ model_arg
+    Term.(const run $ sql_arg $ algo_term $ model_arg
           $ budget_arg $ conservative_arg $ rows_arg $ data_seed_arg $ sample
           $ json_out $ stable $ profile_arg $ trace_out_arg)
 
@@ -911,7 +873,7 @@ let inspect_cmd =
           fallback tier (e.g. $(b,--algo) adaptive $(b,--budget) N) also \
           prints the aligned plan diff against exact DP.")
     Term.(const run $ shape_arg $ n_arg $ splits_arg
-          $ algo_term ~objective:false () $ model_arg $ budget_arg $ json $ dot
+          $ algo_term $ model_arg $ budget_arg $ json $ dot
           $ out $ sample $ max_subsets $ max_champions)
 
 (* ------------------------------------------------------------------ *)
@@ -990,7 +952,7 @@ let tpch_cmd =
   in
   Cmd.v
     (Cmd.info "tpch" ~doc:"Optimize TPC-H-shaped join graphs")
-    Term.(const run $ query $ algo_term ~objective:false () $ model_arg
+    Term.(const run $ query $ algo_term $ model_arg
           $ budget_arg $ sf)
 
 let main =

@@ -10,7 +10,9 @@ module He = Hypergraph.Hyperedge
    2^n carry one value per subset, and the zeta / Möbius transforms
    walk them bit by bit.  Every graph it accepts has at most
    max_relations nodes, so an index is a single-word Node_set as it
-   stands (Node_set.unsafe_of_int).
+   stands (Node_set.unsafe_of_int).  Every array and byte access is
+   bounds-checked: an index bug raises instead of writing past a
+   block.
 
    C_max ("minimize the largest intermediate") decomposes over the
    lattice: "can S be assembled with every intermediate cardinality
@@ -21,20 +23,11 @@ module He = Hypergraph.Hyperedge
    O(2^n · n²) each — Õ(2^n) total, against DPhyp's Θ(3^n) pairs on a
    clique.
 
-   C_out (sum of intermediates) does not decompose like that, so its
-   mode refines the optimal-C_max feasible family with a layered,
-   bucket-ordered min-plus pass and certifies the result by rebuilding
-   the witness plan through Emit: the reported bound is the exact
-   model cost of a real plan. *)
+   C_out (sum of intermediates) does not decompose like that; its
+   exact optimum is DPhyp's, which Cout_bound runs with the C_max
+   witness's cost as the pruning bound. *)
 
 type objective = Cmax | Cout_bound
-
-let objective_name = function Cmax -> "cmax" | Cout_bound -> "cout-bound"
-
-let objective_of_name = function
-  | "cmax" -> Some Cmax
-  | "cout-bound" | "cout_bound" -> Some Cout_bound
-  | _ -> None
 
 (* The transforms keep one int array per rank: Θ(n·2^n) words, ~40 MB
    at 18 relations — and every feasibility pass touches all of it. *)
@@ -81,43 +74,32 @@ let require_supported g =
    lattice array of length [2^bits] — the two transforms the ranked
    C_max feasibility layers are built from. *)
 
-let check_len ~bits a name =
-  if Array.length a <> 1 lsl bits then
-    invalid_arg (Printf.sprintf "Dpconv.%s: array length must be 2^bits" name)
-
 let zeta_in_place ~bits a =
-  check_len ~bits a "zeta_in_place";
   let size = 1 lsl bits in
   for i = 0 to bits - 1 do
     let bit = 1 lsl i in
     for s = 0 to size - 1 do
-      if s land bit <> 0 then
-        Array.unsafe_set a s
-          (Array.unsafe_get a s + Array.unsafe_get a (s lxor bit))
+      if s land bit <> 0 then a.(s) <- a.(s) + a.(s lxor bit)
     done
   done
 
 let mobius_in_place ~bits a =
-  check_len ~bits a "mobius_in_place";
   let size = 1 lsl bits in
   for i = 0 to bits - 1 do
     let bit = 1 lsl i in
     for s = 0 to size - 1 do
-      if s land bit <> 0 then
-        Array.unsafe_set a s
-          (Array.unsafe_get a s - Array.unsafe_get a (s lxor bit))
+      if s land bit <> 0 then a.(s) <- a.(s) - a.(s lxor bit)
     done
   done
 
 let popcount_table size =
   let pop = Bytes.create size in
-  Bytes.unsafe_set pop 0 '\000';
+  Bytes.set pop 0 '\000';
   for s = 1 to size - 1 do
-    Bytes.unsafe_set pop s
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get pop (s lsr 1)) + (s land 1)))
+    Bytes.set pop s
+      (Char.chr (Char.code (Bytes.get pop (s lsr 1)) + (s land 1)))
   done;
-  fun s -> Char.code (Bytes.unsafe_get pop s)
+  fun s -> Char.code (Bytes.get pop s)
 
 (* ---------- solver ---------- *)
 
@@ -125,7 +107,6 @@ type outcome = {
   plan : Plans.Plan.t option;
   cmax : float;
   bound : float;
-  feasible : int;
   dp : Plans.Dp_table.t;
 }
 
@@ -133,15 +114,10 @@ let ctz x =
   let rec go i v = if v land 1 = 1 then i else go (i + 1) (v lsr 1) in
   go 0 x
 
-(* Lower edge of the geometric (ratio-2) cost bucket containing x —
-   the ordering key of the min-plus refinement's candidate lists and
-   the sound lower bound its early exit compares against. *)
-let bucket_floor x =
-  if x <= 0. || not (Float.is_finite x) then 0.
-  else Float.min x (Float.pow 2. (Float.floor (Float.log2 x)))
+let cost_of = function Some p -> p.Plans.Plan.cost | None -> nan
 
-let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
-    ?(counters = Counters.create ()) g =
+(* The exact bottleneck optimum and a witness plan achieving it. *)
+let solve_cmax ~model ~counters g =
   require_supported g;
   let n = G.num_nodes g in
   let dp = Plans.Dp_table.create_for g in
@@ -151,8 +127,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
   done;
   if n = 1 then begin
     let plan = Plans.Dp_table.find dp (G.all_nodes g) in
-    let bound = match plan with Some p -> p.Plans.Plan.cost | None -> nan in
-    { plan; cmax = 0.; bound; feasible = 1; dp }
+    { plan; cmax = 0.; bound = cost_of plan; dp }
   end
   else begin
     let size = 1 lsl n in
@@ -195,7 +170,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
        so they can never become champions. *)
     let conn = Bytes.make size '\000' in
     for v = 0 to n - 1 do
-      Bytes.unsafe_set conn (1 lsl v) '\001'
+      Bytes.set conn (1 lsl v) '\001'
     done;
     for s = 3 to size - 1 do
       if popc s >= 2 then begin
@@ -212,12 +187,11 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           frontier := !nxt land s land lnot !reach;
           reach := !reach lor !frontier
         done;
-        if !reach = s then Bytes.unsafe_set conn s '\001'
+        if !reach = s then Bytes.set conn s '\001'
       end
     done;
-    let connected s = Bytes.unsafe_get conn s <> '\000' in
-    if not (connected full) then
-      { plan = None; cmax = nan; bound = nan; feasible = 0; dp }
+    let connected s = Bytes.get conn s <> '\000' in
+    if not (connected full) then { plan = None; cmax = nan; bound = nan; dp }
     else begin
       (* Candidate thresholds: every distinct intermediate cardinality
          of a connected set, at least card(V) (the root join is always
@@ -248,7 +222,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
         let z1 = zf.(1) in
         Array.fill z1 0 size 0;
         for v = 0 to n - 1 do
-          Bytes.unsafe_set f (1 lsl v) '\001';
+          Bytes.set f (1 lsl v) '\001';
           z1.(1 lsl v) <- 1
         done;
         zeta_in_place ~bits:n z1;
@@ -257,9 +231,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           for i = 1 to k - 1 do
             let a = zf.(i) and b = zf.(k - i) in
             for s = 0 to size - 1 do
-              Array.unsafe_set cbuf s
-                (Array.unsafe_get cbuf s
-                + (Array.unsafe_get a s * Array.unsafe_get b s))
+              cbuf.(s) <- cbuf.(s) + (a.(s) * b.(s))
             done
           done;
           mobius_in_place ~bits:n cbuf;
@@ -268,13 +240,13 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           for s = 0 to size - 1 do
             if popc s = k then
               if cbuf.(s) > 0 && connected s && cards.(s) <= tau then begin
-                Bytes.unsafe_set f s '\001';
+                Bytes.set f s '\001';
                 if k < n then zk.(s) <- 1
               end
           done;
           if k < n then zeta_in_place ~bits:n zk
         done;
-        Bytes.unsafe_get f full <> '\000'
+        Bytes.get f full <> '\000'
       in
       (* Feasibility is monotone in τ and the largest candidate always
          works, so binary search finds the exact optimum. *)
@@ -285,11 +257,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
       done;
       let tau = cand.(!lo) in
       ignore (feasible_at tau : bool);
-      let ok s = Bytes.unsafe_get f s <> '\000' in
-      let feasible_count = ref 0 in
-      for s = 0 to size - 1 do
-        if ok s then incr feasible_count
-      done;
+      let ok s = Bytes.get f s <> '\000' in
       (* First achievable split of s, lowest-member side canonical;
          each candidate examined is one considered pair.  Guaranteed
          to exist for every achievable set (its layer counted > 0
@@ -312,107 +280,14 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
          with Exit -> ());
         !found
       in
-      let split = Array.make size 0 in
-      (match objective with
-      | Cmax ->
-          (* Top-down: only the ~2(n-1) sets on the witness tree need
-             splits; any achievable split keeps every intermediate
-             ≤ τ*. *)
-          let rec choose s =
-            if popc s >= 2 then begin
-              let t = first_split s in
-              split.(s) <- t;
-              choose t;
-              choose (s lxor t)
-            end
-          in
-          choose full
-      | Cout_bound ->
-          (* Layered/bucketed min-plus over the achievable family:
-             process cardinality layers bottom-up; for each set, scan
-             candidate halves from the per-rank lists in ascending
-             cost-bucket order and stop as soon as the bucket floor
-             plus the best possible complement cannot beat the
-             incumbent.  A global work cap keeps the refinement
-             Õ(2^n)-ish on shapes where everything is achievable; sets
-             past the cap fall back to the first achievable split —
-             still a valid plan, just a looser bound. *)
-          let ub = Array.make size infinity in
-          for v = 0 to n - 1 do
-            ub.(1 lsl v) <- 0.
-          done;
-          let by_rank = Array.make (n + 1) [] in
-          for s = size - 1 downto 1 do
-            if ok s then by_rank.(popc s) <- s :: by_rank.(popc s)
-          done;
-          let by_rank = Array.map Array.of_list by_rank in
-          (* (set, bucket floor of its bound) per rank, ascending *)
-          let sorted = Array.make (n + 1) [||] in
-          sorted.(1) <-
-            Array.map (fun s -> (s, 0.)) by_rank.(1);
-          let minub = Array.make (n + 1) infinity in
-          minub.(1) <- 0.;
-          let work = ref 0 in
-          let cap = 4_000_000 in
-          for k = 2 to n do
-            Array.iter
-              (fun s ->
-                let best = ref infinity and bestt = ref 0 in
-                if !work < cap then
-                  (try
-                     for i = 1 to k - 1 do
-                       let lower = minub.(k - i) in
-                       let arr = sorted.(i) in
-                       let stop = ref false in
-                       let j = ref 0 in
-                       while (not !stop) && !j < Array.length arr do
-                         let t, tfloor = arr.(!j) in
-                         if cards.(s) +. tfloor +. lower >= !best then
-                           stop := true
-                         else begin
-                           incr work;
-                           Counters.tick_pair counters;
-                           (if t land s = t then
-                              let other = s lxor t in
-                              if ok other then begin
-                                let c = cards.(s) +. ub.(t) +. ub.(other) in
-                                if c < !best then begin
-                                  best := c;
-                                  bestt := t
-                                end
-                              end);
-                           incr j
-                         end
-                       done
-                     done;
-                     if !work >= cap then raise Exit
-                   with Exit -> ());
-                if !bestt = 0 then begin
-                  let t = first_split s in
-                  bestt := t;
-                  best := cards.(s) +. ub.(t) +. ub.(s lxor t)
-                end;
-                ub.(s) <- !best;
-                split.(s) <- !bestt)
-              by_rank.(k);
-            let entries =
-              Array.map (fun s -> (s, bucket_floor ub.(s))) by_rank.(k)
-            in
-            Array.sort
-              (fun (s1, f1) (s2, f2) ->
-                match compare f1 f2 with 0 -> compare s1 s2 | c -> c)
-              entries;
-            sorted.(k) <- entries;
-            Array.iter
-              (fun s -> if ub.(s) < minub.(k) then minub.(k) <- ub.(s))
-              by_rank.(k)
-          done);
-      (* Materialize the witness: emit each chosen split bottom-up
-         through the canonical emitter, so costs come from the session
-         model and the DP table carries a real plan per subset. *)
+      (* Only the ~2(n-1) sets on the witness tree need splits; any
+         achievable split keeps every intermediate ≤ τ*.  Each chosen
+         split is emitted bottom-up through the canonical emitter, so
+         costs come from the session model and the DP table carries a
+         real plan per subset. *)
       let rec build s =
         if popc s >= 2 then begin
-          let t = split.(s) in
+          let t = first_split s in
           build t;
           build (s lxor t);
           let s1 = Ns.unsafe_of_int t and s2 = Ns.unsafe_of_int (s lxor t) in
@@ -423,7 +298,23 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
       in
       build full;
       let plan = Plans.Dp_table.find dp (G.all_nodes g) in
-      let bound = match plan with Some p -> p.Plans.Plan.cost | None -> nan in
-      { plan; cmax = tau; bound; feasible = !feasible_count; dp }
+      { plan; cmax = tau; bound = cost_of plan; dp }
     end
   end
+
+(* On a simple inner graph DPhyp prices every split of a connected
+   set into connected halves, the witness's among them, so the
+   witness's cost bounds DPhyp's optimum and the bounded run returns
+   the unbounded run's plan. *)
+let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
+    ?(counters = Counters.create ()) g =
+  let o = solve_cmax ~model ~counters g in
+  match (objective, o.plan) with
+  | Cmax, _ | Cout_bound, None -> o
+  | Cout_bound, Some witness ->
+      let dp, plan =
+        Dphyp.solve_with_table ~model ~counters
+          ~bound:(witness.Plans.Plan.cost *. (1. +. 1e-9))
+          g
+      in
+      { o with plan; bound = cost_of plan; dp }

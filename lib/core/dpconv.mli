@@ -1,5 +1,5 @@
-(** DPconv: join ordering by fast subset convolution (Stoian, arXiv
-    2409.08013).
+(** DPconv: bottleneck join ordering by fast subset convolution
+    (Stoian, arXiv 2409.08013).
 
     DPhyp enumerates csg-cmp-pairs — Θ(3^n) of them on a clique — and
     pays for each one.  For the {e bottleneck} objective C_max
@@ -18,15 +18,8 @@
     the graph's incidence indexes keeps disconnected subsets out of
     every layer, so no disconnected set can ever become a champion.
 
-    The sum objective C_out does not decompose over a boolean lattice,
-    so this module offers a {e certified upper bound} instead
-    ({!Cout_bound}): the optimal-C_max feasible family is refined by a
-    layered, bucket-ordered min-plus pass (each cardinality layer
-    scans candidate halves in ascending cost-bucket order with an
-    early exit), and the witness plan is rebuilt through [Emit] under
-    the session cost model — the reported bound is the exact cost of a
-    real, [Plan_check]-valid plan, hence always ≥ the true optimum of
-    any exact enumerator.
+    DPconv answers C_max only.  The sum objective C_out does not
+    decompose over a boolean lattice; its exact optimum is DPhyp's.
 
     Scope: simple inner-join graphs only (no hyperedges, no non-inner
     operators, no dependent free variables) — on those, every
@@ -39,14 +32,10 @@
 type objective =
   | Cmax  (** exact bottleneck optimum, plus a witness plan *)
   | Cout_bound
-      (** certified C_out upper bound: the best plan found by the
-          layered/bucketed min-plus refinement of the optimal-C_max
-          family *)
-
-val objective_name : objective -> string
-(** ["cmax" | "cout-bound"]. *)
-
-val objective_of_name : string -> objective option
+      (** the C_max search, then DPhyp bounded by the witness's cost:
+          the exact optimum of the cost model.  Kept only as the
+          benchmark oracle's reference for [dense_adaptive]; it goes,
+          with [Adaptive.Conv], at the next edit of [bench/e2e]. *)
 
 val max_relations : int
 (** Largest graph the transforms accept (18): the working set is
@@ -67,22 +56,20 @@ val supported : Hypergraph.Graph.t -> bool
 type outcome = {
   plan : Plans.Plan.t option;
       (** witness plan (built through [Emit] under the session model);
-          [None] iff the graph is disconnected *)
+          for {!Cout_bound}, DPhyp's optimal plan; [None] iff the graph
+          is disconnected *)
   cmax : float;
       (** the exact optimal C_max — the smallest achievable largest
           intermediate cardinality ([nan] when no plan exists, [0.] on
           a single relation) *)
   bound : float;
-      (** cost of [plan] under the cost model: for {!Cout_bound} the
-          certified upper bound on the C_out optimum ([nan] when no
-          plan exists) *)
-  feasible : int;
-      (** connected subsets achievable within C_max ≤ [cmax] — the
-          size of the search space the reconstruction walks *)
+      (** cost of [plan] under the cost model: for {!Cout_bound} its
+          optimum ([nan] when no plan exists) *)
   dp : Plans.Dp_table.t;
-      (** reconstruction table: one entry per subset on the witness
-          plan's partition tree (provenance hooks observe it like any
-          other DP table) *)
+      (** the table [plan] came from: one entry per subset on the
+          witness plan's partition tree, or DPhyp's table for
+          {!Cout_bound} (provenance hooks observe it like any other DP
+          table) *)
 }
 
 val solve :
@@ -93,8 +80,9 @@ val solve :
   outcome
 (** Run the convolution DP (default objective {!Cmax}, default model
     [C_out]).  Charges [counters] one pair per candidate split
-    examined during refinement/reconstruction (the transforms
-    themselves are bulk work and are not pair-metered), so a budget
-    still bounds the adversarial part of the run.
+    examined while the witness is rebuilt (the transforms themselves
+    are bulk work and are not pair-metered), so a budget still bounds
+    the adversarial part of the run; {!Cout_bound}'s DPhyp run charges
+    the same counters.
     @raise Invalid_argument if the graph is not {!supported}.
     @raise Counters.Budget_exhausted like every other strategy. *)

@@ -9,12 +9,12 @@ type algorithm =
   | Idp of { k : int }
   | Partition of { k : int }
   | Adaptive
-  | Dpconv of Dpconv.objective
+  | Dpconv
 
 let all =
   [ Dphyp; Dpsize; Dpsub; Dpccp; Goo; Topdown; Tdpart;
     Idp { k = Idp.default_k }; Partition { k = Partition.default_stitch_k };
-    Adaptive; Dpconv Dpconv.Cmax ]
+    Adaptive; Dpconv ]
 
 let name = function
   | Dphyp -> "dphyp"
@@ -27,13 +27,13 @@ let name = function
   | Idp _ -> "idp"
   | Partition _ -> "partition"
   | Adaptive -> "adaptive"
-  | Dpconv _ -> "dpconv"
+  | Dpconv -> "dpconv"
 
 let of_name s = List.find_opt (fun a -> name a = s) all
 
 let exact = function
   | Dphyp | Dpsize | Dpsub | Dpccp | Topdown | Tdpart -> true
-  | Goo | Idp _ | Partition _ | Adaptive | Dpconv _ -> false
+  | Goo | Idp _ | Partition _ | Adaptive | Dpconv -> false
 
 type result = {
   plan : Plans.Plan.t option;
@@ -77,8 +77,8 @@ let run ?obs ?model ?filter ?budget algo g =
           tier = Some o.Adaptive.tier;
           attempts = o.Adaptive.attempts;
         }
-    | Dpconv objective ->
-        let o = Dpconv.solve ?model ~objective ~counters g in
+    | Dpconv ->
+        let o = Dpconv.solve ?model ~counters g in
         with_table (o.Dpconv.dp, o.Dpconv.plan)
   in
   match obs with

@@ -1,7 +1,10 @@
 (** Uniform driver over all join-ordering algorithms.
 
     Benchmarks, tests and the CLI all go through this module so that
-    every algorithm is invoked and measured identically. *)
+    every algorithm is invoked and measured identically.  Every
+    algorithm minimizes the session cost model except [Dpconv], which
+    minimizes the bottleneck C_max; its C_out reference mode is not an
+    algorithm value, only a direct {!Dpconv.solve} call. *)
 
 type algorithm =
   | Dphyp
@@ -22,14 +25,14 @@ type algorithm =
       (** budgeted ladder: DPhyp (or {!Partition} on wide queries),
           then IDP with shrinking k, then GOO ({!Adaptive}); on dense
           simple graphs GOO's plan bounds and prunes the exact run *)
-  | Dpconv of Dpconv.objective
-      (** subset-convolution DP ({!Dpconv}): exact bottleneck (C_max)
-          optimum in Õ(2^n), or a certified C_out upper bound — simple
-          inner-join graphs of at most {!Dpconv.max_relations}
-          relations only *)
+  | Dpconv
+      (** subset-convolution DP ({!Dpconv}): the exact bottleneck
+          (C_max) optimum in Õ(2^n), with a witness plan costed under
+          the session model — simple inner-join graphs of at most
+          {!Dpconv.max_relations} relations only *)
 (** An algorithm value carries every parameter its algorithm reads:
-    IDP's block size, the partitioned tier's stitch size and DPconv's
-    objective.  The other eight take only the graph. *)
+    IDP's block size and the partitioned tier's stitch size.  The
+    other nine take only the graph. *)
 
 val all : algorithm list
 (** Every algorithm once, parameters at their defaults (see
@@ -40,8 +43,7 @@ val name : algorithm -> string
 
 val of_name : string -> algorithm option
 (** The inverse of {!name}, with the defaults: [Idp] at
-    {!Idp.default_k}, [Partition] at {!Partition.default_stitch_k} and
-    [Dpconv] at [Cmax]. *)
+    {!Idp.default_k} and [Partition] at {!Partition.default_stitch_k}. *)
 
 val exact : algorithm -> bool
 (** Does the algorithm guarantee the optimal plan (everything except

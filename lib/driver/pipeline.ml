@@ -46,24 +46,21 @@ let guard f =
    bytes.  The serialized graph carries node order, cardinalities,
    selectivities, operators, free sets and edge order (edge ids are
    file order); algorithm, cost model, budget and block size are
-   prepended.  DPconv's objective changes its plan, so it refines the
-   algorithm component; an algorithm without a block size prints
+   prepended; an algorithm without a block size prints
    {!Core.Idp.default_k}, so every key keeps one layout.  Header and
    graph go into one buffer, without Printf: a cache hit pays for
    little else. *)
 let exact_key q graph =
   let open Core.Optimizer in
-  let algo, k =
+  let k =
     match q.algo with
-    | Idp { k } | Partition { k } -> (name q.algo, k)
-    | Dpconv o ->
-        (name q.algo ^ ":" ^ Core.Dpconv.objective_name o, Core.Idp.default_k)
-    | a -> (name a, Core.Idp.default_k)
+    | Idp { k } | Partition { k } -> k
+    | _ -> Core.Idp.default_k
   in
   let buf = Buffer.create 1024 in
   List.iter (Buffer.add_string buf)
     [
-      "algo="; algo;
+      "algo="; name q.algo;
       " model=";
       (match q.model with
       | Some (m : Costing.Cost_model.t) -> m.name

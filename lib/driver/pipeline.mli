@@ -111,9 +111,8 @@ val optimize_tree :
     exceptions as values: an exhausted budget is [Error budget_error],
     a refused input ([Dpccp] on a hypergraph, {!Cdc} under any
     algorithm but DPhyp) is [Error] with its reason.  The algorithm
-    value carries its own parameters (IDP's block size, DPconv's
-    objective), and the plan-cache key
-    includes those that can change the plan.
+    value carries its own parameters (IDP's and the partitioned
+    tier's block sizes), and the plan-cache key includes them.
     [Error] also reports an invalid tree, and a run that finds no plan
     as ["no valid plan found"].
 

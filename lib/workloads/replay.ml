@@ -37,9 +37,4 @@ let star ?seed ?alpha ?(satellites = 15) ~variants ~length () =
       let p = { Shapes.default_params with seed = 1000 + i } in
       Shapes.star ~p satellites)
 
-let distinct_requested w =
-  let seen = Array.make (Array.length w.universe) false in
-  Array.iter (fun i -> seen.(i) <- true) w.requests;
-  Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen
-
 let graph w i = w.universe.(w.requests.(i))

@@ -42,10 +42,6 @@ val star : ?seed:int -> ?alpha:float -> ?satellites:int ->
     catalogs differ by seed — distinct cardinalities/selectivities,
     hence distinct cache entries. *)
 
-val distinct_requested : t -> int
-(** How many universe entries the stream actually touches (an upper
-    bound on compulsory cache misses). *)
-
 val graph : t -> int -> Hypergraph.Graph.t
 (** [graph w i] — the template of request [i] (i.e.
     [w.universe.(w.requests.(i))]). *)

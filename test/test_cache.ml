@@ -352,8 +352,8 @@ let test_partition_k_key () =
 
 (* The exact key's layout, pinned by the Printf format it was first
    written with: a request's entry is found under the key that format
-   builds, for block sizes, both DPconv objectives, another cost model
-   and a budget. *)
+   builds, for block sizes, DPconv, another cost model and a
+   budget. *)
 let test_exact_key_layout () =
   let module Opt = Core.Optimizer in
   let g = Workloads.Shapes.clique 6 in
@@ -375,9 +375,7 @@ let test_exact_key_layout () =
       (Opt.Idp { k = 4 }, None, None, ("idp", "cout", "unlimited", 4));
       ( Opt.Partition { k = 3 }, None, None,
         ("partition", "cout", "unlimited", 3) );
-      (Opt.Dpconv Cmax, None, None, ("dpconv:cmax", "cout", "unlimited", d));
-      ( Opt.Dpconv Cout_bound, None, None,
-        ("dpconv:cout-bound", "cout", "unlimited", d) );
+      (Opt.Dpconv, None, None, ("dpconv", "cout", "unlimited", d));
       ( Opt.Dphyp, Some Costing.Cost_model.c_mm, None,
         ("dphyp", "cmm", "unlimited", d) );
       (Opt.Adaptive, None, Some 5_000, ("adaptive", "cout", "5000", d));

@@ -299,13 +299,13 @@ let test_run_batch () =
     (List.combine seq par)
 
 (* The closure carries every pipeline parameter, so a batch can run
-   what a single call can — here dpconv's certified C_out bound over a
-   skewed catalog.  Each plan costs exactly the bound a direct run
-   certifies, and differs from the default (C_max) objective's plan on
-   at least one query, so a dropped objective would show. *)
-let test_run_batch_dpconv_objective () =
-  let cards = [| 10.; 100000.; 50.; 3000.; 7. |]
-  and sels = [| 0.5; 0.001; 0.2; 0.01 |] in
+   what a single call can — here IDP at two block sizes over a skewed
+   catalog.  Each plan costs exactly what a direct IDP run at its block
+   size returns, and the two sizes differ on at least one query, so a
+   dropped block size would show. *)
+let test_run_batch_idp_block () =
+  let cards = [| 10.; 100000.; 50.; 3000.; 7.; 800.; 20000. |]
+  and sels = [| 0.5; 0.001; 0.2; 0.01; 0.05; 0.3 |] in
   let trees =
     List.map
       (fun sql ->
@@ -313,14 +313,14 @@ let test_run_batch_dpconv_objective () =
         | Ok b -> b.Sqlfront.Binder.tree
         | Error m -> Alcotest.failf "parse %S: %s" sql m)
       [
-        "SELECT * FROM h, s1, s2, s3 WHERE h.a = s1.a AND h.b = s2.b AND \
-         h.c = s3.c";
-        "SELECT * FROM a, b, c, d, e WHERE a.x = b.x AND b.y = c.y AND c.z \
-         = d.z AND d.w = e.w";
+        "SELECT * FROM h, s1, s2, s3, s4, s5 WHERE h.a = s1.a AND h.b = \
+         s2.b AND h.c = s3.c AND h.d = s4.d AND h.e = s5.e";
+        "SELECT * FROM a, b, c, d, e, f, g WHERE a.x = b.x AND b.y = c.y \
+         AND c.z = d.z AND d.w = e.w AND e.v = f.v AND f.u = g.u";
       ]
   in
-  let dpconv objective t =
-    Driver.Pipeline.optimize_tree ~algo:(Opt.Dpconv objective)
+  let idp k t =
+    Driver.Pipeline.optimize_tree ~algo:(Opt.Idp { k })
       ~cards:(Array.get cards)
       ~sels:(Array.get sels) t
   in
@@ -328,27 +328,23 @@ let test_run_batch_dpconv_objective () =
     | Ok r -> r.Driver.Pipeline.plan
     | Error m -> Alcotest.fail m
   in
-  let par =
-    Driver.Pipeline.run_batch ~jobs:2 (dpconv Core.Dpconv.Cout_bound) trees
+  let batch k =
+    let par = Driver.Pipeline.run_batch ~jobs:2 (idp k) trees in
+    List.iteri
+      (fun i (t, p) ->
+        Alcotest.(check string)
+          (Printf.sprintf "k = %d, query %d: same plan" k i)
+          (Plans.Plan.to_string (plan (idp k t)))
+          (Plans.Plan.to_string (plan p));
+        let g = (Result.get_ok p).Driver.Pipeline.graph in
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "k = %d, query %d: costs the direct run" k i)
+          (Option.get (Core.Idp.solve ~k g)).Plans.Plan.cost
+          (plan p).Plans.Plan.cost)
+      (List.combine trees par);
+    List.map (fun p -> Plans.Plan.to_string (plan p)) par
   in
-  List.iteri
-    (fun i (t, p) ->
-      let s = plan (dpconv Core.Dpconv.Cout_bound t) in
-      Alcotest.(check string)
-        (Printf.sprintf "query %d: same plan" i)
-        (Plans.Plan.to_string s) (Plans.Plan.to_string (plan p));
-      let g = (Result.get_ok p).Driver.Pipeline.graph in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "query %d: costs the cout bound" i)
-        (Core.Dpconv.solve ~objective:Core.Dpconv.Cout_bound g).Core.Dpconv.bound
-        (plan p).Plans.Plan.cost)
-    (List.combine trees par);
-  check "the objective changes a plan" true
-    (List.exists2
-       (fun t p ->
-         Plans.Plan.to_string (plan (dpconv Core.Dpconv.Cmax t))
-         <> Plans.Plan.to_string (plan p))
-       trees par)
+  check "the block size changes a plan" true (batch 2 <> batch 7)
 
 let () =
   Alcotest.run "parallel"
@@ -363,8 +359,8 @@ let () =
             test_batch_jobs_positive;
           Alcotest.test_case "run_batch matches sequential" `Quick
             test_run_batch;
-          Alcotest.test_case "closure sets the dpconv objective" `Quick
-            test_run_batch_dpconv_objective;
+          Alcotest.test_case "closure sets the idp block size" `Quick
+            test_run_batch_idp_block;
         ] );
       ( "identity",
         [
