@@ -35,7 +35,9 @@ type t = {
   mutable filter_rejected : int;
       (** pairs rejected by an external validity filter (CD-C, or
           the generate-and-test baseline of Section 5.8) *)
-  mutable neighborhood_calls : int;  (** N(S,X) evaluations (DPhyp) *)
+  mutable neighborhood_calls : int;
+      (** N(S,X) evaluations (DPhyp, DPccp); a recursive call whose
+          neighborhood must be empty is not made, so not counted *)
   mutable budget_limit : int;
       (** maximum [pairs_considered] before {!Budget_exhausted};
           [max_int] means unlimited *)

@@ -4,6 +4,7 @@ module G = Hypergraph.Graph
 
 type ctx = {
   g : G.t;
+  all : Ns.t;
   dp : Plans.Dp_table.t;
   counters : Counters.t;
   emit : Ns.t -> int -> Ns.t -> int -> unit;
@@ -17,6 +18,11 @@ let neighborhood c s x =
   c.counters.Counters.neighborhood_calls <-
     c.counters.Counters.neighborhood_calls + 1;
   Ns.diff (G.simple_neighborhood c.g s) (Ns.union s x)
+
+(* N(S, X) lies in V \ (S ∪ X), so a recursive call on (S ∪ S', X ∪ N)
+   with S' ⊆ N has nothing to grow once S ∪ X ∪ N covers every node:
+   the recursions skip those calls, as Dphyp's do. *)
+let dead c s x' = Ns.subset c.all (Ns.union s x')
 
 let connected c s1 s2 =
   Ns.exists (fun v -> Ns.intersects (G.simple_neighbors c.g v) s2) s1
@@ -33,7 +39,9 @@ let rec enumerate_cmp_rec c s1 s2 x =
         let i2 = Plans.Dp_table.id c.dp s2' in
         if i2 >= 0 && connected c s1 s2' then c.emit s1 c.i1 s2' i2);
     let x' = Ns.union x n in
-    Se.iter_nonempty n (fun sub -> enumerate_cmp_rec c s1 (Ns.union s2 sub) x')
+    if not (dead c s2 x') then
+      Se.iter_nonempty n (fun sub ->
+          enumerate_cmp_rec c s1 (Ns.union s2 sub) x')
   end
 
 let emit_csg c s1 i1 =
@@ -56,7 +64,8 @@ let rec enumerate_csg_rec c s1 x =
         let i1 = Plans.Dp_table.id c.dp s1' in
         if i1 >= 0 then emit_csg c s1' i1);
     let x' = Ns.union x n in
-    Se.iter_nonempty n (fun sub -> enumerate_csg_rec c (Ns.union s1 sub) x')
+    if not (dead c s1 x') then
+      Se.iter_nonempty n (fun sub -> enumerate_csg_rec c (Ns.union s1 sub) x')
   end
 
 let check_simple g =
@@ -65,7 +74,7 @@ let check_simple g =
 
 let run ~emit ~counters g dp =
   check_simple g;
-  let c = { g; dp; counters; emit; i1 = -1 } in
+  let c = { g; all = G.all_nodes g; dp; counters; emit; i1 = -1 } in
   let n = G.num_nodes g in
   for v = 0 to n - 1 do
     Plans.Dp_table.leaf dp v ~cost:0.0

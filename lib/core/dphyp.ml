@@ -24,9 +24,11 @@ module G = Hypergraph.Graph
    2–4% more requests per second on [bench/e2e]'s hyper_cold and
    dense_adaptive than calling the table's probe with the table at
    every test.  A singleton's id is its node: [run] seeds the leaves
-   of a fresh table in ascending order. *)
+   of a fresh table in ascending order.  [all] is the graph's node
+   set, against which [dead] tests a recursion's sets. *)
 type ctx = {
   g : G.t;
+  all : Ns.t;
   id : Ns.t -> int;
   counters : Counters.t;
   emit : Ns.t -> int -> Ns.t -> Ns.t -> int -> Ns.t -> unit;
@@ -39,6 +41,16 @@ let neighborhood c s nb x =
   c.counters.Counters.neighborhood_calls <-
     c.counters.Counters.neighborhood_calls + 1;
   G.neighborhood c.g s nb x
+
+(* N(S, X) lies in V \ (S ∪ X): its simple part is cut by S ∪ X, and
+   [G.collect_candidates] keeps only hypernodes disjoint from S ∪ X.
+   A recursive call on (S ∪ S', X') with S' ⊆ N ⊆ X' therefore finds
+   an empty neighborhood when S ∪ X' covers every node, and returns
+   without ticking or emitting a pair; [dead] is that test, one
+   subset test against [c.all], and the recursions skip such calls.
+   On a clique that is almost every call below an [emit_csg], since N
+   takes all of V \ (S ∪ X). *)
+let dead c s x' = Ns.subset c.all (Ns.union s x')
 
 (* EnumerateCmpRec(S1, S2, X): extend the complement seed S2 (with
    simple neighborhood [nb2]) until it connects to S1; emit on every
@@ -56,10 +68,11 @@ let rec enumerate_cmp_rec c s2 nb2 x =
           c.emit c.s1 c.i1 c.nb1 s2' i2
             (Ns.union nb2 (G.simple_neighborhood c.g sub)));
     let x' = Ns.union x n in
-    Se.iter_nonempty n (fun sub ->
-        enumerate_cmp_rec c (Ns.union s2 sub)
-          (Ns.union nb2 (G.simple_neighborhood c.g sub))
-          x')
+    if not (dead c s2 x') then
+      Se.iter_nonempty n (fun sub ->
+          enumerate_cmp_rec c (Ns.union s2 sub)
+            (Ns.union nb2 (G.simple_neighborhood c.g sub))
+            x')
   end
 
 (* EmitCsg(S1): find all complement seeds in the neighborhood of S1,
@@ -93,7 +106,8 @@ let rec enumerate_csg_rec c s1 x =
         let i1 = c.id s1' in
         if i1 >= 0 then emit_csg c s1' i1);
     let x' = Ns.union x n in
-    Se.iter_nonempty n (fun sub -> enumerate_csg_rec c (Ns.union s1 sub) x')
+    if not (dead c s1 x') then
+      Se.iter_nonempty n (fun sub -> enumerate_csg_rec c (Ns.union s1 sub) x')
   end
 
 (* Seed every leaf, then the descending root loop of Section 3: under
@@ -101,8 +115,10 @@ let rec enumerate_csg_rec c s1 x =
    [v]. *)
 let run ~emit ~counters ?(leaf_cost = fun _ -> 0.0) g dp =
   let id = Plans.Dp_table.id dp in
-  let c = { g; id; counters; emit; s1 = Ns.empty; i1 = -1; nb1 = Ns.empty } in
   let all = G.all_nodes g in
+  let c =
+    { g; all; id; counters; emit; s1 = Ns.empty; i1 = -1; nb1 = Ns.empty }
+  in
   Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:(leaf_cost v)) all;
   Ns.iter_desc
     (fun v ->

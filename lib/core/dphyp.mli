@@ -13,7 +13,10 @@
     would recurse over an empty neighborhood), and [EmitCsg] grows the
     exclusion set with the already-considered seeds before each
     [EnumerateCmpRec] call (otherwise complements containing several
-    neighbors are emitted once per contained neighbor). *)
+    neighbors are emitted once per contained neighbor).  Both
+    recursions also skip the recursive calls whose neighborhood must
+    be empty (the grown set and [X ∪ N] already cover every node):
+    same pairs, order and counts, fewer [neighborhood_calls]. *)
 
 val solve :
   ?model:Costing.Cost_model.t ->

@@ -46,17 +46,28 @@ type hook =
 (* The entries, struct-of-arrays in insertion order: entry [i] is the
    best split found for [sets.(i)] — its left side, its operator code
    (see Plan), its total cost and output cardinality.  Leaves have an
-   empty left side and plan as a scan.  The arrays grow by doubling,
-   so a table holds one word per flat slot plus a few words per live
-   entry, and a candidate that loses touches nothing but floats. *)
+   empty left side and plan as a scan.  Each column is a directory of
+   [chunk]-entry chunks, entry [i] at slot [i land (chunk - 1)] of
+   chunk [i lsr chunk_bits].  A full table adds one chunk per column
+   and copies only the directory (doubling it when full), never an
+   entry.  A chunk fits the minor heap (at most 256 words), so it is
+   promoted once; a column copied whole on growth would go straight
+   to the major heap past 256 words and leave the old copy there as
+   garbage, which raises the heap's high-water mark.  A table holds
+   one word per flat slot plus a few words per live entry, and a
+   candidate that loses touches nothing but floats. *)
+let chunk_bits = 6
+let chunk = 1 lsl chunk_bits
+let slot i = i land (chunk - 1)
+
 type t = {
   g : G.t;
   index : index;
-  mutable sets : Ns.t array;
-  mutable lefts : Ns.t array;
-  mutable codes : int array;
-  mutable costs : float array;
-  mutable cards : float array;
+  mutable sets : Ns.t array array;
+  mutable lefts : Ns.t array array;
+  mutable codes : int array array;
+  mutable costs : float array array;
+  mutable cards : float array array;
   mutable len : int;
   mutable hook : hook option;
   lift : Ns.t -> Ns.t;  (* table set -> the set a hook reports *)
@@ -107,16 +118,15 @@ let create_for ?(lift = Fun.id) g =
       in
       Hashed (NsTbl.create hint)
   in
-  let cap = 64 in
   let t =
     {
       g;
       index;
-      sets = Array.make cap Ns.empty;
-      lefts = Array.make cap Ns.empty;
-      codes = Array.make cap 0;
-      costs = Array.make cap 0.0;
-      cards = Array.make cap 0.0;
+      sets = [| Array.make chunk Ns.empty |];
+      lefts = [| Array.make chunk Ns.empty |];
+      codes = [| Array.make chunk 0 |];
+      costs = [| Array.make chunk 0.0 |];
+      cards = [| Array.make chunk 0.0 |];
       len = 0;
       hook = None;
       lift;
@@ -138,41 +148,55 @@ let id t s =
   | Flat a -> a.(Ns.to_int s)
   | Hashed h -> ( match NsTbl.find h s with i -> i | exception Not_found -> -1)
 
-let grow t =
-  let cap = 2 * Array.length t.sets in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 t.len;
-    b
-  in
-  t.sets <- extend t.sets Ns.empty;
-  t.lefts <- extend t.lefts Ns.empty;
-  t.codes <- extend t.codes 0;
-  t.costs <- extend t.costs 0.0;
-  t.cards <- extend t.cards 0.0
+(* Give every column its chunk [k], doubling the directories when
+   they are full: only chunk pointers move. *)
+let add_chunk t k =
+  if k = Array.length t.sets then begin
+    let extend d empty =
+      let d' = Array.make (2 * k) empty in
+      Array.blit d 0 d' 0 k;
+      d'
+    in
+    t.sets <- extend t.sets [||];
+    t.lefts <- extend t.lefts [||];
+    t.codes <- extend t.codes [||];
+    t.costs <- extend t.costs [||];
+    t.cards <- extend t.cards [||]
+  end;
+  t.sets.(k) <- Array.make chunk Ns.empty;
+  t.lefts.(k) <- Array.make chunk Ns.empty;
+  t.codes.(k) <- Array.make chunk 0;
+  t.costs.(k) <- Array.make chunk 0.0;
+  t.cards.(k) <- Array.make chunk 0.0
 
 (* Append an entry for [s] and index it; returns its id. *)
 let add t s =
-  if t.len = Array.length t.sets then grow t;
   let i = t.len in
+  if slot i = 0 && i > 0 then add_chunk t (i lsr chunk_bits);
   t.len <- i + 1;
-  t.sets.(i) <- s;
+  t.sets.(i lsr chunk_bits).(slot i) <- s;
   (match t.index with
   | Flat a -> a.(Ns.to_int s) <- i
   | Hashed h -> NsTbl.replace h s i);
   i
 
+(* Every column access spells out its chunk and slot: a shared
+   accessor would have to be polymorphic, and read a float column
+   through the generic path, boxing. *)
 let load t (c : Costing.Candidate.t) i1 i2 =
-  c.left_card <- t.cards.(i1);
-  c.left_cost <- t.costs.(i1);
-  c.right_card <- t.cards.(i2);
-  c.right_cost <- t.costs.(i2)
+  let k1 = i1 lsr chunk_bits and j1 = slot i1 in
+  let k2 = i2 lsr chunk_bits and j2 = slot i2 in
+  c.left_card <- t.cards.(k1).(j1);
+  c.left_cost <- t.costs.(k1).(j1);
+  c.right_card <- t.cards.(k2).(j2);
+  c.right_cost <- t.costs.(k2).(j2)
 
 let store t i (c : Costing.Candidate.t) ~left ~code =
-  t.lefts.(i) <- left;
-  t.codes.(i) <- code;
-  t.costs.(i) <- c.cost;
-  t.cards.(i) <- c.card
+  let k = i lsr chunk_bits and j = slot i in
+  t.lefts.(k).(j) <- left;
+  t.codes.(k).(j) <- code;
+  t.costs.(k).(j) <- c.cost;
+  t.cards.(k).(j) <- c.card
 
 let notify t s ~left (c : Costing.Candidate.t) ev =
   match t.hook with
@@ -190,9 +214,10 @@ let offer t (c : Costing.Candidate.t) i s ~left ~code =
     i
   end
   else begin
-    if c.cost < t.costs.(i) then begin
+    let old = t.costs.(i lsr chunk_bits).(slot i) in
+    if c.cost < old then begin
       (* the event block is built only for an attached hook *)
-      if t.hook != None then notify t s ~left c (Displaced t.costs.(i));
+      if t.hook != None then notify t s ~left c (Displaced old);
       store t i c ~left ~code
     end
     else notify t s ~left c Rejected;
@@ -202,31 +227,35 @@ let offer t (c : Costing.Candidate.t) i s ~left ~code =
 let leaf t v ~cost =
   let s = Ns.singleton v in
   let i = match id t s with -1 -> add t s | i -> i in
-  t.lefts.(i) <- Ns.empty;
-  t.codes.(i) <- Plan.rejected;
-  t.costs.(i) <- cost;
-  t.cards.(i) <- G.cardinality t.g v
+  let k = i lsr chunk_bits and j = slot i in
+  t.lefts.(k).(j) <- Ns.empty;
+  t.codes.(k).(j) <- Plan.rejected;
+  t.costs.(k).(j) <- cost;
+  t.cards.(k).(j) <- G.cardinality t.g v
 
 let size t = t.len
 
 let cost t s =
-  match id t s with -1 -> raise Not_found | i -> t.costs.(i)
+  match id t s with
+  | -1 -> raise Not_found
+  | i -> t.costs.(i lsr chunk_bits).(slot i)
 
 (* Build the plan tree of entry [i] from the stored splits: the
    children's entries are final by the time a superset uses them, so
    this is the plan the enumeration costed. *)
 let rec plan_of t i =
-  let s = t.sets.(i) and left = t.lefts.(i) in
+  let k = i lsr chunk_bits and j = slot i in
+  let s = t.sets.(k).(j) and left = t.lefts.(k).(j) in
+  let cost = t.costs.(k).(j) in
   if Ns.is_empty left then
     (* a scan shares the graph's cardinality and the constant 0, so a
        plan kept in a cache holds no float boxes of its own *)
     let p = Plan.scan t.g (Ns.min_elt s) in
-    if t.costs.(i) = 0.0 then p else { p with cost = t.costs.(i) }
+    if cost = 0.0 then p else { p with cost }
   else
     let pl = plan_of t (id t left) in
     let pr = plan_of t (id t (Ns.diff s left)) in
-    Plan.make_join t.g ~code:t.codes.(i) ~card:t.cards.(i) ~cost:t.costs.(i) pl
-      pr
+    Plan.make_join t.g ~code:t.codes.(k).(j) ~card:t.cards.(k).(j) ~cost pl pr
 
 let find t s = match id t s with -1 -> None | i -> Some (plan_of t i)
 
@@ -237,6 +266,7 @@ let best t s = match id t s with -1 -> raise Not_found | i -> plan_of t i
 let sets_of_size t k =
   let acc = ref [] in
   for i = 0 to t.len - 1 do
-    if Ns.cardinal t.sets.(i) = k then acc := t.sets.(i) :: !acc
+    let s = t.sets.(i lsr chunk_bits).(slot i) in
+    if Ns.cardinal s = k then acc := s :: !acc
   done;
   !acc

@@ -10,11 +10,16 @@
     The table is cost-first.  An entry is a handful of unboxed
     numbers, kept struct-of-arrays in insertion order: its winning
     left side, its operator code (see {!Plan}), its total cost and its
-    output cardinality.  The emitter prices a candidate into a
-    {!Costing.Candidate.t} and {!offer}s it; a candidate that does not
-    beat the incumbent allocates nothing.  Plan trees exist only on
-    request: {!find} and {!best} build the tree of one set from the
-    stored splits, once, after enumeration.
+    output cardinality.  Each column is stored as a directory of
+    fixed 64-entry chunks: entry [i] lives in chunk [i / 64], slot
+    [i mod 64].  Growing the table adds a chunk per column and, when
+    the directory is full, doubles the directory of chunk pointers;
+    entries never move, so filling a large table leaves no copied
+    columns behind in the major heap.  The emitter prices a
+    candidate into a {!Costing.Candidate.t} and {!offer}s it; a
+    candidate that does not beat the incumbent allocates nothing.
+    Plan trees exist only on request: {!find} and {!best} build the
+    tree of one set from the stored splits, once, after enumeration.
 
     A set maps to its entry id through a flat int array indexed by the
     set's bit pattern for queries of up to {!flat_max_nodes} relations,

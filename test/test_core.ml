@@ -1386,6 +1386,187 @@ let prop_random_emission =
       canon (Core.Dphyp.enumerate_ccps g)
       = canon (Hypergraph.Csg_enum.csg_cmp_pairs g))
 
+(* ---------- dead recursion tails (qcheck) ---------- *)
+
+(* DPhyp's recursion as it ran before it skipped the recursive calls
+   whose neighborhood must be empty, kept as the reference: every
+   call computes its neighborhood, however the sets it was handed
+   cover the graph. *)
+module Unskipped = struct
+  module Se = Nodeset.Subset_enum
+
+  let run ~emit ~(counters : Core.Counters.t) g dp =
+    let id = Plans.Dp_table.id dp in
+    let neighborhood s nb x =
+      counters.neighborhood_calls <- counters.neighborhood_calls + 1;
+      G.neighborhood g s nb x
+    in
+    let rec cmp_rec s1 i1 nb1 s2 nb2 x =
+      let n = neighborhood s2 nb2 x in
+      if not (Ns.is_empty n) then begin
+        Se.iter_nonempty n (fun sub ->
+            let s2' = Ns.union s2 sub in
+            Core.Counters.tick_pair counters;
+            let i2 = id s2' in
+            if i2 >= 0 && G.connects g s1 nb1 s2' then
+              emit s1 i1 nb1 s2' i2
+                (Ns.union nb2 (G.simple_neighborhood g sub)));
+        let x' = Ns.union x n in
+        Se.iter_nonempty n (fun sub ->
+            cmp_rec s1 i1 nb1 (Ns.union s2 sub)
+              (Ns.union nb2 (G.simple_neighborhood g sub))
+              x')
+      end
+    in
+    let emit_csg s1 i1 =
+      let nb1 = G.simple_neighborhood g s1 in
+      let x = Ns.union s1 (Ns.upto (Ns.min_elt s1)) in
+      let n = neighborhood s1 nb1 x in
+      Ns.iter_desc
+        (fun v ->
+          let s2 = Ns.singleton v and nb2 = G.simple_neighbors g v in
+          Core.Counters.tick_pair counters;
+          if G.connects g s1 nb1 s2 then emit s1 i1 nb1 s2 v nb2;
+          cmp_rec s1 i1 nb1 s2 nb2 (Ns.union x (Ns.inter n (Ns.upto v))))
+        n
+    in
+    let rec csg_rec s1 x =
+      let n = neighborhood s1 (G.simple_neighborhood g s1) x in
+      if not (Ns.is_empty n) then begin
+        Se.iter_nonempty n (fun sub ->
+            let s1' = Ns.union s1 sub in
+            let i1 = id s1' in
+            if i1 >= 0 then emit_csg s1' i1);
+        let x' = Ns.union x n in
+        Se.iter_nonempty n (fun sub -> csg_rec (Ns.union s1 sub) x')
+      end
+    in
+    let all = G.all_nodes g in
+    Ns.iter (fun v -> Plans.Dp_table.leaf dp v ~cost:0.0) all;
+    Ns.iter_desc
+      (fun v ->
+        let s = Ns.singleton v in
+        emit_csg s v;
+        csg_rec s (Ns.upto v))
+      all
+end
+
+(* One run through the emitter, optionally bounded and budgeted:
+   the (S1, S2) pairs handed to it in order, the counters, and whether
+   the budget ran out. *)
+let traced_run run ?bound ?budget g =
+  let counters = Core.Counters.create ?budget () in
+  let dp = Plans.Dp_table.create_for g in
+  let e = Core.Emit.make ?bound ~model:Costing.Cost_model.c_out ~counters g dp in
+  let trace = ref [] in
+  let emit s1 i1 nb1 s2 i2 nb2 =
+    trace := (Ns.to_list s1, Ns.to_list s2) :: !trace;
+    Core.Emit.emit e Core.Emit.Symmetric s1 i1 nb1 s2 i2 nb2
+  in
+  let ran_out =
+    match run ~emit ~counters g dp with
+    | () -> false
+    | exception Core.Counters.Budget_exhausted -> true
+  in
+  (List.rev !trace, counters, ran_out)
+
+(* DPhyp against the reference, unbounded (unless [unbounded] is
+   false), bounded by GOO's cost (as the adaptive ladder runs dense
+   graphs) and under a budget that runs out halfway through the
+   bounded run: the same pairs in the same order, the same pair, ccp
+   and cost-call counts, the budget running out at the same pair, and
+   never more neighborhoods.  On a graph without hyperedges DPccp,
+   which skips the same calls, must count what unbounded DPhyp
+   counts, neighborhoods included. *)
+let skip_agrees ?(unbounded = true) name g =
+  let goo =
+    match Core.Goo.solve g with
+    | Some p -> p.Plans.Plan.cost *. (1. +. 1e-9)
+    | None -> infinity
+  in
+  let check_run label ?bound ?budget () =
+    let t, c, out =
+      traced_run (fun ~emit ~counters g dp -> Core.Dphyp.run ~emit ~counters g dp)
+        ?bound ?budget g
+    in
+    let rt, rc, rout = traced_run Unskipped.run ?bound ?budget g in
+    if t <> rt then QCheck.Test.fail_reportf "%s %s: emitted pairs differ" name label
+    else if
+      c.Core.Counters.pairs_considered <> rc.Core.Counters.pairs_considered
+      || c.ccp_emitted <> rc.ccp_emitted
+      || c.cost_calls <> rc.cost_calls
+      || out <> rout
+    then
+      QCheck.Test.fail_reportf
+        "%s %s: pairs %d/%d, ccp %d/%d, cost calls %d/%d, ran out %b/%b" name
+        label c.pairs_considered rc.pairs_considered c.ccp_emitted
+        rc.ccp_emitted c.cost_calls rc.cost_calls out rout
+    else if c.neighborhood_calls > rc.neighborhood_calls then
+      QCheck.Test.fail_reportf "%s %s: %d neighborhoods > the reference's %d"
+        name label c.neighborhood_calls rc.neighborhood_calls
+    else c
+  in
+  let dpccp_agrees () =
+    let c = check_run "unbounded" () and cc = Core.Counters.create () in
+    G.has_hyperedges g
+    || begin
+         ignore (Core.Dpccp.solve_with_table ~counters:cc g);
+         (cc.pairs_considered, cc.ccp_emitted, cc.neighborhood_calls)
+         = (c.pairs_considered, c.ccp_emitted, c.neighborhood_calls)
+       end
+    || QCheck.Test.fail_reportf "%s: dpccp counts differ from dphyp's" name
+  in
+  ((not unbounded) || dpccp_agrees ())
+  &&
+  let c = check_run "bounded by goo" ~bound:goo () in
+  ignore (check_run "budget" ~bound:goo ~budget:(c.pairs_considered / 2) ());
+  true
+
+let prop_dead_tails_skipped =
+  QCheck.Test.make ~name:"skipping dead tails = the unskipped recursion"
+    ~count:30 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let p = { Workloads.Shapes.default_params with seed } in
+      let n = 2 + (seed mod 13) in
+      let simple =
+        Workloads.Random_graphs.simple ~p ~seed ~n ~extra_edges:(seed mod 5) ()
+      in
+      (* half the complete graph's edges; GOO's bound prunes these
+         less than a clique's, so they stop at 11 relations *)
+      let dense =
+        let n = min n 11 in
+        Workloads.Random_graphs.simple ~p ~seed ~n
+          ~extra_edges:(n * (n - 1) / 4) ()
+      in
+      let hyper =
+        Workloads.Random_graphs.hyper ~p ~seed ~n:(max 4 n)
+          ~extra_edges:(seed mod 3) ~hyperedges:(1 + (seed mod 3))
+          ~max_hypernode:3 ()
+      in
+      let noninner =
+        Conflicts.Derive.hypergraph
+          (Conflicts.Analysis.analyze
+             (Conflicts.Simplify.simplify
+                (Workloads.Random_trees.random_tree ~seed ~n:(max 2 (n / 2))
+                   ~ops:Relalg.Operator.[ join; left_outer; full_outer; left_semi;
+                                          left_anti; left_nest ])))
+      in
+      (* an unbounded clique-14 walks 2.4M pairs per run: past 11
+         relations the dense graphs run bounded only *)
+      skip_agrees ~unbounded:(n <= 11) "clique" (Workloads.Shapes.clique ~p n)
+      && List.for_all
+        (fun (name, g) -> skip_agrees name g)
+        [
+          ("simple", simple);
+          ("dense", dense);
+          ("hyper", hyper);
+          (* spine of mixed operators, hyperedges with w-parts, a
+             dependent relation *)
+          ("carried", carried_graph seed);
+          ("noninner", noninner);
+          ("simple, dependent", with_free simple (n - 1) (Ns.singleton 0));
+        ])
+
 (* ---------- indexed enumeration vs. naive reference ---------- *)
 
 (* A reference DPhyp enumerator: the same five member functions as
@@ -1595,6 +1776,7 @@ let () =
           Alcotest.test_case "applicable_op" `Quick test_applicable_op;
           q prop_resolution_equivalence;
           q prop_carried_neighborhoods;
+          q prop_dead_tails_skipped;
           q prop_priced_once;
           Alcotest.test_case "minor words per ccp" `Quick test_alloc_per_ccp;
           Alcotest.test_case "words per budgeted adaptive run" `Quick

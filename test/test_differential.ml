@@ -347,7 +347,7 @@ let test_skip_star29 () =
   check "idp-10 answers" true (r.Opt.tier = Some (Core.Adaptive.Idp_k 10));
   Alcotest.(check string)
     "winning counters"
-    "pairs=6916 ccp=6916 cost-calls=6916 neighborhoods=10054"
+    "pairs=6916 ccp=6916 cost-calls=6916 neighborhoods=8518"
     (let c = r.Opt.counters in
      Printf.sprintf "pairs=%d ccp=%d cost-calls=%d neighborhoods=%d"
        c.Core.Counters.pairs_considered c.ccp_emitted c.cost_calls
@@ -458,22 +458,22 @@ let test_partitioned_pins () =
       ( "snowflake-80",
         Workloads.Shapes.snowflake_n 80,
         "17e18ffd16b32b87a4abefa7ce16af54",
-        "pairs=9676 ccp=9676 cost-calls=9676 neighborhoods=14584",
+        "pairs=9676 ccp=9676 cost-calls=9676 neighborhoods=12160",
         "partitioned:true:9676" );
       ( "star-100",
         Workloads.Shapes.star 100,
         "7d5a4f446ae0b286a9a82f3d2bce09b5",
-        "pairs=25345 ccp=25345 cost-calls=25345 neighborhoods=36813",
+        "pairs=25345 ccp=25345 cost-calls=25345 neighborhoods=31191",
         "partitioned:true:25345" );
       ( "chain-160",
         Workloads.Shapes.chain 160,
         "275c02be30e406a8e0bb07dbbc24601d",
-        "pairs=2230 ccp=2230 cost-calls=2230 neighborhoods=3950",
+        "pairs=2230 ccp=2230 cost-calls=2230 neighborhoods=3272",
         "partitioned:true:2230" );
       ( "grid-8x8",
         Workloads.Shapes.grid ~rows:8 ~cols:8 (),
         "9252cadb4a9b415cc89d8822664741fe",
-        "pairs=5865 ccp=5865 cost-calls=5865 neighborhoods=8027",
+        "pairs=5865 ccp=5865 cost-calls=5865 neighborhoods=5837",
         "partitioned:true:5865" );
     ]
 
@@ -601,66 +601,66 @@ let test_large_corpus_pins () =
         expected
         (large_run_line solve (List.assoc gname corpus)))
     [
-      ("simple-20", "partition-4", "54ea01a7d9130ebdfef70561b1c58a89 pairs=205 ccp=205 cost-calls=205 filtered=0 neighborhoods=399");
-      ("simple-20", "partition-10", "b08b24c47e2d237ea1c7b47a175f9285 pairs=479 ccp=479 cost-calls=479 filtered=0 neighborhoods=785");
-      ("simple-20", "idp-3", "63143b7d254a8957edd01af366a95c7d pairs=37 ccp=37 cost-calls=37 filtered=0 neighborhoods=151");
-      ("simple-20", "idp-5", "0c54926a53933657d05d35d6528dc39d pairs=119 ccp=119 cost-calls=119 filtered=0 neighborhoods=283");
-      ("simple-20", "idp-7", "14c93c22bebd086225281e50d8c2df85 pairs=473 ccp=473 cost-calls=473 filtered=0 neighborhoods=795");
-      ("simple-20", "idp-10", "f2ed2aa32f5b86aa638a0a5b73a567f6 pairs=1565 ccp=1565 cost-calls=1565 filtered=0 neighborhoods=2231");
-      ("simple-45", "partition-4", "30072edbf4ba5bf985995276a58581c4 pairs=1886 ccp=1886 cost-calls=1886 filtered=0 neighborhoods=2876");
-      ("simple-45", "partition-10", "132706d774a6aee3343b6721ecb0eed4 pairs=1700 ccp=1700 cost-calls=1700 filtered=0 neighborhoods=2650");
-      ("simple-45", "idp-3", "1df177a8535c27fdbd6e50bde58b3fa3 pairs=90 ccp=90 cost-calls=90 filtered=0 neighborhoods=356");
-      ("simple-45", "idp-5", "c15ddf1a70bbb704a0a092889546d980 pairs=252 ccp=252 cost-calls=252 filtered=0 neighborhoods=606");
-      ("simple-45", "idp-7", "c88d4531ff3615a0cb526ec77a12b0e1 pairs=628 ccp=628 cost-calls=628 filtered=0 neighborhoods=1172");
-      ("simple-45", "idp-10", "83fe984c3789ea7da888a0fbcc7906e3 pairs=2163 ccp=2163 cost-calls=2163 filtered=0 neighborhoods=3271");
-      ("simple-70", "partition-4", "92ca810053da1d10db857511687f575f pairs=2120 ccp=2120 cost-calls=2120 filtered=0 neighborhoods=3334");
-      ("simple-70", "partition-10", "90050c2db005cdb9f5d0248fdb809fe9 pairs=3068 ccp=3068 cost-calls=3068 filtered=0 neighborhoods=4680");
-      ("simple-70", "idp-3", "b82505bdcf8efe5701a90b5a136b1f91 pairs=137 ccp=137 cost-calls=137 filtered=0 neighborhoods=551");
-      ("simple-70", "idp-5", "b91d2b2da9e86a611829bc427fc1aeec pairs=385 ccp=385 cost-calls=385 filtered=0 neighborhoods=935");
-      ("simple-70", "idp-7", "a435716b96eb81010b65de192d8cffba pairs=974 ccp=974 cost-calls=974 filtered=0 neighborhoods=1804");
-      ("simple-70", "idp-10", "fd5f477209031a3984aa298a7bf03261 pairs=3663 ccp=3663 cost-calls=3663 filtered=0 neighborhoods=5485");
-      ("simple-120", "partition-4", "35d05e07a20434f1f63dfd104fdced73 pairs=5394 ccp=5394 cost-calls=5394 filtered=0 neighborhoods=8276");
-      ("simple-120", "partition-10", "868ce70982c619a4c7405eff69ac56e8 pairs=9526 ccp=9526 cost-calls=9526 filtered=0 neighborhoods=14178");
-      ("simple-120", "idp-3", "9ba2d96aa69de95959f8c7d63b7aad10 pairs=239 ccp=239 cost-calls=239 filtered=0 neighborhoods=955");
-      ("simple-120", "idp-5", "3e137f4489ff956baf94be0b1e068b0b pairs=704 ccp=704 cost-calls=704 filtered=0 neighborhoods=1686");
-      ("simple-120", "idp-7", "73a8c5ccbf9e8bdb61e8c42714df3f1e pairs=2052 ccp=2052 cost-calls=2052 filtered=0 neighborhoods=3706");
-      ("simple-120", "idp-10", "4182b0ab1846e49a3591f9539a116026 pairs=8025 ccp=8025 cost-calls=8025 filtered=0 neighborhoods=11839");
-      ("hyper-30", "partition-4", "4dac6d59a7eb0ba26c6e738792be4c53 pairs=1428 ccp=1396 cost-calls=1396 filtered=0 neighborhoods=2232");
-      ("hyper-30", "partition-10", "1856643a3279706262eae7d0651ab13a pairs=1822 ccp=1808 cost-calls=1808 filtered=0 neighborhoods=2772");
-      ("hyper-30", "idp-3", "786a8c8a7aa4c8e87c6a444d0e1832db pairs=63 ccp=63 cost-calls=63 filtered=0 neighborhoods=323");
-      ("hyper-30", "idp-5", "12f6c3d4888ae452da79e12f6bdeca77 pairs=138 ccp=138 cost-calls=138 filtered=0 neighborhoods=396");
-      ("hyper-30", "idp-7", "0e1a49fee163cb1a8dbf395649042b58 pairs=275 ccp=275 cost-calls=275 filtered=0 neighborhoods=667");
-      ("hyper-30", "idp-10", "ca36411312b9ad4ad3bf9691a6087450 pairs=1035 ccp=1035 cost-calls=1035 filtered=0 neighborhoods=1763");
-      ("hyper-90", "partition-4", "ca03fe6237021d2396e4f57ac703296e pairs=1388 ccp=1388 cost-calls=1388 filtered=0 neighborhoods=2640");
-      ("hyper-90", "partition-10", "1e95f0915e8a8c71f957bcf68ad5402e pairs=2916 ccp=2905 cost-calls=2905 filtered=0 neighborhoods=4740");
-      ("hyper-90", "idp-3", "806695d0b7d78e529e8707af59904565 pairs=187 ccp=187 cost-calls=187 filtered=0 neighborhoods=879");
-      ("hyper-90", "idp-5", "db3b4dbe1327fb98d0f5a9cb230acf3b pairs=506 ccp=506 cost-calls=506 filtered=0 neighborhoods=1270");
-      ("hyper-90", "idp-7", "6c5c7729a96527a77adc350aa0dac597 pairs=1207 ccp=1207 cost-calls=1207 filtered=0 neighborhoods=2409");
-      ("hyper-90", "idp-10", "9ef440ff10d14b0b019422489ca669a4 pairs=6327 ccp=6327 cost-calls=6327 filtered=0 neighborhoods=9181");
-      ("antijoins-24", "partition-4", "6fcd36f08f7a1e21e5da73917165b763 pairs=4624 ccp=4624 cost-calls=4624 filtered=0 neighborhoods=6742");
-      ("antijoins-24", "partition-10", "6fcd36f08f7a1e21e5da73917165b763 pairs=4688 ccp=4688 cost-calls=4688 filtered=0 neighborhoods=6846");
-      ("antijoins-24", "idp-3", "6fcd36f08f7a1e21e5da73917165b763 pairs=45 ccp=45 cost-calls=45 filtered=0 neighborhoods=183");
-      ("antijoins-24", "idp-5", "6fcd36f08f7a1e21e5da73917165b763 pairs=172 ccp=172 cost-calls=172 filtered=0 neighborhoods=394");
-      ("antijoins-24", "idp-7", "6fcd36f08f7a1e21e5da73917165b763 pairs=656 ccp=656 cost-calls=656 filtered=0 neighborhoods=1150");
-      ("antijoins-24", "idp-10", "6fcd36f08f7a1e21e5da73917165b763 pairs=4688 ccp=4688 cost-calls=4688 filtered=0 neighborhoods=6846");
-      ("outerjoins-30", "partition-4", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=197");
-      ("outerjoins-30", "partition-10", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=197");
-      ("outerjoins-30", "idp-3", "d90d828a9a034965c06a13a930b6ab06 pairs=33 ccp=33 cost-calls=33 filtered=0 neighborhoods=803");
-      ("outerjoins-30", "idp-5", "5bff5813769316e1bedfc22400e5a60b pairs=45 ccp=45 cost-calls=45 filtered=0 neighborhoods=807");
-      ("outerjoins-30", "idp-7", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=709");
-      ("outerjoins-30", "idp-10", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=529");
-      ("free-40", "partition-4", "928b9c750dec4c479f2b60a69a9c488f pairs=1189 ccp=1189 cost-calls=1189 filtered=0 neighborhoods=1855");
-      ("free-40", "partition-10", "9db7cd0ccb957ac80c8b7c74c8d1d0f5 pairs=1040 ccp=1040 cost-calls=1040 filtered=0 neighborhoods=1682");
-      ("free-40", "idp-3", "c9771f965cdfa5ebc0b83ecebbe6f688 pairs=77 ccp=77 cost-calls=77 filtered=0 neighborhoods=311");
-      ("free-40", "idp-5", "6df3a7b661cdd53afa62b2e3fd6391ea pairs=243 ccp=243 cost-calls=243 filtered=0 neighborhoods=573");
-      ("free-40", "idp-7", "85106ce26dc340ebaeb5f12d3b074ef4 pairs=678 ccp=678 cost-calls=678 filtered=0 neighborhoods=1216");
-      ("free-40", "idp-10", "11c148d53b7e56d3a94ee1025b84de2f pairs=2301 ccp=2301 cost-calls=2301 filtered=0 neighborhoods=3421");
-      ("free-hyper-64", "partition-4", "646db3d5f077390124951f61401ca6bd pairs=2000 ccp=1992 cost-calls=1992 filtered=0 neighborhoods=3258");
-      ("free-hyper-64", "partition-10", "4d4d2333d47cb678a07331c4a5ac1af1 pairs=4340 ccp=4334 cost-calls=4334 filtered=0 neighborhoods=6486");
-      ("free-hyper-64", "idp-3", "a084b4116f527aa36f22eda22a3df59f pairs=128 ccp=125 cost-calls=125 filtered=0 neighborhoods=747");
-      ("free-hyper-64", "idp-5", "4e7528e84d931cb1d122165187ca1b93 pairs=338 ccp=322 cost-calls=322 filtered=0 neighborhoods=1012");
-      ("free-hyper-64", "idp-7", "90a1a8ae20c0fbb011f63f8359da1899 pairs=920 ccp=916 cost-calls=916 filtered=0 neighborhoods=1768");
-      ("free-hyper-64", "idp-10", "2ba3c07d0fa8edfe50cea7fca84b585f pairs=3904 ccp=3841 cost-calls=3841 filtered=0 neighborhoods=5841");
+      ("simple-20", "partition-4", "54ea01a7d9130ebdfef70561b1c58a89 pairs=205 ccp=205 cost-calls=205 filtered=0 neighborhoods=359");
+      ("simple-20", "partition-10", "b08b24c47e2d237ea1c7b47a175f9285 pairs=479 ccp=479 cost-calls=479 filtered=0 neighborhoods=650");
+      ("simple-20", "idp-3", "63143b7d254a8957edd01af366a95c7d pairs=37 ccp=37 cost-calls=37 filtered=0 neighborhoods=123");
+      ("simple-20", "idp-5", "0c54926a53933657d05d35d6528dc39d pairs=119 ccp=119 cost-calls=119 filtered=0 neighborhoods=219");
+      ("simple-20", "idp-7", "14c93c22bebd086225281e50d8c2df85 pairs=473 ccp=473 cost-calls=473 filtered=0 neighborhoods=652");
+      ("simple-20", "idp-10", "f2ed2aa32f5b86aa638a0a5b73a567f6 pairs=1565 ccp=1565 cost-calls=1565 filtered=0 neighborhoods=1987");
+      ("simple-45", "partition-4", "30072edbf4ba5bf985995276a58581c4 pairs=1886 ccp=1886 cost-calls=1886 filtered=0 neighborhoods=2496");
+      ("simple-45", "partition-10", "132706d774a6aee3343b6721ecb0eed4 pairs=1700 ccp=1700 cost-calls=1700 filtered=0 neighborhoods=2459");
+      ("simple-45", "idp-3", "1df177a8535c27fdbd6e50bde58b3fa3 pairs=90 ccp=90 cost-calls=90 filtered=0 neighborhoods=288");
+      ("simple-45", "idp-5", "c15ddf1a70bbb704a0a092889546d980 pairs=252 ccp=252 cost-calls=252 filtered=0 neighborhoods=520");
+      ("simple-45", "idp-7", "c88d4531ff3615a0cb526ec77a12b0e1 pairs=628 ccp=628 cost-calls=628 filtered=0 neighborhoods=1022");
+      ("simple-45", "idp-10", "83fe984c3789ea7da888a0fbcc7906e3 pairs=2163 ccp=2163 cost-calls=2163 filtered=0 neighborhoods=3061");
+      ("simple-70", "partition-4", "92ca810053da1d10db857511687f575f pairs=2120 ccp=2120 cost-calls=2120 filtered=0 neighborhoods=3003");
+      ("simple-70", "partition-10", "90050c2db005cdb9f5d0248fdb809fe9 pairs=3068 ccp=3068 cost-calls=3068 filtered=0 neighborhoods=4352");
+      ("simple-70", "idp-3", "b82505bdcf8efe5701a90b5a136b1f91 pairs=137 ccp=137 cost-calls=137 filtered=0 neighborhoods=448");
+      ("simple-70", "idp-5", "b91d2b2da9e86a611829bc427fc1aeec pairs=385 ccp=385 cost-calls=385 filtered=0 neighborhoods=793");
+      ("simple-70", "idp-7", "a435716b96eb81010b65de192d8cffba pairs=974 ccp=974 cost-calls=974 filtered=0 neighborhoods=1611");
+      ("simple-70", "idp-10", "fd5f477209031a3984aa298a7bf03261 pairs=3663 ccp=3663 cost-calls=3663 filtered=0 neighborhoods=5133");
+      ("simple-120", "partition-4", "35d05e07a20434f1f63dfd104fdced73 pairs=5394 ccp=5394 cost-calls=5394 filtered=0 neighborhoods=7675");
+      ("simple-120", "partition-10", "868ce70982c619a4c7405eff69ac56e8 pairs=9526 ccp=9526 cost-calls=9526 filtered=0 neighborhoods=12299");
+      ("simple-120", "idp-3", "9ba2d96aa69de95959f8c7d63b7aad10 pairs=239 ccp=239 cost-calls=239 filtered=0 neighborhoods=775");
+      ("simple-120", "idp-5", "3e137f4489ff956baf94be0b1e068b0b pairs=704 ccp=704 cost-calls=704 filtered=0 neighborhoods=1443");
+      ("simple-120", "idp-7", "73a8c5ccbf9e8bdb61e8c42714df3f1e pairs=2052 ccp=2052 cost-calls=2052 filtered=0 neighborhoods=3353");
+      ("simple-120", "idp-10", "4182b0ab1846e49a3591f9539a116026 pairs=8025 ccp=8025 cost-calls=8025 filtered=0 neighborhoods=11172");
+      ("hyper-30", "partition-4", "4dac6d59a7eb0ba26c6e738792be4c53 pairs=1428 ccp=1396 cost-calls=1396 filtered=0 neighborhoods=2071");
+      ("hyper-30", "partition-10", "1856643a3279706262eae7d0651ab13a pairs=1822 ccp=1808 cost-calls=1808 filtered=0 neighborhoods=2597");
+      ("hyper-30", "idp-3", "786a8c8a7aa4c8e87c6a444d0e1832db pairs=63 ccp=63 cost-calls=63 filtered=0 neighborhoods=287");
+      ("hyper-30", "idp-5", "12f6c3d4888ae452da79e12f6bdeca77 pairs=138 ccp=138 cost-calls=138 filtered=0 neighborhoods=360");
+      ("hyper-30", "idp-7", "0e1a49fee163cb1a8dbf395649042b58 pairs=275 ccp=275 cost-calls=275 filtered=0 neighborhoods=647");
+      ("hyper-30", "idp-10", "ca36411312b9ad4ad3bf9691a6087450 pairs=1035 ccp=1035 cost-calls=1035 filtered=0 neighborhoods=1712");
+      ("hyper-90", "partition-4", "ca03fe6237021d2396e4f57ac703296e pairs=1388 ccp=1388 cost-calls=1388 filtered=0 neighborhoods=2499");
+      ("hyper-90", "partition-10", "1e95f0915e8a8c71f957bcf68ad5402e pairs=2916 ccp=2905 cost-calls=2905 filtered=0 neighborhoods=4464");
+      ("hyper-90", "idp-3", "806695d0b7d78e529e8707af59904565 pairs=187 ccp=187 cost-calls=187 filtered=0 neighborhoods=752");
+      ("hyper-90", "idp-5", "db3b4dbe1327fb98d0f5a9cb230acf3b pairs=506 ccp=506 cost-calls=506 filtered=0 neighborhoods=1083");
+      ("hyper-90", "idp-7", "6c5c7729a96527a77adc350aa0dac597 pairs=1207 ccp=1207 cost-calls=1207 filtered=0 neighborhoods=2197");
+      ("hyper-90", "idp-10", "9ef440ff10d14b0b019422489ca669a4 pairs=6327 ccp=6327 cost-calls=6327 filtered=0 neighborhoods=8522");
+      ("antijoins-24", "partition-4", "6fcd36f08f7a1e21e5da73917165b763 pairs=4624 ccp=4624 cost-calls=4624 filtered=0 neighborhoods=5710");
+      ("antijoins-24", "partition-10", "6fcd36f08f7a1e21e5da73917165b763 pairs=4688 ccp=4688 cost-calls=4688 filtered=0 neighborhoods=5793");
+      ("antijoins-24", "idp-3", "6fcd36f08f7a1e21e5da73917165b763 pairs=45 ccp=45 cost-calls=45 filtered=0 neighborhoods=149");
+      ("antijoins-24", "idp-5", "6fcd36f08f7a1e21e5da73917165b763 pairs=172 ccp=172 cost-calls=172 filtered=0 neighborhoods=312");
+      ("antijoins-24", "idp-7", "6fcd36f08f7a1e21e5da73917165b763 pairs=656 ccp=656 cost-calls=656 filtered=0 neighborhoods=930");
+      ("antijoins-24", "idp-10", "6fcd36f08f7a1e21e5da73917165b763 pairs=4688 ccp=4688 cost-calls=4688 filtered=0 neighborhoods=5793");
+      ("outerjoins-30", "partition-4", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=196");
+      ("outerjoins-30", "partition-10", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=196");
+      ("outerjoins-30", "idp-3", "d90d828a9a034965c06a13a930b6ab06 pairs=33 ccp=33 cost-calls=33 filtered=0 neighborhoods=796");
+      ("outerjoins-30", "idp-5", "5bff5813769316e1bedfc22400e5a60b pairs=45 ccp=45 cost-calls=45 filtered=0 neighborhoods=796");
+      ("outerjoins-30", "idp-7", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=707");
+      ("outerjoins-30", "idp-10", "d90d828a9a034965c06a13a930b6ab06 pairs=59 ccp=59 cost-calls=59 filtered=0 neighborhoods=527");
+      ("free-40", "partition-4", "928b9c750dec4c479f2b60a69a9c488f pairs=1189 ccp=1189 cost-calls=1189 filtered=0 neighborhoods=1724");
+      ("free-40", "partition-10", "9db7cd0ccb957ac80c8b7c74c8d1d0f5 pairs=1040 ccp=1040 cost-calls=1040 filtered=0 neighborhoods=1575");
+      ("free-40", "idp-3", "c9771f965cdfa5ebc0b83ecebbe6f688 pairs=77 ccp=77 cost-calls=77 filtered=0 neighborhoods=253");
+      ("free-40", "idp-5", "6df3a7b661cdd53afa62b2e3fd6391ea pairs=243 ccp=243 cost-calls=243 filtered=0 neighborhoods=474");
+      ("free-40", "idp-7", "85106ce26dc340ebaeb5f12d3b074ef4 pairs=678 ccp=678 cost-calls=678 filtered=0 neighborhoods=1056");
+      ("free-40", "idp-10", "11c148d53b7e56d3a94ee1025b84de2f pairs=2301 ccp=2301 cost-calls=2301 filtered=0 neighborhoods=3210");
+      ("free-hyper-64", "partition-4", "646db3d5f077390124951f61401ca6bd pairs=2000 ccp=1992 cost-calls=1992 filtered=0 neighborhoods=3158");
+      ("free-hyper-64", "partition-10", "4d4d2333d47cb678a07331c4a5ac1af1 pairs=4340 ccp=4334 cost-calls=4334 filtered=0 neighborhoods=6016");
+      ("free-hyper-64", "idp-3", "a084b4116f527aa36f22eda22a3df59f pairs=128 ccp=125 cost-calls=125 filtered=0 neighborhoods=670");
+      ("free-hyper-64", "idp-5", "4e7528e84d931cb1d122165187ca1b93 pairs=338 ccp=322 cost-calls=322 filtered=0 neighborhoods=908");
+      ("free-hyper-64", "idp-7", "90a1a8ae20c0fbb011f63f8359da1899 pairs=920 ccp=916 cost-calls=916 filtered=0 neighborhoods=1664");
+      ("free-hyper-64", "idp-10", "2ba3c07d0fa8edfe50cea7fca84b585f pairs=3904 ccp=3841 cost-calls=3841 filtered=0 neighborhoods=5481");
     ]
 
 (* On star-hyper-16 at split level 4, IDP-3's blocks are straddled by
@@ -673,7 +673,7 @@ let test_idp_widening_pin () =
     "plan" "29bee7c6932524219d9f0d4d286c15a0"
     (Digest.to_hex (Digest.string (Plans.Plan.to_string plan)));
   Alcotest.(check string)
-    "counters" "pairs=92 ccp=92 cost-calls=92 neighborhoods=268"
+    "counters" "pairs=92 ccp=92 cost-calls=92 neighborhoods=218"
     (counters_line counters);
   let spans = Obs.Span.spans ctx in
   Alcotest.(check int) "rounds" 11 (List.length spans);

@@ -281,6 +281,114 @@ let qcheck_update_model =
             ops)
         [ 3; 30; 80 ])
 
+(* ---------- Dp_table chunk boundaries ---------- *)
+
+(* The first [m] sets over [n] relations, singletons first, then by
+   cardinality: each later set splits into its minimum and the rest,
+   both already listed. *)
+let sets_by_size n m =
+  let rec combos k lo =
+    if k = 0 then [ Ns.empty ]
+    else if lo >= n then []
+    else
+      List.map (Ns.add lo) (combos (k - 1) (lo + 1)) @ combos k (lo + 1)
+  in
+  let rec take k acc =
+    if List.length acc >= m || k > n then List.filteri (fun i _ -> i < m) acc
+    else take (k + 1) (acc @ combos k 0)
+  in
+  take 1 []
+
+(* A table of [m] entries over [n] relations (flat up to 18, hashed
+   beyond), filled through [leaf] and [offer] and checked against an
+   association list from set to (id, left, cost, card): the entry ids
+   are insertion order across every chunk boundary, [offer] keeps the
+   first of equal costs and takes a strictly cheaper one, and [id],
+   [load], [cost], [find] and [sets_of_size] read back what went in. *)
+let check_chunked_table ~n m =
+  let g =
+    G.make
+      (Array.init n (fun i ->
+           G.base_rel ~card:(float_of_int (10 + i)) (Printf.sprintf "Q%d" i)))
+      [||]
+  in
+  let dp = Dp.create_for g in
+  let name fmt = Printf.sprintf ("n=%d m=%d: " ^^ fmt) n m in
+  let offer s ~left ~cost ~card =
+    let c = Costing.Candidate.create () in
+    c.cost <- cost;
+    c.card <- card;
+    Dp.offer dp c (Dp.id dp s) s ~left ~code:0
+  in
+  let reference =
+    List.mapi
+      (fun i s ->
+        if Ns.is_singleton s then begin
+          let v = Ns.min_elt s in
+          let cost = if v mod 2 = 0 then 0.0 else float_of_int v in
+          Dp.leaf dp v ~cost;
+          (s, (i, Ns.empty, cost, G.cardinality g v))
+        end
+        else begin
+          let left = Ns.min_set s and k = float_of_int i in
+          check_int (name "install id") i
+            (offer s ~left:(Ns.diff s left) ~cost:(k +. 0.5) ~card:k);
+          (* an equal cost keeps the first split, a cheaper one wins *)
+          check_int (name "rejected id") i (offer s ~left ~cost:(k +. 0.5) ~card:0.);
+          let cost = if i mod 3 = 0 then k +. 0.25 else k +. 0.5 in
+          if i mod 3 = 0 then
+            check_int (name "displaced id") i (offer s ~left ~cost ~card:k);
+          (s, (i, (if i mod 3 = 0 then left else Ns.diff s left), cost, k))
+        end)
+      (sets_by_size n m)
+  in
+  check_int (name "size") m (Dp.size dp);
+  let cand = Costing.Candidate.create () in
+  let entry = Array.of_list (List.map snd reference) in
+  List.iter
+    (fun (s, (i, left, cost, card)) ->
+      let show = Ns.to_string s in
+      check_int (name "id %s" show) i (Dp.id dp s);
+      let _, _, cost2, card2 = entry.((i * 7) mod m) in
+      Dp.load dp cand i ((i * 7) mod m);
+      check (name "load %s" show) true
+        (cand.left_cost = cost && cand.left_card = card
+        && cand.right_cost = cost2 && cand.right_card = card2);
+      check (name "cost %s" show) true (Dp.cost dp s = cost);
+      match Dp.find dp s with
+      | None -> Alcotest.failf "n=%d m=%d: no plan for %s" n m show
+      | Some p ->
+          check (name "plan of %s" show) true
+            (Ns.equal p.P.set s && p.P.cost = cost && p.P.card = card);
+          (match p.P.tree with
+          | P.Scan v -> check (name "scan %s" show) true (Ns.equal s (Ns.singleton v))
+          | P.Join j -> check (name "left of %s" show) true (Ns.equal j.P.left.P.set left)))
+    reference;
+  (match sets_by_size n (m + 1) with
+  | l when List.length l > m ->
+      check_int (name "absent set") (-1) (Dp.id dp (List.nth l m))
+  | _ -> ());
+  for k = 1 to n do
+    let expected =
+      List.rev (List.filter_map
+        (fun (s, _) -> if Ns.cardinal s = k then Some (Ns.to_string s) else None)
+        reference)
+    in
+    Alcotest.(check (list string))
+      (name "sets of size %d, newest first" k)
+      expected
+      (List.map Ns.to_string (Dp.sets_of_size dp k))
+  done;
+  check (name "flat below 19 relations") (n <= Dp.flat_max_nodes)
+    (Dp.hash_stats dp = None)
+
+let test_chunk_boundaries () =
+  List.iter
+    (fun m ->
+      check_chunked_table ~n:13 m;
+      check_chunked_table ~n:20 m)
+    [ 1; 63; 64; 65; 129; 4_100 ]
+
 (* ---------- structural plan diff ---------- *)
 
 module Pd = Plans.Plan_diff
@@ -396,6 +504,8 @@ let () =
           Alcotest.test_case "update semantics" `Quick test_dp_table;
           Alcotest.test_case "size buckets" `Quick test_size_buckets;
           QCheck_alcotest.to_alcotest qcheck_update_model;
+          Alcotest.test_case "chunk boundaries, flat and hashed" `Quick
+            test_chunk_boundaries;
         ] );
       ( "plan_diff",
         [
